@@ -1,10 +1,9 @@
-// E12 — storage-layer ablation: interned symbols + typed columns vs the
-// legacy row maps (stage 1 of the vectorized-propagation refactor).
+// E12 — storage layer: interned symbols + typed property columns.
 //
 // Three sweeps, each over graph size × property mix:
-//   * BM_E12_Load — bulk population, typed vs row. `storage_bytes`
+//   * BM_E12_Load — bulk population. `storage_bytes`
 //     (PropertyGraph::ApproxMemoryBytes) rides alongside the timing so the
-//     memory win of columnar lanes is tracked per PR, not just speed.
+//     footprint of the columnar lanes is tracked per PR, not just speed.
 //   * BM_E12_UpdateBurst — batched mutation bursts over a populated graph
 //     (the IVM ingest shape: BeginBatch / k updates / CommitBatch).
 //   * BM_E12_FilterSweep — the filter-heavy read loop, string path
@@ -45,16 +44,15 @@ Value MixedScalar(Rng& rng, int mix) {
       return Value::String("s" + std::to_string(rng.NextBelow(64)));
     default:
       // Same key, different scalar type than the Int most elements carry:
-      // in typed mode this lands in the column's overflow map.
+      // this lands in the column's overflow map.
       return Value::Bool(rng.NextBool(0.5));
   }
 }
 
 /// Deterministic loader: `vertices` vertices over three labels, each with
 /// an always-Int64 "age" plus two mix-controlled keys, and ~2x edges over
-/// two types with one mix-controlled key. Same stream for every storage
-/// mode (the bit-identity harnesses prove the modes agree; here we only
-/// need comparable work).
+/// two types with one mix-controlled key. Fixed seed, so every run does
+/// comparable work.
 void PopulateGraph(PropertyGraph* graph, int64_t vertices, int mix) {
   Rng rng(/*seed=*/42);
   static const char* kLabels[] = {"Person", "Post", "Comment"};
@@ -80,20 +78,13 @@ void PopulateGraph(PropertyGraph* graph, int64_t vertices, int mix) {
   graph->CommitBatch();
 }
 
-StorageOptions PinnedStorage(bool typed) {
-  StorageOptions storage;
-  storage.typed_columns = typed;
-  return storage;
-}
-
-/// Bulk load, typed vs row. storage_bytes is the post-load footprint.
+/// Bulk load. storage_bytes is the post-load footprint.
 void BM_E12_Load(benchmark::State& state) {
   const int64_t vertices = state.range(0);
   const int mix = static_cast<int>(state.range(1));
-  const bool typed = state.range(2) != 0;
   size_t bytes = 0;
   for (auto _ : state) {
-    PropertyGraph graph(PinnedStorage(typed));
+    PropertyGraph graph;
     PopulateGraph(&graph, vertices, mix);
     bytes = graph.ApproxMemoryBytes();
     benchmark::DoNotOptimize(bytes);
@@ -102,15 +93,8 @@ void BM_E12_Load(benchmark::State& state) {
   state.counters["storage_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_E12_Load)
-    ->ArgNames({"vertices", "mix", "typed"})
-    ->Args({2000, kMixIntOnly, 0})
-    ->Args({2000, kMixIntOnly, 1})
-    ->Args({2000, kMixMixed, 0})
-    ->Args({2000, kMixMixed, 1})
-    ->Args({20000, kMixIntOnly, 0})
-    ->Args({20000, kMixIntOnly, 1})
-    ->Args({20000, kMixMixed, 0})
-    ->Args({20000, kMixMixed, 1})
+    ->ArgNames({"vertices", "mix"})
+    ->ArgsProduct({{2000, 20000}, {kMixIntOnly, kMixMixed}})
     ->Unit(benchmark::kMillisecond);
 
 /// Batched mutation bursts against a populated graph: property overwrites,
@@ -118,8 +102,7 @@ BENCHMARK(BM_E12_Load)
 void BM_E12_UpdateBurst(benchmark::State& state) {
   const int64_t vertices = state.range(0);
   const int mix = static_cast<int>(state.range(1));
-  const bool typed = state.range(2) != 0;
-  PropertyGraph graph(PinnedStorage(typed));
+  PropertyGraph graph;
   PopulateGraph(&graph, vertices, mix);
   std::vector<VertexId> ids;
   graph.ForEachVertex([&ids](VertexId v) { ids.push_back(v); });
@@ -149,23 +132,20 @@ void BM_E12_UpdateBurst(benchmark::State& state) {
       static_cast<double>(graph.ApproxMemoryBytes());
 }
 BENCHMARK(BM_E12_UpdateBurst)
-    ->ArgNames({"vertices", "mix", "typed"})
-    ->Args({2000, kMixIntOnly, 0})
-    ->Args({2000, kMixIntOnly, 1})
-    ->Args({20000, kMixMixed, 0})
-    ->Args({20000, kMixMixed, 1})
+    ->ArgNames({"vertices", "mix"})
+    ->Args({2000, kMixIntOnly})
+    ->Args({20000, kMixMixed})
     ->Unit(benchmark::kMicrosecond);
 
 /// The filter-heavy loop: scan every Person, read two properties, count
 /// matches. symbol=0 goes through the string shims (hash + symbol lookup
 /// per read); symbol=1 resolves each name once and runs on SymbolIds —
-/// the per-tuple discipline input/path nodes use. Typed storage for both:
-/// this sweep isolates the API path, not the column layout.
+/// the per-tuple discipline input/path nodes use.
 void BM_E12_FilterSweep(benchmark::State& state) {
   const int64_t vertices = state.range(0);
   const int mix = static_cast<int>(state.range(1));
   const bool symbol_path = state.range(2) != 0;
-  PropertyGraph graph(PinnedStorage(/*typed=*/true));
+  PropertyGraph graph;
   PopulateGraph(&graph, vertices, mix);
   int64_t matched = 0;
   if (symbol_path) {

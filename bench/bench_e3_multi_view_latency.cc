@@ -127,26 +127,24 @@ BENCHMARK(BM_E3_BatchSweep)
     ->ArgsProduct({{1, 16, 128, 1024}, {0, 1}})
     ->Iterations(20);
 
-// ---- operator-state sharing sweep: views × overlap × sharing × threads -----
+// ---- operator-state sharing sweep: views × overlap × threads ---------------
 //
 // The catalog deployment scenario: range(0) standing views are registered,
 // cycling over the first range(1) queries of the pool (so overlap factor =
 // views / range(1): dashboards registering the same standing query are
-// common in monitoring fleets). range(2) toggles operator-state sharing and
-// range(3) picks the wave executor: 1 = serial, n > 1 = parallel with n
-// threads, 0 = parallel at hardware concurrency. Each iteration commits one
-// 64-change batch, so items/s is the catalog's propagation throughput —
-// the number the thread sweep scales. Reported counters: live Rete nodes,
-// multi-view shared nodes, node-memory bytes (each node once), wave
-// parallelism actually in effect, and the propagation volume of the timed
-// stream (identical across thread counts: parallel waves are bit-identical
-// to serial).
+// common in monitoring fleets). range(2) picks the wave executor: 1 =
+// serial, n > 1 = parallel with n threads, 0 = parallel at hardware
+// concurrency. Each iteration commits one 64-change batch, so items/s is
+// the catalog's propagation throughput — the number the thread sweep
+// scales. Reported counters: live Rete nodes, multi-view shared nodes,
+// node-memory bytes (each node once), wave parallelism actually in effect,
+// and the propagation volume of the timed stream (identical across thread
+// counts: parallel waves are bit-identical to serial).
 
 void BM_E3_CatalogSharingSweep(benchmark::State& state) {
   int64_t num_views = state.range(0);
   size_t pool = static_cast<size_t>(state.range(1));
-  bool shared = state.range(2) == 1;
-  int64_t threads = state.range(3);
+  int64_t threads = state.range(2);
   constexpr int kChangesPerBatch = 64;
 
   PropertyGraph graph;
@@ -156,7 +154,6 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  options.catalog.share_operator_state = shared;
   if (threads != 1) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = static_cast<int>(threads);
@@ -169,16 +166,9 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
         engine.Register(catalog[static_cast<size_t>(i) % pool]).value());
   }
 
-  auto total_emitted = [&]() {
-    if (shared) {
-      const ReteNetwork* network = engine.catalog().shared_network();
-      return network == nullptr ? int64_t{0} : network->TotalEmittedEntries();
-    }
-    int64_t total = 0;
-    for (const auto& view : views) {
-      total += view->network().TotalEmittedEntries();
-    }
-    return total;
+  const ReteNetwork* network = engine.catalog().shared_network();
+  auto total_emitted = [network]() {
+    return network == nullptr ? int64_t{0} : network->TotalEmittedEntries();
   };
 
   int64_t emitted_before = total_emitted();
@@ -190,13 +180,8 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
     graph.CommitBatch();
   }
   int64_t emitted = total_emitted() - emitted_before;
-
-  int parallelism = 1;
-  if (shared && engine.catalog().shared_network() != nullptr) {
-    parallelism = engine.catalog().shared_network()->executor_parallelism();
-  } else if (!views.empty()) {
-    parallelism = views.front()->network().executor_parallelism();
-  }
+  int parallelism =
+      network == nullptr ? 1 : network->executor_parallelism();
 
   CatalogStats stats = engine.catalog().Stats();
   state.SetItemsProcessed(state.iterations() * kChangesPerBatch);
@@ -206,17 +191,16 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
   state.counters["mem_bytes"] = static_cast<double>(stats.memory_bytes);
   state.counters["emitted"] = static_cast<double>(emitted);
   state.counters["threads"] = static_cast<double>(parallelism);
-  state.SetLabel(std::string(shared ? "shared" : "unshared") + "/" +
-                 (parallelism > 1 ? "parallel" : "serial"));
+  state.SetLabel(parallelism > 1 ? "parallel" : "serial");
 }
 BENCHMARK(BM_E3_CatalogSharingSweep)
-    // The PR-2 sharing matrix, serial executor.
-    ->ArgsProduct({{4, 8, 16}, {2, 4, 8}, {0, 1}, {1}})
-    // The wave-executor thread sweep over the 16-view shared catalog (the
+    // The views × overlap matrix, serial executor.
+    ->ArgsProduct({{4, 8, 16}, {2, 4, 8}, {1}})
+    // The wave-executor thread sweep over the 16-view catalog (the
     // fleet-maintenance scenario parallel waves target): serial vs 2/4/8
     // workers vs hardware concurrency (0). Wall-clock timing, so items/s
     // is the actual propagation throughput, not summed thread time.
-    ->ArgsProduct({{16}, {4, 8}, {1}, {2, 4, 8, 0}})
+    ->ArgsProduct({{16}, {4, 8}, {2, 4, 8, 0}})
     ->UseRealTime()
     ->Iterations(20);
 
@@ -320,19 +304,14 @@ BENCHMARK(BM_E3_CanonicalSharingSweep)
 // already serving? range(0) standing views are registered and churned
 // first; each timed iteration then registers one more view — a full
 // structural duplicate of an existing one, the dashboard-clone case — and
-// drops it again (untimed). range(1) toggles operator-state sharing and
-// range(2) incremental priming (memory replay; ignored when unshared).
+// drops it again (untimed).
 //
-// Expected shape: shared+replay registration latency is flat in catalog
-// size (replay work ∝ the new view's result size; `replayed` counter) and
-// reads nothing from the graph (`graph_primed` = 0); shared+re-prime and
-// unshared registration grow with catalog/graph size. BENCH_bench_e3_
-// register.json tracks the three curves per PR.
+// Expected shape: registration latency is flat in catalog size (replay
+// work ∝ the new view's result size; `replayed` counter) and reads nothing
+// from the graph (`graph_primed` = 0).
 
 void BM_E3_RegisterIntoLiveCatalog(benchmark::State& state) {
   int64_t catalog_size = state.range(0);
-  bool shared = state.range(1) == 1;
-  bool incremental = state.range(2) == 1;
 
   PropertyGraph graph;
   SocialNetworkConfig config;
@@ -340,10 +319,7 @@ void BM_E3_RegisterIntoLiveCatalog(benchmark::State& state) {
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions options;
-  options.catalog.share_operator_state = shared;
-  options.catalog.incremental_priming = incremental;
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
   std::vector<std::shared_ptr<View>> views;
   std::vector<std::string> catalog = StandingQueries();
   for (int64_t i = 0; i < catalog_size; ++i) {
@@ -354,8 +330,7 @@ void BM_E3_RegisterIntoLiveCatalog(benchmark::State& state) {
   // Warm the catalog: registration must splice into live, churned state.
   for (int i = 0; i < 64; ++i) generator.ApplyRandomUpdate(&graph);
 
-  // A structural duplicate of the first standing query (fully shared under
-  // sharing; rebuilt from the graph otherwise).
+  // A structural duplicate of the first standing query (fully shared).
   const std::string newcomer = catalog[0];
   int64_t replayed = 0;
   int64_t graph_primed = 0;
@@ -377,13 +352,13 @@ void BM_E3_RegisterIntoLiveCatalog(benchmark::State& state) {
   state.counters["graph_primed"] =
       benchmark::Counter(static_cast<double>(graph_primed),
                          benchmark::Counter::kAvgIterations);
-  state.SetLabel(std::string(shared ? "shared" : "unshared") +
-                 (shared ? (incremental ? "/replay" : "/reprime") : ""));
 }
 BENCHMARK(BM_E3_RegisterIntoLiveCatalog)
-    // Catalog size sweep × {unshared, shared+full-reprime, shared+replay}.
-    ->ArgsProduct({{1, 4, 8, 16}, {0}, {1}})
-    ->ArgsProduct({{1, 4, 8, 16}, {1}, {0, 1}})
+    // Catalog size sweep.
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
     ->Iterations(50);
 
 }  // namespace

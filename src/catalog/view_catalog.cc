@@ -8,27 +8,6 @@
 
 namespace pgivm {
 
-namespace {
-
-/// Runs `attach` (a full Attach-based prime of `network`) and reports it in
-/// PrimeStats terms: every primed tuple came from the graph, none from
-/// replay. Used for the first registration, the incremental_priming=false
-/// ablation, and private (unshared) networks.
-template <typename AttachFn>
-ReteNetwork::PrimeStats MeasureFullPrime(const ReteNetwork& network,
-                                         size_t fresh_nodes,
-                                         AttachFn&& attach) {
-  ReteNetwork::PrimeStats stats;
-  stats.fresh_nodes = fresh_nodes;
-  int64_t before = network.SourceEmittedEntries();
-  attach();
-  stats.graph_primed_entries = network.SourceEmittedEntries() - before;
-  stats.primed_sources = network.source_count();
-  return stats;
-}
-
-}  // namespace
-
 std::string CatalogStats::ToString() const {
   std::ostringstream os;
   os << "views=" << views << " nodes=" << total_nodes
@@ -41,16 +20,12 @@ std::string CatalogStats::ToString() const {
 }
 
 std::shared_ptr<ViewCatalog> ViewCatalog::Create(
-    PropertyGraph* graph, NetworkOptions network_options,
-    CatalogOptions options) {
+    PropertyGraph* graph, NetworkOptions network_options) {
   // PGIVM_THREADS / PGIVM_PROFILE / PGIVM_MORSEL win over programmatic
-  // configuration for every network this catalog creates (shared or
-  // per-view).
+  // configuration for the network this catalog creates.
   return std::shared_ptr<ViewCatalog>(new ViewCatalog(
-      graph,
-      ApplyEnvMorselOverride(ApplyEnvProfilingOverride(
-          ApplyEnvExecutorOverride(network_options))),
-      options));
+      graph, ApplyEnvMorselOverride(ApplyEnvProfilingOverride(
+                 ApplyEnvExecutorOverride(network_options)))));
 }
 
 Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
@@ -68,107 +43,70 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   view->skip_ = skip;
   view->limit_ = limit;
 
-  if (options_.share_operator_state) {
-    const bool live = network_ != nullptr && network_->attached();
-    if (network_ == nullptr) {
-      network_ = std::make_unique<ReteNetwork>();
-      network_->set_propagation(network_options_.propagation);
-      network_->set_executor(network_options_.executor,
-                             network_options_.num_threads);
-      network_->set_consolidation_cutoff(
-          network_options_.consolidation_cutoff);
-      network_->set_parallel_min_wave_entries(
-          network_options_.parallel_min_wave_entries);
-      network_->set_morsel_min_node_entries(
-          network_options_.morsel_min_node_entries);
-      network_->set_morsel_partitions(network_options_.morsel_partitions);
-      network_->set_epoch_retention(network_options_.epoch_retention);
-      network_->set_thread_pool(EnginePool());
-      network_->set_metrics(metrics_.get());
-      network_->set_trace_capacity(network_options_.trace_capacity);
-      network_->set_profiling(
-          profiling_flag_.load(std::memory_order_relaxed));
-    }
-    Result<BuiltView> built = BuildViewInto(network_.get(), view->fra_,
-                                            graph_, network_options_,
-                                            &registry_);
-    if (!built.ok()) return built.status();
+  const bool live = network_ != nullptr && network_->attached();
+  if (network_ == nullptr) {
+    network_ = std::make_unique<ReteNetwork>();
+    network_->set_propagation(network_options_.propagation);
+    network_->set_executor(network_options_.executor,
+                           network_options_.num_threads);
+    network_->set_consolidation_cutoff(network_options_.consolidation_cutoff);
+    network_->set_parallel_min_wave_entries(
+        network_options_.parallel_min_wave_entries);
+    network_->set_morsel_min_node_entries(
+        network_options_.morsel_min_node_entries);
+    network_->set_morsel_partitions(network_options_.morsel_partitions);
+    network_->set_epoch_retention(network_options_.epoch_retention);
+    network_->set_thread_pool(EnginePool());
+    network_->set_metrics(metrics_.get());
+    network_->set_trace_capacity(network_options_.trace_capacity);
+    network_->set_profiling(profiling_flag_.load(std::memory_order_relaxed));
+  }
+  Result<BuiltView> built = BuildViewInto(network_.get(), view->fra_, graph_,
+                                          network_options_, registry_);
+  if (!built.ok()) return built.status();
 
-    Entry entry;
-    entry.view = view.get();
-    entry.network = network_.get();
-    entry.production = built->production;
-    entry.nodes = std::move(built->nodes);
-    for (ReteNode* node : entry.nodes) ++refcounts_[node];
-    entries_.push_back(std::move(entry));
+  Entry entry;
+  entry.view = view.get();
+  entry.production = built->production;
+  entry.nodes = std::move(built->nodes);
+  for (ReteNode* node : entry.nodes) ++refcounts_[node];
+  entries_.push_back(std::move(entry));
 
-    view->catalog_ = shared_from_this();
-    view->network_ = network_.get();
-    view->production_ = entries_.back().production;
+  view->catalog_ = shared_from_this();
+  view->network_ = network_.get();
+  view->production_ = entries_.back().production;
 
-    if (live && options_.incremental_priming) {
-      // Incremental priming: the registry partitioned the plan into hits
-      // (live nodes, already primed by sibling views) and misses (the
-      // `created` nodes, empty). Each reused node that gained a consumer
-      // replays its materialized memory into just that consumer; only the
-      // genuinely new sub-plans read the graph, through their own fresh
-      // source nodes. Work is proportional to the new view's own state —
-      // the rest of the catalog is neither re-primed nor even visited.
-      std::unordered_set<const ReteNode*> fresh(built->created.begin(),
-                                                built->created.end());
-      std::vector<ReteNetwork::ReplayEdge> replays;
-      for (ReteNode* node : entries_.back().nodes) {
-        if (fresh.count(node) > 0) continue;  // registry miss: built now
-        for (const auto& [down, port] : node->outputs()) {
-          // Any reused → fresh subscription was wired by this
-          // registration (the consumer did not exist before it).
-          if (fresh.count(down) > 0) replays.push_back({node, down, port});
-        }
+  if (live) {
+    // Incremental priming: the registry partitioned the plan into hits
+    // (live nodes, already primed by sibling views) and misses (the
+    // `created` nodes, empty). Each reused node that gained a consumer
+    // replays its materialized memory into just that consumer; only the
+    // genuinely new sub-plans read the graph, through their own fresh
+    // source nodes. Work is proportional to the new view's own state —
+    // the rest of the catalog is neither re-primed nor even visited.
+    std::unordered_set<const ReteNode*> fresh(built->created.begin(),
+                                              built->created.end());
+    std::vector<ReteNetwork::ReplayEdge> replays;
+    for (ReteNode* node : entries_.back().nodes) {
+      if (fresh.count(node) > 0) continue;  // registry miss: built now
+      for (const auto& [down, port] : node->outputs()) {
+        // Any reused → fresh subscription was wired by this registration
+        // (the consumer did not exist before it).
+        if (fresh.count(down) > 0) replays.push_back({node, down, port});
       }
-      last_prime_ = network_->PrimeNewNodes(built->created, replays,
-                                            entries_.back().nodes);
-    } else if (live) {
-      // Ablation baseline (incremental_priming = false): the PR-2 full
-      // re-prime — every memory in the shared network is rebuilt from the
-      // graph, O(catalog) per registration, listeners suppressed by
-      // Attach.
-      last_prime_ =
-          MeasureFullPrime(*network_, built->created.size(), [this] {
-            network_->Detach();
-            network_->Attach(graph_);
-          });
-    } else {
-      // First registration: the network attaches and primes as a whole.
-      last_prime_ =
-          MeasureFullPrime(*network_, built->created.size(),
-                           [this] { network_->Attach(graph_); });
     }
+    last_prime_ = network_->PrimeNewNodes(built->created, replays,
+                                          entries_.back().nodes);
   } else {
-    PGIVM_ASSIGN_OR_RETURN(
-        std::unique_ptr<ReteNetwork> network,
-        BuildNetwork(view->fra_, graph_, network_options_));
-    network->set_thread_pool(EnginePool());
-    network->set_metrics(metrics_.get());
-    // BuildNetwork applied the configured default; the runtime switch may
-    // have moved since (SetProfiling flips every network, even ones not
-    // built yet).
-    network->set_profiling(profiling_flag_.load(std::memory_order_relaxed));
-
-    Entry entry;
-    entry.view = view.get();
-    entry.network = network.get();
-    entry.production = network->production();
-    entries_.push_back(std::move(entry));
-
-    view->catalog_ = shared_from_this();
-    view->network_ = network.get();
-    view->production_ = network->production();
-    view->owned_network_ = std::move(network);
-
-    // Private network: every node is fresh and graph-primed.
-    last_prime_ = MeasureFullPrime(
-        *view->owned_network_, view->owned_network_->node_count(),
-        [&] { view->owned_network_->Attach(graph_); });
+    // First registration: the network attaches and primes as a whole, so
+    // every primed tuple comes from the graph.
+    last_prime_ = ReteNetwork::PrimeStats{};
+    last_prime_.fresh_nodes = built->created.size();
+    int64_t before = network_->SourceEmittedEntries();
+    network_->Attach(graph_);
+    last_prime_.graph_primed_entries =
+        network_->SourceEmittedEntries() - before;
+    last_prime_.primed_sources = network_->source_count();
   }
   replayed_entries_ += last_prime_.replayed_entries;
   graph_primed_entries_ += last_prime_.graph_primed_entries;
@@ -181,23 +119,9 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   return view;
 }
 
-std::vector<const ReteNetwork*> ViewCatalog::Networks() const {
-  std::vector<const ReteNetwork*> networks;
-  if (options_.share_operator_state) {
-    if (network_ != nullptr) networks.push_back(network_.get());
-  } else {
-    for (const Entry& entry : entries_) networks.push_back(entry.network);
-  }
-  return networks;
-}
-
 void ViewCatalog::SetProfiling(bool on) {
   profiling_flag_.store(on, std::memory_order_relaxed);
-  if (options_.share_operator_state) {
-    if (network_ != nullptr) network_->set_profiling(on);
-  } else {
-    for (const Entry& entry : entries_) entry.network->set_profiling(on);
-  }
+  if (network_ != nullptr) network_->set_profiling(on);
 }
 
 std::shared_ptr<ThreadPool> ViewCatalog::EnginePool() {
@@ -222,10 +146,6 @@ void ViewCatalog::Deregister(View* view) {
   if (it == entries_.end()) return;
   Entry entry = std::move(*it);
   entries_.erase(it);
-  if (!options_.share_operator_state) {
-    // The view owns its private network; it detaches in its destructor.
-    return;
-  }
 
   std::vector<ReteNode*> victims;
   for (ReteNode* node : entry.nodes) {
@@ -237,8 +157,8 @@ void ViewCatalog::Deregister(View* view) {
     }
   }
   registry_.RemoveNodes(victims);
-  // In shared mode every entry lives in network_, so survivors exist iff
-  // any entry remains.
+  // Every entry lives in network_, so survivors exist iff any entry
+  // remains.
   if (!entries_.empty()) {
     network_->RemoveNodes(victims);
   } else {
@@ -258,20 +178,13 @@ CatalogStats ViewCatalog::Stats() const {
   stats.registry_misses = registry_.misses();
   stats.replayed_entries = replayed_entries_;
   stats.graph_primed_entries = graph_primed_entries_;
-  if (options_.share_operator_state) {
-    if (network_ != nullptr) {
-      stats.total_nodes = network_->node_count();
-      stats.memory_bytes = network_->ApproxMemoryBytes();
-    }
-    for (const auto& [node, refcount] : refcounts_) {
-      (void)node;
-      if (refcount >= 2) ++stats.shared_nodes;
-    }
-  } else {
-    for (const Entry& entry : entries_) {
-      stats.total_nodes += entry.network->node_count();
-      stats.memory_bytes += entry.network->ApproxMemoryBytes();
-    }
+  if (network_ != nullptr) {
+    stats.total_nodes = network_->node_count();
+    stats.memory_bytes = network_->ApproxMemoryBytes();
+  }
+  for (const auto& [node, refcount] : refcounts_) {
+    (void)node;
+    if (refcount >= 2) ++stats.shared_nodes;
   }
   return stats;
 }
@@ -279,9 +192,6 @@ CatalogStats ViewCatalog::Stats() const {
 size_t ViewCatalog::ViewMemoryBytes(const View* view) const {
   for (const Entry& entry : entries_) {
     if (entry.view != view) continue;
-    if (!options_.share_operator_state) {
-      return entry.network->ApproxMemoryBytes();
-    }
     size_t bytes = 0;
     for (const ReteNode* node : entry.nodes) {
       bytes += node->ApproxMemoryBytes();
@@ -294,9 +204,6 @@ size_t ViewCatalog::ViewMemoryBytes(const View* view) const {
 size_t ViewCatalog::MarginalMemoryBytes(const View* view) const {
   for (const Entry& entry : entries_) {
     if (entry.view != view) continue;
-    if (!options_.share_operator_state) {
-      return entry.network->ApproxMemoryBytes();
-    }
     size_t bytes = 0;
     for (ReteNode* node : entry.nodes) {
       auto rc = refcounts_.find(node);

@@ -19,25 +19,6 @@
 
 namespace pgivm {
 
-struct CatalogOptions {
-  /// Consult the NodeRegistry on registration so views whose FRA plans share
-  /// a (alias-insensitive) structural prefix reuse the same Rete nodes and
-  /// memories inside one shared network. Off = the seed behaviour — one
-  /// private network per view — kept as the ablation baseline for the
-  /// sharing experiments (E3).
-  bool share_operator_state = true;
-
-  /// Prime registrations into a live shared network incrementally: reused
-  /// nodes replay their materialized memories into just the newly attached
-  /// consumers and only registry-miss sub-plans read the graph, so
-  /// registration cost is proportional to the new view's own state — never
-  /// to the catalog size. Off = the PR-2 behaviour (Detach + Attach, the
-  /// whole shared network re-primed from the graph on every Register),
-  /// kept as the ablation baseline for BM_E3_RegisterIntoLiveCatalog.
-  /// Results are bit-identical either way (differential-harness checked).
-  bool incremental_priming = true;
-};
-
 /// Aggregate health of a catalog: how many nodes the registered views
 /// resolve to, how many of those are multi-view shared, and the registry's
 /// lifetime reuse counters.
@@ -68,22 +49,24 @@ struct CatalogStats {
 /// Owns every view registered against one PropertyGraph and the shared Rete
 /// network they are instantiated in.
 ///
-/// With sharing enabled (the default), all views live inside a single
-/// multi-production network: registration consults the NodeRegistry so
-/// structurally identical sub-plans map to the same nodes, the batched wave
-/// scheduler propagates once per shared node (not once per view), and
-/// deregistration refcounts node usage — tearing down a view frees exactly
-/// the nodes no sibling references, never disturbing survivors' memories.
+/// All views live inside a single multi-production network: registration
+/// consults the NodeRegistry so structurally identical sub-plans map to the
+/// same nodes, the batched wave scheduler propagates once per shared node
+/// (not once per view), and deregistration refcounts node usage — tearing
+/// down a view frees exactly the nodes no sibling references, never
+/// disturbing survivors' memories.
 ///
-/// Registering into a live catalog primes incrementally (see
-/// CatalogOptions::incremental_priming): the registry partitions the new
-/// plan into hits — live nodes that replay their materialized memories into
-/// just the newly attached consumers — and misses, which are built fresh
-/// and primed from the graph through their own source nodes. Existing
-/// views' memories, pending deltas and listeners are untouched; listener
-/// fan-out is suppressed while the new sub-network catches up, so
-/// observers of existing views see no spurious deltas. `last_prime_stats`
-/// reports the replayed-vs-graph-primed split of the most recent Install.
+/// The first registration attaches the network and primes it from the
+/// graph. Every later one primes incrementally: the registry partitions the
+/// new plan into hits — live nodes that replay their materialized memories
+/// into just the newly attached consumers — and misses, which are built
+/// fresh and primed from the graph through their own source nodes, so
+/// registration cost follows the new view's own state, not the catalog
+/// size. Existing views' memories, pending deltas and listeners are
+/// untouched; listener fan-out is suppressed while the new sub-network
+/// catches up, so observers of existing views see no spurious deltas.
+/// `last_prime_stats` reports the replayed-vs-graph-primed split of the
+/// most recent Install.
 ///
 /// Thread-safety: the catalog's own API (Install/Deregister/Stats/...)
 /// must be driven from the thread that owns the engine and applies graph
@@ -95,13 +78,11 @@ struct CatalogStats {
 ///
 /// Lifetime: the catalog is shared between its QueryEngine and every View
 /// handed out, so views stay valid after the engine is destroyed. The graph
-/// must outlive all of them (same contract as the seed's per-view
-/// networks).
+/// must outlive all of them.
 class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
  public:
   static std::shared_ptr<ViewCatalog> Create(PropertyGraph* graph,
-                                             NetworkOptions network_options,
-                                             CatalogOptions options);
+                                             NetworkOptions network_options);
 
   ViewCatalog(const ViewCatalog&) = delete;
   ViewCatalog& operator=(const ViewCatalog&) = delete;
@@ -120,16 +101,13 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   /// Priming accounting of the most recent Install: how many tuples the
   /// new view received by memory replay vs. from fresh source nodes
   /// reading the graph (plus the fresh-node / replay-edge partition
-  /// sizes). The first registration and every unshared or
-  /// full-re-prime registration report zero replayed entries. Also
+  /// sizes). The first registration reports zero replayed entries. Also
   /// embedded in QueryEngine::MetricsSnapshot().last_prime.
   const ReteNetwork::PrimeStats& last_prime_stats() const {
     return last_prime_;
   }
 
   size_t view_count() const { return entries_.size(); }
-  bool sharing() const { return options_.share_operator_state; }
-  bool incremental_priming() const { return options_.incremental_priming; }
 
   /// Bytes held by the node memories `view` references. Shared nodes are
   /// counted in full for every referencing view; see Stats().memory_bytes
@@ -141,23 +119,19 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   /// view would actually free.
   size_t MarginalMemoryBytes(const View* view) const;
 
-  /// The shared multi-view network (nullptr when sharing is disabled or no
-  /// view is registered).
+  /// The shared multi-view network (nullptr when no view is registered).
+  /// Writer-thread only: the network is created and dropped by
+  /// Install/Deregister.
   const ReteNetwork* shared_network() const { return network_.get(); }
 
-  /// Every live network the catalog's views run in: the shared network in
-  /// sharing mode, or one per view without it. Writer-thread only (the
-  /// entry list mutates under Install/Deregister).
-  std::vector<const ReteNetwork*> Networks() const;
-
-  /// The engine-wide metrics registry: every network this catalog creates
-  /// records its propagation histograms here, and the serving path records
-  /// pin latency. Counter/histogram reads are safe from any thread.
+  /// The engine-wide metrics registry: the shared network records its
+  /// propagation histograms here, and the serving path records pin
+  /// latency. Counter/histogram reads are safe from any thread.
   MetricsRegistry& metrics() const { return *metrics_; }
   std::shared_ptr<MetricsRegistry> metrics_ptr() const { return metrics_; }
 
-  /// Flips per-node/per-drain propagation profiling on every live network
-  /// (and every network created later). Writer-thread only — the flag must
+  /// Flips per-node/per-drain propagation profiling on the shared network
+  /// (or the one created later). Writer-thread only — the flag must
   /// not change mid-drain. Serving-path pin instrumentation reads the
   /// atomic flag from reader threads.
   void SetProfiling(bool on);
@@ -165,7 +139,7 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   const std::atomic<bool>* profiling_flag() const { return &profiling_flag_; }
 
   /// Resolves a canonical plan fingerprint to its live shared Rete node,
-  /// or nullptr (unknown fingerprint, or sharing disabled). Non-counting:
+  /// or nullptr for an unknown fingerprint. Non-counting:
   /// ExplainAnalyze uses it without skewing registry hit/miss statistics.
   const ReteNode* FindNodeByFingerprint(const std::string& key) const {
     const NodeRegistry::Entry* entry = registry_.Find(key);
@@ -180,31 +154,26 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
 
   struct Entry {
     View* view = nullptr;
-    ReteNetwork* network = nullptr;  // shared network_ or the view's own
     ProductionNode* production = nullptr;
-    std::vector<ReteNode*> nodes;  // refcounted footprint (shared mode)
+    std::vector<ReteNode*> nodes;  // refcounted footprint
   };
 
-  ViewCatalog(PropertyGraph* graph, NetworkOptions network_options,
-              CatalogOptions options)
+  ViewCatalog(PropertyGraph* graph, NetworkOptions network_options)
       : graph_(graph),
         network_options_(network_options),
-        options_(options),
         metrics_(std::make_shared<MetricsRegistry>()),
         profiling_flag_(network_options.profiling) {}
 
   void Deregister(View* view);
 
   /// The engine-wide worker pool, created on first use when the resolved
-  /// executor is parallel and lent to every network this catalog builds
-  /// (shared or per-view) — sibling networks never drain concurrently, so
-  /// one pool serves the whole engine. Null under the serial executor.
+  /// executor is parallel and lent to the shared network; it survives the
+  /// network being dropped and rebuilt. Null under the serial executor.
   std::shared_ptr<ThreadPool> EnginePool();
 
   PropertyGraph* graph_;
   NetworkOptions network_options_;
-  CatalogOptions options_;
-  std::unique_ptr<ReteNetwork> network_;  // shared mode only
+  std::unique_ptr<ReteNetwork> network_;
   NodeRegistry registry_;
   std::vector<Entry> entries_;
   std::unordered_map<ReteNode*, int> refcounts_;

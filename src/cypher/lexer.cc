@@ -179,7 +179,10 @@ class Lexer {
       token.double_value = std::strtod(text.c_str(), nullptr);
     } else {
       token.kind = TokenKind::kInteger;
-      token.int_value = std::strtoll(text.c_str(), nullptr, 10);
+      // `text` is all digits, so the only failure is overflow.
+      if (ParseInt64(text, &token.int_value) != ParseIntResult::kOk) {
+        return Error(StrCat("integer literal ", text, " out of range"));
+      }
     }
     token.text = std::move(text);
     return Status::Ok();

@@ -41,8 +41,7 @@ struct QueryEngine::Ingest {
 QueryEngine::QueryEngine(PropertyGraph* graph, EngineOptions options)
     : graph_(graph),
       options_(std::move(options)),
-      catalog_(ViewCatalog::Create(graph, options_.network,
-                                   options_.catalog)) {}
+      catalog_(ViewCatalog::Create(graph, options_.network)) {}
 
 QueryEngine::~QueryEngine() { StopIngest(); }
 
@@ -226,16 +225,15 @@ Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
     return probe.status();
   }
   const View& view = **probe;
-  const bool sharing = catalog_->sharing();
   PlanPrintOptions print;
   print.fingerprints = true;
-  print.annotate = [this, &view, sharing](const LogicalOp& op) {
+  print.annotate = [this, &view](const LogicalOp& op) {
     const ReteNode* node = nullptr;
     if (op.kind == OpKind::kProduce) {
       // Productions are never shared, so the probe's own root is the
       // operator's node; it is also absent from the sharing registry.
       node = view.production_;
-    } else if (sharing) {
+    } else {
       const std::string key = CanonicalPlanKey(op);
       if (!key.empty()) node = catalog_->FindNodeByFingerprint(key);
     }
@@ -246,9 +244,6 @@ Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
   std::string report = StrCat(
       "EXPLAIN ANALYZE ", view.query(), "\n",
       PrintPlan(view.fra_plan(), print),
-      sharing ? ""
-              : "(operator-state sharing disabled: only the production "
-                "root resolves to a live node)\n",
       "prime: replayed=", prime.replayed_entries,
       " graph=", prime.graph_primed_entries,
       " fresh_nodes=", prime.fresh_nodes, "\n",
@@ -266,20 +261,16 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot snap;
   snap.catalog = catalog_->Stats();
   snap.last_prime = catalog_->last_prime_stats();
-  for (const ReteNetwork* network : catalog_->Networks()) {
-    snap.deltas_processed += network->deltas_processed();
-    snap.changes_processed += network->changes_processed();
-    snap.total_emitted_entries += network->TotalEmittedEntries();
-    snap.source_emitted_entries += network->SourceEmittedEntries();
-    snap.parallel_waves_dispatched += network->parallel_waves_dispatched();
-    snap.morsel_waves_dispatched += network->morsel_waves_dispatched();
-    snap.epochs_published += network->epochs_published();
-    snap.commit_epoch = std::max(snap.commit_epoch, network->commit_epoch());
-    std::vector<ReteNetwork::NodeMetrics> nodes =
-        network->NodeMetricsSnapshot();
-    snap.nodes.insert(snap.nodes.end(),
-                      std::make_move_iterator(nodes.begin()),
-                      std::make_move_iterator(nodes.end()));
+  if (const ReteNetwork* network = catalog_->shared_network()) {
+    snap.deltas_processed = network->deltas_processed();
+    snap.changes_processed = network->changes_processed();
+    snap.total_emitted_entries = network->TotalEmittedEntries();
+    snap.source_emitted_entries = network->SourceEmittedEntries();
+    snap.parallel_waves_dispatched = network->parallel_waves_dispatched();
+    snap.morsel_waves_dispatched = network->morsel_waves_dispatched();
+    snap.epochs_published = network->epochs_published();
+    snap.commit_epoch = network->commit_epoch();
+    snap.nodes = network->NodeMetricsSnapshot();
   }
   snap.ingest_mutations = ingest_mutations();
   snap.ingest_batches = ingest_batches();
@@ -346,7 +337,7 @@ std::string EngineMetricsSnapshot::ToString() const {
 
 Status QueryEngine::DumpTrace(const std::string& path) const {
   std::vector<const TraceBuffer*> buffers;
-  for (const ReteNetwork* network : catalog_->Networks()) {
+  if (const ReteNetwork* network = catalog_->shared_network()) {
     buffers.push_back(network->trace());  // null when never profiled
   }
   buffers.push_back(ingest_trace_.get());

@@ -21,21 +21,22 @@
 namespace pgivm {
 
 /// One coherent point-in-time copy of every statistic the engine keeps —
-/// the unified observability surface. Supersedes the scattered accessors
-/// (ViewCatalog::Stats, last_prime_stats, the ReteNetwork counter getters,
-/// ingest_mutations/batches), which remain as thin compatibility wrappers
-/// over the same state. Propagation totals are summed across every live
-/// network (one shared network under sharing, one per view without).
+/// the unified observability surface, gathering ViewCatalog::Stats,
+/// last_prime_stats, the shared network's counters and the ingest totals.
 ///
 /// Obtain via QueryEngine::MetricsSnapshot() on the writer thread; the
-/// returned value is a plain copy, safe to keep and read anywhere.
+/// returned value is a plain copy, safe to keep and read anywhere. Other
+/// threads poll the counters whose own accessors are atomic instead
+/// (QueryEngine::ingest_mutations/ingest_batches,
+/// ReteNetwork::TotalEmittedEntries/SourceEmittedEntries).
 struct EngineMetricsSnapshot {
   /// View/sharing/memory accounting (== ViewCatalog::Stats()).
   CatalogStats catalog;
   /// Priming split of the most recent registration.
   ReteNetwork::PrimeStats last_prime;
 
-  // Propagation totals, summed across live networks.
+  // Propagation totals of the shared network (zero while no view is
+  // registered).
   int64_t deltas_processed = 0;
   int64_t changes_processed = 0;
   int64_t total_emitted_entries = 0;
@@ -45,7 +46,7 @@ struct EngineMetricsSnapshot {
   /// key-partitioned morsels (see NetworkOptions::morsel_min_node_entries).
   int64_t morsel_waves_dispatched = 0;
   int64_t epochs_published = 0;
-  /// Highest committed epoch across networks.
+  /// The shared network's committed epoch.
   uint64_t commit_epoch = 0;
 
   // Serving-path ingest totals (== ingest_mutations()/ingest_batches()).
@@ -58,7 +59,7 @@ struct EngineMetricsSnapshot {
   bool profiling = false;
 
   /// Per-node propagation profiles (name, kind, level, entry counts,
-  /// memory, busy time), across every live network.
+  /// memory, busy time) of the shared network.
   std::vector<ReteNetwork::NodeMetrics> nodes;
 
   /// Engine-wide named counters and histograms (propagation.*, serving.*,
@@ -83,7 +84,6 @@ struct EngineMetricsSnapshot {
 struct EngineOptions {
   PlanOptions plan;
   NetworkOptions network;
-  CatalogOptions catalog;
 
   /// Capacity of the serving ingest queue (see QueryEngine::SubmitAsync):
   /// mutations queued beyond this block their submitter until the ingest
@@ -104,11 +104,9 @@ struct EngineOptions {
 ///   ...mutate graph; (*view)->Snapshot() is always current...
 ///
 /// The engine compiles queries and delegates view lifecycle to its
-/// ViewCatalog: with operator-state sharing enabled (the default) all
-/// registered views live inside one shared Rete network whose structurally
-/// identical sub-plans are instantiated once; with sharing disabled each
-/// View owns a private network (the seed behaviour). Views keep the catalog
-/// alive, so they outlive the engine safely.
+/// ViewCatalog: all registered views live inside one shared Rete network
+/// whose structurally identical sub-plans are instantiated once. Views keep
+/// the catalog alive, so they outlive the engine safely.
 class QueryEngine {
  public:
   // Constructor and destructor are out of line: the ingest session member
@@ -150,11 +148,10 @@ class QueryEngine {
   /// to — entries emitted, consolidated input/output entry counts,
   /// activations, memory bytes and busy time, all populated by the
   /// registration's priming propagation and whatever the catalog has
-  /// processed since. Shared-catalog mode resolves interior operators
-  /// through the sharing registry's fingerprints, so an operator served by
-  /// a sibling view's node shows that node's lifetime statistics — the
-  /// annotation makes sharing visible. Without sharing only the
-  /// production root can be resolved and the report says so.
+  /// processed since. Interior operators resolve through the sharing
+  /// registry's fingerprints, so an operator served by a sibling view's
+  /// node shows that node's lifetime statistics — the annotation makes
+  /// sharing visible.
   ///
   /// The probe view is deregistered before returning (refcounts restore,
   /// sibling views are untouched), and the profiling flag is restored.
@@ -163,13 +160,14 @@ class QueryEngine {
                                      const ValueMap& parameters = {});
 
   /// One coherent copy of every engine statistic — see
-  /// EngineMetricsSnapshot. Writer-thread only (it walks the catalog's
-  /// network list); the individual counters it aggregates remain readable
-  /// from any thread through their own accessors.
+  /// EngineMetricsSnapshot. Writer-thread only (the shared network is
+  /// created and dropped by registration); the ingest and emitted-entry
+  /// counters it aggregates remain readable from any thread through their
+  /// own atomic accessors.
   EngineMetricsSnapshot MetricsSnapshot() const;
 
   /// Runtime switch for per-node/per-drain propagation profiling across
-  /// the whole engine (every live network plus ones registered later, the
+  /// the whole engine (the shared network, even one created later, the
   /// serving pin path and the ingest spans). Writer-thread only; off by
   /// default (NetworkOptions::profiling, overridable via PGIVM_PROFILE).
   void set_profiling(bool on) { catalog_->SetProfiling(on); }
@@ -180,7 +178,7 @@ class QueryEngine {
   MetricsRegistry& metrics() const { return catalog_->metrics(); }
 
   /// Writes every trace buffer the engine accumulated while profiling —
-  /// each network's propagation spans plus the ingest thread's batch
+  /// the shared network's propagation spans plus the ingest thread's batch
   /// spans — as one Chrome tracing / Perfetto-compatible JSON file.
   /// Writer-thread only, and must not race a running ingest session
   /// (StopIngest first): trace buffers are single-writer.
@@ -219,11 +217,9 @@ class QueryEngine {
 
   /// Lifetime counts across ingest sessions: mutations applied, and the
   /// BeginBatch/CommitBatch batches they were coalesced into. Safe from
-  /// any thread, including concurrently with a running ingest session.
-  ///
-  /// Deprecated surface: prefer QueryEngine::MetricsSnapshot(), which
-  /// reports the same totals (ingest_mutations/ingest_batches) alongside
-  /// every other engine statistic. Kept as thin wrappers.
+  /// any thread, including concurrently with a running ingest session —
+  /// unlike MetricsSnapshot(), which reports the same totals but is
+  /// writer-thread only. Monitor threads poll these.
   int64_t ingest_mutations() const;
   int64_t ingest_batches() const;
 

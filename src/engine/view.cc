@@ -11,7 +11,6 @@ namespace pgivm {
 
 View::~View() {
   if (catalog_) catalog_->Deregister(this);
-  // An owned (unshared-mode) network detaches in its own destructor.
   // ViewSnapshots readers pinned stay valid: they own their epoch.
 }
 

@@ -44,12 +44,10 @@ class ViewSnapshot {
 ///
 /// Obtained from QueryEngine::Register. The view stays consistent with its
 /// graph after every committed change; reading it never triggers
-/// re-evaluation. A view is a handle into its engine's ViewCatalog: with
-/// operator-state sharing (the default) its Rete nodes live inside the
-/// catalog's shared network, possibly serving sibling views too; with
-/// sharing disabled the view owns a private network (the seed behaviour).
-/// Destroying the view deregisters it — shared nodes survive as long as a
-/// sibling still references them.
+/// re-evaluation. A view is a handle into its engine's ViewCatalog: its
+/// Rete nodes live inside the catalog's shared network, possibly serving
+/// sibling views too. Destroying the view deregisters it — shared nodes
+/// survive as long as a sibling still references them.
 ///
 /// Registration into a live catalog is primed incrementally: node memories
 /// the new view shares are replayed into its consumers instead of
@@ -80,7 +78,7 @@ class ViewSnapshot {
 /// parallel waves they are deferred to the wave barrier, never concurrent.
 ///
 /// Lifecycle: destroying the View deregisters it from the catalog
-/// (refcounted under sharing). The View keeps its catalog — and with it
+/// (node usage is refcounted). The View keeps its catalog — and with it
 /// the shared network — alive past engine destruction; only the graph
 /// must outlive everything.
 class View {
@@ -136,8 +134,8 @@ class View {
   /// environment override; see NetworkOptions::executor).
   ExecutorKind executor() const { return network_->executor(); }
 
-  /// Memory held by the Rete node memories this view references. Under
-  /// sharing, nodes serving sibling views too are counted in full; the
+  /// Memory held by the Rete node memories this view references. Nodes
+  /// serving sibling views too are counted in full; the
   /// catalog's Stats().memory_bytes deduplicates and
   /// MarginalMemoryBytes() isolates this view's exclusive slice.
   size_t ApproxMemoryBytes() const;
@@ -150,8 +148,7 @@ class View {
   /// graph and the catalog size.
   const ReteNetwork::PrimeStats& prime_stats() const { return prime_stats_; }
 
-  /// Per-node diagnostics of the underlying network (under sharing: the
-  /// whole catalog network this view lives in).
+  /// Per-node diagnostics of the whole catalog network this view lives in.
   std::string NetworkDebugString() const { return network_->DebugString(); }
 
   const ReteNetwork& network() const { return *network_; }
@@ -167,10 +164,7 @@ class View {
   /// Keeps the catalog — and with it the shared network — alive even if
   /// the engine is destroyed first. ~View deregisters through it.
   std::shared_ptr<ViewCatalog> catalog_;
-  /// Sharing disabled: the view's private network (seed behaviour).
-  std::unique_ptr<ReteNetwork> owned_network_;
-  /// The network the view's nodes live in (owned_network_.get() or the
-  /// catalog's shared network).
+  /// The catalog's shared network, which the view's nodes live in.
   ReteNetwork* network_ = nullptr;
   /// This view's root; never shared between views.
   ProductionNode* production_ = nullptr;

@@ -202,12 +202,12 @@ class ValueParser {
           StrCat("expected a value at offset ", start));
     }
     std::string token(text_.substr(start, pos_ - start));
-    // strtoll/strtod with a null end pointer would turn an unparseable
-    // token ("-", "1e", "1.2.3") into Int(0)/garbage silently — a corrupt
-    // input file must surface as a load error, not as a wrong value.
-    errno = 0;
-    char* end = nullptr;
+    // An unparseable token ("-", "1e", "1.2.3") or an out-of-range number
+    // must surface as a load error, never as Int(0), garbage or a
+    // saturated value.
     if (is_double) {
+      errno = 0;
+      char* end = nullptr;
       double parsed = std::strtod(token.c_str(), &end);
       if (end != token.c_str() + token.size() || end == token.c_str()) {
         return Status::InvalidArgument(
@@ -219,12 +219,13 @@ class ValueParser {
       }
       return Value::Double(parsed);
     }
-    long long parsed = std::strtoll(token.c_str(), &end, 10);
-    if (end != token.c_str() + token.size() || end == token.c_str()) {
+    int64_t parsed = 0;
+    ParseIntResult result = ParseInt64(token, &parsed);
+    if (result == ParseIntResult::kMalformed) {
       return Status::InvalidArgument(
           StrCat("malformed number \"", token, "\" at offset ", start));
     }
-    if (errno == ERANGE) {
+    if (result == ParseIntResult::kOutOfRange) {
       return Status::InvalidArgument(
           StrCat("integer \"", token, "\" out of range at offset ", start));
     }

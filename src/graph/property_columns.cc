@@ -6,8 +6,8 @@ namespace pgivm {
 
 namespace {
 
-/// Shallow per-value heap estimate shared by both storage modes (matches
-/// the accounting the memory experiments have always used).
+/// Shallow per-value heap estimate for overflow entries (matches the
+/// accounting the memory experiments have always used).
 size_t ValueShallowBytes(const Value& v) {
   size_t b = sizeof(Value);
   if (v.is_string()) b += v.AsString().size();
@@ -141,83 +141,40 @@ size_t PropertyColumn::ApproxMemoryBytes() const {
 // ---- PropertyStore ---------------------------------------------------------
 
 Value PropertyStore::Get(int64_t id, SymbolId key) const {
-  if (typed_) {
-    if (key >= columns_.size()) return Value::Null();
-    return columns_[key].Get(id);
-  }
-  if (static_cast<size_t>(id) >= rows_.size()) return Value::Null();
-  const ValueMap& row = rows_[static_cast<size_t>(id)];
-  auto it = row.find(symbols_->Name(key));
-  return it == row.end() ? Value::Null() : it->second;
+  if (key >= columns_.size()) return Value::Null();
+  return columns_[key].Get(id);
 }
 
 bool PropertyStore::Has(int64_t id, SymbolId key) const {
-  if (typed_) {
-    return key < columns_.size() && columns_[key].Has(id);
-  }
-  return static_cast<size_t>(id) < rows_.size() &&
-         rows_[static_cast<size_t>(id)].count(symbols_->Name(key)) > 0;
+  return key < columns_.size() && columns_[key].Has(id);
 }
 
 void PropertyStore::Set(int64_t id, SymbolId key, const Value& value) {
-  if (typed_) {
-    if (value.is_null()) {
-      if (key < columns_.size()) columns_[key].Erase(id);
-      return;
-    }
-    if (key >= columns_.size()) columns_.resize(key + 1);
-    columns_[key].Set(id, value);
-    return;
-  }
   if (value.is_null()) {
-    if (static_cast<size_t>(id) < rows_.size()) {
-      rows_[static_cast<size_t>(id)].erase(symbols_->Name(key));
-    }
+    if (key < columns_.size()) columns_[key].Erase(id);
     return;
   }
-  if (static_cast<size_t>(id) >= rows_.size()) {
-    rows_.resize(static_cast<size_t>(id) + 1);
-  }
-  rows_[static_cast<size_t>(id)][symbols_->Name(key)] = value;
+  if (key >= columns_.size()) columns_.resize(key + 1);
+  columns_[key].Set(id, value);
 }
 
 void PropertyStore::ClearElement(int64_t id) {
-  if (typed_) {
-    for (PropertyColumn& column : columns_) column.Erase(id);
-    return;
-  }
-  if (static_cast<size_t>(id) < rows_.size()) {
-    rows_[static_cast<size_t>(id)].clear();
-  }
+  for (PropertyColumn& column : columns_) column.Erase(id);
 }
 
 ValueMap PropertyStore::Collect(int64_t id) const {
-  if (typed_) {
-    ValueMap out;
-    for (SymbolId key = 0; key < columns_.size(); ++key) {
-      if (!columns_[key].Has(id)) continue;
-      out.emplace(symbols_->Name(key), columns_[key].Get(id));
-    }
-    return out;
+  ValueMap out;
+  for (SymbolId key = 0; key < columns_.size(); ++key) {
+    if (!columns_[key].Has(id)) continue;
+    out.emplace(symbols_->Name(key), columns_[key].Get(id));
   }
-  if (static_cast<size_t>(id) >= rows_.size()) return {};
-  return rows_[static_cast<size_t>(id)];
+  return out;
 }
 
 size_t PropertyStore::ApproxMemoryBytes() const {
-  size_t bytes = 0;
-  if (typed_) {
-    bytes += columns_.capacity() * sizeof(PropertyColumn);
-    for (const PropertyColumn& column : columns_) {
-      bytes += column.ApproxMemoryBytes();
-    }
-    return bytes;
-  }
-  bytes += rows_.capacity() * sizeof(ValueMap);
-  for (const ValueMap& row : rows_) {
-    for (const auto& [k, v] : row) {
-      bytes += k.size() + ValueShallowBytes(v) + 32;  // map node overhead
-    }
+  size_t bytes = columns_.capacity() * sizeof(PropertyColumn);
+  for (const PropertyColumn& column : columns_) {
+    bytes += column.ApproxMemoryBytes();
   }
   return bytes;
 }

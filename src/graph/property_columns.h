@@ -69,28 +69,15 @@ class PropertyColumn {
   size_t typed_count_ = 0;
 };
 
-/// All properties of one element kind, behind a storage-mode switch:
-///
-///  * typed mode (StorageOptions::typed_columns, the default): one
-///    PropertyColumn per key symbol — reads are O(1) array probes and
-///    scans touch contiguous lanes;
-///  * row mode (the legacy layout, kept for ablation and differential
-///    testing): one string-keyed ValueMap per element, exactly the seed's
-///    per-element representation.
-///
-/// Both modes implement identical observable semantics — Get returns the
-/// exact Value last Set, Collect materializes the same name-sorted
-/// ValueMap — so the engine is bit-identical across modes; the harnesses
-/// lock this in.
+/// All properties of one element kind: one PropertyColumn per key symbol,
+/// so reads are O(1) array probes and scans touch contiguous lanes. Get
+/// returns the exact Value last Set.
 class PropertyStore {
  public:
-  PropertyStore(const SymbolTable* symbols, bool typed)
-      : symbols_(symbols), typed_(typed) {}
+  explicit PropertyStore(const SymbolTable* symbols) : symbols_(symbols) {}
 
   PropertyStore(const PropertyStore&) = delete;
   PropertyStore& operator=(const PropertyStore&) = delete;
-
-  bool typed() const { return typed_; }
 
   /// The stored value, or null if absent.
   Value Get(int64_t id, SymbolId key) const;
@@ -103,17 +90,14 @@ class PropertyStore {
   /// Drops every property of `id` (element removal).
   void ClearElement(int64_t id);
 
-  /// Materializes `id`'s properties as a name-sorted ValueMap — identical
-  /// across storage modes.
+  /// Materializes `id`'s properties as a name-sorted ValueMap.
   ValueMap Collect(int64_t id) const;
 
   size_t ApproxMemoryBytes() const;
 
  private:
   const SymbolTable* symbols_;
-  bool typed_;
-  std::vector<PropertyColumn> columns_;  // typed mode, indexed by SymbolId
-  std::vector<ValueMap> rows_;           // row mode, indexed by element id
+  std::vector<PropertyColumn> columns_;  // indexed by SymbolId
 };
 
 }  // namespace pgivm

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 
 #include "support/string_util.h"
 
@@ -39,47 +35,10 @@ void EraseSorted(std::vector<int64_t>& ids, int64_t id) {
   if (it != ids.end() && *it == id) ids.erase(it);
 }
 
-/// The PGIVM_TYPED_COLUMNS environment override, applied only by the
-/// default constructor (the explicit one takes options as-given, matching
-/// the PGIVM_THREADS discipline in network_builder.cc). Strict parse: a
-/// malformed value is ignored with a warning, never silently coerced.
-StorageOptions ApplyEnvStorageOverride(StorageOptions options) {
-  const char* env = std::getenv("PGIVM_TYPED_COLUMNS");
-  if (env == nullptr || *env == '\0') return options;
-  errno = 0;
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr,
-                 "pgivm: ignoring PGIVM_TYPED_COLUMNS=\"%s\" (not an "
-                 "integer)\n",
-                 env);
-    return options;
-  }
-  if (errno == ERANGE || value > std::numeric_limits<int>::max() ||
-      value < std::numeric_limits<int>::min()) {
-    std::fprintf(stderr,
-                 "pgivm: ignoring PGIVM_TYPED_COLUMNS=\"%s\" (out of "
-                 "range)\n",
-                 env);
-    return options;
-  }
-  options.typed_columns = value != 0;
-  return options;
-}
-
 }  // namespace
 
-StorageOptions AmbientStorageOptions() {
-  return ApplyEnvStorageOverride(StorageOptions{});
-}
-
-PropertyGraph::PropertyGraph() : PropertyGraph(AmbientStorageOptions()) {}
-
-PropertyGraph::PropertyGraph(StorageOptions storage)
-    : storage_(storage),
-      vertex_props_(&symbols_, storage.typed_columns),
-      edge_props_(&symbols_, storage.typed_columns) {}
+PropertyGraph::PropertyGraph()
+    : vertex_props_(&symbols_), edge_props_(&symbols_) {}
 
 PropertyGraph::VertexData& PropertyGraph::MutableVertex(VertexId id) {
   assert(HasVertex(id));

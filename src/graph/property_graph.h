@@ -15,25 +15,6 @@
 
 namespace pgivm {
 
-/// Storage-layout knobs, fixed at graph construction (the layout of live
-/// data cannot change underneath readers).
-struct StorageOptions {
-  /// Typed columnar property storage (symbol-keyed PropertyColumns with
-  /// packed Int64/Double/Bool lanes + Value overflow). Off = the legacy
-  /// per-element row maps, kept for ablation and differential testing;
-  /// both modes are observably identical (see property_columns.h).
-  /// The default PropertyGraph() constructor applies the
-  /// PGIVM_TYPED_COLUMNS environment override (0 = row, nonzero = typed);
-  /// the explicit constructor takes options as-given.
-  bool typed_columns = true;
-};
-
-/// The storage options the default PropertyGraph() constructor uses: the
-/// compiled defaults with the PGIVM_TYPED_COLUMNS override applied. For
-/// code that wants env-following behaviour but must adjust one knob
-/// programmatically before constructing.
-StorageOptions AmbientStorageOptions();
-
 /// In-memory property graph per the paper's data model
 /// G = (V, E, st, L, T, labels, types, Pv, Pe):
 ///  * vertices carry a *set* of labels and a schema-free property map;
@@ -66,13 +47,7 @@ StorageOptions AmbientStorageOptions();
 /// inside mutations).
 class PropertyGraph {
  public:
-  /// Default storage (typed columns), with the PGIVM_TYPED_COLUMNS
-  /// environment override applied.
   PropertyGraph();
-
-  /// Storage as-given (no environment override) — for ablation harnesses
-  /// that pin a mode programmatically.
-  explicit PropertyGraph(StorageOptions storage);
 
   // Not copyable or movable: listeners hold stable pointers to the graph.
   PropertyGraph(const PropertyGraph&) = delete;
@@ -203,8 +178,6 @@ class PropertyGraph {
   /// handed out never change.
   const SymbolTable& symbols() const { return symbols_; }
 
-  const StorageOptions& storage_options() const { return storage_; }
-
   /// Label symbols of `vertex`, sorted ascending by id.
   const std::vector<SymbolId>& VertexLabelIds(VertexId vertex) const;
   bool VertexHasLabel(VertexId vertex, SymbolId label) const;
@@ -265,7 +238,6 @@ class PropertyGraph {
   Status SetPropertyImpl(bool is_vertex, int64_t id, std::string key,
                          Value value);
 
-  StorageOptions storage_;
   SymbolTable symbols_;
   PropertyStore vertex_props_;
   PropertyStore edge_props_;

@@ -675,11 +675,9 @@ Value BoundExpression::EvalFunction(const Expression& e,
       return Value::Int(static_cast<int64_t>(arg(0).AsDouble()));
     }
     if (arg(0).is_string()) {
-      errno = 0;
-      char* end = nullptr;
-      const std::string& s = arg(0).AsString();
-      long long parsed = std::strtoll(s.c_str(), &end, 10);
-      if (end == s.c_str() || (end != nullptr && *end != '\0')) {
+      // Malformed or out-of-range strings convert to null, never saturate.
+      int64_t parsed = 0;
+      if (ParseInt64(arg(0).AsString(), &parsed) != ParseIntResult::kOk) {
         return Value::Null();
       }
       return Value::Int(parsed);

@@ -176,9 +176,8 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   // Priming replays the whole graph content; it rebuilds every production
   // to its correct rows but is not an observable *change*, so listener
   // fan-out is silenced for the duration (results and chained emissions
-  // are unaffected). This matters for catalog networks running with
-  // incremental_priming disabled, where registering one more view
-  // re-primes the views already being observed.
+  // are unaffected). This matters for a network re-attached after Detach,
+  // whose views may already be observed.
   for (ProductionNode* production : productions_) {
     production->set_notify_listeners(false);
   }

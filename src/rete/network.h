@@ -369,18 +369,14 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// Under kBatched, emissions are counted after consolidation, so
   /// cancelled inverse pairs do not contribute. Safe from any thread
   /// (relaxed per-node atomics) as long as no registration mutates the
-  /// node set concurrently.
-  ///
-  /// Deprecated surface: prefer QueryEngine::MetricsSnapshot(), which
-  /// folds this into EngineMetricsSnapshot. Kept as a thin wrapper.
+  /// node set concurrently — which is why monitor threads read this and
+  /// not QueryEngine::MetricsSnapshot(), a writer-thread-only aggregate.
   int64_t TotalEmittedEntries() const;
 
   /// Lifetime sum of delta entries emitted by the graph-boundary source
   /// nodes only — the graph-read volume. The catalog differences this
-  /// around priming to report graph-primed tuples (PrimeStats).
-  ///
-  /// Deprecated surface: prefer QueryEngine::MetricsSnapshot(), which
-  /// folds this into EngineMetricsSnapshot. Kept as a thin wrapper.
+  /// around priming to report graph-primed tuples (PrimeStats). Same
+  /// thread-safety as TotalEmittedEntries.
   int64_t SourceEmittedEntries() const;
 
   size_t source_count() const { return sources_.size(); }

@@ -1,7 +1,6 @@
 #include "rete/network_builder.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -49,7 +48,7 @@ void MergeSupport(std::vector<ReteNode*>& dst,
 class Builder {
  public:
   Builder(ReteNetwork* network, const PropertyGraph* graph,
-          const NetworkOptions& options, NodeRegistry* registry)
+          const NetworkOptions& options, NodeRegistry& registry)
       : network_(network),
         graph_(graph),
         options_(options),
@@ -59,19 +58,14 @@ class Builder {
   const std::vector<ReteNode*>& created() const { return created_; }
 
   Result<Built> Build(const OpPtr& op) {
-    std::string key;
-    if (registry_ != nullptr) {
-      key = CanonicalPlanKey(*op);
-      if (!key.empty()) {
-        if (const NodeRegistry::Entry* hit = registry_->Lookup(key)) {
-          return Built{hit->node, hit->support};
-        }
+    std::string key = CanonicalPlanKey(*op);
+    if (!key.empty()) {
+      if (const NodeRegistry::Entry* hit = registry_.Lookup(key)) {
+        return Built{hit->node, hit->support};
       }
     }
     PGIVM_ASSIGN_OR_RETURN(Built built, BuildFresh(op));
-    if (registry_ != nullptr && !key.empty()) {
-      registry_->Insert(key, built.node, built.support);
-    }
+    if (!key.empty()) registry_.Insert(key, built.node, built.support);
     return built;
   }
 
@@ -322,7 +316,7 @@ class Builder {
   ReteNetwork* network_;
   const PropertyGraph* graph_;
   NetworkOptions options_;
-  NodeRegistry* registry_;
+  NodeRegistry& registry_;
   std::vector<ReteNode*> created_;
 };
 
@@ -331,13 +325,13 @@ class Builder {
 Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
                                 const PropertyGraph* graph,
                                 const NetworkOptions& options,
-                                NodeRegistry* registry) {
+                                NodeRegistry& registry) {
   Builder builder(network, graph, options, registry);
   Result<Built> root = builder.Build(plan);
   if (!root.ok()) {
     // Roll the half-built sub-network back out so earlier views (and the
     // registry) never see dangling construction debris.
-    if (registry != nullptr) registry->RemoveNodes(builder.created());
+    registry.RemoveNodes(builder.created());
     network->RemoveNodes(builder.created());
     return root.status();
   }
@@ -366,15 +360,15 @@ namespace {
 /// resolve to some other setting ("8abc" is not 8; 99999999999 is not
 /// whatever it truncates to in int).
 bool ParseStrictEnvInt(const char* name, const char* env, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
+  int64_t value = 0;
+  ParseIntResult result = ParseInt64(env, &value);
+  if (result == ParseIntResult::kMalformed) {
     std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (not an integer)\n",
                  name, env);
     return false;
   }
-  if (errno == ERANGE || value > std::numeric_limits<int>::max() ||
+  if (result == ParseIntResult::kOutOfRange ||
+      value > std::numeric_limits<int>::max() ||
       value < std::numeric_limits<int>::min()) {
     std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (out of range)\n", name,
                  env);
@@ -421,29 +415,6 @@ NetworkOptions ApplyEnvMorselOverride(NetworkOptions options) {
     options.morsel_partitions = 1;  // negative = disable morsel execution
   }
   return options;
-}
-
-Result<std::unique_ptr<ReteNetwork>> BuildNetwork(
-    const OpPtr& plan, const PropertyGraph* graph,
-    const NetworkOptions& options) {
-  // `options` is taken as-given: the PGIVM_THREADS override is applied
-  // exactly once, at ViewCatalog::Create — never re-read here, so a view
-  // registered later cannot resolve differently from its engine.
-  auto network = std::make_unique<ReteNetwork>();
-  network->set_propagation(options.propagation);
-  network->set_executor(options.executor, options.num_threads);
-  network->set_consolidation_cutoff(options.consolidation_cutoff);
-  network->set_parallel_min_wave_entries(options.parallel_min_wave_entries);
-  network->set_morsel_min_node_entries(options.morsel_min_node_entries);
-  network->set_morsel_partitions(options.morsel_partitions);
-  network->set_epoch_retention(options.epoch_retention);
-  network->set_trace_capacity(options.trace_capacity);
-  network->set_profiling(options.profiling);
-  PGIVM_ASSIGN_OR_RETURN(
-      BuiltView view,
-      BuildViewInto(network.get(), plan, graph, options, nullptr));
-  (void)view;
-  return network;
 }
 
 }  // namespace pgivm

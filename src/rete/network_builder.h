@@ -1,7 +1,6 @@
 #ifndef PGIVM_RETE_NETWORK_BUILDER_H_
 #define PGIVM_RETE_NETWORK_BUILDER_H_
 
-#include <memory>
 #include <vector>
 
 #include "algebra/operator.h"
@@ -96,9 +95,8 @@ struct NetworkOptions {
 /// silently pick some other thread count. This is the operator-level escape
 /// hatch (and how CI runs the whole suite under a parallel executor). It
 /// is applied exactly once per engine, at ViewCatalog::Create, so every
-/// network the engine ever creates — shared or per-view, registered at any
-/// time — resolves against the environment as it was at construction;
-/// BuildNetwork and hand-wired ReteNetworks take options as-given.
+/// view the engine ever registers resolves against the environment as it
+/// was at construction; hand-wired ReteNetworks take options as-given.
 NetworkOptions ApplyEnvExecutorOverride(NetworkOptions options);
 
 /// Returns `options` with the `PGIVM_PROFILE` environment override applied:
@@ -137,11 +135,10 @@ struct BuiltView {
 };
 
 /// Instantiates the FRA plan (paper step 4) as a Rete sub-network inside
-/// `network`, which may already host other views. When `registry` is
-/// non-null it is consulted per sub-plan: a fingerprint hit reuses the
-/// existing nodes (and their memories) instead of constructing — the
-/// operator-state sharing that turns a view catalog into one shared
-/// dataflow graph. Downstream expressions are bound against the *plan's*
+/// `network`, which may already host other views. `registry` is consulted
+/// per sub-plan: a fingerprint hit reuses the existing nodes (and their
+/// memories) instead of constructing — the operator-state sharing that
+/// turns a view catalog into one shared dataflow graph. Downstream expressions are bound against the *plan's*
 /// child schemas, which are positionally identical to any shared node's
 /// output, so sharing is insensitive to query aliases.
 ///
@@ -157,14 +154,7 @@ struct BuiltView {
 Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
                                 const PropertyGraph* graph,
                                 const NetworkOptions& options,
-                                NodeRegistry* registry);
-
-/// Single-view convenience: a fresh private network for `plan` (no
-/// sharing). The network is built detached; call Attach() to start
-/// maintenance.
-Result<std::unique_ptr<ReteNetwork>> BuildNetwork(
-    const OpPtr& plan, const PropertyGraph* graph,
-    const NetworkOptions& options = {});
+                                NodeRegistry& registry);
 
 }  // namespace pgivm
 

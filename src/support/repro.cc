@@ -1,31 +1,12 @@
 #include "support/repro.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
-#include <vector>
 
 #include "support/string_util.h"
 
 namespace pgivm {
-
-namespace {
-
-/// Strict full-string integer parse, same discipline as the PGIVM_THREADS
-/// override: trailing garbage and out-of-range values are errors.
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
-}  // namespace
 
 std::string ReproSpec::Format() const {
   std::ostringstream os;
@@ -71,9 +52,15 @@ Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
       have_strategy = true;
       continue;
     }
-    if (!ParseInt64(value, &number)) {
-      return Status::InvalidArgument(
-          StrCat("PGIVM_REPRO malformed number in '", field, "'"));
+    switch (ParseInt64(value, &number)) {
+      case ParseIntResult::kOk:
+        break;
+      case ParseIntResult::kMalformed:
+        return Status::InvalidArgument(
+            StrCat("PGIVM_REPRO malformed number in '", field, "'"));
+      case ParseIntResult::kOutOfRange:
+        return Status::InvalidArgument(
+            StrCat("PGIVM_REPRO number out of range in '", field, "'"));
     }
     if (key == "seed") {
       spec.seed = static_cast<uint64_t>(number);

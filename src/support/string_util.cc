@@ -2,8 +2,23 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace pgivm {
+
+ParseIntResult ParseInt64(std::string_view text, int64_t* out) {
+  std::string buffer(text);  // strtoll needs a terminator
+  errno = 0;
+  char* end = nullptr;
+  long long value = std::strtoll(buffer.c_str(), &end, 10);
+  if (end == buffer.c_str() || end != buffer.c_str() + buffer.size()) {
+    return ParseIntResult::kMalformed;
+  }
+  if (errno == ERANGE) return ParseIntResult::kOutOfRange;
+  *out = static_cast<int64_t>(value);
+  return ParseIntResult::kOk;
+}
 
 std::string StrJoin(const std::vector<std::string>& parts,
                     std::string_view sep) {

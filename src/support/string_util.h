@@ -1,12 +1,22 @@
 #ifndef PGIVM_SUPPORT_STRING_UTIL_H_
 #define PGIVM_SUPPORT_STRING_UTIL_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pgivm {
+
+/// Outcome of a strict integer parse; callers word their own errors.
+enum class ParseIntResult { kOk, kMalformed, kOutOfRange };
+
+/// Parses all of `text` as a base-10 int64 with strtoll's grammar
+/// (leading whitespace, optional sign), but no trailing characters. An
+/// empty or partly numeric string is kMalformed; a number beyond int64 is
+/// kOutOfRange and never saturates. `*out` is written only on kOk.
+ParseIntResult ParseInt64(std::string_view text, int64_t* out);
 
 /// Concatenates the streamable arguments into one string.
 template <typename... Args>

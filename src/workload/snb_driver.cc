@@ -36,16 +36,6 @@ std::string RenderClass(const char* name, const SnbClassStats& stats) {
   return os.str();
 }
 
-/// The graph's storage options for this run: ambient defaults unless the
-/// config pins a mode.
-StorageOptions DriverStorageOptions(const SnbDriverConfig& config) {
-  StorageOptions storage = AmbientStorageOptions();
-  if (config.typed_columns.has_value()) {
-    storage.typed_columns = *config.typed_columns;
-  }
-  return storage;
-}
-
 }  // namespace
 
 const char* SnbOpClassName(SnbOpClass op_class) {
@@ -156,7 +146,7 @@ Result<SnbReport> SnbDriver::RunTimed() {
   }
   const int threads = std::max(1, config_.client_threads);
 
-  PropertyGraph graph(DriverStorageOptions(config_));
+  PropertyGraph graph;
   SocialNetworkGenerator generator(
       SocialNetworkConfig::AtScale(config_.scale_factor, config_.seed));
   generator.Populate(&graph);
@@ -277,7 +267,7 @@ Result<SnbReport> SnbDriver::RunValidation() {
     return Status::InvalidArgument("SNB driver: empty operation stream");
   }
 
-  PropertyGraph graph(DriverStorageOptions(config_));
+  PropertyGraph graph;
   SocialNetworkGenerator generator(
       SocialNetworkConfig::AtScale(config_.scale_factor, config_.seed));
   generator.Populate(&graph);

@@ -2,7 +2,6 @@
 #define PGIVM_WORKLOAD_SNB_DRIVER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,11 +66,6 @@ struct SnbDriverConfig {
   /// morsel settings, profiling). The validation reference engine always
   /// runs the default serial configuration with canonicalization off.
   EngineOptions engine;
-  /// Storage mode of the graph both engines run over. Unset (default)
-  /// follows the ambient default (typed columns, PGIVM_TYPED_COLUMNS
-  /// honored); set pins typed/row storage for this run regardless of the
-  /// environment — the storage-ablation knob of the validation gate.
-  std::optional<bool> typed_columns;
 };
 
 /// Per-operation-class outcome: how many ops ran and their latency

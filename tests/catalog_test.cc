@@ -1,6 +1,6 @@
 // Tests of the view catalog and its shared Rete sub-networks: fingerprint-
 // based node reuse (alias-insensitive), refcounted detach, per-view memory
-// attribution, listener silence during sharing-induced re-priming, and the
+// attribution, listener silence while a sibling primes, and the
 // shared-vs-private differential acceptance criterion.
 
 #include <memory>
@@ -16,12 +16,6 @@
 
 namespace pgivm {
 namespace {
-
-EngineOptions SharingDisabled() {
-  EngineOptions options;
-  options.catalog.share_operator_state = false;
-  return options;
-}
 
 /// Ten standing social-network views with heavily overlapping prefixes —
 /// the paper's §1 monitoring deployment (many views, one graph). As in
@@ -239,8 +233,8 @@ TEST(CatalogLifecycle, RegisteringASiblingEmitsNoSpuriousListenerDeltas) {
   RecordingListener listener;
   (*view)->AddListener(&listener);
 
-  // Registering another view re-primes the shared network; the first
-  // view's result did not change, so its listeners must stay silent.
+  // Registering another view primes it inside the shared network; the
+  // first view's result did not change, so its listeners must stay silent.
   auto sibling = engine.Register("MATCH (n:A) RETURN n AS m");
   ASSERT_TRUE(sibling.ok());
   EXPECT_EQ(listener.calls, 0);
@@ -277,27 +271,34 @@ TEST(CatalogStatsTest, MarginalMemoryIsBoundedByViewMemory) {
                 catalog.ViewMemoryBytes(b->get()));
 }
 
-TEST(CatalogUnshared, DisablingSharingFallsBackToPrivateNetworks) {
+TEST(CatalogSharing, DisjointViewsStillRunInTheOneSharedNetwork) {
   PropertyGraph graph;
   SocialNetworkConfig config;
   config.persons = 15;
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  QueryEngine engine(&graph, SharingDisabled());
-  auto a = engine.Register("MATCH (u:Person)-[:LIKES]->(m:Post) RETURN u, m");
-  auto b = engine.Register("MATCH (x:Person)-[:LIKES]->(y:Post) RETURN x, y");
+  // Views with no sub-plan in common share no node, but there is still
+  // exactly one network per engine: both live in it.
+  QueryEngine engine(&graph);
+  auto a = engine.Register("MATCH (u:Person)-[:KNOWS]->(v:Person) RETURN u, v");
+  auto b = engine.Register("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c");
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(&(*a)->network(), &(*b)->network());
-  CatalogStats stats = engine.catalog().Stats();
+  const ViewCatalog& catalog = engine.catalog();
+  ASSERT_NE(catalog.shared_network(), nullptr);
+  EXPECT_EQ(&(*a)->network(), catalog.shared_network());
+  EXPECT_EQ(&(*b)->network(), catalog.shared_network());
+  CatalogStats stats = catalog.Stats();
   EXPECT_EQ(stats.views, 2u);
   EXPECT_EQ(stats.shared_nodes, 0u);
-  EXPECT_EQ(stats.registry_hits, 0);
-  EXPECT_EQ(stats.total_nodes,
-            (*a)->network().node_count() + (*b)->network().node_count());
+  // Sharing nothing, each view's marginal cost is its whole footprint.
+  EXPECT_EQ(catalog.MarginalMemoryBytes(a->get()),
+            catalog.ViewMemoryBytes(a->get()));
+  EXPECT_EQ(catalog.MarginalMemoryBytes(b->get()),
+            catalog.ViewMemoryBytes(b->get()));
 }
 
-// ---- acceptance: 10 overlapping views, shared vs unshared ------------------
+// ---- acceptance: 10 overlapping views, shared vs one engine per view -------
 
 class CatalogAcceptanceTest
     : public ::testing::TestWithParam<PropagationStrategy> {};
@@ -309,40 +310,44 @@ TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions shared_options;
-  shared_options.network.propagation = GetParam();
-  EngineOptions unshared_options = SharingDisabled();
-  unshared_options.network.propagation = GetParam();
-
-  QueryEngine shared_engine(&graph, shared_options);
-  QueryEngine unshared_engine(&graph, unshared_options);
+  EngineOptions options;
+  options.network.propagation = GetParam();
+  QueryEngine shared_engine(&graph, options);
+  // The unshared reference: one engine per query over the same graph, so
+  // every view runs in a private network.
+  std::vector<std::unique_ptr<QueryEngine>> private_engines;
 
   std::vector<std::shared_ptr<View>> shared_views;
   std::vector<std::shared_ptr<View>> unshared_views;
+  size_t unshared_nodes = 0;
+  size_t unshared_bytes = 0;
   for (const std::string& query : OverlappingSocialViews()) {
     auto s = shared_engine.Register(query);
     ASSERT_TRUE(s.ok()) << query << ": " << s.status();
     shared_views.push_back(*s);
-    auto u = unshared_engine.Register(query);
+    private_engines.push_back(std::make_unique<QueryEngine>(&graph, options));
+    auto u = private_engines.back()->Register(query);
     ASSERT_TRUE(u.ok()) << query << ": " << u.status();
     unshared_views.push_back(*u);
+    CatalogStats stats = private_engines.back()->catalog().Stats();
+    unshared_nodes += stats.total_nodes;
+    unshared_bytes += stats.memory_bytes;
   }
 
   CatalogStats shared_stats = shared_engine.catalog().Stats();
-  CatalogStats unshared_stats = unshared_engine.catalog().Stats();
   ASSERT_EQ(shared_stats.views, 10u);
   // ≥ 30% of the live Rete nodes serve more than one view...
   EXPECT_GE(shared_stats.SharingRatio(), 0.3)
       << shared_stats.ToString();
   // ...the catalog needs strictly fewer nodes than ten private networks...
-  EXPECT_LT(shared_stats.total_nodes, unshared_stats.total_nodes);
+  EXPECT_LT(shared_stats.total_nodes, unshared_nodes);
   // ...and strictly less total node-memory.
-  EXPECT_LT(shared_stats.memory_bytes, unshared_stats.memory_bytes)
+  EXPECT_LT(shared_stats.memory_bytes, unshared_bytes)
       << "shared: " << shared_stats.ToString()
-      << " unshared: " << unshared_stats.ToString();
+      << " unshared bytes: " << unshared_bytes;
 
   // Differential: shared results stay bit-identical to the per-view
-  // networks after every update (both engines listen to the same graph).
+  // networks after every update (all engines listen to the same graph).
   for (int step = 0; step < 30; ++step) {
     if (step % 4 == 3) {
       graph.BeginBatch();

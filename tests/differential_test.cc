@@ -6,7 +6,6 @@
 
 #include "baseline/baseline_evaluator.h"
 #include "engine/query_engine.h"
-#include "graph/graph_stats.h"
 #include "scoped_threads_env.h"
 #include "support/repro.h"
 #include "workload/random_graph.h"
@@ -86,16 +85,6 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
 // that a replay-primed catalog equals a freshly built one, across seeds ×
 // strategies × thread counts; a final fresh engine built after the stream
 // re-checks the same equivalence end-state against graph priming alone.
-//
-// Storage ablation: the reference engine runs over its OWN graph, pinned
-// to legacy row storage and driven in lockstep by a same-seed twin
-// generator (the generator tracks element ids itself and ids are assigned
-// densely, so twin streams are identical mutation-for-mutation). Every
-// per-step bit-identity assertion therefore also proves the typed
-// columnar storage computes exactly what the row layout does, and a
-// per-step GraphFingerprint comparison locks the two graphs themselves —
-// labels, types, properties, endpoints — to symbol-id-independent
-// equality.
 
 const char* const kHarnessQueries[] = {
     "MATCH (a:A)-[r:R]->(b:B) RETURN a, r, b",
@@ -175,17 +164,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   RandomGraphGenerator generator(config);
   generator.Populate(&graph);
 
-  // The reference's twin: same seed, legacy row storage (regardless of
-  // the ambient PGIVM_TYPED_COLUMNS — the explicit constructor ignores
-  // the environment), driven by its own generator in lockstep below.
-  StorageOptions row_storage;
-  row_storage.typed_columns = false;
-  PropertyGraph row_graph(row_storage);
-  RandomGraphGenerator row_generator(config);
-  row_generator.Populate(&row_graph);
-  ASSERT_FALSE(row_graph.storage_options().typed_columns);
-  ASSERT_EQ(GraphFingerprint(graph), GraphFingerprint(row_graph));
-
   // Both engines are constructed with PGIVM_THREADS pinned away (the
   // override is read at construction): the engine under test must really
   // run the case's executor — an ambient PGIVM_THREADS=1 would silently
@@ -200,7 +178,7 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   QueryEngine engine(&graph, options);
   EngineOptions reference_options;
   reference_options.plan.canonicalize = false;
-  QueryEngine reference_engine(&row_graph, reference_options);
+  QueryEngine reference_engine(&graph, reference_options);
   constexpr size_t kNumQueries =
       sizeof(kHarnessQueries) / sizeof(kHarnessQueries[0]);
   constexpr size_t kUpfront = kNumQueries / 2;
@@ -221,28 +199,15 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   constexpr int kDeltas = 40;
   for (int step = 0; step < kDeltas; ++step) {
     // Alternate randomly between single-change deltas and bursts of 2–8
-    // changes committed as one atomic batch. The row-storage twin sees the
-    // identical stream with identical batch boundaries.
+    // changes committed as one atomic batch.
     if (control.NextBool(0.4)) {
       int burst = static_cast<int>(control.NextInRange(2, 8));
       graph.BeginBatch();
-      row_graph.BeginBatch();
-      for (int i = 0; i < burst; ++i) {
-        generator.ApplyRandomUpdate(&graph);
-        row_generator.ApplyRandomUpdate(&row_graph);
-      }
+      for (int i = 0; i < burst; ++i) generator.ApplyRandomUpdate(&graph);
       graph.CommitBatch();
-      row_graph.CommitBatch();
     } else {
       generator.ApplyRandomUpdate(&graph);
-      row_generator.ApplyRandomUpdate(&row_graph);
     }
-    // The graphs themselves must agree before any view is compared: the
-    // fingerprint walks labels, types, endpoints and properties through
-    // the string API, so it is symbol-id-independent by construction.
-    ASSERT_EQ(GraphFingerprint(graph), GraphFingerprint(row_graph))
-        << "typed/row twin graphs diverged at step " << step
-        << "\n  replay with: " << recipe(step);
     // Stagger the remaining registrations through the stream: each one
     // replay-primes into the live catalog and must land bit-identical to
     // the reference's graph-primed twin immediately.

@@ -225,32 +225,25 @@ TEST(GraphTextTest, RoundtripFingerprintIsSymbolIdIndependent) {
   (void)graph.AddEdge(a, b, "R", {{"w", Value::Int(3)}}).value();
 
   const std::string dump = WriteGraphText(graph);
-  StorageOptions typed_storage;  // typed_columns = true, env-independent
-  StorageOptions row_storage;
-  row_storage.typed_columns = false;
-  PropertyGraph typed(typed_storage);
-  PropertyGraph row(row_storage);
-  ASSERT_TRUE(ReadGraphText(dump, &typed).ok());
-  ASSERT_TRUE(ReadGraphText(dump, &row).ok());
+  PropertyGraph reloaded;
+  ASSERT_TRUE(ReadGraphText(dump, &reloaded).ok());
 
   // Sanity: the ids really did shift ("Scaffold"/"temp" never reach the
   // dump), so equality below is not vacuous.
   ASSERT_TRUE(graph.symbols().Lookup("x").has_value());
-  ASSERT_TRUE(typed.symbols().Lookup("x").has_value());
-  ASSERT_NE(*graph.symbols().Lookup("x"), *typed.symbols().Lookup("x"));
+  ASSERT_TRUE(reloaded.symbols().Lookup("x").has_value());
+  ASSERT_NE(*graph.symbols().Lookup("x"), *reloaded.symbols().Lookup("x"));
 
   // No deletions above, so element ids are dense and survive the reload:
-  // original and both reloads fingerprint identically.
-  EXPECT_EQ(GraphFingerprint(typed), GraphFingerprint(graph));
-  EXPECT_EQ(GraphFingerprint(row), GraphFingerprint(graph));
-  EXPECT_EQ(WriteGraphText(typed), dump);
-  EXPECT_EQ(WriteGraphText(row), dump);
+  // original and reload fingerprint identically.
+  EXPECT_EQ(GraphFingerprint(reloaded), GraphFingerprint(graph));
+  EXPECT_EQ(WriteGraphText(reloaded), dump);
 }
 
-TEST(GraphTextTest, RandomRoundtripIsBitIdenticalAcrossStorageModes) {
+TEST(GraphTextTest, RandomRoundtripIsBitIdentical) {
   // A churned random graph (deletions included, so ids get remapped on
-  // load) dumped once and loaded into both storage layouts: the two
-  // reloads must be indistinguishable — same fingerprint, same re-dump.
+  // load) dumped once: two independent reloads are indistinguishable, and
+  // the reload's own dump is a fixed point of another roundtrip.
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 1234;
@@ -259,20 +252,20 @@ TEST(GraphTextTest, RandomRoundtripIsBitIdenticalAcrossStorageModes) {
   for (int i = 0; i < 60; ++i) generator.ApplyRandomUpdate(&graph);
 
   const std::string dump = WriteGraphText(graph);
-  StorageOptions typed_storage;  // typed_columns = true, env-independent
-  StorageOptions row_storage;
-  row_storage.typed_columns = false;
-  PropertyGraph typed(typed_storage);
-  PropertyGraph row(row_storage);
-  ASSERT_TRUE(ReadGraphText(dump, &typed).ok());
-  ASSERT_TRUE(ReadGraphText(dump, &row).ok());
-  ASSERT_TRUE(typed.storage_options().typed_columns);
-  ASSERT_FALSE(row.storage_options().typed_columns);
+  PropertyGraph first;
+  PropertyGraph second;
+  ASSERT_TRUE(ReadGraphText(dump, &first).ok());
+  ASSERT_TRUE(ReadGraphText(dump, &second).ok());
+  EXPECT_EQ(GraphFingerprint(first), GraphFingerprint(second));
+  EXPECT_EQ(WriteGraphText(first), WriteGraphText(second));
 
-  EXPECT_EQ(GraphFingerprint(typed), GraphFingerprint(row));
-  EXPECT_EQ(WriteGraphText(typed), WriteGraphText(row));
-  EXPECT_EQ(typed.vertex_count(), row.vertex_count());
-  EXPECT_EQ(typed.edge_count(), row.edge_count());
+  const std::string redump = WriteGraphText(first);
+  PropertyGraph third;
+  ASSERT_TRUE(ReadGraphText(redump, &third).ok());
+  EXPECT_EQ(GraphFingerprint(third), GraphFingerprint(first));
+  EXPECT_EQ(WriteGraphText(third), redump);
+  EXPECT_EQ(first.vertex_count(), graph.vertex_count());
+  EXPECT_EQ(first.edge_count(), graph.edge_count());
 }
 
 TEST(GraphTextTest, CommentsAndBlankLinesSkipped) {

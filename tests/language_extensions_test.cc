@@ -2,6 +2,8 @@
 // CASE expressions, the extended scalar function library, exists()
 // pattern predicates (semi/anti-joins), and UNION queries.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
@@ -46,6 +48,9 @@ TEST(FunctionsTest, NumericFunctions) {
   EXPECT_EQ(Eval1("sign(0)"), Value::Int(0));
   EXPECT_EQ(Eval1("toInteger('42')"), Value::Int(42));
   EXPECT_TRUE(Eval1("toInteger('4x')").is_null());
+  // Out of int64 range: null, not a saturated INT64_MAX.
+  EXPECT_TRUE(Eval1("toInteger('99999999999999999999')").is_null());
+  EXPECT_EQ(Eval1("toInteger('-9223372036854775808')"), Value::Int(INT64_MIN));
   EXPECT_EQ(Eval1("toFloat('2.5')"), Value::Double(2.5));
   EXPECT_EQ(Eval1("toInteger(3.7)"), Value::Int(3));
 }

@@ -1,5 +1,7 @@
 #include "cypher/lexer.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace pgivm {
@@ -37,6 +39,23 @@ TEST(LexerTest, NumbersIntAndFloat) {
   EXPECT_EQ(tokens.value()[2].kind, TokenKind::kFloat);
   EXPECT_DOUBLE_EQ(tokens.value()[2].double_value, 1000.0);
   EXPECT_DOUBLE_EQ(tokens.value()[3].double_value, 0.25);
+}
+
+TEST(LexerTest, Int64MaxLiteralIsAccepted) {
+  Result<std::vector<Token>> tokens = Tokenize("RETURN 9223372036854775807");
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  EXPECT_EQ(tokens.value()[1].kind, TokenKind::kInteger);
+  EXPECT_EQ(tokens.value()[1].int_value, INT64_MAX);
+}
+
+TEST(LexerTest, OutOfRangeIntegerLiteralFails) {
+  // One past INT64_MAX must be an error, not a saturated INT64_MAX.
+  Result<std::vector<Token>> tokens = Tokenize("RETURN 9223372036854775808");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_NE(tokens.status().message().find("out of range"),
+            std::string::npos)
+      << tokens.status();
+  EXPECT_FALSE(Tokenize("RETURN 99999999999999999999").ok());
 }
 
 TEST(LexerTest, RangeDotsDoNotEatIntegers) {

@@ -12,8 +12,8 @@
 //    statistics, is structurally stable across calls, and leaves the
 //    catalog exactly as it found it;
 //  * DumpTrace writes a Chrome-tracing-compatible JSON file;
-//  * the snapshot surface agrees with the scattered legacy accessors it
-//    supersedes.
+//  * the snapshot surface agrees with the per-component accessors it
+//    gathers (the catalog stats and the network and ingest counters).
 //
 // Labelled `observability` in CMake; CI's TSAN job runs it too (histogram
 // and counter reads race real writers here).
@@ -360,13 +360,11 @@ TEST(Profiling, RuntimeToggleCoversLateNetworks) {
   ScopedThreadsEnv no_env(nullptr);
   ScopedProfileEnv no_profile_env(nullptr);
   PropertyGraph graph;
-  EngineOptions options;
-  options.catalog.share_operator_state = false;  // one network per view
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
   engine.set_profiling(true);
   auto view = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(view.ok()) << view.status();
-  // The per-view network was created after the toggle and must inherit it.
+  // The shared network was created after the toggle and must inherit it.
   graph.AddVertex({"A"});
   EngineMetricsSnapshot snap = engine.MetricsSnapshot();
   int64_t activations = 0;
@@ -440,7 +438,7 @@ TEST(ExplainAnalyze, CompileErrorsPropagateAndRestoreProfiling) {
   EXPECT_FALSE(engine.profiling());
 }
 
-// ---- unified snapshot vs. legacy accessors ---------------------------------
+// ---- unified snapshot vs. per-component accessors --------------------------
 
 TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
   ScopedThreadsEnv no_env(nullptr);

@@ -2,7 +2,7 @@
 // registration): replay-vs-graph accounting, registration cost independent
 // of catalog size, register-mid-churn parity, re-sharing nodes freed by a
 // prior drop, listener silence during replay, and the engine-wide thread
-// pool shared across networks.
+// pool.
 
 #include <memory>
 #include <string>
@@ -134,15 +134,28 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
 
 // Registering between update bursts must splice the new consumers into a
 // warm, mid-churn network without corrupting it — under either propagation
-// strategy, with and without incremental priming (bit-identical results).
-class MidChurnTest : public ::testing::TestWithParam<
-                         std::pair<PropagationStrategy, bool>> {};
+// strategy, and with replay running through the parallel (and morsel-
+// partitioned) wave executor.
+struct MidChurnShape {
+  const char* name;
+  PropagationStrategy strategy;
+  int threads;  // 0 = serial executor
+  bool morsel;
+};
+
+class MidChurnTest : public ::testing::TestWithParam<MidChurnShape> {};
 
 TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
-  auto [strategy, incremental] = GetParam();
+  ScopedThreadsEnv no_env(nullptr);  // pin: the shape sets the executor
+  const MidChurnShape& shape = GetParam();
   EngineOptions options;
-  options.network.propagation = strategy;
-  options.catalog.incremental_priming = incremental;
+  options.network.propagation = shape.strategy;
+  if (shape.threads > 0) {
+    options.network.executor = ExecutorKind::kParallel;
+    options.network.num_threads = shape.threads;
+    options.network.parallel_min_wave_entries = 0;
+  }
+  if (shape.morsel) options.network.morsel_min_node_entries = 0;
 
   SocialNetworkConfig config;
   config.persons = 30;
@@ -196,16 +209,15 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategiesAndPriming, MidChurnTest,
+    Shapes, MidChurnTest,
     ::testing::Values(
-        std::make_pair(PropagationStrategy::kEager, true),
-        std::make_pair(PropagationStrategy::kEager, false),
-        std::make_pair(PropagationStrategy::kBatched, true),
-        std::make_pair(PropagationStrategy::kBatched, false)),
-    [](const auto& info) {
-      return std::string(PropagationStrategyName(info.param.first)) +
-             (info.param.second ? "_replay" : "_reprime");
-    });
+        MidChurnShape{"eager", PropagationStrategy::kEager, 0, false},
+        MidChurnShape{"batched", PropagationStrategy::kBatched, 0, false},
+        MidChurnShape{"batched_parallel4", PropagationStrategy::kBatched, 4,
+                      false},
+        MidChurnShape{"batched_parallel4_morsel", PropagationStrategy::kBatched,
+                      4, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // A dropped view's exclusive nodes are freed and leave the registry; a
 // later registration of the same plan must rebuild them fresh (graph-
@@ -302,44 +314,8 @@ TEST(IncrementalPriming, ListenersStaySilentDuringReplay) {
   (*join_view)->RemoveListener(&join_listener);
 }
 
-// The engine-wide pool: disabling operator-state sharing used to spawn one
-// worker pool per view's private network; now every network an engine
-// creates runs its parallel waves on a single shared pool.
-TEST(EnginePool, PrivateNetworksShareOneThreadPool) {
-  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
-  SocialNetworkConfig config;
-  config.persons = 15;
-  SocialNetworkGenerator generator(config);
-  PropertyGraph graph;
-  generator.Populate(&graph);
-
-  EngineOptions options;
-  options.catalog.share_operator_state = false;
-  options.network.executor = ExecutorKind::kParallel;
-  options.network.num_threads = 2;
-  QueryEngine engine(&graph, options);
-  auto a = engine.Register(kLikesQuery);
-  auto b = engine.Register(
-      "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c");
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_NE(&(*a)->network(), &(*b)->network());
-  const ThreadPool* pool = (*a)->network().thread_pool();
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->parallelism(), 2);
-  EXPECT_EQ((*b)->network().thread_pool(), pool);
-
-  // Both private networks keep maintaining correctly on the shared pool.
-  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
-  for (const auto& view : {*a, *b}) {
-    auto expected = engine.EvaluateOnce(view->query());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(view->Snapshot().size(), expected.value().size())
-        << view->query();
-  }
-}
-
 TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
   PropertyGraph graph;
   graph.AddVertex({"A"});
   EngineOptions options;
@@ -351,6 +327,43 @@ TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
   ASSERT_NE((*view)->network().thread_pool(), nullptr);
   EXPECT_EQ((*view)->network().thread_pool()->parallelism(), 2);
   EXPECT_EQ((*view)->size(), 1);
+}
+
+// The pool is engine-wide, not per network: dropping the last view tears
+// the shared network down, and the network the next registration builds
+// runs on the same workers instead of spawning a fresh pool.
+TEST(EnginePool, NetworkRebuiltAfterTeardownReusesThePool) {
+  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
+  SocialNetworkConfig config;
+  config.persons = 15;
+  SocialNetworkGenerator generator(config);
+  PropertyGraph graph;
+  generator.Populate(&graph);
+
+  EngineOptions options;
+  options.network.executor = ExecutorKind::kParallel;
+  options.network.num_threads = 2;
+  QueryEngine engine(&graph, options);
+  auto first = engine.Register(kLikesQuery);
+  ASSERT_TRUE(first.ok());
+  const ThreadPool* pool = (*first)->network().thread_pool();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->parallelism(), 2);
+
+  first->reset();
+  ASSERT_EQ(engine.catalog().shared_network(), nullptr);
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+
+  auto second = engine.Register(
+      "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*second)->network().thread_pool(), pool);
+
+  // The rebuilt network keeps maintaining correctly on the reused pool.
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+  auto expected = engine.EvaluateOnce((*second)->query());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ((*second)->Snapshot().size(), expected.value().size());
 }
 
 // Replay priming under the parallel executor: registrations into a live

@@ -145,14 +145,9 @@ struct PinnedState {
 /// reference rows recorded for that epoch — i.e. every concurrently
 /// observed state is a committed serial state, bit for bit.
 void RunConcurrentReaderHarness(const EngineOptions& options, uint64_t seed,
-                                int reader_count, bool typed_columns) {
+                                int reader_count) {
   ScopedThreadsEnv no_env(nullptr);
-  // Storage is a harness dimension: the epoch-publication contract must
-  // hold over both the typed columnar layout and the legacy row maps
-  // (readers pin snapshots while the writer mutates either layout).
-  StorageOptions storage;
-  storage.typed_columns = typed_columns;
-  PropertyGraph graph(storage);
+  PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = seed;
   RandomGraphGenerator generator(config);
@@ -253,8 +248,9 @@ struct HarnessConfig {
   PropagationStrategy propagation;
   ExecutorKind executor;
   int num_threads;
-  /// Graph storage under the engines (typed columns vs legacy row maps).
-  bool typed_columns = true;
+  /// Force key-partitioned morsel delivery on every non-empty node, so the
+  /// partitioned path publishes epochs under concurrent readers too.
+  bool morsel = false;
 };
 
 class ServingDifferentialTest
@@ -271,9 +267,9 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   // Exercise the retention path (readers hold pins anyway; retention only
   // delays retirement of unpinned epochs).
   options.network.epoch_retention = 4;
+  if (harness.morsel) options.network.morsel_min_node_entries = 0;
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
-    RunConcurrentReaderHarness(options, seed, /*reader_count=*/8,
-                               harness.typed_columns);
+    RunConcurrentReaderHarness(options, seed, /*reader_count=*/8);
   }
 }
 
@@ -288,14 +284,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ExecutorKind::kParallel, 2},
         HarnessConfig{"batched_parallel8", PropagationStrategy::kBatched,
                       ExecutorKind::kParallel, 8},
-        // Row-storage ablation rows: the serial + most-parallel shapes
-        // again over the legacy layout (the dual-mode CI run flips the
-        // rest via PGIVM_TYPED_COLUMNS=0; these two stay pinned even in
-        // default runs).
-        HarnessConfig{"eager_row", PropagationStrategy::kEager,
-                      ExecutorKind::kSerial, 0, /*typed_columns=*/false},
-        HarnessConfig{"batched_parallel8_row", PropagationStrategy::kBatched,
-                      ExecutorKind::kParallel, 8, /*typed_columns=*/false}),
+        HarnessConfig{"batched_parallel2_morsel", PropagationStrategy::kBatched,
+                      ExecutorKind::kParallel, 2, /*morsel=*/true},
+        HarnessConfig{"batched_parallel8_morsel", PropagationStrategy::kBatched,
+                      ExecutorKind::kParallel, 8, /*morsel=*/true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// SubmitAsync: mutations from several producer threads are coalesced by

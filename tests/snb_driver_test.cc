@@ -135,17 +135,15 @@ TEST(SnbDeterminismTest, PopulatePlusUpdatesFingerprintIsStable) {
   EXPECT_EQ(build("8"), base);
 }
 
-TEST(SnbDeterminismTest, IndexScanOrderIsCanonicalAcrossStorageModes) {
+TEST(SnbDeterminismTest, IndexScanOrderIsCanonical) {
   // Regression: VerticesWithLabel/EdgesWithType used to iterate hash
   // buckets, so scan order depended on process-specific hashing. The
   // indexes are sorted posting lists now: order is ascending by id — a
   // pure function of the mutation stream — and therefore identical
-  // across independently built graphs, runs, processes, and storage
-  // layouts. Built twice per mode (typed and row) to lock all of that.
-  auto build = [](bool typed) {
-    StorageOptions storage;
-    storage.typed_columns = typed;
-    auto graph = std::make_unique<PropertyGraph>(storage);
+  // across independently built graphs, runs and processes. Built twice
+  // to lock that.
+  auto build = [] {
+    auto graph = std::make_unique<PropertyGraph>();
     SocialNetworkGenerator generator(SocialNetworkConfig::AtScale(0.02, 7));
     generator.Populate(graph.get());
     Rng op_seeds(99);
@@ -154,26 +152,23 @@ TEST(SnbDeterminismTest, IndexScanOrderIsCanonicalAcrossStorageModes) {
     }
     return graph;
   };
-  std::unique_ptr<PropertyGraph> typed = build(true);
-  std::unique_ptr<PropertyGraph> typed_again = build(true);
-  std::unique_ptr<PropertyGraph> row = build(false);
+  std::unique_ptr<PropertyGraph> graph = build();
+  std::unique_ptr<PropertyGraph> again = build();
   for (const char* label : {"Person", "Post", "Comm"}) {
-    std::vector<VertexId> scan = typed->VerticesWithLabel(label);
+    std::vector<VertexId> scan = graph->VerticesWithLabel(label);
     EXPECT_FALSE(scan.empty()) << label;
     EXPECT_TRUE(std::is_sorted(scan.begin(), scan.end())) << label;
-    EXPECT_EQ(scan, typed_again->VerticesWithLabel(label)) << label;
-    EXPECT_EQ(scan, row->VerticesWithLabel(label)) << label;
+    EXPECT_EQ(scan, again->VerticesWithLabel(label)) << label;
   }
   for (const char* type : {"KNOWS", "HAS_CREATOR", "LIKES", "REPLY"}) {
-    std::vector<EdgeId> scan = typed->EdgesWithType(type);
+    std::vector<EdgeId> scan = graph->EdgesWithType(type);
     EXPECT_FALSE(scan.empty()) << type;
     EXPECT_TRUE(std::is_sorted(scan.begin(), scan.end())) << type;
-    EXPECT_EQ(scan, typed_again->EdgesWithType(type)) << type;
-    EXPECT_EQ(scan, row->EdgesWithType(type)) << type;
+    EXPECT_EQ(scan, again->EdgesWithType(type)) << type;
   }
   // Scans of never-interned names are empty, not an error.
-  EXPECT_TRUE(typed->VerticesWithLabel("NoSuchLabel").empty());
-  EXPECT_TRUE(typed->EdgesWithType("NO_SUCH_TYPE").empty());
+  EXPECT_TRUE(graph->VerticesWithLabel("NoSuchLabel").empty());
+  EXPECT_TRUE(graph->EdgesWithType("NO_SUCH_TYPE").empty());
 }
 
 TEST(SnbDeterminismTest, DifferentSeedsDiverge) {
@@ -338,36 +333,6 @@ TEST(SnbValidationTest, MorselForcedShapeStaysBitIdentical) {
   EXPECT_GT(report->parity_checks, 0);
 }
 
-TEST(SnbValidationTest, TypedAndRowStorageAreBitIdentical) {
-  // The storage acceptance gate: the full validation replay (per-update
-  // cross-view parity + rotating EvaluateOnce checks) passes with typed
-  // columns pinned on AND pinned off, and both runs end on the same
-  // string-keyed graph fingerprint with the same number of parity checks
-  // — the typed layout is observably the row layout, end to end.
-  ScopedThreadsEnv pin(nullptr);
-  ScopedEnvVar storage_pin("PGIVM_TYPED_COLUMNS", nullptr);
-  for (uint64_t seed : {11u, 33u}) {
-    SnbDriverConfig config = SmallConfig();
-    config.seed = seed;
-    config.operations = 120;
-    config.validate_every = 2;
-    config.baseline_every = 10;
-    config.typed_columns = true;
-    Result<SnbReport> typed = SnbDriver(config).RunValidation();
-    ASSERT_TRUE(typed.ok()) << "seed " << seed << " typed: "
-                            << typed.status().message();
-    config.typed_columns = false;
-    Result<SnbReport> row = SnbDriver(config).RunValidation();
-    ASSERT_TRUE(row.ok()) << "seed " << seed << " row: "
-                          << row.status().message();
-    EXPECT_GT(typed->parity_checks, 0);
-    EXPECT_EQ(typed->parity_checks, row->parity_checks) << "seed " << seed;
-    EXPECT_EQ(typed->graph_fingerprint, row->graph_fingerprint)
-        << "seed " << seed;
-    EXPECT_EQ(typed->update.operations, row->update.operations);
-  }
-}
-
 TEST(SnbValidationTest, FingerprintStableAcrossRuns) {
   ScopedThreadsEnv pin(nullptr);
   SnbDriverConfig config = SmallConfig();
@@ -379,6 +344,33 @@ TEST(SnbValidationTest, FingerprintStableAcrossRuns) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->graph_fingerprint, second->graph_fingerprint);
   EXPECT_EQ(first->parity_checks, second->parity_checks);
+}
+
+TEST(SnbValidationTest, FinalGraphIsTheStreamReplayedWithoutViews) {
+  // The reported fingerprint is the graph the update stream alone builds:
+  // maintaining two engines' worth of views over it never writes to it.
+  ScopedThreadsEnv pin(nullptr);
+  SnbDriverConfig config = SmallConfig();
+  config.operations = 120;
+  config.validate_every = 2;
+  config.baseline_every = 10;
+  SnbDriver driver(config);
+  Result<SnbReport> report = driver.RunValidation();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+
+  PropertyGraph graph;
+  SocialNetworkGenerator generator(
+      SocialNetworkConfig::AtScale(config.scale_factor, config.seed));
+  generator.Populate(&graph);
+  int64_t updates = 0;
+  for (const SnbOp& op : driver.stream()) {
+    if (op.op_class != SnbOpClass::kUpdate) continue;
+    generator.ApplyUpdate(&graph, op.seed);
+    ++updates;
+  }
+  EXPECT_GT(updates, 0);
+  EXPECT_EQ(report->update.operations, updates);
+  EXPECT_EQ(report->graph_fingerprint, GraphFingerprint(graph));
 }
 
 TEST(SnbValidationTest, EmptyStreamIsAnError) {

@@ -179,12 +179,9 @@ TEST(PropertyColumnTest, SparseHighIdsWork) {
 
 // ---- PropertyStore ---------------------------------------------------------
 
-class PropertyStoreModeTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PropertyStoreModeTest, SetGetEraseCollectAgreeAcrossModes) {
+TEST(PropertyStoreTest, SetGetEraseCollect) {
   SymbolTable symbols;
-  PropertyStore store(&symbols, /*typed=*/GetParam());
-  EXPECT_EQ(store.typed(), GetParam());
+  PropertyStore store(&symbols);
   SymbolId x = symbols.Intern("x");
   SymbolId name = symbols.Intern("name");
   SymbolId tags = symbols.Intern("tags");
@@ -213,11 +210,36 @@ TEST_P(PropertyStoreModeTest, SetGetEraseCollectAgreeAcrossModes) {
   EXPECT_GT(store.ApproxMemoryBytes(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(TypedAndRow, PropertyStoreModeTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "typed" : "row";
-                         });
+TEST(PropertyStoreTest, MixedTypesUnderOneKeyReadBackExactly) {
+  // One key, one column, values of different types across elements: Get
+  // and Collect return the exact Value written (lane or overflow), and
+  // clearing one element leaves its neighbours in the column untouched.
+  SymbolTable symbols;
+  PropertyStore store(&symbols);
+  SymbolId x = symbols.Intern("x");
+  SymbolId never_set = symbols.Intern("never_set");
+
+  store.Set(0, x, Value::Int(1));  // the lane adopts Int64
+  store.Set(1, x, Value::Double(1.0));
+  store.Set(2, x, Value::String("one"));
+  EXPECT_TRUE(store.Get(0, x).is_int());
+  EXPECT_TRUE(store.Get(1, x).is_double());
+  EXPECT_EQ(store.Get(2, x), Value::String("one"));
+  ValueMap collected = store.Collect(1);
+  ASSERT_EQ(collected.size(), 1u);
+  EXPECT_TRUE(collected.at("x").is_double());
+
+  // A key interned but never written reads as absent.
+  EXPECT_FALSE(store.Has(0, never_set));
+  EXPECT_TRUE(store.Get(0, never_set).is_null());
+
+  store.ClearElement(1);
+  EXPECT_FALSE(store.Has(1, x));
+  EXPECT_EQ(store.Get(0, x), Value::Int(1));
+  EXPECT_EQ(store.Get(2, x), Value::String("one"));
+  store.ClearElement(99);  // absent: no-op
+  EXPECT_EQ(store.Collect(0).size(), 1u);
+}
 
 // ---- posting-list determinism at the graph level ---------------------------
 
