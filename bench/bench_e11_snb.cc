@@ -31,7 +31,6 @@ SnbDriverConfig DriverConfig(int sf_hundredths, int clients, bool morsel) {
   config.seed = 42;
   config.client_threads = clients;
   config.operations = 2000;
-  config.engine.network.propagation = PropagationStrategy::kBatched;
   if (clients > 1) {
     // Concurrent clients get a parallel drain to push against.
     config.engine.network.executor = ExecutorKind::kParallel;

@@ -81,21 +81,17 @@ void BM_E2_ReEval(benchmark::State& state) {
 }
 BENCHMARK(BM_E2_ReEval)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Iterations(200);
 
-// ---- batch-size sweep: eager vs batched propagation ------------------------
+// ---- batch-size sweep ------------------------------------------------------
 //
 // Same four standing constraints, but updates arrive in BeginBatch/
-// CommitBatch bursts of range(0) changes; range(1) selects the propagation
-// strategy (0 = eager, 1 = batched). Eager unrolls each burst into
-// per-change cascades; batched translates the whole burst once and drains
-// the networks level by level with consolidation. The `emitted_per_batch`
+// CommitBatch bursts of range(0) changes; each burst is translated once
+// and drained through the network level by level with consolidation. The
+// `emitted_per_batch`
 // counter is the resulting propagation volume (TotalEmittedEntries delta),
 // the FGN papers' cost metric.
 
 void BM_E2_BatchSweep(benchmark::State& state) {
   int64_t batch_size = state.range(0);
-  PropagationStrategy strategy = state.range(1) == 0
-                                     ? PropagationStrategy::kEager
-                                     : PropagationStrategy::kBatched;
 
   PropertyGraph graph;
   RailwayConfig config;
@@ -103,9 +99,7 @@ void BM_E2_BatchSweep(benchmark::State& state) {
   RailwayGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions options;
-  options.network.propagation = strategy;
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
   std::vector<std::shared_ptr<View>> views;
   for (const std::string& query : ConstraintQueries()) {
     views.push_back(engine.Register(query).value());
@@ -136,11 +130,8 @@ void BM_E2_BatchSweep(benchmark::State& state) {
   state.counters["emitted_per_batch"] =
       static_cast<double>(total_emitted() - emitted_before) /
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
-  state.SetLabel(PropagationStrategyName(strategy));
 }
-BENCHMARK(BM_E2_BatchSweep)
-    ->ArgsProduct({{1, 10, 100, 1000}, {0, 1}})
-    ->Iterations(20);
+BENCHMARK(BM_E2_BatchSweep)->ArgsProduct({{1, 10, 100, 1000}})->Iterations(20);
 
 }  // namespace
 }  // namespace pgivm

@@ -79,17 +79,12 @@ BENCHMARK(BM_E3_UpdateWithViews)
 
 // ---- batch-size sweep across a fixed view catalog --------------------------
 //
-// Fixed 8-view deployment; updates arrive as bursts of range(0) changes and
-// range(1) picks the propagation strategy (0 = eager, 1 = batched). This is
-// the monitoring scenario where transactions are ingested in bulk: batched
-// propagation translates each burst once per network instead of cascading
-// per change.
+// Fixed 8-view deployment; updates arrive as bursts of range(0) changes.
+// This is the monitoring scenario where transactions are ingested in bulk:
+// each burst is translated once and drained with consolidation.
 
 void BM_E3_BatchSweep(benchmark::State& state) {
   int64_t batch_size = state.range(0);
-  PropagationStrategy strategy = state.range(1) == 0
-                                     ? PropagationStrategy::kEager
-                                     : PropagationStrategy::kBatched;
 
   PropertyGraph graph;
   SocialNetworkConfig config;
@@ -97,9 +92,7 @@ void BM_E3_BatchSweep(benchmark::State& state) {
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions options;
-  options.network.propagation = strategy;
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
   std::vector<std::shared_ptr<View>> views;
   std::vector<std::string> catalog = StandingQueries();
   for (size_t i = 0; i < 8; ++i) {
@@ -121,11 +114,8 @@ void BM_E3_BatchSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch_size);
   state.counters["batch"] = static_cast<double>(batch_size);
   state.counters["emitted_total"] = static_cast<double>(emitted);
-  state.SetLabel(PropagationStrategyName(strategy));
 }
-BENCHMARK(BM_E3_BatchSweep)
-    ->ArgsProduct({{1, 16, 128, 1024}, {0, 1}})
-    ->Iterations(20);
+BENCHMARK(BM_E3_BatchSweep)->ArgsProduct({{1, 16, 128, 1024}})->Iterations(20);
 
 // ---- operator-state sharing sweep: views × overlap × threads ---------------
 //

@@ -270,15 +270,11 @@ BENCHMARK(BM_E8_Consolidate)->Arg(100)->Arg(1000)->Arg(10000);
 // ---- batch-size sweep through a minimal end-to-end network -----------------
 //
 // ◯[:A] ⋈ ◯[:B] → production, driven by graph-level batches of range(0)
-// add/remove-vertex pairs; range(1) selects eager (0) or batched (1)
-// propagation. Under batched propagation the inverse pairs cancel at the
-// sources and the join is never probed; under eager every pair cascades.
+// add/remove-vertex pairs. The inverse pairs cancel at the sources and the
+// join is never probed.
 
 void BM_E8_NetworkChurnSweep(benchmark::State& state) {
   int64_t batch_size = state.range(0);
-  PropagationStrategy strategy = state.range(1) == 0
-                                     ? PropagationStrategy::kEager
-                                     : PropagationStrategy::kBatched;
 
   PropertyGraph graph;
   ReteNetwork network;
@@ -297,7 +293,6 @@ void BM_E8_NetworkChurnSweep(benchmark::State& state) {
   auto* production = network.Add(std::make_unique<ProductionNode>(vs));
   join->AddOutput(production, 0);
   network.SetProduction(production);
-  network.set_propagation(strategy);
   network.Attach(&graph);
 
   for (auto _ : state) {
@@ -313,10 +308,9 @@ void BM_E8_NetworkChurnSweep(benchmark::State& state) {
   state.counters["batch"] = static_cast<double>(batch_size);
   state.counters["emitted_total"] =
       static_cast<double>(network.TotalEmittedEntries());
-  state.SetLabel(PropagationStrategyName(strategy));
 }
 BENCHMARK(BM_E8_NetworkChurnSweep)
-    ->ArgsProduct({{10, 100, 1000}, {0, 1}})
+    ->ArgsProduct({{10, 100, 1000}})
     ->Iterations(200);
 
 }  // namespace

@@ -11,7 +11,7 @@
 //     operation class (complex read / short read / update) plus sustained
 //     throughput.
 //
-// Exporting PGIVM_REPRO="seed=...,strategy=...,threads=...,morsel=..."
+// Exporting PGIVM_REPRO="seed=...,threads=...,morsel=..."
 // (the recipe a parity failure prints) replays exactly that validation
 // case instead of the default demo configuration.
 
@@ -26,7 +26,6 @@ int main() {
   config.scale_factor = 0.05;
   config.seed = 42;
   config.operations = 400;
-  config.engine.network.propagation = PropagationStrategy::kBatched;
 
   if (std::optional<ReproSpec> repro = ReproSpec::FromEnv()) {
     std::printf("replaying %s\n", repro->Format().c_str());

@@ -8,9 +8,9 @@ namespace pgivm {
 
 /// Plan lowering configuration. The defaults produce the paper's FRA plan;
 /// the flags exist for the ablation experiments (E6). Runtime behaviour of
-/// the instantiated network (delta propagation strategy, fine-grained
-/// unnest) is configured separately via NetworkOptions in
-/// rete/network_builder.h; EngineOptions bundles both.
+/// the instantiated network (wave executor, fine-grained unnest) is
+/// configured separately via NetworkOptions in rete/network_builder.h;
+/// EngineOptions bundles both.
 struct PlanOptions {
   /// Infer the minimal property schema and push accesses into ◯/⇑ leaves
   /// (paper step 3). When false together with naive_property_maps, plans

@@ -46,7 +46,6 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   const bool live = network_ != nullptr && network_->attached();
   if (network_ == nullptr) {
     network_ = std::make_unique<ReteNetwork>();
-    network_->set_propagation(network_options_.propagation);
     network_->set_executor(network_options_.executor,
                            network_options_.num_threads);
     network_->set_consolidation_cutoff(network_options_.consolidation_cutoff);
@@ -126,12 +125,8 @@ void ViewCatalog::SetProfiling(bool on) {
 
 std::shared_ptr<ThreadPool> ViewCatalog::EnginePool() {
   if (pool_ != nullptr) return pool_;
-  // The executor only applies to batched wave scheduling; a serial (or
-  // single-thread-resolved) configuration never needs workers.
-  if (network_options_.propagation != PropagationStrategy::kBatched ||
-      network_options_.executor != ExecutorKind::kParallel) {
-    return nullptr;
-  }
+  // A serial (or single-thread-resolved) configuration never needs workers.
+  if (network_options_.executor != ExecutorKind::kParallel) return nullptr;
   int threads = ThreadPool::ResolveThreadCount(network_options_.num_threads);
   if (threads <= 1) return nullptr;
   pool_ = std::make_shared<ThreadPool>(threads);

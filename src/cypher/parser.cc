@@ -333,7 +333,22 @@ class Parser {
 
   // ---- Expressions -------------------------------------------------------
 
-  Result<ExprPtr> ParseExpression() { return ParseOr(); }
+  /// Takes one nesting level; the caller gives it back with `--depth_` once
+  /// the nested parse succeeded (a failed parse is abandoned whole).
+  Status EnterNesting() {
+    if (++depth_ > kMaxExpressionNesting) {
+      return ErrorHere(StrCat("expression nesting exceeds the limit of ",
+                              kMaxExpressionNesting));
+    }
+    return Status::Ok();
+  }
+
+  Result<ExprPtr> ParseExpression() {
+    PGIVM_RETURN_IF_ERROR(EnterNesting());
+    PGIVM_ASSIGN_OR_RETURN(ExprPtr expr, ParseOr());
+    --depth_;
+    return expr;
+  }
 
   Result<ExprPtr> ParseOr() {
     PGIVM_ASSIGN_OR_RETURN(ExprPtr lhs, ParseXor());
@@ -364,7 +379,9 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (Match(TokenKind::kNot)) {
+      PGIVM_RETURN_IF_ERROR(EnterNesting());
       PGIVM_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      --depth_;
       return MakeUnary(UnaryOp::kNot, std::move(operand));
     }
     return ParseComparison();
@@ -459,11 +476,13 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnaryExpr() {
-    if (Match(TokenKind::kMinus)) {
+    const bool minus = Match(TokenKind::kMinus);
+    if (minus || Match(TokenKind::kPlus)) {
+      PGIVM_RETURN_IF_ERROR(EnterNesting());
       PGIVM_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnaryExpr());
-      return MakeUnary(UnaryOp::kMinus, std::move(operand));
+      --depth_;
+      return minus ? MakeUnary(UnaryOp::kMinus, std::move(operand)) : operand;
     }
-    if (Match(TokenKind::kPlus)) return ParseUnaryExpr();
     return ParsePostfix();
   }
 
@@ -668,6 +687,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int anon_counter_ = 0;
+  /// Current expression nesting (see EnterNesting).
+  int depth_ = 0;
   /// exists(pattern) occurrences collected while parsing the current WHERE;
   /// claimed by the enclosing MATCH clause.
   std::vector<PatternPart> pending_pattern_predicates_;

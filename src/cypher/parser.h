@@ -15,7 +15,16 @@ namespace pgivm {
 /// `RETURN [DISTINCT] items [SKIP n] [LIMIT n]`.
 /// Anonymous pattern elements get generated `#anonN` variables; return items
 /// without `AS` get their source text as alias (made unique if needed).
+/// Expressions nested deeper than kMaxExpressionNesting are rejected with
+/// InvalidArgument.
 Result<Query> ParseQuery(std::string_view query);
+
+/// How deeply expressions may nest: every parenthesised or otherwise nested
+/// sub-expression (list element, function argument, CASE branch, ...),
+/// every NOT and every unary sign takes one level. Recursive descent would
+/// otherwise overflow the stack on hostile input such as 10k open
+/// parentheses.
+inline constexpr int kMaxExpressionNesting = 256;
 
 }  // namespace pgivm
 

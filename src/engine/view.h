@@ -64,13 +64,12 @@ class ViewSnapshot {
 /// Thread-safety: Pin()/Snapshot()/results()/size() are safe from any
 /// number of reader threads, concurrently with a drain propagating on the
 /// writer thread, and never block it — the network publishes an immutable
-/// PublishedEpoch per production at every commit (the wave barrier of a
-/// batched drain, the end of an eager cascade), and readers pin the last
-/// published epoch with an atomic shared_ptr swap. A pinned ViewSnapshot
-/// is frozen: it reflects exactly one committed epoch, mid-drain states
-/// are never observable, and it stays valid after the View (or the whole
-/// engine) is destroyed. Readers racing a commit see either the previous
-/// epoch or the new one, never a torn mix.
+/// PublishedEpoch per production at every commit (the end of a drain),
+/// and readers pin the last published epoch with an atomic shared_ptr
+/// swap. A pinned ViewSnapshot is frozen: it reflects exactly one committed
+/// epoch, mid-drain states are never observable, and it stays valid after
+/// the View (or the whole engine) is destroyed. Readers racing a commit
+/// see either the previous epoch or the new one, never a torn mix.
 ///
 /// Everything else — Register/Deregister, applying graph deltas,
 /// AddListener/RemoveListener, the diagnostics accessors — remains
@@ -125,10 +124,6 @@ class View {
   /// the lowered FRA plan (steps 2–3) the network implements.
   const OpPtr& gra_plan() const { return gra_; }
   const OpPtr& fra_plan() const { return fra_; }
-
-  /// Runtime propagation strategy of the underlying network (from
-  /// EngineOptions::network at registration time).
-  PropagationStrategy propagation() const { return network_->propagation(); }
 
   /// Wave executor of the underlying network (after the PGIVM_THREADS
   /// environment override; see NetworkOptions::executor).

@@ -119,8 +119,16 @@ class ValueParser {
     if (c == 't' && Consume("true")) return Value::Bool(true);
     if (c == 'f' && Consume("false")) return Value::Bool(false);
     if (c == '"') return ParseString();
-    if (c == '[') return ParseList();
-    if (c == '{') return ParseMap();
+    if (c == '[' || c == '{') {
+      if (++depth_ > kMaxValueNesting) {
+        return Status::InvalidArgument(
+            StrCat("value nesting exceeds the limit of ", kMaxValueNesting,
+                   " at offset ", pos_));
+      }
+      PGIVM_ASSIGN_OR_RETURN(Value v, c == '[' ? ParseList() : ParseMap());
+      --depth_;
+      return v;
+    }
     return ParseNumber();
   }
 
@@ -277,6 +285,9 @@ class ValueParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  /// Open lists/maps around the cursor (see kMaxValueNesting); a failed
+  /// parse is abandoned whole, so error paths need not restore it.
+  int depth_ = 0;
 };
 
 }  // namespace

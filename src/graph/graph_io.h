@@ -16,8 +16,14 @@ namespace pgivm {
 /// and render as null.
 std::string WriteValueText(const Value& value);
 
-/// Parses the WriteValueText format.
+/// Parses the WriteValueText format. Lists and maps nested deeper than
+/// kMaxValueNesting are rejected with InvalidArgument.
 Result<Value> ParseValueText(std::string_view text);
+
+/// How deeply lists and maps may nest in parsed value text (each `[` or `{`
+/// takes one level). Recursive descent would otherwise overflow the stack on
+/// hostile input such as 10k open brackets.
+inline constexpr int kMaxValueNesting = 256;
 
 /// Dumps the whole graph in a line-based text format:
 ///

@@ -10,16 +10,6 @@
 
 namespace pgivm {
 
-const char* PropagationStrategyName(PropagationStrategy strategy) {
-  switch (strategy) {
-    case PropagationStrategy::kEager:
-      return "eager";
-    case PropagationStrategy::kBatched:
-      return "batched";
-  }
-  return "?";
-}
-
 const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSerial:
@@ -41,13 +31,6 @@ void ReteNetwork::SetProduction(ProductionNode* production) {
   }
 }
 
-void ReteNetwork::set_propagation(PropagationStrategy strategy) {
-  assert(attached_graph_ == nullptr &&
-         "change the propagation strategy before Attach");
-  if (attached_graph_ != nullptr) return;  // sinks are installed per Attach
-  propagation_ = strategy;
-}
-
 void ReteNetwork::set_executor(ExecutorKind kind, int num_threads) {
   assert(attached_graph_ == nullptr && "change the executor before Attach");
   if (attached_graph_ != nullptr) return;  // the pool is built per Attach
@@ -63,9 +46,6 @@ void ReteNetwork::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
 
 void ReteNetwork::set_profiling(bool on) {
   profiling_ = on;
-  // Nodes carry their own copy of the flag for the eager fan-out path;
-  // nodes added later inherit it at Attach/PrimeNewNodes.
-  for (const auto& node : nodes_) node->set_profiling(on);
   if (on && trace_ == nullptr) {
     trace_ = std::make_unique<TraceBuffer>(trace_capacity_);
   }
@@ -117,11 +97,9 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   }
   primed_graph_ = graph;
 
-  const bool batched = propagation_ == PropagationStrategy::kBatched;
-  // The executor only affects batched wave scheduling; the eager cascade is
-  // a depth-first recursion with no parallel unit. A resolved parallelism
-  // of 1 keeps the serial fast path (no pool, no dispatch).
-  if (batched && executor_ == ExecutorKind::kParallel) {
+  // A resolved parallelism of 1 keeps the serial fast path (no pool, no
+  // dispatch).
+  if (executor_ == ExecutorKind::kParallel) {
     int threads = ThreadPool::ResolveThreadCount(executor_threads_);
     if (threads > 1) {
       if (shared_pool_ != nullptr) {
@@ -152,18 +130,8 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   } else {
     morsel_partitions_resolved_ = 1;
   }
-  if (batched) {
-    PrepareScheduler();
-  } else {
-    // Drop any scheduler state a previous batched attachment left behind,
-    // so node_level()/DebugString() don't report defunct levels.
-    states_.clear();
-    ready_by_level_.clear();
-  }
-  for (const auto& node : nodes_) {
-    node->set_emit_sink(batched ? this : nullptr);
-    node->set_profiling(profiling_);
-  }
+  PrepareScheduler();
+  for (const auto& node : nodes_) node->set_emit_sink(this);
   // Under parallel waves, listener callbacks must not run on pool workers
   // (user code; two productions in one wave would fire concurrently) —
   // productions buffer them and the barrier flushes serially, in ready
@@ -185,11 +153,7 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   for (const auto& node : nodes_) node->EmitInitial();
   for (GraphSourceNode* source : sources_) source->EmitInitialFromGraph();
   buffering_ = false;
-  if (batched) {
-    DrainWaves();  // publishes the primed state as a commit epoch
-  } else {
-    PublishEpochs();
-  }
+  DrainWaves();  // publishes the primed state as a commit epoch
   for (ProductionNode* production : productions_) {
     production->set_notify_listeners(true);
   }
@@ -239,10 +203,7 @@ void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
 
   // Levels / scheduler state reference the old shape; recompute while the
   // network keeps maintaining (survivor memories are untouched).
-  if (attached_graph_ != nullptr &&
-      propagation_ == PropagationStrategy::kBatched) {
-    PrepareScheduler();
-  }
+  if (attached_graph_ != nullptr) PrepareScheduler();
 }
 
 void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
@@ -251,8 +212,7 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
                                std::memory_order_relaxed);
   const bool prof = profiling_;
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
-  // Eager: each HandleChange cascades depth-first on its own. Batched: the
-  // emit sinks buffer the sources' relational deltas while the *entire*
+  // The emit sinks buffer the sources' relational deltas while the *entire*
   // graph delta is translated, and DrainWaves then moves them through the
   // network level by level, one consolidated delta per (node, port).
   buffering_ = true;
@@ -268,7 +228,6 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   // (0 forces; a handful of changes does not amortize a pool dispatch).
   const bool parallel_translate =
       pool_ != nullptr && parts >= 2 &&
-      propagation_ == PropagationStrategy::kBatched &&
       (morsel_min_node_entries_ == 0 ||
        delta.changes.size() >= morsel_min_node_entries_);
   if (!parallel_translate) {
@@ -328,29 +287,19 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   }
   buffering_ = false;
   if (prof) {
-    // Under kBatched this span is pure source translation (delivery is
-    // deferred to DrainWaves); under kEager the depth-first cascades run
-    // inside HandleChange, so it covers the whole propagation.
+    // Pure source translation: delivery is deferred to DrainWaves.
     const int64_t end_ns = MonotonicNowNs();
-    const bool eager = propagation_ == PropagationStrategy::kEager;
-    if (h_translate_ns_ != nullptr && !eager) {
-      h_translate_ns_->Record(end_ns - start_ns);
-    }
-    if (eager && h_drain_ns_ != nullptr) h_drain_ns_->Record(end_ns - start_ns);
+    if (h_translate_ns_ != nullptr) h_translate_ns_->Record(end_ns - start_ns);
     if (trace_ != nullptr) {
       TraceEvent event;
-      event.name = eager ? "cascade" : "translate";
+      event.name = "translate";
       event.start_ns = start_ns;
       event.dur_ns = end_ns - start_ns;
       event.args = StrCat("\"changes\":", delta.changes.size());
       trace_->Append(std::move(event));
     }
   }
-  if (propagation_ == PropagationStrategy::kBatched) {
-    DrainWaves();  // publishes the commit epoch at its end
-  } else {
-    PublishEpochs();  // eager cascade already ran to quiescence
-  }
+  DrainWaves();  // publishes the commit epoch at its end
 }
 
 void ReteNetwork::OnEmit(ReteNode* from, Delta delta) {
@@ -386,9 +335,9 @@ void ReteNetwork::PrepareScheduler() {
   // Every node reachable through the output wiring gets scheduler state —
   // including subscribers the network does not own (chained views, test
   // probes), discovered transitively: they have no sink installed, so what
-  // they emit cascades eagerly, but the nodes *they* feed must still be
-  // levelled above them or a wave could enqueue into an already-drained
-  // level bucket.
+  // they emit recurses straight into their subscribers, but the nodes
+  // *they* feed must still be levelled above them or a wave could enqueue
+  // into an already-drained level bucket.
   std::vector<ReteNode*> reachable;
   reachable.reserve(nodes_.size());
   for (const auto& node : nodes_) {
@@ -436,12 +385,15 @@ void ReteNetwork::EnqueueReady(ReteNode* node, NodeState& state) {
 
 void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
   // With profiling on, the node's own wall time and consolidated in/out
-  // volumes are sampled right here — the single place every batched
+  // volumes are sampled right here — the single place every scheduled
   // delivery funnels through, whether it runs on the draining thread or on
   // one pool worker (single writer per node either way, so the NodeState
   // scratch fields need no synchronization; the pool join is the barrier).
   const bool prof = profiling_;
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
+  // A terminal node accounts its output straight into emitted_entries()
+  // (nothing to buffer); the difference is its share of the output.
+  const int64_t emitted_before = prof ? node->emitted_entries() : 0;
   int64_t in_entries = 0;
   for (auto& [port, pending] : state.pending) {
     if (!pending.clean) Consolidate(pending.delta, consolidation_cutoff_);
@@ -461,7 +413,10 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
     state.prof_dur_ns = dur_ns;
     state.prof_in_entries = in_entries;
     node->profile().RecordDelivery(
-        in_entries, static_cast<int64_t>(state.out.size()), dur_ns);
+        in_entries,
+        static_cast<int64_t>(state.out.size()) + node->emitted_entries() -
+            emitted_before,
+        dur_ns);
   }
 }
 
@@ -473,8 +428,8 @@ void ReteNetwork::FlushNode(ReteNode* node, NodeState& state) {
     const auto& [down, port] = outputs[i];
     auto dst_it = states_.find(down);
     if (dst_it == states_.end()) {
-      // Subscriber wired after Attach (no scheduler state): deliver
-      // directly, eager-style.
+      // Subscriber wired after Attach (no scheduler state, e.g. a foreign
+      // node subscribed to a live network): deliver directly.
       down->OnDelta(port, state.out);
       continue;
     }
@@ -716,7 +671,7 @@ void ReteNetwork::DrainWaves() {
       // (state.out) are single-writer; OnEmit under a live wave only
       // appends to the emitting node's own slot (the node is already
       // queued, so no ready-list mutation). Foreign subscribers (no sink)
-      // would cascade eagerly into other nodes, so they stay out of this
+      // would recurse directly into other nodes, so they stay out of this
       // phase and run at the barrier below. Morsel partitions write only
       // their private staging slot and the memory shards their partition
       // owns, so the combined task list stays data-race-free.
@@ -749,9 +704,9 @@ void ReteNetwork::DrainWaves() {
     // produces, so pending queues (and with them every delivered delta)
     // are bit-identical regardless of thread or partition count. Morsel
     // nodes merge their partition slots here, in partition order; nodes
-    // phase 1 did not deliver (serial waves; foreign nodes, whose eager
-    // cascade must not run on a worker) run their delivery here, in
-    // their ready position.
+    // phase 1 did not deliver (serial waves; foreign nodes, whose
+    // sink-less recursion must not run on a worker) run their delivery
+    // here, in their ready position.
     const int64_t barrier_start_ns = prof ? MonotonicNowNs() : 0;
     const size_t wave_nodes = ready.size();
     for (WaveItem& item : wave_items_) {
@@ -963,20 +918,16 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   if (attached_graph_ == nullptr) return stats;
   assert(!buffering_ && !draining_ && "prime only between graph deltas");
 
-  const bool batched = propagation_ == PropagationStrategy::kBatched;
   // The fresh nodes were wired after the last Attach: give them the same
   // runtime setup Attach gives every node (emit sink; deferred listener
   // notifications under a parallel pool) and rebuild the scheduler so they
   // have levels and state. The network is quiescent — every pending queue
   // is empty — so rebuilding cannot drop sibling deltas.
-  for (ReteNode* node : fresh_nodes) {
-    node->set_emit_sink(batched ? this : nullptr);
-    node->set_profiling(profiling_);
-  }
+  for (ReteNode* node : fresh_nodes) node->set_emit_sink(this);
   for (ProductionNode* production : productions_) {
     production->set_defer_notifications(pool_ != nullptr);
   }
-  if (batched) PrepareScheduler();
+  PrepareScheduler();
 
   std::vector<GraphSourceNode*> fresh_sources;
   std::vector<std::pair<ReteNode*, int64_t>> source_baseline;
@@ -1000,7 +951,7 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   // Structural initial output, then graph content — the Attach order, but
   // restricted to the registration's own nodes. Fresh nodes only feed
   // fresh nodes (a consumer wired now cannot be older than its wiring), so
-  // the cascade/drain below never touches a sibling's memories.
+  // the drain below never touches a sibling's memories.
   for (ReteNode* node : fresh_nodes) node->EmitInitial();
   for (GraphSourceNode* source : fresh_sources) {
     source->EmitInitialFromGraph();
@@ -1017,22 +968,14 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
         CurrentOutputOf(edge.from, replay_scope, inputs, inputs_built, memo);
     stats.replayed_entries += static_cast<int64_t>(delta.size());
     if (delta.empty()) continue;
-    if (batched) {
-      NodeState& dst = states_.at(edge.to);
-      PendingDelta& pending = PendingFor(dst, edge.port);
-      pending.delta.insert(pending.delta.end(), delta.begin(), delta.end());
-      pending.clean = false;  // replay order is not canonical
-      EnqueueReady(edge.to, dst);
-    } else {
-      edge.to->OnDelta(edge.port, delta);
-    }
+    NodeState& dst = states_.at(edge.to);
+    PendingDelta& pending = PendingFor(dst, edge.port);
+    pending.delta.insert(pending.delta.end(), delta.begin(), delta.end());
+    pending.clean = false;  // replay order is not canonical
+    EnqueueReady(edge.to, dst);
   }
   buffering_ = false;
-  if (batched) {
-    DrainWaves();  // publishes the newly primed view's first epoch
-  } else {
-    PublishEpochs();
-  }
+  DrainWaves();  // publishes the newly primed view's first epoch
   for (ProductionNode* production : productions_) {
     production->set_notify_listeners(true);
   }
@@ -1094,8 +1037,7 @@ std::vector<ReteNetwork::NodeMetrics> ReteNetwork::NodeMetricsSnapshot()
 
 std::string ReteNetwork::DebugString() const {
   std::ostringstream os;
-  os << "propagation=" << PropagationStrategyName(propagation_)
-     << " executor=" << ExecutorKindName(executor_);
+  os << "executor=" << ExecutorKindName(executor_);
   if (pool_ != nullptr) os << "(" << pool_->parallelism() << ")";
   os << "\n";
   for (const auto& node : nodes_) {

@@ -17,26 +17,7 @@
 
 namespace pgivm {
 
-/// How a network moves deltas from its source nodes to the production.
-enum class PropagationStrategy {
-  /// Per-change depth-first recursion: every GraphChange is translated and
-  /// cascaded through the whole network on its own. Simple, but an N-change
-  /// batch costs N full traversals and inverse pairs (+t/−t on the same
-  /// tuple) are propagated instead of cancelled. Kept as the ablation
-  /// baseline and for latency-sensitive single-change streams.
-  kEager,
-
-  /// Batched, topologically scheduled waves: the whole GraphDelta is first
-  /// translated into one buffered relational delta per source, then nodes
-  /// are drained level by level, each receiving one *consolidated* delta
-  /// per input port per wave. Inverse pairs cancel before delivery, so a
-  /// batch that adds and removes the same tuple propagates nothing.
-  kBatched,
-};
-
-const char* PropagationStrategyName(PropagationStrategy strategy);
-
-/// How the batched scheduler executes the nodes of one topological wave.
+/// How the wave scheduler executes the nodes of one topological wave.
 /// Nodes inside a wave have no data dependencies (levels are strict), so
 /// they can be processed concurrently without changing any result.
 enum class ExecutorKind {
@@ -47,9 +28,7 @@ enum class ExecutorKind {
   /// Each node is claimed by exactly one worker (node memories need no
   /// locks) and emissions land in per-node staging buffers that the wave
   /// barrier merges in ready order — downstream deliveries are therefore
-  /// bit-identical to serial execution regardless of thread count. Only
-  /// meaningful under PropagationStrategy::kBatched; the eager cascade is
-  /// inherently sequential.
+  /// bit-identical to serial execution regardless of thread count.
   kParallel,
 };
 
@@ -57,6 +36,14 @@ const char* ExecutorKindName(ExecutorKind kind);
 
 /// One compiled Rete network: owns its nodes, routes graph deltas into the
 /// source nodes, and exposes the production (view) root.
+///
+/// Propagation is batched and topologically scheduled: the whole GraphDelta
+/// is first translated into one buffered relational delta per source, then
+/// nodes are drained level by level (DrainWaves), each receiving one
+/// *consolidated* delta per input port per wave. Inverse pairs (+t/−t on the
+/// same tuple) cancel before delivery, so a batch that adds and removes the
+/// same tuple propagates nothing. Every commit — graph delta, Attach prime,
+/// incremental prime — ends in DrainWaves → PublishEpochs.
 ///
 /// Lifecycle: the builder wires the nodes bottom-up; Attach() then (a) emits
 /// structural initial output (key-less aggregates), (b) feeds the current
@@ -74,7 +61,7 @@ const char* ExecutorKindName(ExecutorKind kind);
 ///
 /// Thread-safety: the public API must be driven from one thread (the one
 /// that owns the graph and applies deltas). Parallelism happens only
-/// *inside* a batched drain: under ExecutorKind::kParallel each wave's
+/// *inside* a drain: under ExecutorKind::kParallel each wave's
 /// nodes are claimed by pool workers with single-writer memories and
 /// staging slots, merged at a barrier in ready order — results are
 /// bit-identical to serial execution for every thread count. Listener
@@ -113,10 +100,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
     return productions_;
   }
 
-  /// Selects the propagation strategy. Must be called before Attach().
-  void set_propagation(PropagationStrategy strategy);
-  PropagationStrategy propagation() const { return propagation_; }
-
   /// Selects the wave executor. `num_threads` is the total parallelism for
   /// kParallel (0 = hardware concurrency); the pool is created at Attach()
   /// and persists across waves. Must be called before Attach(). kParallel
@@ -125,11 +108,11 @@ class ReteNetwork : public GraphListener, private EmitSink {
   ExecutorKind executor() const { return executor_; }
 
   /// Lends a pre-built worker pool for kParallel waves instead of having
-  /// this network spawn its own at Attach(). The ViewCatalog shares one
-  /// pool across every network its engine creates, so disabling
-  /// operator-state sharing no longer costs a thread pool per view. Must
-  /// be called before Attach(); the pool's parallelism must equal the
-  /// resolved thread count (asserted). The pool is used from the draining
+  /// this network spawn its own at Attach(). The ViewCatalog lends its
+  /// engine-wide pool, so a network rebuilt after the catalog's last view
+  /// was dropped reuses the same workers. Must be called before Attach();
+  /// the pool's parallelism must equal the resolved thread count
+  /// (asserted). The pool is used from the draining
   /// thread only — graph listeners run sequentially, so sibling networks
   /// on one graph never dispatch concurrently.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);
@@ -240,7 +223,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   struct NodeMetrics {
     std::string name;          // DebugString
     const char* kind = "";     // KindName
-    int level = -1;            // batched topological level, -1 if none
+    int level = -1;            // topological level, -1 if none
     int64_t emitted_entries = 0;
     int64_t activations = 0;
     int64_t input_entries = 0;
@@ -262,12 +245,12 @@ class ReteNetwork : public GraphListener, private EmitSink {
   void set_epoch_retention(size_t epochs) { epoch_retention_ = epochs; }
   size_t epoch_retention() const { return epoch_retention_; }
 
-  /// The number of commit points this network has published: every drain /
-  /// eager cascade / prime bumps it once and re-publishes each production
-  /// whose results changed. Written on the writer thread only; relaxed
-  /// atomic, so diagnostics may read it from any thread — readers still
-  /// learn their epoch from the PublishedEpoch objects they pin, not from
-  /// here.
+  /// The number of commit points this network has published: every drain
+  /// (graph delta, Attach prime, incremental prime) bumps it once and
+  /// re-publishes each production whose results changed. Written on the
+  /// writer thread only; relaxed atomic, so diagnostics may read it from
+  /// any thread — readers still learn their epoch from the PublishedEpoch
+  /// objects they pin, not from here.
   uint64_t commit_epoch() const {
     return commit_epoch_.load(std::memory_order_relaxed);
   }
@@ -315,8 +298,8 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// nothing, so sibling views' memories, pending deltas and listeners
   /// are untouched (listener fan-out is suppressed for the duration, as
   /// during Attach priming). Call between graph deltas (the network must
-  /// be quiescent), after wiring the new nodes; under kBatched the
-  /// scheduler is rebuilt to cover them.
+  /// be quiescent), after wiring the new nodes; the scheduler is rebuilt
+  /// to cover them.
   ///
   /// `replay_scope` bounds the reverse-edge walk that reconstructs
   /// stateless replay sources: pass the registering view's full node set
@@ -338,16 +321,16 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// from every surviving node's output list, dropped from the source /
   /// production / scheduler bookkeeping, and freed. Surviving nodes keep
   /// their memories untouched, so detaching one view never disturbs a
-  /// sharing sibling; if the network is attached under batched propagation
-  /// the topological levels are recomputed.
+  /// sharing sibling; if the network is attached the topological levels are
+  /// recomputed.
   void RemoveNodes(const std::vector<ReteNode*>& victims);
 
   // GraphListener:
   void OnGraphDelta(const GraphDelta& delta) override;
 
-  /// Topological level assigned to `node` by the batched scheduler
-  /// (sources are level 0); -1 before the first batched Attach or for
-  /// foreign nodes. Exposed for tests and diagnostics.
+  /// Topological level assigned to `node` by the wave scheduler (sources
+  /// are level 0); -1 before the first Attach or for nodes wired after it.
+  /// Exposed for tests and diagnostics.
   int node_level(const ReteNode* node) const;
 
   /// Sum of all node memories.
@@ -366,8 +349,8 @@ class ReteNetwork : public GraphListener, private EmitSink {
 
   /// Lifetime sum of delta entries emitted by all nodes — the total
   /// propagation volume through this network (the FGN experiments' metric).
-  /// Under kBatched, emissions are counted after consolidation, so
-  /// cancelled inverse pairs do not contribute. Safe from any thread
+  /// Emissions are counted after consolidation, so cancelled inverse pairs
+  /// do not contribute. Safe from any thread
   /// (relaxed per-node atomics) as long as no registration mutates the
   /// node set concurrently — which is why monitor threads read this and
   /// not QueryEngine::MetricsSnapshot(), a writer-thread-only aggregate.
@@ -408,7 +391,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
     int level = 0;
     bool queued = false;
     /// True for nodes this network owns (emit sink installed). Foreign
-    /// subscribers cascade eagerly into arbitrary downstream nodes when
+    /// subscribers recurse directly into arbitrary downstream nodes when
     /// run, so they are kept out of the parallel phase and processed at
     /// the barrier instead.
     bool owned = false;
@@ -509,9 +492,9 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// Commits the current state for concurrent readers: bumps
   /// commit_epoch_ and has every production publish an immutable snapshot
   /// (ProductionNode::PublishSnapshot — a copy only where results
-  /// changed). Runs on the writer thread at the end of every drain and of
-  /// every eager cascade/prime, i.e. exactly when the network is
-  /// quiescent and the bags are consistent.
+  /// changed). Runs on the writer thread at the end of every drain — the
+  /// one commit path for graph deltas and primes alike — i.e. exactly when
+  /// the network is quiescent and the bags are consistent.
   void PublishEpochs();
 
   /// (upstream, port) inputs per node, derived from the output wiring —
@@ -545,7 +528,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   std::atomic<int64_t> deltas_processed_{0};
   std::atomic<int64_t> changes_processed_{0};
 
-  PropagationStrategy propagation_ = PropagationStrategy::kBatched;
   ExecutorKind executor_ = ExecutorKind::kSerial;
   int executor_threads_ = 0;  // 0 = hardware concurrency
   /// The pool parallel waves run on: `shared_pool_` when the catalog lent

@@ -17,15 +17,10 @@ struct NetworkOptions {
   /// differences (the FGN behaviour). Off = the E4 ablation baseline.
   bool fine_grained_unnest = true;
 
-  /// How deltas travel through the network (see PropagationStrategy).
-  /// kBatched consolidates per-(node, port) queues between topological
-  /// waves — the default; kEager is the seed's per-change recursion.
-  PropagationStrategy propagation = PropagationStrategy::kBatched;
-
-  /// How a topological wave's nodes are executed under kBatched (see
-  /// ExecutorKind). kSerial is the default-compatible single-thread drain;
-  /// kParallel distributes each wave over a persistent worker pool with
-  /// bit-identical results. Ignored under kEager.
+  /// How a topological wave's nodes are executed (see ExecutorKind).
+  /// kSerial is the default-compatible single-thread drain; kParallel
+  /// distributes each wave over a persistent worker pool with
+  /// bit-identical results.
   ExecutorKind executor = ExecutorKind::kSerial;
 
   /// Total wave parallelism for ExecutorKind::kParallel, including the
@@ -38,7 +33,7 @@ struct NetworkOptions {
   /// costs more than delivering a near-empty wave (the single-change
   /// steady state of a serving catalog). 0 dispatches every multi-node
   /// wave. Purely a performance knob: results are bit-identical for any
-  /// value. Ignored under kSerial / kEager.
+  /// value. Ignored under kSerial.
   size_t parallel_min_wave_entries = 8;
 
   /// Work-size gate for morsel-style intra-node parallelism: a single node

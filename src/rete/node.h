@@ -11,7 +11,6 @@
 
 #include "algebra/schema.h"
 #include "rete/delta.h"
-#include "support/metrics.h"
 
 namespace pgivm {
 
@@ -43,17 +42,12 @@ enum class MorselKind {
 /// (the draining thread, or one pool worker during a parallel wave) and
 /// readable from any thread at any time without tearing.
 ///
-/// Semantics per propagation mode:
-///  * kBatched — one RecordDelivery per wave the node participates in:
-///    `input_entries` counts consolidated entries delivered across its
-///    ports, `output_entries` its consolidated response, `busy_ns` the
-///    node's own wall time (exclusive — downstream work is not included),
-///    `last_ns` the most recent delivery's wall time (== the node's share
-///    of the last drain it ran in).
-///  * kEager — one RecordEagerDelivery per upstream Emit that reaches the
-///    node. Depth-first recursion makes the timing *inclusive* of
-///    everything downstream of the delivery; documented as such wherever
-///    eager profiles are rendered.
+/// One RecordDelivery per wave the node participates in: `input_entries`
+/// counts consolidated entries delivered across its ports,
+/// `output_entries` its consolidated response, `busy_ns` the node's own
+/// wall time (exclusive — downstream work is not included), `last_ns` the
+/// most recent delivery's wall time (== the node's share of the last drain
+/// it ran in).
 struct NodeProfile {
   std::atomic<int64_t> activations{0};
   std::atomic<int64_t> input_entries{0};
@@ -69,20 +63,10 @@ struct NodeProfile {
     last_ns.store(ns, std::memory_order_relaxed);
   }
 
-  void RecordEagerDelivery(int64_t in, int64_t ns) {
-    activations.fetch_add(1, std::memory_order_relaxed);
-    input_entries.fetch_add(in, std::memory_order_relaxed);
-    busy_ns.fetch_add(ns, std::memory_order_relaxed);
-    last_ns.store(ns, std::memory_order_relaxed);
-  }
-
-  void RecordOutput(int64_t out) {
-    output_entries.fetch_add(out, std::memory_order_relaxed);
-  }
 };
 
 /// Interception point for node emissions. When a sink is installed on a
-/// node (batched propagation), Emit() hands the delta to the sink instead
+/// node (every node a network owns), Emit() hands the delta to the sink instead
 /// of recursing into downstream OnDelta calls; the network's wave scheduler
 /// buffers, consolidates and delivers it level by level.
 class EmitSink {
@@ -101,7 +85,7 @@ class EmitSink {
 /// owning network schedules delivery instead. Within one network the
 /// wiring forms a DAG (catalog sharing fans one node out to consumers of
 /// several views); deliveries are per-(node, port) consolidated by the
-/// batched scheduler, so no glitch handling is needed.
+/// wave scheduler, so no glitch handling is needed.
 ///
 /// Thread-safety: a node's memories are single-writer by construction —
 /// OnDelta runs either on the network's draining thread or, during a
@@ -258,12 +242,6 @@ class ReteNode {
   const NodeProfile& profile() const { return profile_; }
   NodeProfile& profile() { return profile_; }
 
-  /// Set by the owning ReteNetwork (Attach/PrimeNewNodes/set_profiling):
-  /// when on, Emit's eager fan-out records per-delivery profiles. Batched
-  /// deliveries are profiled by the wave scheduler instead.
-  void set_profiling(bool on) { profiling_ = on; }
-  bool profiling() const { return profiling_; }
-
  protected:
   /// Forwards `delta` to every subscriber (no-op for empty deltas). When a
   /// sink is installed, the delta is buffered there instead and counted
@@ -273,7 +251,6 @@ class ReteNode {
     if (delta.empty()) return;
     if (outputs_.empty()) {  // terminal node: account, skip buffering
       AddEmittedEntries(static_cast<int64_t>(delta.size()));
-      if (profiling_) profile_.RecordOutput(static_cast<int64_t>(delta.size()));
       return;
     }
     if (sink_ != nullptr) {
@@ -289,7 +266,6 @@ class ReteNode {
     if (delta.empty()) return;
     if (outputs_.empty()) {  // terminal node: account, skip buffering
       AddEmittedEntries(static_cast<int64_t>(delta.size()));
-      if (profiling_) profile_.RecordOutput(static_cast<int64_t>(delta.size()));
       return;
     }
     if (sink_ != nullptr) {
@@ -306,22 +282,12 @@ class ReteNode {
     emitted_entries_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// The eager (sink-less) fan-out: recurse into every subscriber. With
-  /// profiling on, each delivery is timed around the downstream OnDelta —
-  /// inclusive of everything it cascades into (see NodeProfile).
+  /// The sink-less fan-out: recurse into every subscriber. Serves only
+  /// nodes no network owns (unit-test wiring, foreign subscribers of a
+  /// chained view); a network installs its sink on every node it owns.
   void FanOut(const Delta& delta) {
-    const int64_t entries = static_cast<int64_t>(delta.size());
-    AddEmittedEntries(entries);
-    if (!profiling_) {
-      for (auto& [node, port] : outputs_) node->OnDelta(port, delta);
-      return;
-    }
-    profile_.RecordOutput(entries);
-    for (auto& [node, port] : outputs_) {
-      const int64_t start = MonotonicNowNs();
-      node->OnDelta(port, delta);
-      node->profile_.RecordEagerDelivery(entries, MonotonicNowNs() - start);
-    }
+    AddEmittedEntries(static_cast<int64_t>(delta.size()));
+    for (auto& [node, port] : outputs_) node->OnDelta(port, delta);
   }
 
   Schema schema_;
@@ -329,7 +295,6 @@ class ReteNode {
   EmitSink* sink_ = nullptr;
   std::atomic<int64_t> emitted_entries_{0};
   NodeProfile profile_;
-  bool profiling_ = false;
 };
 
 }  // namespace pgivm

@@ -9,8 +9,9 @@ namespace pgivm {
 
 void ProductionNode::OnDelta(int port, const Delta& delta) {
   (void)port;
-  // The batched scheduler delivers already-consolidated deltas; only
-  // re-normalize the eager path's raw ones.
+  // The wave scheduler delivers already-consolidated deltas; only
+  // re-normalize the raw ones a sink-less foreign upstream (a unit-test
+  // probe, another network's node) hands over directly.
   Delta normalized;
   const Delta* net = &delta;
   if (!IsConsolidated(delta)) {

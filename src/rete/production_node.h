@@ -11,11 +11,11 @@
 namespace pgivm {
 
 /// One committed, immutable result version of a production. Published by
-/// the writer thread at the network's commit points (the wave barrier of a
-/// batched drain; the end of an eager cascade) and pinned by reader threads
-/// via shared_ptr — once a reader holds one, its contents never change and
-/// it stays alive for as long as the reader keeps the pointer, regardless
-/// of how many further epochs the writer commits.
+/// the writer thread at the network's commit points (the end of every
+/// drain) and pinned by reader threads via shared_ptr — once a reader
+/// holds one, its contents never change and it stays alive for as long as
+/// the reader keeps the pointer, regardless of how many further epochs the
+/// writer commits.
 struct PublishedEpoch {
   /// The network commit epoch this bag was published at. A production whose
   /// results did not change at a commit keeps its previous epoch object —
@@ -106,7 +106,7 @@ class ProductionNode : public ReteNode {
 
   /// Publishes the current result bag as the committed state of `epoch`.
   /// Called by the owning network, on the writer thread, at every commit
-  /// point (after a drain / eager cascade / prime). When the results did
+  /// point (the end of every drain, primes included). When the results did
   /// not change since the last publish the previous epoch object is kept
   /// (no copy — it already equals the committed state); otherwise the bag
   /// is copied into a fresh immutable PublishedEpoch and swapped in.

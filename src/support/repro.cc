@@ -10,9 +10,8 @@ namespace pgivm {
 
 std::string ReproSpec::Format() const {
   std::ostringstream os;
-  os << "seed=" << seed << ",strategy=" << PropagationStrategyName(strategy)
-     << ",threads=" << threads << ",morsel=" << (morsel ? 1 : 0)
-     << ",step=" << step;
+  os << "seed=" << seed << ",threads=" << threads
+     << ",morsel=" << (morsel ? 1 : 0) << ",step=" << step;
   return os.str();
 }
 
@@ -21,14 +20,13 @@ std::string ReproSpec::EnvLine() const {
 }
 
 bool ReproSpec::SameCase(const ReproSpec& other) const {
-  return seed == other.seed && strategy == other.strategy &&
-         threads == other.threads && morsel == other.morsel;
+  return seed == other.seed && threads == other.threads &&
+         morsel == other.morsel;
 }
 
 Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
   ReproSpec spec;
-  bool have_seed = false, have_strategy = false, have_threads = false,
-       have_morsel = false;
+  bool have_seed = false, have_threads = false, have_morsel = false;
   std::stringstream stream(text);
   std::string field;
   while (std::getline(stream, field, ',')) {
@@ -38,21 +36,13 @@ Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
           StrCat("PGIVM_REPRO field without '=': '", field, "'"));
     }
     std::string key = field.substr(0, eq);
-    std::string value = field.substr(eq + 1);
-    int64_t number = 0;
-    if (key == "strategy") {
-      if (value == "eager") {
-        spec.strategy = PropagationStrategy::kEager;
-      } else if (value == "batched") {
-        spec.strategy = PropagationStrategy::kBatched;
-      } else {
-        return Status::InvalidArgument(
-            StrCat("PGIVM_REPRO unknown strategy '", value, "'"));
-      }
-      have_strategy = true;
-      continue;
+    if (key != "seed" && key != "threads" && key != "morsel" &&
+        key != "step") {
+      return Status::InvalidArgument(
+          StrCat("PGIVM_REPRO unknown key '", key, "'"));
     }
-    switch (ParseInt64(value, &number)) {
+    int64_t number = 0;
+    switch (ParseInt64(field.substr(eq + 1), &number)) {
       case ParseIntResult::kOk:
         break;
       case ParseIntResult::kMalformed:
@@ -71,16 +61,13 @@ Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
     } else if (key == "morsel") {
       spec.morsel = number != 0;
       have_morsel = true;
-    } else if (key == "step") {
-      spec.step = number;
     } else {
-      return Status::InvalidArgument(
-          StrCat("PGIVM_REPRO unknown key '", key, "'"));
+      spec.step = number;
     }
   }
-  if (!have_seed || !have_strategy || !have_threads || !have_morsel) {
+  if (!have_seed || !have_threads || !have_morsel) {
     return Status::InvalidArgument(
-        "PGIVM_REPRO requires seed=, strategy=, threads= and morsel=");
+        "PGIVM_REPRO requires seed=, threads= and morsel=");
   }
   return spec;
 }

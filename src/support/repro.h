@@ -5,19 +5,18 @@
 #include <optional>
 #include <string>
 
-#include "rete/network.h"
 #include "support/status.h"
 
 namespace pgivm {
 
 /// One-line replay recipe for a differential-harness or SNB-driver
 /// bit-parity failure: everything needed to rerun exactly the diverging
-/// case locally — the RNG seed, the propagation strategy, the wave thread
-/// count, whether morsel-partitioned delivery was forced, and the index of
-/// the update batch at which the divergence was observed.
+/// case locally — the RNG seed, the wave thread count, whether
+/// morsel-partitioned delivery was forced, and the index of the update
+/// batch at which the divergence was observed.
 ///
 /// On any parity failure the harnesses print `EnvLine()`
-/// (`PGIVM_REPRO=seed=42,strategy=batched,threads=8,morsel=1,step=17`);
+/// (`PGIVM_REPRO=seed=42,threads=8,morsel=1,step=17`);
 /// exporting that variable makes the randomized differential harness skip
 /// every non-matching case (so one `ctest -R Randomized` reruns only the
 /// flake) and makes the SNB example replay that validation case. The
@@ -25,26 +24,24 @@ namespace pgivm {
 /// the whole case reproduces the failure at the recorded step.
 struct ReproSpec {
   uint64_t seed = 0;
-  PropagationStrategy strategy = PropagationStrategy::kBatched;
   int threads = 1;
   bool morsel = false;
   /// Update-batch index of the observed divergence; -1 = end-state check.
   int64_t step = -1;
 
-  /// `seed=42,strategy=batched,threads=8,morsel=1,step=17`.
+  /// `seed=42,threads=8,morsel=1,step=17`.
   std::string Format() const;
 
   /// `PGIVM_REPRO="<Format()>"` — copy-paste-able shell prefix.
   std::string EnvLine() const;
 
-  /// True when `other` names the same engine configuration (seed,
-  /// strategy, threads, morsel); `step` is ignored — it records where the
-  /// failure surfaced, not which case to run.
+  /// True when `other` names the same engine configuration (seed, threads,
+  /// morsel); `step` is ignored — it records where the failure surfaced,
+  /// not which case to run.
   bool SameCase(const ReproSpec& other) const;
 
-  /// Parses the Format() syntax. Unknown keys, malformed numbers and
-  /// unknown strategy names are errors; every field except `step` is
-  /// required.
+  /// Parses the Format() syntax. Unknown keys and malformed numbers are
+  /// errors; every field except `step` is required.
   static Result<ReproSpec> Parse(const std::string& text);
 
   /// Reads PGIVM_REPRO. Unset returns nullopt; a malformed value warns on

@@ -117,7 +117,6 @@ SnbDriver::SnbDriver(const SnbDriverConfig& config) : config_(config) {
 ReproSpec SnbDriver::ReproCase() const {
   ReproSpec spec;
   spec.seed = config_.seed;
-  spec.strategy = config_.engine.network.propagation;
   spec.threads = config_.engine.network.executor == ExecutorKind::kParallel
                      ? config_.engine.network.num_threads
                      : 1;
@@ -128,7 +127,6 @@ ReproSpec SnbDriver::ReproCase() const {
 SnbDriverConfig SnbDriver::WithRepro(SnbDriverConfig config,
                                      const ReproSpec& spec) {
   config.seed = spec.seed;
-  config.engine.network.propagation = spec.strategy;
   if (spec.threads > 1) {
     config.engine.network.executor = ExecutorKind::kParallel;
     config.engine.network.num_threads = spec.threads;
@@ -275,8 +273,8 @@ Result<SnbReport> SnbDriver::RunValidation() {
   QueryEngine engine(&graph, config_.engine);
   // The reference engine is the serial twin with canonicalization off:
   // every parity assertion below then also proves the canonical normal
-  // form and the configured executor/strategy/morsel setting change no
-  // result (same discipline as the randomized differential harness).
+  // form and the configured executor/morsel setting change no result
+  // (same discipline as the randomized differential harness).
   EngineOptions reference_options;
   reference_options.plan.canonicalize = false;
   QueryEngine reference(&graph, reference_options);

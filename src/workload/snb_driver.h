@@ -62,9 +62,9 @@ struct SnbDriverConfig {
   /// rotating view against a fresh EvaluateOnce, so the maintained pair
   /// cannot drift together.
   int64_t baseline_every = 16;
-  /// Options of the engine under test (propagation strategy, executor,
-  /// morsel settings, profiling). The validation reference engine always
-  /// runs the default serial configuration with canonicalization off.
+  /// Options of the engine under test (executor, morsel settings,
+  /// profiling). The validation reference engine always runs the default
+  /// serial configuration with canonicalization off.
   EngineOptions engine;
 };
 
@@ -128,16 +128,16 @@ class SnbDriver {
   /// touched view must be bit-identical between the two after every
   /// operation batch, with periodic EvaluateOnce cross-checks. On a parity
   /// failure the error message carries a one-line PGIVM_REPRO replay
-  /// recipe (also printed to stderr) naming seed, strategy, threads,
-  /// morsel setting and the diverging update index.
+  /// recipe (also printed to stderr) naming seed, threads, morsel setting
+  /// and the diverging update index.
   Result<SnbReport> RunValidation();
 
   /// The ReproSpec describing this config's engine case (for recipe
   /// printing and PGIVM_REPRO matching).
   ReproSpec ReproCase() const;
 
-  /// Applies a PGIVM_REPRO spec onto a config: seed, strategy, thread
-  /// count and morsel forcing override the corresponding fields.
+  /// Applies a PGIVM_REPRO spec onto a config: seed, thread count and
+  /// morsel forcing override the corresponding fields.
   static SnbDriverConfig WithRepro(SnbDriverConfig config,
                                    const ReproSpec& spec);
 

@@ -241,12 +241,8 @@ TEST(Canonicalize, OffKeepsPermutedSpellingsPrivate) {
 
 /// The normal form must not change what any view computes: identical
 /// update streams through a canonicalize-on and a canonicalize-off engine
-/// yield bit-identical snapshots after every delta, under both propagation
-/// strategies.
-class CanonicalizeParityTest
-    : public ::testing::TestWithParam<PropagationStrategy> {};
-
-TEST_P(CanonicalizeParityTest, SnapshotsMatchUncanonicalizedPlans) {
+/// yield bit-identical snapshots after every delta.
+TEST(CanonicalizeParityTest, SnapshotsMatchUncanonicalizedPlans) {
   const std::vector<const char*> queries = {
       "MATCH (a:A)-[r:R]->(b:B) RETURN a, r, b",
       "MATCH (a:A)-[:R]->(b)-[:S]->(c) RETURN a, b, c",
@@ -266,11 +262,9 @@ TEST_P(CanonicalizeParityTest, SnapshotsMatchUncanonicalizedPlans) {
   RandomGraphGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions on;
-  on.network.propagation = GetParam();
-  EngineOptions off = on;
+  EngineOptions off;
   off.plan.canonicalize = false;
-  QueryEngine engine_on(&graph, on);
+  QueryEngine engine_on(&graph);
   QueryEngine engine_off(&graph, off);
   std::vector<std::shared_ptr<View>> views_on;
   std::vector<std::shared_ptr<View>> views_off;
@@ -297,14 +291,6 @@ TEST_P(CanonicalizeParityTest, SnapshotsMatchUncanonicalizedPlans) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, CanonicalizeParityTest,
-                         ::testing::Values(PropagationStrategy::kEager,
-                                           PropagationStrategy::kBatched),
-                         [](const auto& info) {
-                           return std::string(
-                               PropagationStrategyName(info.param));
-                         });
 
 /// A conjunct whose variables the region does not bind must surface as a
 /// validation error — never be silently dropped (a vanished filter is the

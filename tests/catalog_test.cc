@@ -300,19 +300,14 @@ TEST(CatalogSharing, DisjointViewsStillRunInTheOneSharedNetwork) {
 
 // ---- acceptance: 10 overlapping views, shared vs one engine per view -------
 
-class CatalogAcceptanceTest
-    : public ::testing::TestWithParam<PropagationStrategy> {};
-
-TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
+TEST(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
   PropertyGraph graph;
   SocialNetworkConfig config;
   config.persons = 30;
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions options;
-  options.network.propagation = GetParam();
-  QueryEngine shared_engine(&graph, options);
+  QueryEngine shared_engine(&graph);
   // The unshared reference: one engine per query over the same graph, so
   // every view runs in a private network.
   std::vector<std::unique_ptr<QueryEngine>> private_engines;
@@ -325,7 +320,7 @@ TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
     auto s = shared_engine.Register(query);
     ASSERT_TRUE(s.ok()) << query << ": " << s.status();
     shared_views.push_back(*s);
-    private_engines.push_back(std::make_unique<QueryEngine>(&graph, options));
+    private_engines.push_back(std::make_unique<QueryEngine>(&graph));
     auto u = private_engines.back()->Register(query);
     ASSERT_TRUE(u.ok()) << query << ": " << u.status();
     unshared_views.push_back(*u);
@@ -369,14 +364,6 @@ TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, CatalogAcceptanceTest,
-                         ::testing::Values(PropagationStrategy::kEager,
-                                           PropagationStrategy::kBatched),
-                         [](const auto& info) {
-                           return std::string(
-                               PropagationStrategyName(info.param));
-                         });
 
 // The railway (TrainBenchmark) catalog shares its Segment/Sensor prefixes
 // the same way — the paper's bench_e3 deployment scenario.

@@ -1,6 +1,8 @@
 // Differential (fuzz) tests: the Rete-maintained view and the independent
 // baseline evaluator implement the same semantics, so after every random
-// update their results must coincide — across plan/runtime ablations too.
+// update their results must coincide — across the paper's plan ablations
+// (naive property maps, coarse unnest) and every wave executor, thread
+// count and morsel setting of the batched propagation pipeline.
 
 #include <gtest/gtest.h>
 
@@ -67,8 +69,8 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
 
 // ---- Randomized harness ----------------------------------------------------
 //
-// For several RNG seeds × both propagation strategies × {1, 2, 8} wave
-// threads, drive a mixed stream of single-change updates and
+// For several RNG seeds × {1, 2, 8} wave threads (plus morsel-forced
+// parallel cases), drive a mixed stream of single-change updates and
 // BeginBatch/CommitBatch bursts through a pool of standing views covering
 // joins, anti-joins, aggregation, DISTINCT, unnest and variable-length
 // paths. A serial reference engine maintains the same views over the same
@@ -83,7 +85,7 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
 // live, mid-churn catalog — while the reference registers everything up
 // front (graph-primed). The bit-identity assertions therefore also prove
 // that a replay-primed catalog equals a freshly built one, across seeds ×
-// strategies × thread counts; a final fresh engine built after the stream
+// thread counts; a final fresh engine built after the stream
 // re-checks the same equivalence end-state against graph priming alone.
 
 const char* const kHarnessQueries[] = {
@@ -101,7 +103,6 @@ const char* const kHarnessQueries[] = {
 
 struct HarnessCase {
   uint64_t seed;
-  PropagationStrategy strategy;
   int threads;  // 1 = serial executor, otherwise kParallel with n threads
   /// Force morsel-style partitioned delivery (node-entry gate = 0) in the
   /// engine under test — every hot node splits by key every wave.
@@ -119,7 +120,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   // `ctest -R Randomized` reruns exactly the flake.
   ReproSpec this_case;
   this_case.seed = param.seed;
-  this_case.strategy = param.strategy;
   this_case.threads = param.threads;
   this_case.morsel = param.morsel;
   if (std::optional<ReproSpec> filter = ReproSpec::FromEnv()) {
@@ -135,7 +135,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   };
 
   EngineOptions options;
-  options.network.propagation = param.strategy;
   if (param.threads > 1) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = param.threads;
@@ -154,7 +153,7 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   }
   // The engine under test runs fully profiled while the reference does
   // not: every bit-identity assertion below then also proves profiling
-  // changes no result, across seeds × strategies × thread counts — and
+  // changes no result, across seeds × thread counts — and
   // the TSAN cases race the profile/histogram writes for free.
   options.network.profiling = true;
 
@@ -173,7 +172,7 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   // The reference additionally runs with plan canonicalization *disabled*:
   // every per-step bit-identity assertion below therefore also proves the
   // canonical normal form computes exactly what the un-normalized plan
-  // does, across seeds × strategies × thread counts.
+  // does, across seeds × thread counts.
   ScopedThreadsEnv no_env(nullptr);
   QueryEngine engine(&graph, options);
   EngineOptions reference_options;
@@ -273,19 +272,12 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
 std::vector<HarnessCase> HarnessCases() {
   std::vector<HarnessCase> cases;
   for (uint64_t seed : {101u, 202u, 303u, 404u, 505u}) {
-    // The executor only applies to batched propagation (the eager cascade
-    // is inherently sequential), so sweeping threads under kEager would
-    // run the identical configuration three times.
-    cases.push_back({seed, PropagationStrategy::kEager, 1});
-    for (int threads : {1, 2, 8}) {
-      cases.push_back({seed, PropagationStrategy::kBatched, threads});
-    }
+    for (int threads : {1, 2, 8}) cases.push_back({seed, threads});
     // Morsel-forced engines under test: every wave splits hot nodes into
     // key partitions and translates sources in parallel, and must still
     // be bit-identical to the serial reference and the baseline.
     for (int threads : {2, 8}) {
-      cases.push_back(
-          {seed, PropagationStrategy::kBatched, threads, /*morsel=*/true});
+      cases.push_back({seed, threads, /*morsel=*/true});
     }
   }
   return cases;
@@ -295,8 +287,7 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndStrategies, RandomizedDifferentialTest,
     ::testing::ValuesIn(HarnessCases()),
     [](const ::testing::TestParamInfo<HarnessCase>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_" +
-             PropagationStrategyName(info.param.strategy) + "_t" +
+      return "seed" + std::to_string(info.param.seed) + "_batched_t" +
              std::to_string(info.param.threads) +
              (info.param.morsel ? "_morsel" : "");
     });

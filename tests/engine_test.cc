@@ -1,6 +1,10 @@
 #include "engine/query_engine.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "cypher/parser.h"
 
 namespace pgivm {
 namespace {
@@ -343,6 +347,28 @@ TEST(EngineTest, NetworkDiagnosticsAvailable) {
   EXPECT_GT(view->network().node_count(), 0u);
   EXPECT_FALSE(view->NetworkDebugString().empty());
   EXPECT_GT(view->ApproxMemoryBytes(), 0u);
+}
+
+// The parser's nesting limit must leave room for everything downstream of
+// it: lowering, canonicalization and evaluation all recurse over the
+// expression tree, so a predicate at the limit registers and maintains.
+TEST(EngineTest, PredicateAtNestingLimitRegistersAndMaintains) {
+  const int parens = kMaxExpressionNesting - 1;  // WHERE takes one level
+  const std::string query = "MATCH (n:A) WHERE " + std::string(parens, '(') +
+                            "n.x > 1" + std::string(parens, ')') +
+                            " RETURN n";
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  auto view = MustRegister(engine, query);
+  ASSERT_NE(view, nullptr);
+  graph.AddVertex({"A"}, {{"x", Value::Int(2)}});
+  VertexId low = graph.AddVertex({"A"}, {{"x", Value::Int(0)}});
+  EXPECT_EQ(view->size(), 1);
+  ASSERT_TRUE(graph.SetVertexProperty(low, "x", Value::Int(5)).ok());
+  EXPECT_EQ(view->size(), 2);
+  Result<std::vector<Tuple>> expected = engine.EvaluateOnce(query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(view->Snapshot(), expected.value());
 }
 
 }  // namespace

@@ -78,6 +78,63 @@ TEST(ValueTextTest, MalformedNumbersRejectedNotZeroed) {
             Value::Int(INT64_MIN));
 }
 
+// Hostile nesting: recursive descent must fail with an error naming the
+// limit instead of overflowing the stack.
+std::string Repeated(const std::string& text, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) out += text;
+  return out;
+}
+
+void ExpectNestingError(const std::string& text) {
+  Result<Value> parsed = ParseValueText(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find(
+                "limit of " + std::to_string(kMaxValueNesting)),
+            std::string::npos)
+      << parsed.status();
+}
+
+constexpr int kHostileDepth = 100000;
+
+TEST(ValueTextTest, NestingAtTheLimitParses) {
+  const int n = kMaxValueNesting;
+  EXPECT_TRUE(ParseValueText(Repeated("[", n) + "1" + Repeated("]", n)).ok());
+  EXPECT_TRUE(
+      ParseValueText(Repeated("{\"k\": ", n - 1) + "{}" + Repeated("}", n - 1))
+          .ok());
+  ExpectNestingError(Repeated("[", n + 1) + "1" + Repeated("]", n + 1));
+}
+
+TEST(ValueTextTest, DeepListIsAnError) {
+  ExpectNestingError(Repeated("[", kHostileDepth));
+}
+
+TEST(ValueTextTest, DeepMapIsAnError) {
+  ExpectNestingError(Repeated("{\"k\": ", kHostileDepth));
+}
+
+TEST(GraphTextTest, DeepPropertyValueFailsLoad) {
+  PropertyGraph graph;
+  Status bad = ReadGraphText("pgivm-graph 1\nvertex 0 :X {\"w\": " +
+                                 Repeated("[", kHostileDepth) + "}\n",
+                             &graph);
+  EXPECT_FALSE(bad.ok());
+  EXPECT_NE(bad.message().find("nesting"), std::string::npos) << bad;
+}
+
+TEST(GraphTextTest, PropertyValueAtNestingLimitRoundtrips) {
+  // The record's property map takes the first level.
+  Value deep = Value::Int(7);
+  for (int i = 1; i < kMaxValueNesting; ++i) deep = Value::List({deep});
+  PropertyGraph graph;
+  graph.AddVertex({"X"}, {{"w", deep}});
+  PropertyGraph loaded;
+  Status status = ReadGraphText(WriteGraphText(graph), &loaded);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(loaded.GetVertexProperty(0, "w"), deep);
+}
+
 TEST(GraphTextTest, MalformedPropertyNumberFailsLoad) {
   // A malformed numeric literal inside a record's property map must fail
   // the whole load (previously it silently loaded as Int(0)).

@@ -372,6 +372,53 @@ TEST(Profiling, RuntimeToggleCoversLateNetworks) {
   EXPECT_GT(activations, 0);
 }
 
+// Every commit takes the one path DrainWaves → PublishEpochs: a graph delta
+// records one translate span and one drain, a registration into the live
+// network one drain and no translate, and each bumps the commit epoch once.
+TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  EngineOptions options;
+  options.network.profiling = true;
+  QueryEngine engine(&graph, options);
+  auto first = engine.Register("MATCH (n:A) RETURN n");
+  ASSERT_TRUE(first.ok()) << first.status();
+  graph.AddVertex({"A"});
+  graph.BeginBatch();
+  graph.AddVertex({"A"});
+  graph.AddVertex({"B"});
+  graph.CommitBatch();
+  auto second = engine.Register("MATCH (n:B) RETURN n");
+  ASSERT_TRUE(second.ok()) << second.status();
+
+  // Four commits: the Attach prime, two graph deltas, one incremental prime.
+  auto count = [&engine](const char* name) {
+    return engine.metrics().GetHistogram(name).Snapshot().count;
+  };
+  EXPECT_EQ(count("propagation.translate_ns"), 2);
+  EXPECT_EQ(count("propagation.drain_ns"), 4);
+  const ReteNetwork* network = engine.catalog().shared_network();
+  EXPECT_EQ(network->commit_epoch(), 4u);
+  int translate_spans = 0;
+  int drain_spans = 0;
+  for (const TraceEvent& event : network->trace()->events()) {
+    translate_spans += event.name == "translate" ? 1 : 0;
+    drain_spans += event.name == "drain" ? 1 : 0;
+  }
+  EXPECT_EQ(translate_spans, 2);
+  EXPECT_EQ(drain_spans, 4);
+  // The productions are terminal: they account their output themselves
+  // (two :A rows, one primed :B row), and their profiles still see it.
+  int64_t production_out = 0;
+  for (const auto& node : engine.MetricsSnapshot().nodes) {
+    if (std::string(node.kind) == "Production") {
+      production_out += node.output_entries;
+    }
+  }
+  EXPECT_EQ(production_out, 3);
+}
+
 // ---- EXPLAIN ANALYZE --------------------------------------------------------
 
 std::string StripDigits(const std::string& s) {

@@ -234,5 +234,55 @@ TEST(ParserTest, ErrorsCarryPositions) {
   EXPECT_NE(q.status().message().find("1:"), std::string::npos);
 }
 
+// Hostile nesting: recursive descent must fail with an error naming the
+// limit instead of overflowing the stack. The RETURN item itself takes the
+// first nesting level.
+std::string Parenthesised(int depth) {
+  return "MATCH (n) RETURN " + std::string(depth, '(') + "1" +
+         std::string(depth, ')') + " AS x";
+}
+
+std::string Repeated(const std::string& text, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) out += text;
+  return out;
+}
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  EXPECT_TRUE(ParseQuery(Parenthesised(kMaxExpressionNesting - 1)).ok());
+  const std::string nots = Repeated("NOT ", kMaxExpressionNesting - 1);
+  EXPECT_TRUE(ParseQuery("RETURN " + nots + "true AS x").ok());
+  EXPECT_FALSE(ParseQuery(Parenthesised(kMaxExpressionNesting)).ok());
+}
+
+void ExpectNestingError(const std::string& query) {
+  Result<Query> q = ParseQuery(query);
+  ASSERT_FALSE(q.ok()) << query.substr(0, 40);
+  EXPECT_NE(q.status().message().find(
+                "limit of " + std::to_string(kMaxExpressionNesting)),
+            std::string::npos)
+      << q.status();
+}
+
+constexpr int kHostileDepth = 100000;
+
+TEST(ParserTest, DeepParenthesesAreAnError) {
+  ExpectNestingError(Parenthesised(kHostileDepth));
+}
+
+TEST(ParserTest, DeepNotChainIsAnError) {
+  ExpectNestingError("RETURN " + Repeated("NOT ", kHostileDepth) +
+                     "true AS x");
+}
+
+TEST(ParserTest, DeepUnaryMinusChainIsAnError) {
+  ExpectNestingError("RETURN " + Repeated("-", kHostileDepth) + "1 AS x");
+}
+
+TEST(ParserTest, DeepListLiteralIsAnError) {
+  ExpectNestingError("RETURN " + Repeated("[", kHostileDepth) + "1" +
+                     Repeated("]", kHostileDepth) + " AS x");
+}
+
 }  // namespace
 }  // namespace pgivm

@@ -133,12 +133,11 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
 }
 
 // Registering between update bursts must splice the new consumers into a
-// warm, mid-churn network without corrupting it — under either propagation
-// strategy, and with replay running through the parallel (and morsel-
-// partitioned) wave executor.
+// warm, mid-churn network without corrupting it — serially, and with
+// replay running through the parallel (and morsel-partitioned) wave
+// executor.
 struct MidChurnShape {
   const char* name;
-  PropagationStrategy strategy;
   int threads;  // 0 = serial executor
   bool morsel;
 };
@@ -149,7 +148,6 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
   ScopedThreadsEnv no_env(nullptr);  // pin: the shape sets the executor
   const MidChurnShape& shape = GetParam();
   EngineOptions options;
-  options.network.propagation = shape.strategy;
   if (shape.threads > 0) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = shape.threads;
@@ -211,12 +209,9 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MidChurnTest,
     ::testing::Values(
-        MidChurnShape{"eager", PropagationStrategy::kEager, 0, false},
-        MidChurnShape{"batched", PropagationStrategy::kBatched, 0, false},
-        MidChurnShape{"batched_parallel4", PropagationStrategy::kBatched, 4,
-                      false},
-        MidChurnShape{"batched_parallel4_morsel", PropagationStrategy::kBatched,
-                      4, true}),
+        MidChurnShape{"batched", 0, false},
+        MidChurnShape{"batched_parallel4", 4, false},
+        MidChurnShape{"batched_parallel4_morsel", 4, true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // A dropped view's exclusive nodes are freed and leave the registry; a

@@ -1,7 +1,8 @@
 // Tests of the batched, topologically scheduled propagation pipeline:
-// eager/batched parity, consolidation (inverse pairs cancel before they
-// reach the production), per-(node, port) queue ordering across the binary
-// node types, and the Attach/Detach lifecycle guards.
+// correctness against from-scratch evaluation under mixed single/batch
+// updates, consolidation (inverse pairs cancel before they reach the
+// production), per-(node, port) queue ordering across the binary node
+// types, and the Attach/Detach lifecycle guards.
 
 #include <cstdlib>
 #include <memory>
@@ -36,28 +37,19 @@ class RecordingListener : public ViewChangeListener {
   int64_t entries = 0;
 };
 
-EngineOptions WithStrategy(PropagationStrategy strategy) {
-  EngineOptions options;
-  options.network.propagation = strategy;
-  return options;
-}
+/// A node no network owns: it has no emit sink, so it forwards each delta
+/// straight into its own subscribers.
+class PassThrough : public ReteNode {
+ public:
+  explicit PassThrough(Schema schema) : ReteNode(std::move(schema)) {}
+  void OnDelta(int port, const Delta& delta) override {
+    (void)port;
+    Emit(delta);
+  }
+  std::string DebugString() const override { return "PassThrough"; }
+};
 
-// ---- strategy threading ----------------------------------------------------
-
-TEST(PropagationOptions, DefaultIsBatchedAndFlagThreadsThrough) {
-  PropertyGraph graph;
-  QueryEngine batched_engine(&graph);
-  auto batched = batched_engine.Register("MATCH (n:A) RETURN n");
-  ASSERT_TRUE(batched.ok()) << batched.status();
-  EXPECT_EQ((*batched)->propagation(), PropagationStrategy::kBatched);
-
-  QueryEngine eager_engine(&graph, WithStrategy(PropagationStrategy::kEager));
-  auto eager = eager_engine.Register("MATCH (n:A) RETURN n");
-  ASSERT_TRUE(eager.ok()) << eager.status();
-  EXPECT_EQ((*eager)->propagation(), PropagationStrategy::kEager);
-}
-
-// ---- parity: batched and eager maintain identical views --------------------
+// ---- correctness under mixed single and batch updates ----------------------
 
 TEST(PropagationParity, SnapshotsMatchUnderMixedSingleAndBatchUpdates) {
   const std::vector<std::string> queries = {
@@ -77,19 +69,16 @@ TEST(PropagationParity, SnapshotsMatchUnderMixedSingleAndBatchUpdates) {
   RandomGraphGenerator generator(config);
   generator.Populate(&graph);
 
-  QueryEngine eager_engine(&graph, WithStrategy(PropagationStrategy::kEager));
-  QueryEngine batched_engine(&graph);
-  std::vector<std::shared_ptr<View>> eager_views;
-  std::vector<std::shared_ptr<View>> batched_views;
+  QueryEngine engine(&graph);
+  std::vector<std::shared_ptr<View>> views;
   for (const std::string& query : queries) {
-    auto eager = eager_engine.Register(query);
-    ASSERT_TRUE(eager.ok()) << query << ": " << eager.status();
-    eager_views.push_back(*eager);
-    auto batched = batched_engine.Register(query);
-    ASSERT_TRUE(batched.ok()) << query << ": " << batched.status();
-    batched_views.push_back(*batched);
+    auto view = engine.Register(query);
+    ASSERT_TRUE(view.ok()) << query << ": " << view.status();
+    views.push_back(*view);
   }
 
+  // Every third step commits a 5-change batch, the rest single changes; the
+  // maintained views must equal a from-scratch evaluation after each one.
   for (int step = 0; step < 60; ++step) {
     if (step % 3 == 2) {
       graph.BeginBatch();
@@ -99,27 +88,12 @@ TEST(PropagationParity, SnapshotsMatchUnderMixedSingleAndBatchUpdates) {
       generator.ApplyRandomUpdate(&graph);
     }
     for (size_t q = 0; q < queries.size(); ++q) {
-      std::vector<Tuple> eager_rows = eager_views[q]->Snapshot();
-      std::vector<Tuple> batched_rows = batched_views[q]->Snapshot();
-      ASSERT_EQ(eager_rows.size(), batched_rows.size())
+      Result<std::vector<Tuple>> expected = engine.EvaluateOnce(queries[q]);
+      ASSERT_TRUE(expected.ok()) << queries[q] << ": " << expected.status();
+      ASSERT_EQ(views[q]->Snapshot(), expected.value())
           << queries[q] << " diverged at step " << step;
-      for (size_t i = 0; i < eager_rows.size(); ++i) {
-        ASSERT_EQ(Tuple::Compare(eager_rows[i], batched_rows[i]), 0)
-            << queries[q] << " step " << step << " row " << i << ": "
-            << eager_rows[i].ToString() << " vs "
-            << batched_rows[i].ToString();
-      }
     }
   }
-
-  // Consolidation can only shrink the propagation volume.
-  int64_t eager_entries = 0;
-  int64_t batched_entries = 0;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    eager_entries += eager_views[q]->network().TotalEmittedEntries();
-    batched_entries += batched_views[q]->network().TotalEmittedEntries();
-  }
-  EXPECT_LE(batched_entries, eager_entries);
 }
 
 // ---- consolidation: inverse pairs cancel -----------------------------------
@@ -181,6 +155,47 @@ TEST(Consolidation, PropertyFlipFlopInBatchPropagatesNothing) {
   EXPECT_EQ((*view)->size(), 1);
 }
 
+// The same update stream committed change by change and in 6-change
+// batches ends in the same views; consolidation can only shrink the
+// propagation volume of the batched commits.
+TEST(Consolidation, BatchesEmitNoMoreThanTheSameChangesOneByOne) {
+  const std::vector<std::string> queries = {
+      "MATCH (a:A)-[:R]->(b)-[:S]->(c) RETURN a, b, c",
+      "MATCH (a:A) WHERE NOT exists((a)-[:S]->()) RETURN a",
+      "MATCH (a:A)-[:R]->(b) RETURN b AS t, count(*) AS c, sum(a.x) AS s",
+  };
+  RandomGraphConfig config;
+  config.seed = 31;
+  PropertyGraph single_graph, batch_graph;
+  RandomGraphGenerator single_gen(config), batch_gen(config);
+  single_gen.Populate(&single_graph);
+  batch_gen.Populate(&batch_graph);
+  QueryEngine single_engine(&single_graph);
+  QueryEngine batch_engine(&batch_graph);
+  std::vector<std::shared_ptr<View>> single_views, batch_views;
+  for (const std::string& query : queries) {
+    single_views.push_back(single_engine.Register(query).value());
+    batch_views.push_back(batch_engine.Register(query).value());
+  }
+
+  for (int step = 0; step < 10; ++step) {
+    batch_graph.BeginBatch();
+    for (int i = 0; i < 6; ++i) {
+      single_gen.ApplyRandomUpdate(&single_graph);
+      batch_gen.ApplyRandomUpdate(&batch_graph);
+    }
+    batch_graph.CommitBatch();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ASSERT_EQ(batch_views[q]->Snapshot(), single_views[q]->Snapshot())
+          << queries[q] << " diverged at step " << step;
+    }
+  }
+  // Both networks primed identical graphs, so their totals differ only by
+  // what the commits propagated.
+  EXPECT_LE(batch_engine.catalog().shared_network()->TotalEmittedEntries(),
+            single_engine.catalog().shared_network()->TotalEmittedEntries());
+}
+
 TEST(Consolidation, BatchOfInsertsCoalescesToOneListenerCall) {
   PropertyGraph graph;
   QueryEngine engine(&graph);
@@ -199,24 +214,6 @@ TEST(Consolidation, BatchOfInsertsCoalescesToOneListenerCall) {
   (*view)->RemoveListener(&listener);
 }
 
-TEST(Consolidation, EagerPropagatesEveryChangeSeparately) {
-  PropertyGraph graph;
-  QueryEngine engine(&graph, WithStrategy(PropagationStrategy::kEager));
-  auto view = engine.Register("MATCH (n:A) RETURN n");
-  ASSERT_TRUE(view.ok()) << view.status();
-  RecordingListener listener;
-  (*view)->AddListener(&listener);
-
-  graph.BeginBatch();
-  for (int i = 0; i < 10; ++i) graph.AddVertex({"A"});
-  graph.CommitBatch();
-
-  // The seed behaviour, kept as ablation baseline: one cascade per change.
-  EXPECT_EQ(listener.calls, 10);
-  EXPECT_EQ((*view)->size(), 10);
-  (*view)->RemoveListener(&listener);
-}
-
 // ---- per-(node, port) queues across the binary node types ------------------
 
 /// A two-source network: [:A] vertices feed port 0 and [:B] vertices feed
@@ -228,7 +225,7 @@ struct BinaryFixture {
     return Schema({{"v", Attribute::Kind::kVertex}});
   }
 
-  void Build(std::unique_ptr<ReteNode> node, PropagationStrategy strategy) {
+  void Build(std::unique_ptr<ReteNode> node) {
     Schema vs = VSchema();
     auto* left = network.Add(std::make_unique<VertexInputNode>(
         vs, &graph, std::vector<std::string>{"A"},
@@ -244,7 +241,6 @@ struct BinaryFixture {
     production = network.Add(std::make_unique<ProductionNode>(vs));
     binary->AddOutput(production, 0);
     network.SetProduction(production);
-    network.set_propagation(strategy);
     network.Attach(&graph);
     left_node = left;
     right_node = right;
@@ -261,8 +257,7 @@ struct BinaryFixture {
 TEST(QueueOrdering, SchedulerAssignsTopologicalLevels) {
   BinaryFixture fixture;
   Schema vs = BinaryFixture::VSchema();
-  fixture.Build(std::make_unique<JoinNode>(vs, vs, vs),
-                PropagationStrategy::kBatched);
+  fixture.Build(std::make_unique<JoinNode>(vs, vs, vs));
   EXPECT_EQ(fixture.network.node_level(fixture.left_node), 0);
   EXPECT_EQ(fixture.network.node_level(fixture.right_node), 0);
   EXPECT_EQ(fixture.network.node_level(fixture.binary), 1);
@@ -272,8 +267,7 @@ TEST(QueueOrdering, SchedulerAssignsTopologicalLevels) {
 TEST(QueueOrdering, JoinReceivesBothPortsOnceAndProducesOneRow) {
   BinaryFixture fixture;
   Schema vs = BinaryFixture::VSchema();
-  fixture.Build(std::make_unique<JoinNode>(vs, vs, vs),
-                PropagationStrategy::kBatched);
+  fixture.Build(std::make_unique<JoinNode>(vs, vs, vs));
   RecordingListener listener;
   fixture.production->AddListener(&listener);
 
@@ -297,8 +291,7 @@ TEST(QueueOrdering, JoinReceivesBothPortsOnceAndProducesOneRow) {
 TEST(QueueOrdering, AntiJoinCancelsTransientAssertAcrossPorts) {
   BinaryFixture fixture;
   Schema vs = BinaryFixture::VSchema();
-  fixture.Build(std::make_unique<AntiJoinNode>(vs, vs, vs),
-                PropagationStrategy::kBatched);
+  fixture.Build(std::make_unique<AntiJoinNode>(vs, vs, vs));
 
   // Port 0 (left insert, no right support yet) asserts +v; port 1 (right
   // insert) retracts it in the same wave. The node's flush consolidates the
@@ -315,26 +308,10 @@ TEST(QueueOrdering, AntiJoinCancelsTransientAssertAcrossPorts) {
   EXPECT_EQ(fixture.production->results().total_count(), 1);
 }
 
-TEST(QueueOrdering, AntiJoinEagerEmitsTheTransientPair) {
-  BinaryFixture fixture;
-  Schema vs = BinaryFixture::VSchema();
-  fixture.Build(std::make_unique<AntiJoinNode>(vs, vs, vs),
-                PropagationStrategy::kEager);
-
-  fixture.graph.BeginBatch();
-  fixture.graph.AddVertex({"A", "B"});
-  fixture.graph.CommitBatch();
-
-  // Same final state, but the eager cascade pushed +v and −v through.
-  EXPECT_EQ(fixture.binary->emitted_entries(), 2);
-  EXPECT_EQ(fixture.production->results().total_count(), 0);
-}
-
 TEST(QueueOrdering, SemiJoinTogglesOnWithinOneWave) {
   BinaryFixture fixture;
   Schema vs = BinaryFixture::VSchema();
-  fixture.Build(std::make_unique<SemiJoinNode>(vs, vs, vs),
-                PropagationStrategy::kBatched);
+  fixture.Build(std::make_unique<SemiJoinNode>(vs, vs, vs));
 
   fixture.graph.BeginBatch();
   VertexId v = fixture.graph.AddVertex({"A", "B"});
@@ -353,8 +330,7 @@ TEST(QueueOrdering, SemiJoinTogglesOnWithinOneWave) {
 
 TEST(QueueOrdering, UnionCoalescesBothPortsIntoOneDelta) {
   BinaryFixture fixture;
-  fixture.Build(std::make_unique<UnionNode>(BinaryFixture::VSchema()),
-                PropagationStrategy::kBatched);
+  fixture.Build(std::make_unique<UnionNode>(BinaryFixture::VSchema()));
   RecordingListener listener;
   fixture.production->AddListener(&listener);
 
@@ -375,16 +351,6 @@ TEST(QueueOrdering, UnionCoalescesBothPortsIntoOneDelta) {
 // flushed output lands in an already-drained level bucket and the view
 // runs one transaction behind.
 TEST(QueueOrdering, ForeignPassThroughBetweenOwnedNodesStaysCurrent) {
-  class PassThrough : public ReteNode {
-   public:
-    explicit PassThrough(Schema schema) : ReteNode(std::move(schema)) {}
-    void OnDelta(int port, const Delta& delta) override {
-      (void)port;
-      Emit(delta);
-    }
-    std::string DebugString() const override { return "PassThrough"; }
-  };
-
   PropertyGraph graph;
   Schema vs = BinaryFixture::VSchema();
   ReteNetwork network;
@@ -456,9 +422,9 @@ TEST(QueueOrdering, ChainedBatchedNetworksStayCurrent) {
 }
 
 // "Views can be chained": a node the network does not own may subscribe to
-// the production. Batched propagation must still deliver to it — via the
-// wave scheduler when wired before Attach, and by direct (eager-style)
-// delivery when wired afterwards.
+// the production. The network must still deliver to it — via the wave
+// scheduler when wired before Attach, and by direct delivery when wired
+// afterwards.
 TEST(QueueOrdering, ForeignSubscribersReceiveDeltasUnderBatched) {
   class ForeignSink : public ReteNode {
    public:
@@ -499,18 +465,48 @@ TEST(QueueOrdering, ForeignSubscribersReceiveDeltasUnderBatched) {
   EXPECT_EQ(wired_after.entries, 1);
 }
 
+// A foreign node has no emit sink, so what it emits recurses straight into
+// its own subscribers. With profiling on, the owned nodes are profiled by
+// the wave scheduler and the sink-less chain still counts its emissions.
+TEST(QueueOrdering, SinklessForeignChainCountsEmissionsUnderProfiling) {
+  PropertyGraph graph;
+  ReteNetwork network;
+  Schema vs({{"v", Attribute::Kind::kVertex}});
+  auto* source = network.Add(std::make_unique<VertexInputNode>(
+      vs, &graph, std::vector<std::string>{"A"},
+      std::vector<PropertyExtract>{}));
+  network.RegisterSource(source);
+  auto* production = network.Add(std::make_unique<ProductionNode>(vs));
+  source->AddOutput(production, 0);
+  network.SetProduction(production);
+  PassThrough relay(vs);  // not owned: no sink
+  ProductionNode chained(vs);
+  production->AddOutput(&relay, 0);
+  relay.AddOutput(&chained, 0);
+  network.set_profiling(true);
+  network.Attach(&graph);
+
+  graph.BeginBatch();
+  for (int i = 0; i < 3; ++i) graph.AddVertex({"A"});
+  graph.CommitBatch();
+  graph.AddVertex({"A"});
+
+  EXPECT_EQ(chained.results().total_count(), 4);
+  EXPECT_EQ(relay.emitted_entries(), 4);
+  EXPECT_EQ(production->profile().activations.load(), 2);
+  EXPECT_EQ(production->profile().input_entries.load(), 4);
+}
+
 // A trail running through several edges added in the same graph delta is
 // enumerated once per such edge (each kAddEdge translates against the final
 // graph state); the path store must assert it exactly once. Regression test
 // for the double-count this caused under multi-change batches.
-class PathBatchTest : public ::testing::TestWithParam<PropagationStrategy> {};
-
-TEST_P(PathBatchTest, ChainedEdgesAddedInOneBatchAssertTrailsOnce) {
+TEST(PathBatchTest, ChainedEdgesAddedInOneBatchAssertTrailsOnce) {
   PropertyGraph graph;
   VertexId a = graph.AddVertex({"A"});
   VertexId b = graph.AddVertex({"B"});
   VertexId c = graph.AddVertex({"B"});
-  QueryEngine engine(&graph, WithStrategy(GetParam()));
+  QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (x:A)-[:R*1..3]->(y) RETURN x, y");
   ASSERT_TRUE(view.ok()) << view.status();
 
@@ -534,14 +530,6 @@ TEST_P(PathBatchTest, ChainedEdgesAddedInOneBatchAssertTrailsOnce) {
   graph.CommitBatch();
   EXPECT_EQ((*view)->size(), 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, PathBatchTest,
-                         ::testing::Values(PropagationStrategy::kEager,
-                                           PropagationStrategy::kBatched),
-                         [](const auto& info) {
-                           return std::string(
-                               PropagationStrategyName(info.param));
-                         });
 
 // ---- wave executor ---------------------------------------------------------
 
@@ -705,16 +693,6 @@ TEST(WaveExecutor, ParallelWavesAreBitIdenticalToSerial) {
 // the owned part of the wave runs on the pool: foreign nodes are deferred
 // to the (serial) barrier phase.
 TEST(WaveExecutor, ForeignPassThroughSurvivesParallelWaves) {
-  class PassThrough : public ReteNode {
-   public:
-    explicit PassThrough(Schema schema) : ReteNode(std::move(schema)) {}
-    void OnDelta(int port, const Delta& delta) override {
-      (void)port;
-      Emit(delta);
-    }
-    std::string DebugString() const override { return "PassThrough"; }
-  };
-
   PropertyGraph graph;
   Schema vs = BinaryFixture::VSchema();
   ReteNetwork network;
@@ -743,7 +721,7 @@ TEST(WaveExecutor, ForeignPassThroughSurvivesParallelWaves) {
   // The natural-join key is the vertex itself, so each dual-labelled
   // vertex joins exactly itself: i rows after i deltas. A deferred-foreign
   // bug would leave the join a transaction behind (port 0 arrives through
-  // the probe's eager cascade).
+  // the probe's sink-less fan-out).
   for (int i = 1; i <= 4; ++i) {
     graph.BeginBatch();
     graph.AddVertex({"A", "B"});
@@ -785,16 +763,16 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
     return options;
   };
   QueryEngine serial_engine(&graph);
-  QueryEngine eager_dispatch_engine(&graph, parallel_options(0));
+  QueryEngine ungated_engine(&graph, parallel_options(0));
   QueryEngine gated_engine(&graph,
                            parallel_options(1u << 30));  // prohibitive
   std::vector<std::vector<std::shared_ptr<View>>> views(3);
   for (const std::string& query : queries) {
     for (auto* engine :
-         {&serial_engine, &eager_dispatch_engine, &gated_engine}) {
-      size_t slot = engine == &serial_engine          ? 0
-                    : engine == &eager_dispatch_engine ? 1
-                                                       : 2;
+         {&serial_engine, &ungated_engine, &gated_engine}) {
+      size_t slot = engine == &serial_engine    ? 0
+                    : engine == &ungated_engine ? 1
+                                                : 2;
       auto view = engine->Register(query);
       ASSERT_TRUE(view.ok()) << query << ": " << view.status();
       views[slot].push_back(*view);
@@ -813,12 +791,11 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
     }
   }
 
-  const ReteNetwork* eager_net =
-      eager_dispatch_engine.catalog().shared_network();
+  const ReteNetwork* ungated_net = ungated_engine.catalog().shared_network();
   const ReteNetwork* gated_net = gated_engine.catalog().shared_network();
-  ASSERT_NE(eager_net, nullptr);
+  ASSERT_NE(ungated_net, nullptr);
   ASSERT_NE(gated_net, nullptr);
-  EXPECT_GT(eager_net->parallel_waves_dispatched(), 0)
+  EXPECT_GT(ungated_net->parallel_waves_dispatched(), 0)
       << "gate 0 never reached the pool";
   EXPECT_EQ(gated_net->parallel_waves_dispatched(), 0)
       << "prohibitive gate still dispatched";
@@ -1173,7 +1150,7 @@ TEST(ConsolidationCutoff, ThresholdIsAPurePerformanceKnob) {
 // ---- Attach/Detach lifecycle -----------------------------------------------
 
 struct SingleSourceFixture {
-  void Build(PropagationStrategy strategy) {
+  void Build() {
     Schema vs({{"v", Attribute::Kind::kVertex}});
     auto* source = network.Add(std::make_unique<VertexInputNode>(
         vs, &graph, std::vector<std::string>{"A"},
@@ -1182,7 +1159,6 @@ struct SingleSourceFixture {
     production = network.Add(std::make_unique<ProductionNode>(vs));
     source->AddOutput(production, 0);
     network.SetProduction(production);
-    network.set_propagation(strategy);
   }
 
   PropertyGraph graph;
@@ -1190,12 +1166,9 @@ struct SingleSourceFixture {
   ProductionNode* production = nullptr;
 };
 
-class AttachLifecycleTest
-    : public ::testing::TestWithParam<PropagationStrategy> {};
-
-TEST_P(AttachLifecycleTest, DoubleAttachIsANoOp) {
+TEST(AttachLifecycleTest, DoubleAttachIsANoOp) {
   SingleSourceFixture fixture;
-  fixture.Build(GetParam());
+  fixture.Build();
   fixture.network.Attach(&fixture.graph);
   fixture.network.Attach(&fixture.graph);  // must not double-subscribe
 
@@ -1204,9 +1177,9 @@ TEST_P(AttachLifecycleTest, DoubleAttachIsANoOp) {
   EXPECT_EQ(fixture.production->results().total_count(), 1);
 }
 
-TEST_P(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
+TEST(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
   SingleSourceFixture fixture;
-  fixture.Build(GetParam());
+  fixture.Build();
   fixture.network.Attach(&fixture.graph);
   fixture.graph.AddVertex({"A"});
   ASSERT_EQ(fixture.production->results().total_count(), 1);
@@ -1228,13 +1201,22 @@ TEST_P(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
   EXPECT_EQ(fixture.production->results().total_count(), 3);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothStrategies, AttachLifecycleTest,
-                         ::testing::Values(PropagationStrategy::kEager,
-                                           PropagationStrategy::kBatched),
-                         [](const auto& info) {
-                           return std::string(
-                               PropagationStrategyName(info.param));
-                         });
+TEST(AttachLifecycleTest, ReattachRebuildsTheWaveScheduler) {
+  SingleSourceFixture fixture;
+  fixture.Build();
+  EXPECT_EQ(fixture.network.node_level(fixture.production), -1);
+  fixture.network.Attach(&fixture.graph);
+  EXPECT_EQ(fixture.network.node_level(fixture.production), 1);
+  fixture.network.Detach();
+  fixture.network.Attach(&fixture.graph);
+  EXPECT_EQ(fixture.network.node_level(fixture.production), 1);
+  EXPECT_EQ(fixture.network.DebugString().rfind("executor=serial\n", 0), 0u);
+
+  // Each attachment primes through one drain and publishes one epoch.
+  EXPECT_EQ(fixture.network.commit_epoch(), 2u);
+  fixture.graph.AddVertex({"A"});
+  EXPECT_EQ(fixture.network.commit_epoch(), 3u);
+}
 
 }  // namespace
 }  // namespace pgivm

@@ -245,7 +245,6 @@ void RunConcurrentReaderHarness(const EngineOptions& options, uint64_t seed,
 
 struct HarnessConfig {
   const char* name;
-  PropagationStrategy propagation;
   ExecutorKind executor;
   int num_threads;
   /// Force key-partitioned morsel delivery on every non-empty node, so the
@@ -259,7 +258,6 @@ class ServingDifferentialTest
 TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   const HarnessConfig& harness = GetParam();
   EngineOptions options;
-  options.network.propagation = harness.propagation;
   options.network.executor = harness.executor;
   options.network.num_threads = harness.num_threads;
   // Parallelize every wave, however small, to maximize barrier traffic.
@@ -276,18 +274,13 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, ServingDifferentialTest,
     ::testing::Values(
-        HarnessConfig{"eager", PropagationStrategy::kEager,
-                      ExecutorKind::kSerial, 0},
-        HarnessConfig{"batched_serial", PropagationStrategy::kBatched,
-                      ExecutorKind::kSerial, 0},
-        HarnessConfig{"batched_parallel2", PropagationStrategy::kBatched,
-                      ExecutorKind::kParallel, 2},
-        HarnessConfig{"batched_parallel8", PropagationStrategy::kBatched,
-                      ExecutorKind::kParallel, 8},
-        HarnessConfig{"batched_parallel2_morsel", PropagationStrategy::kBatched,
-                      ExecutorKind::kParallel, 2, /*morsel=*/true},
-        HarnessConfig{"batched_parallel8_morsel", PropagationStrategy::kBatched,
-                      ExecutorKind::kParallel, 8, /*morsel=*/true}),
+        HarnessConfig{"batched_serial", ExecutorKind::kSerial, 0},
+        HarnessConfig{"batched_parallel2", ExecutorKind::kParallel, 2},
+        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8},
+        HarnessConfig{"batched_parallel2_morsel", ExecutorKind::kParallel, 2,
+                      /*morsel=*/true},
+        HarnessConfig{"batched_parallel8_morsel", ExecutorKind::kParallel, 8,
+                      /*morsel=*/true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// SubmitAsync: mutations from several producer threads are coalesced by

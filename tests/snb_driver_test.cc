@@ -191,17 +191,15 @@ TEST(SnbDeterminismTest, FingerprintSeesPropertyChanges) {
 TEST(ReproSpecTest, FormatParseRoundTrip) {
   ReproSpec spec;
   spec.seed = 1234;
-  spec.strategy = PropagationStrategy::kEager;
   spec.threads = 8;
   spec.morsel = true;
   spec.step = 17;
-  EXPECT_EQ(spec.Format(), "seed=1234,strategy=eager,threads=8,morsel=1,step=17");
+  EXPECT_EQ(spec.Format(), "seed=1234,threads=8,morsel=1,step=17");
   EXPECT_EQ(spec.EnvLine(),
-            "PGIVM_REPRO=\"seed=1234,strategy=eager,threads=8,morsel=1,step=17\"");
+            "PGIVM_REPRO=\"seed=1234,threads=8,morsel=1,step=17\"");
   Result<ReproSpec> parsed = ReproSpec::Parse(spec.Format());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->seed, 1234u);
-  EXPECT_EQ(parsed->strategy, PropagationStrategy::kEager);
   EXPECT_EQ(parsed->threads, 8);
   EXPECT_TRUE(parsed->morsel);
   EXPECT_EQ(parsed->step, 17);
@@ -221,18 +219,23 @@ TEST(ReproSpecTest, SameCaseIgnoresStep) {
 TEST(ReproSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ReproSpec::Parse("").ok());
   EXPECT_FALSE(ReproSpec::Parse("seed=1").ok());  // missing required keys
-  EXPECT_FALSE(
-      ReproSpec::Parse("seed=x,strategy=batched,threads=1,morsel=0").ok());
-  EXPECT_FALSE(
-      ReproSpec::Parse("seed=1,strategy=wild,threads=1,morsel=0").ok());
-  EXPECT_FALSE(
-      ReproSpec::Parse("seed=1,strategy=batched,threads=1,morsel=0,bogus=1")
-          .ok());
+  EXPECT_FALSE(ReproSpec::Parse("seed=x,threads=1,morsel=0").ok());
+  EXPECT_FALSE(ReproSpec::Parse("seed=1,threads=1,morsel=0,bogus=1").ok());
+}
+
+TEST(ReproSpecTest, StrategyFieldIsAnUnknownKey) {
+  // Propagation has a single discipline, so a strategy field is as unknown
+  // as any other key.
+  Result<ReproSpec> spec =
+      ReproSpec::Parse("seed=1,strategy=batched,threads=1,morsel=0");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find("unknown key 'strategy'"),
+            std::string::npos);
 }
 
 TEST(ReproSpecTest, FromEnvReadsAndStripsQuotes) {
   ScopedEnvVar repro("PGIVM_REPRO",
-                     "\"seed=9,strategy=batched,threads=2,morsel=1,step=-1\"");
+                     "\"seed=9,threads=2,morsel=1,step=-1\"");
   std::optional<ReproSpec> spec = ReproSpec::FromEnv();
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->seed, 9u);
@@ -253,12 +256,10 @@ TEST(ReproSpecTest, FromEnvAbsentIsNullopt) {
 TEST(SnbDriverReproTest, WithReproAppliesEngineShape) {
   ReproSpec spec;
   spec.seed = 77;
-  spec.strategy = PropagationStrategy::kEager;
   spec.threads = 4;
   spec.morsel = true;
   SnbDriverConfig config = SnbDriver::WithRepro(SmallConfig(), spec);
   EXPECT_EQ(config.seed, 77u);
-  EXPECT_EQ(config.engine.network.propagation, PropagationStrategy::kEager);
   EXPECT_EQ(config.engine.network.executor, ExecutorKind::kParallel);
   EXPECT_EQ(config.engine.network.num_threads, 4);
   EXPECT_EQ(config.engine.network.morsel_min_node_entries, 0);
@@ -272,19 +273,17 @@ TEST(SnbDriverReproTest, WithReproAppliesEngineShape) {
 
 struct EngineShape {
   const char* name;
-  PropagationStrategy strategy;
   bool parallel;
 };
 
 constexpr EngineShape kShapes[] = {
-    {"eager", PropagationStrategy::kEager, false},
-    {"batched-serial", PropagationStrategy::kBatched, false},
-    {"batched-parallel", PropagationStrategy::kBatched, true},
+    {"serial", false},
+    {"parallel", true},
 };
 
 TEST(SnbValidationTest, BitParityAcrossSeedsAndShapes) {
-  // The acceptance gate: >= 3 seeds, each under eager, batched-serial and
-  // batched-parallel execution of the engine under test, all bit-identical
+  // The acceptance gate: >= 3 seeds, each under serial and parallel
+  // execution of the engine under test, all bit-identical
   // to the serial reference. PGIVM_THREADS must not override the shapes.
   ScopedThreadsEnv pin(nullptr);
   ScopedEnvVar morsel_pin("PGIVM_MORSEL", nullptr);
@@ -296,7 +295,6 @@ TEST(SnbValidationTest, BitParityAcrossSeedsAndShapes) {
       config.operations = 120;
       config.validate_every = 2;
       config.baseline_every = 10;
-      config.engine.network.propagation = shape.strategy;
       if (shape.parallel) {
         config.engine.network.executor = ExecutorKind::kParallel;
         config.engine.network.num_threads = 4;
