@@ -54,17 +54,6 @@ bool ResolveNames(const SymbolTable& symbols,
 
 }  // namespace
 
-std::vector<Tuple> BaselineEvaluator::SortedRows(const Bag& bag) {
-  std::vector<Tuple> rows;
-  for (const auto& [tuple, count] : bag.counts()) {
-    for (int64_t i = 0; i < count; ++i) rows.push_back(tuple);
-  }
-  std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
-    return Tuple::Compare(a, b) < 0;
-  });
-  return rows;
-}
-
 Result<Bag> BaselineEvaluator::Evaluate(const OpPtr& plan) const {
   return Eval(plan);
 }

@@ -26,9 +26,6 @@ class BaselineEvaluator {
   /// Evaluates `plan` against the current graph; returns the result bag.
   Result<Bag> Evaluate(const OpPtr& plan) const;
 
-  /// Expands a bag to sorted rows (same shape as View snapshots).
-  static std::vector<Tuple> SortedRows(const Bag& bag);
-
  private:
   Result<Bag> Eval(const OpPtr& op) const;
   Result<Bag> EvalGetVertices(const OpPtr& op) const;

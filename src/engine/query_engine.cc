@@ -139,16 +139,6 @@ Result<Query> ParseAndBind(std::string_view cypher,
   return query;
 }
 
-void ApplySkipLimit(std::vector<Tuple>& rows, int64_t skip, int64_t limit) {
-  if (skip > 0) {
-    size_t drop = std::min<size_t>(static_cast<size_t>(skip), rows.size());
-    rows.erase(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(drop));
-  }
-  if (limit >= 0 && rows.size() > static_cast<size_t>(limit)) {
-    rows.resize(static_cast<size_t>(limit));
-  }
-}
-
 }  // namespace
 
 Result<std::shared_ptr<View>> QueryEngine::Register(
@@ -168,8 +158,11 @@ Result<std::vector<Tuple>> QueryEngine::EvaluateOnce(
   PGIVM_ASSIGN_OR_RETURN(OpPtr fra, LowerToFra(gra, options_.plan));
   BaselineEvaluator evaluator(graph_);
   PGIVM_ASSIGN_OR_RETURN(Bag bag, evaluator.Evaluate(fra));
-  std::vector<Tuple> rows = BaselineEvaluator::SortedRows(bag);
-  ApplySkipLimit(rows, query.return_clause.skip, query.return_clause.limit);
+  std::vector<Tuple> rows = ProductionNode::SortedRows(bag);
+  const auto [begin, end] = SkipLimitRange(
+      rows.size(), query.return_clause.skip, query.return_clause.limit);
+  rows.erase(rows.begin() + static_cast<ptrdiff_t>(end), rows.end());
+  rows.erase(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(begin));
   return rows;
 }
 

@@ -29,29 +29,31 @@ std::shared_ptr<const ViewSnapshot> View::Pin() const {
   }
 
   // First reader of this epoch (or a racing peer — benign, see header):
-  // build the immutable rendering and swap it in for later pins.
+  // wrap it, slicing SKIP/LIMIT, and swap it in for later pins.
   auto built = std::make_shared<ViewSnapshot>();
-  std::vector<Tuple> rows = ProductionNode::SortedRows(epoch->results);
-  if (skip_ > 0) {
-    size_t drop = std::min<size_t>(static_cast<size_t>(skip_), rows.size());
-    rows.erase(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(drop));
-  }
-  if (limit_ >= 0 && rows.size() > static_cast<size_t>(limit_)) {
-    rows.resize(static_cast<size_t>(limit_));
+  const std::vector<Tuple>& rows = epoch->rows;
+  const auto [begin, end] = SkipLimitRange(rows.size(), skip_, limit_);
+  if (begin == 0 && end == rows.size()) {
+    built->rows_ = &rows;
+  } else {
+    built->slice_.assign(rows.begin() + static_cast<ptrdiff_t>(begin),
+                         rows.begin() + static_cast<ptrdiff_t>(end));
+    built->rows_ = &built->slice_;
   }
   built->source_ = std::move(epoch);
-  built->rows_ = std::move(rows);
   std::shared_ptr<const ViewSnapshot> result = std::move(built);
   std::atomic_store_explicit(&cache_, result, std::memory_order_release);
   if (prof) pin_hist_->Record(MonotonicNowNs() - start_ns);
   return result;
 }
 
-std::shared_ptr<const Bag> View::results() const {
-  ProductionNode::EpochPtr epoch = production_->PinSnapshot();
-  const Bag* bag = &epoch->results;
-  // Aliasing constructor: the returned pointer keeps the whole epoch alive.
-  return std::shared_ptr<const Bag>(std::move(epoch), bag);
+std::pair<size_t, size_t> SkipLimitRange(size_t rows, int64_t skip,
+                                         int64_t limit) {
+  const size_t begin =
+      skip > 0 ? std::min(rows, static_cast<size_t>(skip)) : 0;
+  const size_t end =
+      limit >= 0 ? std::min(rows, begin + static_cast<size_t>(limit)) : rows;
+  return {begin, end};
 }
 
 size_t View::ApproxMemoryBytes() const {

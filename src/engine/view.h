@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/operator.h"
@@ -15,29 +16,41 @@ namespace pgivm {
 
 class ViewCatalog;
 
-/// An immutable, pinned view state: one committed epoch's result bag plus
-/// its presentation rendering (multiplicities expanded, sorted, the view's
-/// SKIP/LIMIT applied). Obtained from View::Pin(); safe to read from any
-/// thread and valid for as long as the shared_ptr is held — later commits
-/// never mutate it, they publish new epochs.
+/// The [begin, end) range of `rows` sorted rows that a query's SKIP/LIMIT
+/// keeps (`limit` < 0: no limit). View::Pin and QueryEngine::EvaluateOnce
+/// both slice with it, so a view and a one-shot evaluation agree.
+std::pair<size_t, size_t> SkipLimitRange(size_t rows, int64_t skip,
+                                         int64_t limit);
+
+/// An immutable, pinned view state: one committed epoch's sorted rows with
+/// the view's SKIP/LIMIT applied. Obtained from View::Pin(); safe to read
+/// from any thread and valid for as long as the shared_ptr is held — later
+/// commits never mutate it, they publish new epochs.
 class ViewSnapshot {
  public:
+  ViewSnapshot() = default;
+  // rows_ may point into this object; it is only ever shared, never copied.
+  ViewSnapshot(const ViewSnapshot&) = delete;
+  ViewSnapshot& operator=(const ViewSnapshot&) = delete;
+
   /// The network commit epoch this state was published at.
   uint64_t epoch() const { return source_->epoch; }
 
   /// Rows with multiplicities expanded, sorted, SKIP/LIMIT applied.
-  const std::vector<Tuple>& rows() const { return rows_; }
-
-  /// The committed bag (tuple -> multiplicity), before SKIP/LIMIT.
-  const Bag& bag() const { return source_->results; }
+  const std::vector<Tuple>& rows() const { return *rows_; }
 
   /// Total result rows (with duplicates), before SKIP/LIMIT.
-  int64_t total_rows() const { return source_->results.total_count(); }
+  int64_t total_rows() const {
+    return static_cast<int64_t>(source_->rows.size());
+  }
 
  private:
   friend class View;
   ProductionNode::EpochPtr source_;
-  std::vector<Tuple> rows_;
+  /// The SKIP/LIMIT slice of source_->rows, when it drops rows.
+  std::vector<Tuple> slice_;
+  /// &source_->rows, or &slice_.
+  const std::vector<Tuple>* rows_ = nullptr;
 };
 
 /// A live, incrementally maintained query result.
@@ -55,13 +68,13 @@ class ViewSnapshot {
 /// and their listeners observe nothing.
 ///
 /// Ordering note (the paper's ORD restriction): the maintained result is a
-/// bag — no order is maintained. Snapshot() sorts rows only for
-/// presentation/determinism and applies the query's SKIP/LIMIT at that
-/// moment; the sorted rendering is built once per committed epoch and
-/// cached as an immutable ViewSnapshot, so polling an unchanged view is
-/// O(copy), not O(n log n).
+/// bag; order is only presentation. Each committed epoch carries the bag's
+/// rows sorted, kept up to date by merging every commit's delta into the
+/// previous epoch's rows (ProductionNode::PublishSnapshot), so Pin() sorts
+/// nothing: without SKIP/LIMIT it shares the epoch's rows, with SKIP/LIMIT
+/// it copies just the kept slice, once per epoch.
 ///
-/// Thread-safety: Pin()/Snapshot()/results()/size() are safe from any
+/// Thread-safety: Pin()/Snapshot()/size() are safe from any
 /// number of reader threads, concurrently with a drain propagating on the
 /// writer thread, and never block it — the network publishes an immutable
 /// PublishedEpoch per production at every commit (the end of a drain),
@@ -90,25 +103,24 @@ class View {
   /// Output column names, in RETURN order.
   const std::vector<std::string>& column_names() const { return columns_; }
 
-  /// Pins the last committed epoch as an immutable snapshot: the result
-  /// bag plus its sorted/SKIP/LIMIT rendering. Safe from any thread (see
-  /// the thread-safety contract above). The rendering is built at most
+  /// Pins the last committed epoch as an immutable snapshot: its sorted
+  /// rows with SKIP/LIMIT applied. Safe from any thread (see the
+  /// thread-safety contract above). The snapshot object is built at most
   /// once per epoch — concurrent first-readers may build it redundantly
   /// (benign: identical immutable objects, last store wins), after which
-  /// every Pin() of the same epoch returns the cached object.
+  /// every Pin() of the same epoch returns the cached object. Building it
+  /// is O(1), or O(SKIP + LIMIT) for a view that has them.
   std::shared_ptr<const ViewSnapshot> Pin() const;
 
   /// Current rows, multiplicities expanded, sorted, SKIP/LIMIT applied —
   /// a copy of Pin()->rows(). Safe from any thread.
   std::vector<Tuple> Snapshot() const { return Pin()->rows(); }
 
-  /// The last committed bag (tuple -> multiplicity), unsorted, pinned so
-  /// it stays valid while the pointer is held. Safe from any thread.
-  std::shared_ptr<const Bag> results() const;
-
   /// Total number of result rows (with duplicates) at the last committed
-  /// epoch. Safe from any thread; does not build the sorted rendering.
-  int64_t size() const { return production_->PinSnapshot()->results.total_count(); }
+  /// epoch, before SKIP/LIMIT. Safe from any thread.
+  int64_t size() const {
+    return static_cast<int64_t>(production_->PinSnapshot()->rows.size());
+  }
 
   /// Change notifications; listeners receive normalized deltas.
   void AddListener(ViewChangeListener* listener) {

@@ -240,8 +240,10 @@ class ReteNetwork : public GraphListener, private EmitSink {
 
   /// How many *previous* published epochs each production keeps alive in
   /// addition to its current one (see ProductionNode::PublishSnapshot).
-  /// 0 (the default) retires an epoch as soon as the last reader unpins
-  /// it. Purely a retention knob — readers always pin the latest commit.
+  /// 0 (the default) frees a superseded epoch at the first commit after
+  /// the last reader unpins it — on the writer, so no reader ever pays for
+  /// freeing rows. Purely a retention knob — readers always pin the latest
+  /// commit.
   void set_epoch_retention(size_t epochs) { epoch_retention_ = epochs; }
   size_t epoch_retention() const { return epoch_retention_; }
 
@@ -491,10 +493,11 @@ class ReteNetwork : public GraphListener, private EmitSink {
 
   /// Commits the current state for concurrent readers: bumps
   /// commit_epoch_ and has every production publish an immutable snapshot
-  /// (ProductionNode::PublishSnapshot — a copy only where results
-  /// changed). Runs on the writer thread at the end of every drain — the
-  /// one commit path for graph deltas and primes alike — i.e. exactly when
-  /// the network is quiescent and the bags are consistent.
+  /// (ProductionNode::PublishSnapshot — a merge of the buffered delta,
+  /// only where results changed). Runs on the writer thread at the end of
+  /// every drain — the one commit path for graph deltas and primes alike —
+  /// i.e. exactly when the network is quiescent and the bags are
+  /// consistent. With profiling on it records "propagation.publish_ns".
   void PublishEpochs();
 
   /// (upstream, port) inputs per node, derived from the output wiring —
@@ -552,6 +555,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// network records into (resolved once so drains never lock).
   MetricsRegistry* metrics_ = nullptr;
   LatencyHistogram* h_drain_ns_ = nullptr;
+  LatencyHistogram* h_publish_ns_ = nullptr;
   LatencyHistogram* h_translate_ns_ = nullptr;
   LatencyHistogram* h_wave_ns_ = nullptr;
   LatencyHistogram* h_barrier_ns_ = nullptr;

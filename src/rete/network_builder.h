@@ -61,8 +61,8 @@ struct NetworkOptions {
 
   /// How many *previous* committed epochs each production keeps alive for
   /// concurrent readers, in addition to the current one (see
-  /// ReteNetwork::set_epoch_retention). 0 retires an epoch as soon as the
-  /// last reader unpins it.
+  /// ReteNetwork::set_epoch_retention). 0 frees a superseded epoch at the
+  /// first commit after the last reader unpins it.
   size_t epoch_retention = 0;
 
   /// Per-node/per-drain propagation profiling (see

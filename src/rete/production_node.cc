@@ -23,6 +23,15 @@ void ProductionNode::OnDelta(int port, const Delta& delta) {
   for (const DeltaEntry& entry : *net) {
     results_.Apply(entry.tuple, entry.multiplicity);
   }
+  if (!rebuild_) {
+    pending_.insert(pending_.end(), net->begin(), net->end());
+    // A buffer longer than the bag costs about what one sort of the bag
+    // costs, and holds as much memory: drop it, the next publish rebuilds.
+    if (pending_.size() > results_.distinct_size()) {
+      Delta().swap(pending_);
+      rebuild_ = true;
+    }
+  }
   if (notify_listeners_ && !listeners_.empty()) {
     if (defer_notifications_) {
       // Mid-parallel-wave: listener code must not run on a pool worker.
@@ -48,22 +57,106 @@ void ProductionNode::OnWaveBarrier() {
   deferred_notifications_.clear();
 }
 
-bool ProductionNode::PublishSnapshot(uint64_t epoch, size_t retention) {
-  // Unchanged since the last commit: keep the previous epoch object.
-  if (published_version_ == version_) return false;
-  auto next = std::make_shared<PublishedEpoch>();
-  next->epoch = epoch;
-  next->version = version_;
-  next->results = results_;
-  published_version_ = version_;
-  if (retention > 0) {
-    retained_.push_back(
-        std::atomic_load_explicit(&published_, std::memory_order_relaxed));
-    while (retained_.size() > retention) retained_.pop_front();
+namespace {
+
+bool RowLess(const Tuple& a, const Tuple& b) {
+  return Tuple::Compare(a, b) < 0;
+}
+
+/// Merges `changes` into `rows` (sorted by Tuple::Compare) as `out`, which
+/// must come out `size` rows long. Sorts `changes` by Compare first.
+///
+/// Compare is coarser than ==: in rare cases (numbers that differ only
+/// beyond double precision) distinct tuples compare equal. So each group
+/// of Compare-equal changes is netted per ==-distinct tuple, and within the
+/// matching run of rows a retraction drops a row == its tuple while an
+/// insertion appends at the end of the run. Returns false when the changes
+/// do not fit the rows — a retraction with no matching row, or a wrong
+/// final size; the caller then sorts the bag instead.
+bool MergeSortedRows(const std::vector<Tuple>& rows, Delta& changes,
+                     size_t size, std::vector<Tuple>* out) {
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const DeltaEntry& a, const DeltaEntry& b) {
+                     return RowLess(a.tuple, b.tuple);
+                   });
+  out->reserve(size);
+  Delta net;  // one Compare-equal group, netted per ==-distinct tuple
+  auto next_row = rows.begin();
+  for (size_t i = 0; i < changes.size();) {
+    const Tuple& key = changes[i].tuple;
+    net.clear();
+    for (; i < changes.size() && Tuple::Compare(changes[i].tuple, key) == 0;
+         ++i) {
+      const DeltaEntry& change = changes[i];
+      auto same = std::find_if(net.begin(), net.end(),
+                               [&](const DeltaEntry& e) {
+                                 return e.tuple == change.tuple;
+                               });
+      if (same == net.end()) {
+        net.push_back(change);
+      } else {
+        same->multiplicity += change.multiplicity;
+      }
+    }
+    auto run = std::lower_bound(next_row, rows.end(), key, RowLess);
+    out->insert(out->end(), next_row, run);
+    for (next_row = run;
+         next_row != rows.end() && Tuple::Compare(*next_row, key) == 0;
+         ++next_row) {
+      auto retracted =
+          std::find_if(net.begin(), net.end(), [&](const DeltaEntry& e) {
+            return e.multiplicity < 0 && e.tuple == *next_row;
+          });
+      if (retracted == net.end()) {
+        out->push_back(*next_row);
+      } else {
+        ++retracted->multiplicity;
+      }
+    }
+    for (const DeltaEntry& entry : net) {
+      if (entry.multiplicity < 0) return false;
+      out->insert(out->end(), static_cast<size_t>(entry.multiplicity),
+                  entry.tuple);
+    }
   }
-  std::atomic_store_explicit(&published_, EpochPtr(std::move(next)),
-                             std::memory_order_release);
-  return true;
+  out->insert(out->end(), next_row, rows.end());
+  return out->size() == size;
+}
+
+}  // namespace
+
+bool ProductionNode::PublishSnapshot(uint64_t epoch, size_t retention) {
+  const bool changed = published_version_ != version_;
+  if (changed) {
+    auto next = std::make_shared<PublishedEpoch>();
+    next->epoch = epoch;
+    // Writer-only: only this thread stores published_.
+    EpochPtr previous =
+        std::atomic_load_explicit(&published_, std::memory_order_relaxed);
+    const size_t size = static_cast<size_t>(results_.total_count());
+    if (rebuild_ ||
+        !MergeSortedRows(previous->rows, pending_, size, &next->rows)) {
+      next->rows = SortedRows(results_);
+    }
+    rebuild_ = false;
+    Delta().swap(pending_);  // release the capacity, not just the entries
+    published_version_ = version_;
+    std::atomic_store_explicit(&published_, EpochPtr(std::move(next)),
+                               std::memory_order_release);
+    retired_.push_back(std::move(previous));
+  }
+  // Free the superseded epochs past the retention window that only this
+  // thread still holds (use_count 1: no reader can reach them any more,
+  // so none can pin them again). Pinned ones wait for a later commit.
+  const auto window =
+      retired_.end() - static_cast<ptrdiff_t>(std::min(retention,
+                                                       retired_.size()));
+  retired_.erase(std::remove_if(retired_.begin(), window,
+                                [](const EpochPtr& retired) {
+                                  return retired.use_count() == 1;
+                                }),
+                 window);
+  return changed;
 }
 
 ProductionNode::EpochPtr ProductionNode::PinSnapshot() const {
@@ -76,14 +169,8 @@ std::vector<Tuple> ProductionNode::SortedRows(const Bag& bag) {
   for (const auto& [tuple, count] : bag.counts()) {
     for (int64_t i = 0; i < count; ++i) rows.push_back(tuple);
   }
-  std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
-    return Tuple::Compare(a, b) < 0;
-  });
+  std::sort(rows.begin(), rows.end(), RowLess);
   return rows;
-}
-
-std::vector<Tuple> ProductionNode::SortedSnapshot() const {
-  return SortedRows(results_);
 }
 
 void ProductionNode::RemoveListener(ViewChangeListener* listener) {

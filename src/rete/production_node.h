@@ -17,15 +17,16 @@ namespace pgivm {
 /// the reader keeps the pointer, regardless of how many further epochs the
 /// writer commits.
 struct PublishedEpoch {
-  /// The network commit epoch this bag was published at. A production whose
-  /// results did not change at a commit keeps its previous epoch object —
-  /// the bag still equals the committed state, just published earlier.
+  /// The network commit epoch these rows were published at. A production
+  /// whose results did not change at a commit keeps its previous epoch
+  /// object — its rows still equal the committed state, just published
+  /// earlier.
   uint64_t epoch = 0;
-  /// The production's change counter (ProductionNode::version) the bag
-  /// reflects.
-  uint64_t version = 0;
-  /// The result bag, frozen at the commit.
-  Bag results;
+  /// The result rows, frozen at the commit: multiplicities expanded,
+  /// sorted by Tuple::Compare, before the view's SKIP/LIMIT. The one
+  /// materialization readers see — Pin() renders nothing more for views
+  /// without SKIP/LIMIT.
+  std::vector<Tuple> rows;
 };
 
 /// Observer of a materialized view's changes. `delta` is normalized (tuples
@@ -38,11 +39,12 @@ class ViewChangeListener {
 };
 
 /// Network root: materializes the result bag of the view and fans change
-/// notifications out to listeners. Snapshot() exposes the current rows.
+/// notifications out to listeners.
 ///
 /// Concurrent readers: the live `results_` bag is writer-thread-only, but
-/// every commit publishes an immutable PublishedEpoch that any thread may
-/// pin via PinSnapshot() — see the epoch members at the bottom.
+/// every commit publishes the rows, sorted, as an immutable PublishedEpoch
+/// that any thread may pin via PinSnapshot() — see the epoch members at
+/// the bottom.
 class ProductionNode : public ReteNode {
  public:
   using EpochPtr = std::shared_ptr<const PublishedEpoch>;
@@ -62,6 +64,8 @@ class ProductionNode : public ReteNode {
 
   void Reset() override {
     results_.Clear();
+    Delta().swap(pending_);
+    rebuild_ = true;
     ++version_;
   }
 
@@ -76,11 +80,6 @@ class ProductionNode : public ReteNode {
 
   /// Current result bag (tuple -> multiplicity).
   const Bag& results() const { return results_; }
-
-  /// Monotonic change counter: bumped whenever `results()` may have changed
-  /// (non-empty delta applied, or Reset). Lets readers cache derived state
-  /// (View::Snapshot's sorted rows) and skip recomputation while unchanged.
-  uint64_t version() const { return version_; }
 
   /// Temporarily silences listener fan-out. The network disables
   /// notifications while (re-)priming an attachment: priming replays the
@@ -104,17 +103,28 @@ class ProductionNode : public ReteNode {
   /// sequences and final snapshots are identical either way.
   void set_defer_notifications(bool on) { defer_notifications_ = on; }
 
-  /// Publishes the current result bag as the committed state of `epoch`.
+  /// Publishes the current results as the committed state of `epoch`.
   /// Called by the owning network, on the writer thread, at every commit
   /// point (the end of every drain, primes included). When the results did
   /// not change since the last publish the previous epoch object is kept
-  /// (no copy — it already equals the committed state); otherwise the bag
-  /// is copied into a fresh immutable PublishedEpoch and swapped in.
+  /// (it already equals the committed state); otherwise a fresh immutable
+  /// PublishedEpoch is built and swapped in.
+  ///
+  /// The fresh epoch's rows are the previous epoch's rows merged with the
+  /// changes buffered since (sorted first): rows between changes are
+  /// copied as refcounted pointers, each changed tuple's net copies are
+  /// added at the end of its Compare-equal run or dropped from it — O(n)
+  /// pointer copies plus O(|Δ| log |Δ|) comparisons, no hashing, no sort
+  /// of the view. After priming, Reset, or a buffer that outgrew the bag
+  /// the rows are sorted from the bag instead (SortedRows, one sort).
   ///
   /// `retention` previous epoch objects are kept alive in addition to the
   /// current one, so a reader re-pinning within a short window can still
-  /// compare against recent history; beyond that, an epoch lives exactly
-  /// as long as some reader pins it (shared_ptr refcount retires it).
+  /// compare against recent history. Older superseded epochs are retired
+  /// here, on the writer, once no reader pins them any more: the writer
+  /// keeps a reference until it holds the last one, so a reader dropping
+  /// its pin never frees rows and Pin() stays O(1). Every call sweeps,
+  /// changed or not.
   ///
   /// Returns true when a fresh epoch object was published, false when the
   /// previous one was kept — the network counts published epochs with it.
@@ -126,12 +136,9 @@ class ProductionNode : public ReteNode {
   /// the previous commit or the new one, never a torn state. Never null.
   EpochPtr PinSnapshot() const;
 
-  /// Rows with multiplicities expanded, sorted for determinism.
-  std::vector<Tuple> SortedSnapshot() const;
-
   /// `bag`'s rows with multiplicities expanded, sorted by Tuple::Compare —
-  /// the deterministic rendering Snapshot()/SortedSnapshot() use. Static so
-  /// readers can render a pinned epoch's bag without touching the node.
+  /// the rendering every PublishedEpoch holds, and the one
+  /// QueryEngine::EvaluateOnce and the tests render a baseline bag with.
   static std::vector<Tuple> SortedRows(const Bag& bag);
 
   void AddListener(ViewChangeListener* listener) {
@@ -153,6 +160,9 @@ class ProductionNode : public ReteNode {
   /// element per OnDelta, so listeners see the same call granularity as
   /// under inline notification).
   std::vector<Delta> deferred_notifications_;
+  /// Change counter: bumped whenever results_ may have changed (non-empty
+  /// delta applied, or Reset); PublishSnapshot keeps the previous epoch
+  /// object while it is unchanged.
   uint64_t version_ = 0;
   bool notify_listeners_ = true;
   bool defer_notifications_ = false;
@@ -161,12 +171,22 @@ class ProductionNode : public ReteNode {
   /// atomic_store in PublishSnapshot), read by any thread (atomic_load in
   /// PinSnapshot) — never accessed non-atomically.
   EpochPtr published_;
-  /// Writer-side copy of published_->version, so the unchanged-results
-  /// fast path needs no atomic load.
+  /// The version_ the last published epoch reflects.
   uint64_t published_version_ = 0;
-  /// Recent epochs deliberately kept alive (see PublishSnapshot's
-  /// `retention`); writer-thread-only.
-  std::deque<EpochPtr> retained_;
+  /// Superseded epochs, oldest first: the newest `retention` kept
+  /// deliberately, older ones until no reader pins them (see
+  /// PublishSnapshot). Writer-thread-only.
+  std::deque<EpochPtr> retired_;
+  /// The consolidated deliveries applied since the last publish, in
+  /// arrival order — what the next publish merges into the published
+  /// rows. Owned by whichever thread owns the node (like results_) and
+  /// bounded by results_.distinct_size(): a longer buffer is dropped and
+  /// rebuild_ set instead, and every publish releases it.
+  Delta pending_;
+  /// The next publish sorts results_ instead of merging pending_: set
+  /// before the first publish (priming), by Reset, and when pending_
+  /// outgrew its bound.
+  bool rebuild_ = true;
 };
 
 }  // namespace pgivm

@@ -5,6 +5,7 @@
 #include "algebra/compiler.h"
 #include "algebra/passes/pass_manager.h"
 #include "cypher/parser.h"
+#include "rete/production_node.h"
 
 namespace pgivm {
 namespace {
@@ -20,7 +21,7 @@ std::vector<Tuple> Evaluate(const PropertyGraph& graph,
   BaselineEvaluator evaluator(&graph);
   Result<Bag> bag = evaluator.Evaluate(fra.value());
   EXPECT_TRUE(bag.ok()) << bag.status();
-  return BaselineEvaluator::SortedRows(bag.value());
+  return ProductionNode::SortedRows(bag.value());
 }
 
 TEST(BaselineTest, LabelScan) {

@@ -8,6 +8,7 @@
 
 #include "baseline/baseline_evaluator.h"
 #include "engine/query_engine.h"
+#include "rete/production_node.h"
 #include "scoped_threads_env.h"
 #include "support/repro.h"
 #include "workload/random_graph.h"
@@ -54,7 +55,7 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
     Result<Bag> expected = baseline.Evaluate(plan.value());
     ASSERT_TRUE(expected.ok()) << expected.status();
     std::vector<Tuple> expected_rows =
-        BaselineEvaluator::SortedRows(expected.value());
+        ProductionNode::SortedRows(expected.value());
     std::vector<Tuple> actual_rows = (*view)->Snapshot();
     ASSERT_EQ(actual_rows.size(), expected_rows.size())
         << param.name << " diverged at step " << step;

@@ -398,6 +398,7 @@ TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
   };
   EXPECT_EQ(count("propagation.translate_ns"), 2);
   EXPECT_EQ(count("propagation.drain_ns"), 4);
+  EXPECT_EQ(count("propagation.publish_ns"), 4);
   const ReteNetwork* network = engine.catalog().shared_network();
   EXPECT_EQ(network->commit_epoch(), 4u);
   int translate_spans = 0;
@@ -417,6 +418,43 @@ TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
     }
   }
   EXPECT_EQ(production_out, 3);
+}
+
+// The publish stage is timed apart from the drain: one
+// "propagation.publish_ns" sample per commit while profiling is on, none
+// while it is off.
+TEST(Profiling, EveryProfiledCommitRecordsOnePublish) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  auto view = engine.Register("MATCH (n:A) RETURN n");
+  ASSERT_TRUE(view.ok()) << view.status();
+  graph.AddVertex({"A"});
+  auto publishes = [&engine] {
+    return engine.metrics()
+        .GetHistogram("propagation.publish_ns")
+        .Snapshot()
+        .count;
+  };
+  EXPECT_EQ(publishes(), 0);
+
+  engine.set_profiling(true);
+  graph.AddVertex({"A"});
+  graph.BeginBatch();
+  graph.AddVertex({"A"});
+  graph.AddVertex({"B"});
+  graph.CommitBatch();
+  graph.AddVertex({"B"});  // no view changes: the commit still publishes
+  EXPECT_EQ(publishes(), 3);
+  EXPECT_EQ(engine.metrics().GetHistogram("propagation.drain_ns").Snapshot()
+                .count,
+            3);
+
+  engine.set_profiling(false);
+  graph.AddVertex({"A"});
+  EXPECT_EQ(publishes(), 3);
+  EXPECT_EQ((*view)->size(), 4);
 }
 
 // ---- EXPLAIN ANALYZE --------------------------------------------------------

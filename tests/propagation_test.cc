@@ -5,7 +5,10 @@
 // types, and the Attach/Detach lifecycle guards.
 
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "rete/network.h"
 #include "rete/semijoin_node.h"
 #include "rete/union_node.h"
+#include "support/rng.h"
 #include "workload/random_graph.h"
 
 namespace pgivm {
@@ -1145,6 +1149,110 @@ TEST(ConsolidationCutoff, ThresholdIsAPurePerformanceKnob) {
             (*defaulted)->network().TotalEmittedEntries());
   EXPECT_EQ((*sorted)->network().TotalEmittedEntries(),
             (*pairwise)->network().TotalEmittedEntries());
+}
+
+// ---- publish merge ---------------------------------------------------------
+
+/// Drives one free-standing production with a seeded stream of raw deltas
+/// over a pool of Int rows (no Compare ties; counts up to 3; 1–3
+/// deliveries per commit, so the buffer spans several deltas and may net
+/// a row to zero) and checks after every publish that the merged rows
+/// equal a fresh sort of the bag, element for element, and that the epoch
+/// a reader still holds did not change. Resets the production before step
+/// `reset_at` and, at step `wipe_at`, retracts all but one row in a single
+/// delta — more entries than the view keeps, so the buffer outgrows its
+/// bound and the publish rebuilds (-1: never).
+void DrivePublishStream(uint64_t seed, int reset_at, int wipe_at) {
+  ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
+  auto row = [](int64_t k) { return Tuple({Value::Int(k)}); };
+  Rng rng(seed);
+  std::map<int64_t, int64_t> model;
+  uint64_t epoch = 0;
+  for (int step = 0; step < 200; ++step) {
+    if (step == reset_at) {
+      production.Reset();
+      model.clear();
+    }
+    const uint64_t deliveries = step == wipe_at ? 1 : 1 + rng.NextBelow(3);
+    for (uint64_t d = 0; d < deliveries; ++d) {
+      Delta delta;
+      if (step == wipe_at) {
+        for (auto it = std::next(model.begin()); it != model.end(); ++it) {
+          delta.push_back({row(it->first), -it->second});
+        }
+      } else {
+        std::set<int64_t> touched;
+        const uint64_t entries = 1 + rng.NextBelow(6);
+        for (uint64_t e = 0; e < entries; ++e) {
+          const int64_t k = static_cast<int64_t>(rng.NextBelow(64));
+          if (!touched.insert(k).second) continue;
+          auto have = model.find(k);
+          const int64_t m = have != model.end() && rng.NextBool(0.5)
+                                ? -rng.NextInRange(1, have->second)
+                                : rng.NextInRange(1, 3);
+          delta.push_back({row(k), m});
+        }
+      }
+      for (const DeltaEntry& entry : delta) {
+        const int64_t k = entry.tuple.at(0).AsInt();
+        if ((model[k] += entry.multiplicity) == 0) model.erase(k);
+      }
+      production.OnDelta(0, delta);
+    }
+    ProductionNode::EpochPtr held = production.PinSnapshot();
+    const std::vector<Tuple> frozen = held->rows;
+    production.PublishSnapshot(++epoch, 0);
+    ASSERT_EQ(production.PinSnapshot()->rows,
+              ProductionNode::SortedRows(production.results()))
+        << "seed " << seed << " step " << step;
+    ASSERT_EQ(held->rows, frozen) << "seed " << seed << " step " << step;
+    int64_t total = 0;
+    for (const auto& [k, count] : model) total += count;
+    ASSERT_EQ(production.results().total_count(), total);
+  }
+}
+
+TEST(PublishMerge, RandomStreamMatchesSortedBag) {
+  for (uint64_t seed : {1, 2, 3, 4}) DrivePublishStream(seed, -1, -1);
+}
+
+TEST(PublishMerge, ResetMidStreamRebuildsThenMerges) {
+  for (uint64_t seed : {5, 6}) DrivePublishStream(seed, 100, -1);
+}
+
+TEST(PublishMerge, DeltaLargerThanTheViewRebuildsThenMerges) {
+  for (uint64_t seed : {7, 8}) DrivePublishStream(seed, -1, 120);
+}
+
+// A superseded epoch is freed by the writer, never by a reader dropping
+// its pin: the publish that supersedes it keeps a reference, and a later
+// publish (changed or not) frees it once no reader pins it — except the
+// newest `retention` ones, kept regardless.
+TEST(PublishMerge, SupersededEpochsRetireOnTheWriter) {
+  ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
+  auto insert = [&production](int64_t k) {
+    production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
+  };
+  insert(1);
+  ASSERT_TRUE(production.PublishSnapshot(1, 0));
+  ProductionNode::EpochPtr pinned = production.PinSnapshot();
+  std::weak_ptr<const PublishedEpoch> first = pinned;
+  insert(2);
+  ASSERT_TRUE(production.PublishSnapshot(2, 0));
+  pinned.reset();  // the reader moves on: the writer still holds epoch 1
+  EXPECT_FALSE(first.expired());
+  EXPECT_FALSE(production.PublishSnapshot(3, 0));  // unchanged, still sweeps
+  EXPECT_TRUE(first.expired());
+
+  // Unpinned, yet kept while it is the newest superseded epoch.
+  std::weak_ptr<const PublishedEpoch> second = production.PinSnapshot();
+  insert(3);
+  ASSERT_TRUE(production.PublishSnapshot(4, 1));
+  EXPECT_FALSE(second.expired());
+  insert(4);
+  ASSERT_TRUE(production.PublishSnapshot(5, 1));
+  EXPECT_TRUE(second.expired());
+  EXPECT_EQ(production.PinSnapshot()->rows.size(), 4u);
 }
 
 // ---- Attach/Detach lifecycle -----------------------------------------------

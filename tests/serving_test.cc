@@ -1,7 +1,7 @@
 // Serving-path tests: epoch-published snapshots under concurrent readers.
 //
-// The contract under test (see the View class comment): Pin(), Snapshot(),
-// results() and size() are safe from any number of reader threads while
+// The contract under test (see the View class comment): Pin(), Snapshot()
+// and size() are safe from any number of reader threads while
 // the writer thread propagates changes, and every pinned snapshot is the
 // bit-exact state of some committed epoch — never a torn or mid-drain
 // state. The differential harness here drives a serial reference engine
@@ -12,6 +12,7 @@
 // turn the regression tests into data-race proofs; they are labelled
 // `serving` in CMake so CI's TSAN job picks them up.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -74,9 +75,9 @@ TEST(ServingSnapshot, ConcurrentSnapshotsOnOneViewAreSafe) {
 }
 
 /// Readers pin while the writer churns: every snapshot must be internally
-/// consistent (the sorted rendering matches its own bag) and frozen (two
-/// reads of one pinned object agree), even though commits land between
-/// and during the reads.
+/// consistent (its rows sorted, all of them covered) and frozen (two reads
+/// of one pinned object agree), even though commits land between and
+/// during the reads.
 TEST(ServingSnapshot, ReadersStayConsistentDuringWriterChurn) {
   ScopedThreadsEnv no_env(nullptr);
   PropertyGraph graph;
@@ -101,18 +102,20 @@ TEST(ServingSnapshot, ReadersStayConsistentDuringWriterChurn) {
       while (!done.load(std::memory_order_acquire)) {
         const View& view = *views[i++ % views.size()];
         std::shared_ptr<const ViewSnapshot> snap = view.Pin();
-        // No SKIP/LIMIT registered, so the rendering covers the bag.
+        // No SKIP/LIMIT registered, so the rows cover the whole result.
         EXPECT_EQ(static_cast<int64_t>(snap->rows().size()),
                   snap->total_rows());
-        EXPECT_EQ(snap->total_rows(), snap->bag().total_count());
+        EXPECT_TRUE(std::is_sorted(snap->rows().begin(), snap->rows().end(),
+                                   [](const Tuple& a, const Tuple& b) {
+                                     return Tuple::Compare(a, b) < 0;
+                                   }));
         // Two pins of the same epoch agree, whichever thread built the
         // cached rendering first.
         std::shared_ptr<const ViewSnapshot> again = view.Pin();
         if (again->epoch() == snap->epoch()) {
           EXPECT_EQ(again->rows(), snap->rows());
         }
-        std::shared_ptr<const Bag> bag = view.results();
-        EXPECT_GE(bag->total_count(), 0);
+        EXPECT_GE(view.size(), 0);
       }
     });
   }
@@ -203,9 +206,8 @@ void RunConcurrentReaderHarness(const EngineOptions& options, uint64_t seed,
             readers_pinned.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        // Exercise the other reader entry points too.
+        // Exercise the other reader entry point too.
         (void)test_views[v]->size();
-        (void)test_views[v]->results();
       }
     });
   }
@@ -426,6 +428,122 @@ TEST(ServingIngest, CounterReadsDuringIngestAreRaceFree) {
   EXPECT_GE(engine.ingest_batches(), 1);
   EXPECT_EQ((*view)->size(), 1);
   EXPECT_EQ((*view)->Snapshot()[0].at(0), Value::Int(kTotal));
+}
+
+/// `rows` as a bag: a multiset under Tuple ==, for comparisons that must
+/// not depend on the order of Compare-equal rows.
+Bag AsBag(const std::vector<Tuple>& rows) {
+  Bag bag;
+  for (const Tuple& row : rows) bag.Apply(row, 1);
+  return bag;
+}
+
+std::string Render(const std::vector<Tuple>& rows) {
+  std::string out;
+  for (const Tuple& row : rows) out += row.ToString() + " ";
+  return out;
+}
+
+bool SortedByCompare(const std::vector<Tuple>& rows) {
+  return std::is_sorted(rows.begin(), rows.end(),
+                        [](const Tuple& a, const Tuple& b) {
+                          return Tuple::Compare(a, b) < 0;
+                        });
+}
+
+/// Rows that tie under Tuple::Compare go through the publish merge one
+/// commit at a time. Int(1) and Double(1.0) tie and are also == (numbers
+/// compare numerically and hash alike), so either may stand for the
+/// other. Int(2^53 + 1) and Double(2^53) tie too — they are equal as
+/// doubles — but differ under == (the int is exact, and hashes apart):
+/// retracting one must keep the other, which a merge that located rows by
+/// Compare alone would get wrong.
+TEST(ServingSnapshot, TiedRowsMergeByEquality) {
+  ScopedThreadsEnv no_env(nullptr);
+  PropertyGraph graph;
+  graph.AddVertex({"N"}, {{"x", Value::Int(0)}});
+  graph.AddVertex({"N"}, {{"x", Value::Int(int64_t{1} << 54)}});
+  QueryEngine engine(&graph);
+  auto view = engine.Register("MATCH (n:N) RETURN n.x AS x");
+  ASSERT_TRUE(view.ok()) << view.status();
+
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Value> tied = {Value::Int(1),
+                                   Value::Double(1.0),
+                                   Value::Int(1),
+                                   Value::Int(big + 1),
+                                   Value::Double(static_cast<double>(big)),
+                                   Value::Int(big + 1)};
+  ASSERT_EQ(Value::Compare(tied[3], tied[4]), 0);
+  ASSERT_FALSE(Tuple({tied[3]}) == Tuple({tied[4]}));
+
+  auto check = [&](const std::string& step) {
+    std::shared_ptr<const ViewSnapshot> snap = (*view)->Pin();
+    auto expected = engine.EvaluateOnce((*view)->query());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_TRUE(SortedByCompare(snap->rows()))
+        << step << ": " << Render(snap->rows());
+    EXPECT_TRUE(AsBag(snap->rows()).counts() == AsBag(*expected).counts())
+        << step << ": " << Render(snap->rows()) << "vs EvaluateOnce "
+        << Render(*expected);
+    EXPECT_EQ(snap->total_rows(), static_cast<int64_t>(expected->size()))
+        << step;
+  };
+
+  std::vector<VertexId> added;
+  for (size_t i = 0; i < tied.size(); ++i) {
+    added.push_back(graph.AddVertex({"N"}, {{"x", tied[i]}}));
+    check("after adding " + tied[i].ToString() + " (#" + std::to_string(i) +
+          ")");
+  }
+  // Retract in an order that leaves each tie's other members behind.
+  for (size_t i : {size_t{4}, size_t{1}, size_t{3}, size_t{0}, size_t{5},
+                   size_t{2}}) {
+    ASSERT_TRUE(graph.RemoveVertex(added[i]).ok());
+    check("after retracting " + tied[i].ToString() + " (#" +
+          std::to_string(i) + ")");
+  }
+  EXPECT_EQ((*view)->size(), 2);
+}
+
+/// A view with SKIP/LIMIT slices the epoch's sorted rows exactly as
+/// EvaluateOnce slices a fresh evaluation, commit after commit, while
+/// total_rows() keeps counting the whole result.
+TEST(ServingSnapshot, SkipLimitSliceMatchesEvaluateOnce) {
+  ScopedThreadsEnv no_env(nullptr);
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  const std::vector<const char*> queries = {
+      "MATCH (n:A) RETURN n.x AS x SKIP 2 LIMIT 3",
+      "MATCH (n:A) RETURN n.x AS x SKIP 4",
+      "MATCH (n:A) RETURN n.x AS x LIMIT 2",
+      "MATCH (n:A) RETURN n.x AS x LIMIT 0",
+  };
+  std::vector<std::shared_ptr<View>> views;
+  for (const char* query : queries) {
+    auto view = engine.Register(query);
+    ASSERT_TRUE(view.ok()) << query << ": " << view.status();
+    views.push_back(*view);
+  }
+  std::vector<VertexId> added;
+  for (int step = 0; step < 12; ++step) {
+    if (step % 4 == 3) {
+      ASSERT_TRUE(graph.RemoveVertex(added[added.size() / 2]).ok());
+      added.erase(added.begin() + static_cast<ptrdiff_t>(added.size() / 2));
+    } else {
+      added.push_back(
+          graph.AddVertex({"A"}, {{"x", Value::Int((step * 7) % 5)}}));
+    }
+    for (size_t v = 0; v < views.size(); ++v) {
+      std::shared_ptr<const ViewSnapshot> snap = views[v]->Pin();
+      auto expected = engine.EvaluateOnce(queries[v]);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_EQ(snap->rows(), *expected) << queries[v] << " step " << step;
+      EXPECT_EQ(snap->total_rows(), static_cast<int64_t>(added.size()))
+          << queries[v] << " step " << step;
+      EXPECT_EQ(views[v]->size(), snap->total_rows()) << queries[v];
+    }
+  }
 }
 
 }  // namespace
