@@ -287,17 +287,12 @@ Result<Bag> BaselineEvaluator::EvalJoinLike(const OpPtr& op) const {
     }
     if (matched) {
       for (const auto& [rtuple, rcount] : it->second) {
-        std::vector<Value> values = ltuple.values();
-        for (int i : layout.right_rest) {
-          values.push_back(rtuple.at(static_cast<size_t>(i)));
-        }
-        out.Apply(Tuple(std::move(values)), lcount * rcount);
+        out.Apply(ltuple.ConcatProjected(rtuple, layout.right_rest),
+                  lcount * rcount);
       }
     } else if (op->kind == OpKind::kLeftOuterJoin) {
-      std::vector<Value> values = ltuple.values();
-      for (size_t i = 0; i < layout.right_rest.size(); ++i) {
-        values.push_back(Value::Null());
-      }
+      std::vector<Value> values(ltuple.begin(), ltuple.end());
+      values.resize(values.size() + layout.right_rest.size(), Value::Null());
       out.Apply(Tuple(std::move(values)), lcount);
     }
   }

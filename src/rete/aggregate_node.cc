@@ -137,7 +137,9 @@ Tuple AggregateNode::KeyOf(const Tuple& input) const {
 
 Tuple AggregateNode::RenderRow(const Tuple& key,
                                const GroupState& group) const {
-  std::vector<Value> values = key.values();
+  std::vector<Value> values;
+  values.reserve(key.size() + aggregates_.size());
+  values.assign(key.begin(), key.end());
   for (size_t i = 0; i < aggregates_.size(); ++i) {
     values.push_back(group.aggs[i].Render(aggregates_[i], group.total_rows));
   }
@@ -251,7 +253,7 @@ bool AggregateNode::ReplayOutput(Delta& out) const {
 size_t AggregateNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
   groups_.ForEach([&](const Tuple& key, const GroupState& group) {
-    bytes += sizeof(Tuple) + key.size() * sizeof(Value) + sizeof(GroupState);
+    bytes += key.ApproxMemoryBytes() + sizeof(GroupState);
     for (const AggState& agg : group.aggs) {
       bytes += agg.values.size() * (sizeof(Value) + sizeof(int64_t) + 48);
     }

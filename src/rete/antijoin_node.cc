@@ -85,10 +85,11 @@ bool AntiJoinNode::ReplayOutput(Delta& out) const {
 size_t AntiJoinNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
   left_memory_.ForEach([&](const Tuple& key, const Bag& bag) {
-    bytes += sizeof(Tuple) + key.size() * sizeof(Value);
-    bytes += bag.ApproxMemoryBytes();
+    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
   });
-  bytes += right_support_.size() * (sizeof(Tuple) + sizeof(int64_t));
+  right_support_.ForEach([&](const Tuple& key, int64_t support) {
+    bytes += key.ApproxMemoryBytes() + sizeof(support);
+  });
   return bytes;
 }
 

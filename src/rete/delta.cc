@@ -164,9 +164,7 @@ int64_t Bag::Count(const Tuple& tuple) const {
 size_t Bag::ApproxMemoryBytes() const {
   size_t bytes = counts_.bucket_count() * sizeof(void*);
   for (const auto& [tuple, count] : counts_) {
-    bytes += sizeof(Tuple) + sizeof(int64_t);
-    for (const Value& v : tuple.values()) bytes += v.ApproxMemoryBytes();
-    (void)count;
+    bytes += tuple.ApproxMemoryBytes() + sizeof(count);
   }
   return bytes;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/string_util.h"
 #include "value/path.h"
@@ -19,6 +20,10 @@ Tri ToTri(const Value& v) {
   // Non-boolean in a boolean position: treated as null (no exceptions).
   return Tri::kNull;
 }
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+/// 2^63: doubles in [-kTwo63, kTwo63) truncate to an in-range int64_t.
+constexpr double kTwo63 = 9223372036854775808.0;
 
 Value NumericBinary(BinaryOp op, const Value& a, const Value& b) {
   if (!a.is_numeric() || !b.is_numeric()) {
@@ -38,19 +43,24 @@ Value NumericBinary(BinaryOp op, const Value& a, const Value& b) {
   }
   bool both_int = a.is_int() && b.is_int();
   if (both_int) {
-    int64_t x = a.AsInt(), y = b.AsInt();
+    // Integer results that do not fit in 64 bits are null, like division
+    // by zero — never a wrapped value or a trap.
+    int64_t x = a.AsInt(), y = b.AsInt(), r = 0;
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Int(x + y);
+        if (__builtin_add_overflow(x, y, &r)) return Value::Null();
+        return Value::Int(r);
       case BinaryOp::kSub:
-        return Value::Int(x - y);
+        if (__builtin_sub_overflow(x, y, &r)) return Value::Null();
+        return Value::Int(r);
       case BinaryOp::kMul:
-        return Value::Int(x * y);
+        if (__builtin_mul_overflow(x, y, &r)) return Value::Null();
+        return Value::Int(r);
       case BinaryOp::kDiv:
-        if (y == 0) return Value::Null();
+        if (y == 0 || (x == kInt64Min && y == -1)) return Value::Null();
         return Value::Int(x / y);
       case BinaryOp::kMod:
-        if (y == 0) return Value::Null();
+        if (y == 0 || (x == kInt64Min && y == -1)) return Value::Null();
         return Value::Int(x % y);
       default:
         return Value::Null();
@@ -360,7 +370,10 @@ Value BoundExpression::EvalUnary(const Expression& e,
       return Value::Bool(t == Tri::kFalse);
     }
     case UnaryOp::kMinus:
-      if (operand.is_int()) return Value::Int(-operand.AsInt());
+      if (operand.is_int()) {
+        if (operand.AsInt() == kInt64Min) return Value::Null();
+        return Value::Int(-operand.AsInt());
+      }
       if (operand.is_double()) return Value::Double(-operand.AsDouble());
       return Value::Null();
     case UnaryOp::kIsNull:
@@ -519,7 +532,10 @@ Value BoundExpression::EvalFunction(const Expression& e,
     return arg(0).AsList().back();
   }
   if (e.name == "abs" && args.size() == 1) {
-    if (arg(0).is_int()) return Value::Int(std::abs(arg(0).AsInt()));
+    if (arg(0).is_int()) {
+      if (arg(0).AsInt() == kInt64Min) return Value::Null();
+      return Value::Int(std::abs(arg(0).AsInt()));
+    }
     if (arg(0).is_double()) return Value::Double(std::fabs(arg(0).AsDouble()));
     return Value::Null();
   }
@@ -576,10 +592,10 @@ Value BoundExpression::EvalFunction(const Expression& e,
     }
     ValueList out;
     int64_t lo = arg(0).AsInt(), hi = arg(1).AsInt();
-    if (step > 0) {
-      for (int64_t i = lo; i <= hi; i += step) out.push_back(Value::Int(i));
-    } else {
-      for (int64_t i = lo; i >= hi; i += step) out.push_back(Value::Int(i));
+    // Stops before the counter would step past INT64_MAX/INT64_MIN.
+    for (int64_t i = lo; step > 0 ? i <= hi : i >= hi;) {
+      out.push_back(Value::Int(i));
+      if (__builtin_add_overflow(i, step, &i)) break;
     }
     return Value::List(std::move(out));
   }
@@ -672,7 +688,12 @@ Value BoundExpression::EvalFunction(const Expression& e,
   if (e.name == "tointeger" && args.size() == 1) {
     if (arg(0).is_int()) return arg(0);
     if (arg(0).is_double()) {
-      return Value::Int(static_cast<int64_t>(arg(0).AsDouble()));
+      // Truncates toward zero; NaN and out-of-range doubles are null.
+      double d = arg(0).AsDouble();
+      if (!(d >= -kTwo63 && d < kTwo63)) {
+        return Value::Null();
+      }
+      return Value::Int(static_cast<int64_t>(d));
     }
     if (arg(0).is_string()) {
       // Malformed or out-of-range strings convert to null, never saturate.

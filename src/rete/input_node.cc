@@ -271,7 +271,7 @@ size_t VertexInputNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
   asserted_.ForEach([&](VertexId v, const Tuple& tuple) {
     (void)v;
-    bytes += sizeof(VertexId) + sizeof(Tuple) + tuple.size() * sizeof(Value);
+    bytes += sizeof(VertexId) + tuple.ApproxMemoryBytes();
   });
   return bytes;
 }
@@ -611,7 +611,7 @@ size_t EdgeInputNode::ApproxMemoryBytes() const {
     (void)e;
     bytes += sizeof(EdgeId);
     for (const Tuple& tuple : tuples) {
-      bytes += sizeof(Tuple) + tuple.size() * sizeof(Value);
+      bytes += tuple.ApproxMemoryBytes();
     }
   });
   return bytes;

@@ -105,12 +105,10 @@ bool JoinNode::ReplayOutput(Delta& out) const {
 size_t JoinNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
   left_memory_.ForEach([&](const Tuple& key, const Bag& bag) {
-    bytes += sizeof(Tuple) + key.size() * sizeof(Value);
-    bytes += bag.ApproxMemoryBytes();
+    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
   });
   right_memory_.ForEach([&](const Tuple& key, const Bag& bag) {
-    bytes += sizeof(Tuple) + key.size() * sizeof(Value);
-    bytes += bag.ApproxMemoryBytes();
+    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
   });
   return bytes;
 }

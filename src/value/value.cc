@@ -37,12 +37,36 @@ int TypeRank(Value::Type t) {
   return 9;
 }
 
+/// 2^63 as a double: integral doubles in [-kTwo63, kTwo63) are exactly the
+/// ones an int64_t can hold.
+constexpr double kTwo63 = 9223372036854775808.0;
+
+/// Exact comparison of an integer with a double — no rounding of `i` to
+/// double, so Int(2^53 + 1) sorts above Double(2^53). NaN sorts above every
+/// number.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d) || d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  double whole = std::trunc(d);
+  auto t = static_cast<int64_t>(whole);  // exact: whole is in range
+  if (i != t) return i < t ? -1 : 1;
+  double fraction = d - whole;
+  return fraction > 0 ? -1 : (fraction < 0 ? 1 : 0);
+}
+
+/// Numbers form one totally ordered class: ints and doubles compare by
+/// exact mathematical value (-0.0 == 0.0 == Int(0)), and NaN sits above
+/// every other number, equal only to NaN.
 int CompareNumbers(const Value& a, const Value& b) {
   if (a.is_int() && b.is_int()) {
     int64_t x = a.AsInt(), y = b.AsInt();
     return x < y ? -1 : (x > y ? 1 : 0);
   }
-  double x = a.NumericAsDouble(), y = b.NumericAsDouble();
+  if (a.is_int()) return CompareIntDouble(a.AsInt(), b.AsDouble());
+  if (b.is_int()) return -CompareIntDouble(b.AsInt(), a.AsDouble());
+  double x = a.AsDouble(), y = b.AsDouble();
+  bool x_nan = std::isnan(x), y_nan = std::isnan(y);
+  if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
   if (x < y) return -1;
   if (x > y) return 1;
   return 0;
@@ -56,6 +80,10 @@ int ThreeWay(const T& a, const T& b) {
 }
 
 }  // namespace
+
+Value Value::String(std::string s) {
+  return Value(Rep(std::make_shared<const std::string>(std::move(s))));
+}
 
 Value Value::List(ValueList elements) {
   return Value(Rep(std::make_shared<const ValueList>(std::move(elements))));
@@ -188,7 +216,7 @@ size_t Value::ApproxMemoryBytes() const {
   size_t bytes = sizeof(Value);
   switch (type()) {
     case Type::kString:
-      bytes += AsString().capacity();
+      bytes += sizeof(std::string) + AsString().capacity();
       break;
     case Type::kList:
       for (const Value& v : AsList()) bytes += v.ApproxMemoryBytes();
@@ -221,11 +249,13 @@ size_t Value::Hash() const {
       HashCombine(seed, std::hash<int64_t>{}(AsInt()));
       break;
     case Type::kDouble: {
-      // Hash integral doubles identically to the equal Int so hashing stays
-      // consistent with Compare (Int(1) == Double(1.0)).
+      // Hash a double equal to some Int as that Int, so hashing stays
+      // consistent with Compare (Int(1) == Double(1.0), and -0.0 == 0). All
+      // NaNs are equal, so they share one hash whatever their bits.
       double d = AsDouble();
-      double rounded = std::nearbyint(d);
-      if (rounded == d && std::abs(d) < 9.0e18) {
+      if (std::isnan(d)) {
+        HashCombine(seed, 0x4e614eu);  // "NaN"
+      } else if (std::trunc(d) == d && d >= -kTwo63 && d < kTwo63) {
         HashCombine(seed, std::hash<int64_t>{}(static_cast<int64_t>(d)));
       } else {
         HashCombine(seed, std::hash<double>{}(d));
@@ -268,8 +298,11 @@ int Value::Compare(const Value& a, const Value& b) {
     case Type::kInt:
     case Type::kDouble:
       return CompareNumbers(a, b);
-    case Type::kString:
-      return ThreeWay(a.AsString(), b.AsString());
+    case Type::kString: {
+      const auto& x = std::get<StringPtr>(a.rep_);
+      const auto& y = std::get<StringPtr>(b.rep_);
+      return x == y ? 0 : ThreeWay(*x, *y);
+    }
     case Type::kList: {
       const ValueList& x = a.AsList();
       const ValueList& y = b.AsList();

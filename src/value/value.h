@@ -28,8 +28,11 @@ using ValueMap = std::map<std::string, Value>;
 /// Dynamically typed value of the property graph data model.
 ///
 /// Types: null, bool, integer, double, string, list, map, vertex reference,
-/// edge reference, and path (ordered, atomic — see Path). Lists and maps are
-/// stored behind shared immutable pointers so copying a Value is cheap.
+/// edge reference, and path (ordered, atomic — see Path). Strings, lists,
+/// maps and paths are stored behind shared immutable pointers, so a Value is
+/// 24 bytes and copying one is at most a refcount bump — tuples hold their
+/// Values inline, and a string-keyed row shares its text with the graph's
+/// property column instead of copying it.
 ///
 /// The class provides a *total order* across all values (type rank first,
 /// numeric types compared numerically among themselves), equality consistent
@@ -57,7 +60,7 @@ class Value {
   static Value Bool(bool b) { return Value(Rep(b)); }
   static Value Int(int64_t i) { return Value(Rep(i)); }
   static Value Double(double d) { return Value(Rep(d)); }
-  static Value String(std::string s) { return Value(Rep(std::move(s))); }
+  static Value String(std::string s);
   static Value List(ValueList elements);
   static Value Map(ValueMap entries);
   static Value Vertex(VertexId id) { return Value(Rep(VertexTag{id})); }
@@ -86,7 +89,9 @@ class Value {
   bool AsBool() const { return std::get<bool>(rep_); }
   int64_t AsInt() const { return std::get<int64_t>(rep_); }
   double AsDouble() const { return std::get<double>(rep_); }
-  const std::string& AsString() const { return std::get<std::string>(rep_); }
+  /// Valid for as long as this Value (or any copy sharing its payload)
+  /// lives.
+  const std::string& AsString() const { return *std::get<StringPtr>(rep_); }
   const ValueList& AsList() const;
   const ValueMap& AsMap() const;
   VertexId AsVertex() const { return std::get<VertexTag>(rep_).id; }
@@ -109,8 +114,9 @@ class Value {
 
   /// Total order over all values. Type rank ordering:
   /// null < bool < number < string < list < map < vertex < edge < path,
-  /// with kInt and kDouble sharing the "number" rank and comparing
-  /// numerically (so Int(1) == Double(1.0)).
+  /// with kInt and kDouble sharing the "number" rank and comparing by exact
+  /// value (so Int(1) == Double(1.0), but Int(2^53 + 1) > Double(2^53)).
+  /// NaN sorts above every other number and equals only NaN.
   static int Compare(const Value& a, const Value& b);
 
   friend bool operator==(const Value& a, const Value& b) {
@@ -130,10 +136,11 @@ class Value {
   struct EdgeTag {
     EdgeId id;
   };
+  using StringPtr = std::shared_ptr<const std::string>;
   using ListPtr = std::shared_ptr<const ValueList>;
   using MapPtr = std::shared_ptr<const ValueMap>;
   using PathPtr = std::shared_ptr<const Path>;
-  using Rep = std::variant<std::monostate, bool, int64_t, double, std::string,
+  using Rep = std::variant<std::monostate, bool, int64_t, double, StringPtr,
                            ListPtr, MapPtr, VertexTag, EdgeTag, PathPtr>;
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "cypher/parser.h"
+#include "engine/query_engine.h"
 
 namespace pgivm {
 namespace {
@@ -32,6 +36,82 @@ TEST(ExpressionEvalTest, Arithmetic) {
   EXPECT_EQ(Eval("7 % 3"), Value::Int(1));
   EXPECT_EQ(Eval("-5"), Value::Int(-5));
   EXPECT_TRUE(Eval("1 / 0").is_null());  // No exceptions: null.
+}
+
+/// Evaluates `MATCH (n:N) RETURN <expr> AS r` over one vertex with x = `x`
+/// through both the incremental path (a registered view) and the baseline
+/// (EvaluateOnce); fails the test if the two disagree.
+Value EvalBothPaths(const std::string& expr_text, Value x = Value::Null()) {
+  PropertyGraph graph;
+  graph.AddVertex({"N"}, {{"x", std::move(x)}});
+  QueryEngine engine(&graph);
+  const std::string query = "MATCH (n:N) RETURN " + expr_text + " AS r";
+  auto view = engine.Register(query);
+  EXPECT_TRUE(view.ok()) << query << ": " << view.status();
+  auto baseline = engine.EvaluateOnce(query);
+  EXPECT_TRUE(baseline.ok()) << query << ": " << baseline.status();
+  if (!view.ok() || !baseline.ok()) return Value::String("<error>");
+  std::vector<Tuple> rows = (*view)->Snapshot();
+  EXPECT_EQ(rows.size(), 1u) << query;
+  EXPECT_EQ(baseline->size(), 1u) << query;
+  if (rows.size() != 1 || baseline->size() != 1) {
+    return Value::String("<error>");
+  }
+  EXPECT_TRUE(rows[0] == (*baseline)[0])
+      << query << ": view " << rows[0].ToString() << " vs baseline "
+      << (*baseline)[0].ToString();
+  return rows[0].at(0);
+}
+
+TEST(ExpressionEvalTest, IntegerOverflowIsNull) {
+  const std::string min = "(-9223372036854775807 - 1)";
+  const Value max = Value::Int(INT64_MAX);
+  // INT64_MIN / -1 and % -1 used to trap (SIGFPE).
+  EXPECT_TRUE(EvalBothPaths(min + " / -1").is_null());
+  EXPECT_TRUE(EvalBothPaths(min + " % -1").is_null());
+  EXPECT_TRUE(EvalBothPaths("-" + min).is_null());
+  EXPECT_TRUE(EvalBothPaths("abs" + min).is_null());
+  EXPECT_TRUE(EvalBothPaths("9223372036854775807 + n.x", Value::Int(1))
+                  .is_null());
+  EXPECT_TRUE(EvalBothPaths("n.x + 1", max).is_null());
+  EXPECT_TRUE(EvalBothPaths(min + " - n.x", Value::Int(1)).is_null());
+  EXPECT_TRUE(EvalBothPaths("4611686018427387904 * 4").is_null());
+  EXPECT_TRUE(EvalBothPaths("n.x * -2", max).is_null());
+  // In-range results at the edges are still exact.
+  EXPECT_EQ(EvalBothPaths("n.x + 0", max), max);
+  EXPECT_EQ(EvalBothPaths(min + " / 1"), Value::Int(INT64_MIN));
+  EXPECT_EQ(EvalBothPaths(min + " % 2"), Value::Int(0));
+  EXPECT_EQ(EvalBothPaths("-n.x", max), Value::Int(-INT64_MAX));
+  EXPECT_EQ(EvalBothPaths("4611686018427387904 * -2"), Value::Int(INT64_MIN));
+  EXPECT_EQ(EvalBothPaths("size(range(n.x - 2, n.x))", max), Value::Int(3));
+}
+
+TEST(ExpressionEvalTest, ToIntegerOutOfRangeIsNull) {
+  EXPECT_TRUE(EvalBothPaths("toInteger(1.0e30)").is_null());
+  EXPECT_TRUE(EvalBothPaths("toInteger(-1.0e30)").is_null());
+  EXPECT_TRUE(EvalBothPaths("toInteger(9223372036854775808.0)").is_null());
+  EXPECT_TRUE(EvalBothPaths("toInteger(n.x)", Value::Double(NAN)).is_null());
+  EXPECT_TRUE(
+      EvalBothPaths("toInteger(n.x)", Value::Double(INFINITY)).is_null());
+  EXPECT_EQ(EvalBothPaths("toInteger(-9223372036854775808.0)"),
+            Value::Int(INT64_MIN));
+  EXPECT_EQ(EvalBothPaths("toInteger(-2.9)"), Value::Int(-2));
+  EXPECT_EQ(EvalBothPaths("toInteger(2.9)"), Value::Int(2));
+}
+
+TEST(ExpressionEvalTest, NaNEqualsNoOtherNumber) {
+  const std::string nan = "(1.0e308 * 10.0 - 1.0e308 * 10.0)";
+  EXPECT_EQ(EvalBothPaths(nan + " = 5"), Value::Bool(false));
+  EXPECT_EQ(EvalBothPaths(nan + " = 6"), Value::Bool(false));
+  EXPECT_EQ(EvalBothPaths(nan + " = n.x", Value::Int(5)), Value::Bool(false));
+  EXPECT_EQ(EvalBothPaths(nan + " > 1.0e308"), Value::Bool(true));
+  // Int against Double compares the exact values, not the rounded int.
+  EXPECT_EQ(EvalBothPaths("9007199254740993 = 9007199254740992.0"),
+            Value::Bool(false));
+  EXPECT_EQ(EvalBothPaths("9007199254740993 > 9007199254740992.0"),
+            Value::Bool(true));
+  EXPECT_EQ(EvalBothPaths("9007199254740992 = 9007199254740992.0"),
+            Value::Bool(true));
 }
 
 TEST(ExpressionEvalTest, StringAndListConcatenation) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace pgivm {
 namespace {
 
@@ -91,6 +96,85 @@ TEST(ValueTest, CopyIsCheapAndShared) {
   Value b = a;  // Shares the payload.
   EXPECT_EQ(a, b);
   EXPECT_EQ(b.AsList().size(), 1000u);
+}
+
+TEST(ValueTest, CopiedStringSharesPayload) {
+  Value copy;
+  {
+    Value source = Value::String(std::string(64, 's'));
+    copy = source;
+    // One payload behind both Values: a copy is a refcount bump.
+    EXPECT_EQ(&copy.AsString(), &source.AsString());
+  }
+  // The payload outlives the Value it was created in.
+  EXPECT_EQ(copy.AsString(), std::string(64, 's'));
+  EXPECT_EQ(sizeof(Value), 24u);
+}
+
+/// Numbers near the edges of exact double and int64 representation, plus
+/// NaN and both zeros: Value::Compare must be a total order over them
+/// (antisymmetric and transitive), and equal values must hash alike.
+TEST(ValueTest, NumericOrderIsTotalNearPrecisionEdges) {
+  const int64_t p53 = int64_t{1} << 53;
+  const double two63 = 9223372036854775808.0;
+  std::vector<Value> grid = {Value::Double(std::nan("")),
+                             Value::Double(-std::nan("")),
+                             Value::Double(INFINITY),
+                             Value::Double(-INFINITY),
+                             Value::Double(0.0),
+                             Value::Double(-0.0),
+                             Value::Int(0),
+                             Value::Double(0.5),
+                             Value::Double(-0.5),
+                             Value::Int(INT64_MAX),
+                             Value::Int(INT64_MAX - 1),
+                             Value::Int(INT64_MIN),
+                             Value::Int(INT64_MIN + 1),
+                             Value::Double(two63),
+                             Value::Double(-two63),
+                             Value::Double(std::nextafter(two63, 0.0)),
+                             Value::Double(std::nextafter(-two63, 0.0)),
+                             Value::Double(std::nextafter(-two63, -INFINITY))};
+  for (int64_t sign : {1, -1}) {
+    for (int64_t d = -2; d <= 2; ++d) {
+      grid.push_back(Value::Int(sign * p53 + d));
+      grid.push_back(Value::Double(static_cast<double>(sign * p53 + d)));
+    }
+    grid.push_back(Value::Double(sign * (static_cast<double>(p53) + 0.5)));
+    grid.push_back(Value::Double(sign * (static_cast<double>(p53) - 0.5)));
+  }
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : grid) {
+    for (const Value& b : grid) {
+      int ab = Value::Compare(a, b);
+      ASSERT_EQ(sign(ab), -sign(Value::Compare(b, a)))
+          << a.ToString() << " vs " << b.ToString();
+      if (ab == 0) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " == " << b.ToString();
+      }
+      for (const Value& c : grid) {
+        int bc = Value::Compare(b, c);
+        if (ab <= 0 && bc <= 0) {
+          int ac = Value::Compare(a, c);
+          ASSERT_LE(ac, 0) << a.ToString() << " <= " << b.ToString()
+                           << " <= " << c.ToString();
+          if (ab == 0 && bc == 0) {
+            ASSERT_EQ(ac, 0);
+          }
+        }
+      }
+    }
+  }
+  // Spot checks of the exact order.
+  EXPECT_LT(Value::Double(static_cast<double>(p53)), Value::Int(p53 + 1));
+  EXPECT_EQ(Value::Int(p53), Value::Double(static_cast<double>(p53)));
+  EXPECT_LT(Value::Int(INT64_MAX), Value::Double(two63));
+  EXPECT_EQ(Value::Int(INT64_MIN), Value::Double(-two63));
+  EXPECT_EQ(Value::Double(0.0), Value::Double(-0.0));
+  EXPECT_EQ(Value::Double(std::nan("")), Value::Double(-std::nan("")));
+  EXPECT_LT(Value::Double(INFINITY), Value::Double(std::nan("")));
+  EXPECT_LT(Value::Int(INT64_MAX), Value::Double(std::nan("")));
+  EXPECT_NE(Value::Double(std::nan("")), Value::Int(5));
 }
 
 TEST(ValueTest, TypeNames) {
