@@ -1,5 +1,6 @@
 #include "algebra/compiler.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,6 +16,7 @@ struct EdgeEndpoints {
   std::string source;  // graph-direction source variable
   std::string target;
   bool directed = true;
+  std::vector<std::string> types;  // empty = any type
 };
 
 bool ContainsPatternPredicate(const ExprPtr& expr) {
@@ -218,7 +220,8 @@ class Compiler {
             rel.direction == RelPattern::Direction::kIn ? dst : prev;
         std::string target =
             rel.direction == RelPattern::Direction::kIn ? prev : dst;
-        edge_endpoints_[rel.variable] = {source, target, directed};
+        edge_endpoints_[rel.variable] = {source, target, directed,
+                                         rel.types};
         path_args.push_back(MakeVariable(rel.variable));
         path_args.push_back(MakeVariable(dst));
         PGIVM_RETURN_IF_ERROR(
@@ -247,6 +250,36 @@ class Compiler {
     return plan;
   }
 
+  /// Cypher relationship-uniqueness: distinct relationship variables of one
+  /// pattern bind distinct edges. Two variables whose type lists are both
+  /// non-empty and disjoint can never bind the same edge, so their
+  /// conjunct is skipped. (Paths enforce trail semantics internally;
+  /// cross-constraints between paths and single edges are not enforced —
+  /// a documented simplification.)
+  void AddUniquenessConjuncts(const std::vector<std::string>& edge_vars,
+                              std::vector<ExprPtr>& selections) const {
+    for (size_t i = 0; i < edge_vars.size(); ++i) {
+      for (size_t j = i + 1; j < edge_vars.size(); ++j) {
+        if (!MayBindSameEdge(edge_vars[i], edge_vars[j])) continue;
+        selections.push_back(MakeBinary(BinaryOp::kNe,
+                                        MakeVariable(edge_vars[i]),
+                                        MakeVariable(edge_vars[j])));
+      }
+    }
+  }
+
+  bool MayBindSameEdge(const std::string& a, const std::string& b) const {
+    const std::vector<std::string>& a_types = edge_endpoints_.at(a).types;
+    const std::vector<std::string>& b_types = edge_endpoints_.at(b).types;
+    if (a_types.empty() || b_types.empty()) return true;
+    for (const std::string& type : a_types) {
+      if (std::find(b_types.begin(), b_types.end(), type) != b_types.end()) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   Result<OpPtr> CompileMatch(const MatchClause& match, OpPtr current) {
     std::vector<ExprPtr> selections;
     std::vector<std::string> clause_edge_vars;
@@ -261,17 +294,7 @@ class Compiler {
       match_plan = JoinOps(std::move(match_plan), std::move(part_plan));
     }
 
-    // Cypher relationship-uniqueness: distinct relationship variables of one
-    // MATCH bind distinct edges. (Paths enforce trail semantics internally;
-    // cross-constraints between paths and single edges are not enforced —
-    // a documented simplification.)
-    for (size_t i = 0; i < clause_edge_vars.size(); ++i) {
-      for (size_t j = i + 1; j < clause_edge_vars.size(); ++j) {
-        selections.push_back(MakeBinary(BinaryOp::kNe,
-                                        MakeVariable(clause_edge_vars[i]),
-                                        MakeVariable(clause_edge_vars[j])));
-      }
-    }
+    AddUniquenessConjuncts(clause_edge_vars, selections);
 
     // Split WHERE into plain conjuncts and exists(pattern) predicates;
     // the latter become semi-joins (positive) / anti-joins (negated).
@@ -340,13 +363,7 @@ class Compiler {
           OpPtr sub_plan,
           CompilePart(match.pattern_predicates[static_cast<size_t>(index)],
                       sub_selections, sub_edge_vars, sub_paths));
-      for (size_t i = 0; i < sub_edge_vars.size(); ++i) {
-        for (size_t j = i + 1; j < sub_edge_vars.size(); ++j) {
-          sub_selections.push_back(
-              MakeBinary(BinaryOp::kNe, MakeVariable(sub_edge_vars[i]),
-                         MakeVariable(sub_edge_vars[j])));
-        }
-      }
+      AddUniquenessConjuncts(sub_edge_vars, sub_selections);
       if (!sub_selections.empty()) {
         OpPtr sel = MakeOp(OpKind::kSelection, {std::move(sub_plan)});
         sel->predicate = ConjoinAll(sub_selections);

@@ -83,11 +83,15 @@ std::string LogicalOp::DebugString() const {
     case OpKind::kGetEdges: {
       const char* arrow_in = direction == EdgeDirection::kIn ? "<-" : "-";
       const char* arrow_out = direction == EdgeDirection::kOut ? "->" : "-";
-      os << " (" << src_var << ")" << arrow_in << "[" << edge_var;
+      os << " (" << src_var;
+      for (const std::string& l : src_labels) os << ":" << l;
+      os << ")" << arrow_in << "[" << edge_var;
       for (size_t i = 0; i < edge_types.size(); ++i) {
         os << (i == 0 ? ":" : "|") << edge_types[i];
       }
-      os << "]" << arrow_out << "(" << dst_var << ")";
+      os << "]" << arrow_out << "(" << dst_var;
+      for (const std::string& l : dst_labels) os << ":" << l;
+      os << ")";
       print_extracts(extracts);
       break;
     }
@@ -435,6 +439,7 @@ bool PlanEqual(const OpPtr& a, const OpPtr& b) {
   if (a->vertex_var != b->vertex_var || a->labels != b->labels ||
       a->src_var != b->src_var || a->edge_var != b->edge_var ||
       a->dst_var != b->dst_var || a->edge_types != b->edge_types ||
+      a->src_labels != b->src_labels || a->dst_labels != b->dst_labels ||
       a->direction != b->direction ||
       a->variable_length != b->variable_length ||
       a->min_hops != b->min_hops || a->max_hops != b->max_hops ||
@@ -468,6 +473,12 @@ size_t PlanHash(const OpPtr& op) {
   HashCombine(seed, HashString(op->dst_var));
   for (const std::string& type : op->edge_types) {
     HashCombine(seed, HashString(type));
+  }
+  for (const auto* labels : {&op->src_labels, &op->dst_labels}) {
+    HashCombine(seed, labels->size());
+    for (const std::string& label : *labels) {
+      HashCombine(seed, HashString(label));
+    }
   }
   HashCombine(seed, static_cast<size_t>(op->direction));
   HashCombine(seed, static_cast<size_t>(op->min_hops));

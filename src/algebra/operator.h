@@ -90,6 +90,11 @@ struct LogicalOp {
   std::vector<std::string> edge_types;  // empty = any type
   EdgeDirection direction = EdgeDirection::kOut;
 
+  // kGetEdges: labels the src/dst endpoint must carry (empty = any vertex),
+  // folded in from the region's get-vertices leaves by FoldEndpointLabels.
+  std::vector<std::string> src_labels;
+  std::vector<std::string> dst_labels;
+
   // kExpand / kPathJoin variable-length parameters.
   bool variable_length = false;
   int64_t min_hops = 1;

@@ -138,6 +138,8 @@ class Canonicalizer {
 
       case OpKind::kGetEdges:
         std::sort(copy->edge_types.begin(), copy->edge_types.end());
+        std::sort(copy->src_labels.begin(), copy->src_labels.end());
+        std::sort(copy->dst_labels.begin(), copy->dst_labels.end());
         std::sort(copy->extracts.begin(), copy->extracts.end(),
                   [&copy](const PropertyExtract& a, const PropertyExtract& b) {
                     return ExtractLess(a, b, *copy);

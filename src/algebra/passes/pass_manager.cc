@@ -45,6 +45,11 @@ Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options) {
     PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
   }
 
+  // Label-only vertex scans fold into the edge leaves that bind the same
+  // endpoints (no option: there is one plan shape).
+  plan = FoldEndpointLabels(plan);
+  PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
+
   // Canonical normalization runs last, on the final FRA shape, so the
   // catalog's fingerprint registry sees one normal form per logical plan.
   if (options.canonicalize) {

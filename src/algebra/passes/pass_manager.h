@@ -84,6 +84,25 @@ void PruneUnusedExtracts(const OpPtr& root);
 /// place (schemas stale afterwards).
 void NarrowUnnestOutputs(const OpPtr& root);
 
+/// Moves vertex-label constraints into the get-edges leaves of the same
+/// inner-join region — the paper's ⇑(v:V)[e:E](w:W). A region is a maximal
+/// tree of kJoin and kSelection nodes; it never extends through outer,
+/// semi-, anti- or path joins, unions, aggregates or unnests. Inside each
+/// region:
+///
+///  1. every get-edges leaf takes, as src_labels/dst_labels, the labels of
+///     every get-vertices leaf on its src_var/dst_var — including leaves
+///     that stay, so a pattern with and without a property predicate on an
+///     endpoint still shares one edge leaf;
+///  2. a get-vertices leaf without extracts that is a direct child of a
+///     kJoin whose other input binds its variable is deleted when some
+///     get-edges leaf of the region has that variable as an endpoint.
+///
+/// Runs on every plan, after NarrowUnnestOutputs and before
+/// CanonicalizePlan. Requires schemas computed; returns a rewritten tree
+/// (schemas stale).
+OpPtr FoldEndpointLabels(const OpPtr& root);
+
 /// Canonical plan normalization (the last FRA pass; PlanOptions::
 /// canonicalize). Rewrites the plan into a normal form chosen so that
 /// logically equal plans become structurally — for same-alias spellings,

@@ -267,6 +267,8 @@ bool CanonOp(const LogicalOp& op, std::string* out) {
       out->append("E(");
       AppendSorted(op.edge_types, out);
       AppendInt(static_cast<int64_t>(op.direction), out);
+      AppendSorted(op.src_labels, out);
+      AppendSorted(op.dst_labels, out);
       // Anonymous pattern elements may be absent from the schema: -1 is a
       // legitimate canonical position ("not emitted").
       out->push_back('@');
@@ -621,6 +623,7 @@ OpPtr MirrorUndirectedLeaf(const LogicalOp& op) {
   }
   auto mirror = std::make_shared<LogicalOp>(op);
   std::swap(mirror->src_var, mirror->dst_var);
+  std::swap(mirror->src_labels, mirror->dst_labels);
   // Extract roles flipped with the swap; restore the canonical
   // (role, what, key) order the canonicalize pass sorts leaves into —
   // property pushdown dedups accesses, so the triple is unique per leaf.

@@ -64,8 +64,8 @@ uint64_t FingerprintHash(const std::string& key);
 std::string FormatFingerprint(const std::string& key);
 
 /// The mirrored spelling of an undirected edge leaf: a copy of `op` with
-/// src_var and dst_var swapped, extracts re-sorted into the canonical
-/// (role, what, key) order and the schema recomputed. An undirected
+/// src_var/dst_var and their labels swapped, extracts re-sorted into the
+/// canonical (role, what, key) order and the schema recomputed. An undirected
 /// (kBoth) scan emits both orientations of every edge, so the mirror binds
 /// the *same* set of rows — swapping the endpoint roles is a pure renaming
 /// of the leaf's internals, and the canonicalizer is free to pick

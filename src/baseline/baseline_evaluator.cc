@@ -139,9 +139,23 @@ Result<Bag> BaselineEvaluator::EvalGetEdges(const OpPtr& op) const {
     }
     if (allowed_types.empty()) return out;
   }
+  std::vector<SymbolId> src_labels;
+  std::vector<SymbolId> dst_labels;
+  if (!ResolveNames(graph_->symbols(), op->src_labels, &src_labels) ||
+      !ResolveNames(graph_->symbols(), op->dst_labels, &dst_labels)) {
+    return out;  // a label the graph has never seen matches nothing
+  }
+  auto has_all = [this](VertexId v, const std::vector<SymbolId>& labels) {
+    for (SymbolId label : labels) {
+      if (!graph_->VertexHasLabel(v, label)) return false;
+    }
+    return true;
+  };
   std::vector<SymbolId> keys =
       ResolveExtractKeys(graph_->symbols(), op->extracts);
+  // Orientation (a -> b) of edge `e`, when its endpoints carry the labels.
   auto build = [&](VertexId a, VertexId b, EdgeId e) {
+    if (!has_all(a, src_labels) || !has_all(b, dst_labels)) return;
     std::vector<Value> values;
     values.reserve(3 + op->extracts.size());
     values.push_back(Value::Vertex(a));

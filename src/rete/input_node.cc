@@ -24,6 +24,20 @@ Value PropertyValue(const ValueMap& properties, const std::string& key) {
 /// True when `partition` (of `partitions`) owns entity `id` — the same
 /// shard-granular ownership the ShardedIdMap asserted-state uses, so an
 /// owning partition's map writes stay within its own shards.
+/// Label test against live graph state: resolved symbols + binary search
+/// over the vertex's sorted label-id set — no string handling.
+bool HasAllLabels(const PropertyGraph& graph, VertexId v,
+                  const std::vector<SymbolRef>& refs) {
+  const SymbolTable& symbols = graph.symbols();
+  for (const SymbolRef& ref : refs) {
+    SymbolId label = ref.Resolve(symbols);
+    // Unresolved: the label name has never been interned, so no vertex
+    // carries it.
+    if (label == kNoSymbol || !graph.VertexHasLabel(v, label)) return false;
+  }
+  return true;
+}
+
 template <typename Id>
 bool OwnsEntity(Id id, uint32_t partition, uint32_t partitions) {
   return partitions <= 1 ||
@@ -68,14 +82,7 @@ bool VertexInputNode::Matches(const std::vector<std::string>& labels) const {
 }
 
 bool VertexInputNode::MatchesGraph(VertexId v) const {
-  const SymbolTable& symbols = graph_->symbols();
-  for (const SymbolRef& ref : required_label_refs_) {
-    SymbolId label = ref.Resolve(symbols);
-    // Unresolved: the label name has never been interned, so no vertex
-    // carries it.
-    if (label == kNoSymbol || !graph_->VertexHasLabel(v, label)) return false;
-  }
-  return true;
+  return HasAllLabels(*graph_, v, required_label_refs_);
 }
 
 Value VertexInputNode::ExtractValue(const PropertyExtract& extract,
@@ -286,6 +293,8 @@ EdgeInputNode::EdgeInputNode(Schema schema, const PropertyGraph* graph,
                              std::vector<std::string> types, bool undirected,
                              std::string src_var, std::string edge_var,
                              std::string dst_var,
+                             std::vector<std::string> src_labels,
+                             std::vector<std::string> dst_labels,
                              std::vector<PropertyExtract> extracts)
     : ReteNode(std::move(schema)),
       graph_(graph),
@@ -294,9 +303,17 @@ EdgeInputNode::EdgeInputNode(Schema schema, const PropertyGraph* graph,
       src_var_(std::move(src_var)),
       edge_var_(std::move(edge_var)),
       dst_var_(std::move(dst_var)),
+      src_labels_(std::move(src_labels)),
+      dst_labels_(std::move(dst_labels)),
       extracts_(std::move(extracts)) {
   type_refs_.reserve(types_.size());
   for (const std::string& type : types_) type_refs_.emplace_back(type);
+  for (const std::string& label : src_labels_) {
+    src_label_refs_.emplace_back(label);
+  }
+  for (const std::string& label : dst_labels_) {
+    dst_label_refs_.emplace_back(label);
+  }
   extract_key_refs_.reserve(extracts_.size());
   for (const PropertyExtract& extract : extracts_) {
     if (extract.element_var != edge_var_) depends_on_vertices_ = true;
@@ -325,6 +342,19 @@ bool EdgeInputNode::TypeMatchesId(SymbolId type) const {
     if (ref.Resolve(symbols) == type) return true;
   }
   return false;
+}
+
+bool EdgeInputNode::EndpointsMatch(VertexId a, VertexId b) const {
+  return HasAllLabels(*graph_, a, src_label_refs_) &&
+         HasAllLabels(*graph_, b, dst_label_refs_);
+}
+
+bool EdgeInputNode::LabelMatters(const std::string& label) const {
+  return depends_on_vertices_ ||
+         std::find(src_labels_.begin(), src_labels_.end(), label) !=
+             src_labels_.end() ||
+         std::find(dst_labels_.begin(), dst_labels_.end(), label) !=
+             dst_labels_.end();
 }
 
 Value EdgeInputNode::ExtractValue(size_t i, VertexId a, VertexId b,
@@ -423,64 +453,80 @@ Tuple EdgeInputNode::BuildTupleFromGraph(VertexId a, VertexId b,
   return Tuple(std::move(values));
 }
 
+void EdgeInputNode::Store(EdgeId e, std::vector<Tuple> tuples, Delta& out) {
+  if (tuples.empty()) return;
+  for (const Tuple& tuple : tuples) out.push_back({tuple, 1});
+  asserted_.shard(e).emplace(e, std::move(tuples));
+}
+
 void EdgeInputNode::AssertEdge(EdgeId e, VertexId src, VertexId dst,
                                const std::string& type,
                                const ValueMap& edge_properties, Delta& out) {
-  std::vector<Tuple>& tuples = asserted_.shard(e)[e];
-  tuples.push_back(BuildTuple(src, dst, e, type, edge_properties));
-  out.push_back({tuples.back(), 1});
-  if (undirected_ && src != dst) {
-    tuples.push_back(BuildTuple(dst, src, e, type, edge_properties));
-    out.push_back({tuples.back(), 1});
+  std::vector<Tuple> tuples;
+  if (EndpointsMatch(src, dst)) {
+    tuples.push_back(BuildTuple(src, dst, e, type, edge_properties));
   }
+  if (undirected_ && src != dst && EndpointsMatch(dst, src)) {
+    tuples.push_back(BuildTuple(dst, src, e, type, edge_properties));
+  }
+  Store(e, std::move(tuples), out);
 }
 
-void EdgeInputNode::AssertEdgeFromGraph(EdgeId e, Delta& out) {
+std::vector<Tuple> EdgeInputNode::TuplesFromGraph(EdgeId e) const {
   VertexId src = graph_->EdgeSource(e);
   VertexId dst = graph_->EdgeTarget(e);
-  std::vector<Tuple>& tuples = asserted_.shard(e)[e];
-  tuples.push_back(BuildTupleFromGraph(src, dst, e));
-  out.push_back({tuples.back(), 1});
-  if (undirected_ && src != dst) {
+  std::vector<Tuple> tuples;
+  if (EndpointsMatch(src, dst)) {
+    tuples.push_back(BuildTupleFromGraph(src, dst, e));
+  }
+  if (undirected_ && src != dst && EndpointsMatch(dst, src)) {
     tuples.push_back(BuildTupleFromGraph(dst, src, e));
-    out.push_back({tuples.back(), 1});
+  }
+  return tuples;
+}
+
+void EdgeInputNode::Reconcile(EdgeId e, Delta& out) {
+  std::vector<Tuple> fresh = TuplesFromGraph(e);
+  auto& shard = asserted_.shard(e);
+  auto it = shard.find(e);
+  if (it == shard.end()) {
+    Store(e, std::move(fresh), out);
+    return;
+  }
+  // At most two orientation tuples per side: a linear diff is cheapest.
+  std::vector<Tuple>& stored = it->second;
+  for (const Tuple& tuple : stored) {
+    if (std::find(fresh.begin(), fresh.end(), tuple) == fresh.end()) {
+      out.push_back({tuple, -1});
+    }
+  }
+  for (const Tuple& tuple : fresh) {
+    if (std::find(stored.begin(), stored.end(), tuple) == stored.end()) {
+      out.push_back({tuple, 1});
+    }
+  }
+  if (fresh.empty()) {
+    shard.erase(it);
+  } else {
+    stored = std::move(fresh);
   }
 }
 
 void EdgeInputNode::RefreshIncident(VertexId v, uint32_t partition,
                                     uint32_t partitions, Delta& out) {
-  std::vector<EdgeId> incident = graph_->OutEdges(v);
-  const std::vector<EdgeId>& in = graph_->InEdges(v);
-  incident.insert(incident.end(), in.begin(), in.end());
-  std::sort(incident.begin(), incident.end());
-  incident.erase(std::unique(incident.begin(), incident.end()),
-                 incident.end());
-  // Worst case every incident stored orientation flips: one retract/assert
-  // pair per tuple.
-  out.reserve(out.size() + 2 * incident.size() * (undirected_ ? 2 : 1));
-  for (EdgeId e : incident) {
-    // Edge ownership, not vertex ownership: every partition scans the
-    // incident list but refreshes only its own edges, so an edge touched
-    // via both endpoints in one batch still has a single writer.
-    if (!OwnsEntity(e, partition, partitions)) continue;
-    std::vector<Tuple>* stored = asserted_.Find(e);
-    if (stored == nullptr) continue;
-    VertexId src = graph_->EdgeSource(e);
-    VertexId dst = graph_->EdgeTarget(e);
-    // Interned fast path: tight typed reads per extract, no per-edge
-    // property-map materialization or string hashing.
-    std::vector<Tuple> fresh;
-    fresh.push_back(BuildTupleFromGraph(src, dst, e));
-    if (undirected_ && src != dst) {
-      fresh.push_back(BuildTupleFromGraph(dst, src, e));
-    }
-    for (size_t i = 0; i < stored->size(); ++i) {
-      if (!((*stored)[i] == fresh[i])) {
-        out.push_back({(*stored)[i], -1});
-        out.push_back({fresh[i], 1});
-      }
-    }
-    *stored = std::move(fresh);
+  // Walks the incident lists in place; only edges of a matching type build
+  // tuples, so a hub vertex costs O(matching edges) beyond the scan. Edge
+  // ownership, not vertex ownership: every partition scans the lists but
+  // reconciles only its own edges, so an edge touched via both endpoints
+  // in one batch still has a single writer.
+  auto visit = [&](EdgeId e) {
+    if (!OwnsEntity(e, partition, partitions)) return;
+    if (!TypeMatchesId(graph_->EdgeTypeId(e))) return;
+    Reconcile(e, out);
+  };
+  for (EdgeId e : graph_->OutEdges(v)) visit(e);
+  for (EdgeId e : graph_->InEdges(v)) {
+    if (graph_->EdgeSource(e) != v) visit(e);  // self-loops came out-side
   }
 }
 
@@ -496,6 +542,9 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
       // extracts would read from the post-batch graph). Skip the assert; the
       // matching kRemoveEdge later in this delta then finds nothing stored.
       if (!graph_->HasEdge(change.edge)) return;
+      // An endpoint update earlier in this batch already reconciled the
+      // edge against the live graph (edge ids are never reused).
+      if (asserted_.Find(change.edge) != nullptr) return;
       AssertEdge(change.edge, change.src, change.dst, change.edge_type,
                  change.properties, out);
       return;
@@ -541,9 +590,13 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
       return;
     }
     case GraphChange::Kind::kSetVertexProperty:
+      if (!depends_on_vertices_) return;
+      if (!graph_->HasVertex(change.vertex)) return;
+      RefreshIncident(change.vertex, partition, partitions, out);
+      return;
     case GraphChange::Kind::kAddVertexLabel:
     case GraphChange::Kind::kRemoveVertexLabel:
-      if (!depends_on_vertices_) return;
+      if (change.labels.empty() || !LabelMatters(change.labels[0])) return;
       if (!graph_->HasVertex(change.vertex)) return;
       RefreshIncident(change.vertex, partition, partitions, out);
       return;
@@ -568,7 +621,7 @@ void EdgeInputNode::EmitInitialFromGraph() {
   Delta delta;
   auto consider = [this, &delta](EdgeId e) {
     if (!TypeMatchesId(graph_->EdgeTypeId(e))) return;
-    AssertEdgeFromGraph(e, delta);
+    Store(e, TuplesFromGraph(e), delta);
   };
   // Reserve against the *filtered* candidate count (one entry per
   // orientation), not the whole edge store — a selective type over a huge
@@ -618,8 +671,18 @@ size_t EdgeInputNode::ApproxMemoryBytes() const {
 }
 
 std::string EdgeInputNode::DebugString() const {
+  auto labels = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (const std::string& name : names) out.append(StrCat(":", name));
+    return out;
+  };
+  std::string endpoints;
+  if (!src_labels_.empty() || !dst_labels_.empty()) {
+    endpoints = StrCat(" (", labels(src_labels_), ")->(",
+                       labels(dst_labels_), ")");
+  }
   return StrCat("Edges[:", StrJoin(types_, "|"), undirected_ ? " undir" : "",
-                "]");
+                endpoints, "]");
 }
 
 // ---- UnitInputNode ---------------------------------------------------------

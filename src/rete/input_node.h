@@ -111,20 +111,24 @@ class VertexInputNode : public ReteNode, public GraphSourceNode {
   ShardedIdMap<VertexId, Tuple> asserted_;
 };
 
-/// ⇑ — the get-edges base relation: one tuple [src, e, dst, extracts...]
-/// per live edge of a matching type (two orientation tuples for undirected
-/// patterns). Extracts may read the edge's own properties/type or the
+/// ⇑(src:SrcLabels)-[e:Types]->(dst:DstLabels) — the get-edges base
+/// relation: one tuple [src, e, dst, extracts...] per live edge of a
+/// matching type whose endpoints carry the required labels (for undirected
+/// patterns, each of the two orientation tuples is tested and asserted on
+/// its own). Extracts may read the edge's own properties/type or the
 /// endpoint vertices' properties/labels — the node reacts to endpoint
 /// updates via the incident-edge lists. The asserted map is sharded by
 /// edge id; partitioned translation owns edges (vertex-side updates are
-/// scanned by every partition, each refreshing only the incident edges it
+/// scanned by every partition, each reconciling only the incident edges it
 /// owns).
 class EdgeInputNode : public ReteNode, public GraphSourceNode {
  public:
   EdgeInputNode(Schema schema, const PropertyGraph* graph,
                 std::vector<std::string> types, bool undirected,
                 std::string src_var, std::string edge_var,
-                std::string dst_var, std::vector<PropertyExtract> extracts);
+                std::string dst_var, std::vector<std::string> src_labels,
+                std::vector<std::string> dst_labels,
+                std::vector<PropertyExtract> extracts);
 
   void OnDelta(int port, const Delta& delta) override;
   void HandleChange(const GraphChange& change) override;
@@ -146,6 +150,8 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
   bool TypeMatches(const std::string& type) const;
   /// Type test against an interned type symbol (live graph state).
   bool TypeMatchesId(SymbolId type) const;
+  /// Label test of orientation (a -> b) against live graph state.
+  bool EndpointsMatch(VertexId a, VertexId b) const;
   /// Builds the tuple for orientation (a -> b) of edge `e` from a change
   /// record's type/properties. Extract `i` reads through extracts_[i] /
   /// extract_key_refs_[i].
@@ -162,12 +168,21 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
   void AssertEdge(EdgeId e, VertexId src, VertexId dst,
                   const std::string& type, const ValueMap& edge_properties,
                   Delta& out);
-  /// AssertEdge reading live graph state (priming path).
-  void AssertEdgeFromGraph(EdgeId e, Delta& out);
-  /// Recomputes stored tuples of every incident edge of `v` that
-  /// `partition` owns after a vertex-side update.
+  /// The orientation tuples live graph state implies for edge `e`, whose
+  /// type already matched.
+  std::vector<Tuple> TuplesFromGraph(EdgeId e) const;
+  /// Stores and asserts `tuples` as edge `e`'s (nothing stored when empty).
+  void Store(EdgeId e, std::vector<Tuple> tuples, Delta& out);
+  /// Reconciles every incident edge of `v` of a matching type that
+  /// `partition` owns after a vertex-side update: the tuples the live graph
+  /// now implies replace the stored ones, and the difference is emitted.
+  /// Edges that did not match before (an endpoint lacked a label) are
+  /// picked up as well.
   void RefreshIncident(VertexId v, uint32_t partition, uint32_t partitions,
                        Delta& out);
+  void Reconcile(EdgeId e, Delta& out);
+  /// True when a label change of `label` can alter this node's output.
+  bool LabelMatters(const std::string& label) const;
   void TranslateChange(const GraphChange& change, uint32_t partition,
                        uint32_t partitions, Delta& out);
 
@@ -177,10 +192,15 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
   std::string src_var_;
   std::string edge_var_;
   std::string dst_var_;
+  std::vector<std::string> src_labels_;
+  std::vector<std::string> dst_labels_;
   std::vector<PropertyExtract> extracts_;
   // Plan-time name→symbol resolution (lazy, cached): one ref per allowed
-  // type, and one per extract (meaningful for kProperty only).
+  // type, one per required endpoint label, and one per extract (meaningful
+  // for kProperty only).
   std::vector<SymbolRef> type_refs_;
+  std::vector<SymbolRef> src_label_refs_;
+  std::vector<SymbolRef> dst_label_refs_;
   std::vector<SymbolRef> extract_key_refs_;
   bool depends_on_vertices_ = false;
   ShardedIdMap<EdgeId, std::vector<Tuple>> asserted_;

@@ -96,7 +96,7 @@ class Builder {
         auto* node = Create(std::make_unique<EdgeInputNode>(
             op->schema, graph_, op->edge_types,
             op->direction == EdgeDirection::kBoth, op->src_var, op->edge_var,
-            op->dst_var, op->extracts));
+            op->dst_var, op->src_labels, op->dst_labels, op->extracts));
         network_->RegisterSource(node);
         return Built{node, {node}};
       }

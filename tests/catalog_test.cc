@@ -61,6 +61,37 @@ TEST(NodeRegistry, CanonicalKeysAreAliasInsensitive) {
   EXPECT_NE(key_a, key_c);  // edge types do
 }
 
+TEST(NodeRegistry, EndpointLabelsAreKeyed) {
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  auto labelled = engine.Compile("MATCH (a:A)-[:R]->(b) RETURN a, b");
+  auto plain = engine.Compile("MATCH (a)-[:R]->(b) RETURN a, b");
+  ASSERT_TRUE(labelled.ok() && plain.ok());
+  EXPECT_NE(CanonicalPlanKey(**labelled), CanonicalPlanKey(**plain));
+}
+
+TEST(CatalogSharing, MirroredUndirectedLabelledEdgeSharesOneEdgeInput) {
+  PropertyGraph graph;
+  SocialNetworkConfig config;
+  config.persons = 10;
+  SocialNetworkGenerator generator(config);
+  generator.Populate(&graph);
+
+  QueryEngine engine(&graph);
+  auto first = engine.Register("MATCH (a:Person)-[e]-(b) RETURN a, e, b");
+  auto second = engine.Register("MATCH (b)-[e]-(a:Person) RETURN a, e, b");
+  ASSERT_TRUE(first.ok() && second.ok());
+  std::string dump = engine.catalog().shared_network()->DebugString();
+  size_t edge_inputs = 0;
+  for (size_t at = dump.find("Edges["); at != std::string::npos;
+       at = dump.find("Edges[", at + 1)) {
+    ++edge_inputs;
+  }
+  EXPECT_EQ(edge_inputs, 1u) << dump;
+  EXPECT_GT(engine.catalog().Stats().shared_nodes, 0u);
+  EXPECT_EQ((*first)->Snapshot().size(), (*second)->Snapshot().size());
+}
+
 TEST(CatalogSharing, RenamedDuplicateViewAddsOnlyAProduction) {
   PropertyGraph graph;
   SocialNetworkConfig config;

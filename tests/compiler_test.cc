@@ -93,6 +93,27 @@ TEST(CompilerTest, EdgeUniquenessConstraintGenerated) {
   EXPECT_NE(sel->predicate->ToString().find("r1 <> r2"), std::string::npos);
 }
 
+TEST(CompilerTest, EdgeUniquenessSkippedForDisjointTypes) {
+  // KNOWS and HAS_CREATOR edges can never be the same edge: no conjunct,
+  // and with no other predicate no selection at all.
+  OpPtr plan = Compile(
+      "MATCH (a)-[r1:KNOWS]->(b)<-[r2:HAS_CREATOR|LIKES]-(c) RETURN a");
+  EXPECT_EQ(FindKind(plan, OpKind::kSelection), nullptr);
+}
+
+TEST(CompilerTest, EdgeUniquenessKeptForOverlappingOrUntypedEdges) {
+  // Overlapping type lists (T shared) and an untyped edge may both bind
+  // the edge r1 binds.
+  OpPtr plan = Compile(
+      "MATCH (a)-[r1:T|U]->(b)-[r2:T]->(c)-[r3]->(d) RETURN a");
+  const LogicalOp* sel = FindKind(plan, OpKind::kSelection);
+  ASSERT_NE(sel, nullptr);
+  std::string predicate = sel->predicate->ToString();
+  EXPECT_NE(predicate.find("r1 <> r2"), std::string::npos) << predicate;
+  EXPECT_NE(predicate.find("r1 <> r3"), std::string::npos) << predicate;
+  EXPECT_NE(predicate.find("r2 <> r3"), std::string::npos) << predicate;
+}
+
 TEST(CompilerTest, ChainRebindingRenamesAndEquates) {
   // (a)-->(b)-->(a): the second `a` becomes a fresh column equated to `a`.
   OpPtr plan = Compile("MATCH (a)-[r1:T]->(b)-[r2:T]->(a) RETURN a");

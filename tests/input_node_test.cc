@@ -142,7 +142,9 @@ TEST(VertexInputNodeTest, LabelsExtractRefreshes) {
 
 struct EdgeFixture {
   EdgeFixture(std::vector<std::string> types, bool undirected,
-              std::vector<PropertyExtract> extracts) {
+              std::vector<PropertyExtract> extracts,
+              std::vector<std::string> src_labels = {},
+              std::vector<std::string> dst_labels = {}) {
     Schema schema({{"s", Attribute::Kind::kVertex},
                    {"e", Attribute::Kind::kEdge},
                    {"t", Attribute::Kind::kVertex}});
@@ -151,6 +153,8 @@ struct EdgeFixture {
     }
     node = std::make_unique<EdgeInputNode>(schema, &graph, std::move(types),
                                            undirected, "s", "e", "t",
+                                           std::move(src_labels),
+                                           std::move(dst_labels),
                                            std::move(extracts));
     node->AddOutput(&sink, 0);
     adapter = std::make_unique<Adapter>(node.get());
@@ -193,6 +197,67 @@ TEST(EdgeInputNodeTest, UndirectedSelfLoopEmitsOnce) {
   VertexId a = f.graph.AddVertex({});
   (void)f.graph.AddEdge(a, a, "T").value();
   EXPECT_EQ(f.sink.bag.total_count(), 1);
+}
+
+TEST(EdgeInputNodeTest, EndpointLabelsFilterEachOrientation) {
+  EdgeFixture f({"T"}, /*undirected=*/true, {}, {"A"}, {});
+  VertexId a = f.graph.AddVertex({});
+  VertexId b = f.graph.AddVertex({});
+  EdgeId e = f.graph.AddEdge(a, b, "T").value();
+  Tuple ab({Value::Vertex(a), Value::Edge(e), Value::Vertex(b)});
+  Tuple ba({Value::Vertex(b), Value::Edge(e), Value::Vertex(a)});
+  EXPECT_EQ(f.sink.bag.total_count(), 0);
+
+  // A label change reconciles an incident edge that was never stored.
+  ASSERT_TRUE(f.graph.AddVertexLabel(a, "A").ok());
+  EXPECT_EQ(f.sink.bag.Count(ab), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+  ASSERT_TRUE(f.graph.AddVertexLabel(b, "A").ok());
+  EXPECT_EQ(f.sink.bag.Count(ba), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 2);
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(a, "A").ok());
+  EXPECT_EQ(f.sink.bag.Count(ab), 0);
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+  // A label the pattern does not mention touches nothing.
+  int seen = f.sink.entries_seen;
+  ASSERT_TRUE(f.graph.AddVertexLabel(b, "Z").ok());
+  EXPECT_EQ(f.sink.entries_seen, seen);
+}
+
+TEST(EdgeInputNodeTest, BatchedLabelThenEdgeAssertsOnce) {
+  EdgeFixture f({"T"}, false, {}, {"A"}, {});
+  VertexId a = f.graph.AddVertex({});
+  VertexId b = f.graph.AddVertex({});
+  f.graph.BeginBatch();
+  ASSERT_TRUE(f.graph.AddVertexLabel(a, "A").ok());
+  (void)f.graph.AddEdge(a, b, "T").value();
+  f.graph.CommitBatch();
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+  EXPECT_EQ(f.sink.entries_seen, 1);
+}
+
+TEST(EdgeInputNodeTest, BatchedEdgeThenLabelAssertsOnce) {
+  EdgeFixture f({"T"}, false, {}, {"A"}, {});
+  VertexId a = f.graph.AddVertex({});
+  VertexId b = f.graph.AddVertex({});
+  f.graph.BeginBatch();
+  (void)f.graph.AddEdge(a, b, "T").value();
+  ASSERT_TRUE(f.graph.AddVertexLabel(a, "A").ok());
+  f.graph.CommitBatch();
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+  EXPECT_EQ(f.sink.entries_seen, 1);
+}
+
+TEST(EdgeInputNodeTest, BatchedEdgeThenLabelRemovalNetsToZero) {
+  EdgeFixture f({"T"}, false, {}, {}, {"B"});
+  VertexId a = f.graph.AddVertex({});
+  VertexId b = f.graph.AddVertex({"B"});
+  f.graph.BeginBatch();
+  (void)f.graph.AddEdge(a, b, "T").value();
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(b, "B").ok());
+  f.graph.CommitBatch();
+  EXPECT_EQ(f.sink.bag.total_count(), 0);
+  EXPECT_EQ(f.sink.bag.distinct_size(), 0u);
 }
 
 TEST(EdgeInputNodeTest, EdgePropertyExtractMaintained) {

@@ -5,6 +5,8 @@
 #include "algebra/compiler.h"
 #include "algebra/plan_printer.h"
 #include "cypher/parser.h"
+#include "workload/railway.h"
+#include "workload/snb_driver.h"
 
 namespace pgivm {
 namespace {
@@ -292,6 +294,98 @@ TEST(NarrowUnnestTest, DisabledByOption) {
   const LogicalOp* unnest = FindKind(fra, OpKind::kUnnest);
   ASSERT_NE(unnest, nullptr);
   EXPECT_TRUE(unnest->unnest_drop_columns.empty());
+}
+
+// ---- Endpoint-label folding ------------------------------------------------
+
+TEST(FoldEndpointLabelsTest, FriendOfFriendKeepsOnlyEdgeLeaves) {
+  OpPtr fra = Fra(
+      "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) "
+      "RETURN a, c");
+  EXPECT_EQ(CountKind(fra, OpKind::kGetVertices), 0) << PrintPlan(fra);
+  std::vector<const LogicalOp*> edges = FindAll(fra, OpKind::kGetEdges);
+  ASSERT_EQ(edges.size(), 2u) << PrintPlan(fra);
+  for (const LogicalOp* leaf : edges) {
+    EXPECT_EQ(leaf->src_labels, std::vector<std::string>{"Person"});
+    EXPECT_EQ(leaf->dst_labels, std::vector<std::string>{"Person"});
+  }
+  EXPECT_NE(PrintPlan(fra).find("(a:Person)-["), std::string::npos)
+      << PrintPlan(fra);
+}
+
+TEST(FoldEndpointLabelsTest, LeafWithExtractsStaysAndLendsItsLabels) {
+  OpPtr fra = Fra("MATCH (a:A)-[:R]->(b:B) WHERE b.x > 0 RETURN a, b");
+  std::vector<const LogicalOp*> vertices = FindAll(fra, OpKind::kGetVertices);
+  ASSERT_EQ(vertices.size(), 1u) << PrintPlan(fra);
+  EXPECT_EQ(vertices[0]->vertex_var, "b");
+  EXPECT_FALSE(vertices[0]->extracts.empty());
+  const LogicalOp* edges = FindKind(fra, OpKind::kGetEdges);
+  ASSERT_NE(edges, nullptr);
+  EXPECT_EQ(edges->src_labels, std::vector<std::string>{"A"});
+  EXPECT_EQ(edges->dst_labels, std::vector<std::string>{"B"});
+}
+
+TEST(FoldEndpointLabelsTest, NothingFoldsAcrossOptionalExistsOrPathJoin) {
+  // OPTIONAL MATCH: the outer label stays on the outer vertex leaf.
+  OpPtr optional =
+      Fra("MATCH (a:A) OPTIONAL MATCH (a)-[r:R]->(b) RETURN a, b");
+  ASSERT_EQ(CountKind(optional, OpKind::kGetVertices), 1);
+  ASSERT_NE(FindKind(optional, OpKind::kGetEdges), nullptr);
+  EXPECT_TRUE(FindKind(optional, OpKind::kGetEdges)->src_labels.empty());
+
+  // exists(): labels fold inside the probe pattern, never out of it.
+  OpPtr exists = Fra("MATCH (a:A) WHERE exists((a)-[:R]->(:B)) RETURN a");
+  ASSERT_EQ(CountKind(exists, OpKind::kGetVertices), 1) << PrintPlan(exists);
+  const LogicalOp* probe = FindKind(exists, OpKind::kGetEdges);
+  ASSERT_NE(probe, nullptr);
+  EXPECT_TRUE(probe->src_labels.empty());
+  EXPECT_EQ(probe->dst_labels, std::vector<std::string>{"B"});
+
+  // A path join target keeps its vertex leaf: there is no edge leaf to
+  // carry the label.
+  OpPtr path = Fra("MATCH (a:A)-[:R*]->(b:B) RETURN a, b");
+  EXPECT_EQ(CountKind(path, OpKind::kGetVertices), 2) << PrintPlan(path);
+}
+
+TEST(FoldEndpointLabelsTest, UnlabelledChainStartLeafIsDropped) {
+  OpPtr fra = Fra("MATCH (a)-[r:R]->(b) RETURN a, r, b");
+  EXPECT_EQ(CountKind(fra, OpKind::kGetVertices), 0) << PrintPlan(fra);
+  EXPECT_EQ(CountKind(fra, OpKind::kJoin), 0) << PrintPlan(fra);
+}
+
+/// True when some extract-free get-vertices leaf is joined (kJoin) onto an
+/// input — the label-only scans the fold deletes.
+bool HasLabelOnlyVertexJoin(const OpPtr& op) {
+  if (op->kind == OpKind::kJoin) {
+    for (const OpPtr& child : op->children) {
+      if (child->kind == OpKind::kGetVertices && child->extracts.empty()) {
+        return true;
+      }
+    }
+  }
+  for (const OpPtr& child : op->children) {
+    if (HasLabelOnlyVertexJoin(child)) return true;
+  }
+  return false;
+}
+
+TEST(FoldEndpointLabelsTest, WorkloadPlansHaveNoLabelOnlyVertexJoins) {
+  std::vector<std::string> queries = SnbDriver::ComplexReadQueries();
+  for (const std::string& query : SnbDriver::ShortReadQueries()) {
+    queries.push_back(query);
+  }
+  for (const std::string& query :
+       {RailwayGenerator::PosLengthQuery(),
+        RailwayGenerator::SwitchMonitoredQuery(),
+        RailwayGenerator::RouteSensorQuery(),
+        RailwayGenerator::SwitchSetQuery()}) {
+    queries.push_back(query);
+  }
+  for (const std::string& query : queries) {
+    OpPtr fra = Fra(query);
+    EXPECT_FALSE(HasLabelOnlyVertexJoin(fra)) << query << "\n"
+                                              << PrintPlan(fra);
+  }
 }
 
 // ---- Full pipeline invariants ----------------------------------------------
