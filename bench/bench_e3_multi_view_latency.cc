@@ -156,12 +156,9 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
         engine.Register(catalog[static_cast<size_t>(i) % pool]).value());
   }
 
-  const ReteNetwork* network = engine.catalog().shared_network();
-  auto total_emitted = [network]() {
-    return network == nullptr ? int64_t{0} : network->TotalEmittedEntries();
-  };
+  const ReteNetwork& network = engine.catalog().network();
 
-  int64_t emitted_before = total_emitted();
+  int64_t emitted_before = network.TotalEmittedEntries();
   for (auto _ : state) {
     graph.BeginBatch();
     for (int i = 0; i < kChangesPerBatch; ++i) {
@@ -169,9 +166,8 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
     }
     graph.CommitBatch();
   }
-  int64_t emitted = total_emitted() - emitted_before;
-  int parallelism =
-      network == nullptr ? 1 : network->executor_parallelism();
+  int64_t emitted = network.TotalEmittedEntries() - emitted_before;
+  int parallelism = network.executor_parallelism();
 
   CatalogStats stats = engine.catalog().Stats();
   state.SetItemsProcessed(state.iterations() * kChangesPerBatch);

@@ -277,7 +277,7 @@ void BM_E8_NetworkChurnSweep(benchmark::State& state) {
   int64_t batch_size = state.range(0);
 
   PropertyGraph graph;
-  ReteNetwork network;
+  ReteNetwork network(&graph, NetworkOptions{});
   Schema vs({{"v", Attribute::Kind::kVertex}});
   auto* left = network.Add(std::make_unique<VertexInputNode>(
       vs, &graph, std::vector<std::string>{"A"},
@@ -292,8 +292,8 @@ void BM_E8_NetworkChurnSweep(benchmark::State& state) {
   right->AddOutput(join, 1);
   auto* production = network.Add(std::make_unique<ProductionNode>(vs));
   join->AddOutput(production, 0);
-  network.SetProduction(production);
-  network.Attach(&graph);
+  network.RegisterProduction(production);
+  network.PrimeNewNodes({left, right, join, production}, {}, {});
 
   for (auto _ : state) {
     graph.BeginBatch();

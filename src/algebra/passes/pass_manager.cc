@@ -25,20 +25,13 @@ Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options) {
 
   // Step 3 (paper): NRA -> FRA. Minimal schema inference pushes property
   // accesses into the leaves (or whole maps, in the ablation mode).
-  if (options.property_pushdown || options.naive_property_maps) {
-    PGIVM_RETURN_IF_ERROR(
-        PushDownProperties(plan, options.naive_property_maps));
-  }
+  PGIVM_RETURN_IF_ERROR(PushDownProperties(plan, options.naive_property_maps));
 
-  if (options.filter_pushdown) {
-    plan = PushDownFilters(plan);
-    PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
-  }
+  plan = PushDownFilters(plan);
+  PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
 
-  if (options.column_pruning) {
-    PruneUnusedExtracts(plan);
-    PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
-  }
+  PruneUnusedExtracts(plan);
+  PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
 
   if (options.narrow_unnest_outputs) {
     NarrowUnnestOutputs(plan);

@@ -7,26 +7,16 @@
 namespace pgivm {
 
 /// Plan lowering configuration. The defaults produce the paper's FRA plan;
-/// the flags exist for the ablation experiments (E6). Runtime behaviour of
-/// the instantiated network (wave executor, fine-grained unnest) is
-/// configured separately via NetworkOptions in rete/network_builder.h;
-/// EngineOptions bundles both.
+/// the flags exist for the ablation experiments (E4, E6) and the
+/// differential oracle. Runtime behaviour of the instantiated network (wave
+/// executor, fine-grained unnest) is configured separately via
+/// NetworkOptions in rete/network.h; EngineOptions bundles both.
 struct PlanOptions {
-  /// Infer the minimal property schema and push accesses into ◯/⇑ leaves
-  /// (paper step 3). When false together with naive_property_maps, plans
-  /// that read graph properties are rejected by the Rete builder.
-  bool property_pushdown = true;
-
-  /// Ablation mode: instead of per-property columns, leaves materialize the
-  /// *entire* property map of each element and accesses become map lookups —
-  /// what an engine without schema inference must do.
+  /// Ablation mode of property pushdown (paper step 3): instead of
+  /// per-property columns, leaves materialize the *entire* property map of
+  /// each element and accesses become map lookups — what an engine without
+  /// schema inference must do.
   bool naive_property_maps = false;
-
-  /// Push selection conjuncts below joins toward the leaves.
-  bool filter_pushdown = true;
-
-  /// Drop extracted columns that no operator references.
-  bool column_pruning = true;
 
   /// Drop columns from unnest *outputs* when they only feed the collection
   /// expression — the structural prerequisite of fine-grained unnest

@@ -36,9 +36,4 @@ void NodeRegistry::RemoveNodes(const std::vector<ReteNode*>& nodes) {
   }
 }
 
-void NodeRegistry::Clear() {
-  by_key_.clear();
-  key_of_root_.clear();
-}
-
 }  // namespace pgivm

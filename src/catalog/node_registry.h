@@ -33,9 +33,7 @@ class ReteNode;
 /// teardown path, which runs on the engine-owning thread.
 ///
 /// Lifecycle: entries never outlive their nodes. RemoveNodes must be
-/// called whenever refcount-zero roots are destroyed; Clear() drops all
-/// entries (when the last view tears the shared network down) but keeps
-/// the lifetime hit/miss counters for CatalogStats.
+/// called whenever refcount-zero roots are destroyed.
 class NodeRegistry {
  public:
   struct Entry {
@@ -60,8 +58,6 @@ class NodeRegistry {
   /// surviving entry can never reference a removed node (any view that hit
   /// the entry also held references on its whole support).
   void RemoveNodes(const std::vector<ReteNode*>& nodes);
-
-  void Clear();
 
   size_t size() const { return by_key_.size(); }
   int64_t hits() const { return hits_; }

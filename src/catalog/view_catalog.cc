@@ -28,6 +28,13 @@ std::shared_ptr<ViewCatalog> ViewCatalog::Create(
                  ApplyEnvExecutorOverride(network_options)))));
 }
 
+ViewCatalog::ViewCatalog(PropertyGraph* graph, NetworkOptions network_options)
+    : graph_(graph),
+      network_options_(network_options),
+      metrics_(std::make_shared<MetricsRegistry>()),
+      profiling_flag_(network_options.profiling),
+      network_(graph, network_options, metrics_.get()) {}
+
 Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
                                                    OpPtr gra, OpPtr fra,
                                                    int64_t skip,
@@ -43,24 +50,7 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   view->skip_ = skip;
   view->limit_ = limit;
 
-  const bool live = network_ != nullptr && network_->attached();
-  if (network_ == nullptr) {
-    network_ = std::make_unique<ReteNetwork>();
-    network_->set_executor(network_options_.executor,
-                           network_options_.num_threads);
-    network_->set_consolidation_cutoff(network_options_.consolidation_cutoff);
-    network_->set_parallel_min_wave_entries(
-        network_options_.parallel_min_wave_entries);
-    network_->set_morsel_min_node_entries(
-        network_options_.morsel_min_node_entries);
-    network_->set_morsel_partitions(network_options_.morsel_partitions);
-    network_->set_epoch_retention(network_options_.epoch_retention);
-    network_->set_thread_pool(EnginePool());
-    network_->set_metrics(metrics_.get());
-    network_->set_trace_capacity(network_options_.trace_capacity);
-    network_->set_profiling(profiling_flag_.load(std::memory_order_relaxed));
-  }
-  Result<BuiltView> built = BuildViewInto(network_.get(), view->fra_, graph_,
+  Result<BuiltView> built = BuildViewInto(&network_, view->fra_, graph_,
                                           network_options_, registry_);
   if (!built.ok()) return built.status();
 
@@ -72,41 +62,30 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   entries_.push_back(std::move(entry));
 
   view->catalog_ = shared_from_this();
-  view->network_ = network_.get();
+  view->network_ = &network_;
   view->production_ = entries_.back().production;
 
-  if (live) {
-    // Incremental priming: the registry partitioned the plan into hits
-    // (live nodes, already primed by sibling views) and misses (the
-    // `created` nodes, empty). Each reused node that gained a consumer
-    // replays its materialized memory into just that consumer; only the
-    // genuinely new sub-plans read the graph, through their own fresh
-    // source nodes. Work is proportional to the new view's own state —
-    // the rest of the catalog is neither re-primed nor even visited.
-    std::unordered_set<const ReteNode*> fresh(built->created.begin(),
-                                              built->created.end());
-    std::vector<ReteNetwork::ReplayEdge> replays;
-    for (ReteNode* node : entries_.back().nodes) {
-      if (fresh.count(node) > 0) continue;  // registry miss: built now
-      for (const auto& [down, port] : node->outputs()) {
-        // Any reused → fresh subscription was wired by this registration
-        // (the consumer did not exist before it).
-        if (fresh.count(down) > 0) replays.push_back({node, down, port});
-      }
+  // Priming: the registry partitioned the plan into hits (live nodes,
+  // already primed by sibling views) and misses (the `created` nodes,
+  // empty). Each reused node that gained a consumer replays its
+  // materialized memory into just that consumer; only the genuinely new
+  // sub-plans read the graph, through their own fresh source nodes. Work is
+  // proportional to the new view's own state — the rest of the catalog is
+  // neither re-primed nor even visited. The first registration is the case
+  // with no hits: every primed tuple comes from the graph.
+  std::unordered_set<const ReteNode*> fresh(built->created.begin(),
+                                            built->created.end());
+  std::vector<ReteNetwork::ReplayEdge> replays;
+  for (ReteNode* node : entries_.back().nodes) {
+    if (fresh.count(node) > 0) continue;  // registry miss: built now
+    for (const auto& [down, port] : node->outputs()) {
+      // Any reused → fresh subscription was wired by this registration
+      // (the consumer did not exist before it).
+      if (fresh.count(down) > 0) replays.push_back({node, down, port});
     }
-    last_prime_ = network_->PrimeNewNodes(built->created, replays,
-                                          entries_.back().nodes);
-  } else {
-    // First registration: the network attaches and primes as a whole, so
-    // every primed tuple comes from the graph.
-    last_prime_ = ReteNetwork::PrimeStats{};
-    last_prime_.fresh_nodes = built->created.size();
-    int64_t before = network_->SourceEmittedEntries();
-    network_->Attach(graph_);
-    last_prime_.graph_primed_entries =
-        network_->SourceEmittedEntries() - before;
-    last_prime_.primed_sources = network_->source_count();
   }
+  last_prime_ = network_.PrimeNewNodes(built->created, replays,
+                                       entries_.back().nodes);
   replayed_entries_ += last_prime_.replayed_entries;
   graph_primed_entries_ += last_prime_.graph_primed_entries;
   view->prime_stats_ = last_prime_;
@@ -120,17 +99,7 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
 
 void ViewCatalog::SetProfiling(bool on) {
   profiling_flag_.store(on, std::memory_order_relaxed);
-  if (network_ != nullptr) network_->set_profiling(on);
-}
-
-std::shared_ptr<ThreadPool> ViewCatalog::EnginePool() {
-  if (pool_ != nullptr) return pool_;
-  // A serial (or single-thread-resolved) configuration never needs workers.
-  if (network_options_.executor != ExecutorKind::kParallel) return nullptr;
-  int threads = ThreadPool::ResolveThreadCount(network_options_.num_threads);
-  if (threads <= 1) return nullptr;
-  pool_ = std::make_shared<ThreadPool>(threads);
-  return pool_;
+  network_.set_profiling(on);
 }
 
 void ViewCatalog::Deregister(View* view) {
@@ -152,18 +121,7 @@ void ViewCatalog::Deregister(View* view) {
     }
   }
   registry_.RemoveNodes(victims);
-  // Every entry lives in network_, so survivors exist iff any entry
-  // remains.
-  if (!entries_.empty()) {
-    network_->RemoveNodes(victims);
-  } else {
-    // Last view gone: drop the whole shared network. Registry entries are
-    // all rooted at victims by now; Clear() keeps the lifetime hit/miss
-    // counters.
-    network_.reset();
-    registry_.Clear();
-    refcounts_.clear();
-  }
+  network_.RemoveNodes(victims);
 }
 
 CatalogStats ViewCatalog::Stats() const {
@@ -173,10 +131,8 @@ CatalogStats ViewCatalog::Stats() const {
   stats.registry_misses = registry_.misses();
   stats.replayed_entries = replayed_entries_;
   stats.graph_primed_entries = graph_primed_entries_;
-  if (network_ != nullptr) {
-    stats.total_nodes = network_->node_count();
-    stats.memory_bytes = network_->ApproxMemoryBytes();
-  }
+  stats.total_nodes = network_.node_count();
+  stats.memory_bytes = network_.ApproxMemoryBytes();
   for (const auto& [node, refcount] : refcounts_) {
     (void)node;
     if (refcount >= 2) ++stats.shared_nodes;

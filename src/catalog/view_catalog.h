@@ -1,13 +1,12 @@
 #ifndef PGIVM_CATALOG_VIEW_CATALOG_H_
 #define PGIVM_CATALOG_VIEW_CATALOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include <atomic>
 
 #include "catalog/node_registry.h"
 #include "engine/view.h"
@@ -15,7 +14,6 @@
 #include "rete/network_builder.h"
 #include "support/metrics.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace pgivm {
 
@@ -56,17 +54,18 @@ struct CatalogStats {
 /// down a view frees exactly the nodes no sibling references, never
 /// disturbing survivors' memories.
 ///
-/// The first registration attaches the network and primes it from the
-/// graph. Every later one primes incrementally: the registry partitions the
-/// new plan into hits — live nodes that replay their materialized memories
-/// into just the newly attached consumers — and misses, which are built
-/// fresh and primed from the graph through their own source nodes, so
-/// registration cost follows the new view's own state, not the catalog
-/// size. Existing views' memories, pending deltas and listeners are
-/// untouched; listener fan-out is suppressed while the new sub-network
-/// catches up, so observers of existing views see no spurious deltas.
-/// `last_prime_stats` reports the replayed-vs-graph-primed split of the
-/// most recent Install.
+/// The network is built with the catalog and lives as long as it: it
+/// subscribes to the graph at construction and keeps its lifetime counters
+/// and commit epoch across any number of registrations and drops. Every
+/// registration, the first included, primes the same way: the registry
+/// partitions the new plan into hits — live nodes that replay their
+/// materialized memories into just the newly attached consumers — and
+/// misses, which are built fresh and primed from the graph through their
+/// own source nodes, so registration cost follows the new view's own
+/// state, not the catalog size. Existing views' memories, pending deltas
+/// and listeners are untouched, so observers of existing views see no
+/// spurious deltas. `last_prime_stats` reports the replayed-vs-graph-primed
+/// split of the most recent Install.
 ///
 /// Thread-safety: the catalog's own API (Install/Deregister/Stats/...)
 /// must be driven from the thread that owns the engine and applies graph
@@ -119,10 +118,9 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   /// view would actually free.
   size_t MarginalMemoryBytes(const View* view) const;
 
-  /// The shared multi-view network (nullptr when no view is registered).
-  /// Writer-thread only: the network is created and dropped by
-  /// Install/Deregister.
-  const ReteNetwork* shared_network() const { return network_.get(); }
+  /// The shared multi-view network, empty while no view is registered.
+  /// Writer-thread only: Install/Deregister add and remove its nodes.
+  const ReteNetwork& network() const { return network_; }
 
   /// The engine-wide metrics registry: the shared network records its
   /// propagation histograms here, and the serving path records pin
@@ -130,10 +128,9 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   MetricsRegistry& metrics() const { return *metrics_; }
   std::shared_ptr<MetricsRegistry> metrics_ptr() const { return metrics_; }
 
-  /// Flips per-node/per-drain propagation profiling on the shared network
-  /// (or the one created later). Writer-thread only — the flag must
-  /// not change mid-drain. Serving-path pin instrumentation reads the
-  /// atomic flag from reader threads.
+  /// Flips per-node/per-drain propagation profiling on the shared network.
+  /// Writer-thread only — the flag must not change mid-drain. Serving-path
+  /// pin instrumentation reads the atomic flag from reader threads.
   void SetProfiling(bool on);
   bool profiling() const { return profiling_flag_.load(std::memory_order_relaxed); }
   const std::atomic<bool>* profiling_flag() const { return &profiling_flag_; }
@@ -158,32 +155,23 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
     std::vector<ReteNode*> nodes;  // refcounted footprint
   };
 
-  ViewCatalog(PropertyGraph* graph, NetworkOptions network_options)
-      : graph_(graph),
-        network_options_(network_options),
-        metrics_(std::make_shared<MetricsRegistry>()),
-        profiling_flag_(network_options.profiling) {}
+  ViewCatalog(PropertyGraph* graph, NetworkOptions network_options);
 
   void Deregister(View* view);
 
-  /// The engine-wide worker pool, created on first use when the resolved
-  /// executor is parallel and lent to the shared network; it survives the
-  /// network being dropped and rebuilt. Null under the serial executor.
-  std::shared_ptr<ThreadPool> EnginePool();
-
   PropertyGraph* graph_;
   NetworkOptions network_options_;
-  std::unique_ptr<ReteNetwork> network_;
-  NodeRegistry registry_;
-  std::vector<Entry> entries_;
-  std::unordered_map<ReteNode*, int> refcounts_;
-  std::shared_ptr<ThreadPool> pool_;
   /// Shared so views can keep the serving-path histograms alive past the
-  /// catalog (View holds a reference).
+  /// catalog (View holds a reference). Declared before network_, which
+  /// records into it.
   std::shared_ptr<MetricsRegistry> metrics_;
   /// Runtime profiling switch. Written by SetProfiling (writer thread),
   /// read relaxed by the serving path (View::Pin, any thread).
   std::atomic<bool> profiling_flag_;
+  ReteNetwork network_;
+  NodeRegistry registry_;
+  std::vector<Entry> entries_;
+  std::unordered_map<ReteNode*, int> refcounts_;
   ReteNetwork::PrimeStats last_prime_;
   int64_t replayed_entries_ = 0;      // lifetime, across Installs
   int64_t graph_primed_entries_ = 0;  // lifetime, across Installs

@@ -51,8 +51,7 @@ void QueryEngine::StartIngest() {
                                                  : options_.ingest_queue_depth;
   ingest_ = std::make_unique<Ingest>(depth);
   if (ingest_trace_ == nullptr) {
-    ingest_trace_ =
-        std::make_unique<TraceBuffer>(options_.network.trace_capacity);
+    ingest_trace_ = std::make_unique<TraceBuffer>(kTraceCapacity);
   }
   Ingest* ingest = ingest_.get();
   PropertyGraph* graph = graph_;
@@ -254,17 +253,16 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot snap;
   snap.catalog = catalog_->Stats();
   snap.last_prime = catalog_->last_prime_stats();
-  if (const ReteNetwork* network = catalog_->shared_network()) {
-    snap.deltas_processed = network->deltas_processed();
-    snap.changes_processed = network->changes_processed();
-    snap.total_emitted_entries = network->TotalEmittedEntries();
-    snap.source_emitted_entries = network->SourceEmittedEntries();
-    snap.parallel_waves_dispatched = network->parallel_waves_dispatched();
-    snap.morsel_waves_dispatched = network->morsel_waves_dispatched();
-    snap.epochs_published = network->epochs_published();
-    snap.commit_epoch = network->commit_epoch();
-    snap.nodes = network->NodeMetricsSnapshot();
-  }
+  const ReteNetwork& network = catalog_->network();
+  snap.deltas_processed = network.deltas_processed();
+  snap.changes_processed = network.changes_processed();
+  snap.total_emitted_entries = network.TotalEmittedEntries();
+  snap.source_emitted_entries = network.SourceEmittedEntries();
+  snap.parallel_waves_dispatched = network.parallel_waves_dispatched();
+  snap.morsel_waves_dispatched = network.morsel_waves_dispatched();
+  snap.epochs_published = network.epochs_published();
+  snap.commit_epoch = network.commit_epoch();
+  snap.nodes = network.NodeMetricsSnapshot();
   snap.ingest_mutations = ingest_mutations();
   snap.ingest_batches = ingest_batches();
   snap.ingest_running = ingest_running();
@@ -329,12 +327,9 @@ std::string EngineMetricsSnapshot::ToString() const {
 }
 
 Status QueryEngine::DumpTrace(const std::string& path) const {
-  std::vector<const TraceBuffer*> buffers;
-  if (const ReteNetwork* network = catalog_->shared_network()) {
-    buffers.push_back(network->trace());  // null when never profiled
-  }
-  buffers.push_back(ingest_trace_.get());
-  return WriteChromeTrace(path, buffers);
+  // Either buffer is null until profiling first runs there.
+  return WriteChromeTrace(path,
+                          {catalog_->network().trace(), ingest_trace_.get()});
 }
 
 }  // namespace pgivm

@@ -35,8 +35,9 @@ struct EngineMetricsSnapshot {
   /// Priming split of the most recent registration.
   ReteNetwork::PrimeStats last_prime;
 
-  // Propagation totals of the shared network (zero while no view is
-  // registered).
+  // Lifetime propagation totals of the shared network, which lives as long
+  // as the engine: they never decrease, across view registrations and
+  // drops alike.
   int64_t deltas_processed = 0;
   int64_t changes_processed = 0;
   int64_t total_emitted_entries = 0;
@@ -160,15 +161,15 @@ class QueryEngine {
                                      const ValueMap& parameters = {});
 
   /// One coherent copy of every engine statistic — see
-  /// EngineMetricsSnapshot. Writer-thread only (the shared network is
-  /// created and dropped by registration); the ingest and emitted-entry
+  /// EngineMetricsSnapshot. Writer-thread only (registration adds and
+  /// removes the shared network's nodes); the ingest and emitted-entry
   /// counters it aggregates remain readable from any thread through their
   /// own atomic accessors.
   EngineMetricsSnapshot MetricsSnapshot() const;
 
   /// Runtime switch for per-node/per-drain propagation profiling across
-  /// the whole engine (the shared network, even one created later, the
-  /// serving pin path and the ingest spans). Writer-thread only; off by
+  /// the whole engine (the shared network, the serving pin path and the
+  /// ingest spans). Writer-thread only; off by
   /// default (NetworkOptions::profiling, overridable via PGIVM_PROFILE).
   void set_profiling(bool on) { catalog_->SetProfiling(on); }
   bool profiling() const { return catalog_->profiling(); }

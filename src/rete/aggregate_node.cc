@@ -240,7 +240,7 @@ bool AggregateNode::ReplayOutput(Delta& out) const {
     if (group.total_rows <= 0 && !keys_.empty()) return;
     out.push_back({RenderRow(key, group), 1});
   });
-  // A key-less aggregation that was never attached (EmitInitial pending)
+  // A key-less aggregation that was never primed (EmitInitial pending)
   // has no group yet; its current output is still the empty-input row.
   if (keys_.empty() && groups_.size() == 0) {
     GroupState empty;

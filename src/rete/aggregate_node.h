@@ -63,8 +63,6 @@ class AggregateNode : public ReteNode {
   /// always has exactly one, even over empty input).
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override { groups_.clear(); }
-
   size_t ApproxMemoryBytes() const override;
 
   std::string DebugString() const override { return "Aggregate"; }

@@ -35,11 +35,6 @@ class AntiJoinNode : public ReteNode {
   /// support).
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override {
-    left_memory_.clear();
-    right_support_.clear();
-  }
-
   size_t ApproxMemoryBytes() const override;
 
   std::string DebugString() const override { return "AntiJoin"; }

@@ -6,12 +6,6 @@
 
 namespace pgivm {
 
-Delta Normalize(const Delta& delta) {
-  Delta out = delta;
-  Consolidate(out);
-  return out;
-}
-
 namespace {
 
 /// The canonical consolidation order: cached tuple hash, ties broken

@@ -18,25 +18,21 @@ struct DeltaEntry {
 };
 
 /// An ordered batch of bag updates flowing along a Rete edge. Entries may
-/// partially cancel; Normalize() coalesces them.
+/// partially cancel; Consolidate() coalesces them.
 using Delta = std::vector<DeltaEntry>;
-
-/// Coalesces entries with equal tuples and drops zero-multiplicity entries.
-/// The result is in canonical order (tuple hash, ties lexicographic), not
-/// arrival order — a normalized delta carries each tuple once, so order is
-/// semantically irrelevant.
-Delta Normalize(const Delta& delta);
 
 /// Default `small_cutoff` for Consolidate: payloads of 1–2 entries — by far
 /// the most common case under single-change graph deltas — skip the
-/// sort-based path entirely. NetworkOptions::consolidation_cutoff overrides
-/// this per network.
+/// sort-based path entirely.
 inline constexpr size_t kDefaultConsolidationCutoff = 2;
 
-/// In-place Normalize: merges entries by tuple and drops zero-multiplicity
-/// residue, without allocating. The batched propagation scheduler applies
-/// this to every queued delta between waves, so inverse pairs (+t/−t)
-/// cancel before they are ever delivered downstream.
+/// Coalesces entries with equal tuples and drops zero-multiplicity residue,
+/// in place and without allocating. The result is in canonical order
+/// (tuple hash, ties lexicographic), not arrival order — a consolidated
+/// delta carries each tuple once, so order is semantically irrelevant.
+/// The batched propagation scheduler applies this to every queued delta
+/// between waves, so inverse pairs (+t/−t) cancel before they are ever
+/// delivered downstream.
 ///
 /// Payloads of `small_cutoff` entries or fewer take a pairwise-merge fast
 /// path instead of the sort machinery; the result is bit-identical to the
@@ -45,9 +41,8 @@ inline constexpr size_t kDefaultConsolidationCutoff = 2;
 void Consolidate(Delta& delta,
                  size_t small_cutoff = kDefaultConsolidationCutoff);
 
-/// True if `delta` is already in Normalize's canonical form (strictly
-/// ascending canonical order, no zero multiplicities) — lets consumers on
-/// the hot path skip a redundant re-sort of scheduler-consolidated deltas.
+/// True if `delta` is already in Consolidate's canonical form (strictly
+/// ascending canonical order, no zero multiplicities).
 bool IsConsolidated(const Delta& delta);
 
 std::string DeltaToString(const Delta& delta);
@@ -72,12 +67,6 @@ class Bag {
   int64_t total_count() const { return total_; }
 
   const Map& counts() const { return counts_; }
-
-  /// Drops all contents (used when a network is reset for re-attachment).
-  void Clear() {
-    counts_.clear();
-    total_ = 0;
-  }
 
   size_t ApproxMemoryBytes() const;
 

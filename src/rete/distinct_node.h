@@ -38,8 +38,6 @@ class DistinctNode : public ReteNode {
     return true;
   }
 
-  void Reset() override { support_.Clear(); }
-
   size_t ApproxMemoryBytes() const override {
     return support_.ApproxMemoryBytes();
   }

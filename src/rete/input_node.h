@@ -73,8 +73,6 @@ class VertexInputNode : public ReteNode, public GraphSourceNode {
   /// Replays the asserted tuple of every live matching vertex.
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override { asserted_.clear(); }
-
   size_t ApproxMemoryBytes() const override;
   std::string DebugString() const override;
   const char* KindName() const override { return "VertexInput"; }
@@ -139,8 +137,6 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
 
   /// Replays the asserted orientation tuples of every live matching edge.
   bool ReplayOutput(Delta& out) const override;
-
-  void Reset() override { asserted_.clear(); }
 
   size_t ApproxMemoryBytes() const override;
   std::string DebugString() const override;

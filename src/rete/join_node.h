@@ -46,11 +46,6 @@ class JoinNode : public ReteNode {
   /// join's current result size, not to its input sizes.
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override {
-    left_memory_.clear();
-    right_memory_.clear();
-  }
-
   size_t ApproxMemoryBytes() const override;
 
   std::string DebugString() const override;

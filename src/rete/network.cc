@@ -20,152 +20,75 @@ const char* ExecutorKindName(ExecutorKind kind) {
   return "?";
 }
 
-ReteNetwork::~ReteNetwork() { Detach(); }
+namespace {
 
-void ReteNetwork::SetProduction(ProductionNode* production) {
-  production_ = production;
-  if (production != nullptr &&
-      std::find(productions_.begin(), productions_.end(), production) ==
-          productions_.end()) {
-    productions_.push_back(production);
+/// The worker pool for `options`, or null when the resolved parallelism is
+/// 1 (serial executor, or a parallel one resolving to a single thread —
+/// which keeps the serial fast path: no pool, no dispatch).
+std::unique_ptr<ThreadPool> MakePool(const NetworkOptions& options) {
+  if (options.executor != ExecutorKind::kParallel) return nullptr;
+  const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+}
+
+/// Morsel partition count: the explicit cap, else the pool's parallelism,
+/// never more than the shard count (partition p owns shards s with
+/// s % partitions == p, so more partitions than shards would leave some
+/// idle). No pool ⇒ 1 ⇒ morsel execution disabled.
+uint32_t ResolveMorselPartitions(const NetworkOptions& options,
+                                 const ThreadPool* pool) {
+  if (pool == nullptr) return 1;
+  const uint32_t parts = options.morsel_partitions != 0
+                             ? options.morsel_partitions
+                             : static_cast<uint32_t>(pool->parallelism());
+  return std::min(parts, kMorselShards);
+}
+
+}  // namespace
+
+ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
+                         MetricsRegistry* metrics)
+    : graph_(graph),
+      executor_(options.executor),
+      parallel_min_wave_entries_(options.parallel_min_wave_entries),
+      morsel_min_node_entries_(options.morsel_min_node_entries),
+      pool_(MakePool(options)),
+      morsel_partitions_resolved_(ResolveMorselPartitions(options,
+                                                          pool_.get())) {
+  if (metrics != nullptr) {
+    // Resolved once so the profiling paths never take the registry mutex.
+    h_drain_ns_ = &metrics->GetHistogram("propagation.drain_ns");
+    h_publish_ns_ = &metrics->GetHistogram("propagation.publish_ns");
+    h_translate_ns_ = &metrics->GetHistogram("propagation.translate_ns");
+    h_wave_ns_ = &metrics->GetHistogram("propagation.wave_ns");
+    h_barrier_ns_ = &metrics->GetHistogram("propagation.barrier_ns");
+    h_drain_entries_ = &metrics->GetHistogram("propagation.drain_entries");
+    // Percent of a wave's queued entries held by its single hottest node —
+    // the skew signal that motivates morsel splitting (100 = one node owns
+    // the whole wave).
+    h_wave_imbalance_ =
+        &metrics->GetHistogram("propagation.wave_imbalance");
   }
+  set_profiling(options.profiling);
+  graph_->AddListener(this);
 }
 
-void ReteNetwork::set_executor(ExecutorKind kind, int num_threads) {
-  assert(attached_graph_ == nullptr && "change the executor before Attach");
-  if (attached_graph_ != nullptr) return;  // the pool is built per Attach
-  executor_ = kind;
-  executor_threads_ = num_threads;
-}
+ReteNetwork::~ReteNetwork() { graph_->RemoveListener(this); }
 
-void ReteNetwork::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  assert(attached_graph_ == nullptr && "lend the pool before Attach");
-  if (attached_graph_ != nullptr) return;
-  shared_pool_ = std::move(pool);
+void ReteNetwork::RegisterProduction(ProductionNode* production) {
+  productions_.push_back(production);
+  // Under parallel waves, listener callbacks must not run on pool workers
+  // (user code; two productions in one wave would fire concurrently) —
+  // productions buffer them and the barrier flushes serially, in ready
+  // order, preserving the serial executor's threading contract.
+  production->set_defer_notifications(pool_ != nullptr);
 }
 
 void ReteNetwork::set_profiling(bool on) {
   profiling_ = on;
   if (on && trace_ == nullptr) {
-    trace_ = std::make_unique<TraceBuffer>(trace_capacity_);
+    trace_ = std::make_unique<TraceBuffer>(kTraceCapacity);
   }
-}
-
-void ReteNetwork::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics == nullptr) {
-    h_drain_ns_ = nullptr;
-    h_publish_ns_ = nullptr;
-    h_translate_ns_ = nullptr;
-    h_wave_ns_ = nullptr;
-    h_barrier_ns_ = nullptr;
-    h_drain_entries_ = nullptr;
-    h_wave_imbalance_ = nullptr;
-    return;
-  }
-  // Resolved once so the profiling paths never take the registry mutex.
-  h_drain_ns_ = &metrics->GetHistogram("propagation.drain_ns");
-  h_publish_ns_ = &metrics->GetHistogram("propagation.publish_ns");
-  h_translate_ns_ = &metrics->GetHistogram("propagation.translate_ns");
-  h_wave_ns_ = &metrics->GetHistogram("propagation.wave_ns");
-  h_barrier_ns_ = &metrics->GetHistogram("propagation.barrier_ns");
-  h_drain_entries_ = &metrics->GetHistogram("propagation.drain_entries");
-  // Percent of a wave's queued entries held by its single hottest node —
-  // the skew signal that motivates morsel splitting (100 = one node owns
-  // the whole wave).
-  h_wave_imbalance_ = &metrics->GetHistogram("propagation.wave_imbalance");
-}
-
-void ReteNetwork::Attach(PropertyGraph* graph) {
-  assert(graph != nullptr);
-  if (graph == nullptr) return;
-  assert(production_ != nullptr && "Attach requires a production node");
-  if (production_ == nullptr) return;
-  if (attached_graph_ == graph) return;  // double-attach: no-op
-  // The source nodes read the graph they were constructed over; attaching
-  // the network to any other graph would prime from one store while
-  // subscribing to another. Rejected before touching the current
-  // attachment, so a bad call leaves the network in its previous state.
-  assert((primed_graph_ == nullptr || primed_graph_ == graph) &&
-         "a network can only be (re-)attached to the graph it was built "
-         "over");
-  if (primed_graph_ != nullptr && primed_graph_ != graph) return;
-  if (attached_graph_ != nullptr) Detach();
-
-  // A re-attach re-primes from scratch: wipe whatever the previous
-  // attachment left in the node memories.
-  if (primed_graph_ != nullptr) {
-    for (const auto& node : nodes_) node->Reset();
-  }
-  primed_graph_ = graph;
-
-  // A resolved parallelism of 1 keeps the serial fast path (no pool, no
-  // dispatch).
-  if (executor_ == ExecutorKind::kParallel) {
-    int threads = ThreadPool::ResolveThreadCount(executor_threads_);
-    if (threads > 1) {
-      if (shared_pool_ != nullptr) {
-        // The engine-wide pool (one per catalog, shared by every network
-        // of the engine — sibling networks never drain concurrently, so
-        // one pool serves them all).
-        assert(shared_pool_->parallelism() == threads &&
-               "lent pool sized differently from the resolved executor");
-        pool_ = shared_pool_;
-      } else if (pool_ == nullptr || pool_->parallelism() != threads) {
-        pool_ = std::make_shared<ThreadPool>(threads);
-      }
-    } else {
-      pool_.reset();
-    }
-  } else {
-    pool_.reset();
-  }
-  // Morsel partition count: the explicit cap, else the pool's parallelism,
-  // never more than the shard count (partition p owns shards s with
-  // s % partitions == p, so more partitions than shards would leave some
-  // idle). No pool ⇒ 1 ⇒ morsel execution disabled.
-  if (pool_ != nullptr) {
-    uint32_t parts = morsel_partitions_ != 0
-                         ? morsel_partitions_
-                         : static_cast<uint32_t>(pool_->parallelism());
-    morsel_partitions_resolved_ = std::min(parts, kMorselShards);
-  } else {
-    morsel_partitions_resolved_ = 1;
-  }
-  PrepareScheduler();
-  for (const auto& node : nodes_) node->set_emit_sink(this);
-  // Under parallel waves, listener callbacks must not run on pool workers
-  // (user code; two productions in one wave would fire concurrently) —
-  // productions buffer them and the barrier flushes serially, in ready
-  // order, preserving the serial executor's threading contract.
-  for (ProductionNode* production : productions_) {
-    production->set_defer_notifications(pool_ != nullptr);
-  }
-
-  attached_graph_ = graph;
-  // Priming replays the whole graph content; it rebuilds every production
-  // to its correct rows but is not an observable *change*, so listener
-  // fan-out is silenced for the duration (results and chained emissions
-  // are unaffected). This matters for a network re-attached after Detach,
-  // whose views may already be observed.
-  for (ProductionNode* production : productions_) {
-    production->set_notify_listeners(false);
-  }
-  buffering_ = true;
-  for (const auto& node : nodes_) node->EmitInitial();
-  for (GraphSourceNode* source : sources_) source->EmitInitialFromGraph();
-  buffering_ = false;
-  DrainWaves();  // publishes the primed state as a commit epoch
-  for (ProductionNode* production : productions_) {
-    production->set_notify_listeners(true);
-  }
-  graph->AddListener(this);
-}
-
-void ReteNetwork::Detach() {
-  if (attached_graph_ == nullptr) return;
-  attached_graph_->RemoveListener(this);
-  attached_graph_ = nullptr;
 }
 
 void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
@@ -193,9 +116,6 @@ void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
                                       return is_gone(p);
                                     }),
                      productions_.end());
-  if (production_ != nullptr && is_gone(production_)) {
-    production_ = productions_.empty() ? nullptr : productions_.back();
-  }
   for (const ReteNode* victim : gone) states_.erase(victim);
   nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
                               [&](const std::unique_ptr<ReteNode>& node) {
@@ -205,7 +125,7 @@ void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
 
   // Levels / scheduler state reference the old shape; recompute while the
   // network keeps maintaining (survivor memories are untouched).
-  if (attached_graph_ != nullptr) PrepareScheduler();
+  PrepareScheduler();
 }
 
 void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
@@ -217,7 +137,6 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   // The emit sinks buffer the sources' relational deltas while the *entire*
   // graph delta is translated, and DrainWaves then moves them through the
   // network level by level, one consolidated delta per (node, port).
-  buffering_ = true;
   const uint32_t parts = morsel_partitions_resolved_;
   // Large batches translate data-parallel: one task per (partitionable
   // source, partition), each handling only the graph entities its
@@ -287,7 +206,6 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
       }
     }
   }
-  buffering_ = false;
   if (prof) {
     // Pure source translation: delivery is deferred to DrainWaves.
     const int64_t end_ns = MonotonicNowNs();
@@ -314,11 +232,6 @@ void ReteNetwork::OnEmit(ReteNode* from, Delta delta) {
                      std::make_move_iterator(delta.end()));
   }
   EnqueueReady(from, state);
-  // An emission outside this network's own translate/drain cycle means one
-  // of our nodes was fed externally (chained views: another network
-  // delivering into us). Drain immediately so chained results never go
-  // stale waiting for our next graph delta.
-  if (!buffering_ && !draining_) DrainWaves();
 }
 
 ReteNetwork::PendingDelta& ReteNetwork::PendingFor(NodeState& state,
@@ -334,24 +247,7 @@ ReteNetwork::PendingDelta& ReteNetwork::PendingFor(NodeState& state,
 void ReteNetwork::PrepareScheduler() {
   states_.clear();
   states_.reserve(nodes_.size());
-  // Every node reachable through the output wiring gets scheduler state —
-  // including subscribers the network does not own (chained views, test
-  // probes), discovered transitively: they have no sink installed, so what
-  // they emit recurses straight into their subscribers, but the nodes
-  // *they* feed must still be levelled above them or a wave could enqueue
-  // into an already-drained level bucket.
-  std::vector<ReteNode*> reachable;
-  reachable.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    states_[node.get()].owned = true;
-    reachable.push_back(node.get());
-  }
-  for (size_t i = 0; i < reachable.size(); ++i) {
-    for (const auto& [down, port] : reachable[i]->outputs()) {
-      (void)port;
-      if (states_.emplace(down, NodeState{}).second) reachable.push_back(down);
-    }
-  }
+  for (const auto& node : nodes_) states_[node.get()];
   // Relax levels to a fixpoint: level(downstream) > level(upstream). Nodes
   // are added bottom-up so one pass normally suffices; the loop guards
   // against exotic wiring orders (and rejects cycles without hanging).
@@ -361,10 +257,10 @@ void ReteNetwork::PrepareScheduler() {
   while (changed) {
     changed = false;
     ++rounds;
-    assert(rounds <= reachable.size() + 1 && "cycle in the Rete network");
-    if (rounds > reachable.size() + 1) break;  // cycle: fail bounded
-    for (ReteNode* node : reachable) {
-      int level = states_.at(node).level;
+    assert(rounds <= nodes_.size() + 1 && "cycle in the Rete network");
+    if (rounds > nodes_.size() + 1) break;  // cycle: fail bounded
+    for (const auto& node : nodes_) {
+      int level = states_.at(node.get()).level;
       for (const auto& [down, port] : node->outputs()) {
         (void)port;
         NodeState& dst = states_.at(down);
@@ -398,7 +294,7 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
   const int64_t emitted_before = prof ? node->emitted_entries() : 0;
   int64_t in_entries = 0;
   for (auto& [port, pending] : state.pending) {
-    if (!pending.clean) Consolidate(pending.delta, consolidation_cutoff_);
+    if (!pending.clean) Consolidate(pending.delta);
     if (prof) in_entries += static_cast<int64_t>(pending.delta.size());
     if (!pending.delta.empty()) node->OnDelta(port, pending.delta);
     // Empty in place (not pending.clear()): the slots and their Delta
@@ -408,7 +304,7 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
   }
   // Consolidating the response here (rather than in FlushNode) puts the
   // sort inside the parallel phase when the wave runs on the pool.
-  Consolidate(state.out, consolidation_cutoff_);
+  Consolidate(state.out);
   if (prof) {
     const int64_t dur_ns = MonotonicNowNs() - start_ns;
     state.prof_start_ns = start_ns;
@@ -428,14 +324,7 @@ void ReteNetwork::FlushNode(ReteNode* node, NodeState& state) {
   const auto& outputs = node->outputs();
   for (size_t i = 0; i < outputs.size(); ++i) {
     const auto& [down, port] = outputs[i];
-    auto dst_it = states_.find(down);
-    if (dst_it == states_.end()) {
-      // Subscriber wired after Attach (no scheduler state, e.g. a foreign
-      // node subscribed to a live network): deliver directly.
-      down->OnDelta(port, state.out);
-      continue;
-    }
-    NodeState& dst = dst_it->second;
+    NodeState& dst = states_.at(down);
     PendingDelta& pending = PendingFor(dst, port);
     if (pending.delta.empty()) {
       // Single consolidated flush: swap (for the last subscriber) and mark
@@ -512,7 +401,7 @@ void ReteNetwork::MergeMorsel(WaveItem& item) {
       slot.clear();
     }
   }
-  Consolidate(state.out, consolidation_cutoff_);
+  Consolidate(state.out);
   if (profiling_) {
     // Busy time is the *sum* of the partition slices (the node's own CPU
     // work, comparable to a serial delivery); the trace keeps one slice
@@ -597,7 +486,7 @@ void ReteNetwork::DrainWaves() {
         parallel && ready.size() > 1 &&
         (parallel_min_wave_entries_ == 0 ||
          queued_entries >= parallel_min_wave_entries_);
-    // Morsel selection: an owned node holding a large queued delta has its
+    // Morsel selection: a node holding a large queued delta has its
     // delivery split into key-partitioned morsels — even when it is the
     // wave's *only* node, which is exactly the case node-level wave
     // parallelism cannot touch (one hot join/aggregate serializes the
@@ -605,7 +494,7 @@ void ReteNetwork::DrainWaves() {
     bool any_morsel = false;
     if (morsel_enabled) {
       for (WaveItem& item : wave_items_) {
-        if (!item.state->owned || item.entries == 0) continue;
+        if (item.entries == 0) continue;
         if (morsel_min_node_entries_ > 0 &&
             item.entries < morsel_min_node_entries_) {
           continue;
@@ -634,7 +523,7 @@ void ReteNetwork::DrainWaves() {
         }
         for (auto& [port, pending] : state.pending) {
           if (!pending.clean) {
-            Consolidate(pending.delta, consolidation_cutoff_);
+            Consolidate(pending.delta);
             pending.clean = true;
           }
           if (item.kind == MorselKind::kKeyed && !pending.delta.empty()) {
@@ -667,20 +556,16 @@ void ReteNetwork::DrainWaves() {
       morsel_waves_dispatched_.fetch_add(1, std::memory_order_relaxed);
     }
     if (wave_parallel) {
-      // Phase 1 — the wave's remaining owned nodes run node-parallel
-      // alongside the morsel partitions. Each node is claimed by exactly
-      // one worker, so node memories and the per-node staging slot
-      // (state.out) are single-writer; OnEmit under a live wave only
-      // appends to the emitting node's own slot (the node is already
-      // queued, so no ready-list mutation). Foreign subscribers (no sink)
-      // would recurse directly into other nodes, so they stay out of this
-      // phase and run at the barrier below. Morsel partitions write only
-      // their private staging slot and the memory shards their partition
-      // owns, so the combined task list stays data-race-free.
+      // Phase 1 — the wave's remaining nodes run node-parallel alongside
+      // the morsel partitions. Each node is claimed by exactly one worker,
+      // so node memories and the per-node staging slot (state.out) are
+      // single-writer; OnEmit under a live wave only appends to the
+      // emitting node's own slot (the node is already queued, so no
+      // ready-list mutation). Morsel partitions write only their private
+      // staging slot and the memory shards their partition owns, so the
+      // combined task list stays data-race-free.
       for (WaveItem& item : wave_items_) {
-        if (!item.morsel && item.state->owned) {
-          morsel_tasks_.push_back({&item, kDeliverWhole});
-        }
+        if (!item.morsel) morsel_tasks_.push_back({&item, kDeliverWhole});
       }
     }
     if (morsel_tasks_.size() > 1) {
@@ -705,10 +590,8 @@ void ReteNetwork::DrainWaves() {
     // downstream in ready order, exactly the sequence the serial drain
     // produces, so pending queues (and with them every delivered delta)
     // are bit-identical regardless of thread or partition count. Morsel
-    // nodes merge their partition slots here, in partition order; nodes
-    // phase 1 did not deliver (serial waves; foreign nodes, whose
-    // sink-less recursion must not run on a worker) run their delivery
-    // here, in their ready position.
+    // nodes merge their partition slots here, in partition order; serial
+    // waves run each node's delivery here, in its ready position.
     const int64_t barrier_start_ns = prof ? MonotonicNowNs() : 0;
     const size_t wave_nodes = ready.size();
     for (WaveItem& item : wave_items_) {
@@ -716,7 +599,7 @@ void ReteNetwork::DrainWaves() {
       NodeState& state = *item.state;
       if (item.morsel) {
         MergeMorsel(item);
-      } else if (!wave_parallel || !state.owned) {
+      } else if (!wave_parallel) {
         DeliverPending(node, state);
       }
       if (prof && trace_ != nullptr && !item.morsel &&
@@ -756,7 +639,7 @@ void ReteNetwork::DrainWaves() {
       }
       if (h_wave_imbalance_ != nullptr && queued_entries > 0) {
         // Share (percent) of the wave's queued entries held by its single
-        // hottest node — 100 means one node owned the whole wave (the
+        // hottest node — 100 means one node held the whole wave (the
         // skew morsel splitting exists for).
         h_wave_imbalance_->Record(
             static_cast<int64_t>(100 * max_node_entries / queued_entries));
@@ -772,15 +655,6 @@ void ReteNetwork::DrainWaves() {
                             ",\"morsel\":", any_morsel ? 1 : 0);
         trace_->Append(std::move(event));
       }
-    }
-  }
-  // Safety net for productions fed through FlushNode's direct (non-
-  // scheduled) delivery branch: they buffer notifications without ever
-  // entering a ready list, so no per-wave barrier reaches them. No-op for
-  // productions with nothing buffered.
-  if (parallel) {
-    for (ProductionNode* production : productions_) {
-      production->OnWaveBarrier();
     }
   }
   draining_ = false;
@@ -813,7 +687,7 @@ void ReteNetwork::PublishEpochs() {
       commit_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   int64_t published = 0;
   for (ProductionNode* production : productions_) {
-    if (production->PublishSnapshot(epoch, epoch_retention_)) ++published;
+    if (production->PublishSnapshot(epoch)) ++published;
   }
   if (published > 0) {
     epochs_published_.fetch_add(published, std::memory_order_relaxed);
@@ -901,18 +775,6 @@ const Delta& ReteNetwork::CurrentOutputOf(
   return memo.emplace(node, std::move(out)).first->second;
 }
 
-Delta ReteNetwork::ReplayOutputOf(ReteNode* node) {
-  // Diagnostics entry point: no view scope in hand, so allow the walk to
-  // consult the whole network's wiring.
-  std::vector<ReteNode*> scope;
-  scope.reserve(nodes_.size());
-  for (const auto& owned : nodes_) scope.push_back(owned.get());
-  InputsMap inputs;
-  bool inputs_built = false;
-  std::unordered_map<ReteNode*, Delta> memo;
-  return CurrentOutputOf(node, scope, inputs, inputs_built, memo);
-}
-
 ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
     const std::vector<ReteNode*>& fresh_nodes,
     const std::vector<ReplayEdge>& replay_edges,
@@ -920,20 +782,12 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   PrimeStats stats;
   stats.fresh_nodes = fresh_nodes.size();
   stats.replay_edges = replay_edges.size();
-  assert(attached_graph_ != nullptr &&
-         "PrimeNewNodes requires an attached, maintaining network");
-  if (attached_graph_ == nullptr) return stats;
-  assert(!buffering_ && !draining_ && "prime only between graph deltas");
+  assert(!draining_ && "prime only between graph deltas");
 
-  // The fresh nodes were wired after the last Attach: give them the same
-  // runtime setup Attach gives every node (emit sink; deferred listener
-  // notifications under a parallel pool) and rebuild the scheduler so they
-  // have levels and state. The network is quiescent — every pending queue
-  // is empty — so rebuilding cannot drop sibling deltas.
+  // Install the emit sink on the fresh nodes and rebuild the scheduler so
+  // they have levels and state. The network is quiescent — every pending
+  // queue is empty — so rebuilding cannot drop sibling deltas.
   for (ReteNode* node : fresh_nodes) node->set_emit_sink(this);
-  for (ProductionNode* production : productions_) {
-    production->set_defer_notifications(pool_ != nullptr);
-  }
   PrepareScheduler();
 
   std::vector<GraphSourceNode*> fresh_sources;
@@ -946,19 +800,11 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   }
   stats.primed_sources = fresh_sources.size();
 
-  // Priming rebuilds the new consumers to their steady state; it is not an
-  // observable *change* to any view, so listener fan-out stays silent —
-  // same contract as Attach priming. (Reused nodes emit nothing here, so
-  // sibling productions receive no deltas anyway; the suppression is the
-  // defense against replay reaching a production through a chained view.)
-  for (ProductionNode* production : productions_) {
-    production->set_notify_listeners(false);
-  }
-  buffering_ = true;
-  // Structural initial output, then graph content — the Attach order, but
-  // restricted to the registration's own nodes. Fresh nodes only feed
-  // fresh nodes (a consumer wired now cannot be older than its wiring), so
-  // the drain below never touches a sibling's memories.
+  // Structural initial output, then graph content, restricted to the
+  // registration's own nodes. Fresh nodes only feed fresh nodes (a consumer
+  // wired now cannot be older than its wiring) and reused nodes emit
+  // nothing, so the drain below never touches a sibling's memories and no
+  // existing view's listeners hear of the prime.
   for (ReteNode* node : fresh_nodes) node->EmitInitial();
   for (GraphSourceNode* source : fresh_sources) {
     source->EmitInitialFromGraph();
@@ -981,11 +827,7 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
     pending.clean = false;  // replay order is not canonical
     EnqueueReady(edge.to, dst);
   }
-  buffering_ = false;
   DrainWaves();  // publishes the newly primed view's first epoch
-  for (ProductionNode* production : productions_) {
-    production->set_notify_listeners(true);
-  }
   for (const auto& [node, before] : source_baseline) {
     stats.graph_primed_entries += node->emitted_entries() - before;
   }

@@ -34,29 +34,79 @@ enum class ExecutorKind {
 
 const char* ExecutorKindName(ExecutorKind kind);
 
-/// One compiled Rete network: owns its nodes, routes graph deltas into the
-/// source nodes, and exposes the production (view) root.
+/// Runtime configuration of one ReteNetwork (and of the builder that
+/// instantiates plans into it), fixed for the network's lifetime.
+struct NetworkOptions {
+  /// Fold unnest deltas per kept-column projection and emit element-level
+  /// differences (the FGN behaviour). Off = the E4 ablation baseline.
+  bool fine_grained_unnest = true;
+
+  /// How a topological wave's nodes are executed (see ExecutorKind).
+  /// kSerial is the default-compatible single-thread drain; kParallel
+  /// distributes each wave over a persistent worker pool with
+  /// bit-identical results.
+  ExecutorKind executor = ExecutorKind::kSerial;
+
+  /// Total wave parallelism for ExecutorKind::kParallel, including the
+  /// dispatching thread; 0 = the machine's hardware concurrency.
+  int num_threads = 0;
+
+  /// Work-size gate for parallel dispatch: a topological wave whose queued
+  /// delta entries total fewer than this runs inline on the draining
+  /// thread instead of being handed to the worker pool — waking workers
+  /// costs more than delivering a near-empty wave (the single-change
+  /// steady state of a serving catalog). 0 dispatches every multi-node
+  /// wave. Purely a performance knob: results are bit-identical for any
+  /// value. Ignored under kSerial.
+  size_t parallel_min_wave_entries = 8;
+
+  /// Work-size gate for morsel-style intra-node parallelism: a single node
+  /// holding at least this many queued delta entries has its delivery
+  /// split into key-partitioned morsels processed concurrently (and a
+  /// graph delta with at least this many changes has its source
+  /// translation partitioned the same way). 0 forces the morsel path for
+  /// every eligible node — the test/CI setting; raising it keeps skew-free
+  /// steady states on the cheaper whole-node path. Purely a performance
+  /// knob: results are bit-identical for any value. Requires
+  /// ExecutorKind::kParallel (no pool = no morsels); see also
+  /// ApplyEnvMorselOverride / PGIVM_MORSEL.
+  size_t morsel_min_node_entries = 1024;
+
+  /// Caps how many partitions a morsel dispatch splits a node into. 0 =
+  /// auto (the worker pool's parallelism, itself capped at kMorselShards);
+  /// 1 disables morsel execution and parallel source translation entirely
+  /// (the ablation baseline). Bit-identical results for any value.
+  uint32_t morsel_partitions = 0;
+
+  /// Per-node/per-drain propagation profiling (see
+  /// ReteNetwork::set_profiling): node profiles, drain/wave/serving
+  /// histograms and Chrome-trace events. Off (the default) keeps every hot
+  /// path free of clock reads — bench_e9_observability holds the
+  /// profiling-off overhead under 2% on the e3 burst workload. Can also be
+  /// toggled at runtime (QueryEngine::set_profiling) and overridden by the
+  /// PGIVM_PROFILE environment variable (see ApplyEnvProfilingOverride).
+  bool profiling = false;
+};
+
+/// One Rete network maintained against one graph: owns its nodes, routes
+/// graph deltas into the source nodes, and publishes every production
+/// (view root) at each commit.
 ///
 /// Propagation is batched and topologically scheduled: the whole GraphDelta
 /// is first translated into one buffered relational delta per source, then
 /// nodes are drained level by level (DrainWaves), each receiving one
 /// *consolidated* delta per input port per wave. Inverse pairs (+t/−t on the
 /// same tuple) cancel before delivery, so a batch that adds and removes the
-/// same tuple propagates nothing. Every commit — graph delta, Attach prime,
-/// incremental prime — ends in DrainWaves → PublishEpochs.
+/// same tuple propagates nothing. Every commit — graph delta or prime —
+/// ends in DrainWaves → PublishEpochs.
 ///
-/// Lifecycle: the builder wires the nodes bottom-up; Attach() then (a) emits
-/// structural initial output (key-less aggregates), (b) feeds the current
-/// graph content through the source nodes, and (c) subscribes to the graph.
-/// Detach() (or destruction) unsubscribes. Re-attaching after Detach()
-/// resets every node memory and primes the network afresh; attaching twice
-/// to the same graph is a no-op. A network is permanently bound to the
-/// graph its source nodes were built over — attaching it to a *different*
-/// graph is rejected (the sources read their construction-time graph).
-/// Nodes may also be added *after* Attach (catalog registrations):
-/// PrimeNewNodes splices them in — fresh sources prime from the graph,
-/// reused upstream nodes replay their memories along the new edges — while
-/// the network keeps maintaining; RemoveNodes splices refcount-zero nodes
+/// Lifecycle: the constructor fixes the configuration, builds the worker
+/// pool when the executor is parallel, and subscribes to the graph; the
+/// destructor unsubscribes. The network starts empty and lives as long as
+/// its owner (the ViewCatalog). Nodes are added while it maintains: the
+/// builder wires them bottom-up, then PrimeNewNodes splices them in — fresh
+/// sources prime from the graph, reused upstream nodes replay their
+/// memories along the new edges. RemoveNodes splices refcount-zero nodes
 /// back out.
 ///
 /// Thread-safety: the public API must be driven from one thread (the one
@@ -69,7 +119,12 @@ const char* ExecutorKindName(ExecutorKind kind);
 /// barrier under a parallel pool), never concurrently.
 class ReteNetwork : public GraphListener, private EmitSink {
  public:
-  ReteNetwork() = default;
+  /// Subscribes to `graph`, which must outlive the network. `metrics` is
+  /// the registry drain/serving histograms are recorded into while
+  /// profiling is on (must outlive the network; null = profiling records
+  /// node profiles and trace events only).
+  ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
+              MetricsRegistry* metrics = nullptr);
   ~ReteNetwork() override;
 
   ReteNetwork(const ReteNetwork&) = delete;
@@ -77,7 +132,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
 
   /// Transfers ownership of `node` into the network; returns the raw
   /// pointer for wiring. Nodes must be added in topological (bottom-up)
-  /// order — EmitInitial relies on it.
+  /// order and primed with PrimeNewNodes.
   template <typename NodeT>
   NodeT* Add(std::unique_ptr<NodeT> node) {
     NodeT* raw = node.get();
@@ -89,60 +144,23 @@ class ReteNetwork : public GraphListener, private EmitSink {
     sources_.push_back(source);
   }
 
-  /// Declares `production` as a view root of this network and makes it the
-  /// primary production. A multi-view (catalog) network calls this once per
-  /// registered view; all declared productions get their listener fan-out
-  /// suppressed while an Attach primes the node memories.
-  void SetProduction(ProductionNode* production);
+  /// Declares `production` as a view root: it publishes at every commit.
+  void RegisterProduction(ProductionNode* production);
 
-  ProductionNode* production() const { return production_; }
-  const std::vector<ProductionNode*>& productions() const {
-    return productions_;
-  }
-
-  /// Selects the wave executor. `num_threads` is the total parallelism for
-  /// kParallel (0 = hardware concurrency); the pool is created at Attach()
-  /// and persists across waves. Must be called before Attach(). kParallel
-  /// with a resolved parallelism of 1 degrades to serial execution.
-  void set_executor(ExecutorKind kind, int num_threads = 0);
   ExecutorKind executor() const { return executor_; }
 
-  /// Lends a pre-built worker pool for kParallel waves instead of having
-  /// this network spawn its own at Attach(). The ViewCatalog lends its
-  /// engine-wide pool, so a network rebuilt after the catalog's last view
-  /// was dropped reuses the same workers. Must be called before Attach();
-  /// the pool's parallelism must equal the resolved thread count
-  /// (asserted). The pool is used from the draining
-  /// thread only — graph listeners run sequentially, so sibling networks
-  /// on one graph never dispatch concurrently.
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool);
-
-  /// The wave parallelism actually in effect after Attach(): the pool size
-  /// under kParallel, 1 otherwise.
+  /// The wave parallelism in effect: the pool size under kParallel, 1
+  /// otherwise.
   int executor_parallelism() const {
     return pool_ != nullptr ? pool_->parallelism() : 1;
   }
 
   /// The pool parallel waves run on (null when the resolved executor is
-  /// serial). All networks created by one engine share a single instance —
-  /// see set_thread_pool. Exposed for diagnostics/tests.
+  /// serial). Exposed for diagnostics/tests.
   const ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// Payload size at or below which between-wave consolidation takes the
-  /// pairwise fast path instead of sorting (see Consolidate). Purely a
-  /// performance knob — results are identical for any value.
-  void set_consolidation_cutoff(size_t cutoff) {
-    consolidation_cutoff_ = cutoff;
-  }
-  size_t consolidation_cutoff() const { return consolidation_cutoff_; }
-
   /// Minimum total queued entries a wave must carry before it is handed to
-  /// the worker pool; smaller waves run inline on the draining thread (see
-  /// NetworkOptions::parallel_min_wave_entries). Results are bit-identical
-  /// either way — the barrier merge runs in ready order regardless.
-  void set_parallel_min_wave_entries(size_t entries) {
-    parallel_min_wave_entries_ = entries;
-  }
+  /// the worker pool (see NetworkOptions::parallel_min_wave_entries).
   size_t parallel_min_wave_entries() const {
     return parallel_min_wave_entries_;
   }
@@ -155,28 +173,14 @@ class ReteNetwork : public GraphListener, private EmitSink {
     return parallel_waves_dispatched_.load(std::memory_order_relaxed);
   }
 
-  /// Minimum entries a single node must have queued on its input ports
-  /// before its delivery is split into key-partitioned morsels within the
-  /// wave. 0 forces the morsel path for every eligible node (tests/CI).
-  /// The same threshold gates parallel source translation (by graph-change
-  /// count). Results are bit-identical either way — see
-  /// NetworkOptions::morsel_min_node_entries.
-  void set_morsel_min_node_entries(size_t entries) {
-    morsel_min_node_entries_ = entries;
-  }
+  /// Minimum entries a single node must have queued before its delivery is
+  /// split into key-partitioned morsels (see
+  /// NetworkOptions::morsel_min_node_entries).
   size_t morsel_min_node_entries() const { return morsel_min_node_entries_; }
 
-  /// Caps the number of partitions a morsel dispatch splits a node into.
-  /// 0 = auto (the pool's parallelism, capped at kMorselShards); 1 turns
-  /// morsel delivery and parallel translation off entirely. Must be set
-  /// before Attach() (resolved there, like the pool itself).
-  void set_morsel_partitions(uint32_t partitions) {
-    morsel_partitions_ = partitions;
-  }
-  uint32_t morsel_partitions() const { return morsel_partitions_; }
-
-  /// The partition count morsel dispatches actually use after Attach()
-  /// (1 = morsel execution disabled: serial executor, or capped away).
+  /// The partition count morsel dispatches use (1 = morsel execution
+  /// disabled: serial executor, or capped away by
+  /// NetworkOptions::morsel_partitions).
   uint32_t morsel_partitions_resolved() const {
     return morsel_partitions_resolved_;
   }
@@ -194,17 +198,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// overhead contract bench_e9_observability enforces.
   void set_profiling(bool on);
   bool profiling() const { return profiling_; }
-
-  /// Lends the registry drain/serving histograms are recorded into while
-  /// profiling is on (owned by the ViewCatalog; one per engine). Must
-  /// outlive the network. Null = profiling records node profiles and trace
-  /// events only.
-  void set_metrics(MetricsRegistry* metrics);
-
-  /// Capacity (in events) of the profiling trace buffer; applies to the
-  /// buffer created at the next set_profiling(true). See
-  /// NetworkOptions::trace_capacity.
-  void set_trace_capacity(size_t capacity) { trace_capacity_ = capacity; }
 
   /// The trace events recorded so far (null until profiling is first
   /// enabled). Writer-thread-only, like every diagnostics accessor.
@@ -238,17 +231,8 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// concurrent drain mutates.
   std::vector<NodeMetrics> NodeMetricsSnapshot() const;
 
-  /// How many *previous* published epochs each production keeps alive in
-  /// addition to its current one (see ProductionNode::PublishSnapshot).
-  /// 0 (the default) frees a superseded epoch at the first commit after
-  /// the last reader unpins it — on the writer, so no reader ever pays for
-  /// freeing rows. Purely a retention knob — readers always pin the latest
-  /// commit.
-  void set_epoch_retention(size_t epochs) { epoch_retention_ = epochs; }
-  size_t epoch_retention() const { return epoch_retention_; }
-
   /// The number of commit points this network has published: every drain
-  /// (graph delta, Attach prime, incremental prime) bumps it once and
+  /// (graph delta or prime) bumps it once and
   /// re-publishes each production whose results changed. Written on the
   /// writer thread only; relaxed atomic, so diagnostics may read it from
   /// any thread — readers still learn their epoch from the PublishedEpoch
@@ -256,15 +240,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   uint64_t commit_epoch() const {
     return commit_epoch_.load(std::memory_order_relaxed);
   }
-
-  /// Starts maintaining against `graph` (see class comment). Requires a
-  /// production node. Attaching while already attached is a no-op, as is
-  /// attaching to any graph other than the one the network was first
-  /// primed over (asserted in debug builds).
-  void Attach(PropertyGraph* graph);
-  void Detach();
-
-  bool attached() const { return attached_graph_ != nullptr; }
 
   /// One reused → fresh subscription created by a catalog registration:
   /// `from` is a live node another view already primed, `to`/`port` the
@@ -276,7 +251,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
     int port = 0;
   };
 
-  /// Accounting of one incremental prime: how many tuples reached the new
+  /// Accounting of one prime: how many tuples reached the new
   /// sub-network by memory replay vs. by re-reading the graph. With full
   /// structural sharing, `graph_primed_entries` is 0 and
   /// `replayed_entries` is proportional to the new view's input/result
@@ -289,19 +264,18 @@ class ReteNetwork : public GraphListener, private EmitSink {
     size_t fresh_nodes = 0;            // nodes built for this registration
   };
 
-  /// Incremental priming — primes just-built nodes while the network stays
-  /// attached and maintaining. `fresh_nodes` (bottom-up order; the nodes a
-  /// registration added after the last Attach) emit their structural
-  /// initial output, fresh *source* nodes assert the current graph
-  /// content, and every ReplayEdge delivers the reused upstream node's
-  /// materialized memory (ReplayOutput, reconstructed through stateless
-  /// transforms) into only the newly attached consumer. Deliveries are
-  /// scoped: fresh nodes only feed fresh nodes, reused nodes emit
-  /// nothing, so sibling views' memories, pending deltas and listeners
-  /// are untouched (listener fan-out is suppressed for the duration, as
-  /// during Attach priming). Call between graph deltas (the network must
+  /// Primes just-built nodes while the network keeps maintaining — the one
+  /// priming path, the first registration included. `fresh_nodes`
+  /// (bottom-up order; the nodes a registration added) emit their
+  /// structural initial output, fresh *source* nodes assert the current
+  /// graph content, and every ReplayEdge delivers the reused upstream
+  /// node's materialized memory (ReplayOutput, reconstructed through
+  /// stateless transforms) into only the newly attached consumer.
+  /// Deliveries are scoped: fresh nodes only feed fresh nodes and reused
+  /// nodes emit nothing, so sibling views' memories, pending deltas and
+  /// listeners are untouched. Call between graph deltas (the network must
   /// be quiescent), after wiring the new nodes; the scheduler is rebuilt
-  /// to cover them.
+  /// to cover them. The drain publishes one commit epoch.
   ///
   /// `replay_scope` bounds the reverse-edge walk that reconstructs
   /// stateless replay sources: pass the registering view's full node set
@@ -312,26 +286,19 @@ class ReteNetwork : public GraphListener, private EmitSink {
                            const std::vector<ReplayEdge>& replay_edges,
                            const std::vector<ReteNode*>& replay_scope);
 
-  /// `node`'s current output as an insert-only delta: ReplayOutput for
-  /// stateful nodes, reconstructed via the node's inputs for stateless
-  /// transforms. Exposed for tests/diagnostics; PrimeNewNodes memoizes
-  /// across replay edges instead of calling this per edge.
-  Delta ReplayOutputOf(ReteNode* node);
-
   /// Destroys `victims` — nodes no remaining view references (the caller,
   /// normally the ViewCatalog, owns that refcount). Victims are unsubscribed
   /// from every surviving node's output list, dropped from the source /
   /// production / scheduler bookkeeping, and freed. Surviving nodes keep
   /// their memories untouched, so detaching one view never disturbs a
-  /// sharing sibling; if the network is attached the topological levels are
-  /// recomputed.
+  /// sharing sibling; the topological levels are recomputed.
   void RemoveNodes(const std::vector<ReteNode*>& victims);
 
   // GraphListener:
   void OnGraphDelta(const GraphDelta& delta) override;
 
   /// Topological level assigned to `node` by the wave scheduler (sources
-  /// are level 0); -1 before the first Attach or for nodes wired after it.
+  /// are level 0); -1 for nodes not primed yet.
   /// Exposed for tests and diagnostics.
   int node_level(const ReteNode* node) const;
 
@@ -349,19 +316,19 @@ class ReteNetwork : public GraphListener, private EmitSink {
     return changes_processed_.load(std::memory_order_relaxed);
   }
 
-  /// Lifetime sum of delta entries emitted by all nodes — the total
+  /// Lifetime sum of delta entries emitted by the live nodes — the total
   /// propagation volume through this network (the FGN experiments' metric).
-  /// Emissions are counted after consolidation, so cancelled inverse pairs
-  /// do not contribute. Safe from any thread
+  /// A removed node takes its emissions out of the sum. Emissions are
+  /// counted after consolidation, so cancelled inverse pairs do not
+  /// contribute. Safe from any thread
   /// (relaxed per-node atomics) as long as no registration mutates the
   /// node set concurrently — which is why monitor threads read this and
   /// not QueryEngine::MetricsSnapshot(), a writer-thread-only aggregate.
   int64_t TotalEmittedEntries() const;
 
-  /// Lifetime sum of delta entries emitted by the graph-boundary source
-  /// nodes only — the graph-read volume. The catalog differences this
-  /// around priming to report graph-primed tuples (PrimeStats). Same
-  /// thread-safety as TotalEmittedEntries.
+  /// Lifetime sum of delta entries emitted by the live graph-boundary
+  /// source nodes only — the graph-read volume. Same thread-safety as
+  /// TotalEmittedEntries.
   int64_t SourceEmittedEntries() const;
 
   size_t source_count() const { return sources_.size(); }
@@ -392,11 +359,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   struct NodeState {
     int level = 0;
     bool queued = false;
-    /// True for nodes this network owns (emit sink installed). Foreign
-    /// subscribers recurse directly into arbitrary downstream nodes when
-    /// run, so they are kept out of the parallel phase and processed at
-    /// the barrier instead.
-    bool owned = false;
     std::vector<std::pair<int, PendingDelta>> pending;
     Delta out;
     /// Per-partition staging slots for morsel delivery: partition p of a
@@ -423,8 +385,8 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// The pending slot for `port` of `state`, inserted in port order.
   static PendingDelta& PendingFor(NodeState& state, int port);
 
-  /// Computes topological levels and allocates scheduler state. Re-run on
-  /// every Attach so nodes/edges wired between attachments are covered.
+  /// Computes topological levels and allocates scheduler state. Re-run
+  /// whenever the node set changes (PrimeNewNodes, RemoveNodes).
   void PrepareScheduler();
 
   void EnqueueReady(ReteNode* node, NodeState& state);
@@ -486,7 +448,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   void MergeMorsel(WaveItem& item);
 
   /// Drains all queued work level by level until the network is quiescent.
-  /// Under kParallel each level's owned nodes are processed concurrently
+  /// Under kParallel each level's nodes are processed concurrently
   /// (phase 1) before the barrier merge (phase 2); results are
   /// bit-identical to serial draining.
   void DrainWaves();
@@ -510,66 +472,55 @@ class ReteNetwork : public GraphListener, private EmitSink {
                          std::vector<std::pair<ReteNode*, int>>>;
   InputsMap BuildInputsMap(const std::vector<ReteNode*>& scope) const;
 
-  /// Memoized current output of `node` (see ReplayOutputOf). `inputs` is
-  /// filled lazily from `scope` on the first stateless node encountered.
+  /// Memoized current output of `node` as an insert-only delta:
+  /// ReplayOutput for stateful nodes, reconstructed via the node's inputs
+  /// for stateless transforms. `inputs` is filled lazily from `scope` on
+  /// the first stateless node encountered.
   const Delta& CurrentOutputOf(ReteNode* node,
                                const std::vector<ReteNode*>& scope,
                                InputsMap& inputs, bool& inputs_built,
                                std::unordered_map<ReteNode*, Delta>& memo);
 
+  /// The graph this network maintains against (subscribed from
+  /// construction to destruction).
+  PropertyGraph* const graph_;
   std::vector<std::unique_ptr<ReteNode>> nodes_;
   std::vector<GraphSourceNode*> sources_;
-  ProductionNode* production_ = nullptr;
-  /// Every view root, in registration order (catalog networks have many).
+  /// Every view root, in registration order.
   std::vector<ProductionNode*> productions_;
-  PropertyGraph* attached_graph_ = nullptr;
-  /// The graph this network was first primed over; re-attachment is only
-  /// valid to the same graph (source nodes capture it at construction).
-  PropertyGraph* primed_graph_ = nullptr;
   /// Lifetime counters. Written on the writer thread only, but relaxed
   /// atomics so serving threads may read them mid-ingest without racing.
   std::atomic<int64_t> deltas_processed_{0};
   std::atomic<int64_t> changes_processed_{0};
-
-  ExecutorKind executor_ = ExecutorKind::kSerial;
-  int executor_threads_ = 0;  // 0 = hardware concurrency
-  /// The pool parallel waves run on: `shared_pool_` when the catalog lent
-  /// one, else lazily built at Attach(); workers persist across waves and
-  /// attachments. Null whenever the resolved executor is serial.
-  std::shared_ptr<ThreadPool> pool_;
-  /// Engine-wide pool injected via set_thread_pool (may be null).
-  std::shared_ptr<ThreadPool> shared_pool_;
-  size_t consolidation_cutoff_ = kDefaultConsolidationCutoff;
-  /// See set_epoch_retention / PublishEpochs.
-  size_t epoch_retention_ = 0;
   std::atomic<uint64_t> commit_epoch_{0};
   std::atomic<int64_t> epochs_published_{0};
-  /// See set_parallel_min_wave_entries; the builder/catalog overwrite this
-  /// from NetworkOptions, so the default only covers hand-wired networks.
-  size_t parallel_min_wave_entries_ = 8;
   std::atomic<int64_t> parallel_waves_dispatched_{0};
+  std::atomic<int64_t> morsel_waves_dispatched_{0};
+
+  /// Configuration, fixed at construction (see NetworkOptions).
+  const ExecutorKind executor_;
+  const size_t parallel_min_wave_entries_;
+  const size_t morsel_min_node_entries_;
+  /// The pool parallel waves run on; workers persist for the network's
+  /// lifetime. Null whenever the resolved executor is serial.
+  const std::unique_ptr<ThreadPool> pool_;
+  /// NetworkOptions::morsel_partitions resolved against the pool.
+  const uint32_t morsel_partitions_resolved_;
+
   /// See set_profiling. Read on the hot paths as a plain bool: flipped
   /// only on the writer thread between drains.
   bool profiling_ = false;
-  /// See set_metrics: the engine's registry plus the histograms this
-  /// network records into (resolved once so drains never lock).
-  MetricsRegistry* metrics_ = nullptr;
+  /// The engine registry's histograms this network records into (resolved
+  /// once so drains never lock; null without a registry).
   LatencyHistogram* h_drain_ns_ = nullptr;
   LatencyHistogram* h_publish_ns_ = nullptr;
   LatencyHistogram* h_translate_ns_ = nullptr;
   LatencyHistogram* h_wave_ns_ = nullptr;
   LatencyHistogram* h_barrier_ns_ = nullptr;
   LatencyHistogram* h_drain_entries_ = nullptr;
-  size_t trace_capacity_ = 1 << 16;
+  LatencyHistogram* h_wave_imbalance_ = nullptr;
   /// Created on the first set_profiling(true); see trace().
   std::unique_ptr<TraceBuffer> trace_;
-  /// See set_morsel_min_node_entries / set_morsel_partitions; the
-  /// builder/catalog overwrite these from NetworkOptions.
-  size_t morsel_min_node_entries_ = 1024;
-  uint32_t morsel_partitions_ = 0;  // 0 = auto; resolved at Attach
-  uint32_t morsel_partitions_resolved_ = 1;
-  std::atomic<int64_t> morsel_waves_dispatched_{0};
-  LatencyHistogram* h_wave_imbalance_ = nullptr;
   /// Scratch for the wave loop (members so steady-state waves don't
   /// allocate): the level being drained, the phase-1 task list, and the
   /// partition-map chunks of the wave's morsel nodes.
@@ -587,11 +538,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   };
   std::vector<TranslateTask> translate_tasks_;
   std::vector<Delta> translate_out_;
-  /// True while a graph delta is being translated into source buffers
-  /// (drain deferred until translation finishes) / while DrainWaves runs.
-  /// An OnEmit with neither set is an externally fed node (chained views)
-  /// and triggers an immediate drain.
-  bool buffering_ = false;
+  /// True while DrainWaves runs: the node set must not change mid-drain.
   bool draining_ = false;
   std::unordered_map<const ReteNode*, NodeState> states_;
   std::vector<std::vector<ReteNode*>> ready_by_level_;

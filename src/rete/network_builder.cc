@@ -337,12 +337,12 @@ Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
   }
   // The production takes the *plan's* schema: a registry hit may return a
   // root built for another view, whose schema carries that view's aliases
-  // — positionally identical, but this view's diagnostics and chained
-  // subscribers should see its own column names.
+  // — positionally identical, but this view's diagnostics should see its
+  // own column names.
   auto* production =
       network->Add(std::make_unique<ProductionNode>(plan->schema));
   root->node->AddOutput(production, 0);
-  network->SetProduction(production);
+  network->RegisterProduction(production);
   BuiltView view;
   view.production = production;
   view.nodes = std::move(root->support);

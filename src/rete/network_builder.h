@@ -12,75 +12,6 @@ namespace pgivm {
 
 class NodeRegistry;
 
-struct NetworkOptions {
-  /// Fold unnest deltas per kept-column projection and emit element-level
-  /// differences (the FGN behaviour). Off = the E4 ablation baseline.
-  bool fine_grained_unnest = true;
-
-  /// How a topological wave's nodes are executed (see ExecutorKind).
-  /// kSerial is the default-compatible single-thread drain; kParallel
-  /// distributes each wave over a persistent worker pool with
-  /// bit-identical results.
-  ExecutorKind executor = ExecutorKind::kSerial;
-
-  /// Total wave parallelism for ExecutorKind::kParallel, including the
-  /// dispatching thread; 0 = the machine's hardware concurrency.
-  int num_threads = 0;
-
-  /// Work-size gate for parallel dispatch: a topological wave whose queued
-  /// delta entries total fewer than this runs inline on the draining
-  /// thread instead of being handed to the worker pool — waking workers
-  /// costs more than delivering a near-empty wave (the single-change
-  /// steady state of a serving catalog). 0 dispatches every multi-node
-  /// wave. Purely a performance knob: results are bit-identical for any
-  /// value. Ignored under kSerial.
-  size_t parallel_min_wave_entries = 8;
-
-  /// Work-size gate for morsel-style intra-node parallelism: a single node
-  /// holding at least this many queued delta entries has its delivery
-  /// split into key-partitioned morsels processed concurrently (and a
-  /// graph delta with at least this many changes has its source
-  /// translation partitioned the same way). 0 forces the morsel path for
-  /// every eligible node — the test/CI setting; raising it keeps skew-free
-  /// steady states on the cheaper whole-node path. Purely a performance
-  /// knob: results are bit-identical for any value. Requires
-  /// ExecutorKind::kParallel (no pool = no morsels); see also
-  /// ApplyEnvMorselOverride / PGIVM_MORSEL.
-  size_t morsel_min_node_entries = 1024;
-
-  /// Caps how many partitions a morsel dispatch splits a node into. 0 =
-  /// auto (the worker pool's parallelism, itself capped at kMorselShards);
-  /// 1 disables morsel execution and parallel source translation entirely
-  /// (the ablation baseline). Bit-identical results for any value.
-  uint32_t morsel_partitions = 0;
-
-  /// Delta payloads of this size or fewer bypass sort-based consolidation
-  /// for a pairwise fast path (see Consolidate). Identical results for any
-  /// value; 0 disables the fast path entirely.
-  size_t consolidation_cutoff = kDefaultConsolidationCutoff;
-
-  /// How many *previous* committed epochs each production keeps alive for
-  /// concurrent readers, in addition to the current one (see
-  /// ReteNetwork::set_epoch_retention). 0 frees a superseded epoch at the
-  /// first commit after the last reader unpins it.
-  size_t epoch_retention = 0;
-
-  /// Per-node/per-drain propagation profiling (see
-  /// ReteNetwork::set_profiling): node profiles, drain/wave/serving
-  /// histograms and Chrome-trace events. Off (the default) keeps every hot
-  /// path free of clock reads — bench_e9_observability holds the
-  /// profiling-off overhead under 2% on the e3 burst workload. Can also be
-  /// toggled at runtime (QueryEngine::set_profiling) and overridden by the
-  /// PGIVM_PROFILE environment variable (see ApplyEnvProfilingOverride).
-  bool profiling = false;
-
-  /// Capacity, in events, of each network's profiling trace buffer (plus
-  /// the engine's ingest-span buffer). Events past capacity are dropped
-  /// and counted, so a long profiled session truncates its trace instead
-  /// of growing without bound.
-  size_t trace_capacity = 1 << 16;
-};
-
 /// Returns `options` with the `PGIVM_THREADS` environment override applied:
 /// when the variable is set to an integer n, n > 1 forces
 /// ExecutorKind::kParallel with n threads and n <= 1 forces kSerial —

@@ -93,12 +93,10 @@ class EmitSink {
 /// nothing locks. Read accessors (ApproxMemoryBytes, emitted_entries,
 /// ReplayOutput) are safe from the driving thread between drains.
 ///
-/// Lifecycle: constructed bottom-up by the network builder, owned by the
-/// ReteNetwork, wired via AddOutput before the network attaches or primes
-/// the node (catalog registrations add nodes to live networks and prime
-/// them via ReteNetwork::PrimeNewNodes). Reset() returns a node to its
-/// pre-prime state; RemoveOutputsTo unsubscribes dying consumers without
-/// touching this node's memories.
+/// Lifecycle: constructed bottom-up by the network builder, held by the
+/// ReteNetwork, wired via AddOutput before the network primes the node
+/// (ReteNetwork::PrimeNewNodes). RemoveOutputsTo unsubscribes dying
+/// consumers without touching this node's memories.
 class ReteNode {
  public:
   explicit ReteNode(Schema schema) : schema_(std::move(schema)) {}
@@ -116,12 +114,6 @@ class ReteNode {
   /// in topological order, before feeding any graph state.
   virtual void EmitInitial() {}
 
-  /// Clears all node memories, returning the node to its pre-Attach state
-  /// so the network can be primed again (always against the same graph —
-  /// graph-boundary nodes capture their graph at construction). Stateless
-  /// nodes need not override.
-  virtual void Reset() {}
-
   /// Called by the batched scheduler on the draining thread, in ready
   /// order, after this node's wave work has been flushed — the hook where
   /// work deferred out of a (possibly parallel) wave runs serially.
@@ -134,12 +126,11 @@ class ReteNode {
   /// consumer must receive to reach steady state) to `out` and returns
   /// true. Stateful nodes reconstruct it from their memories: an input
   /// node replays its asserted tuples, a join probes its two memories, an
-  /// aggregate renders its live groups, a production replays its result
-  /// bag. Stateless transforms (filter/project/union/unnest) return false
-  /// without touching `out`; the network (ReteNetwork::PrimeNewNodes /
-  /// ReplayOutputOf) then reconstructs their output by pulling the inputs
-  /// and pushing them through OnDelta under a capturing sink (safe:
-  /// stateless nodes mutate no memory).
+  /// aggregate renders its live groups. Stateless transforms
+  /// (filter/project/union/unnest) return false without touching `out`;
+  /// the network (ReteNetwork::PrimeNewNodes) then reconstructs their
+  /// output by pulling the inputs and pushing them through OnDelta under a
+  /// capturing sink (safe: stateless nodes mutate no memory).
   ///
   /// Contract: must not Emit, must not mutate any memory, and must be
   /// exact — ViewCatalog registration relies on replay-primed consumers
@@ -243,6 +234,10 @@ class ReteNode {
   NodeProfile& profile() { return profile_; }
 
  protected:
+  void AddEmittedEntries(int64_t n) {
+    emitted_entries_.fetch_add(n, std::memory_order_relaxed);
+  }
+
   /// Forwards `delta` to every subscriber (no-op for empty deltas). When a
   /// sink is installed, the delta is buffered there instead and counted
   /// against emitted_entries() only after consolidation, so cancelled
@@ -278,13 +273,9 @@ class ReteNode {
  private:
   friend class ReteNetwork;  // accounts consolidated emissions on flush
 
-  void AddEmittedEntries(int64_t n) {
-    emitted_entries_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// The sink-less fan-out: recurse into every subscriber. Serves only
-  /// nodes no network owns (unit-test wiring, foreign subscribers of a
-  /// chained view); a network installs its sink on every node it owns.
+  /// nodes no network owns (node unit tests wire them by hand); a network
+  /// installs its sink on every node it owns.
   void FanOut(const Delta& delta) {
     AddEmittedEntries(static_cast<int64_t>(delta.size()));
     for (auto& [node, port] : outputs_) node->OnDelta(port, delta);

@@ -40,14 +40,6 @@ class PathInputNode : public ReteNode, public GraphSourceNode {
   /// asserted zero-length paths).
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override {
-    paths_.clear();
-    edge_index_.clear();
-    trail_keys_.clear();
-    zero_asserted_.clear();
-    next_path_id_ = 0;
-  }
-
   size_t ApproxMemoryBytes() const override;
   std::string DebugString() const override;
   const char* KindName() const override { return "PathInput"; }

@@ -9,22 +9,13 @@ namespace pgivm {
 
 void ProductionNode::OnDelta(int port, const Delta& delta) {
   (void)port;
-  // The wave scheduler delivers already-consolidated deltas; only
-  // re-normalize the raw ones a sink-less foreign upstream (a unit-test
-  // probe, another network's node) hands over directly.
-  Delta normalized;
-  const Delta* net = &delta;
-  if (!IsConsolidated(delta)) {
-    normalized = Normalize(delta);
-    net = &normalized;
-  }
-  if (net->empty()) return;
+  // The wave scheduler delivers consolidated, non-empty deltas.
   ++version_;
-  for (const DeltaEntry& entry : *net) {
+  for (const DeltaEntry& entry : delta) {
     results_.Apply(entry.tuple, entry.multiplicity);
   }
   if (!rebuild_) {
-    pending_.insert(pending_.end(), net->begin(), net->end());
+    pending_.insert(pending_.end(), delta.begin(), delta.end());
     // A buffer longer than the bag costs about what one sort of the bag
     // costs, and holds as much memory: drop it, the next publish rebuilds.
     if (pending_.size() > results_.distinct_size()) {
@@ -32,19 +23,21 @@ void ProductionNode::OnDelta(int port, const Delta& delta) {
       rebuild_ = true;
     }
   }
-  if (notify_listeners_ && !listeners_.empty()) {
+  if (!listeners_.empty()) {
     if (defer_notifications_) {
       // Mid-parallel-wave: listener code must not run on a pool worker.
       // Buffered here (single writer: one worker owns this node) and
       // flushed from OnWaveBarrier on the draining thread.
-      deferred_notifications_.push_back(*net);
+      deferred_notifications_.push_back(delta);
     } else {
       for (ViewChangeListener* listener : listeners_) {
-        listener->OnViewDelta(*net);
+        listener->OnViewDelta(delta);
       }
     }
   }
-  Emit(*net);  // Views can be chained (used by tests).
+  // A production is terminal: account the delivery as its emission, so
+  // TotalEmittedEntries covers the result changes too.
+  AddEmittedEntries(static_cast<int64_t>(delta.size()));
 }
 
 void ProductionNode::OnWaveBarrier() {
@@ -125,7 +118,7 @@ bool MergeSortedRows(const std::vector<Tuple>& rows, Delta& changes,
 
 }  // namespace
 
-bool ProductionNode::PublishSnapshot(uint64_t epoch, size_t retention) {
+bool ProductionNode::PublishSnapshot(uint64_t epoch) {
   const bool changed = published_version_ != version_;
   if (changed) {
     auto next = std::make_shared<PublishedEpoch>();
@@ -145,17 +138,14 @@ bool ProductionNode::PublishSnapshot(uint64_t epoch, size_t retention) {
                                std::memory_order_release);
     retired_.push_back(std::move(previous));
   }
-  // Free the superseded epochs past the retention window that only this
-  // thread still holds (use_count 1: no reader can reach them any more,
-  // so none can pin them again). Pinned ones wait for a later commit.
-  const auto window =
-      retired_.end() - static_cast<ptrdiff_t>(std::min(retention,
-                                                       retired_.size()));
-  retired_.erase(std::remove_if(retired_.begin(), window,
+  // Free the superseded epochs only this thread still holds (use_count 1:
+  // no reader can reach them any more, so none can pin them again). Pinned
+  // ones wait for a later commit.
+  retired_.erase(std::remove_if(retired_.begin(), retired_.end(),
                                 [](const EpochPtr& retired) {
                                   return retired.use_count() == 1;
                                 }),
-                 window);
+                 retired_.end());
   return changed;
 }
 

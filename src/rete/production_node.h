@@ -2,7 +2,6 @@
 #define PGIVM_RETE_PRODUCTION_NODE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -62,38 +61,15 @@ class ProductionNode : public ReteNode {
   /// calling (draining) thread.
   void OnWaveBarrier() override;
 
-  void Reset() override {
-    results_.Clear();
-    Delta().swap(pending_);
-    rebuild_ = true;
-    ++version_;
-  }
-
-  /// Replays the materialized result bag (chained-view priming).
-  bool ReplayOutput(Delta& out) const override {
-    out.reserve(out.size() + results_.counts().size());
-    for (const auto& [tuple, count] : results_.counts()) {
-      out.push_back({tuple, count});
-    }
-    return true;
-  }
-
   /// Current result bag (tuple -> multiplicity).
   const Bag& results() const { return results_; }
 
-  /// Temporarily silences listener fan-out. The network disables
-  /// notifications while (re-)priming an attachment: priming replays the
-  /// whole graph content, which is not an observable *change* to a view
-  /// that sharing-induced re-priming rebuilds to the same rows. Results are
-  /// still applied and chained emissions still happen.
-  void set_notify_listeners(bool on) { notify_listeners_ = on; }
-
   /// Under parallel wave execution several productions' OnDelta calls run
-  /// concurrently; with this flag set (by the network at a parallel
-  /// Attach) listener notifications are buffered instead of fired inline
-  /// and delivered from OnWaveBarrier() — serially, in ready order — so
-  /// user listener code keeps the serial executor's threading contract.
-  /// Result application and chained emissions are unaffected.
+  /// concurrently; with this flag set (by a network with a worker pool, at
+  /// registration) listener notifications are buffered instead of fired
+  /// inline and delivered from OnWaveBarrier() — serially, in ready order —
+  /// so user listener code keeps the serial executor's threading contract.
+  /// Result application is unaffected.
   ///
   /// One visible difference from inline delivery: the barrier runs after
   /// the whole wave's deltas are applied, so a listener that reads a
@@ -115,20 +91,17 @@ class ProductionNode : public ReteNode {
   /// copied as refcounted pointers, each changed tuple's net copies are
   /// added at the end of its Compare-equal run or dropped from it — O(n)
   /// pointer copies plus O(|Δ| log |Δ|) comparisons, no hashing, no sort
-  /// of the view. After priming, Reset, or a buffer that outgrew the bag
-  /// the rows are sorted from the bag instead (SortedRows, one sort).
+  /// of the view. After priming or a buffer that outgrew the bag the rows
+  /// are sorted from the bag instead (SortedRows, one sort).
   ///
-  /// `retention` previous epoch objects are kept alive in addition to the
-  /// current one, so a reader re-pinning within a short window can still
-  /// compare against recent history. Older superseded epochs are retired
-  /// here, on the writer, once no reader pins them any more: the writer
-  /// keeps a reference until it holds the last one, so a reader dropping
-  /// its pin never frees rows and Pin() stays O(1). Every call sweeps,
-  /// changed or not.
+  /// Superseded epochs are retired here, on the writer, once no reader
+  /// pins them any more: the writer keeps a reference until it holds the
+  /// last one, so a reader dropping its pin never frees rows and Pin()
+  /// stays O(1). Every call sweeps, changed or not.
   ///
   /// Returns true when a fresh epoch object was published, false when the
   /// previous one was kept — the network counts published epochs with it.
-  bool PublishSnapshot(uint64_t epoch, size_t retention);
+  bool PublishSnapshot(uint64_t epoch);
 
   /// Pins the last published epoch. Safe to call from any thread, at any
   /// time, concurrently with a drain on the writer thread — publication is
@@ -161,10 +134,9 @@ class ProductionNode : public ReteNode {
   /// under inline notification).
   std::vector<Delta> deferred_notifications_;
   /// Change counter: bumped whenever results_ may have changed (non-empty
-  /// delta applied, or Reset); PublishSnapshot keeps the previous epoch
-  /// object while it is unchanged.
+  /// delta applied); PublishSnapshot keeps the previous epoch object while
+  /// it is unchanged.
   uint64_t version_ = 0;
-  bool notify_listeners_ = true;
   bool defer_notifications_ = false;
 
   /// The last published epoch. Written only by the writer thread (via
@@ -173,10 +145,9 @@ class ProductionNode : public ReteNode {
   EpochPtr published_;
   /// The version_ the last published epoch reflects.
   uint64_t published_version_ = 0;
-  /// Superseded epochs, oldest first: the newest `retention` kept
-  /// deliberately, older ones until no reader pins them (see
+  /// Superseded epochs some reader may still pin, oldest first (see
   /// PublishSnapshot). Writer-thread-only.
-  std::deque<EpochPtr> retired_;
+  std::vector<EpochPtr> retired_;
   /// The consolidated deliveries applied since the last publish, in
   /// arrival order — what the next publish merges into the published
   /// rows. Owned by whichever thread owns the node (like results_) and
@@ -184,8 +155,8 @@ class ProductionNode : public ReteNode {
   /// rebuild_ set instead, and every publish releases it.
   Delta pending_;
   /// The next publish sorts results_ instead of merging pending_: set
-  /// before the first publish (priming), by Reset, and when pending_
-  /// outgrew its bound.
+  /// before the first publish (priming) and when pending_ outgrew its
+  /// bound.
   bool rebuild_ = true;
 };
 

@@ -33,11 +33,6 @@ class SemiJoinNode : public ReteNode {
   /// support), each with its own multiplicity.
   bool ReplayOutput(Delta& out) const override;
 
-  void Reset() override {
-    left_memory_.clear();
-    right_support_.clear();
-  }
-
   size_t ApproxMemoryBytes() const override;
 
   std::string DebugString() const override { return "SemiJoin"; }

@@ -67,10 +67,6 @@ class ShardedTupleMap {
     return total;
   }
 
-  void clear() {
-    for (Map& map : shards_) map.clear();
-  }
-
   /// Visits every (key, value) pair; shard-major order (not deterministic
   /// across runs — callers needing canonical order sort, as they already
   /// did for a single unordered_map).
@@ -120,10 +116,6 @@ class ShardedIdMap {
     return total;
   }
 
-  void clear() {
-    for (Map& map : shards_) map.clear();
-  }
-
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Map& map : shards_) {
@@ -158,10 +150,6 @@ class ShardedBag {
     size_t total = 0;
     for (const Bag& bag : shards_) total += bag.ApproxMemoryBytes();
     return total;
-  }
-
-  void Clear() {
-    for (Bag& bag : shards_) bag.Clear();
   }
 
   std::array<Bag, kMorselShards>& shards() { return shards_; }

@@ -94,7 +94,7 @@ class Tuple {
   size_t Hash() const { return hash_; }
 
   /// Heap-usage estimate of one held copy: the handle, the block header
-  /// and every inline Value with its owned payloads. A block shared by
+  /// and every inline Value with its heap payloads. A block shared by
   /// several holders is counted at each of them — an upper bound.
   size_t ApproxMemoryBytes() const;
 

@@ -130,6 +130,12 @@ struct TraceEvent {
   std::string args;
 };
 
+/// Capacity, in events, of the engine's trace buffers (each network's
+/// profiling trace and the ingest-span trace). Events past it are dropped
+/// and counted, so a long profiled session truncates its trace instead of
+/// growing without bound; each event is ~100 bytes.
+inline constexpr size_t kTraceCapacity = 1 << 16;
+
 /// Capacity-bounded in-memory trace sink. Append() is single-writer (the
 /// network's draining thread, or the ingest thread for the engine's ingest
 /// buffer) and drops events beyond capacity, counting the drops — a long

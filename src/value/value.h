@@ -105,7 +105,7 @@ class Value {
   /// {k: v}, (#3) for vertices, [#4] for edges, <1-[e0]->2> for paths.
   std::string ToString() const;
 
-  /// Deep heap-usage estimate (inline representation + owned payloads),
+  /// Deep heap-usage estimate (inline representation + heap payloads),
   /// used by the memory-footprint experiments. Shared payloads are counted
   /// at every holder — an upper bound.
   size_t ApproxMemoryBytes() const;

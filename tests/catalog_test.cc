@@ -81,7 +81,7 @@ TEST(CatalogSharing, MirroredUndirectedLabelledEdgeSharesOneEdgeInput) {
   auto first = engine.Register("MATCH (a:Person)-[e]-(b) RETURN a, e, b");
   auto second = engine.Register("MATCH (b)-[e]-(a:Person) RETURN a, e, b");
   ASSERT_TRUE(first.ok() && second.ok());
-  std::string dump = engine.catalog().shared_network()->DebugString();
+  std::string dump = engine.catalog().network().DebugString();
   size_t edge_inputs = 0;
   for (size_t at = dump.find("Edges["); at != std::string::npos;
        at = dump.find("Edges[", at + 1)) {
@@ -212,21 +212,28 @@ TEST(CatalogLifecycle, DetachingOneViewLeavesTheSharingSiblingUntouched) {
   EXPECT_EQ((*back)->Snapshot().size(), expected.value().size());
 }
 
-TEST(CatalogLifecycle, LastViewTearsDownTheSharedNetwork) {
+// The network lives as long as the catalog: dropping the last view frees
+// every node but keeps the network itself, still subscribed to the graph.
+TEST(CatalogLifecycle, LastViewLeavesTheNetworkEmpty) {
   PropertyGraph graph;
   graph.AddVertex({"A"});
   QueryEngine engine(&graph);
+  const ReteNetwork* network = &engine.catalog().network();
   auto view = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(view.ok());
-  ASSERT_NE(engine.catalog().shared_network(), nullptr);
+  EXPECT_GT(network->node_count(), 0u);
   view->reset();
-  EXPECT_EQ(engine.catalog().shared_network(), nullptr);
+  EXPECT_EQ(&engine.catalog().network(), network);
+  EXPECT_EQ(network->node_count(), 0u);
+  EXPECT_EQ(network->source_count(), 0u);
   EXPECT_EQ(engine.catalog().Stats().total_nodes, 0u);
+  graph.AddVertex({"A"});  // an empty network still commits graph deltas
+  EXPECT_EQ(network->deltas_processed(), 1);
 
   // And the catalog accepts registrations again afterwards.
   auto again = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*again)->size(), 1);
+  EXPECT_EQ((*again)->size(), 2);
 }
 
 TEST(CatalogLifecycle, ViewsOutliveTheEngine) {
@@ -316,9 +323,8 @@ TEST(CatalogSharing, DisjointViewsStillRunInTheOneSharedNetwork) {
   auto b = engine.Register("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c");
   ASSERT_TRUE(a.ok() && b.ok());
   const ViewCatalog& catalog = engine.catalog();
-  ASSERT_NE(catalog.shared_network(), nullptr);
-  EXPECT_EQ(&(*a)->network(), catalog.shared_network());
-  EXPECT_EQ(&(*b)->network(), catalog.shared_network());
+  EXPECT_EQ(&(*a)->network(), &catalog.network());
+  EXPECT_EQ(&(*b)->network(), &catalog.network());
   CatalogStats stats = catalog.Stats();
   EXPECT_EQ(stats.views, 2u);
   EXPECT_EQ(stats.shared_nodes, 0u);

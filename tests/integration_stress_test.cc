@@ -183,8 +183,7 @@ TEST(IntegrationStressTest, SharedCatalogStaysExactUnderParallelWaves) {
     views.push_back(engine.Register(query).value());
     twin_views.push_back(twin.Register(query).value());
   }
-  ASSERT_NE(engine.catalog().shared_network(), nullptr);
-  EXPECT_EQ(engine.catalog().shared_network()->executor(),
+  EXPECT_EQ(engine.catalog().network().executor(),
             ExecutorKind::kParallel);
 
   Rng rng(31337);

@@ -392,14 +392,14 @@ TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
   auto second = engine.Register("MATCH (n:B) RETURN n");
   ASSERT_TRUE(second.ok()) << second.status();
 
-  // Four commits: the Attach prime, two graph deltas, one incremental prime.
+  // Four commits: the first prime, two graph deltas, the second prime.
   auto count = [&engine](const char* name) {
     return engine.metrics().GetHistogram(name).Snapshot().count;
   };
   EXPECT_EQ(count("propagation.translate_ns"), 2);
   EXPECT_EQ(count("propagation.drain_ns"), 4);
   EXPECT_EQ(count("propagation.publish_ns"), 4);
-  const ReteNetwork* network = engine.catalog().shared_network();
+  const ReteNetwork* network = &engine.catalog().network();
   EXPECT_EQ(network->commit_epoch(), 4u);
   int translate_spans = 0;
   int drain_spans = 0;
@@ -550,8 +550,7 @@ TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
   EXPECT_EQ(snap.last_prime.replayed_entries,
             engine.catalog().last_prime_stats().replayed_entries);
 
-  const ReteNetwork* network = engine.catalog().shared_network();
-  ASSERT_NE(network, nullptr);
+  const ReteNetwork* network = &engine.catalog().network();
   EXPECT_EQ(snap.deltas_processed, network->deltas_processed());
   EXPECT_EQ(snap.changes_processed, network->changes_processed());
   EXPECT_EQ(snap.total_emitted_entries, network->TotalEmittedEntries());
@@ -562,6 +561,64 @@ TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
   EXPECT_EQ(snap.ingest_batches, engine.ingest_batches());
   EXPECT_FALSE(snap.ingest_running);
   EXPECT_EQ(snap.nodes.size(), network->node_count());
+}
+
+// The network lives as long as the engine, so dropping the last view
+// keeps it: no lifetime counter and no commit epoch ever goes backwards,
+// and a view registered after the drop pins a later epoch than any before.
+// The emitted-entry totals sum over the live nodes, so they are monotone
+// only while the node set stands (across updates).
+TEST(MetricsSnapshot, LifetimeCountersNeverDecreaseAcrossLastViewDrop) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  RandomGraphConfig config;
+  config.seed = 23;
+  RandomGraphGenerator generator(config);
+  generator.Populate(&graph);
+  QueryEngine engine(&graph);
+  const char* query = ProfiledQueries()[0];
+
+  EngineMetricsSnapshot last = engine.MetricsSnapshot();
+  uint64_t last_pinned = 0;
+  auto check = [&](const std::string& stage,
+                   const std::shared_ptr<View>& view, bool same_nodes) {
+    const EngineMetricsSnapshot now = engine.MetricsSnapshot();
+    EXPECT_GE(now.deltas_processed, last.deltas_processed) << stage;
+    EXPECT_GE(now.changes_processed, last.changes_processed) << stage;
+    if (same_nodes) {
+      EXPECT_GE(now.total_emitted_entries, last.total_emitted_entries)
+          << stage;
+      EXPECT_GE(now.source_emitted_entries, last.source_emitted_entries)
+          << stage;
+    }
+    EXPECT_GE(now.epochs_published, last.epochs_published) << stage;
+    EXPECT_GE(now.commit_epoch, last.commit_epoch) << stage;
+    last = now;
+    if (view != nullptr) {
+      const uint64_t pinned = view->Pin()->epoch();
+      EXPECT_GE(pinned, last_pinned) << stage;
+      last_pinned = pinned;
+    }
+  };
+  auto update = [&generator, &graph] {
+    for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+  };
+
+  std::shared_ptr<View> view = engine.Register(query).value();
+  check("first register", view, false);
+  update();
+  check("updates", view, true);
+  view.reset();
+  check("last view dropped", nullptr, false);
+  update();
+  check("updates without views", nullptr, true);
+  view = engine.Register(query).value();
+  EXPECT_GT(view->Pin()->epoch(), last_pinned);
+  check("second register", view, false);
+  update();
+  check("updates after re-register", view, true);
+  EXPECT_GT(last.total_emitted_entries, 0);
 }
 
 // ---- trace export through the engine ---------------------------------------

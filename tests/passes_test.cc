@@ -217,19 +217,6 @@ TEST(FilterPushdownTest, CrossSideConjunctStaysAboveJoin) {
   EXPECT_EQ(sel->children[0]->kind, OpKind::kJoin);
 }
 
-TEST(FilterPushdownTest, DisabledKeepsSelectionAtTop) {
-  PlanOptions options;
-  options.filter_pushdown = false;
-  // Canonicalization re-pushes every region conjunct to its deepest
-  // binding site (the normal form is placement-deterministic), which would
-  // mask exactly the ablation this test observes.
-  options.canonicalize = false;
-  OpPtr fra = Fra("MATCH (a:A), (b:B) WHERE a.x = 1 RETURN a, b", options);
-  const LogicalOp* join = FindKind(fra, OpKind::kJoin);
-  ASSERT_NE(join, nullptr);
-  EXPECT_NE(join->children[0]->kind, OpKind::kSelection);
-}
-
 // ---- Column pruning ---------------------------------------------------------
 
 TEST(ColumnPruningTest, UnreferencedExtractRemoved) {

@@ -101,8 +101,8 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
   }
   ASSERT_EQ(large_engine.catalog().view_count(), extra.size() + 1);
 
-  const ReteNetwork* small_net = small_engine.catalog().shared_network();
-  const ReteNetwork* large_net = large_engine.catalog().shared_network();
+  const ReteNetwork* small_net = &small_engine.catalog().network();
+  const ReteNetwork* large_net = &large_engine.catalog().network();
   int64_t small_emitted_before = small_net->TotalEmittedEntries();
   int64_t large_emitted_before = large_net->TotalEmittedEntries();
 
@@ -309,7 +309,7 @@ TEST(IncrementalPriming, ListenersStaySilentDuringReplay) {
   (*join_view)->RemoveListener(&join_listener);
 }
 
-TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
+TEST(NetworkPool, ParallelCatalogNetworkOwnsItsPool) {
   ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
   PropertyGraph graph;
   graph.AddVertex({"A"});
@@ -324,10 +324,10 @@ TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
   EXPECT_EQ((*view)->size(), 1);
 }
 
-// The pool is engine-wide, not per network: dropping the last view tears
-// the shared network down, and the network the next registration builds
-// runs on the same workers instead of spawning a fresh pool.
-TEST(EnginePool, NetworkRebuiltAfterTeardownReusesThePool) {
+// The network and its pool live as long as the catalog: dropping the last
+// view leaves both in place, and the next registration runs on the same
+// workers.
+TEST(NetworkPool, LastViewDropKeepsNetworkAndPool) {
   ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
   SocialNetworkConfig config;
   config.persons = 15;
@@ -346,7 +346,7 @@ TEST(EnginePool, NetworkRebuiltAfterTeardownReusesThePool) {
   EXPECT_EQ(pool->parallelism(), 2);
 
   first->reset();
-  ASSERT_EQ(engine.catalog().shared_network(), nullptr);
+  ASSERT_EQ(engine.catalog().network().thread_pool(), pool);
   for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
 
   auto second = engine.Register(
@@ -354,7 +354,7 @@ TEST(EnginePool, NetworkRebuiltAfterTeardownReusesThePool) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ((*second)->network().thread_pool(), pool);
 
-  // The rebuilt network keeps maintaining correctly on the reused pool.
+  // The network keeps maintaining correctly on the same pool.
   for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
   auto expected = engine.EvaluateOnce((*second)->query());
   ASSERT_TRUE(expected.ok());

@@ -2,7 +2,7 @@
 // correctness against from-scratch evaluation under mixed single/batch
 // updates, consolidation (inverse pairs cancel before they reach the
 // production), per-(node, port) queue ordering across the binary node
-// types, and the Attach/Detach lifecycle guards.
+// types, and the network lifecycle (construct, prime, maintain).
 
 #include <cstdlib>
 #include <iterator>
@@ -17,7 +17,6 @@
 #include "engine/query_engine.h"
 #include "scoped_threads_env.h"
 #include "rete/antijoin_node.h"
-#include "rete/distinct_node.h"
 #include "rete/join_node.h"
 #include "rete/network.h"
 #include "rete/semijoin_node.h"
@@ -39,18 +38,6 @@ class RecordingListener : public ViewChangeListener {
   }
   int calls = 0;
   int64_t entries = 0;
-};
-
-/// A node no network owns: it has no emit sink, so it forwards each delta
-/// straight into its own subscribers.
-class PassThrough : public ReteNode {
- public:
-  explicit PassThrough(Schema schema) : ReteNode(std::move(schema)) {}
-  void OnDelta(int port, const Delta& delta) override {
-    (void)port;
-    Emit(delta);
-  }
-  std::string DebugString() const override { return "PassThrough"; }
 };
 
 // ---- correctness under mixed single and batch updates ----------------------
@@ -196,8 +183,8 @@ TEST(Consolidation, BatchesEmitNoMoreThanTheSameChangesOneByOne) {
   }
   // Both networks primed identical graphs, so their totals differ only by
   // what the commits propagated.
-  EXPECT_LE(batch_engine.catalog().shared_network()->TotalEmittedEntries(),
-            single_engine.catalog().shared_network()->TotalEmittedEntries());
+  EXPECT_LE(batch_engine.catalog().network().TotalEmittedEntries(),
+            single_engine.catalog().network().TotalEmittedEntries());
 }
 
 TEST(Consolidation, BatchOfInsertsCoalescesToOneListenerCall) {
@@ -244,14 +231,14 @@ struct BinaryFixture {
     right->AddOutput(binary, 1);
     production = network.Add(std::make_unique<ProductionNode>(vs));
     binary->AddOutput(production, 0);
-    network.SetProduction(production);
-    network.Attach(&graph);
+    network.RegisterProduction(production);
+    network.PrimeNewNodes({left, right, binary, production}, {}, {});
     left_node = left;
     right_node = right;
   }
 
   PropertyGraph graph;
-  ReteNetwork network;
+  ReteNetwork network{&graph, NetworkOptions{}};
   ReteNode* left_node = nullptr;
   ReteNode* right_node = nullptr;
   ReteNode* binary = nullptr;
@@ -348,157 +335,6 @@ TEST(QueueOrdering, UnionCoalescesBothPortsIntoOneDelta) {
   EXPECT_EQ(listener.entries, 2);
   EXPECT_EQ(fixture.production->results().total_count(), 2);
   fixture.production->RemoveListener(&listener);
-}
-
-// A sink-less foreign pass-through wired *between* two owned nodes: the
-// owned downstream must still be levelled above the foreign hop, or its
-// flushed output lands in an already-drained level bucket and the view
-// runs one transaction behind.
-TEST(QueueOrdering, ForeignPassThroughBetweenOwnedNodesStaysCurrent) {
-  PropertyGraph graph;
-  Schema vs = BinaryFixture::VSchema();
-  ReteNetwork network;
-  auto* source = network.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"A"},
-      std::vector<PropertyExtract>{}));
-  network.RegisterSource(source);
-  auto* distinct = network.Add(std::make_unique<DistinctNode>(vs));
-  auto* production = network.Add(std::make_unique<ProductionNode>(vs));
-  distinct->AddOutput(production, 0);
-  network.SetProduction(production);
-
-  PassThrough probe(vs);  // not owned by the network, no emit sink
-  source->AddOutput(&probe, 0);
-  probe.AddOutput(distinct, 0);
-
-  network.Attach(&graph);
-  EXPECT_GT(network.node_level(distinct), network.node_level(&probe));
-
-  for (int i = 1; i <= 4; ++i) {
-    graph.AddVertex({"A"});
-    ASSERT_EQ(production->results().total_count(), i)
-        << "view ran behind after delta " << i;
-  }
-}
-
-// Chained *batched* networks: a node of network B subscribes to network
-// A's production. B buffers externally fed emissions through its own emit
-// sink; it must drain them immediately instead of waiting for its next
-// graph delta, or its results go stale by one transaction.
-TEST(QueueOrdering, ChainedBatchedNetworksStayCurrent) {
-  PropertyGraph graph;
-  Schema vs = BinaryFixture::VSchema();
-
-  ReteNetwork upstream;
-  auto* source = upstream.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"A"},
-      std::vector<PropertyExtract>{}));
-  upstream.RegisterSource(source);
-  auto* upstream_prod = upstream.Add(std::make_unique<ProductionNode>(vs));
-  source->AddOutput(upstream_prod, 0);
-  upstream.SetProduction(upstream_prod);
-
-  ReteNetwork downstream;
-  auto* distinct = downstream.Add(std::make_unique<DistinctNode>(vs));
-  auto* downstream_prod =
-      downstream.Add(std::make_unique<ProductionNode>(vs));
-  distinct->AddOutput(downstream_prod, 0);
-  downstream.SetProduction(downstream_prod);
-  upstream_prod->AddOutput(distinct, 0);
-
-  // Registered (attached) before the upstream network: its OnGraphDelta
-  // fires first and finds nothing — the chained delivery happens later,
-  // inside the upstream network's drain.
-  downstream.Attach(&graph);
-  upstream.Attach(&graph);
-
-  graph.BeginBatch();
-  VertexId v = graph.AddVertex({"A"});
-  graph.AddVertex({"A"});
-  graph.CommitBatch();
-  EXPECT_EQ(upstream_prod->results().total_count(), 2);
-  EXPECT_EQ(downstream_prod->results().total_count(), 2);
-
-  graph.BeginBatch();
-  ASSERT_TRUE(graph.RemoveVertex(v).ok());
-  graph.CommitBatch();
-  EXPECT_EQ(downstream_prod->results().total_count(), 1);
-}
-
-// "Views can be chained": a node the network does not own may subscribe to
-// the production. The network must still deliver to it — via the wave
-// scheduler when wired before Attach, and by direct delivery when wired
-// afterwards.
-TEST(QueueOrdering, ForeignSubscribersReceiveDeltasUnderBatched) {
-  class ForeignSink : public ReteNode {
-   public:
-    ForeignSink() : ReteNode(Schema{}) {}
-    void OnDelta(int port, const Delta& delta) override {
-      (void)port;
-      entries += static_cast<int64_t>(delta.size());
-    }
-    std::string DebugString() const override { return "ForeignSink"; }
-    int64_t entries = 0;
-  };
-
-  PropertyGraph graph;
-  ReteNetwork network;
-  Schema vs({{"v", Attribute::Kind::kVertex}});
-  auto* source = network.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"A"},
-      std::vector<PropertyExtract>{}));
-  network.RegisterSource(source);
-  auto* production = network.Add(std::make_unique<ProductionNode>(vs));
-  source->AddOutput(production, 0);
-  network.SetProduction(production);
-
-  ForeignSink wired_before;
-  production->AddOutput(&wired_before, 0);
-  network.Attach(&graph);
-
-  graph.BeginBatch();
-  graph.AddVertex({"A"});
-  graph.AddVertex({"A"});
-  graph.CommitBatch();
-  EXPECT_EQ(wired_before.entries, 2);
-
-  ForeignSink wired_after;
-  production->AddOutput(&wired_after, 0);
-  graph.AddVertex({"A"});
-  EXPECT_EQ(wired_before.entries, 3);
-  EXPECT_EQ(wired_after.entries, 1);
-}
-
-// A foreign node has no emit sink, so what it emits recurses straight into
-// its own subscribers. With profiling on, the owned nodes are profiled by
-// the wave scheduler and the sink-less chain still counts its emissions.
-TEST(QueueOrdering, SinklessForeignChainCountsEmissionsUnderProfiling) {
-  PropertyGraph graph;
-  ReteNetwork network;
-  Schema vs({{"v", Attribute::Kind::kVertex}});
-  auto* source = network.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"A"},
-      std::vector<PropertyExtract>{}));
-  network.RegisterSource(source);
-  auto* production = network.Add(std::make_unique<ProductionNode>(vs));
-  source->AddOutput(production, 0);
-  network.SetProduction(production);
-  PassThrough relay(vs);  // not owned: no sink
-  ProductionNode chained(vs);
-  production->AddOutput(&relay, 0);
-  relay.AddOutput(&chained, 0);
-  network.set_profiling(true);
-  network.Attach(&graph);
-
-  graph.BeginBatch();
-  for (int i = 0; i < 3; ++i) graph.AddVertex({"A"});
-  graph.CommitBatch();
-  graph.AddVertex({"A"});
-
-  EXPECT_EQ(chained.results().total_count(), 4);
-  EXPECT_EQ(relay.emitted_entries(), 4);
-  EXPECT_EQ(production->profile().activations.load(), 2);
-  EXPECT_EQ(production->profile().input_entries.load(), 4);
 }
 
 // A trail running through several edges added in the same graph delta is
@@ -693,48 +529,6 @@ TEST(WaveExecutor, ParallelWavesAreBitIdenticalToSerial) {
   }
 }
 
-// A sink-less foreign hop wired between owned nodes must keep working when
-// the owned part of the wave runs on the pool: foreign nodes are deferred
-// to the (serial) barrier phase.
-TEST(WaveExecutor, ForeignPassThroughSurvivesParallelWaves) {
-  PropertyGraph graph;
-  Schema vs = BinaryFixture::VSchema();
-  ReteNetwork network;
-  auto* source_a = network.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"A"},
-      std::vector<PropertyExtract>{}));
-  network.RegisterSource(source_a);
-  auto* source_b = network.Add(std::make_unique<VertexInputNode>(
-      vs, &graph, std::vector<std::string>{"B"},
-      std::vector<PropertyExtract>{}));
-  network.RegisterSource(source_b);
-  auto* join = network.Add(std::make_unique<JoinNode>(vs, vs, vs));
-  source_b->AddOutput(join, 1);
-  auto* production = network.Add(std::make_unique<ProductionNode>(vs));
-  join->AddOutput(production, 0);
-  network.SetProduction(production);
-
-  PassThrough probe(vs);  // not owned, no emit sink
-  source_a->AddOutput(&probe, 0);
-  probe.AddOutput(join, 0);
-
-  network.set_executor(ExecutorKind::kParallel, 4);
-  network.Attach(&graph);
-  EXPECT_GT(network.node_level(join), network.node_level(&probe));
-
-  // The natural-join key is the vertex itself, so each dual-labelled
-  // vertex joins exactly itself: i rows after i deltas. A deferred-foreign
-  // bug would leave the join a transaction behind (port 0 arrives through
-  // the probe's sink-less fan-out).
-  for (int i = 1; i <= 4; ++i) {
-    graph.BeginBatch();
-    graph.AddVertex({"A", "B"});
-    graph.CommitBatch();
-    ASSERT_EQ(production->results().total_count(), i)
-        << "join ran behind after delta " << i;
-  }
-}
-
 // ---- work-size-aware wave gating -------------------------------------------
 
 /// A prohibitive gate must keep every wave inline (zero pool dispatches)
@@ -795,10 +589,8 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
     }
   }
 
-  const ReteNetwork* ungated_net = ungated_engine.catalog().shared_network();
-  const ReteNetwork* gated_net = gated_engine.catalog().shared_network();
-  ASSERT_NE(ungated_net, nullptr);
-  ASSERT_NE(gated_net, nullptr);
+  const ReteNetwork* ungated_net = &ungated_engine.catalog().network();
+  const ReteNetwork* gated_net = &gated_engine.catalog().network();
   EXPECT_GT(ungated_net->parallel_waves_dispatched(), 0)
       << "gate 0 never reached the pool";
   EXPECT_EQ(gated_net->parallel_waves_dispatched(), 0)
@@ -1102,53 +894,7 @@ TEST(ConsolidationCutoff, EqualRepresentationsMergeToFirstArrivalOnBothPaths) {
 }
 
 TEST(ConsolidationCutoff, DefaultSkipsSortForTinyPayloadsOnly) {
-  EXPECT_EQ(NetworkOptions{}.consolidation_cutoff,
-            kDefaultConsolidationCutoff);
   EXPECT_EQ(kDefaultConsolidationCutoff, 2u);
-}
-
-TEST(ConsolidationCutoff, ThresholdIsAPurePerformanceKnob) {
-  // The same random stream under cutoff 0 (always sort), the default, and
-  // an absurdly large cutoff (always pairwise) maintains identical views
-  // and identical propagation volume.
-  PropertyGraph graph;
-  RandomGraphConfig config;
-  config.seed = 99;
-  RandomGraphGenerator generator(config);
-  generator.Populate(&graph);
-
-  auto with_cutoff = [](size_t cutoff) {
-    EngineOptions options;
-    options.network.consolidation_cutoff = cutoff;
-    return options;
-  };
-  QueryEngine sort_engine(&graph, with_cutoff(0));
-  QueryEngine default_engine(&graph);
-  QueryEngine pairwise_engine(&graph, with_cutoff(1 << 20));
-
-  const char* query = "MATCH (a:A)-[:R]->(b) RETURN b, count(*) AS c";
-  auto sorted = sort_engine.Register(query);
-  auto defaulted = default_engine.Register(query);
-  auto pairwise = pairwise_engine.Register(query);
-  ASSERT_TRUE(sorted.ok() && defaulted.ok() && pairwise.ok());
-
-  for (int step = 0; step < 60; ++step) {
-    if (step % 4 == 0) {
-      graph.BeginBatch();
-      for (int i = 0; i < 3; ++i) generator.ApplyRandomUpdate(&graph);
-      graph.CommitBatch();
-    } else {
-      generator.ApplyRandomUpdate(&graph);
-    }
-    ASSERT_EQ((*sorted)->Snapshot(), (*defaulted)->Snapshot())
-        << "step " << step;
-    ASSERT_EQ((*sorted)->Snapshot(), (*pairwise)->Snapshot())
-        << "step " << step;
-  }
-  EXPECT_EQ((*sorted)->network().TotalEmittedEntries(),
-            (*defaulted)->network().TotalEmittedEntries());
-  EXPECT_EQ((*sorted)->network().TotalEmittedEntries(),
-            (*pairwise)->network().TotalEmittedEntries());
 }
 
 // ---- publish merge ---------------------------------------------------------
@@ -1158,21 +904,16 @@ TEST(ConsolidationCutoff, ThresholdIsAPurePerformanceKnob) {
 /// deliveries per commit, so the buffer spans several deltas and may net
 /// a row to zero) and checks after every publish that the merged rows
 /// equal a fresh sort of the bag, element for element, and that the epoch
-/// a reader still holds did not change. Resets the production before step
-/// `reset_at` and, at step `wipe_at`, retracts all but one row in a single
-/// delta — more entries than the view keeps, so the buffer outgrows its
-/// bound and the publish rebuilds (-1: never).
-void DrivePublishStream(uint64_t seed, int reset_at, int wipe_at) {
+/// a reader still holds did not change. At step `wipe_at` it retracts all
+/// but one row in a single delta — more entries than the view keeps, so
+/// the buffer outgrows its bound and the publish rebuilds (-1: never).
+void DrivePublishStream(uint64_t seed, int wipe_at) {
   ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
   auto row = [](int64_t k) { return Tuple({Value::Int(k)}); };
   Rng rng(seed);
   std::map<int64_t, int64_t> model;
   uint64_t epoch = 0;
   for (int step = 0; step < 200; ++step) {
-    if (step == reset_at) {
-      production.Reset();
-      model.clear();
-    }
     const uint64_t deliveries = step == wipe_at ? 1 : 1 + rng.NextBelow(3);
     for (uint64_t d = 0; d < deliveries; ++d) {
       Delta delta;
@@ -1201,7 +942,7 @@ void DrivePublishStream(uint64_t seed, int reset_at, int wipe_at) {
     }
     ProductionNode::EpochPtr held = production.PinSnapshot();
     const std::vector<Tuple> frozen = held->rows;
-    production.PublishSnapshot(++epoch, 0);
+    production.PublishSnapshot(++epoch);
     ASSERT_EQ(production.PinSnapshot()->rows,
               ProductionNode::SortedRows(production.results()))
         << "seed " << seed << " step " << step;
@@ -1213,117 +954,103 @@ void DrivePublishStream(uint64_t seed, int reset_at, int wipe_at) {
 }
 
 TEST(PublishMerge, RandomStreamMatchesSortedBag) {
-  for (uint64_t seed : {1, 2, 3, 4}) DrivePublishStream(seed, -1, -1);
-}
-
-TEST(PublishMerge, ResetMidStreamRebuildsThenMerges) {
-  for (uint64_t seed : {5, 6}) DrivePublishStream(seed, 100, -1);
+  for (uint64_t seed : {1, 2, 3, 4}) DrivePublishStream(seed, -1);
 }
 
 TEST(PublishMerge, DeltaLargerThanTheViewRebuildsThenMerges) {
-  for (uint64_t seed : {7, 8}) DrivePublishStream(seed, -1, 120);
+  for (uint64_t seed : {7, 8}) DrivePublishStream(seed, 120);
 }
 
 // A superseded epoch is freed by the writer, never by a reader dropping
 // its pin: the publish that supersedes it keeps a reference, and a later
-// publish (changed or not) frees it once no reader pins it — except the
-// newest `retention` ones, kept regardless.
+// publish (changed or not) frees it once no reader pins it.
 TEST(PublishMerge, SupersededEpochsRetireOnTheWriter) {
   ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
   auto insert = [&production](int64_t k) {
     production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
   };
   insert(1);
-  ASSERT_TRUE(production.PublishSnapshot(1, 0));
+  ASSERT_TRUE(production.PublishSnapshot(1));
   ProductionNode::EpochPtr pinned = production.PinSnapshot();
   std::weak_ptr<const PublishedEpoch> first = pinned;
   insert(2);
-  ASSERT_TRUE(production.PublishSnapshot(2, 0));
+  ASSERT_TRUE(production.PublishSnapshot(2));
   pinned.reset();  // the reader moves on: the writer still holds epoch 1
   EXPECT_FALSE(first.expired());
-  EXPECT_FALSE(production.PublishSnapshot(3, 0));  // unchanged, still sweeps
+  EXPECT_FALSE(production.PublishSnapshot(3));  // unchanged, still sweeps
   EXPECT_TRUE(first.expired());
-
-  // Unpinned, yet kept while it is the newest superseded epoch.
-  std::weak_ptr<const PublishedEpoch> second = production.PinSnapshot();
-  insert(3);
-  ASSERT_TRUE(production.PublishSnapshot(4, 1));
-  EXPECT_FALSE(second.expired());
-  insert(4);
-  ASSERT_TRUE(production.PublishSnapshot(5, 1));
-  EXPECT_TRUE(second.expired());
-  EXPECT_EQ(production.PinSnapshot()->rows.size(), 4u);
+  EXPECT_EQ(production.PinSnapshot()->rows.size(), 2u);
 }
 
-// ---- Attach/Detach lifecycle -----------------------------------------------
+// ---- network lifecycle -----------------------------------------------------
 
+/// One source feeding one production, wired by hand into a network that
+/// is subscribed to `graph` from construction.
 struct SingleSourceFixture {
-  void Build() {
+  ProductionNode* AddView(const std::string& label) {
     Schema vs({{"v", Attribute::Kind::kVertex}});
     auto* source = network.Add(std::make_unique<VertexInputNode>(
-        vs, &graph, std::vector<std::string>{"A"},
+        vs, &graph, std::vector<std::string>{label},
         std::vector<PropertyExtract>{}));
     network.RegisterSource(source);
-    production = network.Add(std::make_unique<ProductionNode>(vs));
+    auto* production = network.Add(std::make_unique<ProductionNode>(vs));
     source->AddOutput(production, 0);
-    network.SetProduction(production);
+    network.RegisterProduction(production);
+    fresh = {source, production};
+    return production;
   }
 
   PropertyGraph graph;
-  ReteNetwork network;
-  ProductionNode* production = nullptr;
+  ReteNetwork network{&graph, NetworkOptions{}};
+  std::vector<ReteNode*> fresh;
 };
 
-TEST(AttachLifecycleTest, DoubleAttachIsANoOp) {
+TEST(NetworkLifecycle, PrimeLevelsTheNodesAndPublishesOneEpoch) {
   SingleSourceFixture fixture;
-  fixture.Build();
-  fixture.network.Attach(&fixture.graph);
-  fixture.network.Attach(&fixture.graph);  // must not double-subscribe
+  fixture.graph.AddVertex({"A", "B"});
+  ProductionNode* production = fixture.AddView("A");
+  EXPECT_EQ(fixture.network.node_level(production), -1);  // not primed yet
 
-  fixture.graph.AddVertex({"A"});
-  EXPECT_EQ(fixture.network.deltas_processed(), 1);
-  EXPECT_EQ(fixture.production->results().total_count(), 1);
-}
-
-TEST(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
-  SingleSourceFixture fixture;
-  fixture.Build();
-  fixture.network.Attach(&fixture.graph);
-  fixture.graph.AddVertex({"A"});
-  ASSERT_EQ(fixture.production->results().total_count(), 1);
-
-  fixture.network.Detach();
-  EXPECT_FALSE(fixture.network.attached());
-  // Mutations while detached are invisible...
-  fixture.graph.AddVertex({"A"});
-  fixture.graph.AddVertex({"B"});
-  EXPECT_EQ(fixture.production->results().total_count(), 1);
-
-  // ...until re-attach re-primes node memories from the current content.
-  fixture.network.Attach(&fixture.graph);
-  EXPECT_TRUE(fixture.network.attached());
-  EXPECT_EQ(fixture.production->results().total_count(), 2);
-
-  // And incremental maintenance resumes.
-  fixture.graph.AddVertex({"A"});
-  EXPECT_EQ(fixture.production->results().total_count(), 3);
-}
-
-TEST(AttachLifecycleTest, ReattachRebuildsTheWaveScheduler) {
-  SingleSourceFixture fixture;
-  fixture.Build();
-  EXPECT_EQ(fixture.network.node_level(fixture.production), -1);
-  fixture.network.Attach(&fixture.graph);
-  EXPECT_EQ(fixture.network.node_level(fixture.production), 1);
-  fixture.network.Detach();
-  fixture.network.Attach(&fixture.graph);
-  EXPECT_EQ(fixture.network.node_level(fixture.production), 1);
+  ReteNetwork::PrimeStats stats =
+      fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);
+  EXPECT_EQ(fixture.network.node_level(fixture.fresh[0]), 0);
+  EXPECT_EQ(fixture.network.node_level(production), 1);
   EXPECT_EQ(fixture.network.DebugString().rfind("executor=serial\n", 0), 0u);
+  EXPECT_EQ(stats.primed_sources, 1u);
+  EXPECT_EQ(stats.graph_primed_entries, 1);
+  EXPECT_EQ(production->results().total_count(), 1);
 
-  // Each attachment primes through one drain and publishes one epoch.
+  // The subscribed network committed the graph delta before the prime
+  // (epoch 1); the prime drains once and publishes one epoch (2), as does
+  // each graph delta after it.
   EXPECT_EQ(fixture.network.commit_epoch(), 2u);
+  EXPECT_EQ(production->PinSnapshot()->epoch, 2u);
   fixture.graph.AddVertex({"A"});
   EXPECT_EQ(fixture.network.commit_epoch(), 3u);
+  EXPECT_EQ(production->results().total_count(), 2);
+
+  // A second view primes through the same call: its own nodes are levelled
+  // and one more epoch is published; the first view is untouched.
+  ProductionNode* second = fixture.AddView("B");
+  fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);
+  EXPECT_EQ(fixture.network.node_level(second), 1);
+  EXPECT_EQ(fixture.network.commit_epoch(), 4u);
+  EXPECT_EQ(second->results().total_count(), 1);
+  EXPECT_EQ(second->PinSnapshot()->epoch, 4u);
+  EXPECT_EQ(production->PinSnapshot()->epoch, 3u);
+}
+
+TEST(NetworkLifecycle, SubscriptionLastsFromConstructionToDestruction) {
+  PropertyGraph graph;
+  {
+    ReteNetwork network(&graph, NetworkOptions{});
+    graph.AddVertex({"A"});
+    EXPECT_EQ(network.deltas_processed(), 1);
+    EXPECT_EQ(network.changes_processed(), 1);
+  }
+  // Unsubscribed: the graph no longer notifies the destroyed network.
+  graph.AddVertex({"A"});
+  EXPECT_EQ(graph.vertex_count(), 2u);
 }
 
 }  // namespace

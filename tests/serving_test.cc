@@ -264,9 +264,6 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   options.network.num_threads = harness.num_threads;
   // Parallelize every wave, however small, to maximize barrier traffic.
   options.network.parallel_min_wave_entries = 0;
-  // Exercise the retention path (readers hold pins anyway; retention only
-  // delays retirement of unpinned epochs).
-  options.network.epoch_retention = 4;
   if (harness.morsel) options.network.morsel_min_node_entries = 0;
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
     RunConcurrentReaderHarness(options, seed, /*reader_count=*/8);
@@ -376,8 +373,7 @@ TEST(ServingIngest, CounterReadsDuringIngestAreRaceFree) {
   QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (n:A) RETURN count(*) AS c");
   ASSERT_TRUE(view.ok()) << view.status();
-  const ReteNetwork* network = engine.catalog().shared_network();
-  ASSERT_NE(network, nullptr);
+  const ReteNetwork* network = &engine.catalog().network();
 
   engine.StartIngest();
   constexpr int kProducers = 2;
