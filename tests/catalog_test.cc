@@ -236,6 +236,49 @@ TEST(CatalogLifecycle, LastViewLeavesTheNetworkEmpty) {
   EXPECT_EQ((*again)->size(), 2);
 }
 
+// Emptying the catalog and registering again reads the graph as it is
+// now, under the serial and the parallel morsel executor alike: removals
+// and additions made while no view was live all show in the new view,
+// which then keeps up with further updates.
+TEST(CatalogLifecycle, RegistrationAfterEmptyingTheCatalogReadsTheCurrentGraph) {
+  const char* query =
+      "MATCH (u:Person)-[:LIKES]->(m:Post) RETURN m, count(*) AS likes";
+  for (bool parallel : {false, true}) {
+    SocialNetworkConfig config;
+    config.persons = 20;
+    SocialNetworkGenerator generator(config);
+    PropertyGraph graph;
+    generator.Populate(&graph);
+    EngineOptions options;
+    if (parallel) {
+      options.network.executor = ExecutorKind::kParallel;
+      options.network.num_threads = 2;
+      options.network.parallel_min_wave_entries = 0;
+      options.network.morsel_min_node_entries = 0;
+    }
+    QueryEngine engine(&graph, options);
+    auto first = engine.Register(query);
+    ASSERT_TRUE(first.ok()) << first.status();
+    for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+    first->reset();
+    ASSERT_EQ(engine.catalog().view_count(), 0u);
+
+    for (int i = 0; i < 20; ++i) generator.ApplyRandomUpdate(&graph);
+    auto second = engine.Register(query);
+    ASSERT_TRUE(second.ok()) << second.status();
+    auto expected = engine.EvaluateOnce(query);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ((*second)->Snapshot(), expected.value())
+        << "parallel=" << parallel;
+
+    for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+    expected = engine.EvaluateOnce(query);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ((*second)->Snapshot(), expected.value())
+        << "parallel=" << parallel;
+  }
+}
+
 TEST(CatalogLifecycle, ViewsOutliveTheEngine) {
   PropertyGraph graph;
   graph.AddVertex({"A"});

@@ -372,6 +372,46 @@ TEST(Profiling, RuntimeToggleCoversLateNetworks) {
   EXPECT_GT(activations, 0);
 }
 
+// The toggle belongs to the network, which outlives its views: after the
+// last view is dropped, the trace and the drain histogram keep counting
+// every commit, and a view registered later is profiled without a new
+// toggle.
+TEST(Profiling, ToggleOutlivesTheLastView) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  engine.set_profiling(true);
+  auto first = engine.Register("MATCH (n:A) RETURN n");  // commit 1
+  ASSERT_TRUE(first.ok()) << first.status();
+  graph.AddVertex({"A"});  // 2
+  const TraceBuffer* trace = engine.catalog().network().trace();
+  ASSERT_NE(trace, nullptr);
+
+  first->reset();
+  graph.AddVertex({"A"});  // 3, no view live
+  auto second = engine.Register("MATCH (n:A) RETURN n");  // 4
+  ASSERT_TRUE(second.ok()) << second.status();
+  graph.AddVertex({"A"});  // 5
+  EXPECT_TRUE(engine.profiling());
+  EXPECT_EQ((*second)->size(), 3);
+
+  EXPECT_EQ(engine.catalog().network().trace(), trace);
+  int drains = 0;
+  for (const TraceEvent& event : trace->events()) {
+    drains += event.name == "drain" ? 1 : 0;
+  }
+  EXPECT_EQ(drains, 5);
+  EXPECT_EQ(
+      engine.metrics().GetHistogram("propagation.drain_ns").Snapshot().count,
+      5);
+  int64_t activations = 0;
+  for (const auto& node : engine.MetricsSnapshot().nodes) {
+    activations += node.activations;
+  }
+  EXPECT_GT(activations, 0);
+}
+
 // Every commit takes the one path DrainWaves → PublishEpochs: a graph delta
 // records one translate span and one drain, a registration into the live
 // network one drain and no translate, and each bumps the commit epoch once.

@@ -198,6 +198,33 @@ TEST(PropertyPushdownTest, NaiveModeShipsWholeMaps) {
             std::string::npos);
 }
 
+// Pushdown always runs; the E6 flag only picks what the leaves extract.
+// Either way a property-reading plan lowers, and the selection reads a
+// column its leaf extracted.
+TEST(PropertyPushdownTest, BothMapModesLowerPropertyReads) {
+  for (bool naive : {false, true}) {
+    PlanOptions options;
+    options.naive_property_maps = naive;
+    OpPtr fra = Fra("MATCH (a:A)-[:R]->(b:B) WHERE a.x = b.y "
+                    "RETURN a.x AS x, count(*) AS c",
+                    options);
+    ASSERT_NE(fra, nullptr) << "naive=" << naive;
+    size_t extracts = 0;
+    for (OpKind leaf : {OpKind::kGetVertices, OpKind::kGetEdges}) {
+      for (const LogicalOp* op : FindAll(fra, leaf)) {
+        for (const PropertyExtract& extract : op->extracts) {
+          EXPECT_EQ(extract.what == PropertyExtract::What::kPropertyMap,
+                    naive)
+              << extract.column_name;
+          ++extracts;
+        }
+      }
+    }
+    EXPECT_GT(extracts, 0u) << "naive=" << naive;
+    EXPECT_NE(FindKind(fra, OpKind::kSelection), nullptr) << "naive=" << naive;
+  }
+}
+
 // ---- Filter pushdown --------------------------------------------------------
 
 TEST(FilterPushdownTest, ConjunctsSplitAcrossJoinSides) {
@@ -208,6 +235,25 @@ TEST(FilterPushdownTest, ConjunctsSplitAcrossJoinSides) {
   ASSERT_NE(join, nullptr);
   EXPECT_EQ(join->children[0]->kind, OpKind::kSelection);
   EXPECT_EQ(join->children[1]->kind, OpKind::kSelection);
+}
+
+// Filter pushdown is a fixed pass, not a canonical-form side effect: a
+// plan lowered without canonicalization still has the one-side conjunct
+// below the join.
+TEST(FilterPushdownTest, PushedBelowJoinWithoutCanonicalization) {
+  PlanOptions options;
+  options.canonicalize = false;
+  OpPtr fra = Fra("MATCH (a:A), (b:B) WHERE a.x = 1 RETURN a, b", options);
+  const LogicalOp* join = FindKind(fra, OpKind::kJoin);
+  ASSERT_NE(join, nullptr);
+  int pushed = 0;
+  for (const OpPtr& child : join->children) {
+    pushed += child->kind == OpKind::kSelection ? 1 : 0;
+  }
+  EXPECT_EQ(pushed, 1);
+  for (const LogicalOp* sel : FindAll(fra, OpKind::kSelection)) {
+    EXPECT_NE(sel->children[0]->kind, OpKind::kJoin);
+  }
 }
 
 TEST(FilterPushdownTest, CrossSideConjunctStaysAboveJoin) {

@@ -324,6 +324,25 @@ TEST(NetworkPool, ParallelCatalogNetworkOwnsItsPool) {
   EXPECT_EQ((*view)->size(), 1);
 }
 
+// The default serial catalog never builds a pool: its network drains on
+// the writer thread and reports a parallelism of one.
+TEST(NetworkPool, SerialCatalogNetworkHasNoPool) {
+  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kSerial
+  PropertyGraph graph;
+  graph.AddVertex({"A"});
+  QueryEngine engine(&graph);
+  const ReteNetwork& network = engine.catalog().network();
+  EXPECT_EQ(network.executor(), ExecutorKind::kSerial);
+  EXPECT_EQ(network.thread_pool(), nullptr);
+  EXPECT_EQ(network.executor_parallelism(), 1);
+  EXPECT_EQ(network.morsel_partitions_resolved(), 1u);
+  auto view = engine.Register("MATCH (n:A) RETURN n");
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(&(*view)->network(), &network);
+  EXPECT_EQ((*view)->size(), 1);
+  EXPECT_EQ(network.parallel_waves_dispatched(), 0);
+}
+
 // The network and its pool live as long as the catalog: dropping the last
 // view leaves both in place, and the next registration runs on the same
 // workers.

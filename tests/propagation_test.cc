@@ -982,6 +982,42 @@ TEST(PublishMerge, SupersededEpochsRetireOnTheWriter) {
   EXPECT_EQ(production.PinSnapshot()->rows.size(), 2u);
 }
 
+// No retention window: each superseded epoch lives exactly until the first
+// publish after its last reader lets go, whatever order readers release in.
+TEST(PublishMerge, EachSupersededEpochLivesUntilItsLastReaderLetsGo) {
+  ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
+  auto publish_row = [&production](int64_t k, uint64_t epoch) {
+    production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
+    return production.PublishSnapshot(epoch);
+  };
+  ASSERT_TRUE(publish_row(1, 1));
+  ProductionNode::EpochPtr first = production.PinSnapshot();
+  ASSERT_TRUE(publish_row(2, 2));
+  ProductionNode::EpochPtr second = production.PinSnapshot();
+  ASSERT_TRUE(publish_row(3, 3));
+  ProductionNode::EpochPtr third = production.PinSnapshot();
+  std::weak_ptr<const PublishedEpoch> first_alive = first;
+  std::weak_ptr<const PublishedEpoch> second_alive = second;
+  std::weak_ptr<const PublishedEpoch> third_alive = third;
+
+  // The oldest and the newest readers leave; the middle one stays.
+  first.reset();
+  third.reset();
+  ASSERT_TRUE(publish_row(4, 4));  // supersedes epoch 3
+  EXPECT_TRUE(first_alive.expired());
+  EXPECT_FALSE(second_alive.expired());
+  EXPECT_TRUE(third_alive.expired());
+  EXPECT_EQ(second->epoch, 2u);
+  EXPECT_EQ(second->rows.size(), 2u);
+
+  second.reset();
+  EXPECT_FALSE(second_alive.expired());  // the writer frees it, not the reader
+  EXPECT_FALSE(production.PublishSnapshot(5));  // unchanged, still sweeps
+  EXPECT_TRUE(second_alive.expired());
+  EXPECT_EQ(production.PinSnapshot()->epoch, 4u);
+  EXPECT_EQ(production.PinSnapshot()->rows.size(), 4u);
+}
+
 // ---- network lifecycle -----------------------------------------------------
 
 /// One source feeding one production, wired by hand into a network that
@@ -1051,6 +1087,132 @@ TEST(NetworkLifecycle, SubscriptionLastsFromConstructionToDestruction) {
   // Unsubscribed: the graph no longer notifies the destroyed network.
   graph.AddVertex({"A"});
   EXPECT_EQ(graph.vertex_count(), 2u);
+}
+
+// Dropping a view's nodes and priming a new one reads the graph as it is
+// now: mutations made while no view was live are not lost, and the commit
+// epoch keeps counting across the gap.
+TEST(NetworkLifecycle, RemovedViewRePrimesFromTheCurrentGraph) {
+  SingleSourceFixture fixture;
+  fixture.AddView("A");
+  fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);  // 1
+  fixture.graph.AddVertex({"A"});                                   // 2
+
+  fixture.network.RemoveNodes(fixture.fresh);
+  EXPECT_EQ(fixture.network.node_count(), 0u);
+  EXPECT_EQ(fixture.network.source_count(), 0u);
+  fixture.graph.AddVertex({"A"});  // 3
+  fixture.graph.AddVertex({"B"});  // 4
+
+  ProductionNode* again = fixture.AddView("A");
+  ReteNetwork::PrimeStats stats =
+      fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);  // 5
+  EXPECT_EQ(stats.graph_primed_entries, 2);
+  EXPECT_EQ(again->results().total_count(), 2);
+  EXPECT_EQ(fixture.network.node_level(again), 1);
+  EXPECT_EQ(fixture.network.commit_epoch(), 5u);
+  EXPECT_EQ(again->PinSnapshot()->epoch, 5u);
+
+  fixture.graph.AddVertex({"A"});
+  EXPECT_EQ(again->results().total_count(), 3);
+  EXPECT_EQ(again->PinSnapshot()->epoch, 6u);
+}
+
+// The constructor builds the pool the executor needs, once: kParallel with
+// more than one thread gets a pool of that size, a single thread keeps the
+// serial fast path (no pool, no morsels), and kSerial never builds one.
+TEST(NetworkLifecycle, ConstructorBuildsThePoolTheExecutorNeeds) {
+  PropertyGraph graph;
+  NetworkOptions parallel;
+  parallel.executor = ExecutorKind::kParallel;
+  parallel.num_threads = 2;
+  ReteNetwork pooled(&graph, parallel);
+  ASSERT_NE(pooled.thread_pool(), nullptr);
+  EXPECT_EQ(pooled.thread_pool()->parallelism(), 2);
+  EXPECT_EQ(pooled.executor_parallelism(), 2);
+  EXPECT_EQ(pooled.morsel_partitions_resolved(), 2u);
+  EXPECT_EQ(pooled.DebugString().rfind("executor=parallel(2)\n", 0), 0u);
+
+  NetworkOptions single = parallel;
+  single.num_threads = 1;
+  ReteNetwork unpooled(&graph, single);
+  EXPECT_EQ(unpooled.executor(), ExecutorKind::kParallel);
+  EXPECT_EQ(unpooled.thread_pool(), nullptr);
+  EXPECT_EQ(unpooled.executor_parallelism(), 1);
+  EXPECT_EQ(unpooled.morsel_partitions_resolved(), 1u);
+
+  ReteNetwork serial(&graph, NetworkOptions{});
+  EXPECT_EQ(serial.thread_pool(), nullptr);
+  EXPECT_EQ(serial.executor_parallelism(), 1);
+}
+
+// Productions register beside sources: a second view root on an already
+// primed source is primed by replay alone, both roots publish at every
+// commit, and removing one leaves the other maintained.
+TEST(NetworkLifecycle, ProductionsOnOneSourceEachPublish) {
+  PropertyGraph graph;
+  graph.AddVertex({"A"});
+  ReteNetwork network(&graph, NetworkOptions{});
+  Schema vs({{"v", Attribute::Kind::kVertex}});
+  auto* source = network.Add(std::make_unique<VertexInputNode>(
+      vs, &graph, std::vector<std::string>{"A"},
+      std::vector<PropertyExtract>{}));
+  network.RegisterSource(source);
+  auto* first = network.Add(std::make_unique<ProductionNode>(vs));
+  source->AddOutput(first, 0);
+  network.RegisterProduction(first);
+  network.PrimeNewNodes({source, first}, {}, {source, first});
+  ASSERT_EQ(first->results().total_count(), 1);
+
+  auto* second = network.Add(std::make_unique<ProductionNode>(vs));
+  source->AddOutput(second, 0);
+  network.RegisterProduction(second);
+  ReteNetwork::PrimeStats stats =
+      network.PrimeNewNodes({second}, {{source, second, 0}}, {source, second});
+  EXPECT_EQ(stats.replayed_entries, 1);
+  EXPECT_EQ(stats.graph_primed_entries, 0);
+  EXPECT_EQ(stats.primed_sources, 0u);
+  EXPECT_EQ(second->results().total_count(), 1);
+  EXPECT_EQ(first->results().total_count(), 1);  // not replayed into
+
+  graph.AddVertex({"A"});
+  for (ProductionNode* production : {first, second}) {
+    EXPECT_EQ(production->PinSnapshot()->rows.size(), 2u);
+    EXPECT_EQ(production->PinSnapshot()->epoch, network.commit_epoch());
+  }
+
+  network.RemoveNodes({first});
+  EXPECT_EQ(network.node_count(), 2u);
+  EXPECT_EQ(network.source_count(), 1u);
+  graph.AddVertex({"A"});
+  EXPECT_EQ(second->PinSnapshot()->rows.size(), 3u);
+  EXPECT_EQ(second->PinSnapshot()->epoch, network.commit_epoch());
+}
+
+// Profiling switched on before a view exists carries to the nodes added
+// later, and the trace it starts is capped at the one trace capacity.
+TEST(NetworkLifecycle, NodesAddedLaterInheritProfiling) {
+  SingleSourceFixture fixture;
+  fixture.network.set_profiling(true);
+  ASSERT_NE(fixture.network.trace(), nullptr);
+  EXPECT_EQ(fixture.network.trace()->capacity(), kTraceCapacity);
+
+  fixture.AddView("A");
+  fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);
+  fixture.graph.AddVertex({"A"});
+  int64_t production_out = 0;
+  for (const ReteNetwork::NodeMetrics& node :
+       fixture.network.NodeMetricsSnapshot()) {
+    if (std::string(node.kind) == "Production") {
+      production_out += node.output_entries;
+    }
+  }
+  EXPECT_EQ(production_out, 1);
+  int drains = 0;
+  for (const TraceEvent& event : fixture.network.trace()->events()) {
+    drains += event.name == "drain" ? 1 : 0;
+  }
+  EXPECT_EQ(drains, 2);  // the prime and the graph delta
 }
 
 }  // namespace
