@@ -260,7 +260,11 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   snap.source_emitted_entries = network.SourceEmittedEntries();
   snap.parallel_waves_dispatched = network.parallel_waves_dispatched();
   snap.morsel_waves_dispatched = network.morsel_waves_dispatched();
-  snap.epochs_published = network.epochs_published();
+  snap.epochs_recycled = network.epochs_recycled();
+  snap.epochs_copied = network.epochs_copied();
+  snap.epochs_sorted = network.epochs_sorted();
+  snap.epochs_published =
+      snap.epochs_recycled + snap.epochs_copied + snap.epochs_sorted;
   snap.commit_epoch = network.commit_epoch();
   snap.nodes = network.NodeMetricsSnapshot();
   snap.ingest_mutations = ingest_mutations();
@@ -299,7 +303,9 @@ std::string EngineMetricsSnapshot::ToString() const {
      << " parallel_waves=" << parallel_waves_dispatched
      << " morsel_waves=" << morsel_waves_dispatched
      << " epoch=" << commit_epoch
-     << " epochs_published=" << epochs_published << "\n";
+     << " epochs_published=" << epochs_published
+     << " (recycled=" << epochs_recycled << " copied=" << epochs_copied
+     << " sorted=" << epochs_sorted << ")\n";
   os << "ingest: mutations=" << ingest_mutations
      << " batches=" << ingest_batches
      << " running=" << (ingest_running ? "yes" : "no") << "\n";

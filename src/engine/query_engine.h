@@ -47,6 +47,11 @@ struct EngineMetricsSnapshot {
   /// key-partitioned morsels (see NetworkOptions::morsel_min_node_entries).
   int64_t morsel_waves_dispatched = 0;
   int64_t epochs_published = 0;
+  /// epochs_published split by how each epoch's rows were built; the
+  /// three sum to it (see ProductionNode::PublishPath).
+  int64_t epochs_recycled = 0;
+  int64_t epochs_copied = 0;
+  int64_t epochs_sorted = 0;
   /// The shared network's committed epoch.
   uint64_t commit_epoch = 0;
 

@@ -25,7 +25,8 @@ std::pair<size_t, size_t> SkipLimitRange(size_t rows, int64_t skip,
 /// An immutable, pinned view state: one committed epoch's sorted rows with
 /// the view's SKIP/LIMIT applied. Obtained from View::Pin(); safe to read
 /// from any thread and valid for as long as the shared_ptr is held — later
-/// commits never mutate it, they publish new epochs.
+/// commits never mutate it, they publish new epochs (the writer reuses an
+/// epoch's rows only once no snapshot or pin holds it).
 class ViewSnapshot {
  public:
   ViewSnapshot() = default;
@@ -70,9 +71,10 @@ class ViewSnapshot {
 /// Ordering note (the paper's ORD restriction): the maintained result is a
 /// bag; order is only presentation. Each committed epoch carries the bag's
 /// rows sorted, kept up to date by merging every commit's delta into the
-/// previous epoch's rows (ProductionNode::PublishSnapshot), so Pin() sorts
-/// nothing: without SKIP/LIMIT it shares the epoch's rows, with SKIP/LIMIT
-/// it copies just the kept slice, once per epoch.
+/// previous epoch's rows — or, once no reader pins it, into the rows of the
+/// epoch before, moved rather than copied (ProductionNode::PublishSnapshot)
+/// — so Pin() sorts nothing: without SKIP/LIMIT it shares the epoch's rows,
+/// with SKIP/LIMIT it copies just the kept slice, once per epoch.
 ///
 /// Thread-safety: Pin()/Snapshot()/size() are safe from any
 /// number of reader threads, concurrently with a drain propagating on the

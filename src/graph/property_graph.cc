@@ -42,22 +42,22 @@ PropertyGraph::PropertyGraph()
 
 PropertyGraph::VertexData& PropertyGraph::MutableVertex(VertexId id) {
   assert(HasVertex(id));
-  return vertices_[static_cast<size_t>(id)];
+  return vertices_[id];
 }
 
 const PropertyGraph::VertexData& PropertyGraph::GetVertex(VertexId id) const {
   assert(HasVertex(id));
-  return vertices_[static_cast<size_t>(id)];
+  return vertices_[id];
 }
 
 PropertyGraph::EdgeData& PropertyGraph::MutableEdge(EdgeId id) {
   assert(HasEdge(id));
-  return edges_[static_cast<size_t>(id)];
+  return edges_[id];
 }
 
 const PropertyGraph::EdgeData& PropertyGraph::GetEdge(EdgeId id) const {
   assert(HasEdge(id));
-  return edges_[static_cast<size_t>(id)];
+  return edges_[id];
 }
 
 std::vector<std::string> PropertyGraph::LabelNames(
@@ -90,7 +90,7 @@ VertexId PropertyGraph::AddVertex(std::vector<std::string> labels,
     if (label >= label_index_.size()) label_index_.resize(label + 1);
     label_index_[label].push_back(id);
   }
-  vertices_.push_back(std::move(data));
+  vertices_.Append(std::move(data));
   ++live_vertex_count_;
   for (const auto& [key, value] : properties) {
     vertex_props_.Set(id, symbols_.Intern(key), value);
@@ -125,13 +125,13 @@ Result<EdgeId> PropertyGraph::AddEdge(VertexId src, VertexId dst,
   data.type = symbols_.Intern(type);
   if (data.type >= type_index_.size()) type_index_.resize(data.type + 1);
   type_index_[data.type].push_back(id);  // new id is maximal: stays sorted
-  edges_.push_back(data);
+  edges_.Append(data);
   ++live_edge_count_;
   for (const auto& [key, value] : properties) {
     edge_props_.Set(id, symbols_.Intern(key), value);
   }
-  vertices_[static_cast<size_t>(src)].out_edges.push_back(id);
-  vertices_[static_cast<size_t>(dst)].in_edges.push_back(id);
+  MutableVertex(src).out_edges.push_back(id);
+  MutableVertex(dst).in_edges.push_back(id);
 
   GraphChange change;
   change.kind = GraphChange::Kind::kAddEdge;
@@ -158,10 +158,10 @@ Status PropertyGraph::RemoveEdge(EdgeId edge) {
   change.edge_type = symbols_.Name(data.type);
   change.properties = edge_props_.Collect(edge);
 
-  EraseId(vertices_[static_cast<size_t>(data.src)].out_edges, edge);
-  EraseId(vertices_[static_cast<size_t>(data.dst)].in_edges, edge);
+  EraseId(MutableVertex(data.src).out_edges, edge);
+  EraseId(MutableVertex(data.dst).in_edges, edge);
   EraseSorted(type_index_[data.type], edge);
-  data.alive = false;
+  edges_.Kill(edge);
   edge_props_.ClearElement(edge);
   --live_edge_count_;
 
@@ -189,8 +189,7 @@ Status PropertyGraph::RemoveVertex(VertexId vertex) {
   for (SymbolId label : data.labels) {
     EraseSorted(label_index_[label], vertex);
   }
-  data.alive = false;
-  data.labels.clear();
+  vertices_.Kill(vertex);  // releases the label and edge-list buffers
   vertex_props_.ClearElement(vertex);
   --live_vertex_count_;
 
@@ -417,13 +416,11 @@ void PropertyGraph::Emit(GraphDelta delta) {
 }
 
 bool PropertyGraph::HasVertex(VertexId vertex) const {
-  return vertex >= 0 && static_cast<size_t>(vertex) < vertices_.size() &&
-         vertices_[static_cast<size_t>(vertex)].alive;
+  return vertices_.Find(vertex) != nullptr;
 }
 
 bool PropertyGraph::HasEdge(EdgeId edge) const {
-  return edge >= 0 && static_cast<size_t>(edge) < edges_.size() &&
-         edges_[static_cast<size_t>(edge)].alive;
+  return edges_.Find(edge) != nullptr;
 }
 
 std::vector<std::string> PropertyGraph::VertexLabels(VertexId vertex) const {
@@ -534,24 +531,24 @@ const std::vector<EdgeId>& PropertyGraph::EdgesWithTypeId(
 
 void PropertyGraph::ForEachVertex(
     const std::function<void(VertexId)>& fn) const {
-  for (size_t i = 0; i < vertices_.size(); ++i) {
-    if (vertices_[i].alive) fn(static_cast<VertexId>(i));
-  }
+  vertices_.ForEachSlot([&fn](VertexId id, const VertexData& vertex) {
+    if (vertex.alive) fn(id);
+  });
 }
 
 void PropertyGraph::ForEachEdge(const std::function<void(EdgeId)>& fn) const {
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].alive) fn(static_cast<EdgeId>(i));
-  }
+  edges_.ForEachSlot([&fn](EdgeId id, const EdgeData& edge) {
+    if (edge.alive) fn(id);
+  });
 }
 
 size_t PropertyGraph::ApproxMemoryBytes() const {
-  size_t bytes = vertices_.capacity() * sizeof(VertexData) +
-                 edges_.capacity() * sizeof(EdgeData);
-  for (const VertexData& v : vertices_) {
+  size_t bytes = vertices_.PageBytes() + edges_.PageBytes();
+  // Dead slots on a live page count too (they hold nothing once dead).
+  vertices_.ForEachSlot([&bytes](VertexId, const VertexData& v) {
     bytes += v.labels.capacity() * sizeof(SymbolId);
     bytes += (v.out_edges.capacity() + v.in_edges.capacity()) * sizeof(EdgeId);
-  }
+  });
   bytes += symbols_.ApproxMemoryBytes();
   bytes += vertex_props_.ApproxMemoryBytes();
   bytes += edge_props_.ApproxMemoryBytes();

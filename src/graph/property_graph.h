@@ -1,7 +1,10 @@
 #ifndef PGIVM_GRAPH_PROPERTY_GRAPH_H_
 #define PGIVM_GRAPH_PROPERTY_GRAPH_H_
 
+#include <algorithm>
+#include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,7 +42,11 @@ namespace pgivm {
 /// ("transaction" in the paper's sense).
 ///
 /// Identifier discipline: ids are dense, monotonically increasing and never
-/// reused, so downstream state keyed by id stays unambiguous.
+/// reused, so downstream state keyed by id stays unambiguous. Element
+/// slots live in fixed pages of kPageSlots ids; a page whose ids have all
+/// been assigned and have all died is freed, so a size-neutral stream of
+/// adds and removes keeps the slot storage bounded by the live elements'
+/// pages (the ids of a freed page simply answer HasVertex/HasEdge false).
 ///
 /// Thread-compatibility: const methods are safe to call concurrently;
 /// mutations require external synchronization (single-writer model). The
@@ -204,6 +211,9 @@ class PropertyGraph {
   /// counter.
   size_t ApproxMemoryBytes() const;
 
+  /// Ids per slot page (see the identifier note above).
+  static constexpr size_t kPageSlots = 4096;
+
  private:
   struct VertexData {
     bool alive = false;
@@ -217,6 +227,85 @@ class PropertyGraph {
     VertexId src = kInvalidId;
     VertexId dst = kInvalidId;
     SymbolId type = kNoSymbol;
+  };
+
+  /// One element kind's slots, indexed by id, in pages of kPageSlots. A
+  /// page is allocated when its first id is assigned and freed when its
+  /// last assigned-and-live slot dies with every id in it assigned.
+  /// `Slot` has an `alive` flag.
+  template <typename Slot>
+  class SlotPages {
+   public:
+    /// Ids assigned so far (the next id).
+    size_t size() const { return size_; }
+
+    /// The slot of `id` if it is assigned and alive, else null.
+    const Slot* Find(int64_t id) const {
+      if (id < 0 || static_cast<size_t>(id) >= size_) return nullptr;
+      const Page* page = pages_[static_cast<size_t>(id) / kPageSlots].get();
+      if (page == nullptr) return nullptr;
+      const Slot& slot = page->slots[static_cast<size_t>(id) % kPageSlots];
+      return slot.alive ? &slot : nullptr;
+    }
+
+    /// The slot of an assigned id on a live page.
+    Slot& operator[](int64_t id) {
+      return pages_[static_cast<size_t>(id) / kPageSlots]
+          ->slots[static_cast<size_t>(id) % kPageSlots];
+    }
+    const Slot& operator[](int64_t id) const {
+      return pages_[static_cast<size_t>(id) / kPageSlots]
+          ->slots[static_cast<size_t>(id) % kPageSlots];
+    }
+
+    /// Assigns the next id to `slot` (which must be alive) and returns it.
+    int64_t Append(Slot slot) {
+      if (size_ % kPageSlots == 0) pages_.push_back(std::make_unique<Page>());
+      pages_.back()->slots[size_ % kPageSlots] = std::move(slot);
+      return static_cast<int64_t>(size_++);
+    }
+
+    /// Marks `id`'s slot dead, releasing what it holds; frees the page
+    /// once every slot in it is assigned and dead. Invalidates references
+    /// to the slot.
+    void Kill(int64_t id) {
+      const size_t index = static_cast<size_t>(id);
+      std::unique_ptr<Page>& page = pages_[index / kPageSlots];
+      page->slots[index % kPageSlots] = Slot();
+      if (++page->dead == kPageSlots) page.reset();
+    }
+
+    /// Visits (id, slot) for every assigned slot on an allocated page,
+    /// dead or alive, in increasing id order: freed pages are skipped.
+    template <typename Fn>
+    void ForEachSlot(const Fn& fn) const {
+      for (size_t p = 0; p < pages_.size(); ++p) {
+        const Page* page = pages_[p].get();
+        if (page == nullptr) continue;
+        const size_t end = std::min(kPageSlots, size_ - p * kPageSlots);
+        for (size_t i = 0; i < end; ++i) {
+          fn(static_cast<int64_t>(p * kPageSlots + i), page->slots[i]);
+        }
+      }
+    }
+
+    /// Bytes of the page table and the allocated pages (not of what the
+    /// slots point to).
+    size_t PageBytes() const {
+      size_t bytes = pages_.capacity() * sizeof(std::unique_ptr<Page>);
+      for (const std::unique_ptr<Page>& page : pages_) {
+        if (page != nullptr) bytes += sizeof(Page);
+      }
+      return bytes;
+    }
+
+   private:
+    struct Page {
+      std::array<Slot, kPageSlots> slots;
+      size_t dead = 0;  // assigned slots that died
+    };
+    std::vector<std::unique_ptr<Page>> pages_;
+    size_t size_ = 0;
   };
 
   VertexData& MutableVertex(VertexId id);
@@ -242,8 +331,8 @@ class PropertyGraph {
   PropertyStore vertex_props_;
   PropertyStore edge_props_;
 
-  std::vector<VertexData> vertices_;
-  std::vector<EdgeData> edges_;
+  SlotPages<VertexData> vertices_;
+  SlotPages<EdgeData> edges_;
   size_t live_vertex_count_ = 0;
   size_t live_edge_count_ = 0;
 

@@ -685,13 +685,29 @@ void ReteNetwork::PublishEpochs() {
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
   const uint64_t epoch =
       commit_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  int64_t published = 0;
+  int64_t recycled = 0;
+  int64_t copied = 0;
+  int64_t sorted = 0;
   for (ProductionNode* production : productions_) {
-    if (production->PublishSnapshot(epoch)) ++published;
+    switch (production->PublishSnapshot(epoch)) {
+      case ProductionNode::PublishPath::kKept:
+        break;
+      case ProductionNode::PublishPath::kRecycled:
+        ++recycled;
+        break;
+      case ProductionNode::PublishPath::kCopied:
+        ++copied;
+        break;
+      case ProductionNode::PublishPath::kSorted:
+        ++sorted;
+        break;
+    }
   }
-  if (published > 0) {
-    epochs_published_.fetch_add(published, std::memory_order_relaxed);
+  if (recycled > 0) {
+    epochs_recycled_.fetch_add(recycled, std::memory_order_relaxed);
   }
+  if (copied > 0) epochs_copied_.fetch_add(copied, std::memory_order_relaxed);
+  if (sorted > 0) epochs_sorted_.fetch_add(sorted, std::memory_order_relaxed);
   if (prof) h_publish_ns_->Record(MonotonicNowNs() - start_ns);
 }
 

@@ -206,9 +206,22 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// Lifetime count of fresh epoch objects productions actually published
   /// (commits where some view's results changed re-publish that view; an
   /// unchanged view keeps its previous epoch object and does not count).
-  /// Relaxed atomic: readable from any thread mid-ingest.
+  /// The sum of the three per-path counts below. Relaxed atomics: readable
+  /// from any thread mid-ingest.
   int64_t epochs_published() const {
-    return epochs_published_.load(std::memory_order_relaxed);
+    return epochs_recycled() + epochs_copied() + epochs_sorted();
+  }
+  /// Published epochs by how their rows were built
+  /// (ProductionNode::PublishPath): merged into the spare epoch's moved
+  /// rows, merged into a copy of the current rows, or sorted from the bag.
+  int64_t epochs_recycled() const {
+    return epochs_recycled_.load(std::memory_order_relaxed);
+  }
+  int64_t epochs_copied() const {
+    return epochs_copied_.load(std::memory_order_relaxed);
+  }
+  int64_t epochs_sorted() const {
+    return epochs_sorted_.load(std::memory_order_relaxed);
   }
 
   /// One row of NodeMetricsSnapshot(): a node's identity plus its lifetime
@@ -493,7 +506,9 @@ class ReteNetwork : public GraphListener, private EmitSink {
   std::atomic<int64_t> deltas_processed_{0};
   std::atomic<int64_t> changes_processed_{0};
   std::atomic<uint64_t> commit_epoch_{0};
-  std::atomic<int64_t> epochs_published_{0};
+  std::atomic<int64_t> epochs_recycled_{0};
+  std::atomic<int64_t> epochs_copied_{0};
+  std::atomic<int64_t> epochs_sorted_{0};
   std::atomic<int64_t> parallel_waves_dispatched_{0};
   std::atomic<int64_t> morsel_waves_dispatched_{0};
 

@@ -1,5 +1,9 @@
 #include "graph/property_graph.h"
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace pgivm {
@@ -237,6 +241,127 @@ TEST(PropertyGraphTest, ApproxMemoryGrowsWithContent) {
     graph.AddVertex({"Label"}, {{"k", Value::String("some value here")}});
   }
   EXPECT_GT(graph.ApproxMemoryBytes(), empty);
+}
+
+// A removed vertex releases its label and edge-list buffers: a dead slot on
+// a still-live page holds no heap.
+TEST(PropertyGraphTest, RemovedVertexReleasesItsBuffers) {
+  PropertyGraph graph;
+  VertexId a = graph.AddVertex({"A", "B", "C"});
+  VertexId b = graph.AddVertex({"A"});
+  graph.AddVertex({"Keep"});  // keeps the page alive
+  std::vector<EdgeId> edges;
+  for (int i = 0; i < 64; ++i) {
+    edges.push_back(graph.AddEdge(a, b, "T").value());
+  }
+  for (EdgeId e : edges) ASSERT_TRUE(graph.RemoveEdge(e).ok());
+  const size_t with_buffers = graph.ApproxMemoryBytes();
+  ASSERT_TRUE(graph.RemoveVertex(a).ok());
+  ASSERT_TRUE(graph.RemoveVertex(b).ok());
+  // The out/in lists of 64 edges each, plus four label ids.
+  EXPECT_GE(with_buffers - graph.ApproxMemoryBytes(),
+            2 * 64 * sizeof(EdgeId) + 4 * sizeof(SymbolId));
+}
+
+/// A graph whose first page of vertex and edge ids is fully assigned and
+/// dead: vertex i < kPageSlots had one edge to `hub` and was detach-removed.
+struct FreedPageFixture {
+  FreedPageFixture() {
+    const int64_t page = static_cast<int64_t>(PropertyGraph::kPageSlots);
+    std::vector<VertexId> doomed;
+    for (int64_t i = 0; i < page; ++i) {
+      doomed.push_back(graph.AddVertex({"Doomed"}, {{"i", Value::Int(i)}}));
+    }
+    hub = graph.AddVertex({"Hub"}, {{"name", Value::String("hub")}});
+    for (VertexId v : doomed) {
+      (void)graph.AddEdge(v, hub, "TO", {{"w", Value::Int(v)}}).value();
+    }
+    hub_loop = graph.AddEdge(hub, hub, "LOOP").value();
+    before_free = graph.ApproxMemoryBytes();
+    for (VertexId v : doomed) EXPECT_TRUE(graph.DetachRemoveVertex(v).ok());
+  }
+  PropertyGraph graph;
+  VertexId hub = kInvalidId;
+  EdgeId hub_loop = kInvalidId;
+  size_t before_free = 0;
+};
+
+TEST(PropertyGraphPaging, FreedPageIdsAreAbsent) {
+  FreedPageFixture f;
+  const int64_t page = static_cast<int64_t>(PropertyGraph::kPageSlots);
+  for (int64_t id = 0; id < page; ++id) {
+    ASSERT_FALSE(f.graph.HasVertex(id)) << id;
+    ASSERT_FALSE(f.graph.HasEdge(id)) << id;
+  }
+  EXPECT_TRUE(f.graph.HasVertex(f.hub));
+  EXPECT_TRUE(f.graph.HasEdge(f.hub_loop));
+  EXPECT_FALSE(f.graph.HasVertex(-1));
+  EXPECT_FALSE(f.graph.HasVertex(f.hub + 1));
+  EXPECT_EQ(f.graph.vertex_count(), 1u);
+  EXPECT_EQ(f.graph.edge_count(), 1u);
+  EXPECT_TRUE(f.graph.VerticesWithLabel("Doomed").empty());
+  EXPECT_EQ(f.graph.InEdges(f.hub), std::vector<EdgeId>{f.hub_loop});
+  EXPECT_EQ(f.graph.GetVertexProperty(f.hub, "name"), Value::String("hub"));
+  // Both pages' slots are gone, not just marked dead.
+  EXPECT_LT(f.graph.ApproxMemoryBytes(), f.before_free);
+}
+
+TEST(PropertyGraphPaging, ScansSkipFreedPages) {
+  FreedPageFixture f;
+  std::vector<VertexId> vertices;
+  f.graph.ForEachVertex([&](VertexId v) { vertices.push_back(v); });
+  std::vector<EdgeId> edges;
+  f.graph.ForEachEdge([&](EdgeId e) { edges.push_back(e); });
+  EXPECT_EQ(vertices, std::vector<VertexId>{f.hub});
+  EXPECT_EQ(edges, std::vector<EdgeId>{f.hub_loop});
+}
+
+TEST(PropertyGraphPaging, IdsStayFreshAfterAPageIsFreed) {
+  FreedPageFixture f;
+  const VertexId v = f.graph.AddVertex({"New"});
+  EXPECT_EQ(v, f.hub + 1);
+  const EdgeId e = f.graph.AddEdge(v, f.hub, "TO").value();
+  EXPECT_EQ(e, f.hub_loop + 1);
+  EXPECT_TRUE(f.graph.HasVertex(v));
+  EXPECT_TRUE(f.graph.HasEdge(e));
+  EXPECT_EQ(f.graph.EdgeSource(e), v);
+  EXPECT_EQ(f.graph.vertex_count(), 2u);
+}
+
+// A size-neutral stream — each step detach-removes the oldest vertex and
+// adds one wired to a random live vertex — keeps the store's footprint
+// within a fixed bound once warm: dead pages are freed, not accumulated.
+TEST(PropertyGraphPaging, SizeNeutralChurnStaysBounded) {
+  PropertyGraph graph;
+  std::deque<VertexId> live;
+  uint64_t state = 12345;
+  auto next_below = [&state](size_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<size_t>((state >> 33) % bound);
+  };
+  auto add = [&] {
+    const VertexId v = graph.AddVertex({"Node"}, {{"s", Value::String("x")}});
+    if (!live.empty()) {
+      (void)graph.AddEdge(v, live[next_below(live.size())], "LINK").value();
+    }
+    live.push_back(v);
+  };
+  for (int i = 0; i < 2000; ++i) add();
+  size_t warm = 0;
+  size_t peak = 0;
+  for (int op = 0; op < 100000; op += 2) {
+    ASSERT_TRUE(graph.DetachRemoveVertex(live.front()).ok());
+    live.pop_front();
+    add();
+    if (op % 128 != 0) continue;
+    if (op == 20096) warm = graph.ApproxMemoryBytes();
+    if (op > 20096) peak = std::max(peak, graph.ApproxMemoryBytes());
+  }
+  EXPECT_EQ(graph.vertex_count(), 2000u);
+  // Two pages of each kind, at most, beyond the warm footprint; without
+  // freeing, the 40,000 ids assigned since would hold several MB.
+  const size_t pages = 2 * PropertyGraph::kPageSlots * 128;
+  EXPECT_LE(peak, warm + pages) << "warm " << warm;
 }
 
 }  // namespace

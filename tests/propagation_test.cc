@@ -4,6 +4,7 @@
 // production), per-(node, port) queue ordering across the binary node
 // types, and the network lifecycle (construct, prime, maintain).
 
+#include <algorithm>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -899,25 +900,42 @@ TEST(ConsolidationCutoff, DefaultSkipsSortForTinyPayloadsOnly) {
 
 // ---- publish merge ---------------------------------------------------------
 
+using PublishPath = ProductionNode::PublishPath;
+
 /// Drives one free-standing production with a seeded stream of raw deltas
-/// over a pool of Int rows (no Compare ties; counts up to 3; 1–3
-/// deliveries per commit, so the buffer spans several deltas and may net
-/// a row to zero) and checks after every publish that the merged rows
-/// equal a fresh sort of the bag, element for element, and that the epoch
-/// a reader still holds did not change. At step `wipe_at` it retracts all
-/// but one row in a single delta — more entries than the view keeps, so
-/// the buffer outgrows its bound and the publish rebuilds (-1: never).
+/// over a pool of Int rows (no Compare ties; counts up to 3) and checks
+/// after every publish that the merged rows equal a fresh sort of the bag,
+/// element for element, and that every epoch a reader still holds did not
+/// change. Step 0 fills about 3,000 rows; later steps bring 1–3 deliveries
+/// of up to 6 entries each, so the buffer spans several deltas, may net a
+/// row to zero, and stays small enough for the spare to be kept. Readers
+/// pin and release epochs at random, so a spare is sometimes free to
+/// reuse and sometimes pinned: all three publish paths run, and the
+/// stream asserts each did. At step `wipe_at` it retracts all but one row
+/// in a single delta — more entries than the view keeps, so the buffer
+/// outgrows its bound and the publish sorts again (-1: never).
 void DrivePublishStream(uint64_t seed, int wipe_at) {
   ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
   auto row = [](int64_t k) { return Tuple({Value::Int(k)}); };
   Rng rng(seed);
   std::map<int64_t, int64_t> model;
+  struct Held {
+    ProductionNode::EpochPtr epoch;
+    std::vector<Tuple> frozen;
+  };
+  std::vector<Held> held;
+  std::map<PublishPath, int> paths;
   uint64_t epoch = 0;
   for (int step = 0; step < 200; ++step) {
-    const uint64_t deliveries = step == wipe_at ? 1 : 1 + rng.NextBelow(3);
+    const uint64_t deliveries =
+        step == 0 || step == wipe_at ? 1 : 1 + rng.NextBelow(3);
     for (uint64_t d = 0; d < deliveries; ++d) {
       Delta delta;
-      if (step == wipe_at) {
+      if (step == 0) {
+        for (int64_t k = 0; k < 1536; ++k) {
+          delta.push_back({row(k), rng.NextInRange(1, 3)});
+        }
+      } else if (step == wipe_at) {
         for (auto it = std::next(model.begin()); it != model.end(); ++it) {
           delta.push_back({row(it->first), -it->second});
         }
@@ -925,7 +943,7 @@ void DrivePublishStream(uint64_t seed, int wipe_at) {
         std::set<int64_t> touched;
         const uint64_t entries = 1 + rng.NextBelow(6);
         for (uint64_t e = 0; e < entries; ++e) {
-          const int64_t k = static_cast<int64_t>(rng.NextBelow(64));
+          const int64_t k = static_cast<int64_t>(rng.NextBelow(2048));
           if (!touched.insert(k).second) continue;
           auto have = model.find(k);
           const int64_t m = have != model.end() && rng.NextBool(0.5)
@@ -940,17 +958,30 @@ void DrivePublishStream(uint64_t seed, int wipe_at) {
       }
       production.OnDelta(0, delta);
     }
-    ProductionNode::EpochPtr held = production.PinSnapshot();
-    const std::vector<Tuple> frozen = held->rows;
-    production.PublishSnapshot(++epoch);
+    if (rng.NextBool(0.5)) {
+      ProductionNode::EpochPtr pinned = production.PinSnapshot();
+      std::vector<Tuple> frozen = pinned->rows;
+      held.push_back({std::move(pinned), std::move(frozen)});
+    }
+    ++paths[production.PublishSnapshot(++epoch)];
     ASSERT_EQ(production.PinSnapshot()->rows,
               ProductionNode::SortedRows(production.results()))
         << "seed " << seed << " step " << step;
-    ASSERT_EQ(held->rows, frozen) << "seed " << seed << " step " << step;
+    for (const Held& h : held) {
+      ASSERT_EQ(h.epoch->rows, h.frozen) << "seed " << seed << " step " << step;
+    }
+    held.erase(
+        std::remove_if(held.begin(), held.end(),
+                       [&rng](const Held&) { return rng.NextBool(0.4); }),
+        held.end());
     int64_t total = 0;
     for (const auto& [k, count] : model) total += count;
     ASSERT_EQ(production.results().total_count(), total);
   }
+  EXPECT_GT(paths[PublishPath::kRecycled], 0) << "seed " << seed;
+  EXPECT_GT(paths[PublishPath::kCopied], 0) << "seed " << seed;
+  EXPECT_GT(paths[PublishPath::kSorted], 0) << "seed " << seed;
+  EXPECT_EQ(paths[PublishPath::kKept], 0) << "seed " << seed;
 }
 
 TEST(PublishMerge, RandomStreamMatchesSortedBag) {
@@ -961,41 +992,158 @@ TEST(PublishMerge, DeltaLargerThanTheViewRebuildsThenMerges) {
   for (uint64_t seed : {7, 8}) DrivePublishStream(seed, 120);
 }
 
-// A superseded epoch is freed by the writer, never by a reader dropping
-// its pin: the publish that supersedes it keeps a reference, and a later
-// publish (changed or not) frees it once no reader pins it.
-TEST(PublishMerge, SupersededEpochsRetireOnTheWriter) {
-  ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
-  auto insert = [&production](int64_t k) {
-    production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
-  };
-  insert(1);
-  ASSERT_TRUE(production.PublishSnapshot(1));
-  ProductionNode::EpochPtr pinned = production.PinSnapshot();
-  std::weak_ptr<const PublishedEpoch> first = pinned;
-  insert(2);
-  ASSERT_TRUE(production.PublishSnapshot(2));
-  pinned.reset();  // the reader moves on: the writer still holds epoch 1
-  EXPECT_FALSE(first.expired());
-  EXPECT_FALSE(production.PublishSnapshot(3));  // unchanged, still sweeps
-  EXPECT_TRUE(first.expired());
-  EXPECT_EQ(production.PinSnapshot()->rows.size(), 2u);
+/// Equal as rows and stored alike: Int(1) == Double(1.0), so a tied run
+/// can hold either, and the merge must keep the one it kept before.
+bool IdenticalRows(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] == b[i]) || a[i].at(0).type() != b[i].at(0).type()) {
+      return false;
+    }
+  }
+  return true;
 }
 
-// No retention window: each superseded epoch lives exactly until the first
-// publish after its last reader lets go, whatever order readers release in.
-TEST(PublishMerge, EachSupersededEpochLivesUntilItsLastReaderLetsGo) {
-  ProductionNode production(Schema({{"x", Attribute::Kind::kValue}}));
-  auto publish_row = [&production](int64_t k, uint64_t epoch) {
+// Reusing the spare publishes exactly the rows the copy merge publishes,
+// the order inside Int/Double tied runs included. Two productions take the
+// same stream; the second's spare is always pinned, so it always copies.
+// Keys come from a small hot range half the time, so consecutive commits
+// often touch the same tied run (the reuse then merges the two change sets
+// in turn) and sometimes disjoint ones (one merge of both).
+TEST(PublishMerge, RecycledRowsMatchTheCopyMerge) {
+  const Schema schema({{"x", Attribute::Kind::kValue}});
+  for (uint64_t seed : {11, 12, 13}) {
+    ProductionNode recycling(schema);
+    ProductionNode copying(schema);
+    Rng rng(seed);
+    // (key, is_double) -> live copies; Int(k) and Double(k) tie.
+    std::map<std::pair<int64_t, bool>, int64_t> model;
+    auto row = [](int64_t k, bool as_double) {
+      return Tuple({as_double ? Value::Double(static_cast<double>(k))
+                              : Value::Int(k)});
+    };
+    auto deliver = [&](const Delta& delta) {
+      for (const DeltaEntry& entry : delta) {
+        const Value& v = entry.tuple.at(0);
+        const auto key = std::make_pair(
+            v.is_double() ? static_cast<int64_t>(v.AsDouble()) : v.AsInt(),
+            v.is_double());
+        if ((model[key] += entry.multiplicity) == 0) model.erase(key);
+      }
+      recycling.OnDelta(0, delta);
+      copying.OnDelta(0, delta);
+    };
+    Delta fill;
+    for (int64_t k = 0; k < 1024; ++k) fill.push_back({row(k, k % 3 == 0), 1});
+    deliver(fill);
+    std::vector<ProductionNode::EpochPtr> copying_pins;
+    int recycled = 0;
+    for (uint64_t epoch = 1; epoch <= 400; ++epoch) {
+      if (epoch > 1) {
+        const uint64_t deliveries = 1 + rng.NextBelow(3);
+        for (uint64_t d = 0; d < deliveries; ++d) {
+          Delta delta;
+          const uint64_t entries = 1 + rng.NextBelow(3);
+          for (uint64_t e = 0; e < entries; ++e) {
+            const int64_t k = static_cast<int64_t>(
+                rng.NextBool(0.5) ? rng.NextBelow(4) : rng.NextBelow(1024));
+            const auto tuple = row(k, rng.NextBool(0.5));
+            // Retract any live copy of the tied pair, or add one.
+            auto live = model.find({k, rng.NextBool(0.5)});
+            if (live != model.end() && rng.NextBool(0.5)) {
+              delta.push_back({row(k, live->first.second), -1});
+            } else {
+              delta.push_back({tuple, 1});
+            }
+          }
+          deliver(delta);
+        }
+      }
+      copying_pins.push_back(copying.PinSnapshot());
+      if (copying_pins.size() > 2) copying_pins.erase(copying_pins.begin());
+      const PublishPath path = recycling.PublishSnapshot(epoch);
+      EXPECT_NE(copying.PublishSnapshot(epoch), PublishPath::kRecycled);
+      if (epoch > 1) {
+        EXPECT_NE(path, PublishPath::kSorted) << epoch;
+      }
+      if (path == PublishPath::kRecycled) ++recycled;
+      ASSERT_TRUE(IdenticalRows(recycling.PinSnapshot()->rows,
+                                copying.PinSnapshot()->rows))
+          << "seed " << seed << " epoch " << epoch;
+    }
+    EXPECT_GT(recycled, 300) << "seed " << seed;
+    int64_t total = 0;
+    for (const auto& [key, count] : model) total += count;
+    EXPECT_EQ(recycling.results().total_count(), total);
+    EXPECT_EQ(recycling.PinSnapshot()->rows.size(),
+              static_cast<size_t>(total));
+  }
+}
+
+/// A free-standing production over `rows` Int rows, published once (the
+/// sort), for the lifetime tests: a view of at least
+/// kRowsPerSpareChange rows keeps a one-row change's spare.
+struct LifetimeFixture {
+  explicit LifetimeFixture(int64_t rows)
+      : production(Schema({{"x", Attribute::Kind::kValue}})) {
+    Delta fill;
+    for (int64_t k = 0; k < rows; ++k) {
+      fill.push_back({Tuple({Value::Int(1000 + k)}), 1});
+    }
+    production.OnDelta(0, fill);
+    EXPECT_EQ(production.PublishSnapshot(++epoch), PublishPath::kSorted);
+  }
+  PublishPath PublishRow(int64_t k) {
     production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
-    return production.PublishSnapshot(epoch);
-  };
-  ASSERT_TRUE(publish_row(1, 1));
-  ProductionNode::EpochPtr first = production.PinSnapshot();
-  ASSERT_TRUE(publish_row(2, 2));
-  ProductionNode::EpochPtr second = production.PinSnapshot();
-  ASSERT_TRUE(publish_row(3, 3));
-  ProductionNode::EpochPtr third = production.PinSnapshot();
+    return production.PublishSnapshot(++epoch);
+  }
+  ProductionNode production;
+  uint64_t epoch = 0;
+};
+
+// A superseded epoch is freed by the writer, never by a reader dropping
+// its pin. The one just superseded is the spare: the writer holds it until
+// the next changed publish, which reuses its rows once no reader pins it.
+TEST(PublishMerge, SupersededEpochsRetireOnTheWriter) {
+  LifetimeFixture f(static_cast<int64_t>(ProductionNode::kRowsPerSpareChange));
+  ProductionNode::EpochPtr pinned = f.production.PinSnapshot();
+  std::weak_ptr<const PublishedEpoch> first = pinned;
+  EXPECT_EQ(f.PublishRow(1), PublishPath::kCopied);  // no spare yet
+  pinned.reset();  // the reader moves on: the writer holds the spare
+  EXPECT_FALSE(first.expired());
+  EXPECT_EQ(f.production.PublishSnapshot(++f.epoch), PublishPath::kKept);
+  EXPECT_FALSE(first.expired());  // unchanged: the spare waits
+  EXPECT_EQ(f.PublishRow(2), PublishPath::kRecycled);
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(f.production.PinSnapshot()->rows,
+            ProductionNode::SortedRows(f.production.results()));
+
+  // A view too small for a one-row change's spare retires each superseded
+  // epoch: the first publish after its last reader lets go frees it.
+  LifetimeFixture small(1);
+  pinned = small.production.PinSnapshot();
+  first = pinned;
+  EXPECT_EQ(small.PublishRow(1), PublishPath::kCopied);
+  pinned.reset();
+  EXPECT_FALSE(first.expired());
+  EXPECT_EQ(small.production.PublishSnapshot(++small.epoch),
+            PublishPath::kKept);  // unchanged, still sweeps
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(small.PublishRow(2), PublishPath::kCopied);
+  EXPECT_EQ(small.production.PinSnapshot()->rows.size(), 3u);
+}
+
+// No retention window: the spare lives until the next changed publish,
+// and every older superseded epoch until the first publish after its last
+// reader lets go, whatever order readers release in.
+TEST(PublishMerge, EachSupersededEpochLivesUntilItsLastReaderLetsGo) {
+  LifetimeFixture f(static_cast<int64_t>(ProductionNode::kRowsPerSpareChange));
+  const size_t rows = ProductionNode::kRowsPerSpareChange;
+  ProductionNode::EpochPtr first = f.production.PinSnapshot();
+  EXPECT_EQ(f.PublishRow(1), PublishPath::kCopied);  // spare: first
+  ProductionNode::EpochPtr second = f.production.PinSnapshot();
+  EXPECT_EQ(f.PublishRow(2), PublishPath::kCopied);  // first pinned
+  ProductionNode::EpochPtr third = f.production.PinSnapshot();
   std::weak_ptr<const PublishedEpoch> first_alive = first;
   std::weak_ptr<const PublishedEpoch> second_alive = second;
   std::weak_ptr<const PublishedEpoch> third_alive = third;
@@ -1003,19 +1151,22 @@ TEST(PublishMerge, EachSupersededEpochLivesUntilItsLastReaderLetsGo) {
   // The oldest and the newest readers leave; the middle one stays.
   first.reset();
   third.reset();
-  ASSERT_TRUE(publish_row(4, 4));  // supersedes epoch 3
+  EXPECT_EQ(f.PublishRow(3), PublishPath::kCopied);  // second pinned
   EXPECT_TRUE(first_alive.expired());
   EXPECT_FALSE(second_alive.expired());
-  EXPECT_TRUE(third_alive.expired());
+  EXPECT_FALSE(third_alive.expired());  // the spare now
   EXPECT_EQ(second->epoch, 2u);
-  EXPECT_EQ(second->rows.size(), 2u);
+  EXPECT_EQ(second->rows.size(), rows + 1);
 
   second.reset();
   EXPECT_FALSE(second_alive.expired());  // the writer frees it, not the reader
-  EXPECT_FALSE(production.PublishSnapshot(5));  // unchanged, still sweeps
+  EXPECT_EQ(f.production.PublishSnapshot(++f.epoch), PublishPath::kKept);
   EXPECT_TRUE(second_alive.expired());
-  EXPECT_EQ(production.PinSnapshot()->epoch, 4u);
-  EXPECT_EQ(production.PinSnapshot()->rows.size(), 4u);
+  EXPECT_FALSE(third_alive.expired());
+  EXPECT_EQ(f.PublishRow(4), PublishPath::kRecycled);
+  EXPECT_TRUE(third_alive.expired());
+  EXPECT_EQ(f.production.PinSnapshot()->epoch, 6u);
+  EXPECT_EQ(f.production.PinSnapshot()->rows.size(), rows + 4);
 }
 
 // ---- network lifecycle -----------------------------------------------------

@@ -25,6 +25,7 @@
 
 #include "engine/query_engine.h"
 #include "scoped_threads_env.h"
+#include "support/rng.h"
 #include "workload/random_graph.h"
 
 namespace pgivm {
@@ -131,6 +132,59 @@ TEST(ServingSnapshot, ReadersStayConsistentDuringWriterChurn) {
   }
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
+}
+
+/// The spare-epoch handoff under contention: readers pin and unpin in a
+/// tight loop while the writer commits single-row changes to a view large
+/// enough to keep its spare, so the writer keeps reusing epochs readers
+/// have only just let go of. A reader's pinned rows must not change while
+/// it holds them, and the reuse path must actually run — under TSAN this
+/// test races the handoff.
+TEST(ServingSnapshot, RecycledEpochsNeverChangeUnderAReader) {
+  ScopedThreadsEnv no_env(nullptr);
+  PropertyGraph graph;
+  static constexpr int64_t kRows = 512;
+  std::vector<VertexId> vertices;
+  for (int64_t i = 0; i < kRows; ++i) {
+    vertices.push_back(graph.AddVertex({"A"}, {{"x", Value::Int(i)}}));
+  }
+  QueryEngine engine(&graph);
+  auto view = engine.Register("MATCH (n:A) RETURN n.x AS x");
+  ASSERT_TRUE(view.ok()) << view.status();
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&view, &done] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const ViewSnapshot> snap = (*view)->Pin();
+        const std::vector<Tuple> frozen = snap->rows();
+        EXPECT_EQ(static_cast<int64_t>(frozen.size()), kRows);
+        EXPECT_EQ((*view)->size(), kRows);
+        EXPECT_EQ(snap->rows(), frozen);
+      }
+    });
+  }
+  Rng rng(5);
+  for (int step = 0; step < 2000; ++step) {
+    ASSERT_TRUE(graph
+                    .SetVertexProperty(
+                        vertices[rng.NextBelow(vertices.size())], "x",
+                        Value::Int(static_cast<int64_t>(rng.NextBelow(4096))))
+                    .ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  const EngineMetricsSnapshot metrics = engine.MetricsSnapshot();
+  EXPECT_GT(metrics.epochs_recycled, 0);
+  EXPECT_EQ(metrics.epochs_recycled + metrics.epochs_copied +
+                metrics.epochs_sorted,
+            metrics.epochs_published);
+  std::vector<Tuple> expected = (*view)->Snapshot();
+  auto fresh = engine.EvaluateOnce((*view)->query());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(expected, *fresh);
 }
 
 /// One reader's record of a concurrently pinned state.
