@@ -1,18 +1,22 @@
 #ifndef PGIVM_GRAPH_GRAPH_DELTA_H_
 #define PGIVM_GRAPH_GRAPH_DELTA_H_
 
-#include <string>
 #include <vector>
 
+#include "graph/symbol_table.h"
 #include "value/ids.h"
 #include "value/value.h"
 
 namespace pgivm {
 
-/// One elementary, self-contained graph mutation. "Self-contained" means a
-/// consumer can translate the change into relational deltas without reading
-/// the pre-state of the graph: removal records carry the removed payload and
-/// property updates carry both old and new value.
+/// One elementary graph mutation, recorded as ids plus, for a property
+/// update, the old and new value. A record names its subject and what
+/// changed; it carries no snapshot. Consumers read an added element's
+/// state from the graph, which listeners see with the whole batch applied
+/// (an element added and removed again within one batch is no longer
+/// there, and the later removal record says so). The symbol is an id of
+/// the emitting graph's SymbolTable: records never leave their graph, so
+/// they need no names.
 struct GraphChange {
   enum class Kind {
     kAddVertex,
@@ -31,26 +35,19 @@ struct GraphChange {
   VertexId vertex = kInvalidId;
   EdgeId edge = kInvalidId;
 
-  /// Edge endpoints and type (edge kinds and edge-property kinds).
+  /// Edge endpoints (edge kinds and edge-property kinds).
   VertexId src = kInvalidId;
   VertexId dst = kInvalidId;
-  std::string edge_type;
 
-  /// Vertex labels: the full label set at add/remove time, or the single
-  /// label added/removed for the label kinds. For property kinds, the
-  /// subject's current labels (vertex) — lets consumers filter by label.
-  std::vector<std::string> labels;
-
-  /// Full property snapshot for add/remove kinds.
-  ValueMap properties;
+  /// The edge type (edge kinds and edge-property kinds), the label added
+  /// or removed (label kinds), or the property key (kSet*Property). Unset
+  /// (kNoSymbol) for vertex adds and removes.
+  SymbolId symbol = kNoSymbol;
 
   /// Property-update payload (kSet*Property). A null Value means "absent",
   /// so set-from-absent has null old_value and erase has null new_value.
-  std::string property_key;
   Value old_value;
   Value new_value;
-
-  std::string ToString() const;
 };
 
 /// An ordered batch of changes emitted atomically (one listener call). The
@@ -61,7 +58,6 @@ struct GraphDelta {
 
   bool empty() const { return changes.empty(); }
   size_t size() const { return changes.size(); }
-  std::string ToString() const;
 };
 
 /// Observer interface for live graph consumers (the IVM engine, logs, ...).

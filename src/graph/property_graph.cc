@@ -72,11 +72,6 @@ std::vector<std::string> PropertyGraph::LabelNames(
 VertexId PropertyGraph::AddVertex(std::vector<std::string> labels,
                                   ValueMap properties) {
   SortUnique(labels);
-  // Null-valued entries mean "absent" everywhere in the API; normalize here.
-  for (auto it = properties.begin(); it != properties.end();) {
-    it = it->second.is_null() ? properties.erase(it) : std::next(it);
-  }
-
   VertexId id = static_cast<VertexId>(vertices_.size());
   VertexData data;
   data.alive = true;
@@ -92,15 +87,14 @@ VertexId PropertyGraph::AddVertex(std::vector<std::string> labels,
   }
   vertices_.Append(std::move(data));
   ++live_vertex_count_;
+  // Null-valued entries mean "absent" everywhere in the API: skip them.
   for (const auto& [key, value] : properties) {
-    vertex_props_.Set(id, symbols_.Intern(key), value);
+    if (!value.is_null()) vertex_props_.Set(id, symbols_.Intern(key), value);
   }
 
   GraphChange change;
   change.kind = GraphChange::Kind::kAddVertex;
   change.vertex = id;
-  change.labels = std::move(labels);
-  change.properties = std::move(properties);
   Record(std::move(change));
   return id;
 }
@@ -113,10 +107,6 @@ Result<EdgeId> PropertyGraph::AddEdge(VertexId src, VertexId dst,
   if (!HasVertex(dst)) {
     return Status::NotFound(StrCat("target vertex ", dst, " does not exist"));
   }
-  for (auto it = properties.begin(); it != properties.end();) {
-    it = it->second.is_null() ? properties.erase(it) : std::next(it);
-  }
-
   EdgeId id = static_cast<EdgeId>(edges_.size());
   EdgeData data;
   data.alive = true;
@@ -128,7 +118,7 @@ Result<EdgeId> PropertyGraph::AddEdge(VertexId src, VertexId dst,
   edges_.Append(data);
   ++live_edge_count_;
   for (const auto& [key, value] : properties) {
-    edge_props_.Set(id, symbols_.Intern(key), value);
+    if (!value.is_null()) edge_props_.Set(id, symbols_.Intern(key), value);
   }
   MutableVertex(src).out_edges.push_back(id);
   MutableVertex(dst).in_edges.push_back(id);
@@ -138,8 +128,7 @@ Result<EdgeId> PropertyGraph::AddEdge(VertexId src, VertexId dst,
   change.edge = id;
   change.src = src;
   change.dst = dst;
-  change.edge_type = std::move(type);
-  change.properties = std::move(properties);
+  change.symbol = data.type;
   Record(std::move(change));
   return id;
 }
@@ -155,8 +144,7 @@ Status PropertyGraph::RemoveEdge(EdgeId edge) {
   change.edge = edge;
   change.src = data.src;
   change.dst = data.dst;
-  change.edge_type = symbols_.Name(data.type);
-  change.properties = edge_props_.Collect(edge);
+  change.symbol = data.type;
 
   EraseId(MutableVertex(data.src).out_edges, edge);
   EraseId(MutableVertex(data.dst).in_edges, edge);
@@ -183,8 +171,6 @@ Status PropertyGraph::RemoveVertex(VertexId vertex) {
   GraphChange change;
   change.kind = GraphChange::Kind::kRemoveVertex;
   change.vertex = vertex;
-  change.labels = LabelNames(data.labels);
-  change.properties = vertex_props_.Collect(vertex);
 
   for (SymbolId label : data.labels) {
     EraseSorted(label_index_[label], vertex);
@@ -214,7 +200,7 @@ Status PropertyGraph::DetachRemoveVertex(VertexId vertex) {
 }
 
 Status PropertyGraph::SetPropertyImpl(bool is_vertex, int64_t id,
-                                      std::string key, Value value) {
+                                      std::string_view key, Value value) {
   PropertyStore* store = nullptr;
   GraphChange change;
   if (is_vertex) {
@@ -224,7 +210,6 @@ Status PropertyGraph::SetPropertyImpl(bool is_vertex, int64_t id,
     store = &vertex_props_;
     change.kind = GraphChange::Kind::kSetVertexProperty;
     change.vertex = id;
-    change.labels = LabelNames(GetVertex(id).labels);
   } else {
     if (!HasEdge(id)) {
       return Status::NotFound(StrCat("edge ", id, " does not exist"));
@@ -235,7 +220,6 @@ Status PropertyGraph::SetPropertyImpl(bool is_vertex, int64_t id,
     change.edge = id;
     change.src = data.src;
     change.dst = data.dst;
-    change.edge_type = symbols_.Name(data.type);
   }
 
   SymbolId key_symbol = symbols_.Intern(key);
@@ -244,7 +228,7 @@ Status PropertyGraph::SetPropertyImpl(bool is_vertex, int64_t id,
 
   store->Set(id, key_symbol, value);
 
-  change.property_key = std::move(key);
+  change.symbol = key_symbol;
   change.old_value = std::move(old_value);
   change.new_value = std::move(value);
   Record(std::move(change));
@@ -253,14 +237,12 @@ Status PropertyGraph::SetPropertyImpl(bool is_vertex, int64_t id,
 
 Status PropertyGraph::SetVertexProperty(VertexId vertex, std::string key,
                                         Value value) {
-  return SetPropertyImpl(/*is_vertex=*/true, vertex, std::move(key),
-                         std::move(value));
+  return SetPropertyImpl(/*is_vertex=*/true, vertex, key, std::move(value));
 }
 
 Status PropertyGraph::SetEdgeProperty(EdgeId edge, std::string key,
                                       Value value) {
-  return SetPropertyImpl(/*is_vertex=*/false, edge, std::move(key),
-                         std::move(value));
+  return SetPropertyImpl(/*is_vertex=*/false, edge, key, std::move(value));
 }
 
 Status PropertyGraph::AddVertexLabel(VertexId vertex, std::string label) {
@@ -278,7 +260,7 @@ Status PropertyGraph::AddVertexLabel(VertexId vertex, std::string label) {
   GraphChange change;
   change.kind = GraphChange::Kind::kAddVertexLabel;
   change.vertex = vertex;
-  change.labels = {std::move(label)};
+  change.symbol = symbol;
   Record(std::move(change));
   return Status::Ok();
 }
@@ -299,7 +281,7 @@ Status PropertyGraph::RemoveVertexLabel(VertexId vertex,
   GraphChange change;
   change.kind = GraphChange::Kind::kRemoveVertexLabel;
   change.vertex = vertex;
-  change.labels = {label};
+  change.symbol = *symbol;
   Record(std::move(change));
   return Status::Ok();
 }

@@ -31,12 +31,13 @@ namespace pgivm {
 /// are symbol-keyed sorted posting lists, so index scans are deterministic
 /// (ascending id) by construction. The string-based read API remains as
 /// thin shims over one symbol lookup; hot paths use the SymbolId overloads
-/// and skip string hashing entirely. Symbol ids depend on mutation order —
-/// they never appear in change records, fingerprints, or serialized
-/// output, which stay string-based and id-assignment-independent.
+/// and skip string hashing entirely. Symbol ids depend on mutation order.
+/// They appear in change records, which never leave the graph, but never
+/// in fingerprints or serialized output, which stay string-based and
+/// id-assignment-independent.
 ///
 /// Mutations are observable: every applied change is delivered to registered
-/// GraphListeners as a self-contained GraphDelta (see graph_delta.h). Calls
+/// GraphListeners as an id-only GraphDelta (see graph_delta.h). Calls
 /// outside a batch emit one single-change delta each; BeginBatch/CommitBatch
 /// groups many changes into one atomic delta — the unit of IVM propagation
 /// ("transaction" in the paper's sense).
@@ -313,8 +314,8 @@ class PropertyGraph {
   EdgeData& MutableEdge(EdgeId id);
   const EdgeData& GetEdge(EdgeId id) const;
 
-  /// Materializes label names sorted by name (change records and the
-  /// string API promise name order, not id order).
+  /// Materializes label names sorted by name (the string API promises
+  /// name order, not id order).
   std::vector<std::string> LabelNames(
       const std::vector<SymbolId>& ids) const;
 
@@ -324,7 +325,7 @@ class PropertyGraph {
   void Emit(GraphDelta delta);
 
   /// Shared implementation of vertex/edge property writes.
-  Status SetPropertyImpl(bool is_vertex, int64_t id, std::string key,
+  Status SetPropertyImpl(bool is_vertex, int64_t id, std::string_view key,
                          Value value);
 
   SymbolTable symbols_;

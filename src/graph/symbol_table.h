@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace pgivm {
 
@@ -16,8 +17,9 @@ namespace pgivm {
 /// never reused or reassigned, so they are stable for the graph's lifetime —
 /// but they depend on mutation order and are meaningful only within their
 /// own graph. Anything that must be reproducible across graphs or processes
-/// (fingerprints, serialized output, change records) goes through
-/// SymbolTable::Name and compares strings, never ids.
+/// (fingerprints, serialized output) goes through SymbolTable::Name and
+/// compares strings, never ids. Change records carry ids: they never leave
+/// their graph.
 using SymbolId = uint32_t;
 
 /// "Not interned" sentinel: returned by SymbolRef::Resolve on a miss and
@@ -105,6 +107,16 @@ class SymbolRef {
   std::string name_;
   mutable std::atomic<SymbolId> cached_{kNoSymbol};
 };
+
+/// True when one of `refs` resolves to `symbol`. An unresolved ref (name
+/// never interned) cannot equal an interned symbol.
+inline bool AnyResolvesTo(const std::vector<SymbolRef>& refs,
+                          const SymbolTable& symbols, SymbolId symbol) {
+  for (const SymbolRef& ref : refs) {
+    if (ref.Resolve(symbols) == symbol) return true;
+  }
+  return false;
+}
 
 }  // namespace pgivm
 

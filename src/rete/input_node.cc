@@ -16,14 +16,6 @@ Value LabelsValue(const std::vector<std::string>& labels) {
   return Value::List(std::move(out));
 }
 
-Value PropertyValue(const ValueMap& properties, const std::string& key) {
-  auto it = properties.find(key);
-  return it == properties.end() ? Value::Null() : it->second;
-}
-
-/// True when `partition` (of `partitions`) owns entity `id` — the same
-/// shard-granular ownership the ShardedIdMap asserted-state uses, so an
-/// owning partition's map writes stay within its own shards.
 /// Label test against live graph state: resolved symbols + binary search
 /// over the vertex's sorted label-id set — no string handling.
 bool HasAllLabels(const PropertyGraph& graph, VertexId v,
@@ -38,6 +30,23 @@ bool HasAllLabels(const PropertyGraph& graph, VertexId v,
   return true;
 }
 
+/// The property-map column `map` after the update of `change`: the key's
+/// entry set to the new value, or erased when the new value is null.
+Value UpdatedPropertyMap(const Value& map, const GraphChange& change,
+                         const SymbolTable& symbols) {
+  ValueMap entries = map.is_map() ? map.AsMap() : ValueMap{};
+  const std::string& key = symbols.Name(change.symbol);
+  if (change.new_value.is_null()) {
+    entries.erase(key);
+  } else {
+    entries[key] = change.new_value;
+  }
+  return Value::Map(std::move(entries));
+}
+
+/// True when `partition` (of `partitions`) owns entity `id` — the same
+/// shard-granular ownership the ShardedIdMap asserted-state uses, so an
+/// owning partition's map writes stay within its own shards.
 template <typename Id>
 bool OwnsEntity(Id id, uint32_t partition, uint32_t partitions) {
   return partitions <= 1 ||
@@ -75,45 +84,11 @@ void VertexInputNode::OnDelta(int port, const Delta& delta) {
   assert(false && "input nodes have no upstream");
 }
 
-bool VertexInputNode::Matches(const std::vector<std::string>& labels) const {
-  // Both sides sorted: subset test by inclusion.
-  return std::includes(labels.begin(), labels.end(),
-                       required_labels_.begin(), required_labels_.end());
-}
-
-bool VertexInputNode::MatchesGraph(VertexId v) const {
+bool VertexInputNode::Matches(VertexId v) const {
   return HasAllLabels(*graph_, v, required_label_refs_);
 }
 
-Value VertexInputNode::ExtractValue(const PropertyExtract& extract,
-                                    const std::vector<std::string>& labels,
-                                    const ValueMap& properties) {
-  switch (extract.what) {
-    case PropertyExtract::What::kProperty:
-      return PropertyValue(properties, extract.key);
-    case PropertyExtract::What::kLabels:
-      return LabelsValue(labels);
-    case PropertyExtract::What::kPropertyMap:
-      return Value::Map(properties);
-    case PropertyExtract::What::kType:
-      return Value::Null();  // Vertices have no type.
-  }
-  return Value::Null();
-}
-
-Tuple VertexInputNode::BuildTuple(VertexId v,
-                                  const std::vector<std::string>& labels,
-                                  const ValueMap& properties) const {
-  std::vector<Value> values;
-  values.reserve(1 + extracts_.size());
-  values.push_back(Value::Vertex(v));
-  for (const PropertyExtract& extract : extracts_) {
-    values.push_back(ExtractValue(extract, labels, properties));
-  }
-  return Tuple(std::move(values));
-}
-
-Tuple VertexInputNode::BuildTupleFromGraph(VertexId v) const {
+Tuple VertexInputNode::BuildTuple(VertexId v) const {
   const SymbolTable& symbols = graph_->symbols();
   std::vector<Value> values;
   values.reserve(1 + extracts_.size());
@@ -138,17 +113,21 @@ Tuple VertexInputNode::BuildTupleFromGraph(VertexId v) const {
   return Tuple(std::move(values));
 }
 
-void VertexInputNode::TranslateChange(const GraphChange& change,
-                                      uint32_t partition, uint32_t partitions,
-                                      Delta& out) {
+void VertexInputNode::Translate(const GraphChange& change, uint32_t partition,
+                                uint32_t partitions, Delta& out) {
   // Every kind handled below is keyed by change.vertex; kinds that fall
   // through to `default` return regardless of ownership.
   if (!OwnsEntity(change.vertex, partition, partitions)) return;
   switch (change.kind) {
     case GraphChange::Kind::kAddVertex: {
-      if (!Matches(change.labels)) return;
-      Tuple tuple = BuildTuple(change.vertex, change.labels,
-                               change.properties);
+      // The tuple is read from the post-batch graph. A later change in the
+      // same batch may have removed the vertex again; its kRemoveVertex
+      // then finds nothing stored. Later updates of a vertex that stays
+      // apply to the stored tuple: intermediate values come and go as
+      // inverse pairs the consolidation cancels, and each key's last
+      // update writes its post-batch value again.
+      if (!graph_->HasVertex(change.vertex) || !Matches(change.vertex)) return;
+      Tuple tuple = BuildTuple(change.vertex);
       asserted_.shard(change.vertex).emplace(change.vertex, tuple);
       out.push_back({std::move(tuple), 1});
       return;
@@ -169,21 +148,16 @@ void VertexInputNode::TranslateChange(const GraphChange& change,
       const Tuple& old = it->second;
       // Rebuild only the columns the changed key touches, against the
       // *stored* tuple: correct even mid-batch.
+      const SymbolTable& symbols = graph_->symbols();
       Tuple updated = old;
       for (size_t i = 0; i < extracts_.size(); ++i) {
         const PropertyExtract& extract = extracts_[i];
         if (extract.what == PropertyExtract::What::kProperty &&
-            extract.key == change.property_key) {
+            extract_key_refs_[i].Resolve(symbols) == change.symbol) {
           updated = updated.WithColumn(i + 1, change.new_value);
         } else if (extract.what == PropertyExtract::What::kPropertyMap) {
-          ValueMap map = updated.at(i + 1).is_map() ? updated.at(i + 1).AsMap()
-                                                    : ValueMap{};
-          if (change.new_value.is_null()) {
-            map.erase(change.property_key);
-          } else {
-            map[change.property_key] = change.new_value;
-          }
-          updated = updated.WithColumn(i + 1, Value::Map(std::move(map)));
+          updated = updated.WithColumn(
+              i + 1, UpdatedPropertyMap(updated.at(i + 1), change, symbols));
         }
       }
       if (updated == old) return;
@@ -195,12 +169,12 @@ void VertexInputNode::TranslateChange(const GraphChange& change,
     case GraphChange::Kind::kAddVertexLabel:
     case GraphChange::Kind::kRemoveVertexLabel: {
       VertexId v = change.vertex;
-      bool matched_now = graph_->HasVertex(v) && MatchesGraph(v);
+      bool matched_now = graph_->HasVertex(v) && Matches(v);
       auto& shard = asserted_.shard(v);
       auto it = shard.find(v);
       if (it == shard.end()) {
         if (!matched_now) return;
-        Tuple tuple = BuildTupleFromGraph(v);
+        Tuple tuple = BuildTuple(v);
         shard.emplace(v, tuple);
         out.push_back({std::move(tuple), 1});
         return;
@@ -230,23 +204,11 @@ void VertexInputNode::TranslateChange(const GraphChange& change,
   }
 }
 
-void VertexInputNode::HandleChange(const GraphChange& change) {
-  Delta out;
-  TranslateChange(change, /*partition=*/0, /*partitions=*/1, out);
-  Emit(std::move(out));
-}
-
-void VertexInputNode::HandleChangePartition(const GraphChange& change,
-                                            uint32_t partition,
-                                            uint32_t partitions, Delta& out) {
-  TranslateChange(change, partition, partitions, out);
-}
-
 void VertexInputNode::EmitInitialFromGraph() {
   Delta delta;
   auto consider = [this, &delta](VertexId v) {
-    if (!MatchesGraph(v)) return;
-    Tuple tuple = BuildTupleFromGraph(v);
+    if (!Matches(v)) return;
+    Tuple tuple = BuildTuple(v);
     asserted_.shard(v).emplace(v, tuple);
     delta.push_back({std::move(tuple), 1});
   };
@@ -329,19 +291,8 @@ void EdgeInputNode::OnDelta(int port, const Delta& delta) {
   assert(false && "input nodes have no upstream");
 }
 
-bool EdgeInputNode::TypeMatches(const std::string& type) const {
-  if (types_.empty()) return true;
-  return std::find(types_.begin(), types_.end(), type) != types_.end();
-}
-
-bool EdgeInputNode::TypeMatchesId(SymbolId type) const {
-  if (types_.empty()) return true;
-  const SymbolTable& symbols = graph_->symbols();
-  for (const SymbolRef& ref : type_refs_) {
-    // An unresolved ref (name never interned) cannot equal a live type id.
-    if (ref.Resolve(symbols) == type) return true;
-  }
-  return false;
+bool EdgeInputNode::TypeMatches(SymbolId type) const {
+  return types_.empty() || AnyResolvesTo(type_refs_, graph_->symbols(), type);
 }
 
 bool EdgeInputNode::EndpointsMatch(VertexId a, VertexId b) const {
@@ -349,64 +300,14 @@ bool EdgeInputNode::EndpointsMatch(VertexId a, VertexId b) const {
          HasAllLabels(*graph_, b, dst_label_refs_);
 }
 
-bool EdgeInputNode::LabelMatters(const std::string& label) const {
+bool EdgeInputNode::LabelMatters(SymbolId label) const {
+  const SymbolTable& symbols = graph_->symbols();
   return depends_on_vertices_ ||
-         std::find(src_labels_.begin(), src_labels_.end(), label) !=
-             src_labels_.end() ||
-         std::find(dst_labels_.begin(), dst_labels_.end(), label) !=
-             dst_labels_.end();
+         AnyResolvesTo(src_label_refs_, symbols, label) ||
+         AnyResolvesTo(dst_label_refs_, symbols, label);
 }
 
-Value EdgeInputNode::ExtractValue(size_t i, VertexId a, VertexId b,
-                                  const std::string& type,
-                                  const ValueMap& edge_properties) const {
-  const PropertyExtract& extract = extracts_[i];
-  if (extract.element_var == edge_var_) {
-    switch (extract.what) {
-      case PropertyExtract::What::kProperty:
-        return PropertyValue(edge_properties, extract.key);
-      case PropertyExtract::What::kType:
-        return Value::String(type);
-      case PropertyExtract::What::kPropertyMap:
-        return Value::Map(edge_properties);
-      case PropertyExtract::What::kLabels:
-        return Value::Null();
-    }
-    return Value::Null();
-  }
-  // Endpoint extracts read live graph state through the resolved key
-  // symbol: O(1) column probe, no string hashing.
-  VertexId subject = extract.element_var == src_var_ ? a : b;
-  switch (extract.what) {
-    case PropertyExtract::What::kProperty:
-      return graph_->GetVertexProperty(
-          subject, extract_key_refs_[i].Resolve(graph_->symbols()));
-    case PropertyExtract::What::kLabels:
-      return LabelsValue(graph_->VertexLabels(subject));
-    case PropertyExtract::What::kPropertyMap:
-      return Value::Map(graph_->VertexProperties(subject));
-    case PropertyExtract::What::kType:
-      return Value::Null();
-  }
-  return Value::Null();
-}
-
-Tuple EdgeInputNode::BuildTuple(VertexId a, VertexId b, EdgeId e,
-                                const std::string& type,
-                                const ValueMap& edge_properties) const {
-  std::vector<Value> values;
-  values.reserve(3 + extracts_.size());
-  values.push_back(Value::Vertex(a));
-  values.push_back(Value::Edge(e));
-  values.push_back(Value::Vertex(b));
-  for (size_t i = 0; i < extracts_.size(); ++i) {
-    values.push_back(ExtractValue(i, a, b, type, edge_properties));
-  }
-  return Tuple(std::move(values));
-}
-
-Tuple EdgeInputNode::BuildTupleFromGraph(VertexId a, VertexId b,
-                                         EdgeId e) const {
+Tuple EdgeInputNode::BuildTuple(VertexId a, VertexId b, EdgeId e) const {
   const SymbolTable& symbols = graph_->symbols();
   std::vector<Value> values;
   values.reserve(3 + extracts_.size());
@@ -459,28 +360,15 @@ void EdgeInputNode::Store(EdgeId e, std::vector<Tuple> tuples, Delta& out) {
   asserted_.shard(e).emplace(e, std::move(tuples));
 }
 
-void EdgeInputNode::AssertEdge(EdgeId e, VertexId src, VertexId dst,
-                               const std::string& type,
-                               const ValueMap& edge_properties, Delta& out) {
-  std::vector<Tuple> tuples;
-  if (EndpointsMatch(src, dst)) {
-    tuples.push_back(BuildTuple(src, dst, e, type, edge_properties));
-  }
-  if (undirected_ && src != dst && EndpointsMatch(dst, src)) {
-    tuples.push_back(BuildTuple(dst, src, e, type, edge_properties));
-  }
-  Store(e, std::move(tuples), out);
-}
-
 std::vector<Tuple> EdgeInputNode::TuplesFromGraph(EdgeId e) const {
   VertexId src = graph_->EdgeSource(e);
   VertexId dst = graph_->EdgeTarget(e);
   std::vector<Tuple> tuples;
   if (EndpointsMatch(src, dst)) {
-    tuples.push_back(BuildTupleFromGraph(src, dst, e));
+    tuples.push_back(BuildTuple(src, dst, e));
   }
   if (undirected_ && src != dst && EndpointsMatch(dst, src)) {
-    tuples.push_back(BuildTupleFromGraph(dst, src, e));
+    tuples.push_back(BuildTuple(dst, src, e));
   }
   return tuples;
 }
@@ -521,7 +409,7 @@ void EdgeInputNode::RefreshIncident(VertexId v, uint32_t partition,
   // in one batch still has a single writer.
   auto visit = [&](EdgeId e) {
     if (!OwnsEntity(e, partition, partitions)) return;
-    if (!TypeMatchesId(graph_->EdgeTypeId(e))) return;
+    if (!TypeMatches(graph_->EdgeTypeId(e))) return;
     Reconcile(e, out);
   };
   for (EdgeId e : graph_->OutEdges(v)) visit(e);
@@ -530,13 +418,12 @@ void EdgeInputNode::RefreshIncident(VertexId v, uint32_t partition,
   }
 }
 
-void EdgeInputNode::TranslateChange(const GraphChange& change,
-                                    uint32_t partition, uint32_t partitions,
-                                    Delta& out) {
+void EdgeInputNode::Translate(const GraphChange& change, uint32_t partition,
+                              uint32_t partitions, Delta& out) {
   switch (change.kind) {
     case GraphChange::Kind::kAddEdge:
       if (!OwnsEntity(change.edge, partition, partitions)) return;
-      if (!TypeMatches(change.edge_type)) return;
+      if (!TypeMatches(change.symbol)) return;
       // A later change in the same batch may have removed this edge again
       // (possibly detach-removing an endpoint, whose properties the vertex
       // extracts would read from the post-batch graph). Skip the assert; the
@@ -545,8 +432,7 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
       // An endpoint update earlier in this batch already reconciled the
       // edge against the live graph (edge ids are never reused).
       if (asserted_.Find(change.edge) != nullptr) return;
-      AssertEdge(change.edge, change.src, change.dst, change.edge_type,
-                 change.properties, out);
+      Store(change.edge, TuplesFromGraph(change.edge), out);
       return;
     case GraphChange::Kind::kRemoveEdge: {
       if (!OwnsEntity(change.edge, partition, partitions)) return;
@@ -562,6 +448,7 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
       if (!OwnsEntity(change.edge, partition, partitions)) return;
       std::vector<Tuple>* stored_tuples = asserted_.Find(change.edge);
       if (stored_tuples == nullptr) return;
+      const SymbolTable& symbols = graph_->symbols();
       for (Tuple& stored : *stored_tuples) {
         Tuple updated = stored;
         for (size_t i = 0; i < extracts_.size(); ++i) {
@@ -569,17 +456,11 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
           if (extract.element_var != edge_var_) continue;
           size_t col = 3 + i;
           if (extract.what == PropertyExtract::What::kProperty &&
-              extract.key == change.property_key) {
+              extract_key_refs_[i].Resolve(symbols) == change.symbol) {
             updated = updated.WithColumn(col, change.new_value);
           } else if (extract.what == PropertyExtract::What::kPropertyMap) {
-            ValueMap map = updated.at(col).is_map() ? updated.at(col).AsMap()
-                                                    : ValueMap{};
-            if (change.new_value.is_null()) {
-              map.erase(change.property_key);
-            } else {
-              map[change.property_key] = change.new_value;
-            }
-            updated = updated.WithColumn(col, Value::Map(std::move(map)));
+            updated = updated.WithColumn(
+                col, UpdatedPropertyMap(updated.at(col), change, symbols));
           }
         }
         if (updated == stored) continue;
@@ -596,7 +477,7 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
       return;
     case GraphChange::Kind::kAddVertexLabel:
     case GraphChange::Kind::kRemoveVertexLabel:
-      if (change.labels.empty() || !LabelMatters(change.labels[0])) return;
+      if (!LabelMatters(change.symbol)) return;
       if (!graph_->HasVertex(change.vertex)) return;
       RefreshIncident(change.vertex, partition, partitions, out);
       return;
@@ -605,22 +486,10 @@ void EdgeInputNode::TranslateChange(const GraphChange& change,
   }
 }
 
-void EdgeInputNode::HandleChange(const GraphChange& change) {
-  Delta out;
-  TranslateChange(change, /*partition=*/0, /*partitions=*/1, out);
-  Emit(std::move(out));
-}
-
-void EdgeInputNode::HandleChangePartition(const GraphChange& change,
-                                          uint32_t partition,
-                                          uint32_t partitions, Delta& out) {
-  TranslateChange(change, partition, partitions, out);
-}
-
 void EdgeInputNode::EmitInitialFromGraph() {
   Delta delta;
   auto consider = [this, &delta](EdgeId e) {
-    if (!TypeMatchesId(graph_->EdgeTypeId(e))) return;
+    if (!TypeMatches(graph_->EdgeTypeId(e))) return;
     Store(e, TuplesFromGraph(e), delta);
   };
   // Reserve against the *filtered* candidate count (one entry per

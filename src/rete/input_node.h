@@ -18,32 +18,28 @@ class GraphSourceNode {
  public:
   virtual ~GraphSourceNode() = default;
 
-  /// Translates one (already applied) graph change into relational deltas.
-  virtual void HandleChange(const GraphChange& change) = 0;
+  /// Translates one graph change into relational deltas, appended to `out`.
+  /// The change's whole batch is already applied, so an added element's
+  /// tuple is read from the graph (and skipped when a later change of the
+  /// batch removed the element again).
+  ///
+  /// Partitioned sources handle `change` restricted to the entities
+  /// partition `partition` (of `partitions`) owns; 0 of 1 owns everything.
+  /// Entity ownership is MorselPartitionOfHash over the vertex/edge id, so
+  /// each entity is translated by exactly one partition and a partition's
+  /// writes to the node's sharded asserted-state stay within the shards it
+  /// owns. Within a partition, changes keep their batch order; equal
+  /// emitted tuples always carry the entity id, so they originate from one
+  /// entity — one partition — and the scheduler's consolidation is
+  /// order-insensitive across partitions. Sources that are not
+  /// translation_partitionable() are only called with 0 of 1.
+  virtual void Translate(const GraphChange& change, uint32_t partition,
+                         uint32_t partitions, Delta& out) = 0;
 
-  /// True when HandleChange factorizes over graph entities, i.e. the node
-  /// supports HandleChangePartition. Sources whose translation has
-  /// cross-entity state (path enumeration, the Unit relation) stay serial.
+  /// True when Translate factorizes over graph entities. Sources whose
+  /// translation has cross-entity state (path enumeration, the Unit
+  /// relation) stay serial.
   virtual bool translation_partitionable() const { return false; }
-
-  /// Partitioned translation: handles `change` restricted to the entities
-  /// partition `partition` (of `partitions`) owns, appending relational
-  /// deltas to `out` instead of emitting. Entity ownership is
-  /// MorselPartitionOfHash over the vertex/edge id, so each entity is
-  /// translated by exactly one partition and a partition's writes to the
-  /// node's sharded asserted-state stay within the shards it owns. Within
-  /// a partition, changes keep their batch order; equal emitted tuples
-  /// always carry the entity id, so they originate from one entity — one
-  /// partition — and the scheduler's consolidation is order-insensitive
-  /// across partitions. Only called when translation_partitionable().
-  virtual void HandleChangePartition(const GraphChange& change,
-                                     uint32_t partition, uint32_t partitions,
-                                     Delta& out) {
-    (void)change;
-    (void)partition;
-    (void)partitions;
-    (void)out;
-  }
 
   /// Asserts the tuples for the current graph content.
   virtual void EmitInitialFromGraph() = 0;
@@ -54,9 +50,10 @@ class GraphSourceNode {
 ///
 /// The node keeps the currently asserted tuple per vertex, so updates are
 /// translated into exact retract/assert pairs even inside multi-change
-/// batches (each change is applied to the stored tuple, never re-read from
-/// intermediate graph state). The asserted map is sharded by vertex id so
-/// parallel translation partitions write disjoint shards.
+/// batches: an added vertex's tuple is read from the post-batch graph, and
+/// a property update of a vertex is applied to its stored tuple. The
+/// asserted map is sharded by vertex id so parallel translation partitions
+/// write disjoint shards.
 class VertexInputNode : public ReteNode, public GraphSourceNode {
  public:
   VertexInputNode(Schema schema, const PropertyGraph* graph,
@@ -64,10 +61,9 @@ class VertexInputNode : public ReteNode, public GraphSourceNode {
                   std::vector<PropertyExtract> extracts);
 
   void OnDelta(int port, const Delta& delta) override;
-  void HandleChange(const GraphChange& change) override;
+  void Translate(const GraphChange& change, uint32_t partition,
+                 uint32_t partitions, Delta& out) override;
   bool translation_partitionable() const override { return true; }
-  void HandleChangePartition(const GraphChange& change, uint32_t partition,
-                             uint32_t partitions, Delta& out) override;
   void EmitInitialFromGraph() override;
 
   /// Replays the asserted tuple of every live matching vertex.
@@ -78,26 +74,13 @@ class VertexInputNode : public ReteNode, public GraphSourceNode {
   const char* KindName() const override { return "VertexInput"; }
 
  private:
-  bool Matches(const std::vector<std::string>& labels) const;
   /// Label test against live graph state: resolved symbols + binary search
   /// over the vertex's sorted label-id set — no string handling.
-  bool MatchesGraph(VertexId v) const;
-  Tuple BuildTuple(VertexId v, const std::vector<std::string>& labels,
-                   const ValueMap& properties) const;
-  /// Builds the tuple from live graph state via the interned fast path:
-  /// property extracts are O(1) column probes through the resolved key
-  /// symbols (strings are materialized only for labels()/property-map
-  /// extracts). Must produce exactly what BuildTuple produces from a
-  /// change record of the same state — the asserted map mixes both.
-  Tuple BuildTupleFromGraph(VertexId v) const;
-  static Value ExtractValue(const PropertyExtract& extract,
-                            const std::vector<std::string>& labels,
-                            const ValueMap& properties);
-  /// Shared body of HandleChange (partition 0 of 1) and
-  /// HandleChangePartition: every handled change kind is keyed by
-  /// change.vertex, so a partition simply skips vertices it doesn't own.
-  void TranslateChange(const GraphChange& change, uint32_t partition,
-                       uint32_t partitions, Delta& out);
+  bool Matches(VertexId v) const;
+  /// Builds the tuple from live graph state: property extracts are O(1)
+  /// column probes through the resolved key symbols (strings are
+  /// materialized only for labels()/property-map extracts).
+  Tuple BuildTuple(VertexId v) const;
 
   const PropertyGraph* graph_;
   std::vector<std::string> required_labels_;  // sorted
@@ -129,10 +112,9 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
                 std::vector<PropertyExtract> extracts);
 
   void OnDelta(int port, const Delta& delta) override;
-  void HandleChange(const GraphChange& change) override;
+  void Translate(const GraphChange& change, uint32_t partition,
+                 uint32_t partitions, Delta& out) override;
   bool translation_partitionable() const override { return true; }
-  void HandleChangePartition(const GraphChange& change, uint32_t partition,
-                             uint32_t partitions, Delta& out) override;
   void EmitInitialFromGraph() override;
 
   /// Replays the asserted orientation tuples of every live matching edge.
@@ -143,27 +125,15 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
   const char* KindName() const override { return "EdgeInput"; }
 
  private:
-  bool TypeMatches(const std::string& type) const;
-  /// Type test against an interned type symbol (live graph state).
-  bool TypeMatchesId(SymbolId type) const;
+  /// Type test against an interned type symbol.
+  bool TypeMatches(SymbolId type) const;
   /// Label test of orientation (a -> b) against live graph state.
   bool EndpointsMatch(VertexId a, VertexId b) const;
-  /// Builds the tuple for orientation (a -> b) of edge `e` from a change
-  /// record's type/properties. Extract `i` reads through extracts_[i] /
-  /// extract_key_refs_[i].
-  Tuple BuildTuple(VertexId a, VertexId b, EdgeId e, const std::string& type,
-                   const ValueMap& edge_properties) const;
-  /// Builds the same tuple from live graph state via the interned fast
-  /// path: edge/endpoint property extracts are O(1) column probes, no
-  /// per-tuple string hashing or property-map materialization. Must agree
-  /// with BuildTuple on identical state — the asserted map mixes both.
-  Tuple BuildTupleFromGraph(VertexId a, VertexId b, EdgeId e) const;
-  Value ExtractValue(size_t i, VertexId a, VertexId b,
-                     const std::string& type,
-                     const ValueMap& edge_properties) const;
-  void AssertEdge(EdgeId e, VertexId src, VertexId dst,
-                  const std::string& type, const ValueMap& edge_properties,
-                  Delta& out);
+  /// Builds the tuple for orientation (a -> b) of edge `e` from live graph
+  /// state: edge/endpoint property extracts are O(1) column probes through
+  /// extract_key_refs_[i], no per-tuple string hashing or property-map
+  /// materialization.
+  Tuple BuildTuple(VertexId a, VertexId b, EdgeId e) const;
   /// The orientation tuples live graph state implies for edge `e`, whose
   /// type already matched.
   std::vector<Tuple> TuplesFromGraph(EdgeId e) const;
@@ -178,9 +148,7 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
                        Delta& out);
   void Reconcile(EdgeId e, Delta& out);
   /// True when a label change of `label` can alter this node's output.
-  bool LabelMatters(const std::string& label) const;
-  void TranslateChange(const GraphChange& change, uint32_t partition,
-                       uint32_t partitions, Delta& out);
+  bool LabelMatters(SymbolId label) const;
 
   const PropertyGraph* graph_;
   std::vector<std::string> types_;
@@ -209,7 +177,8 @@ class UnitInputNode : public ReteNode, public GraphSourceNode {
   UnitInputNode() : ReteNode(Schema{}) {}
 
   void OnDelta(int port, const Delta& delta) override;
-  void HandleChange(const GraphChange& /*change*/) override {}
+  void Translate(const GraphChange& /*change*/, uint32_t /*partition*/,
+                 uint32_t /*partitions*/, Delta& /*out*/) override {}
   void EmitInitialFromGraph() override { Emit({{Tuple(), 1}}); }
 
   /// The Unit relation's content is constant: the single empty tuple.

@@ -102,15 +102,11 @@ void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
   }
 
   auto is_gone = [&gone](const auto* ptr) { return gone.count(ptr) > 0; };
-  sources_.erase(
-      std::remove_if(sources_.begin(), sources_.end(),
-                     [&](GraphSourceNode* source) {
-                       // Sources are also ReteNodes; match via dynamic
-                       // identity by scanning the victim set of node
-                       // pointers (every registered source was Add()ed).
-                       return gone.count(dynamic_cast<ReteNode*>(source)) > 0;
-                     }),
-      sources_.end());
+  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
+                                [&](const Source& source) {
+                                  return is_gone(source.node);
+                                }),
+                 sources_.end());
   productions_.erase(std::remove_if(productions_.begin(), productions_.end(),
                                     [&](ProductionNode* p) {
                                       return is_gone(p);
@@ -151,33 +147,41 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
       pool_ != nullptr && parts >= 2 &&
       (morsel_min_node_entries_ == 0 ||
        delta.changes.size() >= morsel_min_node_entries_);
+  // Serial translation appends straight into each source's staging slot,
+  // change-major like the batch order, and queues the source once its
+  // slot is non-empty.
+  translate_tasks_.clear();
+  serial_sources_.clear();
+  for (const Source& source : sources_) {
+    if (parallel_translate && source.source->translation_partitionable()) {
+      for (uint32_t p = 0; p < parts; ++p) {
+        translate_tasks_.push_back({source.source, source.node, p});
+      }
+    } else {
+      serial_sources_.push_back(
+          {source.source, source.node, &states_.at(source.node)});
+    }
+  }
+  auto translate_serial = [this](const GraphChange& change,
+                                 const SerialSource& serial) {
+    serial.source->Translate(change, /*partition=*/0, /*partitions=*/1,
+                             serial.state->out);
+    if (!serial.state->out.empty()) EnqueueReady(serial.node, *serial.state);
+  };
   if (!parallel_translate) {
     for (const GraphChange& change : delta.changes) {
-      for (GraphSourceNode* source : sources_) {
-        source->HandleChange(change);
+      for (const SerialSource& serial : serial_sources_) {
+        translate_serial(change, serial);
       }
     }
   } else {
-    translate_tasks_.clear();
-    std::vector<GraphSourceNode*> serial_sources;
-    for (GraphSourceNode* source : sources_) {
-      if (source->translation_partitionable()) {
-        ReteNode* node = dynamic_cast<ReteNode*>(source);
-        for (uint32_t p = 0; p < parts; ++p) {
-          translate_tasks_.push_back({source, node, p});
-        }
-      } else {
-        serial_sources.push_back(source);
-      }
-    }
     translate_out_.resize(translate_tasks_.size());
     for (Delta& out : translate_out_) out.clear();
     pool_->Run(translate_tasks_.size(), [this, &delta, parts](size_t i) {
       const TranslateTask& task = translate_tasks_[i];
       Delta& out = translate_out_[i];
       for (const GraphChange& change : delta.changes) {
-        task.source->HandleChangePartition(change, task.partition, parts,
-                                           out);
+        task.source->Translate(change, task.partition, parts, out);
       }
     });
     for (size_t i = 0; i < translate_tasks_.size(); ++i) {
@@ -198,11 +202,11 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
     }
     // Sources with cross-entity translation state (Unit, path enumeration)
     // run the serial path on this thread, after the pool run — never
-    // inside it (Run's caller participates as a worker, and HandleChange
-    // emits through the buffering sink, which is not thread-safe).
-    for (GraphSourceNode* source : serial_sources) {
+    // inside it (Run's caller participates as a worker, and enqueueing a
+    // ready node is not thread-safe).
+    for (const SerialSource& serial : serial_sources_) {
       for (const GraphChange& change : delta.changes) {
-        source->HandleChange(change);
+        translate_serial(change, serial);
       }
     }
   }
@@ -863,10 +867,8 @@ int64_t ReteNetwork::TotalEmittedEntries() const {
 
 int64_t ReteNetwork::SourceEmittedEntries() const {
   int64_t total = 0;
-  for (const GraphSourceNode* source : sources_) {
-    if (const auto* node = dynamic_cast<const ReteNode*>(source)) {
-      total += node->emitted_entries();
-    }
+  for (const Source& source : sources_) {
+    total += source.node->emitted_entries();
   }
   return total;
 }

@@ -140,8 +140,10 @@ class ReteNetwork : public GraphListener, private EmitSink {
     return raw;
   }
 
-  void RegisterSource(GraphSourceNode* source) {
-    sources_.push_back(source);
+  /// Registers `source`, a node already Add()ed, for graph changes.
+  template <typename SourceT>
+  void RegisterSource(SourceT* source) {
+    sources_.push_back({source, source});
   }
 
   /// Declares `production` as a view root: it publishes at every commit.
@@ -498,7 +500,12 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// construction to destruction).
   PropertyGraph* const graph_;
   std::vector<std::unique_ptr<ReteNode>> nodes_;
-  std::vector<GraphSourceNode*> sources_;
+  /// A registered graph source, as both of its bases.
+  struct Source {
+    GraphSourceNode* source = nullptr;
+    ReteNode* node = nullptr;
+  };
+  std::vector<Source> sources_;
   /// Every view root, in registration order.
   std::vector<ProductionNode*> productions_;
   /// Lifetime counters. Written on the writer thread only, but relaxed
@@ -553,6 +560,13 @@ class ReteNetwork : public GraphListener, private EmitSink {
   };
   std::vector<TranslateTask> translate_tasks_;
   std::vector<Delta> translate_out_;
+  /// A source translated on the calling thread, into its staging slot.
+  struct SerialSource {
+    GraphSourceNode* source = nullptr;
+    ReteNode* node = nullptr;
+    NodeState* state = nullptr;
+  };
+  std::vector<SerialSource> serial_sources_;
   /// True while DrainWaves runs: the node set must not change mid-drain.
   bool draining_ = false;
   std::unordered_map<const ReteNode*, NodeState> states_;

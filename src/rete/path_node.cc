@@ -34,18 +34,8 @@ void PathInputNode::OnDelta(int port, const Delta& delta) {
   assert(false && "path nodes have no upstream");
 }
 
-bool PathInputNode::TypeMatches(const std::string& type) const {
-  if (types_.empty()) return true;
-  return std::find(types_.begin(), types_.end(), type) != types_.end();
-}
-
-bool PathInputNode::TypeMatchesId(SymbolId type) const {
-  if (types_.empty()) return true;
-  const SymbolTable& symbols = graph_->symbols();
-  for (const SymbolRef& ref : type_refs_) {
-    if (ref.Resolve(symbols) == type) return true;
-  }
-  return false;
+bool PathInputNode::TypeMatches(SymbolId type) const {
+  return types_.empty() || AnyResolvesTo(type_refs_, graph_->symbols(), type);
 }
 
 Tuple PathInputNode::MakeTuple(const Path& path) const {
@@ -62,7 +52,7 @@ void PathInputNode::ForEachStep(
   const std::vector<EdgeId>& edges =
       reversed_ ? graph_->InEdges(a) : graph_->OutEdges(a);
   for (EdgeId e : edges) {
-    if (!TypeMatchesId(graph_->EdgeTypeId(e))) continue;
+    if (!TypeMatches(graph_->EdgeTypeId(e))) continue;
     fn(e, reversed_ ? graph_->EdgeSource(e) : graph_->EdgeTarget(e));
   }
 }
@@ -72,7 +62,7 @@ void PathInputNode::ForEachReverseStep(
   const std::vector<EdgeId>& edges =
       reversed_ ? graph_->OutEdges(a) : graph_->InEdges(a);
   for (EdgeId e : edges) {
-    if (!TypeMatchesId(graph_->EdgeTypeId(e))) continue;
+    if (!TypeMatches(graph_->EdgeTypeId(e))) continue;
     fn(e, reversed_ ? graph_->EdgeTarget(e) : graph_->EdgeSource(e));
   }
 }
@@ -150,11 +140,12 @@ void PathInputNode::RemovePathsContaining(EdgeId e, Delta& out) {
   }
 }
 
-void PathInputNode::HandleChange(const GraphChange& change) {
-  Delta out;
+void PathInputNode::Translate(const GraphChange& change,
+                              uint32_t /*partition*/, uint32_t /*partitions*/,
+                              Delta& out) {
   switch (change.kind) {
     case GraphChange::Kind::kAddEdge: {
-      if (!TypeMatches(change.edge_type)) return;
+      if (!TypeMatches(change.symbol)) return;
       // A later change in the same batch may have removed this edge again
       // (possibly detach-removing an endpoint, whose adjacency is gone from
       // the post-batch graph the DFS walks). Every trail through it would be
@@ -193,27 +184,26 @@ void PathInputNode::HandleChange(const GraphChange& change) {
                                  out);
                        });
           });
-      break;
+      return;
     }
     case GraphChange::Kind::kRemoveEdge:
-      if (!TypeMatches(change.edge_type)) return;
+      if (!TypeMatches(change.symbol)) return;
       RemovePathsContaining(change.edge, out);
-      break;
+      return;
     case GraphChange::Kind::kAddVertex:
       if (min_hops_ == 0) {
         zero_asserted_.insert(change.vertex);
         out.push_back({MakeTuple(Path::Single(change.vertex)), 1});
       }
-      break;
+      return;
     case GraphChange::Kind::kRemoveVertex:
       if (min_hops_ == 0 && zero_asserted_.erase(change.vertex) > 0) {
         out.push_back({MakeTuple(Path::Single(change.vertex)), -1});
       }
-      break;
+      return;
     default:
       return;
   }
-  Emit(std::move(out));
 }
 
 void PathInputNode::EmitInitialFromGraph() {

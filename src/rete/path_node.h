@@ -33,7 +33,10 @@ class PathInputNode : public ReteNode, public GraphSourceNode {
                 int64_t min_hops, int64_t max_hops, bool emit_path);
 
   void OnDelta(int port, const Delta& delta) override;
-  void HandleChange(const GraphChange& change) override;
+  /// Serial: trail enumeration crosses entities, so the partition
+  /// arguments are ignored.
+  void Translate(const GraphChange& change, uint32_t partition,
+                 uint32_t partitions, Delta& out) override;
   void EmitInitialFromGraph() override;
 
   /// Replays every materialized trail (and, for min_hops == 0, the
@@ -52,10 +55,9 @@ class PathInputNode : public ReteNode, public GraphSourceNode {
       std::function<void(const std::vector<VertexId>& vertices,
                          const std::vector<EdgeId>& edges)>;
 
-  bool TypeMatches(const std::string& type) const;
   /// Type test against an interned type symbol — the per-edge check inside
   /// the DFS steps, so it must not touch strings.
-  bool TypeMatchesId(SymbolId type) const;
+  bool TypeMatches(SymbolId type) const;
   Tuple MakeTuple(const Path& path) const;
 
   /// Pattern-forward steps from `a`: calls fn(edge, next_vertex) for each

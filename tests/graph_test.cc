@@ -120,6 +120,74 @@ TEST(PropertyGraphTest, SetPropertyEmitsOldAndNewValue) {
   EXPECT_TRUE(graph.GetVertexProperty(v, "x").is_null());
 }
 
+TEST(PropertyGraphTest, ChangeRecordsCarrySymbols) {
+  PropertyGraph graph;
+  RecordingListener listener;
+  graph.AddListener(&listener);
+  VertexId a = graph.AddVertex({"Person"}, {{"name", Value::String("a")}});
+  VertexId b = graph.AddVertex({});
+  EdgeId e = graph.AddEdge(a, b, "KNOWS", {{"since", Value::Int(1)}}).value();
+  ASSERT_TRUE(graph.SetVertexProperty(a, "age", Value::Int(3)).ok());
+  ASSERT_TRUE(graph.SetEdgeProperty(e, "since", Value::Int(2)).ok());
+  ASSERT_TRUE(graph.AddVertexLabel(b, "City").ok());
+  ASSERT_TRUE(graph.RemoveVertexLabel(a, "Person").ok());
+  ASSERT_TRUE(graph.RemoveEdge(e).ok());
+  ASSERT_TRUE(graph.RemoveVertex(b).ok());
+
+  auto symbol = [&graph](const char* name) {
+    return graph.symbols().Lookup(name).value();
+  };
+  ASSERT_EQ(listener.deltas.size(), 9u);
+  std::vector<GraphChange> changes;
+  for (const GraphDelta& delta : listener.deltas) {
+    ASSERT_EQ(delta.size(), 1u);
+    changes.push_back(delta.changes[0]);
+  }
+  using Kind = GraphChange::Kind;
+
+  EXPECT_EQ(changes[0].kind, Kind::kAddVertex);
+  EXPECT_EQ(changes[0].vertex, a);
+  EXPECT_EQ(changes[0].symbol, kNoSymbol);
+
+  EXPECT_EQ(changes[2].kind, Kind::kAddEdge);
+  EXPECT_EQ(changes[2].edge, e);
+  EXPECT_EQ(changes[2].src, a);
+  EXPECT_EQ(changes[2].dst, b);
+  EXPECT_EQ(changes[2].symbol, symbol("KNOWS"));
+
+  EXPECT_EQ(changes[3].kind, Kind::kSetVertexProperty);
+  EXPECT_EQ(changes[3].vertex, a);
+  EXPECT_EQ(changes[3].symbol, symbol("age"));
+  EXPECT_TRUE(changes[3].old_value.is_null());
+  EXPECT_EQ(changes[3].new_value, Value::Int(3));
+
+  EXPECT_EQ(changes[4].kind, Kind::kSetEdgeProperty);
+  EXPECT_EQ(changes[4].edge, e);
+  EXPECT_EQ(changes[4].src, a);
+  EXPECT_EQ(changes[4].dst, b);
+  EXPECT_EQ(changes[4].symbol, symbol("since"));
+  EXPECT_EQ(changes[4].old_value, Value::Int(1));
+  EXPECT_EQ(changes[4].new_value, Value::Int(2));
+
+  EXPECT_EQ(changes[5].kind, Kind::kAddVertexLabel);
+  EXPECT_EQ(changes[5].vertex, b);
+  EXPECT_EQ(changes[5].symbol, symbol("City"));
+
+  EXPECT_EQ(changes[6].kind, Kind::kRemoveVertexLabel);
+  EXPECT_EQ(changes[6].vertex, a);
+  EXPECT_EQ(changes[6].symbol, symbol("Person"));
+
+  EXPECT_EQ(changes[7].kind, Kind::kRemoveEdge);
+  EXPECT_EQ(changes[7].edge, e);
+  EXPECT_EQ(changes[7].src, a);
+  EXPECT_EQ(changes[7].dst, b);
+  EXPECT_EQ(changes[7].symbol, symbol("KNOWS"));
+
+  EXPECT_EQ(changes[8].kind, Kind::kRemoveVertex);
+  EXPECT_EQ(changes[8].vertex, b);
+  EXPECT_EQ(changes[8].symbol, kNoSymbol);
+}
+
 TEST(PropertyGraphTest, NoOpWritesEmitNothing) {
   PropertyGraph graph;
   VertexId v = graph.AddVertex({}, {{"x", Value::Int(1)}});

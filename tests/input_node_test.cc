@@ -4,7 +4,14 @@
 
 #include "rete/input_node.h"
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+
 #include <gtest/gtest.h>
+
+#include "support/rng.h"
+#include "support/string_util.h"
 
 namespace pgivm {
 namespace {
@@ -18,24 +25,30 @@ class SinkNode : public ReteNode {
       bag.Apply(entry.tuple, entry.multiplicity);
       ++entries_seen;
     }
+    last_delta = delta;
   }
   std::string DebugString() const override { return "Sink"; }
   Bag bag;
   int entries_seen = 0;
+  Delta last_delta;
 };
 
-/// Forwards graph changes into one source node, like the network does.
+/// Forwards graph changes into one source node, like the network does: the
+/// whole delta is translated, then delivered to the sink at once.
 class Adapter : public GraphListener {
  public:
-  explicit Adapter(GraphSourceNode* node) : node_(node) {}
+  Adapter(GraphSourceNode* node, SinkNode* sink) : node_(node), sink_(sink) {}
   void OnGraphDelta(const GraphDelta& delta) override {
+    Delta out;
     for (const GraphChange& change : delta.changes) {
-      node_->HandleChange(change);
+      node_->Translate(change, /*partition=*/0, /*partitions=*/1, out);
     }
+    if (!out.empty()) sink_->OnDelta(0, out);
   }
 
  private:
   GraphSourceNode* node_;
+  SinkNode* sink_;
 };
 
 PropertyExtract PropExtract(const std::string& var, const std::string& key) {
@@ -56,7 +69,7 @@ struct VertexFixture {
                                              std::move(labels),
                                              std::move(extracts));
     node->AddOutput(&sink, 0);
-    adapter = std::make_unique<Adapter>(node.get());
+    adapter = std::make_unique<Adapter>(node.get(), &sink);
     graph.AddListener(adapter.get());
   }
 
@@ -157,7 +170,7 @@ struct EdgeFixture {
                                            std::move(dst_labels),
                                            std::move(extracts));
     node->AddOutput(&sink, 0);
-    adapter = std::make_unique<Adapter>(node.get());
+    adapter = std::make_unique<Adapter>(node.get(), &sink);
     graph.AddListener(adapter.get());
   }
 
@@ -327,6 +340,237 @@ TEST(InputNodeBatchTest, InterleavedBatchYieldsConsistentNetState) {
   EXPECT_EQ(f.sink.bag.Count(Tuple({Value::Vertex(v), Value::Int(3),
                                     Value::Int(2)})),
             1);
+}
+
+// ---- Maintained sources match freshly primed ones --------------------------
+
+/// `bag` as sorted "tuple xcount" lines: readable when a comparison fails.
+std::vector<std::string> BagLines(const Bag& bag) {
+  std::vector<std::string> lines;
+  for (const auto& [tuple, count] : bag.counts()) {
+    lines.push_back(StrCat(tuple.ToString(), " x", count));
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+std::vector<std::string> OutputLines(const ReteNode& node) {
+  Delta out;
+  EXPECT_TRUE(node.ReplayOutput(out));
+  Bag bag;
+  for (const DeltaEntry& entry : out) bag.Apply(entry.tuple, entry.multiplicity);
+  return BagLines(bag);
+}
+
+/// A source kept up to date by translating every graph delta, and the
+/// factory that builds an unprimed twin of it.
+struct MaintainedSource {
+  MaintainedSource(PropertyGraph* graph,
+                   std::function<std::unique_ptr<ReteNode>()> factory)
+      : make(std::move(factory)), node(make()) {
+    auto* source = dynamic_cast<GraphSourceNode*>(node.get());
+    node->AddOutput(&sink, 0);
+    source->EmitInitialFromGraph();
+    adapter = std::make_unique<Adapter>(source, &sink);
+    graph->AddListener(adapter.get());
+  }
+
+  std::function<std::unique_ptr<ReteNode>()> make;
+  std::unique_ptr<ReteNode> node;
+  SinkNode sink;
+  std::unique_ptr<Adapter> adapter;
+};
+
+std::unique_ptr<ReteNode> MakeVertexSource(
+    const PropertyGraph* graph, std::vector<std::string> labels,
+    std::vector<PropertyExtract> extracts) {
+  Schema schema({{"v", Attribute::Kind::kVertex}});
+  for (const PropertyExtract& e : extracts) {
+    schema.Add({e.column_name, Attribute::Kind::kValue});
+  }
+  return std::make_unique<VertexInputNode>(schema, graph, std::move(labels),
+                                           std::move(extracts));
+}
+
+std::unique_ptr<ReteNode> MakeEdgeSource(
+    const PropertyGraph* graph, std::vector<std::string> types,
+    bool undirected, std::vector<std::string> src_labels,
+    std::vector<std::string> dst_labels,
+    std::vector<PropertyExtract> extracts) {
+  Schema schema({{"s", Attribute::Kind::kVertex},
+                 {"e", Attribute::Kind::kEdge},
+                 {"t", Attribute::Kind::kVertex}});
+  for (const PropertyExtract& e : extracts) {
+    schema.Add({e.column_name, Attribute::Kind::kValue});
+  }
+  return std::make_unique<EdgeInputNode>(
+      schema, graph, std::move(types), undirected, "s", "e", "t",
+      std::move(src_labels), std::move(dst_labels), std::move(extracts));
+}
+
+PropertyExtract WholeExtract(PropertyExtract::What what, const std::string& var,
+                             const std::string& name) {
+  return {what, var, "", StrCat("#", name, "(", var, ")")};
+}
+
+/// Random batches that add elements and then, in the same batch, set and
+/// erase their properties, add and remove their labels and detach-remove
+/// them. After every batch each maintained source must hold exactly what a
+/// source freshly primed on the post-batch graph holds, its emissions must
+/// net to that state, and it must emit nothing about an element that was
+/// added and removed within the batch.
+TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
+  using What = PropertyExtract::What;
+  const std::vector<std::string> kLabels = {"A", "B", "C"};
+  const std::vector<std::string> kKeys = {"x", "y", "z"};
+  const std::vector<std::string> kTypes = {"T", "U"};
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    PropertyGraph graph;
+    std::vector<std::unique_ptr<MaintainedSource>> sources;
+    auto maintain = [&](std::function<std::unique_ptr<ReteNode>()> make) {
+      sources.push_back(
+          std::make_unique<MaintainedSource>(&graph, std::move(make)));
+    };
+    maintain([&] {
+      return MakeVertexSource(
+          &graph, {"A"},
+          {PropExtract("v", "x"), WholeExtract(What::kPropertyMap, "v", "props"),
+           WholeExtract(What::kLabels, "v", "labels")});
+    });
+    maintain([&] {
+      return MakeVertexSource(&graph, {},
+                              {PropExtract("v", "y"),
+                               WholeExtract(What::kLabels, "v", "labels")});
+    });
+    maintain([&] {
+      return MakeEdgeSource(
+          &graph, {"T"}, /*undirected=*/true, {"A"}, {"B"},
+          {PropExtract("e", "x"), PropExtract("s", "x"),
+           WholeExtract(What::kLabels, "t", "labels"),
+           WholeExtract(What::kPropertyMap, "t", "props")});
+    });
+    maintain([&] {
+      return MakeEdgeSource(&graph, {}, /*undirected=*/false, {}, {},
+                            {WholeExtract(What::kType, "e", "type"),
+                             WholeExtract(What::kPropertyMap, "e", "props"),
+                             PropExtract("t", "y")});
+    });
+
+    Rng rng(seed);
+    auto pick = [&rng](const auto& items) {
+      return items[rng.NextBelow(items.size())];
+    };
+    auto random_value = [&rng]() {
+      int64_t n = rng.NextInRange(0, 3);
+      return n == 0 ? Value::Null() : Value::Int(n);
+    };
+    std::vector<VertexId> vertices;
+    std::vector<EdgeId> edges;
+    for (int batch = 0; batch < 40; ++batch) {
+      SCOPED_TRACE(StrCat("batch ", batch));
+      for (auto& source : sources) source->sink.last_delta.clear();
+      // Elements added in this batch: all of them, and those still live.
+      std::vector<VertexId> born_vertices, fresh_vertices;
+      std::vector<EdgeId> born_edges, fresh_edges;
+      // Half of the updates go to elements added in this batch.
+      auto some_vertex = [&]() {
+        return !fresh_vertices.empty() && rng.NextBool(0.5)
+                   ? pick(fresh_vertices)
+                   : pick(vertices);
+      };
+      graph.BeginBatch();
+      for (int op = 0; op < 30; ++op) {
+        // 0 add vertex, 1 add edge, 2/3 set vertex/edge property, 4/5
+        // add/remove label, 6 detach-remove vertex, 7 remove edge; adds
+        // weigh more so the graph grows.
+        static constexpr int kKinds[] = {0, 0, 1, 1, 1, 2, 3, 4, 5, 6, 7};
+        const int kind =
+            vertices.empty() ? 0 : kKinds[rng.NextBelow(std::size(kKinds))];
+        if (kind == 0) {
+          std::vector<std::string> labels;
+          for (const std::string& label : kLabels) {
+            if (rng.NextBool(0.5)) labels.push_back(label);
+          }
+          ValueMap properties;
+          for (const std::string& key : kKeys) {
+            properties[key] = random_value();
+          }
+          VertexId v = graph.AddVertex(labels, properties);
+          vertices.push_back(v);
+          born_vertices.push_back(v);
+          fresh_vertices.push_back(v);
+        } else if (kind == 1) {
+          Result<EdgeId> e = graph.AddEdge(some_vertex(), some_vertex(),
+                                           pick(kTypes),
+                                           {{"x", random_value()}});
+          ASSERT_TRUE(e.ok());
+          edges.push_back(*e);
+          born_edges.push_back(*e);
+          fresh_edges.push_back(*e);
+        } else if (kind == 2) {
+          ASSERT_TRUE(graph
+                          .SetVertexProperty(some_vertex(), pick(kKeys),
+                                             random_value())
+                          .ok());
+        } else if (kind == 3 && !edges.empty()) {
+          EdgeId e = !fresh_edges.empty() && rng.NextBool(0.5)
+                         ? pick(fresh_edges)
+                         : pick(edges);
+          ASSERT_TRUE(
+              graph.SetEdgeProperty(e, pick(kKeys), random_value()).ok());
+        } else if (kind == 4) {
+          ASSERT_TRUE(graph.AddVertexLabel(some_vertex(), pick(kLabels)).ok());
+        } else if (kind == 5) {
+          ASSERT_TRUE(
+              graph.RemoveVertexLabel(some_vertex(), pick(kLabels)).ok());
+        } else if (kind == 6) {
+          VertexId v = some_vertex();
+          ASSERT_TRUE(graph.DetachRemoveVertex(v).ok());
+          vertices.erase(std::find(vertices.begin(), vertices.end(), v));
+          auto dead = [&graph](EdgeId e) { return !graph.HasEdge(e); };
+          edges.erase(std::remove_if(edges.begin(), edges.end(), dead),
+                      edges.end());
+        } else if (kind == 7 && !edges.empty()) {
+          EdgeId e = pick(edges);
+          ASSERT_TRUE(graph.RemoveEdge(e).ok());
+          edges.erase(std::find(edges.begin(), edges.end(), e));
+        }
+        auto dead_vertex = [&graph](VertexId v) { return !graph.HasVertex(v); };
+        fresh_vertices.erase(std::remove_if(fresh_vertices.begin(),
+                                            fresh_vertices.end(), dead_vertex),
+                             fresh_vertices.end());
+        auto dead_edge = [&graph](EdgeId e) { return !graph.HasEdge(e); };
+        fresh_edges.erase(std::remove_if(fresh_edges.begin(),
+                                         fresh_edges.end(), dead_edge),
+                          fresh_edges.end());
+      }
+      graph.CommitBatch();
+      std::vector<Value> transient;
+      for (VertexId v : born_vertices) {
+        if (!graph.HasVertex(v)) transient.push_back(Value::Vertex(v));
+      }
+      for (EdgeId e : born_edges) {
+        if (!graph.HasEdge(e)) transient.push_back(Value::Edge(e));
+      }
+
+      for (size_t i = 0; i < sources.size(); ++i) {
+        SCOPED_TRACE(StrCat("source ", i, " ", sources[i]->node->DebugString()));
+        std::unique_ptr<ReteNode> fresh = sources[i]->make();
+        dynamic_cast<GraphSourceNode*>(fresh.get())->EmitInitialFromGraph();
+        const std::vector<std::string> expected = OutputLines(*fresh);
+        EXPECT_EQ(OutputLines(*sources[i]->node), expected);
+        EXPECT_EQ(BagLines(sources[i]->sink.bag), expected);
+        for (const DeltaEntry& entry : sources[i]->sink.last_delta) {
+          for (const Value& value : entry.tuple) {
+            EXPECT_EQ(std::count(transient.begin(), transient.end(), value), 0)
+                << "emitted " << entry.tuple.ToString()
+                << " for an element added and removed in the batch";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -42,21 +42,25 @@ struct Fixture {
     graph.AddListener(&adapter);
   }
 
-  /// Routes graph changes into the node like a network would.
+  /// Routes graph changes into the node like a network would: the whole
+  /// delta is translated, then delivered to the sink at once.
   struct Adapter : GraphListener {
-    explicit Adapter(PathInputNode* n) : node(n) {}
+    Adapter(PathInputNode* n, SinkNode* s) : node(n), sink(s) {}
     void OnGraphDelta(const GraphDelta& delta) override {
+      Delta out;
       for (const GraphChange& change : delta.changes) {
-        node->HandleChange(change);
+        node->Translate(change, /*partition=*/0, /*partitions=*/1, out);
       }
+      if (!out.empty()) sink->OnDelta(0, out);
     }
     PathInputNode* node;
+    SinkNode* sink;
   };
 
   PropertyGraph graph;
   SinkNode sink;
   PathInputNode node;
-  Adapter adapter{&node};
+  Adapter adapter{&node, &sink};
 };
 
 TEST(PathNodeTest, ChainPathsMaterialized) {
