@@ -46,8 +46,9 @@ PropertyGraph::VertexData& PropertyGraph::MutableVertex(VertexId id) {
 }
 
 const PropertyGraph::VertexData& PropertyGraph::GetVertex(VertexId id) const {
-  assert(HasVertex(id));
-  return vertices_[id];
+  static const VertexData kAbsent;
+  const VertexData* slot = vertices_.Find(id);
+  return slot != nullptr ? *slot : kAbsent;
 }
 
 PropertyGraph::EdgeData& PropertyGraph::MutableEdge(EdgeId id) {
@@ -56,8 +57,9 @@ PropertyGraph::EdgeData& PropertyGraph::MutableEdge(EdgeId id) {
 }
 
 const PropertyGraph::EdgeData& PropertyGraph::GetEdge(EdgeId id) const {
-  assert(HasEdge(id));
-  return edges_[id];
+  static const EdgeData kAbsent;
+  const EdgeData* slot = edges_.Find(id);
+  return slot != nullptr ? *slot : kAbsent;
 }
 
 std::vector<std::string> PropertyGraph::LabelNames(
@@ -368,7 +370,7 @@ void PropertyGraph::CommitBatch() {
   if (pending_.empty()) return;
   GraphDelta delta;
   delta.changes.swap(pending_.changes);
-  Emit(std::move(delta));
+  NotifyListeners(std::move(delta));
 }
 
 void PropertyGraph::AddListener(GraphListener* listener) {
@@ -388,10 +390,10 @@ void PropertyGraph::Record(GraphChange change) {
   }
   GraphDelta delta;
   delta.changes.push_back(std::move(change));
-  Emit(std::move(delta));
+  NotifyListeners(std::move(delta));
 }
 
-void PropertyGraph::Emit(GraphDelta delta) {
+void PropertyGraph::NotifyListeners(GraphDelta delta) {
   for (GraphListener* listener : listeners_) {
     listener->OnGraphDelta(delta);
   }
@@ -417,24 +419,20 @@ bool PropertyGraph::VertexHasLabel(VertexId vertex,
 
 Value PropertyGraph::GetVertexProperty(VertexId vertex,
                                        std::string_view key) const {
-  assert(HasVertex(vertex));
   std::optional<SymbolId> symbol = symbols_.Lookup(key);
   return symbol ? vertex_props_.Get(vertex, *symbol) : Value::Null();
 }
 
 Value PropertyGraph::GetEdgeProperty(EdgeId edge, std::string_view key) const {
-  assert(HasEdge(edge));
   std::optional<SymbolId> symbol = symbols_.Lookup(key);
   return symbol ? edge_props_.Get(edge, *symbol) : Value::Null();
 }
 
 ValueMap PropertyGraph::VertexProperties(VertexId vertex) const {
-  assert(HasVertex(vertex));
   return vertex_props_.Collect(vertex);
 }
 
 ValueMap PropertyGraph::EdgeProperties(EdgeId edge) const {
-  assert(HasEdge(edge));
   return edge_props_.Collect(edge);
 }
 
@@ -447,7 +445,9 @@ VertexId PropertyGraph::EdgeTarget(EdgeId edge) const {
 }
 
 const std::string& PropertyGraph::EdgeType(EdgeId edge) const {
-  return symbols_.Name(GetEdge(edge).type);
+  static const std::string kAbsent;
+  const SymbolId type = GetEdge(edge).type;
+  return type == kNoSymbol ? kAbsent : symbols_.Name(type);
 }
 
 const std::vector<EdgeId>& PropertyGraph::OutEdges(VertexId vertex) const {
@@ -482,13 +482,11 @@ bool PropertyGraph::VertexHasLabel(VertexId vertex, SymbolId label) const {
 }
 
 Value PropertyGraph::GetVertexProperty(VertexId vertex, SymbolId key) const {
-  assert(HasVertex(vertex));
   if (key == kNoSymbol) return Value::Null();
   return vertex_props_.Get(vertex, key);
 }
 
 Value PropertyGraph::GetEdgeProperty(EdgeId edge, SymbolId key) const {
-  assert(HasEdge(edge));
   if (key == kNoSymbol) return Value::Null();
   return edge_props_.Get(edge, key);
 }

@@ -141,17 +141,21 @@ class PropertyGraph {
   // One symbol lookup, then the id-based fast path. Fine for cold paths;
   // per-tuple readers should resolve a SymbolRef once and use the SymbolId
   // overloads below.
+  //
+  // Every read accepts any id. An id that is not live — removed, never
+  // assigned, or negative — reads as an element with no labels, no edges
+  // and no properties; an absent edge has source and target kInvalidId,
+  // type symbol kNoSymbol and type name "".
 
   bool HasVertex(VertexId vertex) const;
   bool HasEdge(EdgeId edge) const;
 
-  /// Label set of `vertex`, materialized sorted by name. Requires
-  /// existence. (By value since the interned representation stores ids;
-  /// hot paths use VertexLabelIds.)
+  /// Label set of `vertex`, materialized sorted by name. (By value since
+  /// the interned representation stores ids; hot paths use VertexLabelIds.)
   std::vector<std::string> VertexLabels(VertexId vertex) const;
   bool VertexHasLabel(VertexId vertex, std::string_view label) const;
 
-  /// Property value, or null Value if absent. Requires element existence.
+  /// Property value, or null Value if absent.
   Value GetVertexProperty(VertexId vertex, std::string_view key) const;
   Value GetEdgeProperty(EdgeId edge, std::string_view key) const;
 
@@ -309,9 +313,11 @@ class PropertyGraph {
     size_t size_ = 0;
   };
 
+  /// Mutable slots of live elements (asserted).
   VertexData& MutableVertex(VertexId id);
-  const VertexData& GetVertex(VertexId id) const;
   EdgeData& MutableEdge(EdgeId id);
+  /// The slot of `id`, or a shared empty one when `id` is not live.
+  const VertexData& GetVertex(VertexId id) const;
   const EdgeData& GetEdge(EdgeId id) const;
 
   /// Materializes label names sorted by name (the string API promises
@@ -322,7 +328,7 @@ class PropertyGraph {
   /// Records one applied change: appended to the open batch, or emitted as a
   /// singleton delta.
   void Record(GraphChange change);
-  void Emit(GraphDelta delta);
+  void NotifyListeners(GraphDelta delta);
 
   /// Shared implementation of vertex/edge property writes.
   Status SetPropertyImpl(bool is_vertex, int64_t id, std::string_view key,

@@ -146,19 +146,19 @@ Tuple AggregateNode::RenderRow(const Tuple& key,
   return Tuple(std::move(values));
 }
 
-void AggregateNode::EmitInitial() {
+void AggregateNode::EmitInitial(Delta& out) {
   if (!keys_.empty()) return;
   GroupState& group = groups_.shard(Tuple())[Tuple()];
   group.aggs.resize(aggregates_.size());
-  Emit({{RenderRow(Tuple(), group), 1}});
+  out.push_back({RenderRow(Tuple(), group), 1});
 }
 
-void AggregateNode::ProcessEntries(const Delta& delta, const uint32_t* map,
-                                   uint32_t partition, Delta& out) {
+void AggregateNode::OnDelta(int /*port*/, const Delta& delta,
+                            const DeltaShare& share, Delta& out) {
   // Phase 1: capture each touched group's pre-batch row, apply all updates.
   std::unordered_map<Tuple, std::optional<Tuple>, TupleHash> old_rows;
   for (size_t i = 0; i < delta.size(); ++i) {
-    if (map != nullptr && map[i] != partition) continue;
+    if (!share.Owns(i)) continue;
     const DeltaEntry& entry = delta[i];
     Tuple key = KeyOf(entry.tuple);
     auto& shard = groups_.shard(key);
@@ -211,13 +211,6 @@ void AggregateNode::ProcessEntries(const Delta& delta, const uint32_t* map,
   }
 }
 
-void AggregateNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  Delta out;
-  ProcessEntries(delta, /*map=*/nullptr, /*partition=*/0, out);
-  Emit(std::move(out));
-}
-
 void AggregateNode::MorselPartitionMap(int port, const Delta& delta,
                                        uint32_t partitions, size_t begin,
                                        size_t end, uint32_t* map) const {
@@ -225,14 +218,6 @@ void AggregateNode::MorselPartitionMap(int port, const Delta& delta,
   for (size_t i = begin; i < end; ++i) {
     map[i] = MorselPartitionOfHash(KeyOf(delta[i].tuple).Hash(), partitions);
   }
-}
-
-void AggregateNode::OnDeltaMorsel(int port, const Delta& delta,
-                                  const uint32_t* map, uint32_t partition,
-                                  uint32_t partitions, Delta& out) {
-  (void)port;
-  (void)partitions;
-  ProcessEntries(delta, map, partition, out);
 }
 
 bool AggregateNode::ReplayOutput(Delta& out) const {

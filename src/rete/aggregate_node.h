@@ -40,7 +40,8 @@ class AggregateNode : public ReteNode {
   AggregateNode(Schema schema, std::vector<BoundExpression> keys,
                 std::vector<AggregateSpec> aggregates);
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   /// Keyed aggregations partition by group key (equal keys share one
   /// partition, so each group's state has a single writer). A key-less
@@ -51,13 +52,10 @@ class AggregateNode : public ReteNode {
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
-  /// Emits the empty-input row of a key-less aggregation. Called once by
+  /// Appends the empty-input row of a key-less aggregation. Called once by
   /// the network before any input delta.
-  void EmitInitial() override;
+  void EmitInitial(Delta& out) override;
 
   /// Replays the rendered row of every live group (a key-less aggregation
   /// always has exactly one, even over empty input).
@@ -88,9 +86,6 @@ class AggregateNode : public ReteNode {
 
   Tuple KeyOf(const Tuple& input) const;
   Tuple RenderRow(const Tuple& key, const GroupState& group) const;
-
-  void ProcessEntries(const Delta& delta, const uint32_t* map,
-                      uint32_t partition, Delta& out);
 
   std::vector<BoundExpression> keys_;
   std::vector<AggregateSpec> aggregates_;

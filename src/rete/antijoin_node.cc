@@ -8,11 +8,10 @@ AntiJoinNode::AntiJoinNode(Schema schema, const Schema& left,
                            const Schema& right)
     : ReteNode(std::move(schema)), layout_(JoinLayout::Make(left, right)) {}
 
-void AntiJoinNode::ProcessEntries(int port, const Delta& delta,
-                                  const uint32_t* map, uint32_t partition,
-                                  Delta& out) {
+void AntiJoinNode::OnDelta(int port, const Delta& delta,
+                           const DeltaShare& share, Delta& out) {
   for (size_t i = 0; i < delta.size(); ++i) {
-    if (map != nullptr && map[i] != partition) continue;
+    if (!share.Owns(i)) continue;
     const DeltaEntry& entry = delta[i];
     if (port == 0) {
       Tuple key = entry.tuple.Project(layout_.left_key);
@@ -47,12 +46,6 @@ void AntiJoinNode::ProcessEntries(int port, const Delta& delta,
   }
 }
 
-void AntiJoinNode::OnDelta(int port, const Delta& delta) {
-  Delta out;
-  ProcessEntries(port, delta, /*map=*/nullptr, /*partition=*/0, out);
-  Emit(std::move(out));
-}
-
 void AntiJoinNode::MorselPartitionMap(int port, const Delta& delta,
                                       uint32_t partitions, size_t begin,
                                       size_t end, uint32_t* map) const {
@@ -62,13 +55,6 @@ void AntiJoinNode::MorselPartitionMap(int port, const Delta& delta,
     map[i] = MorselPartitionOfHash(delta[i].tuple.HashProjected(key),
                                    partitions);
   }
-}
-
-void AntiJoinNode::OnDeltaMorsel(int port, const Delta& delta,
-                                 const uint32_t* map, uint32_t partition,
-                                 uint32_t partitions, Delta& out) {
-  (void)partitions;
-  ProcessEntries(port, delta, map, partition, out);
 }
 
 bool AntiJoinNode::ReplayOutput(Delta& out) const {

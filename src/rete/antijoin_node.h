@@ -21,15 +21,13 @@ class AntiJoinNode : public ReteNode {
  public:
   AntiJoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   /// Replays the currently unmatched left tuples (keys with zero right
   /// support).
@@ -41,9 +39,6 @@ class AntiJoinNode : public ReteNode {
   const char* KindName() const override { return "AntiJoin"; }
 
  private:
-  void ProcessEntries(int port, const Delta& delta, const uint32_t* map,
-                      uint32_t partition, Delta& out);
-
   JoinLayout layout_;
   ShardedTupleMap<Bag> left_memory_;
   ShardedTupleMap<int64_t> right_support_;

@@ -2,10 +2,10 @@
 
 namespace pgivm {
 
-void DistinctNode::ProcessEntries(const Delta& delta, const uint32_t* map,
-                                  uint32_t partition, Delta& out) {
+void DistinctNode::OnDelta(int /*port*/, const Delta& delta,
+                           const DeltaShare& share, Delta& out) {
   for (size_t i = 0; i < delta.size(); ++i) {
-    if (map != nullptr && map[i] != partition) continue;
+    if (!share.Owns(i)) continue;
     const DeltaEntry& entry = delta[i];
     auto [old_count, new_count] =
         support_.shard(entry.tuple).Apply(entry.tuple, entry.multiplicity);
@@ -17,13 +17,6 @@ void DistinctNode::ProcessEntries(const Delta& delta, const uint32_t* map,
   }
 }
 
-void DistinctNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  Delta out;
-  ProcessEntries(delta, /*map=*/nullptr, /*partition=*/0, out);
-  Emit(std::move(out));
-}
-
 void DistinctNode::MorselPartitionMap(int port, const Delta& delta,
                                       uint32_t partitions, size_t begin,
                                       size_t end, uint32_t* map) const {
@@ -31,14 +24,6 @@ void DistinctNode::MorselPartitionMap(int port, const Delta& delta,
   for (size_t i = begin; i < end; ++i) {
     map[i] = MorselPartitionOfHash(delta[i].tuple.Hash(), partitions);
   }
-}
-
-void DistinctNode::OnDeltaMorsel(int port, const Delta& delta,
-                                 const uint32_t* map, uint32_t partition,
-                                 uint32_t partitions, Delta& out) {
-  (void)port;
-  (void)partitions;
-  ProcessEntries(delta, map, partition, out);
 }
 
 }  // namespace pgivm

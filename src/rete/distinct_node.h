@@ -16,15 +16,13 @@ class DistinctNode : public ReteNode {
  public:
   explicit DistinctNode(Schema schema) : ReteNode(std::move(schema)) {}
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   /// Replays each supported tuple exactly once (set semantics).
   bool ReplayOutput(Delta& out) const override {
@@ -46,9 +44,6 @@ class DistinctNode : public ReteNode {
   const char* KindName() const override { return "Distinct"; }
 
  private:
-  void ProcessEntries(const Delta& delta, const uint32_t* map,
-                      uint32_t partition, Delta& out);
-
   ShardedBag support_;
 };
 

@@ -4,29 +4,14 @@
 
 namespace pgivm {
 
-void FilterNode::ProcessRange(const Delta& delta, size_t begin, size_t end,
-                              Delta& out) {
+void FilterNode::OnDelta(int /*port*/, const Delta& delta,
+                         const DeltaShare& share, Delta& out) {
+  const size_t begin = share.Begin(delta.size());
+  const size_t end = share.End(delta.size());
   for (size_t i = begin; i < end; ++i) {
     const DeltaEntry& entry = delta[i];
     if (IsTrue(predicate_.Eval(entry.tuple))) out.push_back(entry);
   }
-}
-
-void FilterNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  Delta out;
-  ProcessRange(delta, 0, delta.size(), out);
-  Emit(std::move(out));
-}
-
-void FilterNode::OnDeltaMorsel(int port, const Delta& delta,
-                               const uint32_t* map, uint32_t partition,
-                               uint32_t partitions, Delta& out) {
-  (void)port;
-  (void)map;
-  const size_t n = delta.size();
-  ProcessRange(delta, n * partition / partitions,
-               n * (partition + 1) / partitions, out);
 }
 
 std::string FilterNode::DebugString() const {

@@ -14,21 +14,17 @@ class FilterNode : public ReteNode {
   FilterNode(Schema schema, BoundExpression predicate)
       : ReteNode(std::move(schema)), predicate_(std::move(predicate)) {}
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   /// Stateless per-entry: any contiguous chunking reproduces the serial
   /// output exactly when chunks are concatenated in partition order.
   MorselKind morsel_kind() const override { return MorselKind::kChunked; }
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   std::string DebugString() const override;
   const char* KindName() const override { return "Filter"; }
 
  private:
-  void ProcessRange(const Delta& delta, size_t begin, size_t end, Delta& out);
-
   BoundExpression predicate_;
 };
 

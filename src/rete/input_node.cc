@@ -1,7 +1,6 @@
 #include "rete/input_node.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "support/string_util.h"
 
@@ -61,7 +60,7 @@ bool OwnsEntity(Id id, uint32_t partition, uint32_t partitions) {
 VertexInputNode::VertexInputNode(Schema schema, const PropertyGraph* graph,
                                  std::vector<std::string> required_labels,
                                  std::vector<PropertyExtract> extracts)
-    : ReteNode(std::move(schema)),
+    : GraphSourceNode(std::move(schema)),
       graph_(graph),
       required_labels_(std::move(required_labels)),
       extracts_(std::move(extracts)) {
@@ -76,12 +75,6 @@ VertexInputNode::VertexInputNode(Schema schema, const PropertyGraph* graph,
         extract.what == PropertyExtract::What::kProperty ? extract.key
                                                          : std::string());
   }
-}
-
-void VertexInputNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  (void)delta;
-  assert(false && "input nodes have no upstream");
 }
 
 bool VertexInputNode::Matches(VertexId v) const {
@@ -204,13 +197,12 @@ void VertexInputNode::Translate(const GraphChange& change, uint32_t partition,
   }
 }
 
-void VertexInputNode::EmitInitialFromGraph() {
-  Delta delta;
-  auto consider = [this, &delta](VertexId v) {
+void VertexInputNode::EmitInitialFromGraph(Delta& out) {
+  auto consider = [this, &out](VertexId v) {
     if (!Matches(v)) return;
     Tuple tuple = BuildTuple(v);
     asserted_.shard(v).emplace(v, tuple);
-    delta.push_back({std::move(tuple), 1});
+    out.push_back({std::move(tuple), 1});
   };
   // One entry per matching vertex: reserve the candidate count up front so
   // priming a large graph does not grow the delta step by step.
@@ -218,13 +210,12 @@ void VertexInputNode::EmitInitialFromGraph() {
     // The posting list is already sorted ascending by id — scan in place.
     const std::vector<VertexId>& candidates = graph_->VerticesWithLabelId(
         required_label_refs_[0].Resolve(graph_->symbols()));
-    delta.reserve(candidates.size());
+    out.reserve(out.size() + candidates.size());
     for (VertexId v : candidates) consider(v);
   } else {
-    delta.reserve(graph_->vertex_count());
+    out.reserve(out.size() + graph_->vertex_count());
     graph_->ForEachVertex(consider);
   }
-  Emit(std::move(delta));
 }
 
 bool VertexInputNode::ReplayOutput(Delta& out) const {
@@ -258,7 +249,7 @@ EdgeInputNode::EdgeInputNode(Schema schema, const PropertyGraph* graph,
                              std::vector<std::string> src_labels,
                              std::vector<std::string> dst_labels,
                              std::vector<PropertyExtract> extracts)
-    : ReteNode(std::move(schema)),
+    : GraphSourceNode(std::move(schema)),
       graph_(graph),
       types_(std::move(types)),
       undirected_(undirected),
@@ -283,12 +274,6 @@ EdgeInputNode::EdgeInputNode(Schema schema, const PropertyGraph* graph,
         extract.what == PropertyExtract::What::kProperty ? extract.key
                                                          : std::string());
   }
-}
-
-void EdgeInputNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  (void)delta;
-  assert(false && "input nodes have no upstream");
 }
 
 bool EdgeInputNode::TypeMatches(SymbolId type) const {
@@ -486,11 +471,10 @@ void EdgeInputNode::Translate(const GraphChange& change, uint32_t partition,
   }
 }
 
-void EdgeInputNode::EmitInitialFromGraph() {
-  Delta delta;
-  auto consider = [this, &delta](EdgeId e) {
+void EdgeInputNode::EmitInitialFromGraph(Delta& out) {
+  auto consider = [this, &out](EdgeId e) {
     if (!TypeMatches(graph_->EdgeTypeId(e))) return;
-    Store(e, TuplesFromGraph(e), delta);
+    Store(e, TuplesFromGraph(e), out);
   };
   // Reserve against the *filtered* candidate count (one entry per
   // orientation), not the whole edge store — a selective type over a huge
@@ -510,13 +494,12 @@ void EdgeInputNode::EmitInitialFromGraph() {
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    delta.reserve(candidates.size() * (undirected_ ? 2 : 1));
+    out.reserve(out.size() + candidates.size() * (undirected_ ? 2 : 1));
     for (EdgeId e : candidates) consider(e);
   } else {
-    delta.reserve(graph_->edge_count() * (undirected_ ? 2 : 1));
+    out.reserve(out.size() + graph_->edge_count() * (undirected_ ? 2 : 1));
     graph_->ForEachEdge(consider);
   }
-  Emit(std::move(delta));
 }
 
 bool EdgeInputNode::ReplayOutput(Delta& out) const {
@@ -552,14 +535,6 @@ std::string EdgeInputNode::DebugString() const {
   }
   return StrCat("Edges[:", StrJoin(types_, "|"), undirected_ ? " undir" : "",
                 endpoints, "]");
-}
-
-// ---- UnitInputNode ---------------------------------------------------------
-
-void UnitInputNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  (void)delta;
-  assert(false && "input nodes have no upstream");
 }
 
 }  // namespace pgivm

@@ -11,12 +11,13 @@
 
 namespace pgivm {
 
-/// Mixin for nodes at the graph boundary: the network forwards every
-/// GraphChange to them, and asks once for the pre-existing graph state when
-/// a view is registered on a non-empty graph.
-class GraphSourceNode {
+/// Base of the nodes at the graph boundary. They have no input ports:
+/// instead of OnDelta deliveries, the network forwards every GraphChange to
+/// them, and asks once for the pre-existing graph state when a view is
+/// registered on a non-empty graph.
+class GraphSourceNode : public ReteNode {
  public:
-  virtual ~GraphSourceNode() = default;
+  explicit GraphSourceNode(Schema schema) : ReteNode(std::move(schema)) {}
 
   /// Translates one graph change into relational deltas, appended to `out`.
   /// The change's whole batch is already applied, so an added element's
@@ -41,8 +42,8 @@ class GraphSourceNode {
   /// relation) stay serial.
   virtual bool translation_partitionable() const { return false; }
 
-  /// Asserts the tuples for the current graph content.
-  virtual void EmitInitialFromGraph() = 0;
+  /// Asserts the tuples for the current graph content, appended to `out`.
+  virtual void EmitInitialFromGraph(Delta& out) = 0;
 };
 
 /// ◯ — the get-vertices base relation: one tuple [v, extracts...] per live
@@ -54,17 +55,16 @@ class GraphSourceNode {
 /// a property update of a vertex is applied to its stored tuple. The
 /// asserted map is sharded by vertex id so parallel translation partitions
 /// write disjoint shards.
-class VertexInputNode : public ReteNode, public GraphSourceNode {
+class VertexInputNode : public GraphSourceNode {
  public:
   VertexInputNode(Schema schema, const PropertyGraph* graph,
                   std::vector<std::string> required_labels,
                   std::vector<PropertyExtract> extracts);
 
-  void OnDelta(int port, const Delta& delta) override;
   void Translate(const GraphChange& change, uint32_t partition,
                  uint32_t partitions, Delta& out) override;
   bool translation_partitionable() const override { return true; }
-  void EmitInitialFromGraph() override;
+  void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays the asserted tuple of every live matching vertex.
   bool ReplayOutput(Delta& out) const override;
@@ -102,7 +102,7 @@ class VertexInputNode : public ReteNode, public GraphSourceNode {
 /// edge id; partitioned translation owns edges (vertex-side updates are
 /// scanned by every partition, each reconciling only the incident edges it
 /// owns).
-class EdgeInputNode : public ReteNode, public GraphSourceNode {
+class EdgeInputNode : public GraphSourceNode {
  public:
   EdgeInputNode(Schema schema, const PropertyGraph* graph,
                 std::vector<std::string> types, bool undirected,
@@ -111,11 +111,10 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
                 std::vector<std::string> dst_labels,
                 std::vector<PropertyExtract> extracts);
 
-  void OnDelta(int port, const Delta& delta) override;
   void Translate(const GraphChange& change, uint32_t partition,
                  uint32_t partitions, Delta& out) override;
   bool translation_partitionable() const override { return true; }
-  void EmitInitialFromGraph() override;
+  void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays the asserted orientation tuples of every live matching edge.
   bool ReplayOutput(Delta& out) const override;
@@ -172,14 +171,15 @@ class EdgeInputNode : public ReteNode, public GraphSourceNode {
 
 /// The Unit relation: exactly one empty tuple, asserted at startup. Base of
 /// pattern-free queries (`UNWIND [1,2] AS x RETURN x`).
-class UnitInputNode : public ReteNode, public GraphSourceNode {
+class UnitInputNode : public GraphSourceNode {
  public:
-  UnitInputNode() : ReteNode(Schema{}) {}
+  UnitInputNode() : GraphSourceNode(Schema{}) {}
 
-  void OnDelta(int port, const Delta& delta) override;
   void Translate(const GraphChange& /*change*/, uint32_t /*partition*/,
                  uint32_t /*partitions*/, Delta& /*out*/) override {}
-  void EmitInitialFromGraph() override { Emit({{Tuple(), 1}}); }
+  void EmitInitialFromGraph(Delta& out) override {
+    out.push_back({Tuple(), 1});
+  }
 
   /// The Unit relation's content is constant: the single empty tuple.
   bool ReplayOutput(Delta& out) const override {

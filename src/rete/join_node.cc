@@ -36,11 +36,10 @@ Tuple JoinNode::Combine(const Tuple& left, const Tuple& right) const {
   return left.ConcatProjected(right, layout_.right_rest);
 }
 
-void JoinNode::ProcessEntries(int port, const Delta& delta,
-                              const uint32_t* map, uint32_t partition,
-                              Delta& out) {
+void JoinNode::OnDelta(int port, const Delta& delta,
+                       const DeltaShare& share, Delta& out) {
   for (size_t i = 0; i < delta.size(); ++i) {
-    if (map != nullptr && map[i] != partition) continue;
+    if (!share.Owns(i)) continue;
     const DeltaEntry& entry = delta[i];
     if (port == 0) {
       Tuple key = entry.tuple.Project(layout_.left_key);
@@ -64,12 +63,6 @@ void JoinNode::ProcessEntries(int port, const Delta& delta,
   }
 }
 
-void JoinNode::OnDelta(int port, const Delta& delta) {
-  Delta out;
-  ProcessEntries(port, delta, /*map=*/nullptr, /*partition=*/0, out);
-  Emit(std::move(out));
-}
-
 void JoinNode::MorselPartitionMap(int port, const Delta& delta,
                                   uint32_t partitions, size_t begin,
                                   size_t end, uint32_t* map) const {
@@ -79,13 +72,6 @@ void JoinNode::MorselPartitionMap(int port, const Delta& delta,
     map[i] = MorselPartitionOfHash(delta[i].tuple.HashProjected(key),
                                    partitions);
   }
-}
-
-void JoinNode::OnDeltaMorsel(int port, const Delta& delta,
-                             const uint32_t* map, uint32_t partition,
-                             uint32_t partitions, Delta& out) {
-  (void)partitions;
-  ProcessEntries(port, delta, map, partition, out);
 }
 
 bool JoinNode::ReplayOutput(Delta& out) const {

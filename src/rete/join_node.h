@@ -31,15 +31,13 @@ class JoinNode : public ReteNode {
  public:
   JoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   /// Replays L ⋈ R by probing the two memories — one output entry per
   /// matching (left, right) pair, so replay work is proportional to the
@@ -57,11 +55,6 @@ class JoinNode : public ReteNode {
 
   static void Apply(Memory& memory, const Tuple& key, const Tuple& tuple,
                     int64_t multiplicity);
-
-  /// Shared body of OnDelta and OnDeltaMorsel: processes the entries this
-  /// caller owns (all of them when `map` is null) and appends to `out`.
-  void ProcessEntries(int port, const Delta& delta, const uint32_t* map,
-                      uint32_t partition, Delta& out);
 
   Tuple Combine(const Tuple& left, const Tuple& right) const;
 

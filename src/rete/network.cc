@@ -102,10 +102,7 @@ void ReteNetwork::RemoveNodes(const std::vector<ReteNode*>& victims) {
   }
 
   auto is_gone = [&gone](const auto* ptr) { return gone.count(ptr) > 0; };
-  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
-                                [&](const Source& source) {
-                                  return is_gone(source.node);
-                                }),
+  sources_.erase(std::remove_if(sources_.begin(), sources_.end(), is_gone),
                  sources_.end());
   productions_.erase(std::remove_if(productions_.begin(), productions_.end(),
                                     [&](ProductionNode* p) {
@@ -130,9 +127,10 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
                                std::memory_order_relaxed);
   const bool prof = profiling_;
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
-  // The emit sinks buffer the sources' relational deltas while the *entire*
-  // graph delta is translated, and DrainWaves then moves them through the
-  // network level by level, one consolidated delta per (node, port).
+  // The sources' staging slots buffer their relational deltas while the
+  // *entire* graph delta is translated, and DrainWaves then moves them
+  // through the network level by level, one consolidated delta per
+  // (node, port).
   const uint32_t parts = morsel_partitions_resolved_;
   // Large batches translate data-parallel: one task per (partitionable
   // source, partition), each handling only the graph entities its
@@ -152,21 +150,20 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   // slot is non-empty.
   translate_tasks_.clear();
   serial_sources_.clear();
-  for (const Source& source : sources_) {
-    if (parallel_translate && source.source->translation_partitionable()) {
+  for (GraphSourceNode* source : sources_) {
+    if (parallel_translate && source->translation_partitionable()) {
       for (uint32_t p = 0; p < parts; ++p) {
-        translate_tasks_.push_back({source.source, source.node, p});
+        translate_tasks_.push_back({source, p});
       }
     } else {
-      serial_sources_.push_back(
-          {source.source, source.node, &states_.at(source.node)});
+      serial_sources_.push_back({source, &states_.at(source)});
     }
   }
   auto translate_serial = [this](const GraphChange& change,
                                  const SerialSource& serial) {
     serial.source->Translate(change, /*partition=*/0, /*partitions=*/1,
                              serial.state->out);
-    if (!serial.state->out.empty()) EnqueueReady(serial.node, *serial.state);
+    if (!serial.state->out.empty()) EnqueueReady(serial.source, *serial.state);
   };
   if (!parallel_translate) {
     for (const GraphChange& change : delta.changes) {
@@ -187,7 +184,7 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
     for (size_t i = 0; i < translate_tasks_.size(); ++i) {
       Delta& out = translate_out_[i];
       if (out.empty()) continue;
-      ReteNode* node = translate_tasks_[i].node;
+      ReteNode* node = translate_tasks_[i].source;
       NodeState& state = states_.at(node);
       if (state.out.empty()) {
         // Swap, not move: the staging slot's previous buffer comes back
@@ -224,18 +221,6 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
     }
   }
   DrainWaves();  // publishes the commit epoch at its end
-}
-
-void ReteNetwork::OnEmit(ReteNode* from, Delta delta) {
-  NodeState& state = states_.at(from);
-  if (state.out.empty()) {
-    state.out = std::move(delta);
-  } else {
-    state.out.insert(state.out.end(),
-                     std::make_move_iterator(delta.begin()),
-                     std::make_move_iterator(delta.end()));
-  }
-  EnqueueReady(from, state);
 }
 
 ReteNetwork::PendingDelta& ReteNetwork::PendingFor(NodeState& state,
@@ -300,7 +285,9 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
   for (auto& [port, pending] : state.pending) {
     if (!pending.clean) Consolidate(pending.delta);
     if (prof) in_entries += static_cast<int64_t>(pending.delta.size());
-    if (!pending.delta.empty()) node->OnDelta(port, pending.delta);
+    if (!pending.delta.empty()) {
+      node->OnDelta(port, pending.delta, {}, state.out);
+    }
     // Empty in place (not pending.clear()): the slots and their Delta
     // buffers survive, so steady-state waves do not re-allocate.
     pending.delta.clear();
@@ -365,10 +352,10 @@ void ReteNetwork::DeliverMorselPartition(WaveItem& item, uint32_t partition) {
     // nullptr and slice the range themselves). Writes stay inside the
     // shards this partition owns plus its private staging slot, so the
     // pool tasks of one node never touch shared state.
-    item.node->OnDeltaMorsel(
-        port, pending.delta,
+    const DeltaShare share{
         pending.morsel_map.empty() ? nullptr : pending.morsel_map.data(),
-        partition, parts, out);
+        partition, parts};
+    item.node->OnDelta(port, pending.delta, share, out);
   }
   if (prof) {
     state.morsel_prof_start_ns[partition] = start_ns;
@@ -563,11 +550,10 @@ void ReteNetwork::DrainWaves() {
       // Phase 1 — the wave's remaining nodes run node-parallel alongside
       // the morsel partitions. Each node is claimed by exactly one worker,
       // so node memories and the per-node staging slot (state.out) are
-      // single-writer; OnEmit under a live wave only appends to the
-      // emitting node's own slot (the node is already queued, so no
-      // ready-list mutation). Morsel partitions write only their private
-      // staging slot and the memory shards their partition owns, so the
-      // combined task list stays data-race-free.
+      // single-writer; a node's OnDelta appends only to its own slot.
+      // Morsel partitions write only their private staging slot and the
+      // memory shards their partition owns, so the combined task list
+      // stays data-race-free.
       for (WaveItem& item : wave_items_) {
         if (!item.morsel) morsel_tasks_.push_back({&item, kDeliverWhole});
       }
@@ -626,8 +612,8 @@ void ReteNetwork::DrainWaves() {
       }
       FlushNode(node, state);
       node->OnWaveBarrier();  // deferred listener notifications etc.
-      // Cleared only after the flush: emissions from the node's own wave
-      // must not re-enqueue it (nothing new can arrive at this level).
+      // Nothing new can arrive at this level: the node is free to be
+      // queued again by a later drain.
       state.queued = false;
     }
     ready.clear();
@@ -715,40 +701,6 @@ void ReteNetwork::PublishEpochs() {
   if (prof) h_publish_ns_->Record(MonotonicNowNs() - start_ns);
 }
 
-namespace {
-
-/// Collects everything a node emits while its output is reconstructed for
-/// replay (stateless transforms pushed through OnDelta).
-class CapturingSink : public EmitSink {
- public:
-  explicit CapturingSink(Delta* out) : out_(out) {}
-  void OnEmit(ReteNode* from, Delta delta) override {
-    (void)from;
-    out_->insert(out_->end(), std::make_move_iterator(delta.begin()),
-                 std::make_move_iterator(delta.end()));
-  }
-
- private:
-  Delta* out_;
-};
-
-/// Swaps a node's emit sink for the capture and restores the original on
-/// scope exit (nested reconstructions each save their own).
-class ScopedSink {
- public:
-  ScopedSink(ReteNode* node, EmitSink* sink)
-      : node_(node), saved_(node->emit_sink()) {
-    node_->set_emit_sink(sink);
-  }
-  ~ScopedSink() { node_->set_emit_sink(saved_); }
-
- private:
-  ReteNode* node_;
-  EmitSink* saved_;
-};
-
-}  // namespace
-
 ReteNetwork::InputsMap ReteNetwork::BuildInputsMap(
     const std::vector<ReteNode*>& scope) const {
   InputsMap inputs;
@@ -770,9 +722,9 @@ const Delta& ReteNetwork::CurrentOutputOf(
     // Stateless transform: its output is not materialized anywhere, so
     // reconstruct it by pulling each input's current content (recursively;
     // every upstream of a reused node is itself reused and thus primed)
-    // and pushing it through OnDelta under a capturing sink. Safe because
-    // stateless nodes mutate no memory and the capture keeps the emission
-    // away from the node's real consumers.
+    // and pushing it through OnDelta into `out`. Safe because stateless
+    // nodes mutate no memory, and `out` never reaches the node's real
+    // consumers.
     if (!inputs_built) {
       inputs = BuildInputsMap(scope);
       inputs_built = true;
@@ -784,9 +736,7 @@ const Delta& ReteNetwork::CurrentOutputOf(
       for (const auto& [upstream, port] : ports) {
         const Delta& content =
             CurrentOutputOf(upstream, scope, inputs, inputs_built, memo);
-        CapturingSink capture(&out);
-        ScopedSink scoped(node, &capture);
-        node->OnDelta(port, content);
+        node->OnDelta(port, content, {}, out);
       }
     }
   }
@@ -804,10 +754,9 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   stats.replay_edges = replay_edges.size();
   assert(!draining_ && "prime only between graph deltas");
 
-  // Install the emit sink on the fresh nodes and rebuild the scheduler so
-  // they have levels and state. The network is quiescent — every pending
-  // queue is empty — so rebuilding cannot drop sibling deltas.
-  for (ReteNode* node : fresh_nodes) node->set_emit_sink(this);
+  // Rebuild the scheduler so the fresh nodes have levels and state. The
+  // network is quiescent — every pending queue is empty — so rebuilding
+  // cannot drop sibling deltas.
   PrepareScheduler();
 
   std::vector<GraphSourceNode*> fresh_sources;
@@ -825,9 +774,17 @@ ReteNetwork::PrimeStats ReteNetwork::PrimeNewNodes(
   // wired now cannot be older than its wiring) and reused nodes emit
   // nothing, so the drain below never touches a sibling's memories and no
   // existing view's listeners hear of the prime.
-  for (ReteNode* node : fresh_nodes) node->EmitInitial();
+  // Each node appends to its own staging slot and is queued once the slot
+  // holds something.
+  for (ReteNode* node : fresh_nodes) {
+    NodeState& state = states_.at(node);
+    node->EmitInitial(state.out);
+    if (!state.out.empty()) EnqueueReady(node, state);
+  }
   for (GraphSourceNode* source : fresh_sources) {
-    source->EmitInitialFromGraph();
+    NodeState& state = states_.at(source);
+    source->EmitInitialFromGraph(state.out);
+    if (!state.out.empty()) EnqueueReady(source, state);
   }
 
   // Memory replay: each reused node delivers its materialized output into
@@ -867,8 +824,8 @@ int64_t ReteNetwork::TotalEmittedEntries() const {
 
 int64_t ReteNetwork::SourceEmittedEntries() const {
   int64_t total = 0;
-  for (const Source& source : sources_) {
-    total += source.node->emitted_entries();
+  for (const GraphSourceNode* source : sources_) {
+    total += source->emitted_entries();
   }
   return total;
 }

@@ -117,7 +117,7 @@ struct NetworkOptions {
 /// bit-identical to serial execution for every thread count. Listener
 /// callbacks always run on the draining thread (deferred to the wave
 /// barrier under a parallel pool), never concurrently.
-class ReteNetwork : public GraphListener, private EmitSink {
+class ReteNetwork : public GraphListener {
  public:
   /// Subscribes to `graph`, which must outlive the network. `metrics` is
   /// the registry drain/serving histograms are recorded into while
@@ -141,10 +141,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   }
 
   /// Registers `source`, a node already Add()ed, for graph changes.
-  template <typename SourceT>
-  void RegisterSource(SourceT* source) {
-    sources_.push_back({source, source});
-  }
+  void RegisterSource(GraphSourceNode* source) { sources_.push_back(source); }
 
   /// Declares `production` as a view root: it publishes at every commit.
   void RegisterProduction(ProductionNode* production);
@@ -394,9 +391,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
     std::vector<int64_t> morsel_prof_dur_ns;
   };
 
-  // EmitSink: buffers `from`'s emission for the current wave.
-  void OnEmit(ReteNode* from, Delta delta) override;
-
   /// The pending slot for `port` of `state`, inserted in port order.
   static PendingDelta& PendingFor(NodeState& state, int port);
 
@@ -407,9 +401,10 @@ class ReteNetwork : public GraphListener, private EmitSink {
   void EnqueueReady(ReteNode* node, NodeState& state);
 
   /// Delivers `node`'s queued per-port deltas (consolidating each unless
-  /// already clean) and consolidates whatever the node emitted in response
-  /// into `state.out`. This is the per-node work a wave distributes across
-  /// workers; it touches only the node's own memories and scheduler slot.
+  /// already clean) with `state.out` as the node's output, then
+  /// consolidates that response. This is the per-node work a wave
+  /// distributes across workers; it touches only the node's own memories
+  /// and scheduler slot.
   void DeliverPending(ReteNode* node, NodeState& state);
 
   /// Accounts `node`'s consolidated output and appends it to each
@@ -452,7 +447,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// Delivers one partition of `item`'s queued deltas into its
   /// state->morsel_out[partition] slot. Keyed nodes consult the pending
   /// morsel_map (disjoint key ownership ⇒ disjoint memory shards);
-  /// chunked nodes process their contiguous range. Never Emits.
+  /// chunked nodes process their contiguous range.
   void DeliverMorselPartition(WaveItem& item, uint32_t partition);
 
   /// Barrier-side merge of a morsel-split node: concatenates the
@@ -500,12 +495,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// construction to destruction).
   PropertyGraph* const graph_;
   std::vector<std::unique_ptr<ReteNode>> nodes_;
-  /// A registered graph source, as both of its bases.
-  struct Source {
-    GraphSourceNode* source = nullptr;
-    ReteNode* node = nullptr;
-  };
-  std::vector<Source> sources_;
+  std::vector<GraphSourceNode*> sources_;
   /// Every view root, in registration order.
   std::vector<ProductionNode*> productions_;
   /// Lifetime counters. Written on the writer thread only, but relaxed
@@ -555,7 +545,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// consolidation).
   struct TranslateTask {
     GraphSourceNode* source = nullptr;
-    ReteNode* node = nullptr;
     uint32_t partition = 0;
   };
   std::vector<TranslateTask> translate_tasks_;
@@ -563,7 +552,6 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// A source translated on the calling thread, into its staging slot.
   struct SerialSource {
     GraphSourceNode* source = nullptr;
-    ReteNode* node = nullptr;
     NodeState* state = nullptr;
   };
   std::vector<SerialSource> serial_sources_;

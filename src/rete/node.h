@@ -14,25 +14,22 @@
 
 namespace pgivm {
 
-class ReteNode;
-
 /// How a node's queued delta may be split across morsel partitions during
 /// a parallel wave (see ReteNetwork::DrainWaves and docs/ARCHITECTURE.md
 /// "Partitioned delivery").
 enum class MorselKind {
   /// The node must receive its whole delta in one OnDelta call (unions,
-  /// productions, path sources — anything with cross-entry state that is
-  /// not keyed).
+  /// productions — anything with cross-entry state that is not keyed).
   kNone,
   /// Stateless per-entry transform (filter/project/plain unnest): any
   /// contiguous chunking of the delta is valid; partition p owns the p-th
-  /// equal chunk, so concatenating partition outputs in partition order
-  /// reproduces the serial output order exactly.
+  /// equal chunk (DeltaShare::Begin/End), so concatenating partition
+  /// outputs in partition order reproduces the serial output order exactly.
   kChunked,
   /// Per-key state (join/semi/anti probe key, aggregate group key,
   /// distinct tuple): entries must be routed by MorselPartitionMap so that
-  /// equal keys land in one partition and memory shards are written by
-  /// exactly one partition.
+  /// equal keys land in one partition (DeltaShare::Owns) and memory shards
+  /// are written by exactly one partition.
   kKeyed,
 };
 
@@ -65,33 +62,43 @@ struct NodeProfile {
 
 };
 
-/// Interception point for node emissions. When a sink is installed on a
-/// node (every node a network owns), Emit() hands the delta to the sink instead
-/// of recursing into downstream OnDelta calls; the network's wave scheduler
-/// buffers, consolidates and delivers it level by level.
-class EmitSink {
- public:
-  virtual ~EmitSink() = default;
-  /// Takes the delta by value so rvalue emissions move instead of copying.
-  virtual void OnEmit(ReteNode* from, Delta delta) = 0;
+/// The share of a delta one OnDelta call processes. The default is the
+/// whole delta; a morsel-partitioned delivery (ReteNetwork::DrainWaves)
+/// hands each of `partitions` concurrent calls its own share.
+struct DeltaShare {
+  /// kKeyed nodes: the owning partition of each delta entry (the
+  /// MorselPartitionMap result); null = every entry belongs to the share.
+  const uint32_t* map = nullptr;
+  uint32_t partition = 0;
+  uint32_t partitions = 1;
+
+  /// kKeyed nodes: whether entry `i` belongs to this share.
+  bool Owns(size_t i) const { return map == nullptr || map[i] == partition; }
+  /// kChunked nodes: this share is the `partition`-th of `partitions` equal
+  /// contiguous chunks of a delta of `n` entries, [Begin(n), End(n)).
+  size_t Begin(size_t n) const { return n * partition / partitions; }
+  size_t End(size_t n) const { return n * (partition + 1) / partitions; }
 };
 
 /// Base class of all Rete dataflow nodes.
 ///
 /// A node receives bag deltas on numbered input ports (0 for unary nodes,
-/// 0/1 for binary ones), updates its internal memory, and emits the derived
-/// delta to its downstream subscribers. With no emit sink installed,
-/// propagation is synchronous and depth-first; with a sink installed the
-/// owning network schedules delivery instead. Within one network the
-/// wiring forms a DAG (catalog sharing fans one node out to consumers of
-/// several views); deliveries are per-(node, port) consolidated by the
-/// wave scheduler, so no glitch handling is needed.
+/// 0/1 for binary ones), updates its internal memory, and appends the
+/// derived delta to an output delta its caller owns. Nodes never call each
+/// other: the owning network (ReteNetwork) hands each node its queued input
+/// and its staging slot, then consolidates the slot and queues it on the
+/// node's subscribers, level by level. Within one network the wiring forms
+/// a DAG (catalog sharing fans one node out to consumers of several
+/// views); deliveries are per-(node, port) consolidated by the wave
+/// scheduler, so no glitch handling is needed.
 ///
 /// Thread-safety: a node's memories are single-writer by construction —
-/// OnDelta runs either on the network's draining thread or, during a
-/// parallel wave, on exactly one pool worker that has claimed the node;
-/// nothing locks. Read accessors (ApproxMemoryBytes, emitted_entries,
-/// ReplayOutput) are safe from the driving thread between drains.
+/// OnDelta runs either on the network's draining thread, on exactly one
+/// pool worker that has claimed the node during a parallel wave, or — for a
+/// morsel-partitioned delivery — on one worker per partition, each writing
+/// only the memory shards its partition owns; nothing locks. Read
+/// accessors (ApproxMemoryBytes, emitted_entries, ReplayOutput) are safe
+/// from the driving thread between drains.
 ///
 /// Lifecycle: constructed bottom-up by the network builder, held by the
 /// ReteNetwork, wired via AddOutput before the network primes the node
@@ -105,14 +112,20 @@ class ReteNode {
   ReteNode(const ReteNode&) = delete;
   ReteNode& operator=(const ReteNode&) = delete;
 
-  /// Handles an incoming delta on `port`. The delta's tuples conform to the
-  /// upstream node's schema.
-  virtual void OnDelta(int port, const Delta& delta) = 0;
+  /// Handles the `share` of an incoming delta on `port` and appends the
+  /// derived delta to `out`, which the caller owns: entries already in
+  /// `out` stay as they are. The delta's tuples conform to the upstream
+  /// node's schema. With the default share the node processes every entry;
+  /// see MorselKind for the shares a morsel-partitioned delivery passes.
+  /// Nodes without input ports (the graph sources) keep the default, which
+  /// is never called.
+  virtual void OnDelta(int /*port*/, const Delta& /*delta*/,
+                       const DeltaShare& /*share*/, Delta& /*out*/) {}
 
-  /// Publishes structurally-initial output (e.g. the single row of a
-  /// key-less aggregation over empty input). The network calls this once,
-  /// in topological order, before feeding any graph state.
-  virtual void EmitInitial() {}
+  /// Appends structurally-initial output (e.g. the single row of a
+  /// key-less aggregation over empty input) to `out`. The network calls
+  /// this once, in topological order, before feeding any graph state.
+  virtual void EmitInitial(Delta& /*out*/) {}
 
   /// Called by the batched scheduler on the draining thread, in ready
   /// order, after this node's wave work has been flushed — the hook where
@@ -129,13 +142,13 @@ class ReteNode {
   /// aggregate renders its live groups. Stateless transforms
   /// (filter/project/union/unnest) return false without touching `out`;
   /// the network (ReteNetwork::PrimeNewNodes) then reconstructs their
-  /// output by pulling the inputs and pushing them through OnDelta under a
-  /// capturing sink (safe: stateless nodes mutate no memory).
+  /// output by pulling the inputs and pushing them through OnDelta into a
+  /// scratch delta (safe: stateless nodes mutate no memory).
   ///
-  /// Contract: must not Emit, must not mutate any memory, and must be
-  /// exact — ViewCatalog registration relies on replay-primed consumers
-  /// being bit-identical to graph-primed ones (asserted by the
-  /// differential harness). Entries carry positive multiplicities; order
+  /// Contract: must not mutate any memory, and must be exact —
+  /// ViewCatalog registration relies on replay-primed consumers being
+  /// bit-identical to graph-primed ones (asserted by the differential
+  /// harness). Entries carry positive multiplicities; order
   /// is irrelevant (the scheduler consolidates before delivery).
   virtual bool ReplayOutput(Delta& out) const {
     (void)out;
@@ -162,26 +175,6 @@ class ReteNode {
     (void)map;
   }
 
-  /// Morsel delivery: processes this partition's share of `delta` on
-  /// `port`, appending derived entries to `out` instead of Emit-ing (the
-  /// scheduler merges partition outputs in partition order at the wave
-  /// barrier). For kKeyed nodes `map` is the MorselPartitionMap result and
-  /// the share is every entry with map[i] == partition; memory writes must
-  /// stay within the shards this partition owns. For kChunked nodes `map`
-  /// is null and the share is the `partition`-th of `partitions` equal
-  /// contiguous chunks. Runs on one pool worker concurrently with the
-  /// other partitions of the same node. Default (kNone) is never called.
-  virtual void OnDeltaMorsel(int port, const Delta& delta,
-                             const uint32_t* map, uint32_t partition,
-                             uint32_t partitions, Delta& out) {
-    (void)port;
-    (void)delta;
-    (void)map;
-    (void)partition;
-    (void)partitions;
-    (void)out;
-  }
-
   /// Subscribes `node` to this node's output, delivering to its `port`.
   void AddOutput(ReteNode* node, int port) {
     outputs_.emplace_back(node, port);
@@ -203,10 +196,6 @@ class ReteNode {
                        }),
         outputs_.end());
   }
-
-  /// Installs (or with nullptr removes) the emission interception sink.
-  void set_emit_sink(EmitSink* sink) { sink_ = sink; }
-  EmitSink* emit_sink() const { return sink_; }
 
   const Schema& schema() const { return schema_; }
 
@@ -238,52 +227,11 @@ class ReteNode {
     emitted_entries_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Forwards `delta` to every subscriber (no-op for empty deltas). When a
-  /// sink is installed, the delta is buffered there instead and counted
-  /// against emitted_entries() only after consolidation, so cancelled
-  /// inverse pairs never show up in the propagation volume.
-  void Emit(const Delta& delta) {
-    if (delta.empty()) return;
-    if (outputs_.empty()) {  // terminal node: account, skip buffering
-      AddEmittedEntries(static_cast<int64_t>(delta.size()));
-      return;
-    }
-    if (sink_ != nullptr) {
-      sink_->OnEmit(this, delta);
-      return;
-    }
-    FanOut(delta);
-  }
-
-  /// Rvalue overload: hands the buffer to the sink without copying. Call
-  /// with std::move when the delta is a dying local.
-  void Emit(Delta&& delta) {
-    if (delta.empty()) return;
-    if (outputs_.empty()) {  // terminal node: account, skip buffering
-      AddEmittedEntries(static_cast<int64_t>(delta.size()));
-      return;
-    }
-    if (sink_ != nullptr) {
-      sink_->OnEmit(this, std::move(delta));
-      return;
-    }
-    FanOut(delta);
-  }
-
  private:
   friend class ReteNetwork;  // accounts consolidated emissions on flush
 
-  /// The sink-less fan-out: recurse into every subscriber. Serves only
-  /// nodes no network owns (node unit tests wire them by hand); a network
-  /// installs its sink on every node it owns.
-  void FanOut(const Delta& delta) {
-    AddEmittedEntries(static_cast<int64_t>(delta.size()));
-    for (auto& [node, port] : outputs_) node->OnDelta(port, delta);
-  }
-
   Schema schema_;
   std::vector<std::pair<ReteNode*, int>> outputs_;
-  EmitSink* sink_ = nullptr;
   std::atomic<int64_t> emitted_entries_{0};
   NodeProfile profile_;
 };

@@ -1,7 +1,6 @@
 #include "rete/path_node.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "support/string_util.h"
 
@@ -17,7 +16,7 @@ PathInputNode::PathInputNode(Schema schema, const PropertyGraph* graph,
                              std::vector<std::string> types, bool reversed,
                              int64_t min_hops, int64_t max_hops,
                              bool emit_path)
-    : ReteNode(std::move(schema)),
+    : GraphSourceNode(std::move(schema)),
       graph_(graph),
       types_(std::move(types)),
       reversed_(reversed),
@@ -26,12 +25,6 @@ PathInputNode::PathInputNode(Schema schema, const PropertyGraph* graph,
       emit_path_(emit_path) {
   type_refs_.reserve(types_.size());
   for (const std::string& type : types_) type_refs_.emplace_back(type);
-}
-
-void PathInputNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  (void)delta;
-  assert(false && "path nodes have no upstream");
 }
 
 bool PathInputNode::TypeMatches(SymbolId type) const {
@@ -206,8 +199,7 @@ void PathInputNode::Translate(const GraphChange& change,
   }
 }
 
-void PathInputNode::EmitInitialFromGraph() {
-  Delta out;
+void PathInputNode::EmitInitialFromGraph(Delta& out) {
   int64_t limit = ForwardLimit();
   graph_->ForEachVertex([&](VertexId v) {
     if (min_hops_ == 0) {
@@ -225,7 +217,6 @@ void PathInputNode::EmitInitialFromGraph() {
                  AddPath(Path(pv, pe), out);
                });
   });
-  Emit(std::move(out));
 }
 
 bool PathInputNode::ReplayOutput(Delta& out) const {

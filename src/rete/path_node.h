@@ -26,18 +26,17 @@ namespace pgivm {
 /// current graph); an edge deletion retracts exactly the stored trails
 /// containing it (via the edge→path index). Paths are never edited in
 /// place.
-class PathInputNode : public ReteNode, public GraphSourceNode {
+class PathInputNode : public GraphSourceNode {
  public:
   PathInputNode(Schema schema, const PropertyGraph* graph,
                 std::vector<std::string> types, bool reversed,
                 int64_t min_hops, int64_t max_hops, bool emit_path);
 
-  void OnDelta(int port, const Delta& delta) override;
   /// Serial: trail enumeration crosses entities, so the partition
   /// arguments are ignored.
   void Translate(const GraphChange& change, uint32_t partition,
                  uint32_t partitions, Delta& out) override;
-  void EmitInitialFromGraph() override;
+  void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays every materialized trail (and, for min_hops == 0, the
   /// asserted zero-length paths).

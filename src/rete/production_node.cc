@@ -8,8 +8,8 @@
 
 namespace pgivm {
 
-void ProductionNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
+void ProductionNode::OnDelta(int /*port*/, const Delta& delta,
+                             const DeltaShare& /*share*/, Delta& /*out*/) {
   // The wave scheduler delivers consolidated, non-empty deltas.
   ++version_;
   for (const DeltaEntry& entry : delta) {
@@ -36,8 +36,6 @@ void ProductionNode::OnDelta(int port, const Delta& delta) {
       }
     }
   }
-  // A production is terminal: account the delivery as its emission, so
-  // TotalEmittedEntries covers the result changes too.
   AddEmittedEntries(static_cast<int64_t>(delta.size()));
 }
 

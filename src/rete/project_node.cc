@@ -2,8 +2,10 @@
 
 namespace pgivm {
 
-void ProjectNode::ProcessRange(const Delta& delta, size_t begin, size_t end,
-                               Delta& out) {
+void ProjectNode::OnDelta(int /*port*/, const Delta& delta,
+                          const DeltaShare& share, Delta& out) {
+  const size_t begin = share.Begin(delta.size());
+  const size_t end = share.End(delta.size());
   out.reserve(out.size() + (end - begin));
   for (size_t i = begin; i < end; ++i) {
     const DeltaEntry& entry = delta[i];
@@ -14,23 +16,6 @@ void ProjectNode::ProcessRange(const Delta& delta, size_t begin, size_t end,
     }
     out.push_back({Tuple(std::move(values)), entry.multiplicity});
   }
-}
-
-void ProjectNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  Delta out;
-  ProcessRange(delta, 0, delta.size(), out);
-  Emit(std::move(out));
-}
-
-void ProjectNode::OnDeltaMorsel(int port, const Delta& delta,
-                                const uint32_t* map, uint32_t partition,
-                                uint32_t partitions, Delta& out) {
-  (void)port;
-  (void)map;
-  const size_t n = delta.size();
-  ProcessRange(delta, n * partition / partitions,
-               n * (partition + 1) / partitions, out);
 }
 
 }  // namespace pgivm

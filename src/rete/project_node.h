@@ -16,21 +16,17 @@ class ProjectNode : public ReteNode {
   ProjectNode(Schema schema, std::vector<BoundExpression> columns)
       : ReteNode(std::move(schema)), columns_(std::move(columns)) {}
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   /// Stateless per-entry: any contiguous chunking reproduces the serial
   /// output exactly when chunks are concatenated in partition order.
   MorselKind morsel_kind() const override { return MorselKind::kChunked; }
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   std::string DebugString() const override { return "Project"; }
   const char* KindName() const override { return "Project"; }
 
  private:
-  void ProcessRange(const Delta& delta, size_t begin, size_t end, Delta& out);
-
   std::vector<BoundExpression> columns_;
 };
 

@@ -19,15 +19,13 @@ class SemiJoinNode : public ReteNode {
  public:
   SemiJoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   /// Replays the currently matched left tuples (keys with positive right
   /// support), each with its own multiplicity.
@@ -39,9 +37,6 @@ class SemiJoinNode : public ReteNode {
   const char* KindName() const override { return "SemiJoin"; }
 
  private:
-  void ProcessEntries(int port, const Delta& delta, const uint32_t* map,
-                      uint32_t partition, Delta& out);
-
   JoinLayout layout_;
   ShardedTupleMap<Bag> left_memory_;
   ShardedTupleMap<int64_t> right_support_;

@@ -12,9 +12,9 @@ class UnionNode : public ReteNode {
  public:
   explicit UnionNode(Schema schema) : ReteNode(std::move(schema)) {}
 
-  void OnDelta(int port, const Delta& delta) override {
-    (void)port;
-    Emit(delta);
+  void OnDelta(int /*port*/, const Delta& delta, const DeltaShare& /*share*/,
+               Delta& out) override {
+    out.insert(out.end(), delta.begin(), delta.end());
   }
 
   std::string DebugString() const override { return "Union"; }

@@ -40,12 +40,12 @@ void UnnestNode::ProcessNaive(const Delta& delta, size_t begin, size_t end,
 // cancel except for the touched elements. Under morsel delivery the
 // partition map routes every entry of one kept projection to the same
 // partition, so each fold group is processed whole.
-void UnnestNode::ProcessFolded(const Delta& delta, const uint32_t* map,
-                               uint32_t partition, Delta& out) {
+void UnnestNode::ProcessFolded(const Delta& delta, const DeltaShare& share,
+                               Delta& out) {
   std::unordered_map<Tuple, std::map<Value, int64_t>, TupleHash> folded;
   std::vector<Tuple> order;
   for (size_t i = 0; i < delta.size(); ++i) {
-    if (map != nullptr && map[i] != partition) continue;
+    if (!share.Owns(i)) continue;
     const DeltaEntry& entry = delta[i];
     Tuple kept = entry.tuple.Project(kept_columns_);
     auto [it, inserted] = folded.emplace(kept, std::map<Value, int64_t>{});
@@ -61,15 +61,14 @@ void UnnestNode::ProcessFolded(const Delta& delta, const uint32_t* map,
   }
 }
 
-void UnnestNode::OnDelta(int port, const Delta& delta) {
-  (void)port;
-  Delta out;
-  if (!fine_grained_) {
-    ProcessNaive(delta, 0, delta.size(), out);
+void UnnestNode::OnDelta(int /*port*/, const Delta& delta,
+                         const DeltaShare& share, Delta& out) {
+  if (fine_grained_) {
+    ProcessFolded(delta, share, out);
   } else {
-    ProcessFolded(delta, /*map=*/nullptr, /*partition=*/0, out);
+    ProcessNaive(delta, share.Begin(delta.size()), share.End(delta.size()),
+                 out);
   }
-  Emit(std::move(out));
 }
 
 void UnnestNode::MorselPartitionMap(int port, const Delta& delta,
@@ -80,19 +79,6 @@ void UnnestNode::MorselPartitionMap(int port, const Delta& delta,
     map[i] = MorselPartitionOfHash(
         delta[i].tuple.HashProjected(kept_columns_), partitions);
   }
-}
-
-void UnnestNode::OnDeltaMorsel(int port, const Delta& delta,
-                               const uint32_t* map, uint32_t partition,
-                               uint32_t partitions, Delta& out) {
-  (void)port;
-  if (!fine_grained_) {
-    const size_t n = delta.size();
-    ProcessNaive(delta, n * partition / partitions,
-                 n * (partition + 1) / partitions, out);
-    return;
-  }
-  ProcessFolded(delta, map, partition, out);
 }
 
 std::string UnnestNode::DebugString() const {

@@ -29,7 +29,8 @@ class UnnestNode : public ReteNode {
         kept_columns_(std::move(kept_columns)),
         fine_grained_(fine_grained) {}
 
-  void OnDelta(int port, const Delta& delta) override;
+  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
+               Delta& out) override;
 
   /// Naive expansion is stateless per-entry (chunked); fine-grained folds
   /// per kept projection, so partitioning must keep equal projections in
@@ -41,17 +42,14 @@ class UnnestNode : public ReteNode {
   void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
                           size_t begin, size_t end,
                           uint32_t* map) const override;
-  void OnDeltaMorsel(int port, const Delta& delta, const uint32_t* map,
-                     uint32_t partition, uint32_t partitions,
-                     Delta& out) override;
 
   std::string DebugString() const override;
   const char* KindName() const override { return "Unnest"; }
 
  private:
   void ProcessNaive(const Delta& delta, size_t begin, size_t end, Delta& out);
-  void ProcessFolded(const Delta& delta, const uint32_t* map,
-                     uint32_t partition, Delta& out);
+  void ProcessFolded(const Delta& delta, const DeltaShare& share,
+                     Delta& out);
 
   /// Appends the elements of `tuple`'s collection (list → elements, null →
   /// nothing, scalar → itself) to `out` with the given multiplicity.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -394,6 +395,55 @@ TEST(PropertyGraphPaging, IdsStayFreshAfterAPageIsFreed) {
   EXPECT_TRUE(f.graph.HasEdge(e));
   EXPECT_EQ(f.graph.EdgeSource(e), v);
   EXPECT_EQ(f.graph.vertex_count(), 2u);
+}
+
+// Every read API accepts ids that are not live — removed on a live page,
+// removed with their whole page freed, never assigned, negative — and reads
+// them as an empty element in every build type.
+TEST(PropertyGraphPaging, ReadsOfIdsThatAreNotLiveSeeAnEmptyElement) {
+  FreedPageFixture f;
+  PropertyGraph& graph = f.graph;
+  const VertexId removed_vertex =
+      graph.AddVertex({"Doomed"}, {{"i", Value::Int(1)}});
+  ASSERT_TRUE(graph.RemoveVertex(removed_vertex).ok());
+  const EdgeId removed_edge =
+      graph.AddEdge(f.hub, f.hub, "TO", {{"w", Value::Int(1)}}).value();
+  ASSERT_TRUE(graph.RemoveEdge(removed_edge).ok());
+  const SymbolId doomed = *graph.symbols().Lookup("Doomed");
+  const SymbolId i_key = *graph.symbols().Lookup("i");
+  const SymbolId w_key = *graph.symbols().Lookup("w");
+  const int64_t page = static_cast<int64_t>(PropertyGraph::kPageSlots);
+
+  // 0 and page - 1: the freed first page. The last two: never assigned.
+  for (VertexId v : {VertexId{0}, VertexId{page - 1}, removed_vertex,
+                     VertexId{-1}, removed_vertex + 1, VertexId{1} << 40}) {
+    SCOPED_TRACE(v);
+    EXPECT_FALSE(graph.HasVertex(v));
+    EXPECT_TRUE(graph.VertexLabels(v).empty());
+    EXPECT_TRUE(graph.VertexLabelIds(v).empty());
+    EXPECT_FALSE(graph.VertexHasLabel(v, "Doomed"));
+    EXPECT_FALSE(graph.VertexHasLabel(v, doomed));
+    EXPECT_TRUE(graph.GetVertexProperty(v, "i").is_null());
+    EXPECT_TRUE(graph.GetVertexProperty(v, i_key).is_null());
+    EXPECT_TRUE(graph.VertexProperties(v).empty());
+    EXPECT_TRUE(graph.OutEdges(v).empty());
+    EXPECT_TRUE(graph.InEdges(v).empty());
+  }
+  for (EdgeId e : {EdgeId{0}, EdgeId{page - 1}, removed_edge, EdgeId{-1},
+                   removed_edge + 1, EdgeId{1} << 40}) {
+    SCOPED_TRACE(e);
+    EXPECT_FALSE(graph.HasEdge(e));
+    EXPECT_TRUE(graph.GetEdgeProperty(e, "w").is_null());
+    EXPECT_TRUE(graph.GetEdgeProperty(e, w_key).is_null());
+    EXPECT_TRUE(graph.EdgeProperties(e).empty());
+    EXPECT_EQ(graph.EdgeSource(e), kInvalidId);
+    EXPECT_EQ(graph.EdgeTarget(e), kInvalidId);
+    EXPECT_EQ(graph.EdgeTypeId(e), kNoSymbol);
+    EXPECT_EQ(graph.EdgeType(e), "");
+  }
+  // Live elements read as before.
+  EXPECT_EQ(graph.VertexLabels(f.hub), std::vector<std::string>{"Hub"});
+  EXPECT_EQ(graph.EdgeType(f.hub_loop), "LOOP");
 }
 
 // A size-neutral stream — each step detach-removes the oldest vertex and

@@ -16,39 +16,36 @@
 namespace pgivm {
 namespace {
 
-class SinkNode : public ReteNode {
- public:
-  SinkNode() : ReteNode(Schema{}) {}
-  void OnDelta(int port, const Delta& delta) override {
-    (void)port;
+/// Accumulates everything a source node outputs.
+struct Sink {
+  void Record(const Delta& delta) {
     for (const DeltaEntry& entry : delta) {
       bag.Apply(entry.tuple, entry.multiplicity);
       ++entries_seen;
     }
     last_delta = delta;
   }
-  std::string DebugString() const override { return "Sink"; }
   Bag bag;
   int entries_seen = 0;
   Delta last_delta;
 };
 
 /// Forwards graph changes into one source node, like the network does: the
-/// whole delta is translated, then delivered to the sink at once.
+/// whole delta is translated, then recorded in the sink at once.
 class Adapter : public GraphListener {
  public:
-  Adapter(GraphSourceNode* node, SinkNode* sink) : node_(node), sink_(sink) {}
+  Adapter(GraphSourceNode* node, Sink* sink) : node_(node), sink_(sink) {}
   void OnGraphDelta(const GraphDelta& delta) override {
     Delta out;
     for (const GraphChange& change : delta.changes) {
       node_->Translate(change, /*partition=*/0, /*partitions=*/1, out);
     }
-    if (!out.empty()) sink_->OnDelta(0, out);
+    if (!out.empty()) sink_->Record(out);
   }
 
  private:
   GraphSourceNode* node_;
-  SinkNode* sink_;
+  Sink* sink_;
 };
 
 PropertyExtract PropExtract(const std::string& var, const std::string& key) {
@@ -68,13 +65,12 @@ struct VertexFixture {
     node = std::make_unique<VertexInputNode>(schema, &graph,
                                              std::move(labels),
                                              std::move(extracts));
-    node->AddOutput(&sink, 0);
     adapter = std::make_unique<Adapter>(node.get(), &sink);
     graph.AddListener(adapter.get());
   }
 
   PropertyGraph graph;
-  SinkNode sink;
+  Sink sink;
   std::unique_ptr<VertexInputNode> node;
   std::unique_ptr<Adapter> adapter;
 };
@@ -132,9 +128,10 @@ TEST(VertexInputNodeTest, InitialStateEmitted) {
   Schema schema({{"v", Attribute::Kind::kVertex},
                  {"#v.x", Attribute::Kind::kValue}});
   VertexInputNode node(schema, &graph, {"A"}, {PropExtract("v", "x")});
-  SinkNode sink;
-  node.AddOutput(&sink, 0);
-  node.EmitInitialFromGraph();
+  Sink sink;
+  Delta initial;
+  node.EmitInitialFromGraph(initial);
+  sink.Record(initial);
   EXPECT_EQ(sink.bag.Count(Tuple({Value::Vertex(a), Value::Int(7)})), 1);
   EXPECT_EQ(sink.bag.total_count(), 1);
 }
@@ -169,13 +166,12 @@ struct EdgeFixture {
                                            std::move(src_labels),
                                            std::move(dst_labels),
                                            std::move(extracts));
-    node->AddOutput(&sink, 0);
     adapter = std::make_unique<Adapter>(node.get(), &sink);
     graph.AddListener(adapter.get());
   }
 
   PropertyGraph graph;
-  SinkNode sink;
+  Sink sink;
   std::unique_ptr<EdgeInputNode> node;
   std::unique_ptr<Adapter> adapter;
 };
@@ -362,26 +358,27 @@ std::vector<std::string> OutputLines(const ReteNode& node) {
   return BagLines(bag);
 }
 
+using SourceFactory = std::function<std::unique_ptr<GraphSourceNode>()>;
+
 /// A source kept up to date by translating every graph delta, and the
 /// factory that builds an unprimed twin of it.
 struct MaintainedSource {
-  MaintainedSource(PropertyGraph* graph,
-                   std::function<std::unique_ptr<ReteNode>()> factory)
+  MaintainedSource(PropertyGraph* graph, SourceFactory factory)
       : make(std::move(factory)), node(make()) {
-    auto* source = dynamic_cast<GraphSourceNode*>(node.get());
-    node->AddOutput(&sink, 0);
-    source->EmitInitialFromGraph();
-    adapter = std::make_unique<Adapter>(source, &sink);
+    Delta initial;
+    node->EmitInitialFromGraph(initial);
+    sink.Record(initial);
+    adapter = std::make_unique<Adapter>(node.get(), &sink);
     graph->AddListener(adapter.get());
   }
 
-  std::function<std::unique_ptr<ReteNode>()> make;
-  std::unique_ptr<ReteNode> node;
-  SinkNode sink;
+  SourceFactory make;
+  std::unique_ptr<GraphSourceNode> node;
+  Sink sink;
   std::unique_ptr<Adapter> adapter;
 };
 
-std::unique_ptr<ReteNode> MakeVertexSource(
+std::unique_ptr<GraphSourceNode> MakeVertexSource(
     const PropertyGraph* graph, std::vector<std::string> labels,
     std::vector<PropertyExtract> extracts) {
   Schema schema({{"v", Attribute::Kind::kVertex}});
@@ -392,7 +389,7 @@ std::unique_ptr<ReteNode> MakeVertexSource(
                                            std::move(extracts));
 }
 
-std::unique_ptr<ReteNode> MakeEdgeSource(
+std::unique_ptr<GraphSourceNode> MakeEdgeSource(
     const PropertyGraph* graph, std::vector<std::string> types,
     bool undirected, std::vector<std::string> src_labels,
     std::vector<std::string> dst_labels,
@@ -428,7 +425,7 @@ TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
     SCOPED_TRACE(StrCat("seed ", seed));
     PropertyGraph graph;
     std::vector<std::unique_ptr<MaintainedSource>> sources;
-    auto maintain = [&](std::function<std::unique_ptr<ReteNode>()> make) {
+    auto maintain = [&](SourceFactory make) {
       sources.push_back(
           std::make_unique<MaintainedSource>(&graph, std::move(make)));
     };
@@ -556,8 +553,9 @@ TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
 
       for (size_t i = 0; i < sources.size(); ++i) {
         SCOPED_TRACE(StrCat("source ", i, " ", sources[i]->node->DebugString()));
-        std::unique_ptr<ReteNode> fresh = sources[i]->make();
-        dynamic_cast<GraphSourceNode*>(fresh.get())->EmitInitialFromGraph();
+        std::unique_ptr<GraphSourceNode> fresh = sources[i]->make();
+        Delta primed;
+        fresh->EmitInitialFromGraph(primed);
         const std::vector<std::string> expected = OutputLines(*fresh);
         EXPECT_EQ(OutputLines(*sources[i]->node), expected);
         EXPECT_EQ(BagLines(sources[i]->sink.bag), expected);

@@ -9,16 +9,13 @@
 namespace pgivm {
 namespace {
 
-class SinkNode : public ReteNode {
- public:
-  SinkNode() : ReteNode(Schema{}) {}
-  void OnDelta(int port, const Delta& delta) override {
-    (void)port;
+/// Accumulates everything the path node outputs.
+struct Sink {
+  void Record(const Delta& delta) {
     for (const DeltaEntry& entry : delta) {
       bag.Apply(entry.tuple, entry.multiplicity);
     }
   }
-  std::string DebugString() const override { return "Sink"; }
   Bag bag;
 };
 
@@ -38,27 +35,26 @@ struct Fixture {
           bool reversed = false)
       : node(PathSchema(emit_path), &graph, {"T"}, reversed, min_hops,
              max_hops, emit_path) {
-    node.AddOutput(&sink, 0);
     graph.AddListener(&adapter);
   }
 
   /// Routes graph changes into the node like a network would: the whole
-  /// delta is translated, then delivered to the sink at once.
+  /// delta is translated, then recorded in the sink at once.
   struct Adapter : GraphListener {
-    Adapter(PathInputNode* n, SinkNode* s) : node(n), sink(s) {}
+    Adapter(PathInputNode* n, Sink* s) : node(n), sink(s) {}
     void OnGraphDelta(const GraphDelta& delta) override {
       Delta out;
       for (const GraphChange& change : delta.changes) {
         node->Translate(change, /*partition=*/0, /*partitions=*/1, out);
       }
-      if (!out.empty()) sink->OnDelta(0, out);
+      if (!out.empty()) sink->Record(out);
     }
     PathInputNode* node;
-    SinkNode* sink;
+    Sink* sink;
   };
 
   PropertyGraph graph;
-  SinkNode sink;
+  Sink sink;
   PathInputNode node;
   Adapter adapter{&node, &sink};
 };
@@ -188,9 +184,10 @@ TEST(PathNodeTest, InitialStateFromExistingGraph) {
   (void)graph.AddEdge(v2, v3, "T").value();
 
   PathInputNode node(PathSchema(false), &graph, {"T"}, false, 1, -1, false);
-  SinkNode sink;
-  node.AddOutput(&sink, 0);
-  node.EmitInitialFromGraph();
+  Sink sink;
+  Delta initial;
+  node.EmitInitialFromGraph(initial);
+  sink.Record(initial);
   EXPECT_EQ(sink.bag.total_count(), 3);
   EXPECT_EQ(sink.bag.Count(Pair(v1, v3)), 1);
 }

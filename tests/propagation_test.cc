@@ -902,6 +902,13 @@ TEST(ConsolidationCutoff, DefaultSkipsSortForTinyPayloadsOnly) {
 
 using PublishPath = ProductionNode::PublishPath;
 
+/// Delivers `delta` to a free-standing production, which applies it to its
+/// results and appends nothing to its output.
+void Deliver(ProductionNode& production, const Delta& delta) {
+  Delta out;
+  production.OnDelta(0, delta, {}, out);
+}
+
 /// Drives one free-standing production with a seeded stream of raw deltas
 /// over a pool of Int rows (no Compare ties; counts up to 3) and checks
 /// after every publish that the merged rows equal a fresh sort of the bag,
@@ -956,7 +963,7 @@ void DrivePublishStream(uint64_t seed, int wipe_at) {
         const int64_t k = entry.tuple.at(0).AsInt();
         if ((model[k] += entry.multiplicity) == 0) model.erase(k);
       }
-      production.OnDelta(0, delta);
+      Deliver(production, delta);
     }
     if (rng.NextBool(0.5)) {
       ProductionNode::EpochPtr pinned = production.PinSnapshot();
@@ -1030,8 +1037,8 @@ TEST(PublishMerge, RecycledRowsMatchTheCopyMerge) {
             v.is_double());
         if ((model[key] += entry.multiplicity) == 0) model.erase(key);
       }
-      recycling.OnDelta(0, delta);
-      copying.OnDelta(0, delta);
+      Deliver(recycling, delta);
+      Deliver(copying, delta);
     };
     Delta fill;
     for (int64_t k = 0; k < 1024; ++k) fill.push_back({row(k, k % 3 == 0), 1});
@@ -1090,11 +1097,11 @@ struct LifetimeFixture {
     for (int64_t k = 0; k < rows; ++k) {
       fill.push_back({Tuple({Value::Int(1000 + k)}), 1});
     }
-    production.OnDelta(0, fill);
+    Deliver(production, fill);
     EXPECT_EQ(production.PublishSnapshot(++epoch), PublishPath::kSorted);
   }
   PublishPath PublishRow(int64_t k) {
-    production.OnDelta(0, Delta{{Tuple({Value::Int(k)}), 1}});
+    Deliver(production, Delta{{Tuple({Value::Int(k)}), 1}});
     return production.PublishSnapshot(++epoch);
   }
   ProductionNode production;

@@ -1,3 +1,9 @@
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rete/aggregate_node.h"
@@ -13,9 +19,9 @@
 namespace pgivm {
 namespace {
 
-/// Net-effect recorder. Unlike pgivm::Bag it tolerates negative counts:
-/// several tests feed nodes raw retraction streams and assert on the net
-/// multiplicity, which may legitimately dip below zero at a sink that never
+/// Net-effect bag. Unlike pgivm::Bag it tolerates negative counts: several
+/// tests feed nodes raw retraction streams and assert on the net
+/// multiplicity, which may legitimately dip below zero for a node that never
 /// saw the original assertions.
 class SignedBag {
  public:
@@ -36,21 +42,37 @@ class SignedBag {
   int64_t total_ = 0;
 };
 
-/// Terminal node that accumulates everything it receives into a bag.
-class SinkNode : public ReteNode {
+/// Drives one node by hand and accumulates everything it appends to its
+/// output into a bag.
+class Recorder {
  public:
-  SinkNode() : ReteNode(Schema{}) {}
-  void OnDelta(int port, const Delta& delta) override {
-    (void)port;
-    for (const DeltaEntry& entry : delta) {
+  explicit Recorder(ReteNode* node) : node_(node) {}
+
+  /// Delivers `delta` on `port` and records the node's response.
+  void Deliver(int port, const Delta& delta) {
+    Delta out;
+    node_->OnDelta(port, delta, {}, out);
+    Record(out);
+  }
+  /// Records the node's structurally-initial output.
+  void Initial() {
+    Delta out;
+    node_->EmitInitial(out);
+    Record(out);
+  }
+
+  SignedBag bag;
+  int entries_seen = 0;
+
+ private:
+  void Record(const Delta& out) {
+    for (const DeltaEntry& entry : out) {
       bag.Apply(entry.tuple, entry.multiplicity);
       ++entries_seen;
     }
   }
-  std::string DebugString() const override { return "Sink"; }
 
-  SignedBag bag;
-  int entries_seen = 0;
+  ReteNode* node_;
 };
 
 Schema OneCol(const char* name) {
@@ -80,16 +102,15 @@ TEST(FilterNodeTest, KeepsOnlyTrueRows) {
   ExprPtr pred = MakeBinary(BinaryOp::kGt, MakeVariable("x"),
                             MakeLiteral(Value::Int(2)));
   FilterNode filter(schema, Bind(pred, schema));
-  SinkNode sink;
-  filter.AddOutput(&sink, 0);
+  Recorder rec(&filter);
 
-  filter.OnDelta(0, {{T1(1), 1}, {T1(3), 2}, {T1(5), 1}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 0);
-  EXPECT_EQ(sink.bag.Count(T1(3)), 2);
-  EXPECT_EQ(sink.bag.Count(T1(5)), 1);
+  rec.Deliver(0, {{T1(1), 1}, {T1(3), 2}, {T1(5), 1}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 0);
+  EXPECT_EQ(rec.bag.Count(T1(3)), 2);
+  EXPECT_EQ(rec.bag.Count(T1(5)), 1);
 
-  filter.OnDelta(0, {{T1(3), -2}});
-  EXPECT_EQ(sink.bag.Count(T1(3)), 0);
+  rec.Deliver(0, {{T1(3), -2}});
+  EXPECT_EQ(rec.bag.Count(T1(3)), 0);
 }
 
 // ---- ProjectNode -----------------------------------------------------------
@@ -102,12 +123,11 @@ TEST(ProjectNodeTest, MapsAndPreservesMultiplicity) {
                                     MakeLiteral(Value::Int(10))),
                          in));
   ProjectNode project(out, std::move(columns));
-  SinkNode sink;
-  project.AddOutput(&sink, 0);
+  Recorder rec(&project);
 
-  project.OnDelta(0, {{T1(2), 3}, {T1(4), -1}});
-  EXPECT_EQ(sink.bag.Count(T1(20)), 3);
-  EXPECT_EQ(sink.bag.Count(T1(40)), -1);
+  rec.Deliver(0, {{T1(2), 3}, {T1(4), -1}});
+  EXPECT_EQ(rec.bag.Count(T1(20)), 3);
+  EXPECT_EQ(rec.bag.Count(T1(40)), -1);
 }
 
 // ---- JoinNode --------------------------------------------------------------
@@ -119,18 +139,17 @@ TEST(JoinNodeTest, NaturalJoinOnSharedColumn) {
               {"a", Attribute::Kind::kValue},
               {"b", Attribute::Kind::kValue}});
   JoinNode join(out, left, right);
-  SinkNode sink;
-  join.AddOutput(&sink, 0);
+  Recorder rec(&join);
 
-  join.OnDelta(0, {{T2(1, 10), 1}});
-  EXPECT_EQ(sink.bag.total_count(), 0);  // No right side yet.
-  join.OnDelta(1, {{T2(1, 100), 1}});
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(1), Value::Int(10),
+  rec.Deliver(0, {{T2(1, 10), 1}});
+  EXPECT_EQ(rec.bag.total_count(), 0);  // No right side yet.
+  rec.Deliver(1, {{T2(1, 100), 1}});
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(1), Value::Int(10),
                                   Value::Int(100)})),
             1);
   // Non-matching key produces nothing.
-  join.OnDelta(1, {{T2(2, 200), 1}});
-  EXPECT_EQ(sink.bag.total_count(), 1);
+  rec.Deliver(1, {{T2(2, 200), 1}});
+  EXPECT_EQ(rec.bag.total_count(), 1);
 }
 
 TEST(JoinNodeTest, MultiplicitiesMultiply) {
@@ -140,12 +159,11 @@ TEST(JoinNodeTest, MultiplicitiesMultiply) {
               {"a", Attribute::Kind::kValue},
               {"b", Attribute::Kind::kValue}});
   JoinNode join(out, left, right);
-  SinkNode sink;
-  join.AddOutput(&sink, 0);
+  Recorder rec(&join);
 
-  join.OnDelta(0, {{T2(1, 10), 2}});
-  join.OnDelta(1, {{T2(1, 100), 3}});
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(1), Value::Int(10),
+  rec.Deliver(0, {{T2(1, 10), 2}});
+  rec.Deliver(1, {{T2(1, 100), 3}});
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(1), Value::Int(10),
                                   Value::Int(100)})),
             6);
 }
@@ -157,13 +175,12 @@ TEST(JoinNodeTest, RetractionCascades) {
               {"a", Attribute::Kind::kValue},
               {"b", Attribute::Kind::kValue}});
   JoinNode join(out, left, right);
-  SinkNode sink;
-  join.AddOutput(&sink, 0);
+  Recorder rec(&join);
 
-  join.OnDelta(0, {{T2(1, 10), 1}});
-  join.OnDelta(1, {{T2(1, 100), 1}});
-  join.OnDelta(0, {{T2(1, 10), -1}});
-  EXPECT_EQ(sink.bag.total_count(), 0);
+  rec.Deliver(0, {{T2(1, 10), 1}});
+  rec.Deliver(1, {{T2(1, 100), 1}});
+  rec.Deliver(0, {{T2(1, 10), -1}});
+  EXPECT_EQ(rec.bag.total_count(), 0);
   EXPECT_GT(join.ApproxMemoryBytes(), 0u);  // Right memory still holds a row.
 }
 
@@ -172,13 +189,12 @@ TEST(JoinNodeTest, CrossJoinWhenNoSharedColumns) {
   Schema right = OneCol("b");
   Schema out = TwoCols("a", "b");
   JoinNode join(out, left, right);
-  SinkNode sink;
-  join.AddOutput(&sink, 0);
+  Recorder rec(&join);
 
-  join.OnDelta(0, {{T1(1), 1}, {T1(2), 1}});
-  join.OnDelta(1, {{T1(9), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 9)), 1);
-  EXPECT_EQ(sink.bag.Count(T2(2, 9)), 1);
+  rec.Deliver(0, {{T1(1), 1}, {T1(2), 1}});
+  rec.Deliver(1, {{T1(9), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 9)), 1);
+  EXPECT_EQ(rec.bag.Count(T2(2, 9)), 1);
 }
 
 // ---- AntiJoinNode ----------------------------------------------------------
@@ -187,31 +203,29 @@ TEST(AntiJoinNodeTest, EmitsLeftWithoutPartner) {
   Schema left = TwoCols("k", "a");
   Schema right = OneCol("k");
   AntiJoinNode anti(left, left, right);
-  SinkNode sink;
-  anti.AddOutput(&sink, 0);
+  Recorder rec(&anti);
 
-  anti.OnDelta(0, {{T2(1, 10), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 1);  // No partner yet.
+  rec.Deliver(0, {{T2(1, 10), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 1);  // No partner yet.
 
-  anti.OnDelta(1, {{T1(1), 1}});  // Partner arrives: retract.
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 0);
+  rec.Deliver(1, {{T1(1), 1}});  // Partner arrives: retract.
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 0);
 
-  anti.OnDelta(1, {{T1(1), -1}});  // Partner leaves: re-assert.
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 1);
+  rec.Deliver(1, {{T1(1), -1}});  // Partner leaves: re-assert.
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 1);
 }
 
 TEST(AntiJoinNodeTest, LeftArrivingAfterPartnerSuppressed) {
   Schema left = TwoCols("k", "a");
   Schema right = OneCol("k");
   AntiJoinNode anti(left, left, right);
-  SinkNode sink;
-  anti.AddOutput(&sink, 0);
+  Recorder rec(&anti);
 
-  anti.OnDelta(1, {{T1(1), 1}});
-  anti.OnDelta(0, {{T2(1, 10), 1}});
-  EXPECT_EQ(sink.bag.total_count(), 0);
-  anti.OnDelta(0, {{T2(2, 20), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(2, 20)), 1);
+  rec.Deliver(1, {{T1(1), 1}});
+  rec.Deliver(0, {{T2(1, 10), 1}});
+  EXPECT_EQ(rec.bag.total_count(), 0);
+  rec.Deliver(0, {{T2(2, 20), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(2, 20)), 1);
 }
 
 // ---- SemiJoinNode ----------------------------------------------------------
@@ -220,36 +234,34 @@ TEST(SemiJoinNodeTest, EmitsLeftWithPartnerOnly) {
   Schema left = TwoCols("k", "a");
   Schema right = OneCol("k");
   SemiJoinNode semi(left, left, right);
-  SinkNode sink;
-  semi.AddOutput(&sink, 0);
+  Recorder rec(&semi);
 
-  semi.OnDelta(0, {{T2(1, 10), 1}});
-  EXPECT_EQ(sink.bag.total_count(), 0);  // No partner yet.
+  rec.Deliver(0, {{T2(1, 10), 1}});
+  EXPECT_EQ(rec.bag.total_count(), 0);  // No partner yet.
 
-  semi.OnDelta(1, {{T1(1), 1}});  // Partner arrives: assert.
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 1);
+  rec.Deliver(1, {{T1(1), 1}});  // Partner arrives: assert.
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 1);
 
   // Second partner for the same key: no duplicate output (not a join).
-  semi.OnDelta(1, {{T1(1), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 1);
+  rec.Deliver(1, {{T1(1), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 1);
 
   // Removing one partner keeps the row; removing the last retracts it.
-  semi.OnDelta(1, {{T1(1), -1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 1);
-  semi.OnDelta(1, {{T1(1), -1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 0);
+  rec.Deliver(1, {{T1(1), -1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 1);
+  rec.Deliver(1, {{T1(1), -1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 0);
 }
 
 TEST(SemiJoinNodeTest, LeftMultiplicityPreserved) {
   Schema left = TwoCols("k", "a");
   Schema right = OneCol("k");
   SemiJoinNode semi(left, left, right);
-  SinkNode sink;
-  semi.AddOutput(&sink, 0);
+  Recorder rec(&semi);
 
-  semi.OnDelta(1, {{T1(1), 5}});         // Fanout 5 on the right...
-  semi.OnDelta(0, {{T2(1, 10), 3}});     // ...left multiplicity 3.
-  EXPECT_EQ(sink.bag.Count(T2(1, 10)), 3);  // Not 15.
+  rec.Deliver(1, {{T1(1), 5}});         // Fanout 5 on the right...
+  rec.Deliver(0, {{T2(1, 10), 3}});     // ...left multiplicity 3.
+  EXPECT_EQ(rec.bag.Count(T2(1, 10)), 3);  // Not 15.
 }
 
 TEST(SemiJoinNodeTest, DualOfAntiJoin) {
@@ -258,23 +270,22 @@ TEST(SemiJoinNodeTest, DualOfAntiJoin) {
   Schema right = OneCol("k");
   SemiJoinNode semi(left, left, right);
   AntiJoinNode anti(left, left, right);
-  SinkNode semi_sink, anti_sink;
-  semi.AddOutput(&semi_sink, 0);
-  anti.AddOutput(&anti_sink, 0);
+  Recorder semi_rec(&semi);
+  Recorder anti_rec(&anti);
 
   std::vector<std::pair<int, DeltaEntry>> script = {
       {0, {T2(1, 10), 1}}, {0, {T2(2, 20), 1}}, {1, {T1(1), 1}},
       {1, {T1(2), 1}},     {1, {T1(1), -1}},    {0, {T2(3, 30), 2}},
   };
   for (const auto& [port, entry] : script) {
-    semi.OnDelta(port, {entry});
-    anti.OnDelta(port, {entry});
+    semi_rec.Deliver(port, {entry});
+    anti_rec.Deliver(port, {entry});
   }
-  EXPECT_EQ(semi_sink.bag.Count(T2(1, 10)) + anti_sink.bag.Count(T2(1, 10)),
+  EXPECT_EQ(semi_rec.bag.Count(T2(1, 10)) + anti_rec.bag.Count(T2(1, 10)),
             1);
-  EXPECT_EQ(semi_sink.bag.Count(T2(2, 20)) + anti_sink.bag.Count(T2(2, 20)),
+  EXPECT_EQ(semi_rec.bag.Count(T2(2, 20)) + anti_rec.bag.Count(T2(2, 20)),
             1);
-  EXPECT_EQ(semi_sink.bag.Count(T2(3, 30)) + anti_sink.bag.Count(T2(3, 30)),
+  EXPECT_EQ(semi_rec.bag.Count(T2(3, 30)) + anti_rec.bag.Count(T2(3, 30)),
             2);
 }
 
@@ -282,28 +293,26 @@ TEST(SemiJoinNodeTest, DualOfAntiJoin) {
 
 TEST(DistinctNodeTest, EmitsOnZeroTransitionsOnly) {
   DistinctNode distinct(OneCol("x"));
-  SinkNode sink;
-  distinct.AddOutput(&sink, 0);
+  Recorder rec(&distinct);
 
-  distinct.OnDelta(0, {{T1(1), 3}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 1);
-  distinct.OnDelta(0, {{T1(1), 5}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 1);  // Still one.
-  distinct.OnDelta(0, {{T1(1), -7}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 1);  // Count 1 left upstream.
-  distinct.OnDelta(0, {{T1(1), -1}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 0);  // Now gone.
+  rec.Deliver(0, {{T1(1), 3}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 1);
+  rec.Deliver(0, {{T1(1), 5}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 1);  // Still one.
+  rec.Deliver(0, {{T1(1), -7}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 1);  // Count 1 left upstream.
+  rec.Deliver(0, {{T1(1), -1}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 0);  // Now gone.
 }
 
 // ---- UnionNode -------------------------------------------------------------
 
 TEST(UnionNodeTest, MergesBothPorts) {
   UnionNode u(OneCol("x"));
-  SinkNode sink;
-  u.AddOutput(&sink, 0);
-  u.OnDelta(0, {{T1(1), 1}});
-  u.OnDelta(1, {{T1(1), 2}});
-  EXPECT_EQ(sink.bag.Count(T1(1)), 3);
+  Recorder rec(&u);
+  rec.Deliver(0, {{T1(1), 1}});
+  rec.Deliver(1, {{T1(1), 2}});
+  EXPECT_EQ(rec.bag.Count(T1(1)), 3);
 }
 
 // ---- AggregateNode ---------------------------------------------------------
@@ -329,29 +338,28 @@ TEST(AggregateNodeTest, GroupedCountAndSum) {
   specs.push_back(MakeSpec("count*", in));
   specs.push_back(MakeSpec("sum", in));
   AggregateNode agg(out, std::move(keys), std::move(specs));
-  SinkNode sink;
-  agg.AddOutput(&sink, 0);
+  Recorder rec(&agg);
 
-  agg.OnDelta(0, {{T2(1, 10), 1}, {T2(1, 20), 1}, {T2(2, 5), 1}});
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(1), Value::Int(2),
+  rec.Deliver(0, {{T2(1, 10), 1}, {T2(1, 20), 1}, {T2(2, 5), 1}});
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(1), Value::Int(2),
                                   Value::Int(30)})),
             1);
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(2), Value::Int(1),
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(2), Value::Int(1),
                                   Value::Int(5)})),
             1);
 
   // Retract one row: the group's output row is replaced.
-  agg.OnDelta(0, {{T2(1, 20), -1}});
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(1), Value::Int(1),
+  rec.Deliver(0, {{T2(1, 20), -1}});
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(1), Value::Int(1),
                                   Value::Int(10)})),
             1);
-  EXPECT_EQ(sink.bag.Count(Tuple({Value::Int(1), Value::Int(2),
+  EXPECT_EQ(rec.bag.Count(Tuple({Value::Int(1), Value::Int(2),
                                   Value::Int(30)})),
             0);
 
   // Empty the group entirely: its row disappears.
-  agg.OnDelta(0, {{T2(2, 5), -1}});
-  EXPECT_EQ(sink.bag.total_count(), 1);
+  rec.Deliver(0, {{T2(2, 5), -1}});
+  EXPECT_EQ(rec.bag.total_count(), 1);
 }
 
 TEST(AggregateNodeTest, KeylessAggregationAlwaysHasOneRow) {
@@ -360,18 +368,17 @@ TEST(AggregateNodeTest, KeylessAggregationAlwaysHasOneRow) {
   std::vector<AggregateSpec> specs;
   specs.push_back(MakeSpec("count*", in));
   AggregateNode agg(out, {}, std::move(specs));
-  SinkNode sink;
-  agg.AddOutput(&sink, 0);
+  Recorder rec(&agg);
 
-  agg.EmitInitial();
-  EXPECT_EQ(sink.bag.Count(T1(0)), 1);  // count(*) = 0 over empty input.
+  rec.Initial();
+  EXPECT_EQ(rec.bag.Count(T1(0)), 1);  // count(*) = 0 over empty input.
 
-  agg.OnDelta(0, {{T2(1, 1), 2}});
-  EXPECT_EQ(sink.bag.Count(T1(2)), 1);
-  EXPECT_EQ(sink.bag.Count(T1(0)), 0);
+  rec.Deliver(0, {{T2(1, 1), 2}});
+  EXPECT_EQ(rec.bag.Count(T1(2)), 1);
+  EXPECT_EQ(rec.bag.Count(T1(0)), 0);
 
-  agg.OnDelta(0, {{T2(1, 1), -2}});
-  EXPECT_EQ(sink.bag.Count(T1(0)), 1);  // Back to the empty-input row.
+  rec.Deliver(0, {{T2(1, 1), -2}});
+  EXPECT_EQ(rec.bag.Count(T1(0)), 1);  // Back to the empty-input row.
 }
 
 TEST(AggregateNodeTest, MinMaxSupportRetraction) {
@@ -381,16 +388,15 @@ TEST(AggregateNodeTest, MinMaxSupportRetraction) {
   specs.push_back(MakeSpec("min", in));
   specs.push_back(MakeSpec("max", in));
   AggregateNode agg(out, {}, std::move(specs));
-  SinkNode sink;
-  agg.AddOutput(&sink, 0);
-  agg.EmitInitial();
+  Recorder rec(&agg);
+  rec.Initial();
 
-  agg.OnDelta(0, {{T2(0, 5), 1}, {T2(0, 9), 1}, {T2(0, 1), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 9)), 1);
-  agg.OnDelta(0, {{T2(0, 1), -1}});  // Retract the minimum.
-  EXPECT_EQ(sink.bag.Count(T2(5, 9)), 1);
-  agg.OnDelta(0, {{T2(0, 9), -1}});  // Retract the maximum.
-  EXPECT_EQ(sink.bag.Count(T2(5, 5)), 1);
+  rec.Deliver(0, {{T2(0, 5), 1}, {T2(0, 9), 1}, {T2(0, 1), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 9)), 1);
+  rec.Deliver(0, {{T2(0, 1), -1}});  // Retract the minimum.
+  EXPECT_EQ(rec.bag.Count(T2(5, 9)), 1);
+  rec.Deliver(0, {{T2(0, 9), -1}});  // Retract the maximum.
+  EXPECT_EQ(rec.bag.Count(T2(5, 5)), 1);
 }
 
 TEST(AggregateNodeTest, CollectAndDistinctCount) {
@@ -400,14 +406,13 @@ TEST(AggregateNodeTest, CollectAndDistinctCount) {
   specs.push_back(MakeSpec("collect", in));
   specs.push_back(MakeSpec("count", in, /*distinct=*/true));
   AggregateNode agg(out, {}, std::move(specs));
-  SinkNode sink;
-  agg.AddOutput(&sink, 0);
-  agg.EmitInitial();
+  Recorder rec(&agg);
+  rec.Initial();
 
-  agg.OnDelta(0, {{T2(0, 3), 1}, {T2(0, 3), 1}, {T2(0, 1), 1}});
+  rec.Deliver(0, {{T2(0, 3), 1}, {T2(0, 3), 1}, {T2(0, 1), 1}});
   Tuple expected({Value::List({Value::Int(1), Value::Int(3), Value::Int(3)}),
                   Value::Int(2)});
-  EXPECT_EQ(sink.bag.Count(expected), 1);
+  EXPECT_EQ(rec.bag.Count(expected), 1);
 }
 
 TEST(AggregateNodeTest, NullArgumentsSkipped) {
@@ -417,13 +422,12 @@ TEST(AggregateNodeTest, NullArgumentsSkipped) {
   specs.push_back(MakeSpec("count", in));
   specs.push_back(MakeSpec("sum", in));
   AggregateNode agg(out, {}, std::move(specs));
-  SinkNode sink;
-  agg.AddOutput(&sink, 0);
-  agg.EmitInitial();
+  Recorder rec(&agg);
+  rec.Initial();
 
-  agg.OnDelta(0, {{Tuple({Value::Int(0), Value::Null()}), 1},
+  rec.Deliver(0, {{Tuple({Value::Int(0), Value::Null()}), 1},
                   {T2(0, 7), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 7)), 1);
+  EXPECT_EQ(rec.bag.Count(T2(1, 7)), 1);
 }
 
 // ---- UnnestNode ------------------------------------------------------------
@@ -433,27 +437,25 @@ TEST(UnnestNodeTest, ExpandsListElements) {
   Schema out = TwoCols("id", "tag");
   BoundExpression collection = Bind(MakeVariable("tags"), in);
   UnnestNode unnest(out, std::move(collection), {0}, /*fine_grained=*/false);
-  SinkNode sink;
-  unnest.AddOutput(&sink, 0);
+  Recorder rec(&unnest);
 
   Tuple input({Value::Int(1),
                Value::List({Value::Int(7), Value::Int(8), Value::Int(7)})});
-  unnest.OnDelta(0, {{input, 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 7)), 2);
-  EXPECT_EQ(sink.bag.Count(T2(1, 8)), 1);
+  rec.Deliver(0, {{input, 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 7)), 2);
+  EXPECT_EQ(rec.bag.Count(T2(1, 8)), 1);
 }
 
 TEST(UnnestNodeTest, NullAndScalarHandling) {
   Schema in = TwoCols("id", "x");
   Schema out = TwoCols("id", "e");
   UnnestNode unnest(out, Bind(MakeVariable("x"), in), {0}, false);
-  SinkNode sink;
-  unnest.AddOutput(&sink, 0);
+  Recorder rec(&unnest);
 
-  unnest.OnDelta(0, {{Tuple({Value::Int(1), Value::Null()}), 1}});
-  EXPECT_EQ(sink.bag.total_count(), 0);  // UNWIND null -> no rows.
-  unnest.OnDelta(0, {{Tuple({Value::Int(1), Value::Int(9)}), 1}});
-  EXPECT_EQ(sink.bag.Count(T2(1, 9)), 1);  // Scalar singleton.
+  rec.Deliver(0, {{Tuple({Value::Int(1), Value::Null()}), 1}});
+  EXPECT_EQ(rec.bag.total_count(), 0);  // UNWIND null -> no rows.
+  rec.Deliver(0, {{Tuple({Value::Int(1), Value::Int(9)}), 1}});
+  EXPECT_EQ(rec.bag.Count(T2(1, 9)), 1);  // Scalar singleton.
 }
 
 TEST(UnnestNodeTest, FineGrainedEmitsOnlyElementDiff) {
@@ -463,21 +465,20 @@ TEST(UnnestNodeTest, FineGrainedEmitsOnlyElementDiff) {
   Schema out = TwoCols("id", "tag");
   UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0},
                     /*fine_grained=*/true);
-  SinkNode sink;
-  unnest.AddOutput(&sink, 0);
+  Recorder rec(&unnest);
 
   ValueList big;
   for (int i = 0; i < 100; ++i) big.push_back(Value::Int(i));
   Tuple before({Value::Int(1), Value::List(big)});
-  unnest.OnDelta(0, {{before, 1}});
-  int baseline_entries = sink.entries_seen;
+  rec.Deliver(0, {{before, 1}});
+  int baseline_entries = rec.entries_seen;
 
   big.push_back(Value::Int(100));
   Tuple after({Value::Int(1), Value::List(big)});
-  unnest.OnDelta(0, {{before, -1}, {after, 1}});
-  EXPECT_EQ(sink.entries_seen - baseline_entries, 1);  // FGN!
-  EXPECT_EQ(sink.bag.Count(T2(1, 100)), 1);
-  EXPECT_EQ(sink.bag.total_count(), 101);
+  rec.Deliver(0, {{before, -1}, {after, 1}});
+  EXPECT_EQ(rec.entries_seen - baseline_entries, 1);  // FGN!
+  EXPECT_EQ(rec.bag.Count(T2(1, 100)), 1);
+  EXPECT_EQ(rec.bag.total_count(), 101);
 }
 
 TEST(UnnestNodeTest, NaiveModeReemitsEverything) {
@@ -485,20 +486,177 @@ TEST(UnnestNodeTest, NaiveModeReemitsEverything) {
   Schema out = TwoCols("id", "tag");
   UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0},
                     /*fine_grained=*/false);
-  SinkNode sink;
-  unnest.AddOutput(&sink, 0);
+  Recorder rec(&unnest);
 
   ValueList big;
   for (int i = 0; i < 100; ++i) big.push_back(Value::Int(i));
   Tuple before({Value::Int(1), Value::List(big)});
-  unnest.OnDelta(0, {{before, 1}});
-  int baseline_entries = sink.entries_seen;
+  rec.Deliver(0, {{before, 1}});
+  int baseline_entries = rec.entries_seen;
 
   big.push_back(Value::Int(100));
   Tuple after({Value::Int(1), Value::List(big)});
-  unnest.OnDelta(0, {{before, -1}, {after, 1}});
-  EXPECT_EQ(sink.entries_seen - baseline_entries, 201);  // 100 - then 101 +.
-  EXPECT_EQ(sink.bag.total_count(), 101);  // Same net result.
+  rec.Deliver(0, {{before, -1}, {after, 1}});
+  EXPECT_EQ(rec.entries_seen - baseline_entries, 201);  // 100 - then 101 +.
+  EXPECT_EQ(rec.bag.total_count(), 101);  // Same net result.
+}
+
+
+// ---- The append contract ---------------------------------------------------
+
+/// One operator kind: a factory for identical twin nodes and a script of
+/// (port, delta) deliveries under which the node responds.
+struct AppendCase {
+  std::string name;
+  std::function<std::unique_ptr<ReteNode>()> make;
+  std::vector<std::pair<int, Delta>> script;
+};
+
+std::vector<AppendCase> AppendCases() {
+  Schema one = OneCol("x");
+  Schema left = TwoCols("k", "a");
+  Schema right = TwoCols("k", "b");
+  Schema key = OneCol("k");
+  Schema joined({{"k", Attribute::Kind::kValue},
+                 {"a", Attribute::Kind::kValue},
+                 {"b", Attribute::Kind::kValue}});
+  Schema lists = TwoCols("id", "tags");
+  Schema elements = TwoCols("id", "tag");
+  Tuple short_list(
+      {Value::Int(1), Value::List({Value::Int(7), Value::Int(8)})});
+  Tuple long_list({Value::Int(1), Value::List({Value::Int(7), Value::Int(8),
+                                               Value::Int(9)})});
+  std::vector<std::pair<int, Delta>> probe_script = {
+      {0, {{T2(1, 10), 1}, {T2(1, 11), 2}}},
+      {1, {{T1(1), 1}}},
+      {0, {{T2(1, 12), 1}, {T2(2, 20), 1}}},
+      {1, {{T1(1), -1}}}};
+  std::vector<std::pair<int, Delta>> list_script = {
+      {0, {{short_list, 1}}}, {0, {{short_list, -1}, {long_list, 1}}}};
+
+  std::vector<AppendCase> cases;
+  cases.push_back(
+      {"Filter",
+       [one] {
+         ExprPtr pred = MakeBinary(BinaryOp::kGt, MakeVariable("x"),
+                                   MakeLiteral(Value::Int(2)));
+         return std::make_unique<FilterNode>(one, Bind(pred, one));
+       },
+       {{0, {{T1(1), 1}, {T1(3), 2}, {T1(5), 1}}}, {0, {{T1(3), -2}}}}});
+  cases.push_back(
+      {"Project",
+       [one] {
+         std::vector<BoundExpression> columns;
+         columns.push_back(Bind(MakeBinary(BinaryOp::kMul, MakeVariable("x"),
+                                           MakeLiteral(Value::Int(10))),
+                                one));
+         return std::make_unique<ProjectNode>(one, std::move(columns));
+       },
+       {{0, {{T1(2), 3}, {T1(4), -1}}}}});
+  cases.push_back(
+      {"Join",
+       [joined, left, right] {
+         return std::make_unique<JoinNode>(joined, left, right);
+       },
+       {{0, {{T2(1, 10), 1}}},
+        {1, {{T2(1, 100), 1}, {T2(1, 200), 1}}},
+        {0, {{T2(1, 11), 1}, {T2(2, 20), 1}}},
+        {1, {{T2(1, 100), -1}}}}});
+  cases.push_back({"SemiJoin",
+                   [left, key] {
+                     return std::make_unique<SemiJoinNode>(left, left, key);
+                   },
+                   probe_script});
+  cases.push_back({"AntiJoin",
+                   [left, key] {
+                     return std::make_unique<AntiJoinNode>(left, left, key);
+                   },
+                   probe_script});
+  cases.push_back({"Distinct",
+                   [one] { return std::make_unique<DistinctNode>(one); },
+                   {{0, {{T1(1), 3}, {T1(2), 1}}},
+                    {0, {{T1(1), -3}, {T1(3), 1}}}}});
+  cases.push_back(
+      {"Aggregate",
+       [] {
+         Schema in = TwoCols("k", "v");
+         std::vector<BoundExpression> keys;
+         keys.push_back(Bind(MakeVariable("k"), in));
+         std::vector<AggregateSpec> specs;
+         specs.push_back(MakeSpec("count*", in));
+         specs.push_back(MakeSpec("sum", in));
+         Schema out({{"k", Attribute::Kind::kValue},
+                     {"c", Attribute::Kind::kValue},
+                     {"s", Attribute::Kind::kValue}});
+         return std::make_unique<AggregateNode>(out, std::move(keys),
+                                                std::move(specs));
+       },
+       {{0, {{T2(1, 10), 1}, {T2(1, 20), 1}, {T2(2, 5), 1}}},
+        {0, {{T2(1, 20), -1}, {T2(2, 5), -1}}}}});
+  cases.push_back({"KeylessAggregate",
+                   [] {
+                     std::vector<AggregateSpec> specs;
+                     specs.push_back(MakeSpec("count*", TwoCols("k", "v")));
+                     return std::make_unique<AggregateNode>(
+                         OneCol("c"), std::vector<BoundExpression>{},
+                         std::move(specs));
+                   },
+                   {{0, {{T2(1, 1), 2}}}, {0, {{T2(1, 1), -2}}}}});
+  cases.push_back({"Union",
+                   [one] { return std::make_unique<UnionNode>(one); },
+                   {{0, {{T1(1), 1}}}, {1, {{T1(1), 2}, {T1(2), 1}}}}});
+  for (bool fine_grained : {true, false}) {
+    cases.push_back(
+        {fine_grained ? "FineGrainedUnnest" : "NaiveUnnest",
+         [lists, elements, fine_grained] {
+           return std::make_unique<UnnestNode>(
+               elements, Bind(MakeVariable("tags"), lists),
+               std::vector<int>{0}, fine_grained);
+         },
+         list_script});
+  }
+  return cases;
+}
+
+/// `out` is `sentinel` followed by exactly `expected`, in order.
+void ExpectSentinelThen(const Delta& out, const DeltaEntry& sentinel,
+                        const Delta& expected) {
+  ASSERT_EQ(out.size(), expected.size() + 1);
+  EXPECT_EQ(out[0].tuple, sentinel.tuple);
+  EXPECT_EQ(out[0].multiplicity, sentinel.multiplicity);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(out[i + 1].tuple, expected[i].tuple) << "entry " << i;
+    EXPECT_EQ(out[i + 1].multiplicity, expected[i].multiplicity)
+        << "entry " << i;
+  }
+}
+
+// Every operator appends its response behind what its caller's `out`
+// already holds: a sentinel entry stays first and untouched, and the
+// entries after it equal what a twin node appends to an empty `out`.
+TEST(AppendContractTest, EveryOperatorAppendsBehindExistingEntries) {
+  const DeltaEntry sentinel{Tuple({Value::String("sentinel")}), 7};
+  for (const AppendCase& c : AppendCases()) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<ReteNode> node = c.make();
+    std::unique_ptr<ReteNode> twin = c.make();
+    Delta initial{sentinel};
+    Delta initial_expected;
+    node->EmitInitial(initial);
+    twin->EmitInitial(initial_expected);
+    ExpectSentinelThen(initial, sentinel, initial_expected);
+    size_t appended = initial_expected.size();
+
+    for (const auto& [port, delta] : c.script) {
+      Delta out{sentinel};
+      Delta expected;
+      node->OnDelta(port, delta, {}, out);
+      twin->OnDelta(port, delta, {}, expected);
+      ExpectSentinelThen(out, sentinel, expected);
+      appended += expected.size();
+    }
+    EXPECT_GT(appended, 0u) << "the script never made the node respond";
+  }
 }
 
 }  // namespace
