@@ -27,7 +27,7 @@ Schema TwoCols(const char* a, const char* b) {
 /// recycled staging buffer a network hands every delivery.
 void Deliver(ReteNode& node, int port, const Delta& delta, Delta& out) {
   out.clear();
-  node.OnDelta(port, delta, {}, out);
+  node.OnDelta(port, delta, out);
   benchmark::DoNotOptimize(out.data());
   benchmark::ClobberMemory();
 }

@@ -21,11 +21,11 @@ std::string CatalogStats::ToString() const {
 
 std::shared_ptr<ViewCatalog> ViewCatalog::Create(
     PropertyGraph* graph, NetworkOptions network_options) {
-  // PGIVM_THREADS / PGIVM_PROFILE / PGIVM_MORSEL win over programmatic
-  // configuration for the network this catalog creates.
+  // PGIVM_THREADS / PGIVM_PROFILE win over programmatic configuration for
+  // the network this catalog creates.
   return std::shared_ptr<ViewCatalog>(new ViewCatalog(
-      graph, ApplyEnvMorselOverride(ApplyEnvProfilingOverride(
-                 ApplyEnvExecutorOverride(network_options)))));
+      graph,
+      ApplyEnvProfilingOverride(ApplyEnvExecutorOverride(network_options))));
 }
 
 ViewCatalog::ViewCatalog(PropertyGraph* graph, NetworkOptions network_options)

@@ -241,7 +241,7 @@ Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
       " fresh_nodes=", prime.fresh_nodes, "\n",
       "catalog: ", catalog_->Stats().ToString(), "\n",
       "propagation: parallel_waves=", metrics.parallel_waves_dispatched,
-      " morsel_waves=", metrics.morsel_waves_dispatched, "\n");
+      "\n");
   // Deregister the probe view (refcounts restore; siblings untouched),
   // then restore the profiling flag.
   probe->reset();
@@ -259,7 +259,6 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   snap.total_emitted_entries = network.TotalEmittedEntries();
   snap.source_emitted_entries = network.SourceEmittedEntries();
   snap.parallel_waves_dispatched = network.parallel_waves_dispatched();
-  snap.morsel_waves_dispatched = network.morsel_waves_dispatched();
   snap.epochs_recycled = network.epochs_recycled();
   snap.epochs_copied = network.epochs_copied();
   snap.epochs_sorted = network.epochs_sorted();
@@ -301,7 +300,6 @@ std::string EngineMetricsSnapshot::ToString() const {
      << " emitted=" << total_emitted_entries
      << " source_emitted=" << source_emitted_entries
      << " parallel_waves=" << parallel_waves_dispatched
-     << " morsel_waves=" << morsel_waves_dispatched
      << " epoch=" << commit_epoch
      << " epochs_published=" << epochs_published
      << " (recycled=" << epochs_recycled << " copied=" << epochs_copied

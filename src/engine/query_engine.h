@@ -43,9 +43,6 @@ struct EngineMetricsSnapshot {
   int64_t total_emitted_entries = 0;
   int64_t source_emitted_entries = 0;
   int64_t parallel_waves_dispatched = 0;
-  /// Waves in which at least one hot node's delivery was split into
-  /// key-partitioned morsels (see NetworkOptions::morsel_min_node_entries).
-  int64_t morsel_waves_dispatched = 0;
   int64_t epochs_published = 0;
   /// epochs_published split by how each epoch's rows were built; the
   /// three sum to it (see ProductionNode::PublishPath).

@@ -148,30 +148,26 @@ Tuple AggregateNode::RenderRow(const Tuple& key,
 
 void AggregateNode::EmitInitial(Delta& out) {
   if (!keys_.empty()) return;
-  GroupState& group = groups_.shard(Tuple())[Tuple()];
+  GroupState& group = groups_[Tuple()];
   group.aggs.resize(aggregates_.size());
   out.push_back({RenderRow(Tuple(), group), 1});
 }
 
-void AggregateNode::OnDelta(int /*port*/, const Delta& delta,
-                            const DeltaShare& share, Delta& out) {
+void AggregateNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
   // Phase 1: capture each touched group's pre-batch row, apply all updates.
   std::unordered_map<Tuple, std::optional<Tuple>, TupleHash> old_rows;
-  for (size_t i = 0; i < delta.size(); ++i) {
-    if (!share.Owns(i)) continue;
-    const DeltaEntry& entry = delta[i];
+  for (const DeltaEntry& entry : delta) {
     Tuple key = KeyOf(entry.tuple);
-    auto& shard = groups_.shard(key);
-    auto it = shard.find(key);
+    auto it = groups_.find(key);
     if (old_rows.find(key) == old_rows.end()) {
-      if (it != shard.end()) {
+      if (it != groups_.end()) {
         old_rows.emplace(key, RenderRow(key, it->second));
       } else {
         old_rows.emplace(key, std::nullopt);
       }
     }
-    if (it == shard.end()) {
-      it = shard.emplace(key, GroupState{}).first;
+    if (it == groups_.end()) {
+      it = groups_.emplace(key, GroupState{}).first;
       it->second.aggs.resize(aggregates_.size());
     }
     GroupState& group = it->second;
@@ -187,11 +183,10 @@ void AggregateNode::OnDelta(int /*port*/, const Delta& delta,
   // keeps its single row alive even at zero input rows. Distinct groups
   // never render equal rows (the key values prefix the row), so emission
   // order across groups is irrelevant — the scheduler's consolidation
-  // restores canonical order regardless of partitioning.
+  // restores canonical order.
   for (const auto& [key, old_row] : old_rows) {
-    auto& shard = groups_.shard(key);
-    auto it = shard.find(key);
-    assert(it != shard.end());
+    auto it = groups_.find(key);
+    assert(it != groups_.end());
     GroupState& group = it->second;
     assert(group.total_rows >= 0 && "group row count went negative");
     bool group_alive = group.total_rows > 0 || keys_.empty();
@@ -207,27 +202,18 @@ void AggregateNode::OnDelta(int /*port*/, const Delta& delta,
     } else if (new_row.has_value()) {
       out.push_back({*new_row, 1});
     }
-    if (group.total_rows == 0 && !keys_.empty()) shard.erase(it);
-  }
-}
-
-void AggregateNode::MorselPartitionMap(int port, const Delta& delta,
-                                       uint32_t partitions, size_t begin,
-                                       size_t end, uint32_t* map) const {
-  (void)port;
-  for (size_t i = begin; i < end; ++i) {
-    map[i] = MorselPartitionOfHash(KeyOf(delta[i].tuple).Hash(), partitions);
+    if (group.total_rows == 0 && !keys_.empty()) groups_.erase(it);
   }
 }
 
 bool AggregateNode::ReplayOutput(Delta& out) const {
-  groups_.ForEach([&](const Tuple& key, const GroupState& group) {
-    if (group.total_rows <= 0 && !keys_.empty()) return;
+  for (const auto& [key, group] : groups_) {
+    if (group.total_rows <= 0 && !keys_.empty()) continue;
     out.push_back({RenderRow(key, group), 1});
-  });
+  }
   // A key-less aggregation that was never primed (EmitInitial pending)
   // has no group yet; its current output is still the empty-input row.
-  if (keys_.empty() && groups_.size() == 0) {
+  if (keys_.empty() && groups_.empty()) {
     GroupState empty;
     empty.aggs.resize(aggregates_.size());
     out.push_back({RenderRow(Tuple(), empty), 1});
@@ -237,12 +223,12 @@ bool AggregateNode::ReplayOutput(Delta& out) const {
 
 size_t AggregateNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
-  groups_.ForEach([&](const Tuple& key, const GroupState& group) {
+  for (const auto& [key, group] : groups_) {
     bytes += key.ApproxMemoryBytes() + sizeof(GroupState);
     for (const AggState& agg : group.aggs) {
       bytes += agg.values.size() * (sizeof(Value) + sizeof(int64_t) + 48);
     }
-  });
+  }
   return bytes;
 }
 

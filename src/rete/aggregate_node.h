@@ -8,7 +8,6 @@
 
 #include "rete/expression_eval.h"
 #include "rete/node.h"
-#include "rete/sharded_map.h"
 
 namespace pgivm {
 
@@ -40,18 +39,7 @@ class AggregateNode : public ReteNode {
   AggregateNode(Schema schema, std::vector<BoundExpression> keys,
                 std::vector<AggregateSpec> aggregates);
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  /// Keyed aggregations partition by group key (equal keys share one
-  /// partition, so each group's state has a single writer). A key-less
-  /// aggregation has one group — nothing to split.
-  MorselKind morsel_kind() const override {
-    return keys_.empty() ? MorselKind::kNone : MorselKind::kKeyed;
-  }
-  void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
-                          size_t begin, size_t end,
-                          uint32_t* map) const override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   /// Appends the empty-input row of a key-less aggregation. Called once by
   /// the network before any input delta.
@@ -89,9 +77,8 @@ class AggregateNode : public ReteNode {
 
   std::vector<BoundExpression> keys_;
   std::vector<AggregateSpec> aggregates_;
-  /// Group key -> state, sharded by key hash so morsel partitions (which
-  /// own disjoint key sets) mutate disjoint shards.
-  ShardedTupleMap<GroupState> groups_;
+  /// Group key -> state.
+  std::unordered_map<Tuple, GroupState, TupleHash> groups_;
 };
 
 }  // namespace pgivm

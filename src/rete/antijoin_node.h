@@ -1,9 +1,10 @@
 #ifndef PGIVM_RETE_ANTIJOIN_NODE_H_
 #define PGIVM_RETE_ANTIJOIN_NODE_H_
 
+#include <unordered_map>
+
 #include "rete/join_node.h"
 #include "rete/node.h"
-#include "rete/sharded_map.h"
 
 namespace pgivm {
 
@@ -14,20 +15,13 @@ namespace pgivm {
 ///
 /// State: the left memory (key → counted tuples) plus a per-key support
 /// count of right rows; left tuples toggle in/out of the output when their
-/// key's right support transitions 0 ↔ positive. Both maps are keyed (and
-/// sharded) by the same join-key tuple, so a morsel partition's writes stay
-/// within the shards it owns.
+/// key's right support transitions 0 ↔ positive. Both maps are keyed by
+/// the same join-key tuple.
 class AntiJoinNode : public ReteNode {
  public:
   AntiJoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
-  void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
-                          size_t begin, size_t end,
-                          uint32_t* map) const override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   /// Replays the currently unmatched left tuples (keys with zero right
   /// support).
@@ -40,8 +34,8 @@ class AntiJoinNode : public ReteNode {
 
  private:
   JoinLayout layout_;
-  ShardedTupleMap<Bag> left_memory_;
-  ShardedTupleMap<int64_t> right_support_;
+  std::unordered_map<Tuple, Bag, TupleHash> left_memory_;
+  std::unordered_map<Tuple, int64_t, TupleHash> right_support_;
 };
 
 }  // namespace pgivm

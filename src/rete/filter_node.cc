@@ -4,12 +4,8 @@
 
 namespace pgivm {
 
-void FilterNode::OnDelta(int /*port*/, const Delta& delta,
-                         const DeltaShare& share, Delta& out) {
-  const size_t begin = share.Begin(delta.size());
-  const size_t end = share.End(delta.size());
-  for (size_t i = begin; i < end; ++i) {
-    const DeltaEntry& entry = delta[i];
+void FilterNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
+  for (const DeltaEntry& entry : delta) {
     if (IsTrue(predicate_.Eval(entry.tuple))) out.push_back(entry);
   }
 }

@@ -14,12 +14,7 @@ class FilterNode : public ReteNode {
   FilterNode(Schema schema, BoundExpression predicate)
       : ReteNode(std::move(schema)), predicate_(std::move(predicate)) {}
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  /// Stateless per-entry: any contiguous chunking reproduces the serial
-  /// output exactly when chunks are concatenated in partition order.
-  MorselKind morsel_kind() const override { return MorselKind::kChunked; }
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   std::string DebugString() const override;
   const char* KindName() const override { return "Filter"; }

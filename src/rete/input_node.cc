@@ -43,16 +43,6 @@ Value UpdatedPropertyMap(const Value& map, const GraphChange& change,
   return Value::Map(std::move(entries));
 }
 
-/// True when `partition` (of `partitions`) owns entity `id` — the same
-/// shard-granular ownership the ShardedIdMap asserted-state uses, so an
-/// owning partition's map writes stay within its own shards.
-template <typename Id>
-bool OwnsEntity(Id id, uint32_t partition, uint32_t partitions) {
-  return partitions <= 1 ||
-         MorselPartitionOfHash(static_cast<size_t>(id), partitions) ==
-             partition;
-}
-
 }  // namespace
 
 // ---- VertexInputNode -------------------------------------------------------
@@ -106,11 +96,7 @@ Tuple VertexInputNode::BuildTuple(VertexId v) const {
   return Tuple(std::move(values));
 }
 
-void VertexInputNode::Translate(const GraphChange& change, uint32_t partition,
-                                uint32_t partitions, Delta& out) {
-  // Every kind handled below is keyed by change.vertex; kinds that fall
-  // through to `default` return regardless of ownership.
-  if (!OwnsEntity(change.vertex, partition, partitions)) return;
+void VertexInputNode::Translate(const GraphChange& change, Delta& out) {
   switch (change.kind) {
     case GraphChange::Kind::kAddVertex: {
       // The tuple is read from the post-batch graph. A later change in the
@@ -121,23 +107,21 @@ void VertexInputNode::Translate(const GraphChange& change, uint32_t partition,
       // update writes its post-batch value again.
       if (!graph_->HasVertex(change.vertex) || !Matches(change.vertex)) return;
       Tuple tuple = BuildTuple(change.vertex);
-      asserted_.shard(change.vertex).emplace(change.vertex, tuple);
+      asserted_.emplace(change.vertex, tuple);
       out.push_back({std::move(tuple), 1});
       return;
     }
     case GraphChange::Kind::kRemoveVertex: {
-      auto& shard = asserted_.shard(change.vertex);
-      auto it = shard.find(change.vertex);
-      if (it == shard.end()) return;
+      auto it = asserted_.find(change.vertex);
+      if (it == asserted_.end()) return;
       Tuple old = it->second;
-      shard.erase(it);
+      asserted_.erase(it);
       out.push_back({std::move(old), -1});
       return;
     }
     case GraphChange::Kind::kSetVertexProperty: {
-      auto& shard = asserted_.shard(change.vertex);
-      auto it = shard.find(change.vertex);
-      if (it == shard.end()) return;
+      auto it = asserted_.find(change.vertex);
+      if (it == asserted_.end()) return;
       const Tuple& old = it->second;
       // Rebuild only the columns the changed key touches, against the
       // *stored* tuple: correct even mid-batch.
@@ -163,18 +147,17 @@ void VertexInputNode::Translate(const GraphChange& change, uint32_t partition,
     case GraphChange::Kind::kRemoveVertexLabel: {
       VertexId v = change.vertex;
       bool matched_now = graph_->HasVertex(v) && Matches(v);
-      auto& shard = asserted_.shard(v);
-      auto it = shard.find(v);
-      if (it == shard.end()) {
+      auto it = asserted_.find(v);
+      if (it == asserted_.end()) {
         if (!matched_now) return;
         Tuple tuple = BuildTuple(v);
-        shard.emplace(v, tuple);
+        asserted_.emplace(v, tuple);
         out.push_back({std::move(tuple), 1});
         return;
       }
       if (!matched_now) {
         Tuple old = it->second;
-        shard.erase(it);
+        asserted_.erase(it);
         out.push_back({std::move(old), -1});
         return;
       }
@@ -201,7 +184,7 @@ void VertexInputNode::EmitInitialFromGraph(Delta& out) {
   auto consider = [this, &out](VertexId v) {
     if (!Matches(v)) return;
     Tuple tuple = BuildTuple(v);
-    asserted_.shard(v).emplace(v, tuple);
+    asserted_.emplace(v, tuple);
     out.push_back({std::move(tuple), 1});
   };
   // One entry per matching vertex: reserve the candidate count up front so
@@ -220,19 +203,19 @@ void VertexInputNode::EmitInitialFromGraph(Delta& out) {
 
 bool VertexInputNode::ReplayOutput(Delta& out) const {
   out.reserve(out.size() + asserted_.size());
-  asserted_.ForEach([&](VertexId v, const Tuple& tuple) {
+  for (const auto& [v, tuple] : asserted_) {
     (void)v;
     out.push_back({tuple, 1});
-  });
+  }
   return true;
 }
 
 size_t VertexInputNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
-  asserted_.ForEach([&](VertexId v, const Tuple& tuple) {
+  for (const auto& [v, tuple] : asserted_) {
     (void)v;
     bytes += sizeof(VertexId) + tuple.ApproxMemoryBytes();
-  });
+  }
   return bytes;
 }
 
@@ -342,7 +325,7 @@ Tuple EdgeInputNode::BuildTuple(VertexId a, VertexId b, EdgeId e) const {
 void EdgeInputNode::Store(EdgeId e, std::vector<Tuple> tuples, Delta& out) {
   if (tuples.empty()) return;
   for (const Tuple& tuple : tuples) out.push_back({tuple, 1});
-  asserted_.shard(e).emplace(e, std::move(tuples));
+  asserted_.emplace(e, std::move(tuples));
 }
 
 std::vector<Tuple> EdgeInputNode::TuplesFromGraph(EdgeId e) const {
@@ -360,9 +343,8 @@ std::vector<Tuple> EdgeInputNode::TuplesFromGraph(EdgeId e) const {
 
 void EdgeInputNode::Reconcile(EdgeId e, Delta& out) {
   std::vector<Tuple> fresh = TuplesFromGraph(e);
-  auto& shard = asserted_.shard(e);
-  auto it = shard.find(e);
-  if (it == shard.end()) {
+  auto it = asserted_.find(e);
+  if (it == asserted_.end()) {
     Store(e, std::move(fresh), out);
     return;
   }
@@ -379,21 +361,16 @@ void EdgeInputNode::Reconcile(EdgeId e, Delta& out) {
     }
   }
   if (fresh.empty()) {
-    shard.erase(it);
+    asserted_.erase(it);
   } else {
     stored = std::move(fresh);
   }
 }
 
-void EdgeInputNode::RefreshIncident(VertexId v, uint32_t partition,
-                                    uint32_t partitions, Delta& out) {
+void EdgeInputNode::RefreshIncident(VertexId v, Delta& out) {
   // Walks the incident lists in place; only edges of a matching type build
-  // tuples, so a hub vertex costs O(matching edges) beyond the scan. Edge
-  // ownership, not vertex ownership: every partition scans the lists but
-  // reconciles only its own edges, so an edge touched via both endpoints
-  // in one batch still has a single writer.
+  // tuples, so a hub vertex costs O(matching edges) beyond the scan.
   auto visit = [&](EdgeId e) {
-    if (!OwnsEntity(e, partition, partitions)) return;
     if (!TypeMatches(graph_->EdgeTypeId(e))) return;
     Reconcile(e, out);
   };
@@ -403,11 +380,9 @@ void EdgeInputNode::RefreshIncident(VertexId v, uint32_t partition,
   }
 }
 
-void EdgeInputNode::Translate(const GraphChange& change, uint32_t partition,
-                              uint32_t partitions, Delta& out) {
+void EdgeInputNode::Translate(const GraphChange& change, Delta& out) {
   switch (change.kind) {
     case GraphChange::Kind::kAddEdge:
-      if (!OwnsEntity(change.edge, partition, partitions)) return;
       if (!TypeMatches(change.symbol)) return;
       // A later change in the same batch may have removed this edge again
       // (possibly detach-removing an endpoint, whose properties the vertex
@@ -416,25 +391,22 @@ void EdgeInputNode::Translate(const GraphChange& change, uint32_t partition,
       if (!graph_->HasEdge(change.edge)) return;
       // An endpoint update earlier in this batch already reconciled the
       // edge against the live graph (edge ids are never reused).
-      if (asserted_.Find(change.edge) != nullptr) return;
+      if (asserted_.count(change.edge) != 0) return;
       Store(change.edge, TuplesFromGraph(change.edge), out);
       return;
     case GraphChange::Kind::kRemoveEdge: {
-      if (!OwnsEntity(change.edge, partition, partitions)) return;
-      auto& shard = asserted_.shard(change.edge);
-      auto it = shard.find(change.edge);
-      if (it == shard.end()) return;
+      auto it = asserted_.find(change.edge);
+      if (it == asserted_.end()) return;
       out.reserve(out.size() + it->second.size());
       for (const Tuple& tuple : it->second) out.push_back({tuple, -1});
-      shard.erase(it);
+      asserted_.erase(it);
       return;
     }
     case GraphChange::Kind::kSetEdgeProperty: {
-      if (!OwnsEntity(change.edge, partition, partitions)) return;
-      std::vector<Tuple>* stored_tuples = asserted_.Find(change.edge);
-      if (stored_tuples == nullptr) return;
+      auto it = asserted_.find(change.edge);
+      if (it == asserted_.end()) return;
       const SymbolTable& symbols = graph_->symbols();
-      for (Tuple& stored : *stored_tuples) {
+      for (Tuple& stored : it->second) {
         Tuple updated = stored;
         for (size_t i = 0; i < extracts_.size(); ++i) {
           const PropertyExtract& extract = extracts_[i];
@@ -458,13 +430,13 @@ void EdgeInputNode::Translate(const GraphChange& change, uint32_t partition,
     case GraphChange::Kind::kSetVertexProperty:
       if (!depends_on_vertices_) return;
       if (!graph_->HasVertex(change.vertex)) return;
-      RefreshIncident(change.vertex, partition, partitions, out);
+      RefreshIncident(change.vertex, out);
       return;
     case GraphChange::Kind::kAddVertexLabel:
     case GraphChange::Kind::kRemoveVertexLabel:
       if (!LabelMatters(change.symbol)) return;
       if (!graph_->HasVertex(change.vertex)) return;
-      RefreshIncident(change.vertex, partition, partitions, out);
+      RefreshIncident(change.vertex, out);
       return;
     default:
       return;
@@ -503,22 +475,22 @@ void EdgeInputNode::EmitInitialFromGraph(Delta& out) {
 }
 
 bool EdgeInputNode::ReplayOutput(Delta& out) const {
-  asserted_.ForEach([&](EdgeId e, const std::vector<Tuple>& tuples) {
+  for (const auto& [e, tuples] : asserted_) {
     (void)e;
     for (const Tuple& tuple : tuples) out.push_back({tuple, 1});
-  });
+  }
   return true;
 }
 
 size_t EdgeInputNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
-  asserted_.ForEach([&](EdgeId e, const std::vector<Tuple>& tuples) {
+  for (const auto& [e, tuples] : asserted_) {
     (void)e;
     bytes += sizeof(EdgeId);
     for (const Tuple& tuple : tuples) {
       bytes += tuple.ApproxMemoryBytes();
     }
-  });
+  }
   return bytes;
 }
 

@@ -2,12 +2,12 @@
 #define PGIVM_RETE_INPUT_NODE_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/operator.h"
 #include "graph/property_graph.h"
 #include "rete/node.h"
-#include "rete/sharded_map.h"
 
 namespace pgivm {
 
@@ -23,24 +23,7 @@ class GraphSourceNode : public ReteNode {
   /// The change's whole batch is already applied, so an added element's
   /// tuple is read from the graph (and skipped when a later change of the
   /// batch removed the element again).
-  ///
-  /// Partitioned sources handle `change` restricted to the entities
-  /// partition `partition` (of `partitions`) owns; 0 of 1 owns everything.
-  /// Entity ownership is MorselPartitionOfHash over the vertex/edge id, so
-  /// each entity is translated by exactly one partition and a partition's
-  /// writes to the node's sharded asserted-state stay within the shards it
-  /// owns. Within a partition, changes keep their batch order; equal
-  /// emitted tuples always carry the entity id, so they originate from one
-  /// entity — one partition — and the scheduler's consolidation is
-  /// order-insensitive across partitions. Sources that are not
-  /// translation_partitionable() are only called with 0 of 1.
-  virtual void Translate(const GraphChange& change, uint32_t partition,
-                         uint32_t partitions, Delta& out) = 0;
-
-  /// True when Translate factorizes over graph entities. Sources whose
-  /// translation has cross-entity state (path enumeration, the Unit
-  /// relation) stay serial.
-  virtual bool translation_partitionable() const { return false; }
+  virtual void Translate(const GraphChange& change, Delta& out) = 0;
 
   /// Asserts the tuples for the current graph content, appended to `out`.
   virtual void EmitInitialFromGraph(Delta& out) = 0;
@@ -52,18 +35,14 @@ class GraphSourceNode : public ReteNode {
 /// The node keeps the currently asserted tuple per vertex, so updates are
 /// translated into exact retract/assert pairs even inside multi-change
 /// batches: an added vertex's tuple is read from the post-batch graph, and
-/// a property update of a vertex is applied to its stored tuple. The
-/// asserted map is sharded by vertex id so parallel translation partitions
-/// write disjoint shards.
+/// a property update of a vertex is applied to its stored tuple.
 class VertexInputNode : public GraphSourceNode {
  public:
   VertexInputNode(Schema schema, const PropertyGraph* graph,
                   std::vector<std::string> required_labels,
                   std::vector<PropertyExtract> extracts);
 
-  void Translate(const GraphChange& change, uint32_t partition,
-                 uint32_t partitions, Delta& out) override;
-  bool translation_partitionable() const override { return true; }
+  void Translate(const GraphChange& change, Delta& out) override;
   void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays the asserted tuple of every live matching vertex.
@@ -89,7 +68,7 @@ class VertexInputNode : public GraphSourceNode {
   // label, and one per extract (meaningful for kProperty only).
   std::vector<SymbolRef> required_label_refs_;
   std::vector<SymbolRef> extract_key_refs_;
-  ShardedIdMap<VertexId, Tuple> asserted_;
+  std::unordered_map<VertexId, Tuple> asserted_;
 };
 
 /// ⇑(src:SrcLabels)-[e:Types]->(dst:DstLabels) — the get-edges base
@@ -98,10 +77,7 @@ class VertexInputNode : public GraphSourceNode {
 /// patterns, each of the two orientation tuples is tested and asserted on
 /// its own). Extracts may read the edge's own properties/type or the
 /// endpoint vertices' properties/labels — the node reacts to endpoint
-/// updates via the incident-edge lists. The asserted map is sharded by
-/// edge id; partitioned translation owns edges (vertex-side updates are
-/// scanned by every partition, each reconciling only the incident edges it
-/// owns).
+/// updates via the incident-edge lists.
 class EdgeInputNode : public GraphSourceNode {
  public:
   EdgeInputNode(Schema schema, const PropertyGraph* graph,
@@ -111,9 +87,7 @@ class EdgeInputNode : public GraphSourceNode {
                 std::vector<std::string> dst_labels,
                 std::vector<PropertyExtract> extracts);
 
-  void Translate(const GraphChange& change, uint32_t partition,
-                 uint32_t partitions, Delta& out) override;
-  bool translation_partitionable() const override { return true; }
+  void Translate(const GraphChange& change, Delta& out) override;
   void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays the asserted orientation tuples of every live matching edge.
@@ -138,13 +112,11 @@ class EdgeInputNode : public GraphSourceNode {
   std::vector<Tuple> TuplesFromGraph(EdgeId e) const;
   /// Stores and asserts `tuples` as edge `e`'s (nothing stored when empty).
   void Store(EdgeId e, std::vector<Tuple> tuples, Delta& out);
-  /// Reconciles every incident edge of `v` of a matching type that
-  /// `partition` owns after a vertex-side update: the tuples the live graph
-  /// now implies replace the stored ones, and the difference is emitted.
-  /// Edges that did not match before (an endpoint lacked a label) are
-  /// picked up as well.
-  void RefreshIncident(VertexId v, uint32_t partition, uint32_t partitions,
-                       Delta& out);
+  /// Reconciles every incident edge of `v` of a matching type after a
+  /// vertex-side update: the tuples the live graph now implies replace the
+  /// stored ones, and the difference is emitted. Edges that did not match
+  /// before (an endpoint lacked a label) are picked up as well.
+  void RefreshIncident(VertexId v, Delta& out);
   void Reconcile(EdgeId e, Delta& out);
   /// True when a label change of `label` can alter this node's output.
   bool LabelMatters(SymbolId label) const;
@@ -166,7 +138,7 @@ class EdgeInputNode : public GraphSourceNode {
   std::vector<SymbolRef> dst_label_refs_;
   std::vector<SymbolRef> extract_key_refs_;
   bool depends_on_vertices_ = false;
-  ShardedIdMap<EdgeId, std::vector<Tuple>> asserted_;
+  std::unordered_map<EdgeId, std::vector<Tuple>> asserted_;
 };
 
 /// The Unit relation: exactly one empty tuple, asserted at startup. Base of
@@ -175,8 +147,7 @@ class UnitInputNode : public GraphSourceNode {
  public:
   UnitInputNode() : GraphSourceNode(Schema{}) {}
 
-  void Translate(const GraphChange& /*change*/, uint32_t /*partition*/,
-                 uint32_t /*partitions*/, Delta& /*out*/) override {}
+  void Translate(const GraphChange& /*change*/, Delta& /*out*/) override {}
   void EmitInitialFromGraph(Delta& out) override {
     out.push_back({Tuple(), 1});
   }

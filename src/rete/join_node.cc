@@ -26,36 +26,32 @@ JoinNode::JoinNode(Schema schema, const Schema& left, const Schema& right)
 
 void JoinNode::Apply(Memory& memory, const Tuple& key, const Tuple& tuple,
                      int64_t multiplicity) {
-  Memory::Map& map = memory.shard(key);
-  Bag& bag = map[key];
+  Bag& bag = memory[key];
   bag.Apply(tuple, multiplicity);
-  if (bag.total_count() == 0) map.erase(key);
+  if (bag.total_count() == 0) memory.erase(key);
 }
 
 Tuple JoinNode::Combine(const Tuple& left, const Tuple& right) const {
   return left.ConcatProjected(right, layout_.right_rest);
 }
 
-void JoinNode::OnDelta(int port, const Delta& delta,
-                       const DeltaShare& share, Delta& out) {
-  for (size_t i = 0; i < delta.size(); ++i) {
-    if (!share.Owns(i)) continue;
-    const DeltaEntry& entry = delta[i];
+void JoinNode::OnDelta(int port, const Delta& delta, Delta& out) {
+  for (const DeltaEntry& entry : delta) {
     if (port == 0) {
       Tuple key = entry.tuple.Project(layout_.left_key);
       Apply(left_memory_, key, entry.tuple, entry.multiplicity);
-      const Bag* matches = right_memory_.Find(key);
-      if (matches == nullptr) continue;
-      for (const auto& [right_tuple, right_count] : matches->counts()) {
+      auto matches = right_memory_.find(key);
+      if (matches == right_memory_.end()) continue;
+      for (const auto& [right_tuple, right_count] : matches->second.counts()) {
         out.push_back({Combine(entry.tuple, right_tuple),
                        entry.multiplicity * right_count});
       }
     } else {
       Tuple key = entry.tuple.Project(layout_.right_key);
       Apply(right_memory_, key, entry.tuple, entry.multiplicity);
-      const Bag* matches = left_memory_.Find(key);
-      if (matches == nullptr) continue;
-      for (const auto& [left_tuple, left_count] : matches->counts()) {
+      auto matches = left_memory_.find(key);
+      if (matches == left_memory_.end()) continue;
+      for (const auto& [left_tuple, left_count] : matches->second.counts()) {
         out.push_back({Combine(left_tuple, entry.tuple),
                        entry.multiplicity * left_count});
       }
@@ -63,39 +59,28 @@ void JoinNode::OnDelta(int port, const Delta& delta,
   }
 }
 
-void JoinNode::MorselPartitionMap(int port, const Delta& delta,
-                                  uint32_t partitions, size_t begin,
-                                  size_t end, uint32_t* map) const {
-  const std::vector<int>& key =
-      port == 0 ? layout_.left_key : layout_.right_key;
-  for (size_t i = begin; i < end; ++i) {
-    map[i] = MorselPartitionOfHash(delta[i].tuple.HashProjected(key),
-                                   partitions);
-  }
-}
-
 bool JoinNode::ReplayOutput(Delta& out) const {
-  left_memory_.ForEach([&](const Tuple& key, const Bag& left_bag) {
-    const Bag* right_bag = right_memory_.Find(key);
-    if (right_bag == nullptr) return;
+  for (const auto& [key, left_bag] : left_memory_) {
+    auto right_bag = right_memory_.find(key);
+    if (right_bag == right_memory_.end()) continue;
     for (const auto& [left_tuple, left_count] : left_bag.counts()) {
-      for (const auto& [right_tuple, right_count] : right_bag->counts()) {
+      for (const auto& [right_tuple, right_count] :
+           right_bag->second.counts()) {
         out.push_back(
             {Combine(left_tuple, right_tuple), left_count * right_count});
       }
     }
-  });
+  }
   return true;
 }
 
 size_t JoinNode::ApproxMemoryBytes() const {
   size_t bytes = 0;
-  left_memory_.ForEach([&](const Tuple& key, const Bag& bag) {
-    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
-  });
-  right_memory_.ForEach([&](const Tuple& key, const Bag& bag) {
-    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
-  });
+  for (const Memory* memory : {&left_memory_, &right_memory_}) {
+    for (const auto& [key, bag] : *memory) {
+      bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
+    }
+  }
   return bytes;
 }
 

@@ -1,10 +1,10 @@
 #ifndef PGIVM_RETE_JOIN_NODE_H_
 #define PGIVM_RETE_JOIN_NODE_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "rete/node.h"
-#include "rete/sharded_map.h"
 
 namespace pgivm {
 
@@ -23,21 +23,11 @@ struct JoinLayout {
 /// key-indexed counted memory; Δ(L⋈R) = ΔL⋈R ∪ L'⋈ΔR is realized by
 /// updating the arriving side's memory first and probing the opposite
 /// memory, so each delta entry joins against the correct snapshot.
-///
-/// Both memories are sharded by key hash (kMorselShards), so a morsel
-/// partition — which owns a disjoint key set — updates its side and probes
-/// the opposite side entirely within shards no other partition touches.
 class JoinNode : public ReteNode {
  public:
   JoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
-  void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
-                          size_t begin, size_t end,
-                          uint32_t* map) const override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   /// Replays L ⋈ R by probing the two memories — one output entry per
   /// matching (left, right) pair, so replay work is proportional to the
@@ -50,8 +40,8 @@ class JoinNode : public ReteNode {
   const char* KindName() const override { return "Join"; }
 
  private:
-  /// key tuple -> (full tuple -> count), sharded by key hash.
-  using Memory = ShardedTupleMap<Bag>;
+  /// key tuple -> (full tuple -> count).
+  using Memory = std::unordered_map<Tuple, Bag, TupleHash>;
 
   static void Apply(Memory& memory, const Tuple& key, const Tuple& tuple,
                     int64_t multiplicity);

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "rete/sharded_map.h"
 #include "support/string_util.h"
 
 namespace pgivm {
@@ -31,19 +30,6 @@ std::unique_ptr<ThreadPool> MakePool(const NetworkOptions& options) {
   return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
 }
 
-/// Morsel partition count: the explicit cap, else the pool's parallelism,
-/// never more than the shard count (partition p owns shards s with
-/// s % partitions == p, so more partitions than shards would leave some
-/// idle). No pool ⇒ 1 ⇒ morsel execution disabled.
-uint32_t ResolveMorselPartitions(const NetworkOptions& options,
-                                 const ThreadPool* pool) {
-  if (pool == nullptr) return 1;
-  const uint32_t parts = options.morsel_partitions != 0
-                             ? options.morsel_partitions
-                             : static_cast<uint32_t>(pool->parallelism());
-  return std::min(parts, kMorselShards);
-}
-
 }  // namespace
 
 ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
@@ -51,10 +37,7 @@ ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
     : graph_(graph),
       executor_(options.executor),
       parallel_min_wave_entries_(options.parallel_min_wave_entries),
-      morsel_min_node_entries_(options.morsel_min_node_entries),
-      pool_(MakePool(options)),
-      morsel_partitions_resolved_(ResolveMorselPartitions(options,
-                                                          pool_.get())) {
+      pool_(MakePool(options)) {
   if (metrics != nullptr) {
     // Resolved once so the profiling paths never take the registry mutex.
     h_drain_ns_ = &metrics->GetHistogram("propagation.drain_ns");
@@ -64,8 +47,8 @@ ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
     h_barrier_ns_ = &metrics->GetHistogram("propagation.barrier_ns");
     h_drain_entries_ = &metrics->GetHistogram("propagation.drain_entries");
     // Percent of a wave's queued entries held by its single hottest node —
-    // the skew signal that motivates morsel splitting (100 = one node owns
-    // the whole wave).
+    // the skew that node-level parallelism cannot spread (100 = one node
+    // owns the whole wave).
     h_wave_imbalance_ =
         &metrics->GetHistogram("propagation.wave_imbalance");
   }
@@ -130,81 +113,17 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   // The sources' staging slots buffer their relational deltas while the
   // *entire* graph delta is translated, and DrainWaves then moves them
   // through the network level by level, one consolidated delta per
-  // (node, port).
-  const uint32_t parts = morsel_partitions_resolved_;
-  // Large batches translate data-parallel: one task per (partitionable
-  // source, partition), each handling only the graph entities its
-  // partition owns — disjoint shards of the source's asserted state, so
-  // no synchronization — buffering into its own Delta. The merge below
-  // appends the buffers in task order (source-major, partition-minor:
-  // deterministic), and the level-0 consolidation canonicalizes entry
-  // order before any consumer sees the delta, so results are bit-identical
-  // to the serial loop. Gated by the same threshold as morsel delivery
-  // (0 forces; a handful of changes does not amortize a pool dispatch).
-  const bool parallel_translate =
-      pool_ != nullptr && parts >= 2 &&
-      (morsel_min_node_entries_ == 0 ||
-       delta.changes.size() >= morsel_min_node_entries_);
-  // Serial translation appends straight into each source's staging slot,
-  // change-major like the batch order, and queues the source once its
-  // slot is non-empty.
-  translate_tasks_.clear();
-  serial_sources_.clear();
+  // (node, port). Translation appends straight into each source's staging
+  // slot, change-major like the batch order, and queues the source once
+  // its slot is non-empty.
+  source_slots_.clear();
   for (GraphSourceNode* source : sources_) {
-    if (parallel_translate && source->translation_partitionable()) {
-      for (uint32_t p = 0; p < parts; ++p) {
-        translate_tasks_.push_back({source, p});
-      }
-    } else {
-      serial_sources_.push_back({source, &states_.at(source)});
-    }
+    source_slots_.push_back({source, &states_.at(source)});
   }
-  auto translate_serial = [this](const GraphChange& change,
-                                 const SerialSource& serial) {
-    serial.source->Translate(change, /*partition=*/0, /*partitions=*/1,
-                             serial.state->out);
-    if (!serial.state->out.empty()) EnqueueReady(serial.source, *serial.state);
-  };
-  if (!parallel_translate) {
-    for (const GraphChange& change : delta.changes) {
-      for (const SerialSource& serial : serial_sources_) {
-        translate_serial(change, serial);
-      }
-    }
-  } else {
-    translate_out_.resize(translate_tasks_.size());
-    for (Delta& out : translate_out_) out.clear();
-    pool_->Run(translate_tasks_.size(), [this, &delta, parts](size_t i) {
-      const TranslateTask& task = translate_tasks_[i];
-      Delta& out = translate_out_[i];
-      for (const GraphChange& change : delta.changes) {
-        task.source->Translate(change, task.partition, parts, out);
-      }
-    });
-    for (size_t i = 0; i < translate_tasks_.size(); ++i) {
-      Delta& out = translate_out_[i];
-      if (out.empty()) continue;
-      ReteNode* node = translate_tasks_[i].source;
-      NodeState& state = states_.at(node);
-      if (state.out.empty()) {
-        // Swap, not move: the staging slot's previous buffer comes back
-        // as this task's scratch, so steady-state batches recycle both.
-        std::swap(state.out, out);
-      } else {
-        state.out.insert(state.out.end(), std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-        out.clear();
-      }
-      EnqueueReady(node, state);
-    }
-    // Sources with cross-entity translation state (Unit, path enumeration)
-    // run the serial path on this thread, after the pool run — never
-    // inside it (Run's caller participates as a worker, and enqueueing a
-    // ready node is not thread-safe).
-    for (const SerialSource& serial : serial_sources_) {
-      for (const GraphChange& change : delta.changes) {
-        translate_serial(change, serial);
-      }
+  for (const GraphChange& change : delta.changes) {
+    for (const SourceSlot& slot : source_slots_) {
+      slot.source->Translate(change, slot.state->out);
+      if (!slot.state->out.empty()) EnqueueReady(slot.source, *slot.state);
     }
   }
   if (prof) {
@@ -286,7 +205,7 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
     if (!pending.clean) Consolidate(pending.delta);
     if (prof) in_entries += static_cast<int64_t>(pending.delta.size());
     if (!pending.delta.empty()) {
-      node->OnDelta(port, pending.delta, {}, state.out);
+      node->OnDelta(port, pending.delta, state.out);
     }
     // Empty in place (not pending.clear()): the slots and their Delta
     // buffers survive, so steady-state waves do not re-allocate.
@@ -339,96 +258,6 @@ void ReteNetwork::FlushNode(ReteNode* node, NodeState& state) {
   state.out.clear();
 }
 
-void ReteNetwork::DeliverMorselPartition(WaveItem& item, uint32_t partition) {
-  NodeState& state = *item.state;
-  const bool prof = profiling_;
-  const int64_t start_ns = prof ? MonotonicNowNs() : 0;
-  const uint32_t parts = morsel_partitions_resolved_;
-  Delta& out = state.morsel_out[partition];
-  out.clear();
-  for (auto& [port, pending] : state.pending) {
-    if (pending.delta.empty()) continue;
-    // Keyed nodes consult the precomputed partition map (chunked nodes get
-    // nullptr and slice the range themselves). Writes stay inside the
-    // shards this partition owns plus its private staging slot, so the
-    // pool tasks of one node never touch shared state.
-    const DeltaShare share{
-        pending.morsel_map.empty() ? nullptr : pending.morsel_map.data(),
-        partition, parts};
-    item.node->OnDelta(port, pending.delta, share, out);
-  }
-  if (prof) {
-    state.morsel_prof_start_ns[partition] = start_ns;
-    state.morsel_prof_dur_ns[partition] = MonotonicNowNs() - start_ns;
-  }
-}
-
-void ReteNetwork::MergeMorsel(WaveItem& item) {
-  NodeState& state = *item.state;
-  const uint32_t parts = morsel_partitions_resolved_;
-  int64_t in_entries = 0;
-  for (auto& [port, pending] : state.pending) {
-    (void)port;
-    in_entries += static_cast<int64_t>(pending.delta.size());
-    // Empty in place, like DeliverPending: slots and buffers survive.
-    pending.delta.clear();
-    pending.clean = false;
-  }
-  // Concatenate the per-partition slots in partition order. Chunked nodes
-  // processed contiguous input ranges, so this reconstructs the serial
-  // emission order exactly; keyed nodes interleave differently, and the
-  // consolidation below canonicalizes the order (equal tuples always share
-  // a partition — equal key projections hash equally) — downstream
-  // deliveries are bit-identical to a serial run either way.
-  for (uint32_t p = 0; p < parts; ++p) {
-    Delta& slot = state.morsel_out[p];
-    if (slot.empty()) continue;
-    if (state.out.empty()) {
-      // Swap, not move: the slot inherits out's previous-wave buffer.
-      std::swap(state.out, slot);
-    } else {
-      state.out.insert(state.out.end(), std::make_move_iterator(slot.begin()),
-                       std::make_move_iterator(slot.end()));
-      slot.clear();
-    }
-  }
-  Consolidate(state.out);
-  if (profiling_) {
-    // Busy time is the *sum* of the partition slices (the node's own CPU
-    // work, comparable to a serial delivery); the trace keeps one slice
-    // per partition so skew inside the node stays visible.
-    int64_t busy_ns = 0;
-    int64_t first_start = 0;
-    for (uint32_t p = 0; p < parts; ++p) {
-      busy_ns += state.morsel_prof_dur_ns[p];
-      const int64_t start = state.morsel_prof_start_ns[p];
-      if (start != 0 && (first_start == 0 || start < first_start)) {
-        first_start = start;
-      }
-    }
-    state.prof_start_ns = first_start;
-    state.prof_dur_ns = busy_ns;
-    state.prof_in_entries = in_entries;
-    item.node->profile().RecordDelivery(
-        in_entries, static_cast<int64_t>(state.out.size()), busy_ns);
-    if (trace_ != nullptr) {
-      for (uint32_t p = 0; p < parts; ++p) {
-        if (state.morsel_prof_start_ns[p] == 0) continue;
-        TraceEvent event;
-        event.name = item.node->KindName();
-        event.category = "morsel";
-        event.start_ns = state.morsel_prof_start_ns[p];
-        event.dur_ns = state.morsel_prof_dur_ns[p];
-        event.tid = 2;
-        event.args = StrCat("\"partition\":", p, ",\"of\":", parts,
-                            ",\"in\":", in_entries,
-                            ",\"level\":", state.level);
-        trace_->Append(std::move(event));
-      }
-    }
-  }
-}
-
 void ReteNetwork::DrainWaves() {
   draining_ = true;
   const bool parallel = pool_ != nullptr;
@@ -436,8 +265,6 @@ void ReteNetwork::DrainWaves() {
   const int64_t drain_start_ns = prof ? MonotonicNowNs() : 0;
   int64_t drain_waves = 0;
   int64_t drain_entries = 0;
-  const uint32_t parts = morsel_partitions_resolved_;
-  const bool morsel_enabled = parallel && parts >= 2;
   for (size_t level = 0; level < ready_by_level_.size(); ++level) {
     std::vector<ReteNode*>& ready = ready_by_level_[level];
     // Appends only target strictly higher levels, so iterating by index
@@ -450,23 +277,21 @@ void ReteNetwork::DrainWaves() {
     // profiling — they double as the wave's trace annotation) needs them.
     const bool gate_needs_entries =
         parallel && ready.size() > 1 && parallel_min_wave_entries_ > 0;
-    const bool need_entries = prof || morsel_enabled || gate_needs_entries;
+    const bool need_entries = prof || gate_needs_entries;
     wave_items_.clear();
     wave_items_.reserve(ready.size());
-    morsel_tasks_.clear();
     size_t queued_entries = 0;
     size_t max_node_entries = 0;
     for (ReteNode* node : ready) {
-      WaveItem item;
-      item.node = node;
-      item.state = &states_.at(node);
+      WaveItem item{node, &states_.at(node)};
       if (need_entries) {
+        size_t entries = 0;
         for (const auto& [port, pending] : item.state->pending) {
           (void)port;
-          item.entries += pending.delta.size();
+          entries += pending.delta.size();
         }
-        queued_entries += item.entries;
-        max_node_entries = std::max(max_node_entries, item.entries);
+        queued_entries += entries;
+        max_node_entries = std::max(max_node_entries, entries);
       }
       wave_items_.push_back(item);
     }
@@ -477,127 +302,33 @@ void ReteNetwork::DrainWaves() {
         parallel && ready.size() > 1 &&
         (parallel_min_wave_entries_ == 0 ||
          queued_entries >= parallel_min_wave_entries_);
-    // Morsel selection: a node holding a large queued delta has its
-    // delivery split into key-partitioned morsels — even when it is the
-    // wave's *only* node, which is exactly the case node-level wave
-    // parallelism cannot touch (one hot join/aggregate serializes the
-    // whole wave, Zipf-keyed workloads being the canonical offender).
-    bool any_morsel = false;
-    if (morsel_enabled) {
-      for (WaveItem& item : wave_items_) {
-        if (item.entries == 0) continue;
-        if (morsel_min_node_entries_ > 0 &&
-            item.entries < morsel_min_node_entries_) {
-          continue;
-        }
-        item.kind = item.node->morsel_kind();
-        if (item.kind == MorselKind::kNone) continue;
-        item.morsel = true;
-        any_morsel = true;
-      }
-    }
     const int64_t wave_start_ns = prof ? MonotonicNowNs() : 0;
-    if (any_morsel) {
-      // Morsel prep: consolidate each split node's queued deltas *first*
-      // (serially — the partition map must describe exactly what will be
-      // delivered), then compute the keyed nodes' partition maps
-      // chunk-parallel (MorselPartitionMap is a pure function of the now-
-      // frozen pending content).
-      map_chunks_.clear();
-      for (WaveItem& item : wave_items_) {
-        if (!item.morsel) continue;
-        NodeState& state = *item.state;
-        if (state.morsel_out.size() < parts) state.morsel_out.resize(parts);
-        if (prof) {
-          state.morsel_prof_start_ns.assign(parts, 0);
-          state.morsel_prof_dur_ns.assign(parts, 0);
-        }
-        for (auto& [port, pending] : state.pending) {
-          if (!pending.clean) {
-            Consolidate(pending.delta);
-            pending.clean = true;
-          }
-          if (item.kind == MorselKind::kKeyed && !pending.delta.empty()) {
-            const size_t n = pending.delta.size();
-            pending.morsel_map.resize(n);
-            const size_t chunk = std::max<size_t>(
-                256, n / (static_cast<size_t>(pool_->parallelism()) * 4));
-            for (size_t begin = 0; begin < n; begin += chunk) {
-              map_chunks_.push_back({item.node, &pending.delta,
-                                     pending.morsel_map.data(), port, begin,
-                                     std::min(begin + chunk, n)});
-            }
-          }
-        }
-        for (uint32_t p = 0; p < parts; ++p) {
-          morsel_tasks_.push_back({&item, p});
-        }
-      }
-      if (map_chunks_.size() > 1) {
-        pool_->Run(map_chunks_.size(), [this, parts](size_t i) {
-          const MapChunk& chunk = map_chunks_[i];
-          chunk.node->MorselPartitionMap(chunk.port, *chunk.delta, parts,
-                                         chunk.begin, chunk.end, chunk.map);
-        });
-      } else if (!map_chunks_.empty()) {
-        const MapChunk& chunk = map_chunks_[0];
-        chunk.node->MorselPartitionMap(chunk.port, *chunk.delta, parts,
-                                       chunk.begin, chunk.end, chunk.map);
-      }
-      morsel_waves_dispatched_.fetch_add(1, std::memory_order_relaxed);
-    }
     if (wave_parallel) {
-      // Phase 1 — the wave's remaining nodes run node-parallel alongside
-      // the morsel partitions. Each node is claimed by exactly one worker,
-      // so node memories and the per-node staging slot (state.out) are
-      // single-writer; a node's OnDelta appends only to its own slot.
-      // Morsel partitions write only their private staging slot and the
-      // memory shards their partition owns, so the combined task list
-      // stays data-race-free.
-      for (WaveItem& item : wave_items_) {
-        if (!item.morsel) morsel_tasks_.push_back({&item, kDeliverWhole});
-      }
-    }
-    if (morsel_tasks_.size() > 1) {
+      // Phase 1 — one pool task per node. Each node is claimed by exactly
+      // one worker, so node memories and the per-node staging slot
+      // (state.out) are single-writer; a node's OnDelta appends only to
+      // its own slot.
       parallel_waves_dispatched_.fetch_add(1, std::memory_order_relaxed);
-      pool_->Run(morsel_tasks_.size(), [this](size_t i) {
-        MorselTask& task = morsel_tasks_[i];
-        if (task.partition == kDeliverWhole) {
-          DeliverPending(task.item->node, *task.item->state);
-        } else {
-          DeliverMorselPartition(*task.item, task.partition);
-        }
+      pool_->Run(wave_items_.size(), [this](size_t i) {
+        DeliverPending(wave_items_[i].node, *wave_items_[i].state);
       });
-    } else if (!morsel_tasks_.empty()) {
-      MorselTask& task = morsel_tasks_[0];
-      if (task.partition == kDeliverWhole) {
-        DeliverPending(task.item->node, *task.item->state);
-      } else {
-        DeliverMorselPartition(*task.item, task.partition);
-      }
     }
     // Phase 2 — the barrier merge: flush every node's staged output
     // downstream in ready order, exactly the sequence the serial drain
     // produces, so pending queues (and with them every delivered delta)
-    // are bit-identical regardless of thread or partition count. Morsel
-    // nodes merge their partition slots here, in partition order; serial
-    // waves run each node's delivery here, in its ready position.
+    // are bit-identical regardless of thread count. Serial waves run each
+    // node's delivery here, in its ready position.
     const int64_t barrier_start_ns = prof ? MonotonicNowNs() : 0;
     const size_t wave_nodes = ready.size();
     for (WaveItem& item : wave_items_) {
       ReteNode* node = item.node;
       NodeState& state = *item.state;
-      if (item.morsel) {
-        MergeMorsel(item);
-      } else if (!wave_parallel) {
-        DeliverPending(node, state);
-      }
-      if (prof && trace_ != nullptr && !item.morsel &&
+      if (!wave_parallel) DeliverPending(node, state);
+      if (prof && trace_ != nullptr &&
           (state.prof_in_entries > 0 || !state.out.empty())) {
-        // One slice per node that did work this wave (morsel nodes append
-        // one slice per partition in MergeMorsel instead). Under a
-        // parallel wave the slices of one level overlap in time (they ran
-        // on different workers); they are appended here, at the serial
+        // One slice per node that did work this wave. Under a parallel
+        // wave the slices of one level overlap in time (they ran on
+        // different workers); they are appended here, at the serial
         // barrier, so the buffer itself stays single-writer.
         TraceEvent event;
         event.name = node->KindName();
@@ -629,8 +360,8 @@ void ReteNetwork::DrainWaves() {
       }
       if (h_wave_imbalance_ != nullptr && queued_entries > 0) {
         // Share (percent) of the wave's queued entries held by its single
-        // hottest node — 100 means one node held the whole wave (the
-        // skew morsel splitting exists for).
+        // hottest node — 100 means one node held the whole wave, which a
+        // parallel wave cannot spread.
         h_wave_imbalance_->Record(
             static_cast<int64_t>(100 * max_node_entries / queued_entries));
       }
@@ -641,8 +372,7 @@ void ReteNetwork::DrainWaves() {
         event.dur_ns = wave_end_ns - wave_start_ns;
         event.args = StrCat("\"level\":", level, ",\"nodes\":", wave_nodes,
                             ",\"queued\":", queued_entries,
-                            ",\"parallel\":", wave_parallel ? 1 : 0,
-                            ",\"morsel\":", any_morsel ? 1 : 0);
+                            ",\"parallel\":", wave_parallel ? 1 : 0);
         trace_->Append(std::move(event));
       }
     }
@@ -736,7 +466,7 @@ const Delta& ReteNetwork::CurrentOutputOf(
       for (const auto& [upstream, port] : ports) {
         const Delta& content =
             CurrentOutputOf(upstream, scope, inputs, inputs_built, memo);
-        node->OnDelta(port, content, {}, out);
+        node->OnDelta(port, content, out);
       }
     }
   }

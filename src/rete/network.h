@@ -60,24 +60,6 @@ struct NetworkOptions {
   /// value. Ignored under kSerial.
   size_t parallel_min_wave_entries = 8;
 
-  /// Work-size gate for morsel-style intra-node parallelism: a single node
-  /// holding at least this many queued delta entries has its delivery
-  /// split into key-partitioned morsels processed concurrently (and a
-  /// graph delta with at least this many changes has its source
-  /// translation partitioned the same way). 0 forces the morsel path for
-  /// every eligible node — the test/CI setting; raising it keeps skew-free
-  /// steady states on the cheaper whole-node path. Purely a performance
-  /// knob: results are bit-identical for any value. Requires
-  /// ExecutorKind::kParallel (no pool = no morsels); see also
-  /// ApplyEnvMorselOverride / PGIVM_MORSEL.
-  size_t morsel_min_node_entries = 1024;
-
-  /// Caps how many partitions a morsel dispatch splits a node into. 0 =
-  /// auto (the worker pool's parallelism, itself capped at kMorselShards);
-  /// 1 disables morsel execution and parallel source translation entirely
-  /// (the ablation baseline). Bit-identical results for any value.
-  uint32_t morsel_partitions = 0;
-
   /// Per-node/per-drain propagation profiling (see
   /// ReteNetwork::set_profiling): node profiles, drain/wave/serving
   /// histograms and Chrome-trace events. Off (the default) keeps every hot
@@ -111,12 +93,14 @@ struct NetworkOptions {
 ///
 /// Thread-safety: the public API must be driven from one thread (the one
 /// that owns the graph and applies deltas). Parallelism happens only
-/// *inside* a drain: under ExecutorKind::kParallel each wave's
-/// nodes are claimed by pool workers with single-writer memories and
-/// staging slots, merged at a barrier in ready order — results are
-/// bit-identical to serial execution for every thread count. Listener
-/// callbacks always run on the draining thread (deferred to the wave
-/// barrier under a parallel pool), never concurrently.
+/// *inside* a drain, and only this scheduler knows of it: under
+/// ExecutorKind::kParallel each wave's nodes are claimed by pool workers,
+/// one task per node, with single-writer memories and staging slots,
+/// merged at a barrier in ready order — results are bit-identical to
+/// serial execution for every thread count. Source translation always
+/// runs on the calling thread. Listener callbacks always run on the
+/// draining thread (deferred to the wave barrier under a parallel pool),
+/// never concurrently.
 class ReteNetwork : public GraphListener {
  public:
   /// Subscribes to `graph`, which must outlive the network. `metrics` is
@@ -170,24 +154,6 @@ class ReteNetwork : public GraphListener {
   /// readable from any thread mid-ingest.
   int64_t parallel_waves_dispatched() const {
     return parallel_waves_dispatched_.load(std::memory_order_relaxed);
-  }
-
-  /// Minimum entries a single node must have queued before its delivery is
-  /// split into key-partitioned morsels (see
-  /// NetworkOptions::morsel_min_node_entries).
-  size_t morsel_min_node_entries() const { return morsel_min_node_entries_; }
-
-  /// The partition count morsel dispatches use (1 = morsel execution
-  /// disabled: serial executor, or capped away by
-  /// NetworkOptions::morsel_partitions).
-  uint32_t morsel_partitions_resolved() const {
-    return morsel_partitions_resolved_;
-  }
-
-  /// Lifetime count of waves in which at least one node's delivery ran
-  /// partitioned morsel-style. Relaxed atomic: readable mid-ingest.
-  int64_t morsel_waves_dispatched() const {
-    return morsel_waves_dispatched_.load(std::memory_order_relaxed);
   }
 
   /// Turns per-node/per-drain propagation profiling on or off (see
@@ -352,10 +318,6 @@ class ReteNetwork : public GraphListener {
   struct PendingDelta {
     Delta delta;
     bool clean = false;
-    /// Morsel scratch: the owning partition of each entry of `delta`,
-    /// computed (chunk-parallel) right before a partitioned dispatch.
-    /// Valid only within that wave; capacity is recycled across waves.
-    std::vector<uint32_t> morsel_map;
   };
 
   /// Per-node scheduler state: topological level, the deltas queued on each
@@ -373,22 +335,12 @@ class ReteNetwork : public GraphListener {
     bool queued = false;
     std::vector<std::pair<int, PendingDelta>> pending;
     Delta out;
-    /// Per-partition staging slots for morsel delivery: partition p of a
-    /// partitioned dispatch appends only to morsel_out[p] (single writer
-    /// per slot), and the barrier concatenates the slots into `out` in
-    /// partition order before consolidating. Sized lazily on the node's
-    /// first morsel wave; buffers are recycled across waves.
-    std::vector<Delta> morsel_out;
     /// Profiling scratch, written by whichever thread ran DeliverPending
     /// for the node this wave (single writer; the pool join is the
     /// barrier) and turned into trace events at the serial merge phase.
     int64_t prof_start_ns = 0;
     int64_t prof_dur_ns = 0;
     int64_t prof_in_entries = 0;
-    /// Per-partition profiling scratch of a morsel wave (one writer per
-    /// slot), folded into the node profile / trace at the barrier.
-    std::vector<int64_t> morsel_prof_start_ns;
-    std::vector<int64_t> morsel_prof_dur_ns;
   };
 
   /// The pending slot for `port` of `state`, inserted in port order.
@@ -418,44 +370,7 @@ class ReteNetwork : public GraphListener {
   struct WaveItem {
     ReteNode* node = nullptr;
     NodeState* state = nullptr;
-    size_t entries = 0;   // total entries queued on the node's input ports
-    bool morsel = false;  // this wave partitions the node's delivery
-    MorselKind kind = MorselKind::kNone;
   };
-
-  /// One unit of phase-1 parallel work: a whole node (partition ==
-  /// kDeliverWhole — the classic node-parallel wave) or one partition of a
-  /// morsel-split node.
-  struct MorselTask {
-    WaveItem* item = nullptr;
-    uint32_t partition = 0;
-  };
-  static constexpr uint32_t kDeliverWhole = UINT32_MAX;
-
-  /// One contiguous range of one pending delta whose partition map one
-  /// worker computes (MorselPartitionMap is pure, so ranges of the same
-  /// delta proceed concurrently).
-  struct MapChunk {
-    const ReteNode* node = nullptr;
-    const Delta* delta = nullptr;
-    uint32_t* map = nullptr;
-    int port = 0;
-    size_t begin = 0;
-    size_t end = 0;
-  };
-
-  /// Delivers one partition of `item`'s queued deltas into its
-  /// state->morsel_out[partition] slot. Keyed nodes consult the pending
-  /// morsel_map (disjoint key ownership ⇒ disjoint memory shards);
-  /// chunked nodes process their contiguous range.
-  void DeliverMorselPartition(WaveItem& item, uint32_t partition);
-
-  /// Barrier-side merge of a morsel-split node: concatenates the
-  /// per-partition slots into state->out in partition order, consolidates
-  /// (canonical order ⇒ bit-identical to a serial delivery), clears the
-  /// pending queues and folds the per-partition profiles into the node
-  /// profile. Runs on the draining thread.
-  void MergeMorsel(WaveItem& item);
 
   /// Drains all queued work level by level until the network is quiescent.
   /// Under kParallel each level's nodes are processed concurrently
@@ -507,17 +422,13 @@ class ReteNetwork : public GraphListener {
   std::atomic<int64_t> epochs_copied_{0};
   std::atomic<int64_t> epochs_sorted_{0};
   std::atomic<int64_t> parallel_waves_dispatched_{0};
-  std::atomic<int64_t> morsel_waves_dispatched_{0};
 
   /// Configuration, fixed at construction (see NetworkOptions).
   const ExecutorKind executor_;
   const size_t parallel_min_wave_entries_;
-  const size_t morsel_min_node_entries_;
   /// The pool parallel waves run on; workers persist for the network's
   /// lifetime. Null whenever the resolved executor is serial.
   const std::unique_ptr<ThreadPool> pool_;
-  /// NetworkOptions::morsel_partitions resolved against the pool.
-  const uint32_t morsel_partitions_resolved_;
 
   /// See set_profiling. Read on the hot paths as a plain bool: flipped
   /// only on the writer thread between drains.
@@ -533,28 +444,15 @@ class ReteNetwork : public GraphListener {
   LatencyHistogram* h_wave_imbalance_ = nullptr;
   /// Created on the first set_profiling(true); see trace().
   std::unique_ptr<TraceBuffer> trace_;
-  /// Scratch for the wave loop (members so steady-state waves don't
-  /// allocate): the level being drained, the phase-1 task list, and the
-  /// partition-map chunks of the wave's morsel nodes.
+  /// Scratch for the wave loop (a member so steady-state waves don't
+  /// allocate): the level being drained.
   std::vector<WaveItem> wave_items_;
-  std::vector<MorselTask> morsel_tasks_;
-  std::vector<MapChunk> map_chunks_;
-  /// One (partitionable source, partition) unit of parallel graph-delta
-  /// translation, with its per-task output buffer (merged source-major,
-  /// partition-minor — deterministic, then canonicalized by the level-0
-  /// consolidation).
-  struct TranslateTask {
-    GraphSourceNode* source = nullptr;
-    uint32_t partition = 0;
-  };
-  std::vector<TranslateTask> translate_tasks_;
-  std::vector<Delta> translate_out_;
-  /// A source translated on the calling thread, into its staging slot.
-  struct SerialSource {
+  /// Each source with its staging slot, looked up once per graph delta.
+  struct SourceSlot {
     GraphSourceNode* source = nullptr;
     NodeState* state = nullptr;
   };
-  std::vector<SerialSource> serial_sources_;
+  std::vector<SourceSlot> source_slots_;
   /// True while DrainWaves runs: the node set must not change mid-drain.
   bool draining_ = false;
   std::unordered_map<const ReteNode*, NodeState> states_;

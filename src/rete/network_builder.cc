@@ -355,11 +355,12 @@ Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
 namespace {
 
 /// Strict integer parse shared by the environment overrides: the value
-/// must be entirely an integer and fit in int, or it is rejected with a
-/// stderr warning naming the variable. A malformed value must not silently
-/// resolve to some other setting ("8abc" is not 8; 99999999999 is not
-/// whatever it truncates to in int).
-bool ParseStrictEnvInt(const char* name, const char* env, int* out) {
+/// must be entirely an integer and fit in [INT_MIN, max], or it is rejected
+/// with a stderr warning naming the variable. A malformed value must not
+/// silently resolve to some other setting ("8abc" is not 8; 99999999999 is
+/// not whatever it truncates to in int).
+bool ParseStrictEnvInt(const char* name, const char* env, int max,
+                       int* out) {
   int64_t value = 0;
   ParseIntResult result = ParseInt64(env, &value);
   if (result == ParseIntResult::kMalformed) {
@@ -367,8 +368,7 @@ bool ParseStrictEnvInt(const char* name, const char* env, int* out) {
                  name, env);
     return false;
   }
-  if (result == ParseIntResult::kOutOfRange ||
-      value > std::numeric_limits<int>::max() ||
+  if (result == ParseIntResult::kOutOfRange || value > max ||
       value < std::numeric_limits<int>::min()) {
     std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (out of range)\n", name,
                  env);
@@ -384,7 +384,10 @@ NetworkOptions ApplyEnvExecutorOverride(NetworkOptions options) {
   const char* env = std::getenv("PGIVM_THREADS");
   if (env == nullptr || *env == '\0') return options;
   int threads = 0;
-  if (!ParseStrictEnvInt("PGIVM_THREADS", env, &threads)) return options;
+  if (!ParseStrictEnvInt("PGIVM_THREADS", env, ThreadPool::kMaxThreads,
+                         &threads)) {
+    return options;
+  }
   if (threads > 1) {
     options.executor = ExecutorKind::kParallel;
     options.num_threads = threads;
@@ -399,21 +402,11 @@ NetworkOptions ApplyEnvProfilingOverride(NetworkOptions options) {
   const char* env = std::getenv("PGIVM_PROFILE");
   if (env == nullptr || *env == '\0') return options;
   int value = 0;
-  if (!ParseStrictEnvInt("PGIVM_PROFILE", env, &value)) return options;
-  options.profiling = value != 0;
-  return options;
-}
-
-NetworkOptions ApplyEnvMorselOverride(NetworkOptions options) {
-  const char* env = std::getenv("PGIVM_MORSEL");
-  if (env == nullptr || *env == '\0') return options;
-  int value = 0;
-  if (!ParseStrictEnvInt("PGIVM_MORSEL", env, &value)) return options;
-  if (value >= 0) {
-    options.morsel_min_node_entries = static_cast<size_t>(value);
-  } else {
-    options.morsel_partitions = 1;  // negative = disable morsel execution
+  if (!ParseStrictEnvInt("PGIVM_PROFILE", env,
+                         std::numeric_limits<int>::max(), &value)) {
+    return options;
   }
+  options.profiling = value != 0;
   return options;
 }
 

@@ -16,9 +16,10 @@ class NodeRegistry;
 /// when the variable is set to an integer n, n > 1 forces
 /// ExecutorKind::kParallel with n threads and n <= 1 forces kSerial —
 /// regardless of what the options said. A value that is not entirely an
-/// integer ("8abc", "abc", "") or does not fit in int is *rejected* with a
-/// stderr warning and the options pass through unchanged — a typo must not
-/// silently pick some other thread count. This is the operator-level escape
+/// integer ("8abc", "abc", "") or exceeds ThreadPool::kMaxThreads is
+/// *rejected* with a stderr warning and the options pass through unchanged
+/// — a typo must not silently pick some other thread count, nor start
+/// enough threads to kill the process. This is the operator-level escape
 /// hatch (and how CI runs the whole suite under a parallel executor). It
 /// is applied exactly once per engine, at ViewCatalog::Create, so every
 /// view the engine ever registers resolves against the environment as it
@@ -33,17 +34,6 @@ NetworkOptions ApplyEnvExecutorOverride(NetworkOptions options);
 /// unchanged. Applied once per engine, at ViewCatalog::Create, alongside
 /// the executor override.
 NetworkOptions ApplyEnvProfilingOverride(NetworkOptions options);
-
-/// Returns `options` with the `PGIVM_MORSEL` environment override applied:
-/// an integer n >= 0 sets NetworkOptions::morsel_min_node_entries to n
-/// (0 = force the morsel path for every eligible node — how CI's TSAN job
-/// exercises partitioned delivery on ordinary workloads); a negative n
-/// sets morsel_partitions to 1, disabling morsel execution entirely.
-/// Validated exactly like PGIVM_THREADS — a value that is not entirely an
-/// integer or does not fit in int is rejected with a stderr warning and
-/// the options pass through unchanged. Applied once per engine, at
-/// ViewCatalog::Create, alongside the executor override.
-NetworkOptions ApplyEnvMorselOverride(NetworkOptions options);
 
 /// One view instantiated inside a (possibly multi-view) network: its
 /// production root plus every Rete node the view references — shared

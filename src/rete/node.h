@@ -14,25 +14,6 @@
 
 namespace pgivm {
 
-/// How a node's queued delta may be split across morsel partitions during
-/// a parallel wave (see ReteNetwork::DrainWaves and docs/ARCHITECTURE.md
-/// "Partitioned delivery").
-enum class MorselKind {
-  /// The node must receive its whole delta in one OnDelta call (unions,
-  /// productions — anything with cross-entry state that is not keyed).
-  kNone,
-  /// Stateless per-entry transform (filter/project/plain unnest): any
-  /// contiguous chunking of the delta is valid; partition p owns the p-th
-  /// equal chunk (DeltaShare::Begin/End), so concatenating partition
-  /// outputs in partition order reproduces the serial output order exactly.
-  kChunked,
-  /// Per-key state (join/semi/anti probe key, aggregate group key,
-  /// distinct tuple): entries must be routed by MorselPartitionMap so that
-  /// equal keys land in one partition (DeltaShare::Owns) and memory shards
-  /// are written by exactly one partition.
-  kKeyed,
-};
-
 /// Per-node propagation profile, populated only while the owning network's
 /// profiling flag is on (NetworkOptions::profiling). Every field is a
 /// relaxed atomic: written by whichever single thread processes the node
@@ -62,24 +43,6 @@ struct NodeProfile {
 
 };
 
-/// The share of a delta one OnDelta call processes. The default is the
-/// whole delta; a morsel-partitioned delivery (ReteNetwork::DrainWaves)
-/// hands each of `partitions` concurrent calls its own share.
-struct DeltaShare {
-  /// kKeyed nodes: the owning partition of each delta entry (the
-  /// MorselPartitionMap result); null = every entry belongs to the share.
-  const uint32_t* map = nullptr;
-  uint32_t partition = 0;
-  uint32_t partitions = 1;
-
-  /// kKeyed nodes: whether entry `i` belongs to this share.
-  bool Owns(size_t i) const { return map == nullptr || map[i] == partition; }
-  /// kChunked nodes: this share is the `partition`-th of `partitions` equal
-  /// contiguous chunks of a delta of `n` entries, [Begin(n), End(n)).
-  size_t Begin(size_t n) const { return n * partition / partitions; }
-  size_t End(size_t n) const { return n * (partition + 1) / partitions; }
-};
-
 /// Base class of all Rete dataflow nodes.
 ///
 /// A node receives bag deltas on numbered input ports (0 for unary nodes,
@@ -93,10 +56,9 @@ struct DeltaShare {
 /// scheduler, so no glitch handling is needed.
 ///
 /// Thread-safety: a node's memories are single-writer by construction —
-/// OnDelta runs either on the network's draining thread, on exactly one
-/// pool worker that has claimed the node during a parallel wave, or — for a
-/// morsel-partitioned delivery — on one worker per partition, each writing
-/// only the memory shards its partition owns; nothing locks. Read
+/// OnDelta runs either on the network's draining thread or on exactly one
+/// pool worker that has claimed the node during a parallel wave; nothing
+/// locks. Nodes know nothing of the scheduler's parallelism. Read
 /// accessors (ApproxMemoryBytes, emitted_entries, ReplayOutput) are safe
 /// from the driving thread between drains.
 ///
@@ -112,15 +74,13 @@ class ReteNode {
   ReteNode(const ReteNode&) = delete;
   ReteNode& operator=(const ReteNode&) = delete;
 
-  /// Handles the `share` of an incoming delta on `port` and appends the
-  /// derived delta to `out`, which the caller owns: entries already in
-  /// `out` stay as they are. The delta's tuples conform to the upstream
-  /// node's schema. With the default share the node processes every entry;
-  /// see MorselKind for the shares a morsel-partitioned delivery passes.
-  /// Nodes without input ports (the graph sources) keep the default, which
-  /// is never called.
+  /// Handles an incoming delta on `port` and appends the derived delta to
+  /// `out`, which the caller owns: entries already in `out` stay as they
+  /// are. The delta's tuples conform to the upstream node's schema. Nodes
+  /// without input ports (the graph sources) keep the default, which is
+  /// never called.
   virtual void OnDelta(int /*port*/, const Delta& /*delta*/,
-                       const DeltaShare& /*share*/, Delta& /*out*/) {}
+                       Delta& /*out*/) {}
 
   /// Appends structurally-initial output (e.g. the single row of a
   /// key-less aggregation over empty input) to `out`. The network calls
@@ -153,26 +113,6 @@ class ReteNode {
   virtual bool ReplayOutput(Delta& out) const {
     (void)out;
     return false;
-  }
-
-  /// How (if at all) this node's pending delta may be morsel-partitioned.
-  /// Must be constant for the node's lifetime.
-  virtual MorselKind morsel_kind() const { return MorselKind::kNone; }
-
-  /// For kKeyed nodes: fills `map[i]` for i in [begin, end) with the
-  /// partition owning `delta[i]` on `port`, i.e.
-  /// MorselPartitionOfHash(key hash of delta[i], partitions). Pure and
-  /// side-effect free — the scheduler computes maps for disjoint ranges
-  /// concurrently. Default (kNone/kChunked nodes) is never called.
-  virtual void MorselPartitionMap(int port, const Delta& delta,
-                                  uint32_t partitions, size_t begin,
-                                  size_t end, uint32_t* map) const {
-    (void)port;
-    (void)delta;
-    (void)partitions;
-    (void)begin;
-    (void)end;
-    (void)map;
   }
 
   /// Subscribes `node` to this node's output, delivering to its `port`.

@@ -133,9 +133,7 @@ void PathInputNode::RemovePathsContaining(EdgeId e, Delta& out) {
   }
 }
 
-void PathInputNode::Translate(const GraphChange& change,
-                              uint32_t /*partition*/, uint32_t /*partitions*/,
-                              Delta& out) {
+void PathInputNode::Translate(const GraphChange& change, Delta& out) {
   switch (change.kind) {
     case GraphChange::Kind::kAddEdge: {
       if (!TypeMatches(change.symbol)) return;

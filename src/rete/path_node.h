@@ -32,10 +32,7 @@ class PathInputNode : public GraphSourceNode {
                 std::vector<std::string> types, bool reversed,
                 int64_t min_hops, int64_t max_hops, bool emit_path);
 
-  /// Serial: trail enumeration crosses entities, so the partition
-  /// arguments are ignored.
-  void Translate(const GraphChange& change, uint32_t partition,
-                 uint32_t partitions, Delta& out) override;
+  void Translate(const GraphChange& change, Delta& out) override;
   void EmitInitialFromGraph(Delta& out) override;
 
   /// Replays every materialized trail (and, for min_hops == 0, the

@@ -9,7 +9,7 @@
 namespace pgivm {
 
 void ProductionNode::OnDelta(int /*port*/, const Delta& delta,
-                             const DeltaShare& /*share*/, Delta& /*out*/) {
+                             Delta& /*out*/) {
   // The wave scheduler delivers consolidated, non-empty deltas.
   ++version_;
   for (const DeltaEntry& entry : delta) {

@@ -55,8 +55,7 @@ class ProductionNode : public ReteNode {
   /// production is terminal: it appends nothing to `out` and accounts the
   /// delivery as its own emission instead, so TotalEmittedEntries covers
   /// the result changes too.
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   /// Flushes notifications buffered while defer_notifications() was on:
   /// one OnViewDelta call per buffered delivery, in delivery order, on the

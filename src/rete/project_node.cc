@@ -2,13 +2,9 @@
 
 namespace pgivm {
 
-void ProjectNode::OnDelta(int /*port*/, const Delta& delta,
-                          const DeltaShare& share, Delta& out) {
-  const size_t begin = share.Begin(delta.size());
-  const size_t end = share.End(delta.size());
-  out.reserve(out.size() + (end - begin));
-  for (size_t i = begin; i < end; ++i) {
-    const DeltaEntry& entry = delta[i];
+void ProjectNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
+  out.reserve(out.size() + delta.size());
+  for (const DeltaEntry& entry : delta) {
     std::vector<Value> values;
     values.reserve(columns_.size());
     for (const BoundExpression& column : columns_) {

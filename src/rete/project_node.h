@@ -16,12 +16,7 @@ class ProjectNode : public ReteNode {
   ProjectNode(Schema schema, std::vector<BoundExpression> columns)
       : ReteNode(std::move(schema)), columns_(std::move(columns)) {}
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  /// Stateless per-entry: any contiguous chunking reproduces the serial
-  /// output exactly when chunks are concatenated in partition order.
-  MorselKind morsel_kind() const override { return MorselKind::kChunked; }
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   std::string DebugString() const override { return "Project"; }
   const char* KindName() const override { return "Project"; }

@@ -1,9 +1,10 @@
 #ifndef PGIVM_RETE_SEMIJOIN_NODE_H_
 #define PGIVM_RETE_SEMIJOIN_NODE_H_
 
+#include <unordered_map>
+
 #include "rete/join_node.h"
 #include "rete/node.h"
-#include "rete/sharded_map.h"
 
 namespace pgivm {
 
@@ -11,21 +12,11 @@ namespace pgivm {
 /// partner in the right input (matching on shared column names), each with
 /// its own multiplicity (no fan-out). Realizes positive `exists(pattern)`
 /// predicates; the dual of AntiJoinNode.
-///
-/// Both memories are keyed (and sharded) by the same join-key tuple, so a
-/// morsel partition's updates to the left memory and support lookups on
-/// the right stay within the shards it owns.
 class SemiJoinNode : public ReteNode {
  public:
   SemiJoinNode(Schema schema, const Schema& left, const Schema& right);
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  MorselKind morsel_kind() const override { return MorselKind::kKeyed; }
-  void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
-                          size_t begin, size_t end,
-                          uint32_t* map) const override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   /// Replays the currently matched left tuples (keys with positive right
   /// support), each with its own multiplicity.
@@ -38,8 +29,8 @@ class SemiJoinNode : public ReteNode {
 
  private:
   JoinLayout layout_;
-  ShardedTupleMap<Bag> left_memory_;
-  ShardedTupleMap<int64_t> right_support_;
+  std::unordered_map<Tuple, Bag, TupleHash> left_memory_;
+  std::unordered_map<Tuple, int64_t, TupleHash> right_support_;
 };
 
 }  // namespace pgivm

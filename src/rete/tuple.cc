@@ -80,12 +80,6 @@ Tuple Tuple::Project(const std::vector<int>& indices) const {
   return out.Finish(hash);
 }
 
-size_t Tuple::HashProjected(const std::vector<int>& indices) const {
-  size_t hash = kHashSeed;
-  for (int i : indices) HashCombine(hash, at(static_cast<size_t>(i)).Hash());
-  return hash;
-}
-
 Tuple Tuple::Concat(const Tuple& suffix) const {
   if (suffix.size() == 0) return *this;
   Builder out(size() + suffix.size());

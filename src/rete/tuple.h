@@ -68,11 +68,6 @@ class Tuple {
   /// allocation.
   Tuple Project(const std::vector<int>& indices) const;
 
-  /// Hash that Project(indices) would cache, without materializing the
-  /// projected tuple — the morsel partition maps call this once per delta
-  /// entry, so it must not allocate.
-  size_t HashProjected(const std::vector<int>& indices) const;
-
   /// New tuple: this tuple's columns followed by `suffix`'s. The hash
   /// continues incrementally from this tuple's cached hash (the tuple hash
   /// is a left fold over the column hashes), so this side is not re-hashed.

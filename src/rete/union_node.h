@@ -12,8 +12,7 @@ class UnionNode : public ReteNode {
  public:
   explicit UnionNode(Schema schema) : ReteNode(std::move(schema)) {}
 
-  void OnDelta(int /*port*/, const Delta& delta, const DeltaShare& /*share*/,
-               Delta& out) override {
+  void OnDelta(int /*port*/, const Delta& delta, Delta& out) override {
     out.insert(out.end(), delta.begin(), delta.end());
   }
 

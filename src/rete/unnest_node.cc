@@ -3,7 +3,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "rete/sharded_map.h"
 #include "support/string_util.h"
 
 namespace pgivm {
@@ -22,10 +21,8 @@ void UnnestNode::ExpandInto(
   out.emplace_back(std::move(collection), multiplicity);  // Scalar singleton.
 }
 
-void UnnestNode::ProcessNaive(const Delta& delta, size_t begin, size_t end,
-                              Delta& out) {
-  for (size_t i = begin; i < end; ++i) {
-    const DeltaEntry& entry = delta[i];
+void UnnestNode::ProcessNaive(const Delta& delta, Delta& out) {
+  for (const DeltaEntry& entry : delta) {
     Tuple kept = entry.tuple.Project(kept_columns_);
     std::vector<std::pair<Value, int64_t>> elements;
     ExpandInto(entry.tuple, entry.multiplicity, elements);
@@ -37,16 +34,11 @@ void UnnestNode::ProcessNaive(const Delta& delta, size_t begin, size_t end,
 
 // Fine-grained: fold the batch per kept projection, then emit only the
 // net per-element changes. Retract/assert pairs from a collection update
-// cancel except for the touched elements. Under morsel delivery the
-// partition map routes every entry of one kept projection to the same
-// partition, so each fold group is processed whole.
-void UnnestNode::ProcessFolded(const Delta& delta, const DeltaShare& share,
-                               Delta& out) {
+// cancel except for the touched elements.
+void UnnestNode::ProcessFolded(const Delta& delta, Delta& out) {
   std::unordered_map<Tuple, std::map<Value, int64_t>, TupleHash> folded;
   std::vector<Tuple> order;
-  for (size_t i = 0; i < delta.size(); ++i) {
-    if (!share.Owns(i)) continue;
-    const DeltaEntry& entry = delta[i];
+  for (const DeltaEntry& entry : delta) {
     Tuple kept = entry.tuple.Project(kept_columns_);
     auto [it, inserted] = folded.emplace(kept, std::map<Value, int64_t>{});
     if (inserted) order.push_back(kept);
@@ -61,23 +53,11 @@ void UnnestNode::ProcessFolded(const Delta& delta, const DeltaShare& share,
   }
 }
 
-void UnnestNode::OnDelta(int /*port*/, const Delta& delta,
-                         const DeltaShare& share, Delta& out) {
+void UnnestNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
   if (fine_grained_) {
-    ProcessFolded(delta, share, out);
+    ProcessFolded(delta, out);
   } else {
-    ProcessNaive(delta, share.Begin(delta.size()), share.End(delta.size()),
-                 out);
-  }
-}
-
-void UnnestNode::MorselPartitionMap(int port, const Delta& delta,
-                                    uint32_t partitions, size_t begin,
-                                    size_t end, uint32_t* map) const {
-  (void)port;
-  for (size_t i = begin; i < end; ++i) {
-    map[i] = MorselPartitionOfHash(
-        delta[i].tuple.HashProjected(kept_columns_), partitions);
+    ProcessNaive(delta, out);
   }
 }
 

@@ -29,27 +29,14 @@ class UnnestNode : public ReteNode {
         kept_columns_(std::move(kept_columns)),
         fine_grained_(fine_grained) {}
 
-  void OnDelta(int port, const Delta& delta, const DeltaShare& share,
-               Delta& out) override;
-
-  /// Naive expansion is stateless per-entry (chunked); fine-grained folds
-  /// per kept projection, so partitioning must keep equal projections in
-  /// one partition (keyed by the kept-projection hash) for the fold to see
-  /// every entry of its group.
-  MorselKind morsel_kind() const override {
-    return fine_grained_ ? MorselKind::kKeyed : MorselKind::kChunked;
-  }
-  void MorselPartitionMap(int port, const Delta& delta, uint32_t partitions,
-                          size_t begin, size_t end,
-                          uint32_t* map) const override;
+  void OnDelta(int port, const Delta& delta, Delta& out) override;
 
   std::string DebugString() const override;
   const char* KindName() const override { return "Unnest"; }
 
  private:
-  void ProcessNaive(const Delta& delta, size_t begin, size_t end, Delta& out);
-  void ProcessFolded(const Delta& delta, const DeltaShare& share,
-                     Delta& out);
+  void ProcessNaive(const Delta& delta, Delta& out);
+  void ProcessFolded(const Delta& delta, Delta& out);
 
   /// Appends the elements of `tuple`'s collection (list → elements, null →
   /// nothing, scalar → itself) to `out` with the given multiplicity.

@@ -2,16 +2,17 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "support/string_util.h"
+#include "support/thread_pool.h"
 
 namespace pgivm {
 
 std::string ReproSpec::Format() const {
   std::ostringstream os;
-  os << "seed=" << seed << ",threads=" << threads
-     << ",morsel=" << (morsel ? 1 : 0) << ",step=" << step;
+  os << "seed=" << seed << ",threads=" << threads << ",step=" << step;
   return os.str();
 }
 
@@ -20,13 +21,12 @@ std::string ReproSpec::EnvLine() const {
 }
 
 bool ReproSpec::SameCase(const ReproSpec& other) const {
-  return seed == other.seed && threads == other.threads &&
-         morsel == other.morsel;
+  return seed == other.seed && threads == other.threads;
 }
 
 Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
   ReproSpec spec;
-  bool have_seed = false, have_threads = false, have_morsel = false;
+  bool have_seed = false, have_threads = false;
   std::stringstream stream(text);
   std::string field;
   while (std::getline(stream, field, ',')) {
@@ -36,8 +36,7 @@ Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
           StrCat("PGIVM_REPRO field without '=': '", field, "'"));
     }
     std::string key = field.substr(0, eq);
-    if (key != "seed" && key != "threads" && key != "morsel" &&
-        key != "step") {
+    if (key != "seed" && key != "threads" && key != "step") {
       return Status::InvalidArgument(
           StrCat("PGIVM_REPRO unknown key '", key, "'"));
     }
@@ -56,18 +55,20 @@ Result<ReproSpec> ReproSpec::Parse(const std::string& text) {
       spec.seed = static_cast<uint64_t>(number);
       have_seed = true;
     } else if (key == "threads") {
+      // Checked before narrowing: 4294967298 must not replay as 2.
+      if (number < std::numeric_limits<int>::min() ||
+          number > ThreadPool::kMaxThreads) {
+        return Status::InvalidArgument(
+            StrCat("PGIVM_REPRO threads out of range in '", field, "'"));
+      }
       spec.threads = static_cast<int>(number);
       have_threads = true;
-    } else if (key == "morsel") {
-      spec.morsel = number != 0;
-      have_morsel = true;
     } else {
       spec.step = number;
     }
   }
-  if (!have_seed || !have_threads || !have_morsel) {
-    return Status::InvalidArgument(
-        "PGIVM_REPRO requires seed=, threads= and morsel=");
+  if (!have_seed || !have_threads) {
+    return Status::InvalidArgument("PGIVM_REPRO requires seed= and threads=");
   }
   return spec;
 }

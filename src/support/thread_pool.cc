@@ -1,5 +1,7 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
+
 namespace pgivm {
 
 namespace {
@@ -22,13 +24,13 @@ inline void CpuRelax() {
 }  // namespace
 
 int ThreadPool::ResolveThreadCount(int num_threads) {
-  if (num_threads > 0) return num_threads;
+  if (num_threads > 0) return std::min(num_threads, kMaxThreads);
   unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : std::min(static_cast<int>(hw), kMaxThreads);
 }
 
 ThreadPool::ThreadPool(int threads) {
-  if (threads < 1) threads = 1;
+  threads = std::clamp(threads, 1, kMaxThreads);
   unsigned hw = std::thread::hardware_concurrency();
   spin_iterations_ =
       (hw != 0 && static_cast<unsigned>(threads) <= hw) ? kSpinIterations : 0;

@@ -31,8 +31,15 @@ namespace pgivm {
 /// be re-entered from inside a task.
 class ThreadPool {
  public:
+  /// The largest parallelism a pool takes. Far above any machine this
+  /// engine targets, and low enough that starting the workers cannot run
+  /// the process out of threads (a failed std::thread start mid-constructor
+  /// would terminate the process).
+  static constexpr int kMaxThreads = 256;
+
   /// `threads` is the total parallelism including the calling thread, so
-  /// `threads - 1` workers are spawned. Values below 1 are clamped to 1.
+  /// `threads - 1` workers are spawned. Values are clamped to
+  /// [1, kMaxThreads].
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -48,7 +55,7 @@ class ThreadPool {
   int parallelism() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// `num_threads` resolved against the machine: 0 (or negative) means
-  /// "use the hardware concurrency", everything else is taken as-is.
+  /// "use the hardware concurrency"; the result is capped at kMaxThreads.
   static int ResolveThreadCount(int num_threads);
 
  private:

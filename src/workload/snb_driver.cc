@@ -1,42 +1,12 @@
 #include "workload/snb_driver.h"
 
-#include <atomic>
 #include <cstdio>
 #include <sstream>
-#include <thread>
 
 #include "graph/graph_stats.h"
 #include "support/string_util.h"
 
 namespace pgivm {
-
-namespace {
-
-constexpr char kComplexHistogram[] = "snb.complex_read_ns";
-constexpr char kShortHistogram[] = "snb.short_read_ns";
-constexpr char kUpdateHistogram[] = "snb.update_ns";
-
-/// Cap on rows a complex read touches per pin: interactive clients page,
-/// they do not scan the whole result.
-constexpr size_t kComplexReadRows = 64;
-
-std::string RenderClass(const char* name, const SnbClassStats& stats) {
-  std::ostringstream os;
-  const HistogramSnapshot& h = stats.latency_ns;
-  auto us = [](double ns) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", ns / 1000.0);
-    return std::string(buf);
-  };
-  os << "  " << name << ": ops=" << stats.operations << " p50="
-     << us(static_cast<double>(h.P50())) << "us p95="
-     << us(static_cast<double>(h.P95())) << "us p99="
-     << us(static_cast<double>(h.P99())) << "us mean=" << us(h.Mean())
-     << "us max=" << us(static_cast<double>(h.max)) << "us";
-  return os.str();
-}
-
-}  // namespace
 
 const char* SnbOpClassName(SnbOpClass op_class) {
   switch (op_class) {
@@ -52,15 +22,12 @@ const char* SnbOpClassName(SnbOpClass op_class) {
 
 std::string SnbReport::ToString() const {
   std::ostringstream os;
-  os << "SNB interactive report: "
-     << complex_read.operations + short_read.operations + update.operations
+  os << "SNB validation report: " << complex_reads + short_reads + updates
      << " ops in " << elapsed_ns / 1000000 << "ms ("
      << static_cast<int64_t>(operations_per_second) << " ops/s)\n";
-  os << RenderClass("complex_read", complex_read) << "\n";
-  os << RenderClass("short_read", short_read) << "\n";
-  os << RenderClass("update", update) << "\n";
-  os << "  ingest_batches=" << ingest_batches
-     << " parity_checks=" << parity_checks << " fingerprint=" << std::hex
+  os << "  complex_reads=" << complex_reads << " short_reads=" << short_reads
+     << " updates=" << updates << "\n";
+  os << "  parity_checks=" << parity_checks << " fingerprint=" << std::hex
      << graph_fingerprint << std::dec << "\n";
   return os.str();
 }
@@ -120,7 +87,6 @@ ReproSpec SnbDriver::ReproCase() const {
   spec.threads = config_.engine.network.executor == ExecutorKind::kParallel
                      ? config_.engine.network.num_threads
                      : 1;
-  spec.morsel = config_.engine.network.morsel_min_node_entries == 0;
   return spec;
 }
 
@@ -134,130 +100,7 @@ SnbDriverConfig SnbDriver::WithRepro(SnbDriverConfig config,
   } else {
     config.engine.network.executor = ExecutorKind::kSerial;
   }
-  if (spec.morsel) config.engine.network.morsel_min_node_entries = 0;
   return config;
-}
-
-Result<SnbReport> SnbDriver::RunTimed() {
-  if (stream_.empty()) {
-    return Status::InvalidArgument("SNB driver: empty operation stream");
-  }
-  const int threads = std::max(1, config_.client_threads);
-
-  PropertyGraph graph;
-  SocialNetworkGenerator generator(
-      SocialNetworkConfig::AtScale(config_.scale_factor, config_.seed));
-  generator.Populate(&graph);
-  QueryEngine engine(&graph, config_.engine);
-
-  std::vector<std::shared_ptr<View>> complex_views;
-  for (const std::string& query : ComplexReadQueries()) {
-    Result<std::shared_ptr<View>> view = engine.Register(query);
-    if (!view.ok()) return view.status();
-    complex_views.push_back(*view);
-  }
-  std::vector<std::shared_ptr<View>> short_views;
-  for (const std::string& query : ShortReadQueries()) {
-    Result<std::shared_ptr<View>> view = engine.Register(query);
-    if (!view.ok()) return view.status();
-    short_views.push_back(*view);
-  }
-
-  // Instruments resolved once; recording from client threads is lock-free.
-  LatencyHistogram& complex_hist =
-      engine.metrics().GetHistogram(kComplexHistogram);
-  LatencyHistogram& short_hist = engine.metrics().GetHistogram(kShortHistogram);
-  LatencyHistogram& update_hist =
-      engine.metrics().GetHistogram(kUpdateHistogram);
-
-  engine.StartIngest();
-  std::atomic<int64_t> rejected{0};
-  std::atomic<uint64_t> read_checksum{0};
-  const int64_t start_ns = MonotonicNowNs();
-
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    clients.emplace_back([&, t] {
-      uint64_t checksum = 0;
-      for (size_t i = static_cast<size_t>(t); i < stream_.size();
-           i += static_cast<size_t>(threads)) {
-        const SnbOp& op = stream_[i];
-        switch (op.op_class) {
-          case SnbOpClass::kComplexRead: {
-            const std::shared_ptr<View>& view =
-                complex_views[op.seed % complex_views.size()];
-            const int64_t t0 = MonotonicNowNs();
-            std::shared_ptr<const ViewSnapshot> snap = view->Pin();
-            const std::vector<Tuple>& rows = snap->rows();
-            const size_t limit = std::min(rows.size(), kComplexReadRows);
-            for (size_t r = 0; r < limit; ++r) checksum += rows[r].size();
-            complex_hist.Record(MonotonicNowNs() - t0);
-            break;
-          }
-          case SnbOpClass::kShortRead: {
-            const std::shared_ptr<View>& view =
-                short_views[op.seed % short_views.size()];
-            const int64_t t0 = MonotonicNowNs();
-            std::shared_ptr<const ViewSnapshot> snap = view->Pin();
-            const std::vector<Tuple>& rows = snap->rows();
-            if (!rows.empty()) {
-              const Tuple& row = rows[(op.seed >> 8) % rows.size()];
-              checksum += row.size() + static_cast<size_t>(row.Hash() & 0xff);
-            }
-            short_hist.Record(MonotonicNowNs() - t0);
-            break;
-          }
-          case SnbOpClass::kUpdate: {
-            const int64_t t0 = MonotonicNowNs();
-            const uint64_t seed = op.seed;
-            // The mutation runs on the ingest thread — the only thread
-            // that touches the generator after setup — and records
-            // enqueue-to-applied latency: queueing, coalescing and
-            // backpressure are all part of what the client experiences.
-            const bool accepted = engine.SubmitAsync(
-                [&generator, &update_hist, seed, t0](PropertyGraph& g) {
-                  generator.ApplyUpdate(&g, seed);
-                  update_hist.Record(MonotonicNowNs() - t0);
-                });
-            if (!accepted) rejected.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-      read_checksum.fetch_add(checksum, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  engine.StopIngest();
-  const int64_t elapsed_ns = MonotonicNowNs() - start_ns;
-  if (rejected.load() != 0) {
-    return Status::Internal(
-        StrCat("SNB driver: ", rejected.load(),
-               " updates rejected by a closed ingest queue"));
-  }
-
-  // Read the per-class latencies back through the unified snapshot surface
-  // (the same numbers any monitoring client would fetch).
-  const EngineMetricsSnapshot metrics = engine.MetricsSnapshot();
-  SnbReport report;
-  auto fill = [&metrics](const char* name, SnbClassStats* stats) {
-    if (const HistogramSnapshot* h = metrics.FindHistogram(name)) {
-      stats->latency_ns = *h;
-      stats->operations = h->count;
-    }
-  };
-  fill(kComplexHistogram, &report.complex_read);
-  fill(kShortHistogram, &report.short_read);
-  fill(kUpdateHistogram, &report.update);
-  report.elapsed_ns = elapsed_ns;
-  report.operations_per_second =
-      elapsed_ns > 0 ? static_cast<double>(stream_.size()) * 1e9 /
-                           static_cast<double>(elapsed_ns)
-                     : 0.0;
-  report.ingest_batches = metrics.ingest_batches;
-  report.graph_fingerprint = GraphFingerprint(graph);
-  return report;
 }
 
 Result<SnbReport> SnbDriver::RunValidation() {
@@ -273,7 +116,7 @@ Result<SnbReport> SnbDriver::RunValidation() {
   QueryEngine engine(&graph, config_.engine);
   // The reference engine is the serial twin with canonicalization off:
   // every parity assertion below then also proves the canonical normal
-  // form and the configured executor/morsel setting change no result
+  // form and the configured executor change no result
   // (same discipline as the randomized differential harness).
   EngineOptions reference_options;
   reference_options.plan.canonicalize = false;
@@ -352,16 +195,16 @@ Result<SnbReport> SnbDriver::RunValidation() {
         Status status = check_view(base + op.seed % count, update_index);
         if (!status.ok()) return status;
         if (complex) {
-          ++report.complex_read.operations;
+          ++report.complex_reads;
         } else {
-          ++report.short_read.operations;
+          ++report.short_reads;
         }
         break;
       }
       case SnbOpClass::kUpdate: {
         generator.ApplyUpdate(&graph, op.seed);
         ++update_index;
-        ++report.update.operations;
+        ++report.updates;
         if (config_.validate_every > 0 &&
             update_index % config_.validate_every == 0) {
           Status status = check_all(update_index);

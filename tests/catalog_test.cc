@@ -237,7 +237,7 @@ TEST(CatalogLifecycle, LastViewLeavesTheNetworkEmpty) {
 }
 
 // Emptying the catalog and registering again reads the graph as it is
-// now, under the serial and the parallel morsel executor alike: removals
+// now, under the serial and the parallel executor alike: removals
 // and additions made while no view was live all show in the new view,
 // which then keeps up with further updates.
 TEST(CatalogLifecycle, RegistrationAfterEmptyingTheCatalogReadsTheCurrentGraph) {
@@ -254,7 +254,6 @@ TEST(CatalogLifecycle, RegistrationAfterEmptyingTheCatalogReadsTheCurrentGraph) 
       options.network.executor = ExecutorKind::kParallel;
       options.network.num_threads = 2;
       options.network.parallel_min_wave_entries = 0;
-      options.network.morsel_min_node_entries = 0;
     }
     QueryEngine engine(&graph, options);
     auto first = engine.Register(query);

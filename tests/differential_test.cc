@@ -1,8 +1,8 @@
 // Differential (fuzz) tests: the Rete-maintained view and the independent
 // baseline evaluator implement the same semantics, so after every random
 // update their results must coincide — across the paper's plan ablations
-// (naive property maps, coarse unnest) and every wave executor, thread
-// count and morsel setting of the batched propagation pipeline.
+// (naive property maps, coarse unnest) and every wave executor and thread
+// count of the batched propagation pipeline.
 
 #include <gtest/gtest.h>
 
@@ -70,8 +70,7 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
 
 // ---- Randomized harness ----------------------------------------------------
 //
-// For several RNG seeds × {1, 2, 8} wave threads (plus morsel-forced
-// parallel cases), drive a mixed stream of single-change updates and
+// For several RNG seeds × {1, 2, 8} wave threads, drive a mixed stream of single-change updates and
 // BeginBatch/CommitBatch bursts through a pool of standing views covering
 // joins, anti-joins, aggregation, DISTINCT, unnest and variable-length
 // paths. A serial reference engine maintains the same views over the same
@@ -105,9 +104,6 @@ const char* const kHarnessQueries[] = {
 struct HarnessCase {
   uint64_t seed;
   int threads;  // 1 = serial executor, otherwise kParallel with n threads
-  /// Force morsel-style partitioned delivery (node-entry gate = 0) in the
-  /// engine under test — every hot node splits by key every wave.
-  bool morsel = false;
 };
 
 class RandomizedDifferentialTest
@@ -122,7 +118,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   ReproSpec this_case;
   this_case.seed = param.seed;
   this_case.threads = param.threads;
-  this_case.morsel = param.morsel;
   if (std::optional<ReproSpec> filter = ReproSpec::FromEnv()) {
     if (!filter->SameCase(this_case)) {
       GTEST_SKIP() << "PGIVM_REPRO pins " << filter->Format();
@@ -143,14 +138,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
     // TSAN job runs), so the work-size gate must not quietly turn small
     // waves serial here; WaveGating covers the gate's own parity.
     options.network.parallel_min_wave_entries = 0;
-  }
-  if (param.morsel) {
-    // Morsel cases additionally force key-partitioned intra-node delivery
-    // on every non-empty node (and parallel source translation for every
-    // batch): the full partitioned path races under the baseline checks.
-    // The gate is deliberately NOT pinned via PGIVM_MORSEL here, so the
-    // TSAN job's PGIVM_MORSEL=0 also forces it for the plain t2/t8 cases.
-    options.network.morsel_min_node_entries = 0;
   }
   // The engine under test runs fully profiled while the reference does
   // not: every bit-identity assertion below then also proves profiling
@@ -274,12 +261,6 @@ std::vector<HarnessCase> HarnessCases() {
   std::vector<HarnessCase> cases;
   for (uint64_t seed : {101u, 202u, 303u, 404u, 505u}) {
     for (int threads : {1, 2, 8}) cases.push_back({seed, threads});
-    // Morsel-forced engines under test: every wave splits hot nodes into
-    // key partitions and translates sources in parallel, and must still
-    // be bit-identical to the serial reference and the baseline.
-    for (int threads : {2, 8}) {
-      cases.push_back({seed, threads, /*morsel=*/true});
-    }
   }
   return cases;
 }
@@ -289,8 +270,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(HarnessCases()),
     [](const ::testing::TestParamInfo<HarnessCase>& info) {
       return "seed" + std::to_string(info.param.seed) + "_batched_t" +
-             std::to_string(info.param.threads) +
-             (info.param.morsel ? "_morsel" : "");
+             std::to_string(info.param.threads);
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -62,7 +62,7 @@ bool AnyEdgeLeafHasLabels(const OpPtr& op) {
 
 struct FoldCase {
   uint64_t seed;
-  int threads;  // 1 = serial; otherwise parallel with forced morsels
+  int threads;  // 1 = serial; otherwise parallel, every wave dispatched
 };
 
 class EndpointLabelFoldTest : public ::testing::TestWithParam<FoldCase> {};
@@ -74,7 +74,6 @@ TEST_P(EndpointLabelFoldTest, FoldedPatternsMatchTheirLabelsSpelling) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = param.threads;
     options.network.parallel_min_wave_entries = 0;
-    options.network.morsel_min_node_entries = 0;
   }
 
   PropertyGraph graph;

@@ -38,7 +38,7 @@ class Adapter : public GraphListener {
   void OnGraphDelta(const GraphDelta& delta) override {
     Delta out;
     for (const GraphChange& change : delta.changes) {
-      node_->Translate(change, /*partition=*/0, /*partitions=*/1, out);
+      node_->Translate(change, out);
     }
     if (!out.empty()) sink_->Record(out);
   }

@@ -45,7 +45,7 @@ struct Fixture {
     void OnGraphDelta(const GraphDelta& delta) override {
       Delta out;
       for (const GraphChange& change : delta.changes) {
-        node->Translate(change, /*partition=*/0, /*partitions=*/1, out);
+        node->Translate(change, out);
       }
       if (!out.empty()) sink->Record(out);
     }
@@ -209,22 +209,12 @@ TEST(PathNodeTest, InsertInMiddleCreatesCrossPaths) {
   EXPECT_EQ(f.sink.bag.Count(Pair(v1, v4)), 1);
 }
 
-// ---- forced morsel delivery (PGIVM_MORSEL=0) --------------------------------
+// ---- parallel waves --------------------------------------------------------
 
-TEST(PathNodeMorselTest, PathSourceDeclaresNoMorselKind) {
-  // The morsel scheduler only partitions nodes that opt in via
-  // morsel_kind(); PathInputNode keeps the base kNone — its transitive
-  // expansion is stateful across entries and must stay serial even when
-  // the gate forces every eligible node to split.
-  Fixture f(1, -1);
-  EXPECT_EQ(f.node.morsel_kind(), MorselKind::kNone);
-}
-
-TEST(PathNodeMorselTest, ForcedMorselBitIdenticalOnPathHeavyWorkload) {
-  // PGIVM_MORSEL=0 (the TSAN job's setting) forces key-partitioned
-  // delivery on every opted-in node of every wave. On a reply-tree-heavy
-  // social workload the kNone path source must stay serial and the
-  // path views bit-identical to an unforced serial reference.
+TEST(PathNodeParallelTest, ParallelWavesBitIdenticalOnPathHeavyWorkload) {
+  // Parallel waves with the work-size gate open dispatch every multi-node
+  // wave to the pool. On a reply-tree-heavy social workload the path views
+  // must stay bit-identical to a serial reference.
   ScopedThreadsEnv pin_threads(nullptr);
 
   PropertyGraph graph;
@@ -239,21 +229,13 @@ TEST(PathNodeMorselTest, ForcedMorselBitIdenticalOnPathHeavyWorkload) {
       "MATCH t = (p:Post)-[:REPLY*1..3]->(c:Comm) RETURN t",
   };
 
-  // Engine under test: parallel waves with the morsel gate forced via the
-  // env override (read at engine construction), exactly how the TSAN CI
-  // job sees every engine. The override scope only needs to cover the
-  // constructor.
-  std::unique_ptr<QueryEngine> forced;
-  {
-    ScopedEnvVar force_morsel("PGIVM_MORSEL", "0");
-    EngineOptions options;
-    options.network.executor = ExecutorKind::kParallel;
-    options.network.num_threads = 4;
-    options.network.parallel_min_wave_entries = 0;
-    forced = std::make_unique<QueryEngine>(&graph, options);
-  }
-  // Reference: plain serial engine, morsel pinned away.
-  ScopedEnvVar no_morsel("PGIVM_MORSEL", nullptr);
+  // Engine under test: parallel waves, every multi-node wave dispatched.
+  EngineOptions options;
+  options.network.executor = ExecutorKind::kParallel;
+  options.network.num_threads = 4;
+  options.network.parallel_min_wave_entries = 0;
+  auto forced = std::make_unique<QueryEngine>(&graph, options);
+  // Reference: plain serial engine.
   QueryEngine reference(&graph, EngineOptions{});
 
   std::vector<std::shared_ptr<View>> forced_views;
@@ -281,8 +263,9 @@ TEST(PathNodeMorselTest, ForcedMorselBitIdenticalOnPathHeavyWorkload) {
       }
     }
   }
-  // The engine under test really ran forced-morsel parallel waves.
+  // The engine under test really ran parallel waves.
   EXPECT_EQ(forced->options().network.executor, ExecutorKind::kParallel);
+  EXPECT_GT(forced->MetricsSnapshot().parallel_waves_dispatched, 0);
 }
 
 }  // namespace

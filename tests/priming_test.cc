@@ -134,12 +134,10 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
 
 // Registering between update bursts must splice the new consumers into a
 // warm, mid-churn network without corrupting it — serially, and with
-// replay running through the parallel (and morsel-partitioned) wave
-// executor.
+// replay running through the parallel wave executor.
 struct MidChurnShape {
   const char* name;
   int threads;  // 0 = serial executor
-  bool morsel;
 };
 
 class MidChurnTest : public ::testing::TestWithParam<MidChurnShape> {};
@@ -153,7 +151,6 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
     options.network.num_threads = shape.threads;
     options.network.parallel_min_wave_entries = 0;
   }
-  if (shape.morsel) options.network.morsel_min_node_entries = 0;
 
   SocialNetworkConfig config;
   config.persons = 30;
@@ -209,9 +206,8 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MidChurnTest,
     ::testing::Values(
-        MidChurnShape{"batched", 0, false},
-        MidChurnShape{"batched_parallel4", 4, false},
-        MidChurnShape{"batched_parallel4_morsel", 4, true}),
+        MidChurnShape{"batched", 0},
+        MidChurnShape{"batched_parallel4", 4}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // A dropped view's exclusive nodes are freed and leave the registry; a
@@ -335,7 +331,6 @@ TEST(NetworkPool, SerialCatalogNetworkHasNoPool) {
   EXPECT_EQ(network.executor(), ExecutorKind::kSerial);
   EXPECT_EQ(network.thread_pool(), nullptr);
   EXPECT_EQ(network.executor_parallelism(), 1);
-  EXPECT_EQ(network.morsel_partitions_resolved(), 1u);
   auto view = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(&(*view)->network(), &network);

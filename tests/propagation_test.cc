@@ -424,9 +424,11 @@ TEST(WaveExecutor, EnvOverrideWinsOverProgrammaticConfiguration) {
 }
 
 /// Regression: PGIVM_THREADS used to accept trailing garbage ("8abc" read
-/// as 8) and silently saturate out-of-range values. Malformed or
-/// out-of-range settings must now leave the programmatic configuration
+/// as 8), silently saturate out-of-range values, and take any thread count
+/// a pool would then try to start. Malformed values and counts above
+/// ThreadPool::kMaxThreads must now leave the programmatic configuration
 /// untouched; in-range values — including 0 and negatives — still apply.
+/// Applying the override starts no threads.
 TEST(WaveExecutor, EnvOverrideRejectsMalformedValues) {
   NetworkOptions programmatic;
   programmatic.executor = ExecutorKind::kParallel;
@@ -437,7 +439,8 @@ TEST(WaveExecutor, EnvOverrideRejectsMalformedValues) {
     return ApplyEnvExecutorOverride(programmatic);
   };
 
-  for (const char* rejected : {"", "abc", "8abc", "99999999999"}) {
+  for (const char* rejected :
+       {"", "abc", "8abc", "99999999999", "257", "100000"}) {
     NetworkOptions applied = with_env(rejected);
     EXPECT_EQ(applied.executor, ExecutorKind::kParallel)
         << "PGIVM_THREADS=\"" << rejected << "\"";
@@ -454,6 +457,10 @@ TEST(WaveExecutor, EnvOverrideRejectsMalformedValues) {
   NetworkOptions applied = with_env("8");
   EXPECT_EQ(applied.executor, ExecutorKind::kParallel);
   EXPECT_EQ(applied.num_threads, 8);
+
+  applied = with_env("256");  // the cap itself is accepted
+  EXPECT_EQ(applied.executor, ExecutorKind::kParallel);
+  EXPECT_EQ(applied.num_threads, ThreadPool::kMaxThreads);
 }
 
 /// Drives identical random update streams through a serial and a parallel
@@ -554,11 +561,6 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = 4;
     options.network.parallel_min_wave_entries = min_wave_entries;
-    // This test isolates the *wave* gate's dispatch decision; a PGIVM_MORSEL
-    // forcing in the environment (the TSAN job) would add morsel dispatches
-    // of its own, so morsel execution is pinned off. (The env override only
-    // rewrites morsel_min_node_entries, never a programmatic partitions=1.)
-    options.network.morsel_partitions = 1;
     return options;
   };
   QueryEngine serial_engine(&graph);
@@ -621,216 +623,6 @@ TEST(WaveGating, OptionThreadsThroughEngineAndDefaultsNonZero) {
   auto tuned_view = tuned.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(tuned_view.ok()) << tuned_view.status();
   EXPECT_EQ((*tuned_view)->network().parallel_min_wave_entries(), 123u);
-}
-
-// ---- morsel-style intra-node parallelism -----------------------------------
-
-/// Serial reference vs. morsel-forced engines across thread × partition
-/// combinations: snapshots must stay bit-identical after every delta and
-/// consolidated emission counts must match — the partitioned-delivery
-/// determinism contract (disjoint key ownership per partition; partition-
-/// order merge canonicalized by consolidation).
-TEST(Morsel, PartitionedDeliveryIsBitIdenticalToSerial) {
-  const std::vector<std::string> queries = {
-      "MATCH (a:A)-[r:R]->(b:B) RETURN a, r, b",
-      "MATCH (a:A)-[:R]->(b)-[:S]->(c) RETURN a, b, c",
-      "MATCH (a:A)-[:R]->(b) RETURN b AS t, count(*) AS c, sum(a.x) AS s",
-      "MATCH (a:A) WHERE NOT exists((a)-[:S]->()) RETURN a",
-      "MATCH (a:A)-[:R*1..3]->(b) RETURN a, b",
-  };
-
-  ScopedThreadsEnv env(nullptr);
-  ScopedEnvVar morsel_env("PGIVM_MORSEL", nullptr);
-  PropertyGraph graph;
-  RandomGraphConfig config;
-  config.seed = 8181;
-  RandomGraphGenerator generator(config);
-  generator.Populate(&graph);
-
-  struct Variant {
-    int threads;
-    uint32_t partitions;  // 0 = auto (pool parallelism)
-  };
-  const std::vector<Variant> variants = {{2, 0}, {8, 0}, {8, 3}};
-
-  QueryEngine serial_engine(&graph);
-  std::vector<std::unique_ptr<QueryEngine>> morsel_engines;
-  for (const Variant& variant : variants) {
-    EngineOptions options;
-    options.network.executor = ExecutorKind::kParallel;
-    options.network.num_threads = variant.threads;
-    options.network.parallel_min_wave_entries = 0;
-    options.network.morsel_min_node_entries = 0;  // force the morsel path
-    options.network.morsel_partitions = variant.partitions;
-    morsel_engines.push_back(std::make_unique<QueryEngine>(&graph, options));
-  }
-
-  std::vector<std::shared_ptr<View>> serial_views;
-  std::vector<std::vector<std::shared_ptr<View>>> morsel_views(
-      variants.size());
-  for (const std::string& query : queries) {
-    auto serial = serial_engine.Register(query);
-    ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
-    serial_views.push_back(*serial);
-    for (size_t v = 0; v < variants.size(); ++v) {
-      auto view = morsel_engines[v]->Register(query);
-      ASSERT_TRUE(view.ok()) << query << ": " << view.status();
-      morsel_views[v].push_back(*view);
-    }
-  }
-
-  for (int step = 0; step < 40; ++step) {
-    if (step % 2 == 0) {
-      graph.BeginBatch();
-      for (int i = 0; i < 8; ++i) generator.ApplyRandomUpdate(&graph);
-      graph.CommitBatch();
-    } else {
-      generator.ApplyRandomUpdate(&graph);
-    }
-    for (size_t q = 0; q < queries.size(); ++q) {
-      for (size_t v = 0; v < variants.size(); ++v) {
-        ASSERT_EQ(morsel_views[v][q]->Snapshot(), serial_views[q]->Snapshot())
-            << queries[q] << " diverged at step " << step
-            << " (threads=" << variants[v].threads
-            << " partitions=" << variants[v].partitions << ")";
-      }
-    }
-  }
-
-  // Consolidated emission counts are part of the contract too: splitting a
-  // node's delivery must not change what it emits, only who computes it.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    for (size_t v = 0; v < variants.size(); ++v) {
-      EXPECT_EQ(morsel_views[v][q]->network().TotalEmittedEntries(),
-                serial_views[q]->network().TotalEmittedEntries())
-          << queries[q];
-    }
-  }
-  // And the forced gate must actually have exercised partitioned delivery.
-  for (size_t v = 0; v < variants.size(); ++v) {
-    const ReteNetwork& network = morsel_views[v][0]->network();
-    EXPECT_GT(network.morsel_waves_dispatched(), 0)
-        << "variant " << v << " never split a node";
-    EXPECT_GE(network.morsel_partitions_resolved(), 2u);
-  }
-}
-
-/// The per-node entry gate decides whether a delivery is morsel-split: a
-/// prohibitive threshold must never partition (counter stays zero), a
-/// forced one must — with identical results either way. partitions=1 is
-/// the off switch regardless of the gate.
-TEST(Morsel, GateAndPartitionCapDecideDispatch) {
-  ScopedThreadsEnv env(nullptr);
-  ScopedEnvVar morsel_env("PGIVM_MORSEL", nullptr);
-  PropertyGraph graph;
-  RandomGraphConfig config;
-  config.seed = 2727;
-  RandomGraphGenerator generator(config);
-  generator.Populate(&graph);
-
-  auto engine_options = [](size_t min_node_entries, uint32_t partitions) {
-    EngineOptions options;
-    options.network.executor = ExecutorKind::kParallel;
-    options.network.num_threads = 4;
-    options.network.morsel_min_node_entries = min_node_entries;
-    options.network.morsel_partitions = partitions;
-    return options;
-  };
-  QueryEngine serial_engine(&graph);
-  QueryEngine forced_engine(&graph, engine_options(0, 0));
-  QueryEngine gated_engine(&graph, engine_options(1u << 30, 0));
-  QueryEngine capped_engine(&graph, engine_options(0, 1));
-
-  const std::string query =
-      "MATCH (a:A)-[:R]->(b) RETURN b AS t, count(*) AS c";
-  std::vector<std::shared_ptr<View>> views;
-  for (auto* engine :
-       {&serial_engine, &forced_engine, &gated_engine, &capped_engine}) {
-    auto view = engine->Register(query);
-    ASSERT_TRUE(view.ok()) << view.status();
-    views.push_back(*view);
-  }
-
-  for (int step = 0; step < 20; ++step) {
-    graph.BeginBatch();
-    for (int i = 0; i < 6; ++i) generator.ApplyRandomUpdate(&graph);
-    graph.CommitBatch();
-    for (size_t v = 1; v < views.size(); ++v) {
-      ASSERT_EQ(views[v]->Snapshot(), views[0]->Snapshot())
-          << "engine " << v << " diverged at step " << step;
-    }
-  }
-
-  EXPECT_GT(views[1]->network().morsel_waves_dispatched(), 0)
-      << "forced gate never split a node";
-  EXPECT_EQ(views[2]->network().morsel_waves_dispatched(), 0)
-      << "prohibitive gate still split";
-  EXPECT_EQ(views[3]->network().morsel_waves_dispatched(), 0)
-      << "partitions=1 still split";
-  EXPECT_EQ(views[3]->network().morsel_partitions_resolved(), 1u);
-}
-
-/// PGIVM_MORSEL is validated exactly like PGIVM_THREADS: malformed or
-/// out-of-range values are rejected with the programmatic options passing
-/// through untouched; n >= 0 rewrites the node-entry gate, negative n pins
-/// partitions to 1 (morsel execution off).
-TEST(Morsel, EnvOverrideValidatesStrictly) {
-  NetworkOptions programmatic;
-  programmatic.morsel_min_node_entries = 777;
-  programmatic.morsel_partitions = 5;
-
-  auto with_env = [&programmatic](const char* value) {
-    ScopedEnvVar env("PGIVM_MORSEL", value);
-    return ApplyEnvMorselOverride(programmatic);
-  };
-
-  for (const char* rejected : {"", "abc", "8abc", "99999999999"}) {
-    NetworkOptions applied = with_env(rejected);
-    EXPECT_EQ(applied.morsel_min_node_entries, 777u)
-        << "PGIVM_MORSEL=\"" << rejected << "\"";
-    EXPECT_EQ(applied.morsel_partitions, 5u)
-        << "PGIVM_MORSEL=\"" << rejected << "\"";
-  }
-
-  NetworkOptions forced = with_env("0");
-  EXPECT_EQ(forced.morsel_min_node_entries, 0u);
-  EXPECT_EQ(forced.morsel_partitions, 5u);  // gate override leaves the cap
-
-  NetworkOptions raised = with_env("5000");
-  EXPECT_EQ(raised.morsel_min_node_entries, 5000u);
-
-  NetworkOptions disabled = with_env("-1");
-  EXPECT_EQ(disabled.morsel_partitions, 1u);
-  EXPECT_EQ(disabled.morsel_min_node_entries, 777u);
-
-  ScopedEnvVar unset("PGIVM_MORSEL", nullptr);
-  NetworkOptions untouched = ApplyEnvMorselOverride(programmatic);
-  EXPECT_EQ(untouched.morsel_min_node_entries, 777u);
-  EXPECT_EQ(untouched.morsel_partitions, 5u);
-}
-
-/// The morsel knobs thread from EngineOptions through the catalog to the
-/// network, and the partition count resolves against the executor: a
-/// serial engine always resolves to 1 (off).
-TEST(Morsel, OptionsThreadThroughEngine) {
-  ScopedThreadsEnv env(nullptr);
-  ScopedEnvVar morsel_env("PGIVM_MORSEL", nullptr);
-  PropertyGraph graph;
-  EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
-  options.network.num_threads = 4;
-  options.network.morsel_min_node_entries = 321;
-  options.network.morsel_partitions = 2;
-  QueryEngine engine(&graph, options);
-  auto view = engine.Register("MATCH (n:A) RETURN n");
-  ASSERT_TRUE(view.ok()) << view.status();
-  EXPECT_EQ((*view)->network().morsel_min_node_entries(), 321u);
-  EXPECT_EQ((*view)->network().morsel_partitions_resolved(), 2u);
-
-  QueryEngine serial(&graph);
-  auto serial_view = serial.Register("MATCH (n:A) RETURN n");
-  ASSERT_TRUE(serial_view.ok()) << serial_view.status();
-  EXPECT_EQ((*serial_view)->network().morsel_partitions_resolved(), 1u);
 }
 
 // ---- consolidation cutoff --------------------------------------------------
@@ -906,7 +698,7 @@ using PublishPath = ProductionNode::PublishPath;
 /// results and appends nothing to its output.
 void Deliver(ProductionNode& production, const Delta& delta) {
   Delta out;
-  production.OnDelta(0, delta, {}, out);
+  production.OnDelta(0, delta, out);
 }
 
 /// Drives one free-standing production with a seeded stream of raw deltas
@@ -1278,7 +1070,7 @@ TEST(NetworkLifecycle, RemovedViewRePrimesFromTheCurrentGraph) {
 
 // The constructor builds the pool the executor needs, once: kParallel with
 // more than one thread gets a pool of that size, a single thread keeps the
-// serial fast path (no pool, no morsels), and kSerial never builds one.
+// serial fast path (no pool, no dispatch), and kSerial never builds one.
 TEST(NetworkLifecycle, ConstructorBuildsThePoolTheExecutorNeeds) {
   PropertyGraph graph;
   NetworkOptions parallel;
@@ -1288,7 +1080,6 @@ TEST(NetworkLifecycle, ConstructorBuildsThePoolTheExecutorNeeds) {
   ASSERT_NE(pooled.thread_pool(), nullptr);
   EXPECT_EQ(pooled.thread_pool()->parallelism(), 2);
   EXPECT_EQ(pooled.executor_parallelism(), 2);
-  EXPECT_EQ(pooled.morsel_partitions_resolved(), 2u);
   EXPECT_EQ(pooled.DebugString().rfind("executor=parallel(2)\n", 0), 0u);
 
   NetworkOptions single = parallel;
@@ -1297,7 +1088,6 @@ TEST(NetworkLifecycle, ConstructorBuildsThePoolTheExecutorNeeds) {
   EXPECT_EQ(unpooled.executor(), ExecutorKind::kParallel);
   EXPECT_EQ(unpooled.thread_pool(), nullptr);
   EXPECT_EQ(unpooled.executor_parallelism(), 1);
-  EXPECT_EQ(unpooled.morsel_partitions_resolved(), 1u);
 
   ReteNetwork serial(&graph, NetworkOptions{});
   EXPECT_EQ(serial.thread_pool(), nullptr);

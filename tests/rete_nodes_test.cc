@@ -51,7 +51,7 @@ class Recorder {
   /// Delivers `delta` on `port` and records the node's response.
   void Deliver(int port, const Delta& delta) {
     Delta out;
-    node_->OnDelta(port, delta, {}, out);
+    node_->OnDelta(port, delta, out);
     Record(out);
   }
   /// Records the node's structurally-initial output.
@@ -650,8 +650,8 @@ TEST(AppendContractTest, EveryOperatorAppendsBehindExistingEntries) {
     for (const auto& [port, delta] : c.script) {
       Delta out{sentinel};
       Delta expected;
-      node->OnDelta(port, delta, {}, out);
-      twin->OnDelta(port, delta, {}, expected);
+      node->OnDelta(port, delta, out);
+      twin->OnDelta(port, delta, expected);
       ExpectSentinelThen(out, sentinel, expected);
       appended += expected.size();
     }

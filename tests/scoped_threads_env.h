@@ -44,9 +44,8 @@ class ScopedThreadsEnv {
   bool had_ = false;
 };
 
-/// Same save/override/restore dance for any PGIVM_* variable — morsel
-/// tests pin PGIVM_MORSEL (the TSAN CI job exports PGIVM_MORSEL=0 to force
-/// partitioned delivery) exactly like executor tests pin PGIVM_THREADS.
+/// Same save/override/restore dance for any PGIVM_* variable (PGIVM_REPRO,
+/// PGIVM_PROFILE), exactly like executor tests pin PGIVM_THREADS.
 class ScopedEnvVar {
  public:
   /// nullptr unsets the variable; any other value is exported verbatim.

@@ -303,9 +303,6 @@ struct HarnessConfig {
   const char* name;
   ExecutorKind executor;
   int num_threads;
-  /// Force key-partitioned morsel delivery on every non-empty node, so the
-  /// partitioned path publishes epochs under concurrent readers too.
-  bool morsel = false;
 };
 
 class ServingDifferentialTest
@@ -318,7 +315,6 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   options.network.num_threads = harness.num_threads;
   // Parallelize every wave, however small, to maximize barrier traffic.
   options.network.parallel_min_wave_entries = 0;
-  if (harness.morsel) options.network.morsel_min_node_entries = 0;
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
     RunConcurrentReaderHarness(options, seed, /*reader_count=*/8);
   }
@@ -329,11 +325,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         HarnessConfig{"batched_serial", ExecutorKind::kSerial, 0},
         HarnessConfig{"batched_parallel2", ExecutorKind::kParallel, 2},
-        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8},
-        HarnessConfig{"batched_parallel2_morsel", ExecutorKind::kParallel, 2,
-                      /*morsel=*/true},
-        HarnessConfig{"batched_parallel8_morsel", ExecutorKind::kParallel, 8,
-                      /*morsel=*/true}),
+        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// SubmitAsync: mutations from several producer threads are coalesced by

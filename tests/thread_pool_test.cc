@@ -79,5 +79,17 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_EQ(ThreadPool::ResolveThreadCount(6), 6);
 }
 
+// Programmatic thread counts are capped before any pool starts threads:
+// an unchecked count would start threads until one failed to launch, and
+// that failure terminates the process. Resolving starts no threads.
+TEST(ThreadPoolTest, ResolveThreadCountCapsAtMaxThreads) {
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(ThreadPool::kMaxThreads + 1),
+            ThreadPool::kMaxThreads);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(100000), ThreadPool::kMaxThreads);
+  EXPECT_LE(ThreadPool::ResolveThreadCount(0), ThreadPool::kMaxThreads);
+}
+
 }  // namespace
 }  // namespace pgivm
