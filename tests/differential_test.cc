@@ -104,6 +104,10 @@ const char* const kHarnessQueries[] = {
 struct HarnessCase {
   uint64_t seed;
   int threads;  // 1 = serial executor, otherwise kParallel with n threads
+  /// Keep the default work-size gate, so small waves run serially on the
+  /// calling thread between dispatched ones — the mix an engine under
+  /// PGIVM_THREADS runs. Otherwise every multi-node wave is dispatched.
+  bool gated = false;
 };
 
 class RandomizedDifferentialTest
@@ -114,7 +118,8 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
 
   // Replay filter: exporting the PGIVM_REPRO recipe a parity failure
   // prints makes the harness run *only* the recorded case — one
-  // `ctest -R Randomized` reruns exactly the flake.
+  // `ctest -R Randomized` reruns exactly the flake (with its gated or
+  // ungated twin of the same seed and thread count).
   ReproSpec this_case;
   this_case.seed = param.seed;
   this_case.threads = param.threads;
@@ -136,8 +141,10 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
     options.network.num_threads = param.threads;
     // The harness exists to race the parallel machinery (and is what the
     // TSAN job runs), so the work-size gate must not quietly turn small
-    // waves serial here; WaveGating covers the gate's own parity.
-    options.network.parallel_min_wave_entries = 0;
+    // waves serial here; WaveGating covers the gate's own parity. Gated
+    // cases keep the default gate and interleave serial and dispatched
+    // waves in one executor.
+    if (!param.gated) options.network.parallel_min_wave_entries = 0;
   }
   // The engine under test runs fully profiled while the reference does
   // not: every bit-identity assertion below then also proves profiling
@@ -235,6 +242,15 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
     }
   }
   ASSERT_EQ(views.size(), kNumQueries) << "stagger schedule exhausted early";
+  if (param.gated) {
+    // The gate really mixed the two kinds of wave in this run.
+    const int64_t waves =
+        engine.metrics().GetHistogram("propagation.wave_ns").Snapshot().count;
+    const int64_t dispatched =
+        engine.MetricsSnapshot().parallel_waves_dispatched;
+    EXPECT_GT(dispatched, 0);
+    EXPECT_LT(dispatched, waves);
+  }
 
   // End state: a brand-new engine built over the final graph (pure graph
   // priming, no replay anywhere) must agree bit-for-bit with the engine
@@ -261,6 +277,9 @@ std::vector<HarnessCase> HarnessCases() {
   std::vector<HarnessCase> cases;
   for (uint64_t seed : {101u, 202u, 303u, 404u, 505u}) {
     for (int threads : {1, 2, 8}) cases.push_back({seed, threads});
+    for (int threads : {2, 8}) {
+      cases.push_back({seed, threads, /*gated=*/true});
+    }
   }
   return cases;
 }
@@ -270,7 +289,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(HarnessCases()),
     [](const ::testing::TestParamInfo<HarnessCase>& info) {
       return "seed" + std::to_string(info.param.seed) + "_batched_t" +
-             std::to_string(info.param.threads);
+             std::to_string(info.param.threads) +
+             (info.param.gated ? "_gated" : "");
     });
 
 INSTANTIATE_TEST_SUITE_P(

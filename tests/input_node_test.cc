@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rete/path_node.h"
 #include "support/rng.h"
 #include "support/string_util.h"
 
@@ -569,6 +570,158 @@ TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
       }
     }
   }
+}
+
+// ---- The append contract ---------------------------------------------------
+
+const DeltaEntry& Sentinel() {
+  static const DeltaEntry sentinel{Tuple({Value::String("sentinel")}), 7};
+  return sentinel;
+}
+
+/// `out` is the sentinel followed by exactly `expected`, in order.
+void ExpectSentinelThen(const Delta& out, const Delta& expected) {
+  ASSERT_EQ(out.size(), expected.size() + 1);
+  EXPECT_EQ(out[0].tuple, Sentinel().tuple);
+  EXPECT_EQ(out[0].multiplicity, Sentinel().multiplicity);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(out[i + 1].tuple, expected[i].tuple) << "entry " << i;
+    EXPECT_EQ(out[i + 1].multiplicity, expected[i].multiplicity)
+        << "entry " << i;
+  }
+}
+
+/// Twin source nodes over one graph: `node` answers into a delta that
+/// already holds the sentinel, `twin` into an empty one. Every answer —
+/// graph priming, each change's translation, replay — must leave the
+/// sentinel first and untouched and append exactly what the twin does.
+class TwinSources : public GraphListener {
+ public:
+  TwinSources(PropertyGraph* graph, std::unique_ptr<GraphSourceNode> node,
+              std::unique_ptr<GraphSourceNode> twin)
+      : graph_(graph), node_(std::move(node)), twin_(std::move(twin)) {
+    Delta out{Sentinel()};
+    Delta expected;
+    node_->EmitInitialFromGraph(out);
+    twin_->EmitInitialFromGraph(expected);
+    ExpectSentinelThen(out, expected);
+    appended_ += expected.size();
+    graph_->AddListener(this);
+  }
+  ~TwinSources() override { graph_->RemoveListener(this); }
+
+  void OnGraphDelta(const GraphDelta& delta) override {
+    for (const GraphChange& change : delta.changes) {
+      Delta out{Sentinel()};
+      Delta expected;
+      node_->Translate(change, out);
+      twin_->Translate(change, expected);
+      ExpectSentinelThen(out, expected);
+      appended_ += expected.size();
+    }
+  }
+
+  /// Checks replay, and that the twins answered with something at all.
+  void Finish() {
+    Delta out{Sentinel()};
+    Delta expected;
+    ASSERT_TRUE(node_->ReplayOutput(out));
+    ASSERT_TRUE(twin_->ReplayOutput(expected));
+    ExpectSentinelThen(out, expected);
+    EXPECT_FALSE(expected.empty()) << "nothing left to replay";
+    EXPECT_GT(appended_, 0u) << "the changes never made the source answer";
+  }
+
+ private:
+  PropertyGraph* graph_;
+  std::unique_ptr<GraphSourceNode> node_;
+  std::unique_ptr<GraphSourceNode> twin_;
+  size_t appended_ = 0;
+};
+
+TEST(SourceAppendContractTest, VertexSourceAppendsBehindExistingEntries) {
+  PropertyGraph graph;
+  VertexId v0 = graph.AddVertex({"A"}, {{"x", Value::Int(1)}});
+  VertexId v1 = graph.AddVertex({"B"});
+  Schema schema({{"v", Attribute::Kind::kVertex},
+                 {"#v.x", Attribute::Kind::kValue}});
+  auto make = [&] {
+    return std::make_unique<VertexInputNode>(
+        schema, &graph, std::vector<std::string>{"A"},
+        std::vector<PropertyExtract>{PropExtract("v", "x")});
+  };
+  TwinSources twins(&graph, make(), make());
+
+  VertexId v2 = graph.AddVertex({"A"}, {{"x", Value::Int(2)}});
+  ASSERT_TRUE(graph.SetVertexProperty(v0, "x", Value::Int(5)).ok());
+  ASSERT_TRUE(graph.AddVertexLabel(v1, "A").ok());
+  graph.BeginBatch();
+  ASSERT_TRUE(graph.RemoveVertexLabel(v0, "A").ok());
+  ASSERT_TRUE(graph.SetVertexProperty(v1, "x", Value::Int(3)).ok());
+  VertexId transient = graph.AddVertex({"A"});
+  ASSERT_TRUE(graph.RemoveVertex(transient).ok());
+  graph.CommitBatch();
+  ASSERT_TRUE(graph.RemoveVertex(v2).ok());
+  twins.Finish();
+}
+
+TEST(SourceAppendContractTest, EdgeSourceAppendsBehindExistingEntries) {
+  PropertyGraph graph;
+  VertexId a = graph.AddVertex({}, {{"score", Value::Int(1)}});
+  VertexId b = graph.AddVertex({}, {{"score", Value::Int(2)}});
+  VertexId c = graph.AddVertex({});
+  (void)graph.AddEdge(a, b, "T").value();
+  Schema schema({{"s", Attribute::Kind::kVertex},
+                 {"e", Attribute::Kind::kEdge},
+                 {"t", Attribute::Kind::kVertex},
+                 {"#t.score", Attribute::Kind::kValue}});
+  auto make = [&] {
+    return std::make_unique<EdgeInputNode>(
+        schema, &graph, std::vector<std::string>{"T"}, /*undirected=*/true,
+        "s", "e", "t", std::vector<std::string>{},
+        std::vector<std::string>{},
+        std::vector<PropertyExtract>{PropExtract("t", "score")});
+  };
+  TwinSources twins(&graph, make(), make());
+
+  EdgeId bc = graph.AddEdge(b, c, "T").value();
+  (void)graph.AddEdge(a, c, "OTHER").value();
+  // An endpoint property refreshes every incident orientation.
+  ASSERT_TRUE(graph.SetVertexProperty(b, "score", Value::Int(7)).ok());
+  graph.BeginBatch();
+  ASSERT_TRUE(graph.RemoveEdge(bc).ok());
+  (void)graph.AddEdge(c, c, "T").value();
+  ASSERT_TRUE(graph.SetVertexProperty(c, "score", Value::Int(4)).ok());
+  graph.CommitBatch();
+  ASSERT_TRUE(graph.DetachRemoveVertex(a).ok());
+  twins.Finish();
+}
+
+TEST(SourceAppendContractTest, PathSourceAppendsBehindExistingEntries) {
+  PropertyGraph graph;
+  std::vector<VertexId> v;
+  for (int i = 0; i < 4; ++i) v.push_back(graph.AddVertex({}));
+  (void)graph.AddEdge(v[0], v[1], "T").value();
+  (void)graph.AddEdge(v[1], v[2], "T").value();
+  Schema schema({{"a", Attribute::Kind::kVertex},
+                 {"b", Attribute::Kind::kVertex},
+                 {"p", Attribute::Kind::kPath}});
+  auto make = [&] {
+    return std::make_unique<PathInputNode>(
+        schema, &graph, std::vector<std::string>{"T"}, /*reversed=*/false,
+        /*min_hops=*/1, /*max_hops=*/-1, /*emit_path=*/true);
+  };
+  TwinSources twins(&graph, make(), make());
+
+  // Each insert extends and each removal cuts paths through the edge.
+  EdgeId e23 = graph.AddEdge(v[2], v[3], "T").value();
+  EdgeId e30 = graph.AddEdge(v[3], v[0], "T").value();
+  graph.BeginBatch();
+  ASSERT_TRUE(graph.RemoveEdge(e23).ok());
+  (void)graph.AddEdge(v[1], v[3], "T").value();
+  graph.CommitBatch();
+  ASSERT_TRUE(graph.RemoveEdge(e30).ok());
+  twins.Finish();
 }
 
 }  // namespace

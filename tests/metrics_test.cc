@@ -412,6 +412,46 @@ TEST(Profiling, ToggleOutlivesTheLastView) {
   EXPECT_GT(activations, 0);
 }
 
+// propagation.wave_imbalance records, per wave with queued entries, the
+// share (percent) of them held by the wave's hottest node: 100 when one
+// node holds the whole wave — which a parallel wave cannot spread — and 50
+// when two nodes split it evenly.
+TEST(Profiling, WaveImbalanceReadsTheHottestNodesShare) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  EngineOptions options;
+  options.network.executor = ExecutorKind::kParallel;
+  options.network.num_threads = 2;
+  options.network.parallel_min_wave_entries = 0;
+  QueryEngine engine(&graph, options);
+  engine.set_profiling(true);
+  auto a = engine.Register("MATCH (n:A) RETURN n");
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto b = engine.Register("MATCH (n:B) RETURN n");
+  ASSERT_TRUE(b.ok()) << b.status();
+  auto imbalance = [&engine] {
+    return engine.metrics()
+        .GetHistogram("propagation.wave_imbalance")
+        .Snapshot();
+  };
+
+  const HistogramSnapshot before = imbalance();
+  graph.AddVertex({"A"});  // only the A view's nodes receive entries
+  const HistogramSnapshot one = imbalance();
+  const int64_t one_waves = one.count - before.count;
+  EXPECT_GT(one_waves, 0);
+  EXPECT_EQ(one.sum - before.sum, 100 * one_waves);
+
+  graph.AddVertex({"A", "B"});  // both views receive one entry per wave
+  const HistogramSnapshot two = imbalance();
+  const int64_t two_waves = two.count - one.count;
+  EXPECT_GT(two_waves, 0);
+  EXPECT_EQ(two.sum - one.sum, 50 * two_waves);
+  // The split waves ran on the pool; the metric reads them all the same.
+  EXPECT_GT(engine.MetricsSnapshot().parallel_waves_dispatched, 0);
+}
+
 // Every commit takes the one path DrainWaves → PublishEpochs: a graph delta
 // records one translate span and one drain, a registration into the live
 // network one drain and no translate, and each bumps the commit epoch once.

@@ -134,10 +134,12 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
 
 // Registering between update bursts must splice the new consumers into a
 // warm, mid-churn network without corrupting it — serially, and with
-// replay running through the parallel wave executor.
+// replay running through the parallel wave executor, with every wave
+// dispatched or with the default work-size gate.
 struct MidChurnShape {
   const char* name;
   int threads;  // 0 = serial executor
+  bool gated = false;  // keep the default parallel_min_wave_entries
 };
 
 class MidChurnTest : public ::testing::TestWithParam<MidChurnShape> {};
@@ -149,7 +151,7 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
   if (shape.threads > 0) {
     options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = shape.threads;
-    options.network.parallel_min_wave_entries = 0;
+    if (!shape.gated) options.network.parallel_min_wave_entries = 0;
   }
 
   SocialNetworkConfig config;
@@ -207,7 +209,8 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, MidChurnTest,
     ::testing::Values(
         MidChurnShape{"batched", 0},
-        MidChurnShape{"batched_parallel4", 4}),
+        MidChurnShape{"batched_parallel4", 4},
+        MidChurnShape{"batched_parallel4_gated", 4, /*gated=*/true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // A dropped view's exclusive nodes are freed and leave the registry; a

@@ -9,8 +9,10 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -534,6 +536,77 @@ TEST(WaveExecutor, ParallelWavesAreBitIdenticalToSerial) {
   for (size_t q = 0; q < queries.size(); ++q) {
     serial_views[q]->RemoveListener(&serial_listener);
     parallel_views[q]->RemoveListener(&parallel_listener);
+  }
+}
+
+/// Records the thread of every notification. Locked, so that a
+/// notification from a pool worker shows as a failed expectation rather
+/// than as a data race.
+class ThreadRecordingListener : public ViewChangeListener {
+ public:
+  void OnViewDelta(const Delta& /*delta*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++calls_;
+    threads_.insert(std::this_thread::get_id());
+  }
+  int calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  int calls_ = 0;
+  std::set<std::thread::id> threads_;
+};
+
+/// Parallel waves run node deliveries on pool workers, but listener
+/// notifications are deferred to the wave barrier: every one of them runs
+/// on the thread that committed the graph change.
+TEST(WaveExecutor, ListenersRunOnTheCommittingThread) {
+  ScopedThreadsEnv env(nullptr);
+  PropertyGraph graph;
+  RandomGraphConfig config;
+  config.seed = 5151;
+  RandomGraphGenerator generator(config);
+  generator.Populate(&graph);
+
+  EngineOptions options;
+  options.network.executor = ExecutorKind::kParallel;
+  options.network.num_threads = 4;
+  options.network.parallel_min_wave_entries = 0;
+  QueryEngine engine(&graph, options);
+  ThreadRecordingListener listener;
+  std::vector<std::shared_ptr<View>> views;
+  const char* const queries[] = {
+      "MATCH (a:A)-[:R]->(b) RETURN a, b",
+      "MATCH (a:A) RETURN a",
+      "MATCH (b:B) RETURN b",
+      "MATCH (a:A)-[:R]->(b) RETURN b AS t, count(*) AS c",
+  };
+  for (const char* query : queries) {
+    auto view = engine.Register(query);
+    ASSERT_TRUE(view.ok()) << query << ": " << view.status();
+    (*view)->AddListener(&listener);
+    views.push_back(*view);
+  }
+
+  for (int step = 0; step < 20; ++step) {
+    graph.BeginBatch();
+    for (int i = 0; i < 6; ++i) generator.ApplyRandomUpdate(&graph);
+    graph.CommitBatch();
+  }
+
+  EXPECT_GT(engine.MetricsSnapshot().parallel_waves_dispatched, 0);
+  EXPECT_GT(listener.calls(), 0);
+  EXPECT_EQ(listener.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  for (const std::shared_ptr<View>& view : views) {
+    view->RemoveListener(&listener);
   }
 }
 

@@ -303,6 +303,9 @@ struct HarnessConfig {
   const char* name;
   ExecutorKind executor;
   int num_threads;
+  /// Keep the default work-size gate: epochs then publish after drains
+  /// that mix serial and dispatched waves.
+  bool gated = false;
 };
 
 class ServingDifferentialTest
@@ -314,7 +317,7 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   options.network.executor = harness.executor;
   options.network.num_threads = harness.num_threads;
   // Parallelize every wave, however small, to maximize barrier traffic.
-  options.network.parallel_min_wave_entries = 0;
+  if (!harness.gated) options.network.parallel_min_wave_entries = 0;
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
     RunConcurrentReaderHarness(options, seed, /*reader_count=*/8);
   }
@@ -325,7 +328,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         HarnessConfig{"batched_serial", ExecutorKind::kSerial, 0},
         HarnessConfig{"batched_parallel2", ExecutorKind::kParallel, 2},
-        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8}),
+        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8},
+        HarnessConfig{"batched_parallel2_gated", ExecutorKind::kParallel, 2,
+                      /*gated=*/true},
+        HarnessConfig{"batched_parallel8_gated", ExecutorKind::kParallel, 8,
+                      /*gated=*/true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// SubmitAsync: mutations from several producer threads are coalesced by

@@ -6,9 +6,11 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "graph/graph_stats.h"
 #include "scoped_threads_env.h"
+#include "support/thread_pool.h"
 #include "workload/snb_driver.h"
 
 namespace pgivm {
@@ -239,6 +241,17 @@ TEST(ReproSpecTest, MorselFieldIsAnUnknownKey) {
             std::string::npos);
 }
 
+TEST(ReproSpecTest, ThreadsAtTheCapParseAndRoundTrip) {
+  // The cap itself is a valid recipe (one above it is rejected, see
+  // ParseRejectsMalformedInput) and formats back to the same text.
+  const std::string recipe =
+      "seed=5,threads=" + std::to_string(ThreadPool::kMaxThreads) + ",step=3";
+  Result<ReproSpec> spec = ReproSpec::Parse(recipe);
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  EXPECT_EQ(spec->threads, ThreadPool::kMaxThreads);
+  EXPECT_EQ(spec->Format(), recipe);
+}
+
 TEST(ReproSpecTest, FromEnvReadsAndStripsQuotes) {
   ScopedEnvVar repro("PGIVM_REPRO", "\"seed=9,threads=2,step=-1\"");
   std::optional<ReproSpec> spec = ReproSpec::FromEnv();
@@ -268,6 +281,22 @@ TEST(SnbDriverReproTest, WithReproAppliesEngineShape) {
   EXPECT_EQ(config.engine.network.num_threads, 4);
   // Round trip: the driver built from the repro'd config reports the same
   // case, so recipes are stable across replay hops.
+  SnbDriver driver(config);
+  EXPECT_TRUE(driver.ReproCase().SameCase(spec));
+}
+
+TEST(SnbDriverReproTest, SingleThreadReproRunsSerial) {
+  // A recipe recorded from a serial case replays serially even when the
+  // config it is applied to asked for parallel waves.
+  SnbDriverConfig parallel = SmallConfig();
+  parallel.engine.network.executor = ExecutorKind::kParallel;
+  parallel.engine.network.num_threads = 4;
+  ReproSpec spec;
+  spec.seed = 9;
+  spec.threads = 1;
+  SnbDriverConfig config = SnbDriver::WithRepro(parallel, spec);
+  EXPECT_EQ(config.seed, 9u);
+  EXPECT_EQ(config.engine.network.executor, ExecutorKind::kSerial);
   SnbDriver driver(config);
   EXPECT_TRUE(driver.ReproCase().SameCase(spec));
 }
@@ -363,6 +392,43 @@ TEST(SnbValidationTest, FinalGraphIsTheStreamReplayedWithoutViews) {
   EXPECT_GT(updates, 0);
   EXPECT_EQ(report->updates, updates);
   EXPECT_EQ(report->graph_fingerprint, GraphFingerprint(graph));
+}
+
+TEST(SnbValidationTest, ReportCountsEveryOperationByClass) {
+  // The report's per-class counts are exactly the stream's mix: every
+  // operation is replayed once, reads included.
+  ScopedThreadsEnv pin(nullptr);
+  SnbDriverConfig config = SmallConfig();
+  config.operations = 120;
+  SnbDriver driver(config);
+  Result<SnbReport> report = driver.RunValidation();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+
+  int64_t complex_reads = 0;
+  int64_t short_reads = 0;
+  int64_t updates = 0;
+  for (const SnbOp& op : driver.stream()) {
+    switch (op.op_class) {
+      case SnbOpClass::kComplexRead:
+        ++complex_reads;
+        break;
+      case SnbOpClass::kShortRead:
+        ++short_reads;
+        break;
+      case SnbOpClass::kUpdate:
+        ++updates;
+        break;
+    }
+  }
+  EXPECT_GT(complex_reads, 0);
+  EXPECT_GT(short_reads, 0);
+  EXPECT_GT(updates, 0);
+  EXPECT_EQ(report->complex_reads, complex_reads);
+  EXPECT_EQ(report->short_reads, short_reads);
+  EXPECT_EQ(report->updates, updates);
+  EXPECT_EQ(complex_reads + short_reads + updates, config.operations);
+  EXPECT_GT(report->elapsed_ns, 0);
+  EXPECT_GT(report->operations_per_second, 0.0);
 }
 
 TEST(SnbValidationTest, EmptyStreamIsAnError) {
