@@ -16,6 +16,8 @@ const char* OpKindName(OpKind kind) {
       return "GetVertices";
     case OpKind::kGetEdges:
       return "GetEdges";
+    case OpKind::kGetPaths:
+      return "GetPaths";
     case OpKind::kExpand:
       return "Expand";
     case OpKind::kPathJoin:
@@ -44,6 +46,11 @@ const char* OpKindName(OpKind kind) {
       return "Produce";
   }
   return "Unknown";
+}
+
+bool IsGraphLeaf(OpKind kind) {
+  return kind == OpKind::kGetVertices || kind == OpKind::kGetEdges ||
+         kind == OpKind::kGetPaths;
 }
 
 std::string PropertyExtract::ToString() const {
@@ -95,21 +102,27 @@ std::string LogicalOp::DebugString() const {
       print_extracts(extracts);
       break;
     }
+    case OpKind::kGetPaths:
     case OpKind::kExpand:
     case OpKind::kPathJoin: {
       const char* arrow_in = direction == EdgeDirection::kIn ? "<-" : "-";
       const char* arrow_out = direction == EdgeDirection::kOut ? "->" : "-";
-      os << " (" << src_var << ")" << arrow_in << "[";
+      os << " (" << src_var;
+      for (const std::string& l : src_labels) os << ":" << l;
+      os << ")" << arrow_in << "[";
       if (!edge_var.empty()) os << edge_var;
       for (size_t i = 0; i < edge_types.size(); ++i) {
         os << (i == 0 ? ":" : "|") << edge_types[i];
       }
-      if (variable_length) {
+      if (variable_length || kind == OpKind::kGetPaths) {
         os << "*" << min_hops << "..";
         if (max_hops >= 0) os << max_hops;
       }
-      os << "]" << arrow_out << "(" << dst_var << ")";
+      os << "]" << arrow_out << "(" << dst_var;
+      for (const std::string& l : dst_labels) os << ":" << l;
+      os << ")";
       if (!path_var.empty()) os << " path=" << path_var;
+      print_extracts(extracts);
       break;
     }
     case OpKind::kSelection:
@@ -254,6 +267,19 @@ Status ComputeOne(const OpPtr& op) {
           AddUnique(schema, {op->edge_var, Attribute::Kind::kEdge}, *op));
       PGIVM_RETURN_IF_ERROR(
           AddUnique(schema, {op->dst_var, Attribute::Kind::kVertex}, *op));
+      PGIVM_RETURN_IF_ERROR(AddExtracts(schema, *op));
+      break;
+
+    case OpKind::kGetPaths:
+      PGIVM_RETURN_IF_ERROR(CheckArity(*op, 0));
+      PGIVM_RETURN_IF_ERROR(
+          AddUnique(schema, {op->src_var, Attribute::Kind::kVertex}, *op));
+      PGIVM_RETURN_IF_ERROR(
+          AddUnique(schema, {op->dst_var, Attribute::Kind::kVertex}, *op));
+      if (!op->path_var.empty()) {
+        PGIVM_RETURN_IF_ERROR(
+            AddUnique(schema, {op->path_var, Attribute::Kind::kPath}, *op));
+      }
       PGIVM_RETURN_IF_ERROR(AddExtracts(schema, *op));
       break;
 

@@ -14,18 +14,20 @@ namespace pgivm {
 
 /// Kinds of logical operators across all three algebra stages of the paper:
 ///
-///   GRA  : kGetVertices (◯), kExpand (↑, incl. transitive), kSelection,
+///   GRA  : kGetVertices (◯), kExpand (↑), kPathJoin (⋈*), kSelection,
 ///          kJoin, kProjection, ...
-///   NRA  : kExpand is rewritten to kJoin(kGetEdges) / kPathJoin, property
-///          access becomes keyed unnest (modelled as extracted columns),
+///   NRA  : kExpand is rewritten to kJoin(kGetEdges) and kPathJoin to
+///          kJoin(kGetPaths), property access becomes keyed unnest
+///          (modelled as extracted columns),
 ///   FRA  : after property pushdown, leaf operators carry the inferred
 ///          minimal schema and the plan is flat (no nested evaluation).
 enum class OpKind {
   kUnit,          // single empty tuple (base of pattern-free queries)
   kGetVertices,   // ◯(v:Labels) — one tuple per matching vertex
   kGetEdges,      // ⇑(src)-[edge:Types]->(dst) — one tuple per edge
+  kGetPaths,      // (src)-[:Types*]->(dst) — one tuple per trail
   kExpand,        // ↑ GRA navigation, removed by the expand-to-join pass
-  kPathJoin,      // ./* transitive join producing (dst, optional path)
+  kPathJoin,      // ⋈* GRA transitive join, removed by the same pass
   kSelection,     // σ predicate
   kProjection,    // π named expressions
   kJoin,          // ⋈ natural join on shared column names
@@ -40,6 +42,10 @@ enum class OpKind {
 };
 
 const char* OpKindName(OpKind kind);
+
+/// True for the leaves that read the graph: get-vertices, get-edges and
+/// get-paths.
+bool IsGraphLeaf(OpKind kind);
 
 /// A property/metadata extraction pushed down into a leaf operator — the
 /// paper's `{lang → pL}` annotation produced by minimal schema inference.
@@ -83,25 +89,27 @@ struct LogicalOp {
   std::string vertex_var;
   std::vector<std::string> labels;
 
-  // kGetEdges / kExpand / kPathJoin
+  // kGetEdges / kGetPaths / kExpand / kPathJoin
   std::string src_var;
-  std::string edge_var;  // empty for kPathJoin (edges are inside the path)
+  std::string edge_var;  // empty for kGetPaths/kPathJoin (inside the path)
   std::string dst_var;
   std::vector<std::string> edge_types;  // empty = any type
   EdgeDirection direction = EdgeDirection::kOut;
 
-  // kGetEdges: labels the src/dst endpoint must carry (empty = any vertex),
-  // folded in from the region's get-vertices leaves by FoldEndpointLabels.
+  // kGetEdges / kGetPaths: labels the src/dst endpoint must carry (empty =
+  // any vertex), folded in from the region's get-vertices leaves by
+  // FoldEndpointLabels.
   std::vector<std::string> src_labels;
   std::vector<std::string> dst_labels;
 
-  // kExpand / kPathJoin variable-length parameters.
+  // kExpand / kPathJoin / kGetPaths variable-length parameters.
   bool variable_length = false;
   int64_t min_hops = 1;
   int64_t max_hops = -1;  // -1 = unbounded
   std::string path_var;   // non-empty: emit the traversed path as a column
 
-  // kGetVertices / kGetEdges: extracted columns (after property pushdown).
+  // kGetVertices / kGetEdges / kGetPaths: extracted columns (after property
+  // pushdown; a kGetPaths leaf only gains them from FoldEndpointLabels).
   std::vector<PropertyExtract> extracts;
 
   // kSelection

@@ -137,6 +137,7 @@ class Canonicalizer {
         break;
 
       case OpKind::kGetEdges:
+      case OpKind::kGetPaths:
         std::sort(copy->edge_types.begin(), copy->edge_types.end());
         std::sort(copy->src_labels.begin(), copy->src_labels.end());
         std::sort(copy->dst_labels.begin(), copy->dst_labels.end());
@@ -144,10 +145,6 @@ class Canonicalizer {
                   [&copy](const PropertyExtract& a, const PropertyExtract& b) {
                     return ExtractLess(a, b, *copy);
                   });
-        break;
-
-      case OpKind::kPathJoin:
-        std::sort(copy->edge_types.begin(), copy->edge_types.end());
         break;
 
       case OpKind::kUnnest:

@@ -24,7 +24,7 @@ void CollectReferenced(const OpPtr& op,
 
 void Prune(const OpPtr& op,
            const std::unordered_set<std::string>& referenced) {
-  if (op->kind == OpKind::kGetVertices || op->kind == OpKind::kGetEdges) {
+  if (IsGraphLeaf(op->kind)) {
     auto& extracts = op->extracts;
     extracts.erase(
         std::remove_if(extracts.begin(), extracts.end(),
@@ -72,7 +72,7 @@ void CollectReferencedExcept(const OpPtr& op, const Expression* skip_expr,
 /// Finds the element variable whose leaf extract produces column `name`
 /// somewhere under `op` (empty if `name` is not an extracted column).
 std::string ExtractElementVar(const OpPtr& op, const std::string& name) {
-  if (op->kind == OpKind::kGetVertices || op->kind == OpKind::kGetEdges) {
+  if (IsGraphLeaf(op->kind)) {
     for (const PropertyExtract& extract : op->extracts) {
       if (extract.column_name == name) return extract.element_var;
     }

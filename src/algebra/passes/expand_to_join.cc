@@ -11,6 +11,21 @@ OpPtr Rewrite(const OpPtr& op) {
   children.reserve(op->children.size());
   for (const OpPtr& child : op->children) children.push_back(Rewrite(child));
 
+  if (op->kind == OpKind::kPathJoin) {
+    // ⋈*(src)-[:T*]->(dst)(input)  ≡  input ⋈ (src)-[:T*]->(dst): the trail
+    // relation is a leaf of its own, like get-edges, so the endpoint fold
+    // can hand it labels and extracts. Unlike get-edges it keeps the
+    // pattern orientation: the emitted path runs in pattern order.
+    OpPtr paths = MakeOp(OpKind::kGetPaths);
+    paths->src_var = op->src_var;
+    paths->dst_var = op->dst_var;
+    paths->edge_types = op->edge_types;
+    paths->direction = op->direction;
+    paths->min_hops = op->min_hops;
+    paths->max_hops = op->max_hops;
+    paths->path_var = op->path_var;
+    return MakeOp(OpKind::kJoin, {children[0], std::move(paths)});
+  }
   if (op->kind != OpKind::kExpand) {
     auto copy = std::make_shared<LogicalOp>(*op);
     copy->children = std::move(children);

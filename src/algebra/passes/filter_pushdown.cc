@@ -44,12 +44,6 @@ OpPtr PushConjunct(OpPtr op, const ExprPtr& pred) {
         return op;
       }
       break;
-    case OpKind::kPathJoin:
-      if (AllBound(pred, op->children[0]->schema)) {
-        op->children[0] = PushConjunct(op->children[0], pred);
-        return op;
-      }
-      break;
     default:
       // Projections/aggregates rename columns; outer-join variants change
       // semantics under filtering. Stop above them.

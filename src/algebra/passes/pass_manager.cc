@@ -1,12 +1,15 @@
 #include "algebra/passes/pass_manager.h"
 
+#include "support/string_util.h"
+
 namespace pgivm {
 
 namespace {
 
 Status CheckNoExpand(const OpPtr& op) {
-  if (op->kind == OpKind::kExpand) {
-    return Status::Internal("Expand survived the expand-to-join pass");
+  if (op->kind == OpKind::kExpand || op->kind == OpKind::kPathJoin) {
+    return Status::Internal(StrCat(OpKindName(op->kind),
+                                   " survived the expand-to-join pass"));
   }
   for (const OpPtr& child : op->children) {
     PGIVM_RETURN_IF_ERROR(CheckNoExpand(child));
@@ -17,8 +20,8 @@ Status CheckNoExpand(const OpPtr& op) {
 }  // namespace
 
 Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options) {
-  // Step 2 (paper): GRA -> NRA. Expands become joins against get-edges;
-  // transitive expands are already the fused transitive-join operator.
+  // Step 2 (paper): GRA -> NRA. Expands become joins against get-edges,
+  // transitive joins become joins against get-paths.
   OpPtr plan = RewriteExpandToJoin(gra);
   PGIVM_RETURN_IF_ERROR(CheckNoExpand(plan));
   PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
@@ -38,8 +41,9 @@ Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options) {
     PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
   }
 
-  // Label-only vertex scans fold into the edge leaves that bind the same
-  // endpoints (no option: there is one plan shape).
+  // Label-only vertex scans fold into the edge and path leaves that bind
+  // the same endpoints, and path leaves also take their endpoints'
+  // extracts (no option: there is one plan shape).
   plan = FoldEndpointLabels(plan);
   PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
 

@@ -41,9 +41,9 @@ Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options = {});
 
 // Individual passes, exposed for unit tests and the ablation benchmarks.
 
-/// Paper step 2: rewrites every Expand into Join(input, GetEdges). The
-/// transitive expand is already represented as kPathJoin (the get-edges
-/// operand is fused into the node); this pass asserts no kExpand remains.
+/// Paper step 2: rewrites every Expand into Join(input, GetEdges) and
+/// every transitive join (kPathJoin) into Join(input, GetPaths). No kExpand
+/// or kPathJoin remains.
 OpPtr RewriteExpandToJoin(const OpPtr& root);
 
 /// Paper step 3: minimal schema inference. Rewrites property/labels/type/
@@ -74,19 +74,26 @@ void PruneUnusedExtracts(const OpPtr& root);
 /// place (schemas stale afterwards).
 void NarrowUnnestOutputs(const OpPtr& root);
 
-/// Moves vertex-label constraints into the get-edges leaves of the same
-/// inner-join region — the paper's ⇑(v:V)[e:E](w:W). A region is a maximal
-/// tree of kJoin and kSelection nodes; it never extends through outer,
-/// semi-, anti- or path joins, unions, aggregates or unnests. Inside each
-/// region:
+/// Moves vertex-label constraints into the get-edges and get-paths leaves
+/// of the same inner-join region — the paper's ⇑(v:V)[e:E](w:W). A region
+/// is a maximal tree of kJoin and kSelection nodes; it never extends
+/// through outer, semi- or anti-joins, unions, aggregates or unnests.
+/// Inside each region:
 ///
-///  1. every get-edges leaf takes, as src_labels/dst_labels, the labels of
-///     every get-vertices leaf on its src_var/dst_var — including leaves
-///     that stay, so a pattern with and without a property predicate on an
-///     endpoint still shares one edge leaf;
+///  1. every get-edges and get-paths leaf takes, as src_labels/dst_labels,
+///     the labels of every get-vertices leaf on its src_var/dst_var —
+///     including leaves that stay, so a pattern with and without a
+///     property predicate on an endpoint still shares one edge leaf;
 ///  2. a get-vertices leaf without extracts that is a direct child of a
 ///     kJoin whose other input binds its variable is deleted when some
-///     get-edges leaf of the region has that variable as an endpoint.
+///     get-edges or get-paths leaf of the region has that variable as an
+///     endpoint;
+///  3. a get-vertices leaf with extracts (under any selections of its own)
+///     that is a direct child of a kJoin whose other input holds a
+///     get-paths leaf with its variable as an endpoint hands its extracts
+///     to the first such path leaf and is deleted with its join; its
+///     selections move above the other input. Get-edges leaves keep their
+///     vertex joins.
 ///
 /// Runs on every plan, after NarrowUnnestOutputs and before
 /// CanonicalizePlan. Requires schemas computed; returns a rewritten tree

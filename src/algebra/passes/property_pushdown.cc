@@ -17,10 +17,6 @@ struct Origin {
 
 using OriginMap = std::unordered_map<std::string, Origin>;
 
-bool IsLeaf(OpKind kind) {
-  return kind == OpKind::kGetVertices || kind == OpKind::kGetEdges;
-}
-
 /// One property/metadata access found in an operator's expressions.
 struct Access {
   PropertyExtract::What what;
@@ -99,7 +95,6 @@ class PushdownPass {
       case OpKind::kSelection:
       case OpKind::kDistinct:
       case OpKind::kUnnest:
-      case OpKind::kPathJoin:
         map = Origins(op->children[0]);
         break;
       case OpKind::kProjection:
@@ -123,9 +118,14 @@ class PushdownPass {
         }
         break;
       }
+      // A path leaf's endpoints are bound by vertex leaves as well (the
+      // compiler gives every variable-length endpoint one); extracts go
+      // there, and FoldEndpointLabels may move them onto the path leaf.
+      case OpKind::kGetPaths:
       case OpKind::kUnit:
       case OpKind::kUnion:
       case OpKind::kExpand:
+      case OpKind::kPathJoin:
         break;
     }
     return map;
@@ -146,8 +146,14 @@ class PushdownPass {
           return true;
         }
         break;
+      case OpKind::kGetPaths:
+        if (op->src_var == col || op->dst_var == col || op->path_var == col) {
+          return true;
+        }
+        break;
       case OpKind::kUnit:
       case OpKind::kExpand:
+      case OpKind::kPathJoin:
         return false;
       case OpKind::kJoin:
       case OpKind::kLeftOuterJoin:
@@ -159,9 +165,6 @@ class PushdownPass {
         return Provide(op->children[0], col);
       case OpKind::kUnnest:
         if (op->unnest_alias == col) return true;
-        return Provide(op->children[0], col);
-      case OpKind::kPathJoin:
-        if (op->dst_var == col || op->path_var == col) return true;
         return Provide(op->children[0], col);
       case OpKind::kUnion:
         return Provide(op->children[0], col) && Provide(op->children[1], col);
@@ -188,7 +191,7 @@ class PushdownPass {
         }
         return false;
     }
-    if (IsLeaf(op->kind)) {
+    if (IsGraphLeaf(op->kind)) {
       for (const PropertyExtract& extract : op->extracts) {
         if (extract.column_name == col) return true;
       }

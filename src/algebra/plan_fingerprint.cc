@@ -212,6 +212,27 @@ bool CanonExprTop(const ExprPtr& e, const Schema& scope, std::string* out) {
 
 bool CanonOp(const LogicalOp& op, std::string* out);
 
+/// The extracts of an edge or path leaf: the element each reads by role
+/// (source, edge, target), what and key it reads, and its column.
+bool AppendEndpointExtracts(const LogicalOp& op, std::string* out) {
+  for (const PropertyExtract& extract : op.extracts) {
+    int column_pos = op.schema.IndexOf(extract.column_name);
+    if (column_pos < 0) return false;
+    char role = extract.element_var == op.src_var    ? 's'
+                : extract.element_var == op.edge_var ? 'e'
+                : extract.element_var == op.dst_var  ? 'd'
+                                                     : '?';
+    if (role == '?') return false;
+    out->push_back(';');
+    out->push_back(role);
+    out->append(ExtractWhatTag(extract.what));
+    AppendRaw(extract.key, out);
+    out->push_back('@');
+    AppendInt(column_pos, out);
+  }
+  return true;
+}
+
 bool CanonChild(const LogicalOp& op, size_t index, std::string* out) {
   if (index >= op.children.size() || op.children[index] == nullptr) {
     return false;
@@ -277,43 +298,30 @@ bool CanonOp(const LogicalOp& op, std::string* out) {
       AppendInt(op.schema.IndexOf(op.edge_var), out);
       out->push_back(',');
       AppendInt(op.schema.IndexOf(op.dst_var), out);
-      for (const PropertyExtract& extract : op.extracts) {
-        int column_pos = op.schema.IndexOf(extract.column_name);
-        if (column_pos < 0) return false;
-        char role = extract.element_var == op.src_var    ? 's'
-                    : extract.element_var == op.edge_var ? 'e'
-                    : extract.element_var == op.dst_var  ? 'd'
-                                                         : '?';
-        if (role == '?') return false;
-        out->push_back(';');
-        out->push_back(role);
-        out->append(ExtractWhatTag(extract.what));
-        AppendRaw(extract.key, out);
-        out->push_back('@');
-        AppendInt(column_pos, out);
-      }
+      if (!AppendEndpointExtracts(op, out)) return false;
       out->push_back(')');
       AppendSchemaKinds(op.schema, out);
       return true;
     }
 
-    case OpKind::kPathJoin: {
-      out->append("PJ(");
-      if (!CanonChild(op, 0, out)) return false;
-      out->push_back(';');
+    case OpKind::kGetPaths: {
+      out->append("GP(");
       AppendSorted(op.edge_types, out);
       AppendInt(static_cast<int64_t>(op.direction), out);
       out->push_back(',');
       AppendInt(op.min_hops, out);
       out->push_back(',');
       AppendInt(op.max_hops, out);
-      out->append(op.path_var.empty() ? ",-" : ",p");
-      // Which child columns the path endpoints join on.
-      const Schema& child = op.children[0]->schema;
+      AppendSorted(op.src_labels, out);
+      AppendSorted(op.dst_labels, out);
       out->push_back('@');
-      AppendInt(child.IndexOf(op.src_var), out);
+      AppendInt(op.schema.IndexOf(op.src_var), out);
       out->push_back(',');
-      AppendInt(child.IndexOf(op.dst_var), out);
+      AppendInt(op.schema.IndexOf(op.dst_var), out);
+      out->push_back(',');
+      AppendInt(op.path_var.empty() ? -1 : op.schema.IndexOf(op.path_var),
+                out);
+      if (!AppendEndpointExtracts(op, out)) return false;
       out->push_back(')');
       AppendSchemaKinds(op.schema, out);
       return true;
@@ -465,6 +473,7 @@ bool CanonOp(const LogicalOp& op, std::string* out) {
     }
 
     case OpKind::kExpand:
+    case OpKind::kPathJoin:
       return false;  // removed by LowerToFra; never instantiated
   }
   return false;

@@ -1,6 +1,7 @@
 #include "baseline/baseline_evaluator.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_set>
@@ -48,6 +49,14 @@ bool ResolveNames(const SymbolTable& symbols,
     std::optional<SymbolId> id = symbols.Lookup(name);
     if (!id) return false;
     out->push_back(*id);
+  }
+  return true;
+}
+
+bool HasAllLabelIds(const PropertyGraph& graph, VertexId v,
+                    const std::vector<SymbolId>& labels) {
+  for (SymbolId label : labels) {
+    if (!graph.VertexHasLabel(v, label)) return false;
   }
   return true;
 }
@@ -104,9 +113,7 @@ Result<Bag> BaselineEvaluator::EvalGetVertices(const OpPtr& op) const {
   std::vector<SymbolId> keys =
       ResolveExtractKeys(graph_->symbols(), op->extracts);
   auto consider = [&](VertexId v) {
-    for (SymbolId label : required) {
-      if (!graph_->VertexHasLabel(v, label)) return;
-    }
+    if (!HasAllLabelIds(*graph_, v, required)) return;
     std::vector<Value> values;
     values.reserve(1 + op->extracts.size());
     values.push_back(Value::Vertex(v));
@@ -145,17 +152,14 @@ Result<Bag> BaselineEvaluator::EvalGetEdges(const OpPtr& op) const {
       !ResolveNames(graph_->symbols(), op->dst_labels, &dst_labels)) {
     return out;  // a label the graph has never seen matches nothing
   }
-  auto has_all = [this](VertexId v, const std::vector<SymbolId>& labels) {
-    for (SymbolId label : labels) {
-      if (!graph_->VertexHasLabel(v, label)) return false;
-    }
-    return true;
-  };
   std::vector<SymbolId> keys =
       ResolveExtractKeys(graph_->symbols(), op->extracts);
   // Orientation (a -> b) of edge `e`, when its endpoints carry the labels.
   auto build = [&](VertexId a, VertexId b, EdgeId e) {
-    if (!has_all(a, src_labels) || !has_all(b, dst_labels)) return;
+    if (!HasAllLabelIds(*graph_, a, src_labels) ||
+        !HasAllLabelIds(*graph_, b, dst_labels)) {
+      return;
+    }
     std::vector<Value> values;
     values.reserve(3 + op->extracts.size());
     values.push_back(Value::Vertex(a));
@@ -204,15 +208,19 @@ Result<Bag> BaselineEvaluator::EvalGetEdges(const OpPtr& op) const {
   return out;
 }
 
-Result<Bag> BaselineEvaluator::EvalPathJoin(const OpPtr& op) const {
-  PGIVM_ASSIGN_OR_RETURN(Bag input, Eval(op->children[0]));
-  int src_index = op->children[0]->schema.IndexOf(op->src_var);
-  if (src_index < 0) {
-    return Status::Internal("path join source column missing");
+Result<Bag> BaselineEvaluator::EvalGetPaths(const OpPtr& op) const {
+  Bag out;
+  std::vector<SymbolId> src_labels;
+  std::vector<SymbolId> dst_labels;
+  if (!ResolveNames(graph_->symbols(), op->src_labels, &src_labels) ||
+      !ResolveNames(graph_->symbols(), op->dst_labels, &dst_labels)) {
+    return out;  // a label the graph has never seen matches nothing
   }
   bool reversed = op->direction == EdgeDirection::kIn;
   bool emit_path = !op->path_var.empty();
   int64_t limit = op->max_hops < 0 ? (int64_t{1} << 40) : op->max_hops;
+  std::vector<SymbolId> keys =
+      ResolveExtractKeys(graph_->symbols(), op->extracts);
 
   // Allowed types resolved to symbols once (never-interned names simply
   // drop out); the per-edge test inside the DFS is an id comparison.
@@ -229,46 +237,57 @@ Result<Bag> BaselineEvaluator::EvalPathJoin(const OpPtr& op) const {
            allowed_types.end();
   };
 
-  Bag out;
-  for (const auto& [tuple, count] : input.counts()) {
-    const Value& src_value = tuple.at(static_cast<size_t>(src_index));
-    if (!src_value.is_vertex()) continue;
-    VertexId source = src_value.AsVertex();
-    if (!graph_->HasVertex(source)) continue;
-
-    // DFS over trails in pattern direction, collecting matches in
-    // [min_hops, max_hops].
-    std::vector<VertexId> vertices{source};
-    std::vector<EdgeId> edges;
-    std::unordered_set<EdgeId> used;
-    auto emit = [&]() {
-      int64_t length = static_cast<int64_t>(edges.size());
-      if (length < op->min_hops) return;
-      Tuple result = tuple.Append(Value::Vertex(vertices.back()));
-      if (emit_path) {
-        result = result.Append(Value::MakePath(Path(vertices, edges)));
-      }
-      out.Apply(result, count);
-    };
-    std::function<void(VertexId, int64_t)> dfs = [&](VertexId at,
-                                                     int64_t remaining) {
-      emit();
-      if (remaining <= 0) return;
-      const std::vector<EdgeId>& incident =
-          reversed ? graph_->InEdges(at) : graph_->OutEdges(at);
-      for (EdgeId e : incident) {
-        if (!type_ok(e) || !used.insert(e).second) continue;
-        VertexId next =
-            reversed ? graph_->EdgeSource(e) : graph_->EdgeTarget(e);
-        vertices.push_back(next);
-        edges.push_back(e);
-        dfs(next, remaining - 1);
-        vertices.pop_back();
-        edges.pop_back();
-        used.erase(e);
-      }
-    };
+  // DFS over trails in pattern direction from every vertex carrying the
+  // start labels, collecting those in [min_hops, max_hops] whose last
+  // vertex carries the end labels.
+  std::vector<VertexId> vertices;
+  std::vector<EdgeId> edges;
+  std::unordered_set<EdgeId> used;
+  auto emit = [&]() {
+    int64_t length = static_cast<int64_t>(edges.size());
+    if (length < op->min_hops ||
+        !HasAllLabelIds(*graph_, vertices.back(), dst_labels)) {
+      return;
+    }
+    std::vector<Value> values;
+    values.reserve(3 + op->extracts.size());
+    values.push_back(Value::Vertex(vertices.front()));
+    values.push_back(Value::Vertex(vertices.back()));
+    if (emit_path) values.push_back(Value::MakePath(Path(vertices, edges)));
+    for (size_t i = 0; i < op->extracts.size(); ++i) {
+      const PropertyExtract& extract = op->extracts[i];
+      VertexId subject = extract.element_var == op->src_var ? vertices.front()
+                                                            : vertices.back();
+      values.push_back(VertexExtract(extract, keys[i], subject));
+    }
+    out.Apply(Tuple(std::move(values)), 1);
+  };
+  std::function<void(VertexId, int64_t)> dfs = [&](VertexId at,
+                                                   int64_t remaining) {
+    emit();
+    if (remaining <= 0) return;
+    const std::vector<EdgeId>& incident =
+        reversed ? graph_->InEdges(at) : graph_->OutEdges(at);
+    for (EdgeId e : incident) {
+      if (!type_ok(e) || !used.insert(e).second) continue;
+      VertexId next = reversed ? graph_->EdgeSource(e) : graph_->EdgeTarget(e);
+      vertices.push_back(next);
+      edges.push_back(e);
+      dfs(next, remaining - 1);
+      vertices.pop_back();
+      edges.pop_back();
+      used.erase(e);
+    }
+  };
+  auto start = [&](VertexId source) {
+    if (!HasAllLabelIds(*graph_, source, src_labels)) return;
+    vertices.assign(1, source);
     dfs(source, limit);
+  };
+  if (!src_labels.empty()) {
+    for (VertexId v : graph_->VerticesWithLabelId(src_labels[0])) start(v);
+  } else {
+    graph_->ForEachVertex(start);
   }
   return out;
 }
@@ -476,8 +495,8 @@ Result<Bag> BaselineEvaluator::Eval(const OpPtr& op) const {
       return EvalGetVertices(op);
     case OpKind::kGetEdges:
       return EvalGetEdges(op);
-    case OpKind::kPathJoin:
-      return EvalPathJoin(op);
+    case OpKind::kGetPaths:
+      return EvalGetPaths(op);
     case OpKind::kSelection: {
       PGIVM_ASSIGN_OR_RETURN(Bag input, Eval(op->children[0]));
       PGIVM_ASSIGN_OR_RETURN(
@@ -545,8 +564,10 @@ Result<Bag> BaselineEvaluator::Eval(const OpPtr& op) const {
     case OpKind::kUnnest:
       return EvalUnnest(op);
     case OpKind::kExpand:
-      return Status::Internal(
-          "Expand reached the baseline evaluator; run LowerToFra first");
+    case OpKind::kPathJoin:
+      return Status::Internal(StrCat(OpKindName(op->kind),
+                                     " reached the baseline evaluator; run "
+                                     "LowerToFra first"));
   }
   return Status::Internal(StrCat("unhandled operator ",
                                  OpKindName(op->kind)));

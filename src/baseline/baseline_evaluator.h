@@ -30,7 +30,7 @@ class BaselineEvaluator {
   Result<Bag> Eval(const OpPtr& op) const;
   Result<Bag> EvalGetVertices(const OpPtr& op) const;
   Result<Bag> EvalGetEdges(const OpPtr& op) const;
-  Result<Bag> EvalPathJoin(const OpPtr& op) const;
+  Result<Bag> EvalGetPaths(const OpPtr& op) const;
   Result<Bag> EvalJoinLike(const OpPtr& op) const;
   Result<Bag> EvalAggregate(const OpPtr& op) const;
   Result<Bag> EvalUnnest(const OpPtr& op) const;

@@ -39,6 +39,11 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
                                                    OpPtr gra, OpPtr fra,
                                                    int64_t skip,
                                                    int64_t limit) {
+  if (graph_->in_batch()) {
+    return Status::FailedPrecondition(
+        "cannot register a view while the graph has an open batch; "
+        "register before BeginBatch or after CommitBatch");
+  }
   auto view = std::shared_ptr<View>(new View());
   view->query_ = std::move(query);
   view->gra_ = std::move(gra);
@@ -125,6 +130,19 @@ void ViewCatalog::Deregister(View* view) {
 }
 
 CatalogStats ViewCatalog::Stats() const {
+  return StatsWithMemory(network_.ApproxMemoryBytes());
+}
+
+CatalogStats ViewCatalog::Stats(
+    const std::vector<ReteNetwork::NodeMetrics>& nodes) const {
+  size_t memory_bytes = 0;
+  for (const ReteNetwork::NodeMetrics& node : nodes) {
+    memory_bytes += node.memory_bytes;
+  }
+  return StatsWithMemory(memory_bytes);
+}
+
+CatalogStats ViewCatalog::StatsWithMemory(size_t memory_bytes) const {
   CatalogStats stats;
   stats.views = entries_.size();
   stats.registry_hits = registry_.hits();
@@ -132,7 +150,7 @@ CatalogStats ViewCatalog::Stats() const {
   stats.replayed_entries = replayed_entries_;
   stats.graph_primed_entries = graph_primed_entries_;
   stats.total_nodes = network_.node_count();
-  stats.memory_bytes = network_.ApproxMemoryBytes();
+  stats.memory_bytes = memory_bytes;
   for (const auto& [node, refcount] : refcounts_) {
     (void)node;
     if (refcount >= 2) ++stats.shared_nodes;

@@ -89,6 +89,9 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   /// Instantiates the compiled view (FRA plan `fra`, original text `query`)
   /// and attaches it to the graph, primed with the current content. Called
   /// by QueryEngine::Register, which owns the compilation pipeline.
+  /// FailedPrecondition while the graph holds an open batch: priming reads
+  /// the batch's changes from the graph, and the commit would then deliver
+  /// them to the new view a second time.
   Result<std::shared_ptr<View>> Install(std::string query, OpPtr gra,
                                         OpPtr fra, int64_t skip,
                                         int64_t limit);
@@ -96,6 +99,10 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   /// Prefer QueryEngine::MetricsSnapshot(), which embeds these stats in
   /// the engine-wide picture; kept as the catalog-local view.
   CatalogStats Stats() const;
+  /// Stats() with memory_bytes summed from `nodes`, the rows of this
+  /// catalog's network's NodeMetricsSnapshot(), instead of walking every
+  /// node memory a second time.
+  CatalogStats Stats(const std::vector<ReteNetwork::NodeMetrics>& nodes) const;
 
   /// Priming accounting of the most recent Install: how many tuples the
   /// new view received by memory replay vs. from fresh source nodes
@@ -158,6 +165,8 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   ViewCatalog(PropertyGraph* graph, NetworkOptions network_options);
 
   void Deregister(View* view);
+
+  CatalogStats StatsWithMemory(size_t memory_bytes) const;
 
   PropertyGraph* graph_;
   NetworkOptions network_options_;

@@ -251,9 +251,11 @@ Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
 
 EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot snap;
-  snap.catalog = catalog_->Stats();
-  snap.last_prime = catalog_->last_prime_stats();
   const ReteNetwork& network = catalog_->network();
+  // One walk of the node memories: the catalog total is their sum.
+  snap.nodes = network.NodeMetricsSnapshot();
+  snap.catalog = catalog_->Stats(snap.nodes);
+  snap.last_prime = catalog_->last_prime_stats();
   snap.deltas_processed = network.deltas_processed();
   snap.changes_processed = network.changes_processed();
   snap.total_emitted_entries = network.TotalEmittedEntries();
@@ -265,7 +267,6 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   snap.epochs_published =
       snap.epochs_recycled + snap.epochs_copied + snap.epochs_sorted;
   snap.commit_epoch = network.commit_epoch();
-  snap.nodes = network.NodeMetricsSnapshot();
   snap.ingest_mutations = ingest_mutations();
   snap.ingest_batches = ingest_batches();
   snap.ingest_running = ingest_running();

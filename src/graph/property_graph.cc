@@ -384,6 +384,9 @@ void PropertyGraph::RemoveListener(GraphListener* listener) {
 }
 
 void PropertyGraph::Record(GraphChange change) {
+  // Nobody to tell: a populate batch run before any engine subscribes
+  // would otherwise hold a record of every element it creates.
+  if (listeners_.empty()) return;
   if (in_batch_) {
     pending_.changes.push_back(std::move(change));
     return;

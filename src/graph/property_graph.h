@@ -133,7 +133,9 @@ class PropertyGraph {
   // ---- Listeners ---------------------------------------------------------
 
   /// Registers/unregisters an observer. The graph does not own listeners;
-  /// they must outlive their registration.
+  /// they must outlive their registration. Changes are recorded only while
+  /// some listener is registered: one added inside an open batch receives
+  /// the batch's changes from its registration on.
   void AddListener(GraphListener* listener);
   void RemoveListener(GraphListener* listener);
 
@@ -326,7 +328,7 @@ class PropertyGraph {
       const std::vector<SymbolId>& ids) const;
 
   /// Records one applied change: appended to the open batch, or emitted as a
-  /// singleton delta.
+  /// singleton delta; dropped while no listener is registered.
   void Record(GraphChange change);
   void NotifyListeners(GraphDelta delta);
 

@@ -15,20 +15,6 @@ Value LabelsValue(const std::vector<std::string>& labels) {
   return Value::List(std::move(out));
 }
 
-/// Label test against live graph state: resolved symbols + binary search
-/// over the vertex's sorted label-id set — no string handling.
-bool HasAllLabels(const PropertyGraph& graph, VertexId v,
-                  const std::vector<SymbolRef>& refs) {
-  const SymbolTable& symbols = graph.symbols();
-  for (const SymbolRef& ref : refs) {
-    SymbolId label = ref.Resolve(symbols);
-    // Unresolved: the label name has never been interned, so no vertex
-    // carries it.
-    if (label == kNoSymbol || !graph.VertexHasLabel(v, label)) return false;
-  }
-  return true;
-}
-
 /// The property-map column `map` after the update of `change`: the key's
 /// entry set to the new value, or erased when the new value is null.
 Value UpdatedPropertyMap(const Value& map, const GraphChange& change,
@@ -44,6 +30,52 @@ Value UpdatedPropertyMap(const Value& map, const GraphChange& change,
 }
 
 }  // namespace
+
+bool HasAllLabels(const PropertyGraph& graph, VertexId v,
+                  const std::vector<SymbolRef>& refs) {
+  const SymbolTable& symbols = graph.symbols();
+  for (const SymbolRef& ref : refs) {
+    SymbolId label = ref.Resolve(symbols);
+    // Unresolved: the label name has never been interned, so no vertex
+    // carries it.
+    if (label == kNoSymbol || !graph.VertexHasLabel(v, label)) return false;
+  }
+  return true;
+}
+
+Value VertexExtractValue(const PropertyGraph& graph,
+                         const PropertyExtract& extract, const SymbolRef& key,
+                         VertexId v) {
+  switch (extract.what) {
+    case PropertyExtract::What::kProperty:
+      return graph.GetVertexProperty(v, key.Resolve(graph.symbols()));
+    case PropertyExtract::What::kLabels:
+      return LabelsValue(graph.VertexLabels(v));
+    case PropertyExtract::What::kPropertyMap:
+      return Value::Map(graph.VertexProperties(v));
+    case PropertyExtract::What::kType:
+      return Value::Null();  // Vertices have no type.
+  }
+  return Value::Null();
+}
+
+bool ReadsVertexKey(const PropertyExtract& extract, const SymbolRef& key_ref,
+                    const SymbolTable& symbols, SymbolId key) {
+  return extract.what == PropertyExtract::What::kPropertyMap ||
+         (extract.what == PropertyExtract::What::kProperty &&
+          key_ref.Resolve(symbols) == key);
+}
+
+std::string EndpointLabelsString(const std::vector<std::string>& src_labels,
+                                 const std::vector<std::string>& dst_labels) {
+  if (src_labels.empty() && dst_labels.empty()) return "";
+  auto labels = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (const std::string& name : names) out.append(StrCat(":", name));
+    return out;
+  };
+  return StrCat(" (", labels(src_labels), ")->(", labels(dst_labels), ")");
+}
 
 // ---- VertexInputNode -------------------------------------------------------
 
@@ -72,26 +104,12 @@ bool VertexInputNode::Matches(VertexId v) const {
 }
 
 Tuple VertexInputNode::BuildTuple(VertexId v) const {
-  const SymbolTable& symbols = graph_->symbols();
   std::vector<Value> values;
   values.reserve(1 + extracts_.size());
   values.push_back(Value::Vertex(v));
   for (size_t i = 0; i < extracts_.size(); ++i) {
-    switch (extracts_[i].what) {
-      case PropertyExtract::What::kProperty:
-        values.push_back(graph_->GetVertexProperty(
-            v, extract_key_refs_[i].Resolve(symbols)));
-        break;
-      case PropertyExtract::What::kLabels:
-        values.push_back(LabelsValue(graph_->VertexLabels(v)));
-        break;
-      case PropertyExtract::What::kPropertyMap:
-        values.push_back(Value::Map(graph_->VertexProperties(v)));
-        break;
-      case PropertyExtract::What::kType:
-        values.push_back(Value::Null());  // Vertices have no type.
-        break;
-    }
+    values.push_back(
+        VertexExtractValue(*graph_, extracts_[i], extract_key_refs_[i], v));
   }
   return Tuple(std::move(values));
 }
@@ -268,6 +286,17 @@ bool EdgeInputNode::EndpointsMatch(VertexId a, VertexId b) const {
          HasAllLabels(*graph_, b, dst_label_refs_);
 }
 
+bool EdgeInputNode::VertexKeyMatters(SymbolId key) const {
+  const SymbolTable& symbols = graph_->symbols();
+  for (size_t i = 0; i < extracts_.size(); ++i) {
+    if (extracts_[i].element_var != edge_var_ &&
+        ReadsVertexKey(extracts_[i], extract_key_refs_[i], symbols, key)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool EdgeInputNode::LabelMatters(SymbolId label) const {
   const SymbolTable& symbols = graph_->symbols();
   return depends_on_vertices_ ||
@@ -303,21 +332,8 @@ Tuple EdgeInputNode::BuildTuple(VertexId a, VertexId b, EdgeId e) const {
       continue;
     }
     VertexId subject = extract.element_var == src_var_ ? a : b;
-    switch (extract.what) {
-      case PropertyExtract::What::kProperty:
-        values.push_back(graph_->GetVertexProperty(
-            subject, extract_key_refs_[i].Resolve(symbols)));
-        break;
-      case PropertyExtract::What::kLabels:
-        values.push_back(LabelsValue(graph_->VertexLabels(subject)));
-        break;
-      case PropertyExtract::What::kPropertyMap:
-        values.push_back(Value::Map(graph_->VertexProperties(subject)));
-        break;
-      case PropertyExtract::What::kType:
-        values.push_back(Value::Null());
-        break;
-    }
+    values.push_back(VertexExtractValue(*graph_, extract,
+                                        extract_key_refs_[i], subject));
   }
   return Tuple(std::move(values));
 }
@@ -395,6 +411,7 @@ void EdgeInputNode::Translate(const GraphChange& change, Delta& out) {
       Store(change.edge, TuplesFromGraph(change.edge), out);
       return;
     case GraphChange::Kind::kRemoveEdge: {
+      if (!TypeMatches(change.symbol)) return;
       auto it = asserted_.find(change.edge);
       if (it == asserted_.end()) return;
       out.reserve(out.size() + it->second.size());
@@ -428,7 +445,7 @@ void EdgeInputNode::Translate(const GraphChange& change, Delta& out) {
       return;
     }
     case GraphChange::Kind::kSetVertexProperty:
-      if (!depends_on_vertices_) return;
+      if (!depends_on_vertices_ || !VertexKeyMatters(change.symbol)) return;
       if (!graph_->HasVertex(change.vertex)) return;
       RefreshIncident(change.vertex, out);
       return;
@@ -495,18 +512,8 @@ size_t EdgeInputNode::ApproxMemoryBytes() const {
 }
 
 std::string EdgeInputNode::DebugString() const {
-  auto labels = [](const std::vector<std::string>& names) {
-    std::string out;
-    for (const std::string& name : names) out.append(StrCat(":", name));
-    return out;
-  };
-  std::string endpoints;
-  if (!src_labels_.empty() || !dst_labels_.empty()) {
-    endpoints = StrCat(" (", labels(src_labels_), ")->(",
-                       labels(dst_labels_), ")");
-  }
   return StrCat("Edges[:", StrJoin(types_, "|"), undirected_ ? " undir" : "",
-                endpoints, "]");
+                EndpointLabelsString(src_labels_, dst_labels_), "]");
 }
 
 }  // namespace pgivm

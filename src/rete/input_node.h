@@ -11,6 +11,29 @@
 
 namespace pgivm {
 
+/// Label test against live graph state: resolved symbols + binary search
+/// over the vertex's sorted label-id set — no string handling.
+bool HasAllLabels(const PropertyGraph& graph, VertexId v,
+                  const std::vector<SymbolRef>& refs);
+
+/// What a vertex-side extract (property, labels() or property map) reads
+/// from vertex `v` in live graph state; `key` is the extract's key ref
+/// (meaningful for kProperty only). A property read is an O(1) column
+/// probe; strings are built only for labels() and property maps.
+Value VertexExtractValue(const PropertyGraph& graph,
+                         const PropertyExtract& extract, const SymbolRef& key,
+                         VertexId v);
+
+/// True when an update of vertex property `key` can change the vertex-side
+/// extract `extract`: it reads that key, or the whole property map.
+bool ReadsVertexKey(const PropertyExtract& extract, const SymbolRef& key_ref,
+                    const SymbolTable& symbols, SymbolId key);
+
+/// " (:A:B)->(:C)" for the endpoint labels of an edge or path source, ""
+/// when it has none — the DebugString suffix both share.
+std::string EndpointLabelsString(const std::vector<std::string>& src_labels,
+                                 const std::vector<std::string>& dst_labels);
+
 /// Base of the nodes at the graph boundary. They have no input ports:
 /// instead of OnDelta deliveries, the network forwards every GraphChange to
 /// them, and asks once for the pre-existing graph state when a view is
@@ -120,6 +143,9 @@ class EdgeInputNode : public GraphSourceNode {
   void Reconcile(EdgeId e, Delta& out);
   /// True when a label change of `label` can alter this node's output.
   bool LabelMatters(SymbolId label) const;
+  /// True when an update of vertex property `key` can alter an endpoint
+  /// extract.
+  bool VertexKeyMatters(SymbolId key) const;
 
   const PropertyGraph* graph_;
   std::vector<std::string> types_;

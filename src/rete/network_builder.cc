@@ -101,27 +101,14 @@ class Builder {
         return Built{node, {node}};
       }
 
-      case OpKind::kPathJoin: {
-        PGIVM_ASSIGN_OR_RETURN(Built input, Build(op->children[0]));
-        Schema path_schema;
-        path_schema.Add({op->src_var, Attribute::Kind::kVertex});
-        path_schema.Add({op->dst_var, Attribute::Kind::kVertex});
-        bool emit_path = !op->path_var.empty();
-        if (emit_path) {
-          path_schema.Add({op->path_var, Attribute::Kind::kPath});
-        }
-        auto* paths = Create(std::make_unique<PathInputNode>(
-            path_schema, graph_, op->edge_types,
+      case OpKind::kGetPaths: {
+        auto* node = Create(std::make_unique<PathInputNode>(
+            op->schema, graph_, op->edge_types,
             op->direction == EdgeDirection::kIn, op->min_hops, op->max_hops,
-            emit_path));
-        network_->RegisterSource(paths);
-        auto* join = Create(std::make_unique<JoinNode>(
-            op->schema, op->children[0]->schema, path_schema));
-        input.node->AddOutput(join, 0);
-        paths->AddOutput(join, 1);
-        Built built{join, std::move(input.support)};
-        MergeSupport(built.support, {paths, join});
-        return built;
+            !op->path_var.empty(), op->src_labels, op->dst_labels,
+            op->extracts));
+        network_->RegisterSource(node);
+        return Built{node, {node}};
       }
 
       case OpKind::kSelection: {
@@ -306,8 +293,10 @@ class Builder {
       }
 
       case OpKind::kExpand:
-        return Status::Internal(
-            "Expand reached the network builder; run LowerToFra first");
+      case OpKind::kPathJoin:
+        return Status::Internal(StrCat(OpKindName(op->kind),
+                                       " reached the network builder; run "
+                                       "LowerToFra first"));
     }
     return Status::Internal(
         StrCat("unhandled operator ", OpKindName(op->kind)));

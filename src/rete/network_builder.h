@@ -62,8 +62,8 @@ struct BuiltView {
 /// `registry` again; previously registered views are untouched.
 ///
 /// Lowerings performed here:
-///  * transitive join → Join(input, PathInputNode) — the path store is the
-///    fused get-edges side of the paper's ./∗ operator;
+///  * get-paths → PathInputNode, the trail store behind the paper's ./∗
+///    operator (the plan already joins it to its input);
 ///  * left outer join → Join ∪ (AntiJoin → null-pad Projection);
 ///  * Produce → Projection feeding a fresh ProductionNode (the view root;
 ///    productions are never shared).

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <ostream>
 #include <string>
+#include <optional>
 #include <utility>
-#include <variant>
 
 namespace pgivm {
 
@@ -86,30 +86,26 @@ class Result {
  public:
   /// Implicit construction from a value or an error is intentional: it lets
   /// functions `return value;` or `return Status::...;` uniformly.
-  Result(T value) : rep_(std::move(value)) {}        // NOLINT(runtime/explicit)
-  Result(Status status) : rep_(std::move(status)) {  // NOLINT(runtime/explicit)
-    assert(!std::get<Status>(rep_).ok() &&
-           "Result<T> must not be built from an OK status");
+  Result(T value) : value_(std::move(value)) {}         // NOLINT(runtime/explicit)
+  Result(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
+    assert(!status_.ok() && "Result<T> must not be built from an OK status");
   }
 
-  bool ok() const { return std::holds_alternative<T>(rep_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(rep_);
-  }
+  const Status& status() const { return status_; }
 
   const T& value() const& {
     assert(ok());
-    return std::get<T>(rep_);
+    return *value_;
   }
   T& value() & {
     assert(ok());
-    return std::get<T>(rep_);
+    return *value_;
   }
   T&& value() && {
     assert(ok());
-    return std::get<T>(std::move(rep_));
+    return std::move(*value_);
   }
 
   const T& operator*() const& { return value(); }
@@ -118,7 +114,11 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
-  std::variant<Status, T> rep_;
+  // OK exactly when value_ holds a value. Not a std::variant<Status, T>:
+  // GCC 12 reports -Wmaybe-uninitialized through that variant's destructor
+  // in optimized builds.
+  Status status_;
+  std::optional<T> value_;
 };
 
 }  // namespace pgivm

@@ -322,6 +322,32 @@ TEST(EngineTest, CompileErrorsSurface) {
   EXPECT_FALSE(engine.Register("MATCH (n:A) RETURN n ORDER BY n.x").ok());
 }
 
+TEST(EngineTest, RegisterInsideAnOpenBatchFails) {
+  // Priming would read the open batch's vertex from the graph, and the
+  // commit would deliver it again: the view would hold it twice.
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  graph.BeginBatch();
+  VertexId a = graph.AddVertex({"A"});
+  Result<std::shared_ptr<View>> inside =
+      engine.Register("MATCH (a:A) RETURN a, a.x AS x");
+  ASSERT_FALSE(inside.ok());
+  EXPECT_EQ(inside.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.catalog().view_count(), 0u);
+  ASSERT_TRUE(graph.SetVertexProperty(a, "x", Value::Int(1)).ok());
+  graph.CommitBatch();
+
+  auto rows = MustRegister(engine, "MATCH (a:A) RETURN a, a.x AS x");
+  auto count = MustRegister(engine, "MATCH (a:A) RETURN count(*) AS n");
+  ASSERT_EQ(rows->size(), 1);
+  EXPECT_EQ(rows->Snapshot()[0].at(1), Value::Int(1));
+  EXPECT_EQ(count->Snapshot()[0].at(0), Value::Int(1));
+  Result<std::vector<Tuple>> fresh =
+      engine.EvaluateOnce("MATCH (a:A) RETURN a, a.x AS x");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->size(), 1u);
+}
+
 TEST(EngineTest, WithAggregationPipeline) {
   PropertyGraph graph;
   QueryEngine engine(&graph);

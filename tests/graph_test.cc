@@ -121,6 +121,34 @@ TEST(PropertyGraphTest, SetPropertyEmitsOldAndNewValue) {
   EXPECT_TRUE(graph.GetVertexProperty(v, "x").is_null());
 }
 
+TEST(PropertyGraphTest, ChangesWithoutListenersAreNotRecorded) {
+  PropertyGraph graph;
+  graph.BeginBatch();
+  VertexId a = graph.AddVertex({"A"}, {{"x", Value::Int(1)}});
+  VertexId b = graph.AddVertex({});
+  ASSERT_TRUE(graph.AddEdge(a, b, "R").ok());
+  // A listener registered mid-batch hears only what follows it.
+  RecordingListener listener;
+  graph.AddListener(&listener);
+  ASSERT_TRUE(graph.SetVertexProperty(b, "y", Value::Int(2)).ok());
+  graph.CommitBatch();
+  ASSERT_EQ(listener.deltas.size(), 1u);
+  ASSERT_EQ(listener.deltas[0].size(), 1u);
+  EXPECT_EQ(listener.deltas[0].changes[0].kind,
+            GraphChange::Kind::kSetVertexProperty);
+  EXPECT_EQ(listener.deltas[0].changes[0].vertex, b);
+
+  // Unsubscribed again: nothing is kept for a later listener either.
+  graph.RemoveListener(&listener);
+  graph.BeginBatch();
+  (void)graph.AddVertex({});
+  graph.AddListener(&listener);
+  graph.CommitBatch();
+  EXPECT_EQ(listener.deltas.size(), 1u);
+  EXPECT_EQ(graph.vertex_count(), 3u);
+  EXPECT_EQ(graph.edge_count(), 1u);
+}
+
 TEST(PropertyGraphTest, ChangeRecordsCarrySymbols) {
   PropertyGraph graph;
   RecordingListener listener;

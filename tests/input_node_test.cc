@@ -406,6 +406,24 @@ std::unique_ptr<GraphSourceNode> MakeEdgeSource(
       std::move(src_labels), std::move(dst_labels), std::move(extracts));
 }
 
+std::unique_ptr<GraphSourceNode> MakePathSource(
+    const PropertyGraph* graph, std::vector<std::string> types,
+    bool reversed, int64_t min_hops, int64_t max_hops, bool emit_path,
+    std::vector<std::string> start_labels,
+    std::vector<std::string> end_labels,
+    std::vector<PropertyExtract> extracts) {
+  Schema schema({{"s", Attribute::Kind::kVertex},
+                 {"t", Attribute::Kind::kVertex}});
+  if (emit_path) schema.Add({"p", Attribute::Kind::kPath});
+  for (const PropertyExtract& e : extracts) {
+    schema.Add({e.column_name, Attribute::Kind::kValue});
+  }
+  return std::make_unique<PathInputNode>(
+      schema, graph, std::move(types), reversed, min_hops, max_hops,
+      emit_path, std::move(start_labels), std::move(end_labels),
+      std::move(extracts));
+}
+
 PropertyExtract WholeExtract(PropertyExtract::What what, const std::string& var,
                              const std::string& name) {
   return {what, var, "", StrCat("#", name, "(", var, ")")};
@@ -453,6 +471,18 @@ TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
                             {WholeExtract(What::kType, "e", "type"),
                              WholeExtract(What::kPropertyMap, "e", "props"),
                              PropExtract("t", "y")});
+    });
+    maintain([&] {
+      return MakePathSource(&graph, {"T"}, /*reversed=*/false, 1, 3,
+                            /*emit_path=*/false, {"A"}, {"B"},
+                            {PropExtract("s", "x"), PropExtract("t", "x"),
+                             WholeExtract(What::kLabels, "t", "labels")});
+    });
+    maintain([&] {
+      return MakePathSource(&graph, {"T", "U"}, /*reversed=*/true, 0, 2,
+                            /*emit_path=*/true, {"C"}, {},
+                            {WholeExtract(What::kPropertyMap, "t", "props"),
+                             PropExtract("s", "y")});
     });
 
     Rng rng(seed);
@@ -569,6 +599,84 @@ TEST(InputNodeRandomBatchTest, MaintainedSourcesMatchFreshlyPrimed) {
         }
       }
     }
+  }
+}
+
+// ---- Key- and type-aware translation ----------------------------------------
+
+/// Keeps every graph delta, so a test can hand a source one change at a
+/// time.
+struct DeltaLog : GraphListener {
+  void OnGraphDelta(const GraphDelta& delta) override {
+    deltas.push_back(delta);
+  }
+  std::vector<GraphDelta> deltas;
+};
+
+/// A hub whose x both sources read sits at the start of 20 T edges; one
+/// batch updates its x and then a key no extract reads. Each change is
+/// translated against the post-batch graph, so a source that reconciled
+/// the hub on the unread key would already emit the x update there.
+TEST(SourceKeyTest, UnreadKeyUpdateOfAHubEmitsNothing) {
+  PropertyGraph graph;
+  VertexId hub = graph.AddVertex({"A"}, {{"x", Value::Int(0)}});
+  for (int i = 0; i < 20; ++i) {
+    (void)graph.AddEdge(hub, graph.AddVertex({"B"}), "T").value();
+  }
+  std::vector<std::unique_ptr<GraphSourceNode>> sources;
+  sources.push_back(MakeEdgeSource(&graph, {"T"}, /*undirected=*/false, {},
+                                   {}, {PropExtract("s", "x")}));
+  sources.push_back(MakePathSource(&graph, {"T"}, /*reversed=*/false, 1, -1,
+                                   /*emit_path=*/false, {"A"}, {"B"},
+                                   {PropExtract("s", "x")}));
+  for (auto& source : sources) {
+    Delta primed;
+    source->EmitInitialFromGraph(primed);
+    ASSERT_EQ(primed.size(), 20u) << source->DebugString();
+  }
+  DeltaLog log;
+  graph.AddListener(&log);
+  graph.BeginBatch();
+  ASSERT_TRUE(graph.SetVertexProperty(hub, "x", Value::Int(1)).ok());
+  ASSERT_TRUE(graph.SetVertexProperty(hub, "name", Value::String("h")).ok());
+  graph.CommitBatch();
+  ASSERT_EQ(log.deltas.size(), 1u);
+  ASSERT_EQ(log.deltas[0].size(), 2u);
+  for (auto& source : sources) {
+    SCOPED_TRACE(source->DebugString());
+    Delta unread;
+    source->Translate(log.deltas[0].changes[1], unread);
+    EXPECT_TRUE(unread.empty());
+    Delta read;
+    source->Translate(log.deltas[0].changes[0], read);
+    EXPECT_EQ(read.size(), 40u);  // 20 retract/assert pairs
+  }
+}
+
+TEST(SourceKeyTest, RemovalOfAnEdgeOfAnotherTypeEmitsNothing) {
+  PropertyGraph graph;
+  VertexId a = graph.AddVertex({});
+  VertexId b = graph.AddVertex({});
+  (void)graph.AddEdge(a, b, "T").value();
+  EdgeId other = graph.AddEdge(a, b, "U").value();
+  std::vector<std::unique_ptr<GraphSourceNode>> sources;
+  sources.push_back(MakeEdgeSource(&graph, {"T"}, /*undirected=*/true, {},
+                                   {}, {}));
+  sources.push_back(MakePathSource(&graph, {"T"}, /*reversed=*/false, 1, -1,
+                                   /*emit_path=*/false, {}, {}, {}));
+  for (auto& source : sources) {
+    Delta primed;
+    source->EmitInitialFromGraph(primed);
+    ASSERT_FALSE(primed.empty());
+  }
+  DeltaLog log;
+  graph.AddListener(&log);
+  ASSERT_TRUE(graph.RemoveEdge(other).ok());
+  ASSERT_EQ(log.deltas.size(), 1u);
+  for (auto& source : sources) {
+    Delta out;
+    source->Translate(log.deltas[0].changes[0], out);
+    EXPECT_TRUE(out.empty()) << source->DebugString();
   }
 }
 

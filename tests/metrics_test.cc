@@ -643,6 +643,34 @@ TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
   EXPECT_EQ(snap.nodes.size(), network->node_count());
 }
 
+TEST(MetricsSnapshot, CatalogMemoryIsTheSumOfTheNodeRows) {
+  ScopedThreadsEnv no_env(nullptr);
+  ScopedProfileEnv no_profile_env(nullptr);
+  PropertyGraph graph;
+  RandomGraphConfig config;
+  config.seed = 5;
+  RandomGraphGenerator generator(config);
+  generator.Populate(&graph);
+
+  QueryEngine engine(&graph);
+  std::vector<std::shared_ptr<View>> views;
+  for (const char* query : ProfiledQueries()) {
+    views.push_back(engine.Register(query).value());
+  }
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+
+  EngineMetricsSnapshot snap = engine.MetricsSnapshot();
+  size_t sum = 0;
+  for (const ReteNetwork::NodeMetrics& node : snap.nodes) {
+    sum += node.memory_bytes;
+  }
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(snap.catalog.memory_bytes, sum);
+  EXPECT_EQ(snap.catalog.memory_bytes, engine.catalog().Stats().memory_bytes);
+  EXPECT_EQ(snap.catalog.memory_bytes,
+            engine.catalog().network().ApproxMemoryBytes());
+}
+
 // The network lives as long as the engine, so dropping the last view
 // keeps it: no lifetime counter and no commit epoch ever goes backwards,
 // and a view registered after the drop pins a later epoch than any before.

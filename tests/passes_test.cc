@@ -83,9 +83,22 @@ TEST(ExpandToJoinTest, UndirectedKeepsBothDirection) {
   EXPECT_EQ(edges->direction, EdgeDirection::kBoth);
 }
 
-TEST(ExpandToJoinTest, PathJoinSurvives) {
-  OpPtr nra = RewriteExpandToJoin(Gra("MATCH (a:A)-[:T*]->(b) RETURN a"));
-  EXPECT_EQ(CountKind(nra, OpKind::kPathJoin), 1);
+TEST(ExpandToJoinTest, PathJoinBecomesJoinWithGetPaths) {
+  OpPtr gra = Gra("MATCH t = (a:A)<-[:T*2..3]-(b) RETURN a, t");
+  EXPECT_EQ(CountKind(gra, OpKind::kPathJoin), 1);
+  OpPtr nra = RewriteExpandToJoin(gra);
+  EXPECT_EQ(CountKind(nra, OpKind::kPathJoin), 0);
+  const LogicalOp* paths = FindKind(nra, OpKind::kGetPaths);
+  ASSERT_NE(paths, nullptr);
+  EXPECT_TRUE(paths->children.empty());
+  // Pattern orientation stays: the path value runs from a to b.
+  EXPECT_EQ(paths->src_var, "a");
+  EXPECT_EQ(paths->dst_var, "b");
+  EXPECT_EQ(paths->direction, EdgeDirection::kIn);
+  EXPECT_EQ(paths->edge_types, std::vector<std::string>{"T"});
+  EXPECT_EQ(paths->min_hops, 2);
+  EXPECT_EQ(paths->max_hops, 3);
+  EXPECT_FALSE(paths->path_var.empty());
 }
 
 // ---- Property pushdown (paper step 3: minimal schema inference) -----------
@@ -95,10 +108,11 @@ TEST(PropertyPushdownTest, RunningExamplePushesLangToLeaves) {
   OpPtr fra = Fra(
       "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) "
       "WHERE p.lang = c.lang RETURN p, t");
-  std::vector<const LogicalOp*> leaves = FindAll(fra, OpKind::kGetVertices);
   int extract_count = 0;
-  for (const LogicalOp* leaf : leaves) {
-    extract_count += static_cast<int>(leaf->extracts.size());
+  for (OpKind kind : {OpKind::kGetVertices, OpKind::kGetPaths}) {
+    for (const LogicalOp* leaf : FindAll(fra, kind)) {
+      extract_count += static_cast<int>(leaf->extracts.size());
+    }
   }
   EXPECT_EQ(extract_count, 2) << PrintPlan(fra);
   // The selection now references the extracted columns, not raw properties.
@@ -358,7 +372,7 @@ TEST(FoldEndpointLabelsTest, LeafWithExtractsStaysAndLendsItsLabels) {
   EXPECT_EQ(edges->dst_labels, std::vector<std::string>{"B"});
 }
 
-TEST(FoldEndpointLabelsTest, NothingFoldsAcrossOptionalExistsOrPathJoin) {
+TEST(FoldEndpointLabelsTest, NothingFoldsAcrossOptionalOrExists) {
   // OPTIONAL MATCH: the outer label stays on the outer vertex leaf.
   OpPtr optional =
       Fra("MATCH (a:A) OPTIONAL MATCH (a)-[r:R]->(b) RETURN a, b");
@@ -374,10 +388,69 @@ TEST(FoldEndpointLabelsTest, NothingFoldsAcrossOptionalExistsOrPathJoin) {
   EXPECT_TRUE(probe->src_labels.empty());
   EXPECT_EQ(probe->dst_labels, std::vector<std::string>{"B"});
 
-  // A path join target keeps its vertex leaf: there is no edge leaf to
-  // carry the label.
-  OpPtr path = Fra("MATCH (a:A)-[:R*]->(b:B) RETURN a, b");
-  EXPECT_EQ(CountKind(path, OpKind::kGetVertices), 2) << PrintPlan(path);
+  // A labelled path's end stays out of the outer region's path leaf.
+  OpPtr path = Fra(
+      "MATCH (a:A) OPTIONAL MATCH (a)-[:R*]->(b:B) WHERE a.x = b.x "
+      "RETURN a, b");
+  const LogicalOp* paths = FindKind(path, OpKind::kGetPaths);
+  ASSERT_NE(paths, nullptr) << PrintPlan(path);
+  EXPECT_TRUE(paths->src_labels.empty()) << PrintPlan(path);
+  EXPECT_EQ(paths->dst_labels, std::vector<std::string>{"B"});
+  ASSERT_EQ(CountKind(path, OpKind::kGetVertices), 1) << PrintPlan(path);
+  EXPECT_EQ(FindKind(path, OpKind::kGetVertices)->labels,
+            std::vector<std::string>{"A"});
+}
+
+TEST(FoldEndpointLabelsTest, PathEndpointsFoldIntoThePathLeaf) {
+  OpPtr labels_only = Fra("MATCH (a:A)-[:R*]->(b:B) RETURN a, b");
+  EXPECT_EQ(CountKind(labels_only, OpKind::kGetVertices), 0)
+      << PrintPlan(labels_only);
+  EXPECT_EQ(CountKind(labels_only, OpKind::kJoin), 0)
+      << PrintPlan(labels_only);
+  const LogicalOp* paths = FindKind(labels_only, OpKind::kGetPaths);
+  ASSERT_NE(paths, nullptr);
+  EXPECT_EQ(paths->src_labels, std::vector<std::string>{"A"});
+  EXPECT_EQ(paths->dst_labels, std::vector<std::string>{"B"});
+}
+
+TEST(FoldEndpointLabelsTest, ReplyPathViewIsOnePathLeaf) {
+  // The SNB REPLY* view: labels and both lang reads move onto the path
+  // leaf, so the plan is path leaf -> Selection -> Projection.
+  OpPtr fra = Fra(
+      "MATCH (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = c.lang "
+      "RETURN p, c");
+  EXPECT_EQ(CountKind(fra, OpKind::kGetVertices), 0) << PrintPlan(fra);
+  EXPECT_EQ(CountKind(fra, OpKind::kJoin), 0) << PrintPlan(fra);
+  std::vector<const LogicalOp*> paths = FindAll(fra, OpKind::kGetPaths);
+  ASSERT_EQ(paths.size(), 1u) << PrintPlan(fra);
+  EXPECT_EQ(paths[0]->src_labels, std::vector<std::string>{"Post"});
+  EXPECT_EQ(paths[0]->dst_labels, std::vector<std::string>{"Comm"});
+  std::vector<std::string> columns;
+  for (const PropertyExtract& extract : paths[0]->extracts) {
+    columns.push_back(extract.column_name);
+  }
+  EXPECT_EQ(columns, (std::vector<std::string>{"#p.lang", "#c.lang"}))
+      << PrintPlan(fra);
+  EXPECT_NE(PrintPlan(fra).find(
+                "GetPaths (p:Post)-[:REPLY*1..]->(c:Comm) {p.lang -> "
+                "#p.lang, c.lang -> #c.lang}"),
+            std::string::npos)
+      << PrintPlan(fra);
+}
+
+TEST(FoldEndpointLabelsTest, PathExtractsGoToExactlyOnePathLeaf) {
+  // b ends one path and starts the other: its extract lands on one of
+  // them only, and its selection moves above the joined paths.
+  OpPtr fra = Fra(
+      "MATCH (a)-[:R*]->(b:B)-[:S*]->(c) WHERE b.x = 1 RETURN a, c");
+  EXPECT_EQ(CountKind(fra, OpKind::kGetVertices), 0) << PrintPlan(fra);
+  std::vector<const LogicalOp*> paths = FindAll(fra, OpKind::kGetPaths);
+  ASSERT_EQ(paths.size(), 2u) << PrintPlan(fra);
+  int carriers = 0;
+  for (const LogicalOp* leaf : paths) {
+    if (!leaf->extracts.empty()) ++carriers;
+  }
+  EXPECT_EQ(carriers, 1) << PrintPlan(fra);
 }
 
 TEST(FoldEndpointLabelsTest, UnlabelledChainStartLeafIsDropped) {

@@ -19,10 +19,14 @@ struct Sink {
   Bag bag;
 };
 
-Schema PathSchema(bool with_path) {
+Schema PathSchema(bool with_path,
+                  const std::vector<PropertyExtract>& extracts = {}) {
   Schema schema({{"a", Attribute::Kind::kVertex},
                  {"b", Attribute::Kind::kVertex}});
   if (with_path) schema.Add({"p", Attribute::Kind::kPath});
+  for (const PropertyExtract& extract : extracts) {
+    schema.Add({extract.column_name, Attribute::Kind::kValue});
+  }
   return schema;
 }
 
@@ -32,9 +36,12 @@ Tuple Pair(VertexId a, VertexId b) {
 
 struct Fixture {
   Fixture(int64_t min_hops, int64_t max_hops, bool emit_path = false,
-          bool reversed = false)
-      : node(PathSchema(emit_path), &graph, {"T"}, reversed, min_hops,
-             max_hops, emit_path) {
+          bool reversed = false, std::vector<std::string> start_labels = {},
+          std::vector<std::string> end_labels = {},
+          std::vector<PropertyExtract> extracts = {})
+      : node(PathSchema(emit_path, extracts), &graph, {"T"}, reversed,
+             min_hops, max_hops, emit_path, std::move(start_labels),
+             std::move(end_labels), extracts) {
     graph.AddListener(&adapter);
   }
 
@@ -173,6 +180,131 @@ TEST(PathNodeTest, ReversedFollowsIncomingEdges) {
   VertexId b = f.graph.AddVertex({});
   (void)f.graph.AddEdge(b, a, "T").value();
   EXPECT_EQ(f.sink.bag.Count(Pair(a, b)), 1);
+}
+
+// ---- End labels and extracts ----------------------------------------------
+
+TEST(PathNodeTest, EndLabelsFilterTrailsAndFollowLabelChanges) {
+  Fixture f(1, -1, /*emit_path=*/false, /*reversed=*/false, {"A"}, {"B"});
+  VertexId v1 = f.graph.AddVertex({"A"});
+  VertexId v2 = f.graph.AddVertex({});
+  VertexId v3 = f.graph.AddVertex({"B"});
+  (void)f.graph.AddEdge(v1, v2, "T").value();
+  (void)f.graph.AddEdge(v2, v3, "T").value();
+  // Of v1->v2, v2->v3 and v1->v2->v3 only the last runs from :A to :B.
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+  EXPECT_EQ(f.sink.bag.Count(Pair(v1, v3)), 1);
+  EXPECT_EQ(f.node.path_count(), 1u);
+
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(v3, "B").ok());
+  EXPECT_EQ(f.sink.bag.total_count(), 0);
+  EXPECT_EQ(f.node.path_count(), 0u);
+  ASSERT_TRUE(f.graph.AddVertexLabel(v3, "B").ok());
+  EXPECT_EQ(f.sink.bag.Count(Pair(v1, v3)), 1);
+
+  // v2 becomes a start: its trail to v3 appears; then an end as well.
+  ASSERT_TRUE(f.graph.AddVertexLabel(v2, "A").ok());
+  EXPECT_EQ(f.sink.bag.Count(Pair(v2, v3)), 1);
+  ASSERT_TRUE(f.graph.AddVertexLabel(v2, "B").ok());
+  EXPECT_EQ(f.sink.bag.Count(Pair(v1, v2)), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 3);
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(v2, "A").ok());
+  EXPECT_EQ(f.sink.bag.Count(Pair(v2, v3)), 0);
+  EXPECT_EQ(f.sink.bag.total_count(), 2);
+
+  // An unrelated label changes nothing.
+  ASSERT_TRUE(f.graph.AddVertexLabel(v1, "C").ok());
+  EXPECT_EQ(f.sink.bag.total_count(), 2);
+}
+
+TEST(PathNodeTest, LabelChangesInOneBatchNetToTheFinalLabels) {
+  Fixture f(1, -1, /*emit_path=*/false, /*reversed=*/false, {"A"}, {"B"});
+  VertexId v1 = f.graph.AddVertex({});
+  VertexId v2 = f.graph.AddVertex({"B"});
+  f.graph.BeginBatch();
+  (void)f.graph.AddEdge(v1, v2, "T").value();
+  ASSERT_TRUE(f.graph.AddVertexLabel(v1, "A").ok());
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(v1, "A").ok());
+  ASSERT_TRUE(f.graph.AddVertexLabel(v1, "A").ok());
+  f.graph.CommitBatch();
+  EXPECT_EQ(f.sink.bag.Count(Pair(v1, v2)), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+
+  f.graph.BeginBatch();
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(v2, "B").ok());
+  (void)f.graph.AddEdge(v2, f.graph.AddVertex({"B"}), "T").value();
+  f.graph.CommitBatch();
+  // v1->v2 lost its end; v1->v2->new and v2->new need v2 to be :A.
+  EXPECT_EQ(f.sink.bag.Count(Pair(v1, v2)), 0);
+  EXPECT_EQ(f.sink.bag.total_count(), 1);
+}
+
+TEST(PathNodeTest, ZeroHopTrailNeedsBothLabelSets) {
+  Fixture f(0, 1, /*emit_path=*/false, /*reversed=*/false, {"A"}, {"B"});
+  VertexId v = f.graph.AddVertex({"A"});
+  EXPECT_EQ(f.sink.bag.total_count(), 0);
+  ASSERT_TRUE(f.graph.AddVertexLabel(v, "B").ok());
+  EXPECT_EQ(f.sink.bag.Count(Pair(v, v)), 1);
+  ASSERT_TRUE(f.graph.RemoveVertexLabel(v, "A").ok());
+  EXPECT_EQ(f.sink.bag.total_count(), 0);
+}
+
+TEST(PathNodeTest, ExtractUpdatesReassertTheTrailsAtThatEnd) {
+  PropertyExtract start_x{PropertyExtract::What::kProperty, "a", "x", "#a.x"};
+  PropertyExtract end_labels{PropertyExtract::What::kLabels, "b", "",
+                             "#labels(b)"};
+  Fixture f(1, -1, /*emit_path=*/false, /*reversed=*/false, {}, {},
+            {start_x, end_labels});
+  VertexId v1 = f.graph.AddVertex({}, {{"x", Value::Int(1)}});
+  VertexId v2 = f.graph.AddVertex({"B"});
+  VertexId v3 = f.graph.AddVertex({});
+  (void)f.graph.AddEdge(v1, v2, "T").value();
+  (void)f.graph.AddEdge(v2, v3, "T").value();
+  auto row = [](VertexId a, VertexId b, Value x, std::vector<std::string> l) {
+    ValueList labels;
+    for (const std::string& label : l) labels.push_back(Value::String(label));
+    return Tuple({Value::Vertex(a), Value::Vertex(b), std::move(x),
+                  Value::List(std::move(labels))});
+  };
+  EXPECT_EQ(f.sink.bag.Count(row(v1, v2, Value::Int(1), {"B"})), 1);
+  EXPECT_EQ(f.sink.bag.Count(row(v1, v3, Value::Int(1), {})), 1);
+  EXPECT_EQ(f.sink.bag.Count(row(v2, v3, Value::Null(), {})), 1);
+
+  ASSERT_TRUE(f.graph.SetVertexProperty(v1, "x", Value::Int(2)).ok());
+  EXPECT_EQ(f.sink.bag.Count(row(v1, v2, Value::Int(2), {"B"})), 1);
+  EXPECT_EQ(f.sink.bag.Count(row(v1, v3, Value::Int(2), {})), 1);
+  EXPECT_EQ(f.sink.bag.Count(row(v2, v3, Value::Null(), {})), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 3);
+
+  // A key no extract reads, and x at a vertex that ends no trail.
+  ASSERT_TRUE(f.graph.SetVertexProperty(v1, "y", Value::Int(5)).ok());
+  ASSERT_TRUE(f.graph.SetVertexProperty(v3, "x", Value::Int(5)).ok());
+  EXPECT_EQ(f.sink.bag.total_count(), 3);
+  EXPECT_EQ(f.sink.bag.Count(row(v2, v3, Value::Null(), {})), 1);
+
+  ASSERT_TRUE(f.graph.AddVertexLabel(v3, "C").ok());
+  EXPECT_EQ(f.sink.bag.Count(row(v1, v3, Value::Int(2), {"C"})), 1);
+  EXPECT_EQ(f.sink.bag.Count(row(v2, v3, Value::Null(), {"C"})), 1);
+  EXPECT_EQ(f.sink.bag.total_count(), 3);
+}
+
+TEST(PathNodeTest, PrimingStartsOnlyAtStartLabels) {
+  PropertyGraph graph;
+  VertexId a = graph.AddVertex({"A"});
+  VertexId b = graph.AddVertex({});
+  VertexId c = graph.AddVertex({"B"});
+  (void)graph.AddEdge(a, b, "T").value();
+  (void)graph.AddEdge(b, c, "T").value();
+  (void)graph.AddEdge(c, a, "T").value();
+  PathInputNode node(PathSchema(false), &graph, {"T"}, false, 1, -1, false,
+                     {"A"}, {"B"});
+  Sink sink;
+  Delta initial;
+  node.EmitInitialFromGraph(initial);
+  sink.Record(initial);
+  EXPECT_EQ(sink.bag.total_count(), 1);
+  EXPECT_EQ(sink.bag.Count(Pair(a, c)), 1);
+  EXPECT_EQ(node.path_count(), 1u);
 }
 
 TEST(PathNodeTest, InitialStateFromExistingGraph) {
