@@ -42,13 +42,16 @@ Result<AggregateSpec> AggregateSpec::Make(const ExprPtr& call,
   return spec;
 }
 
-void AggregateNode::AggState::Apply(const Value& v, int64_t multiplicity) {
+void AggregateNode::AggState::Apply(const AggregateSpec& spec, const Value& v,
+                                     int64_t multiplicity) {
   if (v.is_null()) return;  // Aggregates skip null arguments.
   non_null_count += multiplicity;
-  auto [it, inserted] = values.emplace(v, 0);
-  it->second += multiplicity;
-  assert(it->second >= 0 && "aggregate multiset count went negative");
-  if (it->second == 0) values.erase(it);
+  if (spec.NeedsValues()) {
+    auto [it, inserted] = values.emplace(v, 0);
+    it->second += multiplicity;
+    assert(it->second >= 0 && "aggregate multiset count went negative");
+    if (it->second == 0) values.erase(it);
+  }
   if (v.is_int()) {
     int_sum += multiplicity * v.AsInt();
   } else if (v.is_double()) {
@@ -148,46 +151,43 @@ Tuple AggregateNode::RenderRow(const Tuple& key,
 
 void AggregateNode::EmitInitial(Delta& out) {
   if (!keys_.empty()) return;
-  GroupState& group = groups_[Tuple()];
+  GroupState& group = groups_.value(groups_.Insert(Tuple()).first);
   group.aggs.resize(aggregates_.size());
   out.push_back({RenderRow(Tuple(), group), 1});
 }
 
 void AggregateNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
   // Phase 1: capture each touched group's pre-batch row, apply all updates.
-  std::unordered_map<Tuple, std::optional<Tuple>, TupleHash> old_rows;
+  // Each table is probed once per entry. Inserts move entries, so `group`
+  // is taken after the groups_ insert; old_rows is another table.
+  TupleMap<std::optional<Tuple>> old_rows;
   for (const DeltaEntry& entry : delta) {
     Tuple key = KeyOf(entry.tuple);
-    auto it = groups_.find(key);
-    if (old_rows.find(key) == old_rows.end()) {
-      if (it != groups_.end()) {
-        old_rows.emplace(key, RenderRow(key, it->second));
-      } else {
-        old_rows.emplace(key, std::nullopt);
-      }
+    auto [pos, created] = groups_.Insert(key);
+    GroupState& group = groups_.value(pos);
+    if (created) group.aggs.resize(aggregates_.size());
+    auto [old_pos, first_touch] = old_rows.Insert(key);
+    if (first_touch && !created) {
+      old_rows.value(old_pos) = RenderRow(key, group);
     }
-    if (it == groups_.end()) {
-      it = groups_.emplace(key, GroupState{}).first;
-      it->second.aggs.resize(aggregates_.size());
-    }
-    GroupState& group = it->second;
     group.total_rows += entry.multiplicity;
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       const AggregateSpec& spec = aggregates_[a];
       if (spec.kind == AggregateSpec::Kind::kCountStar) continue;
-      group.aggs[a].Apply(spec.arg->Eval(entry.tuple), entry.multiplicity);
+      group.aggs[a].Apply(spec, spec.arg->Eval(entry.tuple),
+                          entry.multiplicity);
     }
   }
 
-  // Phase 2: emit row transitions per touched group. A key-less aggregation
-  // keeps its single row alive even at zero input rows. Distinct groups
-  // never render equal rows (the key values prefix the row), so emission
-  // order across groups is irrelevant — the scheduler's consolidation
-  // restores canonical order.
+  // Phase 2: emit row transitions per touched group, in first-touch order.
+  // A key-less aggregation keeps its single row alive even at zero input
+  // rows. Distinct groups never render equal rows (the key values prefix
+  // the row), so emission order across groups is irrelevant — the
+  // scheduler's consolidation restores canonical order.
   for (const auto& [key, old_row] : old_rows) {
-    auto it = groups_.find(key);
-    assert(it != groups_.end());
-    GroupState& group = it->second;
+    const size_t pos = groups_.Find(key);
+    assert(pos != TupleMap<GroupState>::npos);
+    const GroupState& group = groups_[pos].value;
     assert(group.total_rows >= 0 && "group row count went negative");
     bool group_alive = group.total_rows > 0 || keys_.empty();
     std::optional<Tuple> new_row;
@@ -202,7 +202,7 @@ void AggregateNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
     } else if (new_row.has_value()) {
       out.push_back({*new_row, 1});
     }
-    if (group.total_rows == 0 && !keys_.empty()) groups_.erase(it);
+    if (!group_alive) groups_.EraseAt(pos);
   }
 }
 
@@ -222,9 +222,9 @@ bool AggregateNode::ReplayOutput(Delta& out) const {
 }
 
 size_t AggregateNode::ApproxMemoryBytes() const {
-  size_t bytes = 0;
+  size_t bytes = groups_.ApproxMemoryBytes();
   for (const auto& [key, group] : groups_) {
-    bytes += key.ApproxMemoryBytes() + sizeof(GroupState);
+    bytes += group.aggs.capacity() * sizeof(AggState);
     for (const AggState& agg : group.aggs) {
       bytes += agg.values.size() * (sizeof(Value) + sizeof(int64_t) + 48);
     }

@@ -3,11 +3,11 @@
 
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "rete/expression_eval.h"
 #include "rete/node.h"
+#include "rete/tuple_map.h"
 
 namespace pgivm {
 
@@ -20,13 +20,21 @@ struct AggregateSpec {
   /// Argument expression; unset for kCountStar.
   std::optional<BoundExpression> arg;
 
+  /// Whether Render reads the multiset of argument values: min, max,
+  /// collect and the DISTINCT variants do; count, sum and avg read the
+  /// running counters.
+  bool NeedsValues() const {
+    return distinct || kind == Kind::kMin || kind == Kind::kMax ||
+           kind == Kind::kCollect;
+  }
+
   /// Parses a bound aggregate call ("count", "sum", ...) into a spec.
   static Result<AggregateSpec> Make(const ExprPtr& call, const Schema& input,
                                     const PropertyGraph* graph);
 };
 
 /// γ — incremental grouping aggregation. Maintains per-group state that
-/// supports retraction (running sums/counts plus a value multiset for
+/// supports retraction (running sums/counts, plus a value multiset only for
 /// min/max/collect and DISTINCT variants) and emits −old/+new output rows
 /// for groups whose rendered row changed.
 ///
@@ -57,13 +65,16 @@ class AggregateNode : public ReteNode {
  private:
   /// Retractable state of one aggregate function within one group.
   struct AggState {
-    std::map<Value, int64_t> values;  // multiset of non-null arguments
+    /// Multiset of non-null arguments; kept only when the spec
+    /// NeedsValues().
+    std::map<Value, int64_t> values;
     int64_t non_null_count = 0;
     int64_t int_sum = 0;
     double double_sum = 0.0;
     int64_t double_count = 0;
 
-    void Apply(const Value& v, int64_t multiplicity);
+    void Apply(const AggregateSpec& spec, const Value& v,
+               int64_t multiplicity);
     Value Render(const AggregateSpec& spec, int64_t group_rows) const;
   };
 
@@ -78,7 +89,7 @@ class AggregateNode : public ReteNode {
   std::vector<BoundExpression> keys_;
   std::vector<AggregateSpec> aggregates_;
   /// Group key -> state.
-  std::unordered_map<Tuple, GroupState, TupleHash> groups_;
+  TupleMap<GroupState> groups_;
 };
 
 }  // namespace pgivm

@@ -1,8 +1,6 @@
 #ifndef PGIVM_RETE_ANTIJOIN_NODE_H_
 #define PGIVM_RETE_ANTIJOIN_NODE_H_
 
-#include <unordered_map>
-
 #include "rete/join_node.h"
 #include "rete/node.h"
 
@@ -34,8 +32,9 @@ class AntiJoinNode : public ReteNode {
 
  private:
   JoinLayout layout_;
-  std::unordered_map<Tuple, Bag, TupleHash> left_memory_;
-  std::unordered_map<Tuple, int64_t, TupleHash> right_support_;
+  KeyedMemory left_memory_;
+  /// Join key -> number of right rows with that key.
+  Bag right_support_;
 };
 
 }  // namespace pgivm

@@ -134,33 +134,21 @@ std::string DeltaToString(const Delta& delta) {
 
 std::pair<int64_t, int64_t> Bag::Apply(const Tuple& tuple,
                                        int64_t multiplicity) {
-  auto it = counts_.find(tuple);
-  int64_t old_count = it == counts_.end() ? 0 : it->second;
-  int64_t new_count = old_count + multiplicity;
+  const size_t pos = counts_.Insert(tuple).first;
+  int64_t& count = counts_.value(pos);
+  const int64_t old_count = count;
+  count += multiplicity;
+  const int64_t new_count = count;
   assert(new_count >= 0 && "bag count went negative: upstream emitted a "
                            "retraction for a tuple it never asserted");
   total_ += multiplicity;
-  if (new_count == 0) {
-    if (it != counts_.end()) counts_.erase(it);
-  } else if (it == counts_.end()) {
-    counts_.emplace(tuple, new_count);
-  } else {
-    it->second = new_count;
-  }
+  if (new_count == 0) counts_.EraseAt(pos);
   return {old_count, new_count};
 }
 
 int64_t Bag::Count(const Tuple& tuple) const {
-  auto it = counts_.find(tuple);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-size_t Bag::ApproxMemoryBytes() const {
-  size_t bytes = counts_.bucket_count() * sizeof(void*);
-  for (const auto& [tuple, count] : counts_) {
-    bytes += tuple.ApproxMemoryBytes() + sizeof(count);
-  }
-  return bytes;
+  const int64_t* count = counts_.Get(tuple);
+  return count == nullptr ? 0 : *count;
 }
 
 }  // namespace pgivm

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rete/tuple.h"
+#include "rete/tuple_map.h"
 
 namespace pgivm {
 
@@ -49,10 +50,11 @@ std::string DeltaToString(const Delta& delta);
 
 /// Counted bag of tuples: the memory unit of stateful Rete nodes.
 /// Counts are always positive; applying a change that would drive a count
-/// negative is a propagation bug (asserted).
+/// negative is a propagation bug (asserted). Iterates in TupleMap's dense
+/// order; equality ignores order.
 class Bag {
  public:
-  using Map = std::unordered_map<Tuple, int64_t, TupleHash>;
+  using Map = TupleMap<int64_t>;
 
   /// Adds `multiplicity` (may be negative) to `tuple`'s count. Returns
   /// {old_count, new_count}; erases the entry when it reaches zero.
@@ -68,7 +70,8 @@ class Bag {
 
   const Map& counts() const { return counts_; }
 
-  size_t ApproxMemoryBytes() const;
+  /// Heap bytes: the table's entries, index and tuple blocks.
+  size_t ApproxMemoryBytes() const { return counts_.ApproxMemoryBytes(); }
 
  private:
   Map counts_;

@@ -21,15 +21,22 @@ JoinLayout JoinLayout::Make(const Schema& left, const Schema& right) {
   return layout;
 }
 
+void ApplyToKeyedMemory(KeyedMemory& memory, const Tuple& key,
+                        const Tuple& tuple, int64_t multiplicity) {
+  const size_t pos = memory.Insert(key).first;
+  Bag& bag = memory.value(pos);
+  bag.Apply(tuple, multiplicity);
+  if (bag.total_count() == 0) memory.EraseAt(pos);
+}
+
+size_t KeyedMemoryBytes(const KeyedMemory& memory) {
+  size_t bytes = memory.ApproxMemoryBytes();
+  for (const auto& [key, bag] : memory) bytes += bag.ApproxMemoryBytes();
+  return bytes;
+}
+
 JoinNode::JoinNode(Schema schema, const Schema& left, const Schema& right)
     : ReteNode(std::move(schema)), layout_(JoinLayout::Make(left, right)) {}
-
-void JoinNode::Apply(Memory& memory, const Tuple& key, const Tuple& tuple,
-                     int64_t multiplicity) {
-  Bag& bag = memory[key];
-  bag.Apply(tuple, multiplicity);
-  if (bag.total_count() == 0) memory.erase(key);
-}
 
 Tuple JoinNode::Combine(const Tuple& left, const Tuple& right) const {
   return left.ConcatProjected(right, layout_.right_rest);
@@ -39,19 +46,19 @@ void JoinNode::OnDelta(int port, const Delta& delta, Delta& out) {
   for (const DeltaEntry& entry : delta) {
     if (port == 0) {
       Tuple key = entry.tuple.Project(layout_.left_key);
-      Apply(left_memory_, key, entry.tuple, entry.multiplicity);
-      auto matches = right_memory_.find(key);
-      if (matches == right_memory_.end()) continue;
-      for (const auto& [right_tuple, right_count] : matches->second.counts()) {
+      ApplyToKeyedMemory(left_memory_, key, entry.tuple, entry.multiplicity);
+      const Bag* matches = right_memory_.Get(key);
+      if (matches == nullptr) continue;
+      for (const auto& [right_tuple, right_count] : matches->counts()) {
         out.push_back({Combine(entry.tuple, right_tuple),
                        entry.multiplicity * right_count});
       }
     } else {
       Tuple key = entry.tuple.Project(layout_.right_key);
-      Apply(right_memory_, key, entry.tuple, entry.multiplicity);
-      auto matches = left_memory_.find(key);
-      if (matches == left_memory_.end()) continue;
-      for (const auto& [left_tuple, left_count] : matches->second.counts()) {
+      ApplyToKeyedMemory(right_memory_, key, entry.tuple, entry.multiplicity);
+      const Bag* matches = left_memory_.Get(key);
+      if (matches == nullptr) continue;
+      for (const auto& [left_tuple, left_count] : matches->counts()) {
         out.push_back({Combine(left_tuple, entry.tuple),
                        entry.multiplicity * left_count});
       }
@@ -61,11 +68,10 @@ void JoinNode::OnDelta(int port, const Delta& delta, Delta& out) {
 
 bool JoinNode::ReplayOutput(Delta& out) const {
   for (const auto& [key, left_bag] : left_memory_) {
-    auto right_bag = right_memory_.find(key);
-    if (right_bag == right_memory_.end()) continue;
+    const Bag* right_bag = right_memory_.Get(key);
+    if (right_bag == nullptr) continue;
     for (const auto& [left_tuple, left_count] : left_bag.counts()) {
-      for (const auto& [right_tuple, right_count] :
-           right_bag->second.counts()) {
+      for (const auto& [right_tuple, right_count] : right_bag->counts()) {
         out.push_back(
             {Combine(left_tuple, right_tuple), left_count * right_count});
       }
@@ -75,13 +81,7 @@ bool JoinNode::ReplayOutput(Delta& out) const {
 }
 
 size_t JoinNode::ApproxMemoryBytes() const {
-  size_t bytes = 0;
-  for (const Memory* memory : {&left_memory_, &right_memory_}) {
-    for (const auto& [key, bag] : *memory) {
-      bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
-    }
-  }
-  return bytes;
+  return KeyedMemoryBytes(left_memory_) + KeyedMemoryBytes(right_memory_);
 }
 
 std::string JoinNode::DebugString() const {

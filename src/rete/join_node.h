@@ -1,10 +1,10 @@
 #ifndef PGIVM_RETE_JOIN_NODE_H_
 #define PGIVM_RETE_JOIN_NODE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "rete/node.h"
+#include "rete/tuple_map.h"
 
 namespace pgivm {
 
@@ -18,6 +18,18 @@ struct JoinLayout {
 
   static JoinLayout Make(const Schema& left, const Schema& right);
 };
+
+/// Key-indexed counted memory of the binary nodes: join-key tuple ->
+/// (full tuple -> count).
+using KeyedMemory = TupleMap<Bag>;
+
+/// Adds `multiplicity` copies of `tuple` under `key` with one probe of
+/// `memory`, dropping the key when its bag empties.
+void ApplyToKeyedMemory(KeyedMemory& memory, const Tuple& key,
+                        const Tuple& tuple, int64_t multiplicity);
+
+/// Heap bytes of `memory` and of its bags.
+size_t KeyedMemoryBytes(const KeyedMemory& memory);
 
 /// ⋈ — incremental natural join with bag semantics. Both sides keep a
 /// key-indexed counted memory; Δ(L⋈R) = ΔL⋈R ∪ L'⋈ΔR is realized by
@@ -40,17 +52,11 @@ class JoinNode : public ReteNode {
   const char* KindName() const override { return "Join"; }
 
  private:
-  /// key tuple -> (full tuple -> count).
-  using Memory = std::unordered_map<Tuple, Bag, TupleHash>;
-
-  static void Apply(Memory& memory, const Tuple& key, const Tuple& tuple,
-                    int64_t multiplicity);
-
   Tuple Combine(const Tuple& left, const Tuple& right) const;
 
   JoinLayout layout_;
-  Memory left_memory_;
-  Memory right_memory_;
+  KeyedMemory left_memory_;
+  KeyedMemory right_memory_;
 };
 
 }  // namespace pgivm

@@ -252,6 +252,24 @@ std::vector<Tuple> ProductionNode::SortedRows(const Bag& bag) {
   return rows;
 }
 
+size_t ProductionNode::ApproxMemoryBytes() const {
+  size_t bytes = results_.ApproxMemoryBytes();
+  auto epoch_bytes = [](const EpochPtr& epoch) {
+    return sizeof(PublishedEpoch) + epoch->rows.capacity() * sizeof(Tuple);
+  };
+  // Writer-only: only this thread stores published_.
+  bytes += epoch_bytes(
+      std::atomic_load_explicit(&published_, std::memory_order_relaxed));
+  if (spare_ != nullptr) bytes += epoch_bytes(spare_);
+  for (const EpochPtr& retired : retired_) bytes += epoch_bytes(retired);
+  bytes += (pending_.capacity() + spare_changes_.capacity()) *
+           sizeof(DeltaEntry);
+  for (const Delta& deferred : deferred_notifications_) {
+    bytes += deferred.capacity() * sizeof(DeltaEntry);
+  }
+  return bytes;
+}
+
 void ProductionNode::RemoveListener(ViewChangeListener* listener) {
   listeners_.erase(
       std::remove(listeners_.begin(), listeners_.end(), listener),

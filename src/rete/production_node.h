@@ -146,9 +146,11 @@ class ProductionNode : public ReteNode {
   }
   void RemoveListener(ViewChangeListener* listener);
 
-  size_t ApproxMemoryBytes() const override {
-    return results_.ApproxMemoryBytes();
-  }
+  /// The result bag, plus the handle vectors of every epoch the node
+  /// still holds (published, spare, retired) and of its change buffers —
+  /// capacities only, O(1) per epoch: the tuple blocks those handles share
+  /// are counted in the bag. Writer-thread-only, like results().
+  size_t ApproxMemoryBytes() const override;
 
   std::string DebugString() const override { return "Production"; }
   const char* KindName() const override { return "Production"; }

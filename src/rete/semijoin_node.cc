@@ -1,7 +1,5 @@
 #include "rete/semijoin_node.h"
 
-#include <cassert>
-
 namespace pgivm {
 
 SemiJoinNode::SemiJoinNode(Schema schema, const Schema& left,
@@ -12,29 +10,21 @@ void SemiJoinNode::OnDelta(int port, const Delta& delta, Delta& out) {
   for (const DeltaEntry& entry : delta) {
     if (port == 0) {
       Tuple key = entry.tuple.Project(layout_.left_key);
-      Bag& bag = left_memory_[key];
-      bag.Apply(entry.tuple, entry.multiplicity);
-      if (bag.total_count() == 0) left_memory_.erase(key);
-      auto support = right_support_.find(key);
-      if (support != right_support_.end() && support->second > 0) {
-        out.push_back(entry);
-      }
+      ApplyToKeyedMemory(left_memory_, key, entry.tuple, entry.multiplicity);
+      if (right_support_.Count(key) > 0) out.push_back(entry);
     } else {
       Tuple key = entry.tuple.Project(layout_.right_key);
-      int64_t& support = right_support_[key];
-      int64_t old_support = support;
-      support += entry.multiplicity;
-      assert(support >= 0 && "semi-join right support went negative");
-      if (support == 0) right_support_.erase(key);
+      auto [old_support, new_support] =
+          right_support_.Apply(key, entry.multiplicity);
       bool had_partner = old_support > 0;
-      bool has_partner = old_support + entry.multiplicity > 0;
+      bool has_partner = new_support > 0;
       if (had_partner == has_partner) continue;
-      auto lefts = left_memory_.find(key);
-      if (lefts == left_memory_.end()) continue;
+      const Bag* lefts = left_memory_.Get(key);
+      if (lefts == nullptr) continue;
       // First partner arrived: assert the lefts; last partner left:
       // retract them.
       int64_t sign = has_partner ? 1 : -1;
-      for (const auto& [left_tuple, count] : lefts->second.counts()) {
+      for (const auto& [left_tuple, count] : lefts->counts()) {
         out.push_back({left_tuple, sign * count});
       }
     }
@@ -43,8 +33,7 @@ void SemiJoinNode::OnDelta(int port, const Delta& delta, Delta& out) {
 
 bool SemiJoinNode::ReplayOutput(Delta& out) const {
   for (const auto& [key, bag] : left_memory_) {
-    auto support = right_support_.find(key);
-    if (support == right_support_.end() || support->second <= 0) continue;
+    if (right_support_.Count(key) <= 0) continue;
     for (const auto& [left_tuple, count] : bag.counts()) {
       out.push_back({left_tuple, count});
     }
@@ -53,14 +42,7 @@ bool SemiJoinNode::ReplayOutput(Delta& out) const {
 }
 
 size_t SemiJoinNode::ApproxMemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& [key, bag] : left_memory_) {
-    bytes += key.ApproxMemoryBytes() + bag.ApproxMemoryBytes();
-  }
-  for (const auto& [key, support] : right_support_) {
-    bytes += key.ApproxMemoryBytes() + sizeof(support);
-  }
-  return bytes;
+  return KeyedMemoryBytes(left_memory_) + right_support_.ApproxMemoryBytes();
 }
 
 }  // namespace pgivm

@@ -1,8 +1,6 @@
 #ifndef PGIVM_RETE_SEMIJOIN_NODE_H_
 #define PGIVM_RETE_SEMIJOIN_NODE_H_
 
-#include <unordered_map>
-
 #include "rete/join_node.h"
 #include "rete/node.h"
 
@@ -29,8 +27,9 @@ class SemiJoinNode : public ReteNode {
 
  private:
   JoinLayout layout_;
-  std::unordered_map<Tuple, Bag, TupleHash> left_memory_;
-  std::unordered_map<Tuple, int64_t, TupleHash> right_support_;
+  KeyedMemory left_memory_;
+  /// Join key -> number of right rows with that key.
+  Bag right_support_;
 };
 
 }  // namespace pgivm

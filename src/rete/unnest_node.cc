@@ -1,8 +1,8 @@
 #include "rete/unnest_node.h"
 
 #include <map>
-#include <unordered_map>
 
+#include "rete/tuple_map.h"
 #include "support/string_util.h"
 
 namespace pgivm {
@@ -36,18 +36,18 @@ void UnnestNode::ProcessNaive(const Delta& delta, Delta& out) {
 // net per-element changes. Retract/assert pairs from a collection update
 // cancel except for the touched elements.
 void UnnestNode::ProcessFolded(const Delta& delta, Delta& out) {
-  std::unordered_map<Tuple, std::map<Value, int64_t>, TupleHash> folded;
-  std::vector<Tuple> order;
+  // Kept projection -> net change per element; iterates in first-touch
+  // order (nothing is erased).
+  TupleMap<std::map<Value, int64_t>> folded;
   for (const DeltaEntry& entry : delta) {
     Tuple kept = entry.tuple.Project(kept_columns_);
-    auto [it, inserted] = folded.emplace(kept, std::map<Value, int64_t>{});
-    if (inserted) order.push_back(kept);
+    std::map<Value, int64_t>& net = folded.value(folded.Insert(kept).first);
     std::vector<std::pair<Value, int64_t>> elements;
     ExpandInto(entry.tuple, entry.multiplicity, elements);
-    for (auto& [element, m] : elements) it->second[element] += m;
+    for (auto& [element, m] : elements) net[element] += m;
   }
-  for (const Tuple& kept : order) {
-    for (const auto& [element, m] : folded[kept]) {
+  for (const auto& [kept, net] : folded) {
+    for (const auto& [element, m] : net) {
       if (m != 0) out.push_back({kept.Append(element), m});
     }
   }

@@ -1041,6 +1041,25 @@ TEST(PublishMerge, EachSupersededEpochLivesUntilItsLastReaderLetsGo) {
   EXPECT_EQ(f.production.PinSnapshot()->rows.size(), rows + 4);
 }
 
+// A production's memory covers the rows it publishes, not just its bag:
+// the published epoch's handles count, and the spare's too while the
+// writer holds it.
+TEST(PublishMerge, MemoryCountsPublishedAndSpareEpochs) {
+  const size_t rows = 4 * ProductionNode::kRowsPerSpareChange;
+  ProductionNode empty(Schema({{"x", Attribute::Kind::kValue}}));
+  LifetimeFixture f(static_cast<int64_t>(rows));
+  const size_t published = f.production.ApproxMemoryBytes();
+  EXPECT_GT(published, empty.ApproxMemoryBytes());
+  EXPECT_GE(published, f.production.results().ApproxMemoryBytes() +
+                           rows * sizeof(Tuple));
+
+  EXPECT_EQ(f.PublishRow(1), PublishPath::kCopied);  // the spare: epoch 1
+  const size_t with_spare = f.production.ApproxMemoryBytes();
+  EXPECT_GT(with_spare, published);
+  EXPECT_GE(with_spare, f.production.results().ApproxMemoryBytes() +
+                            (2 * rows + 1) * sizeof(Tuple));
+}
+
 // ---- network lifecycle -----------------------------------------------------
 
 /// One source feeding one production, wired by hand into a network that
