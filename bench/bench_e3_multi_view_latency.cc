@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 #include "bench_main.h"
 
 #include "engine/query_engine.h"
@@ -122,11 +124,11 @@ BENCHMARK(BM_E3_BatchSweep)->ArgsProduct({{1, 16, 128, 1024}})->Iterations(20);
 // The catalog deployment scenario: range(0) standing views are registered,
 // cycling over the first range(1) queries of the pool (so overlap factor =
 // views / range(1): dashboards registering the same standing query are
-// common in monitoring fleets). range(2) picks the wave executor: 1 =
-// serial, n > 1 = parallel with n threads, 0 = parallel at hardware
-// concurrency. Each iteration commits one 64-change batch, so items/s is
-// the catalog's propagation throughput — the number the thread sweep
-// scales. Reported counters: live Rete nodes, multi-view shared nodes,
+// common in monitoring fleets). range(2) is the thread count: 1 =
+// serial, n > 1 = parallel with n threads, 0 = the machine's hardware
+// concurrency (resolved here). Each iteration commits one 64-change
+// batch, so items/s is the catalog's propagation throughput — the number
+// the thread sweep scales. Reported counters: live Rete nodes, multi-view shared nodes,
 // node-memory bytes (each node once), wave parallelism actually in effect,
 // and the propagation volume of the timed stream (identical across thread
 // counts: parallel waves are bit-identical to serial).
@@ -144,10 +146,10 @@ void BM_E3_CatalogSharingSweep(benchmark::State& state) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  if (threads != 1) {
-    options.network.executor = ExecutorKind::kParallel;
-    options.network.num_threads = static_cast<int>(threads);
-  }
+  // The 0 row stands for the machine's hardware concurrency.
+  options.network.num_threads =
+      threads == 0 ? static_cast<int>(std::thread::hardware_concurrency())
+                   : static_cast<int>(threads);
   QueryEngine engine(&graph, options);
   std::vector<std::shared_ptr<View>> views;
   std::vector<std::string> catalog = StandingQueries();

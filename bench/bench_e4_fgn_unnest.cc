@@ -33,8 +33,7 @@ constexpr char kAmplifiedQuery[] =
 void RunCollectionChurn(benchmark::State& state, bool fine_grained,
                         bool amplified) {
   EngineOptions options;
-  options.network.fine_grained_unnest = fine_grained;
-  options.plan.narrow_unnest_outputs = fine_grained;
+  options.plan.fine_grained_unnest = fine_grained;
 
   PropertyGraph graph;
   int64_t collection_size = state.range(0);

@@ -1,6 +1,6 @@
 // E9 — the observability layer's overhead contract and its profiled cost.
 //
-// The contract (NetworkOptions::profiling doc): with profiling *off* —
+// The contract (ReteNetwork::set_profiling doc): with profiling *off* —
 // the default — every hot path is free of clock reads, so the whole layer
 // must cost under 2% on the e3 burst workload (8 standing views, 64-change
 // BeginBatch/CommitBatch bursts). BM_E9_BurstLatency measures the off/on
@@ -60,9 +60,8 @@ struct BurstFixture {
           return config;
         }()) {
     generator.Populate(&graph);
-    EngineOptions options;
-    options.network.profiling = profiling;
-    engine = std::make_unique<QueryEngine>(&graph, options);
+    engine = std::make_unique<QueryEngine>(&graph);
+    engine->set_profiling(profiling);
     for (const std::string& query : StandingQueries()) {
       views.push_back(engine->Register(query).value());
     }

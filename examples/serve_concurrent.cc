@@ -30,8 +30,8 @@ int main() {
   PropertyGraph graph;
   EngineOptions options;
   options.ingest_queue_depth = 64;
-  options.network.profiling = true;  // observe the whole session
   QueryEngine engine(&graph, options);
+  engine.set_profiling(true);  // observe the whole session
 
   auto replies = engine.Register(
       "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c");

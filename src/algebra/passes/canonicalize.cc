@@ -59,22 +59,6 @@ std::string JoinSignature(const Schema& acc, const Schema& leaf) {
   return out;
 }
 
-/// (what, role, property key) — unique per leaf (property pushdown dedups
-/// identical accesses) and free of the alias-derived column name, so the
-/// extract order is stable under renames.
-bool ExtractLess(const PropertyExtract& a, const PropertyExtract& b,
-                 const LogicalOp& op) {
-  auto role = [&op](const PropertyExtract& e) {
-    if (e.element_var == op.src_var) return 0;
-    if (e.element_var == op.edge_var) return 1;
-    if (e.element_var == op.dst_var) return 2;
-    return 3;  // vertex leaves: single element, role irrelevant
-  };
-  if (role(a) != role(b)) return role(a) < role(b);
-  if (a.what != b.what) return a.what < b.what;
-  return a.key < b.key;
-}
-
 /// The pass. Canonicalizes bottom-up; every returned subtree has its
 /// schema recomputed (ComputeSchemaShallow), because ordering keys are
 /// position-based and need valid schemas at each step.
@@ -244,17 +228,6 @@ class Canonicalizer {
     size_t index;  // original region position — the last-resort tie-break
   };
 
-  static std::string HashHex(const std::string& blob) {
-    static const char* kHex = "0123456789abcdef";
-    uint64_t hash = FingerprintHash(blob);
-    std::string out;
-    out.reserve(16);
-    for (int shift = 60; shift >= 0; shift -= 4) {
-      out.push_back(kHex[(hash >> shift) & 0xf]);
-    }
-    return out;
-  }
-
   /// Iterated neighborhood refinement (Weisfeiler–Leman coloring) of the
   /// leaf fingerprints: two same-shaped leaves — say the two edge scans of
   /// `(a)-[:R]->(b), (c)-[:R]->(d), (b)-[:S]->(c)` — have equal base
@@ -293,7 +266,7 @@ class Canonicalizer {
           blob.push_back(';');
           blob.append(attachment);
         }
-        next[i] = HashHex(blob);
+        next[i] = FingerprintHex(blob);
       }
       color.swap(next);
     }

@@ -36,7 +36,7 @@ Result<OpPtr> LowerToFra(const OpPtr& gra, const PlanOptions& options) {
   PruneUnusedExtracts(plan);
   PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
 
-  if (options.narrow_unnest_outputs) {
+  if (options.fine_grained_unnest) {
     NarrowUnnestOutputs(plan);
     PGIVM_RETURN_IF_ERROR(ComputeSchemas(plan));
   }

@@ -8,9 +8,9 @@ namespace pgivm {
 
 /// Plan lowering configuration. The defaults produce the paper's FRA plan;
 /// the flags exist for the ablation experiments (E4, E6) and the
-/// differential oracle. Runtime behaviour of the instantiated network (wave
-/// executor, fine-grained unnest) is configured separately via
-/// NetworkOptions in rete/network.h; EngineOptions bundles both.
+/// differential oracle. The wave executor of the instantiated network is
+/// configured separately via NetworkOptions in rete/network.h;
+/// EngineOptions bundles both.
 struct PlanOptions {
   /// Ablation mode of property pushdown (paper step 3): instead of
   /// per-property columns, leaves materialize the *entire* property map of
@@ -18,10 +18,12 @@ struct PlanOptions {
   /// schema inference must do.
   bool naive_property_maps = false;
 
-  /// Drop columns from unnest *outputs* when they only feed the collection
-  /// expression — the structural prerequisite of fine-grained unnest
-  /// maintenance (FGN).
-  bool narrow_unnest_outputs = true;
+  /// Fine-grained unnest maintenance (FGN): drop columns from unnest
+  /// *outputs* when they only feed the collection expression
+  /// (NarrowUnnestOutputs); every unnest that dropped a column then folds
+  /// its deltas into element-level differences (see UnnestNode). Off = the
+  /// E4 ablation baseline, where every unnest expands naively.
+  bool fine_grained_unnest = true;
 
   /// Rewrite the lowered FRA plan into its canonical normal form (join
   /// regions flattened and deterministically re-ordered, filter conjuncts

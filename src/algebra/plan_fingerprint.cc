@@ -614,15 +614,32 @@ uint64_t FingerprintHash(const std::string& key) {
   return hash;
 }
 
-std::string FormatFingerprint(const std::string& key) {
-  if (key.empty()) return "fp=-";
+std::string FingerprintHex(const std::string& key) {
   static const char* kHex = "0123456789abcdef";
   uint64_t hash = FingerprintHash(key);
-  std::string out = "fp=";
+  std::string out;
+  out.reserve(16);
   for (int shift = 60; shift >= 0; shift -= 4) {
     out.push_back(kHex[(hash >> shift) & 0xf]);
   }
   return out;
+}
+
+std::string FormatFingerprint(const std::string& key) {
+  return key.empty() ? "fp=-" : "fp=" + FingerprintHex(key);
+}
+
+bool ExtractLess(const PropertyExtract& a, const PropertyExtract& b,
+                 const LogicalOp& leaf) {
+  auto role = [&leaf](const PropertyExtract& e) {
+    if (e.element_var == leaf.src_var) return 0;
+    if (e.element_var == leaf.edge_var) return 1;
+    if (e.element_var == leaf.dst_var) return 2;
+    return 3;  // vertex leaves: single element, role irrelevant
+  };
+  if (role(a) != role(b)) return role(a) < role(b);
+  if (a.what != b.what) return a.what < b.what;
+  return a.key < b.key;
 }
 
 OpPtr MirrorUndirectedLeaf(const LogicalOp& op) {
@@ -633,20 +650,10 @@ OpPtr MirrorUndirectedLeaf(const LogicalOp& op) {
   auto mirror = std::make_shared<LogicalOp>(op);
   std::swap(mirror->src_var, mirror->dst_var);
   std::swap(mirror->src_labels, mirror->dst_labels);
-  // Extract roles flipped with the swap; restore the canonical
-  // (role, what, key) order the canonicalize pass sorts leaves into —
-  // property pushdown dedups accesses, so the triple is unique per leaf.
-  auto role = [&mirror](const PropertyExtract& e) {
-    if (e.element_var == mirror->src_var) return 0;
-    if (e.element_var == mirror->edge_var) return 1;
-    if (e.element_var == mirror->dst_var) return 2;
-    return 3;
-  };
+  // Extract roles flipped with the swap; restore the canonical order.
   std::sort(mirror->extracts.begin(), mirror->extracts.end(),
-            [&role](const PropertyExtract& a, const PropertyExtract& b) {
-              if (role(a) != role(b)) return role(a) < role(b);
-              if (a.what != b.what) return a.what < b.what;
-              return a.key < b.key;
+            [&mirror](const PropertyExtract& a, const PropertyExtract& b) {
+              return ExtractLess(a, b, *mirror);
             });
   if (!ComputeSchemaShallow(mirror).ok()) return nullptr;
   return mirror;

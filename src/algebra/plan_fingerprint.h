@@ -59,9 +59,21 @@ bool CanonicalKeyLess(const std::string& a, const std::string& b);
 /// decisions must use the full key.
 uint64_t FingerprintHash(const std::string& key);
 
-/// Human-readable fingerprint tag for plan dumps: "fp=<16 hex digits>" of
-/// FingerprintHash, or "fp=-" for the empty (unshareable) key.
+/// FingerprintHash of `key` as 16 lowercase hex digits.
+std::string FingerprintHex(const std::string& key);
+
+/// Human-readable fingerprint tag for plan dumps: "fp=" + FingerprintHex,
+/// or "fp=-" for the empty (unshareable) key.
 std::string FormatFingerprint(const std::string& key);
+
+/// The canonical order of a leaf's extracts: (role, what, property key),
+/// where role is the extract's element — src, edge, dst — in `leaf`.
+/// Property pushdown dedups identical accesses, so the triple is unique
+/// per leaf, and it omits the alias-derived column name, so the order is
+/// stable under renames. The canonicalize pass sorts every leaf by it and
+/// MirrorUndirectedLeaf restores it after swapping the endpoints.
+bool ExtractLess(const PropertyExtract& a, const PropertyExtract& b,
+                 const LogicalOp& leaf);
 
 /// The mirrored spelling of an undirected edge leaf: a copy of `op` with
 /// src_var/dst_var and their labels swapped, extracts re-sorted into the

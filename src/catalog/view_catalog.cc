@@ -21,18 +21,15 @@ std::string CatalogStats::ToString() const {
 
 std::shared_ptr<ViewCatalog> ViewCatalog::Create(
     PropertyGraph* graph, NetworkOptions network_options) {
-  // PGIVM_THREADS / PGIVM_PROFILE win over programmatic configuration for
-  // the network this catalog creates.
-  return std::shared_ptr<ViewCatalog>(new ViewCatalog(
-      graph,
-      ApplyEnvProfilingOverride(ApplyEnvExecutorOverride(network_options))));
+  // PGIVM_THREADS wins over programmatic configuration for the network
+  // this catalog creates.
+  return std::shared_ptr<ViewCatalog>(
+      new ViewCatalog(graph, ApplyEnvExecutorOverride(network_options)));
 }
 
 ViewCatalog::ViewCatalog(PropertyGraph* graph, NetworkOptions network_options)
     : graph_(graph),
-      network_options_(network_options),
       metrics_(std::make_shared<MetricsRegistry>()),
-      profiling_flag_(network_options.profiling),
       network_(graph, network_options, metrics_.get()) {}
 
 Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
@@ -55,8 +52,8 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   view->skip_ = skip;
   view->limit_ = limit;
 
-  Result<BuiltView> built = BuildViewInto(&network_, view->fra_, graph_,
-                                          network_options_, registry_);
+  Result<BuiltView> built =
+      BuildViewInto(&network_, view->fra_, graph_, registry_);
   if (!built.ok()) return built.status();
 
   Entry entry;
@@ -95,16 +92,10 @@ Result<std::shared_ptr<View>> ViewCatalog::Install(std::string query,
   graph_primed_entries_ += last_prime_.graph_primed_entries;
   view->prime_stats_ = last_prime_;
   // Serving-path instrumentation: Pin() samples its latency into the
-  // engine-wide registry when profiling is on. The view holds the catalog
-  // alive (catalog_), so both pointers outlive it.
-  view->profiling_flag_ = &profiling_flag_;
+  // engine-wide registry when the network's profiling switch is on. The
+  // view holds the catalog alive (catalog_), so the histogram outlives it.
   view->pin_hist_ = &metrics_->GetHistogram("serving.pin_ns");
   return view;
-}
-
-void ViewCatalog::SetProfiling(bool on) {
-  profiling_flag_.store(on, std::memory_order_relaxed);
-  network_.set_profiling(on);
 }
 
 void ViewCatalog::Deregister(View* view) {

@@ -1,7 +1,6 @@
 #ifndef PGIVM_CATALOG_VIEW_CATALOG_H_
 #define PGIVM_CATALOG_VIEW_CATALOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -135,13 +134,6 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   MetricsRegistry& metrics() const { return *metrics_; }
   std::shared_ptr<MetricsRegistry> metrics_ptr() const { return metrics_; }
 
-  /// Flips per-node/per-drain propagation profiling on the shared network.
-  /// Writer-thread only — the flag must not change mid-drain. Serving-path
-  /// pin instrumentation reads the atomic flag from reader threads.
-  void SetProfiling(bool on);
-  bool profiling() const { return profiling_flag_.load(std::memory_order_relaxed); }
-  const std::atomic<bool>* profiling_flag() const { return &profiling_flag_; }
-
   /// Resolves a canonical plan fingerprint to its live shared Rete node,
   /// or nullptr for an unknown fingerprint. Non-counting:
   /// ExplainAnalyze uses it without skewing registry hit/miss statistics.
@@ -155,6 +147,7 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
 
  private:
   friend class View;  // ~View deregisters itself
+  friend class QueryEngine;  // set_profiling flips the shared network
 
   struct Entry {
     View* view = nullptr;
@@ -169,14 +162,10 @@ class ViewCatalog : public std::enable_shared_from_this<ViewCatalog> {
   CatalogStats StatsWithMemory(size_t memory_bytes) const;
 
   PropertyGraph* graph_;
-  NetworkOptions network_options_;
   /// Shared so views can keep the serving-path histograms alive past the
   /// catalog (View holds a reference). Declared before network_, which
   /// records into it.
   std::shared_ptr<MetricsRegistry> metrics_;
-  /// Runtime profiling switch. Written by SetProfiling (writer thread),
-  /// read relaxed by the serving path (View::Pin, any thread).
-  std::atomic<bool> profiling_flag_;
   ReteNetwork network_;
   NodeRegistry registry_;
   std::vector<Entry> entries_;

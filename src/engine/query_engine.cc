@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -41,7 +43,13 @@ struct QueryEngine::Ingest {
 QueryEngine::QueryEngine(PropertyGraph* graph, EngineOptions options)
     : graph_(graph),
       options_(std::move(options)),
-      catalog_(ViewCatalog::Create(graph, options_.network)) {}
+      catalog_(ViewCatalog::Create(graph, options_.network)) {
+  int profile = 0;
+  if (ParseEnvInt("PGIVM_PROFILE", std::getenv("PGIVM_PROFILE"),
+                  std::numeric_limits<int>::max(), &profile)) {
+    set_profiling(profile != 0);
+  }
+}
 
 QueryEngine::~QueryEngine() { StopIngest(); }
 
@@ -57,7 +65,7 @@ void QueryEngine::StartIngest() {
   PropertyGraph* graph = graph_;
   // Instruments are resolved once here so the loop records lock-free; the
   // profiling flag itself is re-read per batch (runtime-toggleable).
-  const std::atomic<bool>* prof_flag = catalog_->profiling_flag();
+  const ReteNetwork* network = &catalog_->network();
   MetricsRegistry& metrics = catalog_->metrics();
   LatencyHistogram* h_commit =
       &metrics.GetHistogram("ingest.commit_latency_ns");
@@ -66,7 +74,7 @@ void QueryEngine::StartIngest() {
   TraceBuffer* trace = ingest_trace_.get();
   std::atomic<int64_t>* mutations_done = &ingest_mutations_done_;
   std::atomic<int64_t>* batches_done = &ingest_batches_done_;
-  ingest->thread = std::thread([ingest, graph, prof_flag, h_commit, h_apply,
+  ingest->thread = std::thread([ingest, graph, network, h_commit, h_apply,
                                 h_size, trace, mutations_done, batches_done] {
     std::vector<Ingest::Item> batch;
     // PopAll blocks until work arrives and hands over *everything* queued:
@@ -74,7 +82,7 @@ void QueryEngine::StartIngest() {
     // coalesced into one graph delta — one drain, one committed epoch —
     // instead of one drain each.
     while (ingest->queue.PopAll(batch) > 0) {
-      const bool prof = prof_flag->load(std::memory_order_relaxed);
+      const bool prof = network->profiling();
       const int64_t start_ns = prof ? MonotonicNowNs() : 0;
       graph->BeginBatch();
       for (Ingest::Item& item : batch) item.fn(*graph);
@@ -117,7 +125,7 @@ bool QueryEngine::SubmitAsync(GraphMutation mutation) {
   if (ingest_ == nullptr || mutation == nullptr) return false;
   Ingest::Item item;
   item.fn = std::move(mutation);
-  if (catalog_->profiling()) item.enqueue_ns = MonotonicNowNs();
+  if (profiling()) item.enqueue_ns = MonotonicNowNs();
   return ingest_->queue.Push(std::move(item));
 }
 
@@ -209,11 +217,11 @@ std::string NodeStatsAnnotation(const ReteNode& node) {
 
 Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
                                                 const ValueMap& parameters) {
-  const bool was_profiling = catalog_->profiling();
-  if (!was_profiling) catalog_->SetProfiling(true);
+  const bool was_profiling = profiling();
+  if (!was_profiling) set_profiling(true);
   Result<std::shared_ptr<View>> probe = Register(cypher, parameters);
   if (!probe.ok()) {
-    if (!was_profiling) catalog_->SetProfiling(false);
+    if (!was_profiling) set_profiling(false);
     return probe.status();
   }
   const View& view = **probe;
@@ -245,7 +253,7 @@ Result<std::string> QueryEngine::ExplainAnalyze(std::string_view cypher,
   // Deregister the probe view (refcounts restore; siblings untouched),
   // then restore the profiling flag.
   probe->reset();
-  if (!was_profiling) catalog_->SetProfiling(false);
+  if (!was_profiling) set_profiling(false);
   return report;
 }
 
@@ -270,7 +278,7 @@ EngineMetricsSnapshot QueryEngine::MetricsSnapshot() const {
   snap.ingest_mutations = ingest_mutations();
   snap.ingest_batches = ingest_batches();
   snap.ingest_running = ingest_running();
-  snap.profiling = catalog_->profiling();
+  snap.profiling = profiling();
   snap.counters = catalog_->metrics().CounterValues();
   snap.histograms = catalog_->metrics().HistogramValues();
   return snap;

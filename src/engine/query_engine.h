@@ -169,12 +169,15 @@ class QueryEngine {
   /// own atomic accessors.
   EngineMetricsSnapshot MetricsSnapshot() const;
 
-  /// Runtime switch for per-node/per-drain propagation profiling across
-  /// the whole engine (the shared network, the serving pin path and the
-  /// ingest spans). Writer-thread only; off by
-  /// default (NetworkOptions::profiling, overridable via PGIVM_PROFILE).
-  void set_profiling(bool on) { catalog_->SetProfiling(on); }
-  bool profiling() const { return catalog_->profiling(); }
+  /// The one switch for propagation profiling across the whole engine
+  /// (the shared network, the serving pin path and the ingest spans). Off
+  /// by default; the constructor applies PGIVM_PROFILE through it (an
+  /// integer: non-zero on, zero off; malformed values are rejected with a
+  /// stderr warning). Writer-thread only — the flag must not change
+  /// mid-drain. The flag itself lives in the shared network, where serving
+  /// pins and the ingest thread read it.
+  void set_profiling(bool on) { catalog_->network_.set_profiling(on); }
+  bool profiling() const { return catalog_->network().profiling(); }
 
   /// The engine-wide metrics registry (counter/histogram reads are safe
   /// from any thread).

@@ -17,8 +17,7 @@ View::~View() {
 std::shared_ptr<const ViewSnapshot> View::Pin() const {
   // Profiling-off keeps this path free of clock reads: one relaxed bool
   // load is the entire overhead.
-  const bool prof = profiling_flag_ != nullptr &&
-                    profiling_flag_->load(std::memory_order_relaxed);
+  const bool prof = network_->profiling();
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
   ProductionNode::EpochPtr epoch = production_->PinSnapshot();
   std::shared_ptr<const ViewSnapshot> cached =

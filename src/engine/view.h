@@ -139,10 +139,6 @@ class View {
   const OpPtr& gra_plan() const { return gra_; }
   const OpPtr& fra_plan() const { return fra_; }
 
-  /// Wave executor of the underlying network (after the PGIVM_THREADS
-  /// environment override; see NetworkOptions::executor).
-  ExecutorKind executor() const { return network_->executor(); }
-
   /// Memory held by the Rete node memories this view references. Nodes
   /// serving sibling views too are counted in full; the
   /// catalog's Stats().memory_bytes deduplicates and
@@ -183,12 +179,10 @@ class View {
   /// Replayed-vs-graph-primed accounting of this view's registration.
   ReteNetwork::PrimeStats prime_stats_;
 
-  /// Serving-path instrumentation, wired by ViewCatalog::Install. When the
-  /// catalog's runtime profiling flag is on, Pin() records its latency into
-  /// the engine-wide "serving.pin_ns" histogram. Both point into the
-  /// catalog, which catalog_ keeps alive; null only for hand-constructed
-  /// test views.
-  const std::atomic<bool>* profiling_flag_ = nullptr;
+  /// Serving-path instrumentation, wired by ViewCatalog::Install. While
+  /// the network's profiling switch is on, Pin() records its latency into
+  /// the engine-wide "serving.pin_ns" histogram, which lives in the
+  /// catalog that catalog_ keeps alive.
   LatencyHistogram* pin_hist_ = nullptr;
 
   /// Pin()'s per-epoch cache: the immutable ViewSnapshot built for the

@@ -9,8 +9,8 @@
 namespace pgivm {
 
 /// Snapshot statistics of a property graph: cardinalities per label/type,
-/// degree aggregates, and property-key usage. Used by the workload
-/// generators' reports and handy for sizing experiments.
+/// degree aggregates, and property-key usage. Handy for sizing
+/// experiments and for checking a generated workload's shape.
 struct GraphStats {
   size_t vertex_count = 0;
   size_t edge_count = 0;

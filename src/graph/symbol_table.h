@@ -71,9 +71,11 @@ class SymbolTable {
 /// exactly the "matches nothing / property absent" semantics the caller
 /// wants, and worth re-probing on the next call.
 ///
-/// Thread-safe: Resolve may race with itself on pool threads (parallel
-/// source translation); both racers compute the same id, and the cache is
-/// a relaxed atomic because the value is derivable from the name alone.
+/// Thread-safe: Resolve is const and may be called concurrently. Its
+/// callers today are source nodes translating on the writer thread, but
+/// the handle assumes no single caller: racing callers compute the same
+/// id, and the cache is a relaxed atomic because the value is derivable
+/// from the name alone.
 class SymbolRef {
  public:
   SymbolRef() = default;

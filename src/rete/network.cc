@@ -9,25 +9,15 @@
 
 namespace pgivm {
 
-const char* ExecutorKindName(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kSerial:
-      return "serial";
-    case ExecutorKind::kParallel:
-      return "parallel";
-  }
-  return "?";
-}
-
 namespace {
 
-/// The worker pool for `options`, or null when the resolved parallelism is
-/// 1 (serial executor, or a parallel one resolving to a single thread —
-/// which keeps the serial fast path: no pool, no dispatch).
+/// The worker pool for `options` (the pool caps its size at kMaxThreads),
+/// or null for a thread count <= 1 — the serial fast path: no pool, no
+/// dispatch.
 std::unique_ptr<ThreadPool> MakePool(const NetworkOptions& options) {
-  if (options.executor != ExecutorKind::kParallel) return nullptr;
-  const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
-  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  return options.num_threads > 1
+             ? std::make_unique<ThreadPool>(options.num_threads)
+             : nullptr;
 }
 
 }  // namespace
@@ -35,7 +25,6 @@ std::unique_ptr<ThreadPool> MakePool(const NetworkOptions& options) {
 ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
                          MetricsRegistry* metrics)
     : graph_(graph),
-      executor_(options.executor),
       parallel_min_wave_entries_(options.parallel_min_wave_entries),
       pool_(MakePool(options)) {
   if (metrics != nullptr) {
@@ -52,7 +41,6 @@ ReteNetwork::ReteNetwork(PropertyGraph* graph, const NetworkOptions& options,
     h_wave_imbalance_ =
         &metrics->GetHistogram("propagation.wave_imbalance");
   }
-  set_profiling(options.profiling);
   graph_->AddListener(this);
 }
 
@@ -68,7 +56,7 @@ void ReteNetwork::RegisterProduction(ProductionNode* production) {
 }
 
 void ReteNetwork::set_profiling(bool on) {
-  profiling_ = on;
+  profiling_.store(on, std::memory_order_relaxed);
   if (on && trace_ == nullptr) {
     trace_ = std::make_unique<TraceBuffer>(kTraceCapacity);
   }
@@ -108,7 +96,7 @@ void ReteNetwork::OnGraphDelta(const GraphDelta& delta) {
   deltas_processed_.fetch_add(1, std::memory_order_relaxed);
   changes_processed_.fetch_add(static_cast<int64_t>(delta.changes.size()),
                                std::memory_order_relaxed);
-  const bool prof = profiling_;
+  const bool prof = profiling();
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
   // The sources' staging slots buffer their relational deltas while the
   // *entire* graph delta is translated, and DrainWaves then moves them
@@ -195,7 +183,7 @@ void ReteNetwork::DeliverPending(ReteNode* node, NodeState& state) {
   // delivery funnels through, whether it runs on the draining thread or on
   // one pool worker (single writer per node either way, so the NodeState
   // scratch fields need no synchronization; the pool join is the barrier).
-  const bool prof = profiling_;
+  const bool prof = profiling();
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
   // A terminal node accounts its output straight into emitted_entries()
   // (nothing to buffer); the difference is its share of the output.
@@ -261,7 +249,7 @@ void ReteNetwork::FlushNode(ReteNode* node, NodeState& state) {
 void ReteNetwork::DrainWaves() {
   draining_ = true;
   const bool parallel = pool_ != nullptr;
-  const bool prof = profiling_;
+  const bool prof = profiling();
   const int64_t drain_start_ns = prof ? MonotonicNowNs() : 0;
   int64_t drain_waves = 0;
   int64_t drain_entries = 0;
@@ -401,7 +389,7 @@ void ReteNetwork::DrainWaves() {
 void ReteNetwork::PublishEpochs() {
   // Timed apart from the drain: the commit after the last wave, each
   // changed production merging its delta into fresh published rows.
-  const bool prof = profiling_ && h_publish_ns_ != nullptr;
+  const bool prof = profiling() && h_publish_ns_ != nullptr;
   const int64_t start_ns = prof ? MonotonicNowNs() : 0;
   const uint64_t epoch =
       commit_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -591,9 +579,7 @@ std::vector<ReteNetwork::NodeMetrics> ReteNetwork::NodeMetricsSnapshot()
 
 std::string ReteNetwork::DebugString() const {
   std::ostringstream os;
-  os << "executor=" << ExecutorKindName(executor_);
-  if (pool_ != nullptr) os << "(" << pool_->parallelism() << ")";
-  os << "\n";
+  os << "threads=" << executor_parallelism() << "\n";
   for (const auto& node : nodes_) {
     os << node->DebugString();
     int level = node_level(node.get());

@@ -17,39 +17,17 @@
 
 namespace pgivm {
 
-/// How the wave scheduler executes the nodes of one topological wave.
-/// Nodes inside a wave have no data dependencies (levels are strict), so
-/// they can be processed concurrently without changing any result.
-enum class ExecutorKind {
-  /// One thread drains the wave in ready order (the PR-1 behaviour).
-  kSerial,
-
-  /// A persistent worker pool processes the wave's nodes concurrently.
-  /// Each node is claimed by exactly one worker (node memories need no
-  /// locks) and emissions land in per-node staging buffers that the wave
-  /// barrier merges in ready order — downstream deliveries are therefore
-  /// bit-identical to serial execution regardless of thread count.
-  kParallel,
-};
-
-const char* ExecutorKindName(ExecutorKind kind);
-
-/// Runtime configuration of one ReteNetwork (and of the builder that
-/// instantiates plans into it), fixed for the network's lifetime.
+/// Runtime configuration of one ReteNetwork, fixed for the network's
+/// lifetime. Profiling is not an option: it is a runtime switch
+/// (ReteNetwork::set_profiling, QueryEngine::set_profiling).
 struct NetworkOptions {
-  /// Fold unnest deltas per kept-column projection and emit element-level
-  /// differences (the FGN behaviour). Off = the E4 ablation baseline.
-  bool fine_grained_unnest = true;
-
-  /// How a topological wave's nodes are executed (see ExecutorKind).
-  /// kSerial is the default-compatible single-thread drain; kParallel
-  /// distributes each wave over a persistent worker pool with
-  /// bit-identical results.
-  ExecutorKind executor = ExecutorKind::kSerial;
-
-  /// Total wave parallelism for ExecutorKind::kParallel, including the
-  /// dispatching thread; 0 = the machine's hardware concurrency.
-  int num_threads = 0;
+  /// Total wave parallelism, including the dispatching thread. n <= 1 runs
+  /// every wave serially on the draining thread, with no pool; n > 1 builds
+  /// a persistent pool of n (capped at ThreadPool::kMaxThreads) whose
+  /// workers each claim whole nodes of a wave, and emissions merge at the
+  /// wave barrier in ready order — results are bit-identical to serial
+  /// execution for every thread count.
+  int num_threads = 1;
 
   /// Work-size gate for parallel dispatch: a topological wave whose queued
   /// delta entries total fewer than this runs inline on the draining
@@ -57,17 +35,8 @@ struct NetworkOptions {
   /// costs more than delivering a near-empty wave (the single-change
   /// steady state of a serving catalog). 0 dispatches every multi-node
   /// wave. Purely a performance knob: results are bit-identical for any
-  /// value. Ignored under kSerial.
+  /// value. Ignored without a pool.
   size_t parallel_min_wave_entries = 8;
-
-  /// Per-node/per-drain propagation profiling (see
-  /// ReteNetwork::set_profiling): node profiles, drain/wave/serving
-  /// histograms and Chrome-trace events. Off (the default) keeps every hot
-  /// path free of clock reads — bench_e9_observability holds the
-  /// profiling-off overhead under 2% on the e3 burst workload. Can also be
-  /// toggled at runtime (QueryEngine::set_profiling) and overridden by the
-  /// PGIVM_PROFILE environment variable (see ApplyEnvProfilingOverride).
-  bool profiling = false;
 };
 
 /// One Rete network maintained against one graph: owns its nodes, routes
@@ -83,7 +52,7 @@ struct NetworkOptions {
 /// ends in DrainWaves → PublishEpochs.
 ///
 /// Lifecycle: the constructor fixes the configuration, builds the worker
-/// pool when the executor is parallel, and subscribes to the graph; the
+/// pool when num_threads > 1, and subscribes to the graph; the
 /// destructor unsubscribes. The network starts empty and lives as long as
 /// its owner (the ViewCatalog). Nodes are added while it maintains: the
 /// builder wires them bottom-up, then PrimeNewNodes splices them in — fresh
@@ -93,8 +62,8 @@ struct NetworkOptions {
 ///
 /// Thread-safety: the public API must be driven from one thread (the one
 /// that owns the graph and applies deltas). Parallelism happens only
-/// *inside* a drain, and only this scheduler knows of it: under
-/// ExecutorKind::kParallel each wave's nodes are claimed by pool workers,
+/// *inside* a drain, and only this scheduler knows of it: with a pool
+/// (num_threads > 1) each wave's nodes are claimed by pool workers,
 /// one task per node, with single-writer memories and staging slots,
 /// merged at a barrier in ready order — results are bit-identical to
 /// serial execution for every thread count. Source translation always
@@ -130,10 +99,7 @@ class ReteNetwork : public GraphListener {
   /// Declares `production` as a view root: it publishes at every commit.
   void RegisterProduction(ProductionNode* production);
 
-  ExecutorKind executor() const { return executor_; }
-
-  /// The wave parallelism in effect: the pool size under kParallel, 1
-  /// otherwise.
+  /// The wave parallelism in effect: the pool size, or 1 without a pool.
   int executor_parallelism() const {
     return pool_ != nullptr ? pool_->parallelism() : 1;
   }
@@ -156,13 +122,16 @@ class ReteNetwork : public GraphListener {
     return parallel_waves_dispatched_.load(std::memory_order_relaxed);
   }
 
-  /// Turns per-node/per-drain propagation profiling on or off (see
-  /// NetworkOptions::profiling). May be flipped at any time between drains
-  /// on the writer thread; nodes added later inherit the current setting.
-  /// Off (the default) keeps the hot paths free of clock reads — the <2%
-  /// overhead contract bench_e9_observability enforces.
+  /// Turns propagation profiling on or off: node profiles, drain/wave/
+  /// serving histograms and Chrome-trace events. The engine's one switch
+  /// (QueryEngine::set_profiling, PGIVM_PROFILE) lands here. May be
+  /// flipped at any time between drains on the writer thread; nodes added
+  /// later inherit the current setting. Off (the default) keeps the hot
+  /// paths free of clock reads — the <2% overhead contract
+  /// bench_e9_observability enforces.
   void set_profiling(bool on);
-  bool profiling() const { return profiling_; }
+  /// Safe from any thread: serving pins and the ingest thread read it.
+  bool profiling() const { return profiling_.load(std::memory_order_relaxed); }
 
   /// The trace events recorded so far (null until profiling is first
   /// enabled). Writer-thread-only, like every diagnostics accessor.
@@ -424,15 +393,14 @@ class ReteNetwork : public GraphListener {
   std::atomic<int64_t> parallel_waves_dispatched_{0};
 
   /// Configuration, fixed at construction (see NetworkOptions).
-  const ExecutorKind executor_;
   const size_t parallel_min_wave_entries_;
   /// The pool parallel waves run on; workers persist for the network's
-  /// lifetime. Null whenever the resolved executor is serial.
+  /// lifetime. Null whenever num_threads <= 1.
   const std::unique_ptr<ThreadPool> pool_;
 
-  /// See set_profiling. Read on the hot paths as a plain bool: flipped
-  /// only on the writer thread between drains.
-  bool profiling_ = false;
+  /// See set_profiling. Flipped only on the writer thread between drains;
+  /// relaxed, so serving and ingest threads may poll it.
+  std::atomic<bool> profiling_{false};
   /// The engine registry's histograms this network records into (resolved
   /// once so drains never lock; null without a registry).
   LatencyHistogram* h_drain_ns_ = nullptr;

@@ -1,9 +1,7 @@
 #include "rete/network_builder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "catalog/node_registry.h"
 #include "rete/aggregate_node.h"
@@ -48,11 +46,8 @@ void MergeSupport(std::vector<ReteNode*>& dst,
 class Builder {
  public:
   Builder(ReteNetwork* network, const PropertyGraph* graph,
-          const NetworkOptions& options, NodeRegistry& registry)
-      : network_(network),
-        graph_(graph),
-        options_(options),
-        registry_(registry) {}
+          NodeRegistry& registry)
+      : network_(network), graph_(graph), registry_(registry) {}
 
   /// Every node this builder added to the network, for rollback on error.
   const std::vector<ReteNode*>& created() const { return created_; }
@@ -285,7 +280,7 @@ class Builder {
         }
         auto* node = Create(std::make_unique<UnnestNode>(
             op->schema, std::move(collection), std::move(kept),
-            options_.fine_grained_unnest));
+            child_schema.size()));
         input.node->AddOutput(node, 0);
         Built built{node, std::move(input.support)};
         MergeSupport(built.support, {node});
@@ -304,7 +299,6 @@ class Builder {
 
   ReteNetwork* network_;
   const PropertyGraph* graph_;
-  NetworkOptions options_;
   NodeRegistry& registry_;
   std::vector<ReteNode*> created_;
 };
@@ -313,9 +307,8 @@ class Builder {
 
 Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
                                 const PropertyGraph* graph,
-                                const NetworkOptions& options,
                                 NodeRegistry& registry) {
-  Builder builder(network, graph, options, registry);
+  Builder builder(network, graph, registry);
   Result<Built> root = builder.Build(plan);
   if (!root.ok()) {
     // Roll the half-built sub-network back out so earlier views (and the
@@ -341,61 +334,9 @@ Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
   return view;
 }
 
-namespace {
-
-/// Strict integer parse shared by the environment overrides: the value
-/// must be entirely an integer and fit in [INT_MIN, max], or it is rejected
-/// with a stderr warning naming the variable. A malformed value must not
-/// silently resolve to some other setting ("8abc" is not 8; 99999999999 is
-/// not whatever it truncates to in int).
-bool ParseStrictEnvInt(const char* name, const char* env, int max,
-                       int* out) {
-  int64_t value = 0;
-  ParseIntResult result = ParseInt64(env, &value);
-  if (result == ParseIntResult::kMalformed) {
-    std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (not an integer)\n",
-                 name, env);
-    return false;
-  }
-  if (result == ParseIntResult::kOutOfRange || value > max ||
-      value < std::numeric_limits<int>::min()) {
-    std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (out of range)\n", name,
-                 env);
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-}  // namespace
-
 NetworkOptions ApplyEnvExecutorOverride(NetworkOptions options) {
-  const char* env = std::getenv("PGIVM_THREADS");
-  if (env == nullptr || *env == '\0') return options;
-  int threads = 0;
-  if (!ParseStrictEnvInt("PGIVM_THREADS", env, ThreadPool::kMaxThreads,
-                         &threads)) {
-    return options;
-  }
-  if (threads > 1) {
-    options.executor = ExecutorKind::kParallel;
-    options.num_threads = threads;
-  } else {
-    options.executor = ExecutorKind::kSerial;
-    options.num_threads = 1;
-  }
-  return options;
-}
-
-NetworkOptions ApplyEnvProfilingOverride(NetworkOptions options) {
-  const char* env = std::getenv("PGIVM_PROFILE");
-  if (env == nullptr || *env == '\0') return options;
-  int value = 0;
-  if (!ParseStrictEnvInt("PGIVM_PROFILE", env,
-                         std::numeric_limits<int>::max(), &value)) {
-    return options;
-  }
-  options.profiling = value != 0;
+  ParseEnvInt("PGIVM_THREADS", std::getenv("PGIVM_THREADS"),
+              ThreadPool::kMaxThreads, &options.num_threads);
   return options;
 }
 

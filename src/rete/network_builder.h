@@ -13,27 +13,18 @@ namespace pgivm {
 class NodeRegistry;
 
 /// Returns `options` with the `PGIVM_THREADS` environment override applied:
-/// when the variable is set to an integer n, n > 1 forces
-/// ExecutorKind::kParallel with n threads and n <= 1 forces kSerial —
-/// regardless of what the options said. A value that is not entirely an
-/// integer ("8abc", "abc", "") or exceeds ThreadPool::kMaxThreads is
-/// *rejected* with a stderr warning and the options pass through unchanged
-/// — a typo must not silently pick some other thread count, nor start
-/// enough threads to kill the process. This is the operator-level escape
-/// hatch (and how CI runs the whole suite under a parallel executor). It
-/// is applied exactly once per engine, at ViewCatalog::Create, so every
-/// view the engine ever registers resolves against the environment as it
-/// was at construction; hand-wired ReteNetworks take options as-given.
+/// when the variable holds an integer n, num_threads becomes n — the same
+/// meaning as the option (n <= 1 serial, n > 1 a pool of n). A value that
+/// is not entirely an integer ("8abc", "abc") or exceeds
+/// ThreadPool::kMaxThreads is *rejected* with a stderr warning and the
+/// options pass through unchanged — a typo must not silently pick some
+/// other thread count, nor start enough threads to kill the process. This
+/// is the operator-level escape hatch (and how CI runs the whole suite
+/// with a pool). It is applied exactly once per engine, at
+/// ViewCatalog::Create, so every view the engine ever registers resolves
+/// against the environment as it was at construction; hand-wired
+/// ReteNetworks take options as-given.
 NetworkOptions ApplyEnvExecutorOverride(NetworkOptions options);
-
-/// Returns `options` with the `PGIVM_PROFILE` environment override applied:
-/// an integer value forces NetworkOptions::profiling on (non-zero) or off
-/// (zero) regardless of what the options said. Validated exactly like
-/// PGIVM_THREADS — a value that is not entirely an integer or does not fit
-/// in int is rejected with a stderr warning and the options pass through
-/// unchanged. Applied once per engine, at ViewCatalog::Create, alongside
-/// the executor override.
-NetworkOptions ApplyEnvProfilingOverride(NetworkOptions options);
 
 /// One view instantiated inside a (possibly multi-view) network: its
 /// production root plus every Rete node the view references — shared
@@ -69,7 +60,6 @@ struct BuiltView {
 ///    productions are never shared).
 Result<BuiltView> BuildViewInto(ReteNetwork* network, const OpPtr& plan,
                                 const PropertyGraph* graph,
-                                const NetworkOptions& options,
                                 NodeRegistry& registry);
 
 }  // namespace pgivm

@@ -54,7 +54,7 @@ void UnnestNode::ProcessFolded(const Delta& delta, Delta& out) {
 }
 
 void UnnestNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
-  if (fine_grained_) {
+  if (folds_) {
     ProcessFolded(delta, out);
   } else {
     ProcessNaive(delta, out);
@@ -63,7 +63,7 @@ void UnnestNode::OnDelta(int /*port*/, const Delta& delta, Delta& out) {
 
 std::string UnnestNode::DebugString() const {
   return StrCat("Unnest[", collection_.expr()->ToString(), "]",
-                fine_grained_ ? " (fine-grained)" : "");
+                folds_ ? " (fine-grained)" : "");
 }
 
 }  // namespace pgivm

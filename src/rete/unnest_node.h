@@ -13,21 +13,24 @@ namespace pgivm {
 /// used only by the collection expression can be dropped from the output
 /// (see kUnnest's drop list), which enables fine-grained maintenance.
 ///
-/// FGN (the paper's fine-granularity property): with `fine_grained` set, a
-/// delta batch is first folded per kept-column projection — the retract/
-/// assert pair produced by an element-level collection update meets here,
-/// and only the *multiset difference* of the elements is emitted. A one-
-/// element append to a 512-element list then costs one output entry instead
-/// of 1024. With `fine_grained` false the node expands every entry naively
-/// (the E4 ablation baseline).
+/// FGN (the paper's fine-granularity property): when the plan dropped a
+/// column (`kept_columns` narrower than the `input_arity` columns of the
+/// input), a delta batch is first folded per kept-column projection — the
+/// retract/assert pair produced by an element-level collection update
+/// meets here, and only the *multiset difference* of the elements is
+/// emitted. A one-element append to a 512-element list then costs one
+/// output entry instead of 1024. Without a dropped column each fold group
+/// would be one consolidated input tuple, so the node expands every entry
+/// directly (PlanOptions::fine_grained_unnest off narrows nothing, which
+/// makes every unnest expand: the E4 ablation baseline).
 class UnnestNode : public ReteNode {
  public:
   UnnestNode(Schema schema, BoundExpression collection,
-             std::vector<int> kept_columns, bool fine_grained)
+             std::vector<int> kept_columns, size_t input_arity)
       : ReteNode(std::move(schema)),
         collection_(std::move(collection)),
         kept_columns_(std::move(kept_columns)),
-        fine_grained_(fine_grained) {}
+        folds_(kept_columns_.size() < input_arity) {}
 
   void OnDelta(int port, const Delta& delta, Delta& out) override;
 
@@ -45,7 +48,8 @@ class UnnestNode : public ReteNode {
 
   BoundExpression collection_;
   std::vector<int> kept_columns_;
-  bool fine_grained_;
+  /// Whether deltas fold per kept projection (see the class comment).
+  const bool folds_;
 };
 
 }  // namespace pgivm

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace pgivm {
 
@@ -18,6 +20,25 @@ ParseIntResult ParseInt64(std::string_view text, int64_t* out) {
   if (errno == ERANGE) return ParseIntResult::kOutOfRange;
   *out = static_cast<int64_t>(value);
   return ParseIntResult::kOk;
+}
+
+bool ParseEnvInt(const char* name, const char* value, int max, int* out) {
+  if (value == nullptr || *value == '\0') return false;
+  int64_t number = 0;
+  ParseIntResult result = ParseInt64(value, &number);
+  if (result == ParseIntResult::kMalformed) {
+    std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (not an integer)\n",
+                 name, value);
+    return false;
+  }
+  if (result == ParseIntResult::kOutOfRange || number > max ||
+      number < std::numeric_limits<int>::min()) {
+    std::fprintf(stderr, "pgivm: ignoring %s=\"%s\" (out of range)\n", name,
+                 value);
+    return false;
+  }
+  *out = static_cast<int>(number);
+  return true;
 }
 
 std::string StrJoin(const std::vector<std::string>& parts,

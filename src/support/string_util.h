@@ -18,6 +18,15 @@ enum class ParseIntResult { kOk, kMalformed, kOutOfRange };
 /// kOutOfRange and never saturates. `*out` is written only on kOk.
 ParseIntResult ParseInt64(std::string_view text, int64_t* out);
 
+/// Strict parse of an integer environment variable: `value` (the
+/// variable's content, null when unset) must be entirely an integer in
+/// [INT_MIN, max]. Unset or empty returns false silently; anything else
+/// that does not parse returns false with a stderr warning naming `name` —
+/// a malformed value must not silently resolve to some other setting
+/// ("8abc" is not 8; 99999999999 is not whatever it truncates to in int).
+/// `*out` is written only on success.
+bool ParseEnvInt(const char* name, const char* value, int max, int* out);
+
 /// Concatenates the streamable arguments into one string.
 template <typename... Args>
 std::string StrCat(const Args&... args) {

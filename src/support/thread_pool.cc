@@ -24,13 +24,11 @@ inline void CpuRelax() {
 }  // namespace
 
 int ThreadPool::ResolveThreadCount(int num_threads) {
-  if (num_threads > 0) return std::min(num_threads, kMaxThreads);
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : std::min(static_cast<int>(hw), kMaxThreads);
+  return std::clamp(num_threads, 1, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(int threads) {
-  threads = std::clamp(threads, 1, kMaxThreads);
+  threads = ResolveThreadCount(threads);
   unsigned hw = std::thread::hardware_concurrency();
   spin_iterations_ =
       (hw != 0 && static_cast<unsigned>(threads) <= hw) ? kSpinIterations : 0;

@@ -54,8 +54,8 @@ class ThreadPool {
   /// Total parallelism (workers + the calling thread).
   int parallelism() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// `num_threads` resolved against the machine: 0 (or negative) means
-  /// "use the hardware concurrency"; the result is capped at kMaxThreads.
+  /// The pool size a `num_threads` setting asks for: values <= 1 resolve
+  /// to 1 (serial, no pool) and values above kMaxThreads to kMaxThreads.
   static int ResolveThreadCount(int num_threads);
 
  private:

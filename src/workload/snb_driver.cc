@@ -84,22 +84,16 @@ SnbDriver::SnbDriver(const SnbDriverConfig& config) : config_(config) {
 ReproSpec SnbDriver::ReproCase() const {
   ReproSpec spec;
   spec.seed = config_.seed;
-  spec.threads = config_.engine.network.executor == ExecutorKind::kParallel
-                     ? config_.engine.network.num_threads
-                     : 1;
+  spec.threads = config_.engine.network.num_threads;
   return spec;
 }
 
 SnbDriverConfig SnbDriver::WithRepro(SnbDriverConfig config,
                                      const ReproSpec& spec) {
   config.seed = spec.seed;
-  if (spec.threads > 1) {
-    config.engine.network.executor = ExecutorKind::kParallel;
-    config.engine.network.num_threads = spec.threads;
-    config.engine.network.parallel_min_wave_entries = 0;
-  } else {
-    config.engine.network.executor = ExecutorKind::kSerial;
-  }
+  config.engine.network.num_threads = spec.threads;
+  // A replayed parallel case dispatches every wave, as the sweep ran it.
+  if (spec.threads > 1) config.engine.network.parallel_min_wave_entries = 0;
   return config;
 }
 

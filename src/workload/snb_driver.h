@@ -56,7 +56,7 @@ struct SnbDriverConfig {
   /// Every Nth update additionally cross-checks one rotating view against
   /// a fresh EvaluateOnce, so the maintained pair cannot drift together.
   int64_t baseline_every = 16;
-  /// Options of the engine under test (executor, profiling). The
+  /// Options of the engine under test (plan flags, thread count). The
   /// validation reference engine always runs the default serial
   /// configuration with canonicalization off.
   EngineOptions engine;
@@ -107,7 +107,9 @@ class SnbDriver {
   ReproSpec ReproCase() const;
 
   /// Applies a PGIVM_REPRO spec onto a config: seed and thread count
-  /// override the corresponding fields.
+  /// override the corresponding fields, and a thread count above 1 also
+  /// sets the work-size gate to 0, as the validation sweep runs its
+  /// parallel cases.
   static SnbDriverConfig WithRepro(SnbDriverConfig config,
                                    const ReproSpec& spec);
 

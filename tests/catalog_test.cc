@@ -251,7 +251,6 @@ TEST(CatalogLifecycle, RegistrationAfterEmptyingTheCatalogReadsTheCurrentGraph) 
     generator.Populate(&graph);
     EngineOptions options;
     if (parallel) {
-      options.network.executor = ExecutorKind::kParallel;
       options.network.num_threads = 2;
       options.network.parallel_min_wave_entries = 0;
     }

@@ -9,7 +9,7 @@
 #include "baseline/baseline_evaluator.h"
 #include "engine/query_engine.h"
 #include "rete/production_node.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "support/repro.h"
 #include "workload/random_graph.h"
 
@@ -31,10 +31,7 @@ TEST_P(DifferentialTest, ViewMatchesBaselineAfterEveryUpdate) {
 
   EngineOptions options;
   options.plan.naive_property_maps = param.naive_maps;
-  if (param.coarse_unnest) {
-    options.plan.narrow_unnest_outputs = false;
-    options.network.fine_grained_unnest = false;
-  }
+  options.plan.fine_grained_unnest = !param.coarse_unnest;
 
   PropertyGraph graph;
   RandomGraphConfig config;
@@ -103,7 +100,7 @@ const char* const kHarnessQueries[] = {
 
 struct HarnessCase {
   uint64_t seed;
-  int threads;  // 1 = serial executor, otherwise kParallel with n threads
+  int threads;  // 1 = serial, otherwise a pool of n threads
   /// Keep the default work-size gate, so small waves run serially on the
   /// calling thread between dispatched ones — the mix an engine under
   /// PGIVM_THREADS runs. Otherwise every multi-node wave is dispatched.
@@ -137,7 +134,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
 
   EngineOptions options;
   if (param.threads > 1) {
-    options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = param.threads;
     // The harness exists to race the parallel machinery (and is what the
     // TSAN job runs), so the work-size gate must not quietly turn small
@@ -146,11 +142,6 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
     // waves in one executor.
     if (!param.gated) options.network.parallel_min_wave_entries = 0;
   }
-  // The engine under test runs fully profiled while the reference does
-  // not: every bit-identity assertion below then also proves profiling
-  // changes no result, across seeds × thread counts — and
-  // the TSAN cases race the profile/histogram writes for free.
-  options.network.profiling = true;
 
   PropertyGraph graph;
   RandomGraphConfig config;
@@ -168,8 +159,13 @@ TEST_P(RandomizedDifferentialTest, AllViewsMatchSerialReferenceAndBaseline) {
   // every per-step bit-identity assertion below therefore also proves the
   // canonical normal form computes exactly what the un-normalized plan
   // does, across seeds × thread counts.
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   QueryEngine engine(&graph, options);
+  // The engine under test runs fully profiled while the reference does
+  // not: every bit-identity assertion below then also proves profiling
+  // changes no result, across seeds × thread counts — and
+  // the TSAN cases race the profile/histogram writes for free.
+  engine.set_profiling(true);
   EngineOptions reference_options;
   reference_options.plan.canonicalize = false;
   QueryEngine reference_engine(&graph, reference_options);

@@ -120,7 +120,6 @@ TEST_P(EndpointLabelFoldTest, FoldedPatternsMatchTheirLabelsSpelling) {
   const FoldCase& param = GetParam();
   EngineOptions options;
   if (param.threads > 1) {
-    options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = param.threads;
     options.network.parallel_min_wave_entries = 0;
   }

@@ -165,8 +165,7 @@ TEST(IncrementalSemanticsTest, NaivePropertyMapModeBehavesIdentically) {
 
 TEST(IncrementalSemanticsTest, CoarseUnnestModeBehavesIdentically) {
   EngineOptions coarse;
-  coarse.network.fine_grained_unnest = false;
-  coarse.plan.narrow_unnest_outputs = false;
+  coarse.plan.fine_grained_unnest = false;
 
   PropertyGraph graph;
   QueryEngine engine(&graph, coarse);
@@ -177,6 +176,65 @@ TEST(IncrementalSemanticsTest, CoarseUnnestModeBehavesIdentically) {
   EXPECT_EQ(view->size(), 2);
   ASSERT_TRUE(graph.ListAppend(v, "tags", Value::Int(3)).ok());
   EXPECT_EQ(view->size(), 3);
+
+  // The one flag decides both halves of FGN: the plan drops no column and
+  // so the unnest node expands every entry instead of folding.
+  const LogicalOp* unnest = view->fra_plan().get();
+  while (unnest->kind != OpKind::kUnnest) {
+    ASSERT_FALSE(unnest->children.empty());
+    unnest = unnest->children[0].get();
+  }
+  EXPECT_TRUE(unnest->unnest_drop_columns.empty());
+  const std::string network = view->NetworkDebugString();
+  EXPECT_NE(network.find("Unnest["), std::string::npos) << network;
+  EXPECT_EQ(network.find("(fine-grained)"), std::string::npos) << network;
+
+  // The default engine narrows the same plan and folds.
+  PropertyGraph fine_graph;
+  QueryEngine fine(&fine_graph);
+  auto fine_view =
+      fine.Register("MATCH (n:A) UNWIND n.tags AS t RETURN t").value();
+  EXPECT_NE(fine_view->NetworkDebugString().find("(fine-grained)"),
+            std::string::npos)
+      << fine_view->NetworkDebugString();
+}
+
+// An unnest under DISTINCT whose collection is a computed column cannot
+// drop it, so its node expands instead of folding. Each input tuple then
+// forms its own fold group, and the consolidated output — rows and emitted
+// entries, duplicate list elements included — equals what the folding
+// node produced (116 entries for this script).
+TEST(IncrementalSemanticsTest, UnnestThatKeepsItsColumnMatchesTheFoldedCounts) {
+  PropertyGraph graph;
+  QueryEngine engine(&graph);
+  auto view = engine
+                  .Register("MATCH (n:A) WITH n.tags + [0] AS l "
+                            "UNWIND l AS x RETURN DISTINCT x")
+                  .value();
+  const std::string network = view->NetworkDebugString();
+  EXPECT_NE(network.find("Unnest["), std::string::npos) << network;
+  EXPECT_EQ(network.find("(fine-grained)"), std::string::npos) << network;
+
+  VertexId a = graph.AddVertex(
+      {"A"},
+      {{"tags", Value::List({Value::Int(1), Value::Int(1), Value::Int(2)})}});
+  VertexId b = graph.AddVertex(
+      {"A"}, {{"tags", Value::List({Value::Int(2), Value::Int(3)})}});
+  ASSERT_TRUE(graph.ListAppend(a, "tags", Value::Int(4)).ok());
+  ASSERT_TRUE(graph.ListAppend(b, "tags", Value::Int(1)).ok());
+  graph.BeginBatch();
+  ASSERT_TRUE(graph.ListAppend(a, "tags", Value::Int(5)).ok());
+  ASSERT_TRUE(graph.ListAppend(a, "tags", Value::Int(5)).ok());
+  ASSERT_TRUE(
+      graph.SetVertexProperty(b, "tags", Value::List({Value::Int(7)})).ok());
+  graph.CommitBatch();
+  ASSERT_TRUE(graph.RemoveVertex(a).ok());
+
+  std::vector<Tuple> rows = view->Snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].at(0), Value::Int(0));
+  EXPECT_EQ(rows[1].at(0), Value::Int(7));
+  EXPECT_EQ(view->network().TotalEmittedEntries(), 116);
 }
 
 TEST(IncrementalSemanticsTest, MapPropertyFineGrainedUpdates) {

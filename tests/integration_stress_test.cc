@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "workload/social_network.h"
 
 namespace pgivm {
@@ -160,7 +160,6 @@ TEST(IntegrationStressTest, SharedCatalogStaysExactUnderParallelWaves) {
   generator.Populate(&graph);
 
   EngineOptions parallel_options;
-  parallel_options.network.executor = ExecutorKind::kParallel;
   parallel_options.network.num_threads = 8;
   // Both engines are constructed with PGIVM_THREADS pinned away (the
   // override is read at construction), so this is a real parallel-8 vs
@@ -169,7 +168,7 @@ TEST(IntegrationStressTest, SharedCatalogStaysExactUnderParallelWaves) {
   std::unique_ptr<QueryEngine> engine_holder;
   std::unique_ptr<QueryEngine> twin_holder;
   {
-    ScopedThreadsEnv no_env(nullptr);
+    ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
     engine_holder = std::make_unique<QueryEngine>(&graph, parallel_options);
     twin_holder = std::make_unique<QueryEngine>(&graph);
   }
@@ -183,8 +182,7 @@ TEST(IntegrationStressTest, SharedCatalogStaysExactUnderParallelWaves) {
     views.push_back(engine.Register(query).value());
     twin_views.push_back(twin.Register(query).value());
   }
-  EXPECT_EQ(engine.catalog().network().executor(),
-            ExecutorKind::kParallel);
+  EXPECT_EQ(engine.catalog().network().executor_parallelism(), 8);
 
   Rng rng(31337);
   std::vector<std::shared_ptr<View>> churn;

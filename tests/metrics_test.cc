@@ -31,43 +31,12 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "support/metrics.h"
 #include "workload/random_graph.h"
 
 namespace pgivm {
 namespace {
-
-/// Scoped PGIVM_PROFILE manipulation, mirroring ScopedThreadsEnv: the
-/// override is read once at engine construction, so guarding the
-/// constructor call is sufficient.
-class ScopedProfileEnv {
- public:
-  explicit ScopedProfileEnv(const char* value) {
-    const char* old = getenv("PGIVM_PROFILE");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value == nullptr) {
-      unsetenv("PGIVM_PROFILE");
-    } else {
-      setenv("PGIVM_PROFILE", value, 1);
-    }
-  }
-  ~ScopedProfileEnv() {
-    if (had_) {
-      setenv("PGIVM_PROFILE", saved_.c_str(), 1);
-    } else {
-      unsetenv("PGIVM_PROFILE");
-    }
-  }
-
-  ScopedProfileEnv(const ScopedProfileEnv&) = delete;
-  ScopedProfileEnv& operator=(const ScopedProfileEnv&) = delete;
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 // ---- histogram bucket math --------------------------------------------------
 
@@ -246,7 +215,7 @@ struct ProfiledRun {
 
 /// Registers the query pool, churns the graph, and returns results plus
 /// per-node metrics.
-ProfiledRun RunProfiledWorkload(ExecutorKind executor, bool profiling) {
+ProfiledRun RunProfiledWorkload(int num_threads, bool profiling) {
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 99;
@@ -254,13 +223,12 @@ ProfiledRun RunProfiledWorkload(ExecutorKind executor, bool profiling) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  options.network.executor = executor;
-  options.network.num_threads = 4;
+  options.network.num_threads = num_threads;
   // Dispatch every multi-node wave so serial-vs-parallel actually differs
   // in execution, not just configuration.
   options.network.parallel_min_wave_entries = 0;
-  options.network.profiling = profiling;
   QueryEngine engine(&graph, options);
+  engine.set_profiling(profiling);
 
   std::vector<std::shared_ptr<View>> views;
   for (const char* query : ProfiledQueries()) {
@@ -276,10 +244,10 @@ ProfiledRun RunProfiledWorkload(ExecutorKind executor, bool profiling) {
 }
 
 TEST(Profiling, ResultsIdenticalOnAndOff) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
-  ProfiledRun off = RunProfiledWorkload(ExecutorKind::kSerial, false);
-  ProfiledRun on = RunProfiledWorkload(ExecutorKind::kSerial, true);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
+  ProfiledRun off = RunProfiledWorkload(1, false);
+  ProfiledRun on = RunProfiledWorkload(1, true);
   EXPECT_EQ(off.rows, on.rows);
   // Off: no clocks ran, so no node accumulated profile state.
   for (const auto& node : off.nodes) {
@@ -294,10 +262,10 @@ TEST(Profiling, ResultsIdenticalOnAndOff) {
 }
 
 TEST(Profiling, NodeCountersIdenticalSerialVsParallel) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
-  ProfiledRun serial = RunProfiledWorkload(ExecutorKind::kSerial, true);
-  ProfiledRun parallel = RunProfiledWorkload(ExecutorKind::kParallel, true);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
+  ProfiledRun serial = RunProfiledWorkload(1, true);
+  ProfiledRun parallel = RunProfiledWorkload(4, true);
   EXPECT_EQ(serial.rows, parallel.rows);
   ASSERT_EQ(serial.nodes.size(), parallel.nodes.size());
   // Wave scheduling is bit-identical, so the *logical* per-node counters
@@ -317,9 +285,9 @@ TEST(Profiling, NodeCountersIdenticalSerialVsParallel) {
 }
 
 TEST(Profiling, HistogramsAndTracePopulateWhileOn) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
-  ProfiledRun on = RunProfiledWorkload(ExecutorKind::kSerial, true);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
+  ProfiledRun on = RunProfiledWorkload(1, true);
   bool saw_drain = false;
   for (const auto& [name, hist] : on.snapshot.histograms) {
     if (name == "propagation.drain_ns") {
@@ -336,8 +304,8 @@ TEST(Profiling, HistogramsAndTracePopulateWhileOn) {
 }
 
 TEST(Profiling, PinLatencyRecordedWhileOn) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (n:A) RETURN count(*) AS c");
@@ -357,8 +325,8 @@ TEST(Profiling, PinLatencyRecordedWhileOn) {
 }
 
 TEST(Profiling, RuntimeToggleCoversLateNetworks) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   engine.set_profiling(true);
@@ -377,8 +345,8 @@ TEST(Profiling, RuntimeToggleCoversLateNetworks) {
 // every commit, and a view registered later is profiled without a new
 // toggle.
 TEST(Profiling, ToggleOutlivesTheLastView) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   engine.set_profiling(true);
@@ -417,11 +385,10 @@ TEST(Profiling, ToggleOutlivesTheLastView) {
 // node holds the whole wave — which a parallel wave cannot spread — and 50
 // when two nodes split it evenly.
 TEST(Profiling, WaveImbalanceReadsTheHottestNodesShare) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 2;
   options.network.parallel_min_wave_entries = 0;
   QueryEngine engine(&graph, options);
@@ -456,12 +423,11 @@ TEST(Profiling, WaveImbalanceReadsTheHottestNodesShare) {
 // records one translate span and one drain, a registration into the live
 // network one drain and no translate, and each bumps the commit epoch once.
 TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
-  EngineOptions options;
-  options.network.profiling = true;
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
+  engine.set_profiling(true);
   auto first = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(first.ok()) << first.status();
   graph.AddVertex({"A"});
@@ -504,8 +470,8 @@ TEST(Profiling, EveryCommitRecordsOneDrainAndOneEpoch) {
 // "propagation.publish_ns" sample per commit while profiling is on, none
 // while it is off.
 TEST(Profiling, EveryProfiledCommitRecordsOnePublish) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (n:A) RETURN n");
@@ -548,8 +514,8 @@ std::string StripDigits(const std::string& s) {
 }
 
 TEST(ExplainAnalyze, AnnotatesOperatorsAndRestoresState) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 5;
@@ -595,8 +561,8 @@ TEST(ExplainAnalyze, AnnotatesOperatorsAndRestoresState) {
 }
 
 TEST(ExplainAnalyze, CompileErrorsPropagateAndRestoreProfiling) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   EXPECT_FALSE(engine.ExplainAnalyze("MATCH (n RETURN n").ok());
@@ -606,8 +572,8 @@ TEST(ExplainAnalyze, CompileErrorsPropagateAndRestoreProfiling) {
 // ---- unified snapshot vs. per-component accessors --------------------------
 
 TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 11;
@@ -644,8 +610,8 @@ TEST(MetricsSnapshot, AgreesWithLegacyAccessors) {
 }
 
 TEST(MetricsSnapshot, CatalogMemoryIsTheSumOfTheNodeRows) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 5;
@@ -677,8 +643,8 @@ TEST(MetricsSnapshot, CatalogMemoryIsTheSumOfTheNodeRows) {
 // The emitted-entry totals sum over the live nodes, so they are monotone
 // only while the node set stands (across updates).
 TEST(MetricsSnapshot, LifetimeCountersNeverDecreaseAcrossLastViewDrop) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 23;
@@ -732,12 +698,11 @@ TEST(MetricsSnapshot, LifetimeCountersNeverDecreaseAcrossLastViewDrop) {
 // ---- trace export through the engine ---------------------------------------
 
 TEST(DumpTrace, WritesChromeJsonCoveringIngestAndDrains) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv no_profile_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar no_profile_env("PGIVM_PROFILE", nullptr);
   PropertyGraph graph;
-  EngineOptions options;
-  options.network.profiling = true;
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
+  engine.set_profiling(true);
   auto view = engine.Register("MATCH (n:A) RETURN count(*) AS c");
   ASSERT_TRUE(view.ok()) << view.status();
 
@@ -764,41 +729,47 @@ TEST(DumpTrace, WritesChromeJsonCoveringIngestAndDrains) {
 // ---- PGIVM_PROFILE environment override ------------------------------------
 
 TEST(ProfileEnv, IntegerValuesForceTheFlag) {
-  ScopedThreadsEnv no_env(nullptr);
-  NetworkOptions options;
-  {
-    ScopedProfileEnv env("1");
-    EXPECT_TRUE(ApplyEnvProfilingOverride(options).profiling);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  PropertyGraph graph;
+  for (const char* on : {"1", "7", "-1"}) {
+    ScopedEnvVar env("PGIVM_PROFILE", on);
+    QueryEngine engine(&graph);
+    EXPECT_TRUE(engine.profiling()) << on;
+    // The variable only sets the starting value; the switch stays live.
+    engine.set_profiling(false);
+    EXPECT_FALSE(engine.profiling()) << on;
   }
-  {
-    ScopedProfileEnv env("0");
-    options.profiling = true;
-    EXPECT_FALSE(ApplyEnvProfilingOverride(options).profiling);
-  }
+  ScopedEnvVar env("PGIVM_PROFILE", "0");
+  QueryEngine engine(&graph);
+  EXPECT_FALSE(engine.profiling());
 }
 
 TEST(ProfileEnv, MalformedValuesAreRejectedUnchanged) {
-  ScopedThreadsEnv no_env(nullptr);
-  NetworkOptions options;
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  PropertyGraph graph;
   for (const char* bad : {"abc", "2x", "", "99999999999999999999"}) {
-    ScopedProfileEnv env(bad);
-    EXPECT_FALSE(ApplyEnvProfilingOverride(options).profiling) << bad;
-    options.profiling = true;
-    EXPECT_TRUE(ApplyEnvProfilingOverride(options).profiling) << bad;
-    options.profiling = false;
+    ScopedEnvVar env("PGIVM_PROFILE", bad);
+    QueryEngine engine(&graph);
+    EXPECT_FALSE(engine.profiling()) << bad;
   }
 }
 
 TEST(ProfileEnv, AppliedAtEngineConstruction) {
-  ScopedThreadsEnv no_env(nullptr);
-  ScopedProfileEnv env("1");
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
+  ScopedEnvVar env("PGIVM_PROFILE", "1");
   PropertyGraph graph;
   QueryEngine engine(&graph);
   EXPECT_TRUE(engine.profiling());
+  auto view = engine.Register("MATCH (n:A) RETURN n");
+  ASSERT_TRUE(view.ok()) << view.status();
+  // The network the constructor built records from its first drain.
+  EXPECT_EQ(engine.metrics().GetHistogram("propagation.drain_ns").Snapshot()
+                .count,
+            1);
 }
 
 TEST(MetricsSnapshot, FindCounterAndHistogramPointLookups) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   engine.metrics().GetCounter("test.alpha").Add(3);

@@ -336,7 +336,7 @@ TEST(NarrowUnnestTest, DistinctAboveBlocksNonDependentDrop) {
 
 TEST(NarrowUnnestTest, DisabledByOption) {
   PlanOptions options;
-  options.narrow_unnest_outputs = false;
+  options.fine_grained_unnest = false;
   OpPtr fra = Fra("MATCH (n:A) UNWIND n.tags AS tag RETURN n, tag", options);
   const LogicalOp* unnest = FindKind(fra, OpKind::kUnnest);
   ASSERT_NE(unnest, nullptr);

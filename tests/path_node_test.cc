@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "workload/social_network.h"
 
 namespace pgivm {
@@ -347,7 +347,7 @@ TEST(PathNodeParallelTest, ParallelWavesBitIdenticalOnPathHeavyWorkload) {
   // Parallel waves with the work-size gate open dispatch every multi-node
   // wave to the pool. On a reply-tree-heavy social workload the path views
   // must stay bit-identical to a serial reference.
-  ScopedThreadsEnv pin_threads(nullptr);
+  ScopedEnvVar pin_threads("PGIVM_THREADS", nullptr);
 
   PropertyGraph graph;
   SocialNetworkConfig config = SocialNetworkConfig::AtScale(0.02, 5);
@@ -363,7 +363,6 @@ TEST(PathNodeParallelTest, ParallelWavesBitIdenticalOnPathHeavyWorkload) {
 
   // Engine under test: parallel waves, every multi-node wave dispatched.
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 4;
   options.network.parallel_min_wave_entries = 0;
   auto forced = std::make_unique<QueryEngine>(&graph, options);
@@ -396,7 +395,7 @@ TEST(PathNodeParallelTest, ParallelWavesBitIdenticalOnPathHeavyWorkload) {
     }
   }
   // The engine under test really ran parallel waves.
-  EXPECT_EQ(forced->options().network.executor, ExecutorKind::kParallel);
+  EXPECT_EQ(forced->catalog().network().executor_parallelism(), 4);
   EXPECT_GT(forced->MetricsSnapshot().parallel_waves_dispatched, 0);
 }
 

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "workload/social_network.h"
 
 namespace pgivm {
@@ -145,11 +145,11 @@ struct MidChurnShape {
 class MidChurnTest : public ::testing::TestWithParam<MidChurnShape> {};
 
 TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
-  ScopedThreadsEnv no_env(nullptr);  // pin: the shape sets the executor
+  // Pinned: the shape sets the thread count.
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   const MidChurnShape& shape = GetParam();
   EngineOptions options;
   if (shape.threads > 0) {
-    options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = shape.threads;
     if (!shape.gated) options.network.parallel_min_wave_entries = 0;
   }
@@ -309,11 +309,11 @@ TEST(IncrementalPriming, ListenersStaySilentDuringReplay) {
 }
 
 TEST(NetworkPool, ParallelCatalogNetworkOwnsItsPool) {
-  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
+  // Pinned: the case needs exactly its own thread count.
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   graph.AddVertex({"A"});
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 2;
   QueryEngine engine(&graph, options);
   auto view = engine.Register("MATCH (n:A) RETURN n");
@@ -326,12 +326,12 @@ TEST(NetworkPool, ParallelCatalogNetworkOwnsItsPool) {
 // The default serial catalog never builds a pool: its network drains on
 // the writer thread and reports a parallelism of one.
 TEST(NetworkPool, SerialCatalogNetworkHasNoPool) {
-  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kSerial
+  // Pinned: the case needs exactly the serial default.
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   graph.AddVertex({"A"});
   QueryEngine engine(&graph);
   const ReteNetwork& network = engine.catalog().network();
-  EXPECT_EQ(network.executor(), ExecutorKind::kSerial);
   EXPECT_EQ(network.thread_pool(), nullptr);
   EXPECT_EQ(network.executor_parallelism(), 1);
   auto view = engine.Register("MATCH (n:A) RETURN n");
@@ -345,7 +345,8 @@ TEST(NetworkPool, SerialCatalogNetworkHasNoPool) {
 // view leaves both in place, and the next registration runs on the same
 // workers.
 TEST(NetworkPool, LastViewDropKeepsNetworkAndPool) {
-  ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
+  // Pinned: the case needs exactly its own thread count.
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   SocialNetworkConfig config;
   config.persons = 15;
   SocialNetworkGenerator generator(config);
@@ -353,7 +354,6 @@ TEST(NetworkPool, LastViewDropKeepsNetworkAndPool) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 2;
   QueryEngine engine(&graph, options);
   auto first = engine.Register(kLikesQuery);
@@ -382,7 +382,7 @@ TEST(NetworkPool, LastViewDropKeepsNetworkAndPool) {
 // parallel catalog go through the same barrier/deferred-notification
 // machinery as graph deltas (the TSAN CI job re-runs this at 8 threads).
 TEST(IncrementalPriming, ReplayUnderParallelExecutorStaysCorrect) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   SocialNetworkConfig config;
   config.persons = 30;
   SocialNetworkGenerator generator(config);
@@ -390,7 +390,6 @@ TEST(IncrementalPriming, ReplayUnderParallelExecutorStaysCorrect) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 4;
   QueryEngine engine(&graph, options);
   auto first = engine.Register(kLikesQuery);

@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "rete/antijoin_node.h"
 #include "rete/join_node.h"
 #include "rete/network.h"
@@ -377,51 +377,47 @@ TEST(PathBatchTest, ChainedEdgesAddedInOneBatchAssertTrailsOnce) {
 // ---- wave executor ---------------------------------------------------------
 
 TEST(WaveExecutor, OptionsThreadThroughTheEngineStack) {
-  ScopedThreadsEnv env(nullptr);  // isolate from the ambient environment
+  // Isolated from the ambient environment.
+  ScopedEnvVar env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
 
   QueryEngine serial_engine(&graph);
   auto serial = serial_engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ((*serial)->executor(), ExecutorKind::kSerial);
   EXPECT_EQ((*serial)->network().executor_parallelism(), 1);
 
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 3;
   QueryEngine parallel_engine(&graph, options);
   auto parallel = parallel_engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ((*parallel)->executor(), ExecutorKind::kParallel);
   EXPECT_EQ((*parallel)->network().executor_parallelism(), 3);
 }
 
 TEST(WaveExecutor, EnvOverrideWinsOverProgrammaticConfiguration) {
   PropertyGraph graph;
   {
-    ScopedThreadsEnv env("4");
+    ScopedEnvVar env("PGIVM_THREADS", "4");
     QueryEngine engine(&graph);  // default-serial options
     auto view = engine.Register("MATCH (n:A) RETURN n");
     ASSERT_TRUE(view.ok()) << view.status();
-    EXPECT_EQ((*view)->executor(), ExecutorKind::kParallel);
     EXPECT_EQ((*view)->network().executor_parallelism(), 4);
   }
   {
-    ScopedThreadsEnv env("1");
+    ScopedEnvVar env("PGIVM_THREADS", "1");
     EngineOptions options;
-    options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = 8;
     QueryEngine engine(&graph, options);
     auto view = engine.Register("MATCH (n:A) RETURN n");
     ASSERT_TRUE(view.ok()) << view.status();
-    EXPECT_EQ((*view)->executor(), ExecutorKind::kSerial);
+    EXPECT_EQ((*view)->network().executor_parallelism(), 1);
   }
   {
-    ScopedThreadsEnv env("not-a-number");
+    ScopedEnvVar env("PGIVM_THREADS", "not-a-number");
     QueryEngine engine(&graph);
     auto view = engine.Register("MATCH (n:A) RETURN n");
     ASSERT_TRUE(view.ok()) << view.status();
-    EXPECT_EQ((*view)->executor(), ExecutorKind::kSerial);  // ignored
+    EXPECT_EQ((*view)->network().executor_parallelism(), 1);  // ignored
   }
 }
 
@@ -429,40 +425,35 @@ TEST(WaveExecutor, EnvOverrideWinsOverProgrammaticConfiguration) {
 /// as 8), silently saturate out-of-range values, and take any thread count
 /// a pool would then try to start. Malformed values and counts above
 /// ThreadPool::kMaxThreads must now leave the programmatic configuration
-/// untouched; in-range values — including 0 and negatives — still apply.
-/// Applying the override starts no threads.
+/// untouched; in-range values — including 0 and negatives, which mean
+/// serial like the option — are assigned as they are. Applying the
+/// override starts no threads.
 TEST(WaveExecutor, EnvOverrideRejectsMalformedValues) {
   NetworkOptions programmatic;
-  programmatic.executor = ExecutorKind::kParallel;
   programmatic.num_threads = 3;
 
   auto with_env = [&programmatic](const char* value) {
-    ScopedThreadsEnv env(value);
+    ScopedEnvVar env("PGIVM_THREADS", value);
     return ApplyEnvExecutorOverride(programmatic);
   };
 
   for (const char* rejected :
        {"", "abc", "8abc", "99999999999", "257", "100000"}) {
-    NetworkOptions applied = with_env(rejected);
-    EXPECT_EQ(applied.executor, ExecutorKind::kParallel)
-        << "PGIVM_THREADS=\"" << rejected << "\"";
-    EXPECT_EQ(applied.num_threads, 3)
+    EXPECT_EQ(with_env(rejected).num_threads, 3)
         << "PGIVM_THREADS=\"" << rejected << "\"";
   }
 
-  for (const char* serial : {"0", "-1", "1"}) {
-    NetworkOptions applied = with_env(serial);
-    EXPECT_EQ(applied.executor, ExecutorKind::kSerial)
-        << "PGIVM_THREADS=\"" << serial << "\"";
+  for (int serial : {0, -1, 1}) {
+    const std::string value = std::to_string(serial);
+    NetworkOptions applied = with_env(value.c_str());
+    EXPECT_EQ(applied.num_threads, serial) << "PGIVM_THREADS=" << value;
+    EXPECT_EQ(ThreadPool::ResolveThreadCount(applied.num_threads), 1)
+        << "PGIVM_THREADS=" << value;
   }
 
-  NetworkOptions applied = with_env("8");
-  EXPECT_EQ(applied.executor, ExecutorKind::kParallel);
-  EXPECT_EQ(applied.num_threads, 8);
-
-  applied = with_env("256");  // the cap itself is accepted
-  EXPECT_EQ(applied.executor, ExecutorKind::kParallel);
-  EXPECT_EQ(applied.num_threads, ThreadPool::kMaxThreads);
+  EXPECT_EQ(with_env("8").num_threads, 8);
+  // The cap itself is accepted.
+  EXPECT_EQ(with_env("256").num_threads, ThreadPool::kMaxThreads);
 }
 
 /// Drives identical random update streams through a serial and a parallel
@@ -478,7 +469,7 @@ TEST(WaveExecutor, ParallelWavesAreBitIdenticalToSerial) {
       "MATCH (a:A)-[:R*1..3]->(b) RETURN a, b",
   };
 
-  ScopedThreadsEnv env(nullptr);
+  ScopedEnvVar env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 4242;
@@ -486,7 +477,6 @@ TEST(WaveExecutor, ParallelWavesAreBitIdenticalToSerial) {
   generator.Populate(&graph);
 
   EngineOptions parallel_options;
-  parallel_options.network.executor = ExecutorKind::kParallel;
   parallel_options.network.num_threads = 4;
   QueryEngine serial_engine(&graph);
   QueryEngine parallel_engine(&graph, parallel_options);
@@ -568,7 +558,7 @@ class ThreadRecordingListener : public ViewChangeListener {
 /// notifications are deferred to the wave barrier: every one of them runs
 /// on the thread that committed the graph change.
 TEST(WaveExecutor, ListenersRunOnTheCommittingThread) {
-  ScopedThreadsEnv env(nullptr);
+  ScopedEnvVar env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 5151;
@@ -576,7 +566,6 @@ TEST(WaveExecutor, ListenersRunOnTheCommittingThread) {
   generator.Populate(&graph);
 
   EngineOptions options;
-  options.network.executor = ExecutorKind::kParallel;
   options.network.num_threads = 4;
   options.network.parallel_min_wave_entries = 0;
   QueryEngine engine(&graph, options);
@@ -622,7 +611,7 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
       "MATCH (a:A)-[:R]->(b) RETURN b AS t, count(*) AS c, sum(a.x) AS s",
   };
 
-  ScopedThreadsEnv env(nullptr);
+  ScopedEnvVar env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 6161;
@@ -631,7 +620,6 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
 
   auto parallel_options = [](size_t min_wave_entries) {
     EngineOptions options;
-    options.network.executor = ExecutorKind::kParallel;
     options.network.num_threads = 4;
     options.network.parallel_min_wave_entries = min_wave_entries;
     return options;
@@ -681,7 +669,7 @@ TEST(WaveGating, GateDecidesDispatchWithoutChangingResults) {
 }
 
 TEST(WaveGating, OptionThreadsThroughEngineAndDefaultsNonZero) {
-  ScopedThreadsEnv env(nullptr);
+  ScopedEnvVar env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (n:A) RETURN n");
@@ -1093,7 +1081,7 @@ TEST(NetworkLifecycle, PrimeLevelsTheNodesAndPublishesOneEpoch) {
       fixture.network.PrimeNewNodes(fixture.fresh, {}, fixture.fresh);
   EXPECT_EQ(fixture.network.node_level(fixture.fresh[0]), 0);
   EXPECT_EQ(fixture.network.node_level(production), 1);
-  EXPECT_EQ(fixture.network.DebugString().rfind("executor=serial\n", 0), 0u);
+  EXPECT_EQ(fixture.network.DebugString().rfind("threads=1\n", 0), 0u);
   EXPECT_EQ(stats.primed_sources, 1u);
   EXPECT_EQ(stats.graph_primed_entries, 1);
   EXPECT_EQ(production->results().total_count(), 1);
@@ -1160,30 +1148,28 @@ TEST(NetworkLifecycle, RemovedViewRePrimesFromTheCurrentGraph) {
   EXPECT_EQ(again->PinSnapshot()->epoch, 6u);
 }
 
-// The constructor builds the pool the executor needs, once: kParallel with
-// more than one thread gets a pool of that size, a single thread keeps the
-// serial fast path (no pool, no dispatch), and kSerial never builds one.
+// The constructor builds the pool the thread count asks for, once: more
+// than one thread gets a pool of that size, and 1, 0 or a negative count
+// keeps the serial fast path (no pool, no dispatch).
 TEST(NetworkLifecycle, ConstructorBuildsThePoolTheExecutorNeeds) {
   PropertyGraph graph;
   NetworkOptions parallel;
-  parallel.executor = ExecutorKind::kParallel;
-  parallel.num_threads = 2;
+  parallel.num_threads = 3;
   ReteNetwork pooled(&graph, parallel);
   ASSERT_NE(pooled.thread_pool(), nullptr);
-  EXPECT_EQ(pooled.thread_pool()->parallelism(), 2);
-  EXPECT_EQ(pooled.executor_parallelism(), 2);
-  EXPECT_EQ(pooled.DebugString().rfind("executor=parallel(2)\n", 0), 0u);
+  EXPECT_EQ(pooled.thread_pool()->parallelism(), 3);
+  EXPECT_EQ(pooled.executor_parallelism(), 3);
+  EXPECT_EQ(pooled.DebugString().rfind("threads=3\n", 0), 0u);
 
-  NetworkOptions single = parallel;
-  single.num_threads = 1;
-  ReteNetwork unpooled(&graph, single);
-  EXPECT_EQ(unpooled.executor(), ExecutorKind::kParallel);
-  EXPECT_EQ(unpooled.thread_pool(), nullptr);
-  EXPECT_EQ(unpooled.executor_parallelism(), 1);
-
-  ReteNetwork serial(&graph, NetworkOptions{});
-  EXPECT_EQ(serial.thread_pool(), nullptr);
-  EXPECT_EQ(serial.executor_parallelism(), 1);
+  for (int threads : {1, 0, -1}) {
+    NetworkOptions serial;
+    serial.num_threads = threads;
+    ReteNetwork unpooled(&graph, serial);
+    EXPECT_EQ(unpooled.thread_pool(), nullptr) << threads;
+    EXPECT_EQ(unpooled.executor_parallelism(), 1) << threads;
+    EXPECT_EQ(unpooled.DebugString().rfind("threads=1\n", 0), 0u) << threads;
+  }
+  EXPECT_EQ(NetworkOptions{}.num_threads, 1);
 }
 
 // Productions register beside sources: a second view root on an already

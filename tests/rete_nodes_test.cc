@@ -436,7 +436,7 @@ TEST(UnnestNodeTest, ExpandsListElements) {
   Schema in = TwoCols("id", "tags");
   Schema out = TwoCols("id", "tag");
   BoundExpression collection = Bind(MakeVariable("tags"), in);
-  UnnestNode unnest(out, std::move(collection), {0}, /*fine_grained=*/false);
+  UnnestNode unnest(out, std::move(collection), {0}, in.size());
   Recorder rec(&unnest);
 
   Tuple input({Value::Int(1),
@@ -449,7 +449,7 @@ TEST(UnnestNodeTest, ExpandsListElements) {
 TEST(UnnestNodeTest, NullAndScalarHandling) {
   Schema in = TwoCols("id", "x");
   Schema out = TwoCols("id", "e");
-  UnnestNode unnest(out, Bind(MakeVariable("x"), in), {0}, false);
+  UnnestNode unnest(out, Bind(MakeVariable("x"), in), {0}, in.size());
   Recorder rec(&unnest);
 
   rec.Deliver(0, {{Tuple({Value::Int(1), Value::Null()}), 1}});
@@ -463,9 +463,9 @@ TEST(UnnestNodeTest, FineGrainedEmitsOnlyElementDiff) {
   // fine-grained pairing: a one-element append emits ONE entry.
   Schema in = TwoCols("id", "tags");
   Schema out = TwoCols("id", "tag");
-  UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0},
-                    /*fine_grained=*/true);
+  UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0}, in.size());
   Recorder rec(&unnest);
+  EXPECT_NE(unnest.DebugString().find("(fine-grained)"), std::string::npos);
 
   ValueList big;
   for (int i = 0; i < 100; ++i) big.push_back(Value::Int(i));
@@ -481,12 +481,16 @@ TEST(UnnestNodeTest, FineGrainedEmitsOnlyElementDiff) {
   EXPECT_EQ(rec.bag.total_count(), 101);
 }
 
+// Keeping every input column (the plan dropped none) leaves nothing to
+// fold: each entry expands on its own.
 TEST(UnnestNodeTest, NaiveModeReemitsEverything) {
   Schema in = TwoCols("id", "tags");
-  Schema out = TwoCols("id", "tag");
-  UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0},
-                    /*fine_grained=*/false);
+  Schema out({{"id", Attribute::Kind::kValue},
+              {"tags", Attribute::Kind::kValue},
+              {"tag", Attribute::Kind::kValue}});
+  UnnestNode unnest(out, Bind(MakeVariable("tags"), in), {0, 1}, in.size());
   Recorder rec(&unnest);
+  EXPECT_EQ(unnest.DebugString().find("(fine-grained)"), std::string::npos);
 
   ValueList big;
   for (int i = 0; i < 100; ++i) big.push_back(Value::Int(i));
@@ -498,7 +502,7 @@ TEST(UnnestNodeTest, NaiveModeReemitsEverything) {
   Tuple after({Value::Int(1), Value::List(big)});
   rec.Deliver(0, {{before, -1}, {after, 1}});
   EXPECT_EQ(rec.entries_seen - baseline_entries, 201);  // 100 - then 101 +.
-  EXPECT_EQ(rec.bag.total_count(), 101);  // Same net result.
+  EXPECT_EQ(rec.bag.total_count(), 101);  // Same net size.
 }
 
 
@@ -522,6 +526,9 @@ std::vector<AppendCase> AppendCases() {
                  {"b", Attribute::Kind::kValue}});
   Schema lists = TwoCols("id", "tags");
   Schema elements = TwoCols("id", "tag");
+  Schema lists_and_elements({{"id", Attribute::Kind::kValue},
+                             {"tags", Attribute::Kind::kValue},
+                             {"tag", Attribute::Kind::kValue}});
   Tuple short_list(
       {Value::Int(1), Value::List({Value::Int(7), Value::Int(8)})});
   Tuple long_list({Value::Int(1), Value::List({Value::Int(7), Value::Int(8),
@@ -605,16 +612,21 @@ std::vector<AppendCase> AppendCases() {
   cases.push_back({"Union",
                    [one] { return std::make_unique<UnionNode>(one); },
                    {{0, {{T1(1), 1}}}, {1, {{T1(1), 2}, {T1(2), 1}}}}});
-  for (bool fine_grained : {true, false}) {
-    cases.push_back(
-        {fine_grained ? "FineGrainedUnnest" : "NaiveUnnest",
-         [lists, elements, fine_grained] {
-           return std::make_unique<UnnestNode>(
-               elements, Bind(MakeVariable("tags"), lists),
-               std::vector<int>{0}, fine_grained);
-         },
-         list_script});
-  }
+  cases.push_back({"FineGrainedUnnest",
+                   [lists, elements] {
+                     return std::make_unique<UnnestNode>(
+                         elements, Bind(MakeVariable("tags"), lists),
+                         std::vector<int>{0}, lists.size());
+                   },
+                   list_script});
+  cases.push_back({"NaiveUnnest",
+                   [lists, lists_and_elements] {
+                     return std::make_unique<UnnestNode>(
+                         lists_and_elements,
+                         Bind(MakeVariable("tags"), lists),
+                         std::vector<int>{0, 1}, lists.size());
+                   },
+                   list_script});
   return cases;
 }
 

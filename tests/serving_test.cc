@@ -24,7 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "support/rng.h"
 #include "workload/random_graph.h"
 
@@ -50,7 +50,7 @@ const std::vector<const char*>& ServingQueries() {
 /// Snapshot() calls on one view raced on the cache members. Under TSAN
 /// this test is a proof that the epoch-pinned rendering cache is safe.
 TEST(ServingSnapshot, ConcurrentSnapshotsOnOneViewAreSafe) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 7;
@@ -80,7 +80,7 @@ TEST(ServingSnapshot, ConcurrentSnapshotsOnOneViewAreSafe) {
 /// of one pinned object agree), even though commits land between and
 /// during the reads.
 TEST(ServingSnapshot, ReadersStayConsistentDuringWriterChurn) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = 21;
@@ -141,7 +141,7 @@ TEST(ServingSnapshot, ReadersStayConsistentDuringWriterChurn) {
 /// it holds them, and the reuse path must actually run — under TSAN this
 /// test races the handoff.
 TEST(ServingSnapshot, RecycledEpochsNeverChangeUnderAReader) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   static constexpr int64_t kRows = 512;
   std::vector<VertexId> vertices;
@@ -203,7 +203,7 @@ struct PinnedState {
 /// observed state is a committed serial state, bit for bit.
 void RunConcurrentReaderHarness(const EngineOptions& options, uint64_t seed,
                                 int reader_count) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   RandomGraphConfig config;
   config.seed = seed;
@@ -301,7 +301,6 @@ void RunConcurrentReaderHarness(const EngineOptions& options, uint64_t seed,
 
 struct HarnessConfig {
   const char* name;
-  ExecutorKind executor;
   int num_threads;
   /// Keep the default work-size gate: epochs then publish after drains
   /// that mix serial and dispatched waves.
@@ -314,7 +313,6 @@ class ServingDifferentialTest
 TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
   const HarnessConfig& harness = GetParam();
   EngineOptions options;
-  options.network.executor = harness.executor;
   options.network.num_threads = harness.num_threads;
   // Parallelize every wave, however small, to maximize barrier traffic.
   if (!harness.gated) options.network.parallel_min_wave_entries = 0;
@@ -326,13 +324,11 @@ TEST_P(ServingDifferentialTest, PinnedSnapshotsMatchCommittedEpochs) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, ServingDifferentialTest,
     ::testing::Values(
-        HarnessConfig{"batched_serial", ExecutorKind::kSerial, 0},
-        HarnessConfig{"batched_parallel2", ExecutorKind::kParallel, 2},
-        HarnessConfig{"batched_parallel8", ExecutorKind::kParallel, 8},
-        HarnessConfig{"batched_parallel2_gated", ExecutorKind::kParallel, 2,
-                      /*gated=*/true},
-        HarnessConfig{"batched_parallel8_gated", ExecutorKind::kParallel, 8,
-                      /*gated=*/true}),
+        HarnessConfig{"batched_serial", 1},
+        HarnessConfig{"batched_parallel2", 2},
+        HarnessConfig{"batched_parallel8", 8},
+        HarnessConfig{"batched_parallel2_gated", 2, /*gated=*/true},
+        HarnessConfig{"batched_parallel8_gated", 8, /*gated=*/true}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// SubmitAsync: mutations from several producer threads are coalesced by
@@ -340,7 +336,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// drains everything still queued. The tiny queue depth forces the
 /// backpressure path (producers block until the ingest thread catches up).
 TEST(ServingIngest, SubmitAsyncCoalescesAndDrains) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   EngineOptions options;
   options.ingest_queue_depth = 2;
@@ -393,7 +389,7 @@ TEST(ServingIngest, SubmitAsyncCoalescesAndDrains) {
 /// Destroying an engine with a live ingest session stops it cleanly and
 /// applies everything already queued (views outlive the engine).
 TEST(ServingIngest, DestructorStopsIngestAndDrains) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   std::shared_ptr<View> view;
   {
@@ -421,7 +417,7 @@ TEST(ServingIngest, DestructorStopsIngestAndDrains) {
 /// mid-session was a data race. They are atomics now; under TSAN this
 /// test is the proof.
 TEST(ServingIngest, CounterReadsDuringIngestAreRaceFree) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   auto view = engine.Register("MATCH (n:A) RETURN count(*) AS c");
@@ -507,7 +503,7 @@ bool SortedByCompare(const std::vector<Tuple>& rows) {
 /// neither tied nor == (an int compares exactly against a double), so
 /// they must sort apart and each must survive the other's retraction.
 TEST(ServingSnapshot, TiedRowsMergeByEquality) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   graph.AddVertex({"N"}, {{"x", Value::Int(0)}});
   graph.AddVertex({"N"}, {{"x", Value::Int(int64_t{1} << 54)}});
@@ -558,7 +554,7 @@ TEST(ServingSnapshot, TiedRowsMergeByEquality) {
 /// EvaluateOnce slices a fresh evaluation, commit after commit, while
 /// total_rows() keeps counting the whole result.
 TEST(ServingSnapshot, SkipLimitSliceMatchesEvaluateOnce) {
-  ScopedThreadsEnv no_env(nullptr);
+  ScopedEnvVar no_env("PGIVM_THREADS", nullptr);
   PropertyGraph graph;
   QueryEngine engine(&graph);
   const std::vector<const char*> queries = {

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "graph/graph_stats.h"
-#include "scoped_threads_env.h"
+#include "scoped_env_var.h"
 #include "support/thread_pool.h"
 #include "workload/snb_driver.h"
 
@@ -118,7 +118,7 @@ TEST(SnbDeterminismTest, PopulatePlusUpdatesFingerprintIsStable) {
   // settings (the generator never looks at them — but make the claim
   // explicit by varying PGIVM_THREADS, which engines read, around it).
   auto build = [](const char* threads_env) {
-    ScopedThreadsEnv env(threads_env);
+    ScopedEnvVar env("PGIVM_THREADS", threads_env);
     PropertyGraph graph;
     SocialNetworkGenerator generator(SocialNetworkConfig::AtScale(0.02, 7));
     generator.Populate(&graph);
@@ -277,8 +277,8 @@ TEST(SnbDriverReproTest, WithReproAppliesEngineShape) {
   spec.threads = 4;
   SnbDriverConfig config = SnbDriver::WithRepro(SmallConfig(), spec);
   EXPECT_EQ(config.seed, 77u);
-  EXPECT_EQ(config.engine.network.executor, ExecutorKind::kParallel);
   EXPECT_EQ(config.engine.network.num_threads, 4);
+  EXPECT_EQ(config.engine.network.parallel_min_wave_entries, 0u);
   // Round trip: the driver built from the repro'd config reports the same
   // case, so recipes are stable across replay hops.
   SnbDriver driver(config);
@@ -289,16 +289,48 @@ TEST(SnbDriverReproTest, SingleThreadReproRunsSerial) {
   // A recipe recorded from a serial case replays serially even when the
   // config it is applied to asked for parallel waves.
   SnbDriverConfig parallel = SmallConfig();
-  parallel.engine.network.executor = ExecutorKind::kParallel;
   parallel.engine.network.num_threads = 4;
   ReproSpec spec;
   spec.seed = 9;
   spec.threads = 1;
   SnbDriverConfig config = SnbDriver::WithRepro(parallel, spec);
   EXPECT_EQ(config.seed, 9u);
-  EXPECT_EQ(config.engine.network.executor, ExecutorKind::kSerial);
+  EXPECT_EQ(config.engine.network.num_threads, 1);
   SnbDriver driver(config);
   EXPECT_TRUE(driver.ReproCase().SameCase(spec));
+}
+
+// One thread count, three ways to give it: the option, PGIVM_THREADS and a
+// PGIVM_REPRO spec applied through WithRepro all build the same executor.
+TEST(SnbDriverReproTest, ThreadCountMeansTheSameEverywhere) {
+  ScopedEnvVar pin("PGIVM_THREADS", nullptr);
+  PropertyGraph graph;
+  for (int threads : {0, 1, 4}) {
+    const std::string value = std::to_string(threads);
+    const int expected = threads > 1 ? threads : 1;
+
+    EngineOptions options;
+    options.network.num_threads = threads;
+    QueryEngine by_option(&graph, options);
+    EXPECT_EQ(by_option.catalog().network().executor_parallelism(), expected)
+        << value;
+
+    {
+      ScopedEnvVar env("PGIVM_THREADS", value.c_str());
+      QueryEngine by_env(&graph);
+      EXPECT_EQ(by_env.catalog().network().executor_parallelism(), expected)
+          << value;
+    }
+
+    ReproSpec spec;
+    spec.threads = threads;
+    SnbDriverConfig config = SnbDriver::WithRepro(SmallConfig(), spec);
+    EXPECT_EQ(config.engine.network.num_threads, threads) << value;
+    QueryEngine by_repro(&graph, config.engine);
+    EXPECT_EQ(by_repro.catalog().network().executor_parallelism(), expected)
+        << value;
+    EXPECT_EQ(SnbDriver(config).ReproCase().threads, threads) << value;
+  }
 }
 
 // ---- validation mode: bit-parity across engine shapes ----------------------
@@ -318,7 +350,7 @@ TEST(SnbValidationTest, BitParityAcrossSeedsAndShapes) {
   // each larger scale), each under serial and parallel execution of the
   // engine under test, all bit-identical to the serial reference.
   // PGIVM_THREADS must not override the shapes.
-  ScopedThreadsEnv pin(nullptr);
+  ScopedEnvVar pin("PGIVM_THREADS", nullptr);
   struct Case {
     double scale_factor;
     uint64_t seed;
@@ -334,7 +366,6 @@ TEST(SnbValidationTest, BitParityAcrossSeedsAndShapes) {
       config.validate_every = 2;
       config.baseline_every = 10;
       if (shape.parallel) {
-        config.engine.network.executor = ExecutorKind::kParallel;
         config.engine.network.num_threads = 4;
         config.engine.network.parallel_min_wave_entries = 0;
       }
@@ -355,7 +386,7 @@ TEST(SnbValidationTest, BitParityAcrossSeedsAndShapes) {
 }
 
 TEST(SnbValidationTest, FingerprintStableAcrossRuns) {
-  ScopedThreadsEnv pin(nullptr);
+  ScopedEnvVar pin("PGIVM_THREADS", nullptr);
   SnbDriverConfig config = SmallConfig();
   config.operations = 80;
   SnbDriver driver(config);
@@ -370,7 +401,7 @@ TEST(SnbValidationTest, FingerprintStableAcrossRuns) {
 TEST(SnbValidationTest, FinalGraphIsTheStreamReplayedWithoutViews) {
   // The reported fingerprint is the graph the update stream alone builds:
   // maintaining two engines' worth of views over it never writes to it.
-  ScopedThreadsEnv pin(nullptr);
+  ScopedEnvVar pin("PGIVM_THREADS", nullptr);
   SnbDriverConfig config = SmallConfig();
   config.operations = 120;
   config.validate_every = 2;
@@ -397,7 +428,7 @@ TEST(SnbValidationTest, FinalGraphIsTheStreamReplayedWithoutViews) {
 TEST(SnbValidationTest, ReportCountsEveryOperationByClass) {
   // The report's per-class counts are exactly the stream's mix: every
   // operation is replayed once, reads included.
-  ScopedThreadsEnv pin(nullptr);
+  ScopedEnvVar pin("PGIVM_THREADS", nullptr);
   SnbDriverConfig config = SmallConfig();
   config.operations = 120;
   SnbDriver driver(config);

@@ -99,9 +99,9 @@ TEST(SymbolRefTest, CopyCarriesNameAndCache) {
 }
 
 TEST(SymbolRefTest, ConcurrentResolveIsRaceFree) {
-  // Resolve may race with itself on pool threads (parallel source
-  // translation); all racers must agree. Run under TSAN via the
-  // `storage` label for the data-race proof.
+  // Resolve is const and promises concurrent callers a race-free cache;
+  // all racers must agree. Run under TSAN via the `storage` label for the
+  // data-race proof.
   SymbolTable table;
   SymbolId id = table.Intern("shared");
   SymbolRef ref("shared");

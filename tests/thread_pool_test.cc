@@ -73,9 +73,12 @@ TEST(ThreadPoolTest, EmptyRegionIsANoOp) {
   EXPECT_FALSE(ran);
 }
 
+// 0 and negative counts mean serial, like 1: the machine's hardware
+// concurrency is never consulted.
 TEST(ThreadPoolTest, ResolveThreadCount) {
-  EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1);   // hardware concurrency
-  EXPECT_GE(ThreadPool::ResolveThreadCount(-3), 1);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(0), 1);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(-3), 1);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(1), 1);
   EXPECT_EQ(ThreadPool::ResolveThreadCount(6), 6);
 }
 
@@ -88,7 +91,6 @@ TEST(ThreadPoolTest, ResolveThreadCountCapsAtMaxThreads) {
   EXPECT_EQ(ThreadPool::ResolveThreadCount(ThreadPool::kMaxThreads + 1),
             ThreadPool::kMaxThreads);
   EXPECT_EQ(ThreadPool::ResolveThreadCount(100000), ThreadPool::kMaxThreads);
-  EXPECT_LE(ThreadPool::ResolveThreadCount(0), ThreadPool::kMaxThreads);
 }
 
 }  // namespace
